@@ -17,7 +17,6 @@
 #include "mem/hm.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
-#include "sim/event_queue.hh"
 #include "telemetry/session.hh"
 
 using namespace sentinel;
@@ -85,9 +84,9 @@ BENCHMARK(BM_MigrateBatch)->Arg(64)->Arg(1024);
 // Raw page-table throughput on the extent hot path: bulk-map and
 // bulk-unmap a 64 MB (16384-page) extent per iteration.
 void
-BM_PageTableDenseMapUnmap(benchmark::State &state)
+BM_PageTableMapUnmap(benchmark::State &state)
 {
-    mem::PageTable pt(mem::PageTable::Backend::Dense);
+    mem::PageTable pt;
     const std::uint64_t npages = 16384;
     for (auto _ : state) {
         pt.mapRange(0, npages, mem::Tier::Fast);
@@ -96,7 +95,7 @@ BM_PageTableDenseMapUnmap(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(2 * npages));
 }
-BENCHMARK(BM_PageTableDenseMapUnmap);
+BENCHMARK(BM_PageTableMapUnmap);
 
 void
 BM_GraphBuildResnet32(benchmark::State &state)
@@ -124,11 +123,9 @@ BENCHMARK(BM_ExecutorStepFastOnly);
 // The extent-granular walk's headline case: ops whose tensors span
 // tens of thousands of pages.  One step touches a 64 MB weight and a
 // 32 MB activation twice each (~48k page accesses); the range walk
-// resolves them as a handful of runs.  The /PerPage variant replays
-// the legacy page loop on the same graph, so the ratio between the
-// two is the extent walk's speedup.
+// resolves them as a handful of runs.
 void
-runLargePagesStep(benchmark::State &state, df::Executor::AccessMode mode)
+BM_ExecutorStepLargePages(benchmark::State &state)
 {
     df::Graph g("large-pages", 2);
     const std::uint64_t wbytes = 64ull << 20;
@@ -148,7 +145,6 @@ runLargePagesStep(benchmark::State &state, df::Executor::AccessMode mode)
     auto hm = makeHm(256ull << 20);
     auto policy = baselines::makeFastOnly();
     df::Executor ex(g, hm, df::ExecParams{}, *policy);
-    ex.setAccessMode(mode);
     ex.runStep();
     for (auto _ : state)
         benchmark::DoNotOptimize(ex.runStep().step_time);
@@ -156,20 +152,7 @@ runLargePagesStep(benchmark::State &state, df::Executor::AccessMode mode)
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(2 * (wbytes + abytes) / mem::kPageSize));
 }
-
-void
-BM_ExecutorStepLargePages(benchmark::State &state)
-{
-    runLargePagesStep(state, df::Executor::AccessMode::Range);
-}
 BENCHMARK(BM_ExecutorStepLargePages);
-
-void
-BM_ExecutorStepLargePagesPerPage(benchmark::State &state)
-{
-    runLargePagesStep(state, df::Executor::AccessMode::PerPage);
-}
-BENCHMARK(BM_ExecutorStepLargePagesPerPage);
 
 // Same step with a telemetry session attached: the delta against
 // BM_ExecutorStepFastOnly is the *enabled* tracing cost (events +
@@ -224,50 +207,6 @@ BM_SentinelSteadyStep(benchmark::State &state)
         benchmark::DoNotOptimize(ex.runStep().step_time);
 }
 BENCHMARK(BM_SentinelSteadyStep);
-
-/**
- * Calendar vs binary-heap event queue, schedule + drain of a mixed
- * workload: mostly near-future events with same-tick collisions (the
- * migration engine's arrival pattern) plus a sprinkle of far-future
- * ones.  Arg 0 selects the backend.
- */
-void
-BM_EventQueueCalendarVsHeap(benchmark::State &state)
-{
-    auto backend = state.range(0) == 0
-                       ? sim::EventQueue::Backend::Calendar
-                       : sim::EventQueue::Backend::Heap;
-    constexpr int kEvents = 4096;
-    sim::EventQueue eq(backend);
-    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
-    auto next = [&rng] {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        return rng;
-    };
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        Tick base = eq.now();
-        for (int i = 0; i < kEvents; ++i) {
-            std::uint64_t r = next();
-            // ~1/16 far-future stragglers, rest within a 64k window
-            // (quantized so same-tick FIFO ordering gets exercised).
-            Tick when =
-                base + ((r & 15) == 0
-                            ? static_cast<Tick>(r % (1u << 26))
-                            : static_cast<Tick>((r >> 4) &
-                                                     0xFFC0));
-            eq.schedule(when, [&sink](Tick t) {
-                sink += static_cast<std::uint64_t>(t);
-            });
-        }
-        eq.drain();
-    }
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(state.iterations() * kEvents);
-}
-BENCHMARK(BM_EventQueueCalendarVsHeap)->Arg(0)->Arg(1);
 
 } // namespace
 

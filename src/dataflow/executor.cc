@@ -197,12 +197,14 @@ Executor::notePeakFastUsage()
 }
 
 void
-Executor::accountPages(mem::Tier tier, std::uint64_t idx, std::uint64_t n,
+Executor::accountPages(mem::Tier tier, mem::PageRun run, mem::PageId first,
                        UseTraffic tr, const TensorUse &use, TensorKind kind,
                        Tick *mem_total)
 {
     // Remainder distribution: pages [0, rem) carry q+1 bytes, the rest
     // q, so the per-use total is exactly use.traffic_bytes.
+    const std::uint64_t idx = run.first - first;
+    const std::uint64_t n = run.count;
     std::uint64_t fat =
         idx < tr.rem ? std::min<std::uint64_t>(n, tr.rem - idx) : 0;
     std::uint64_t lean = n - fat;
@@ -228,57 +230,20 @@ Executor::accountPages(mem::Tier tier, std::uint64_t idx, std::uint64_t n,
     }
     if (trace_)
         trace_->record(mem::tierName(tier), now_, bytes);
-}
 
-void
-Executor::execUsePerPage(const TensorUse &use, const TensorPlacement &pl,
-                         UseTraffic tr, TensorKind kind, Tick *mem_total)
-{
-    std::uint64_t episodes = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(1, std::llround(use.episodes_per_page)));
-
-    std::uint64_t idx = 0;
-    for (mem::PageId p = pl.firstPage(); p < pl.endPage(); ++p, ++idx) {
-        PageAccessResult r = policy_.onPageAccess(*this, p, use.is_write);
-        if (r.extra > 0)
-            chargeExposed(r.extra);
-
-        mem::Tier tier;
-        if (r.effective) {
-            tier = *r.effective;
-        } else {
-            if (hm_.inFlight(p, now_)) {
-                // Only transfers toward faster memory are worth
-                // stalling for; a demotion in flight still serves
-                // reads from its (faster) source.
-                mem::HeterogeneousMemory::FlightInfo fi =
-                    hm_.flightInfo(p);
-                if (fi.toward_fast &&
-                    policy_.stallForInflight(*this, p)) {
-                    if (attr_)
-                        attr_->setStallLink(fi.link);
-                    stallUntil(hm_.arrivalTime(p));
-                    if (attr_)
-                        attr_->setStallLink(0);
-                }
-            }
-            tier = hm_.residentTier(p, now_);
-        }
-
-        accountPages(tier, idx, 1, tr, use, kind, mem_total);
-
-        if (tracker_) {
-            Tick fault = tracker_->onAccess(p, use.is_write, episodes);
-            if (fault > 0) {
-                if (telemetry_)
-                    telemetry_->emit(telemetry::EventType::ProfilingFault,
-                                     now_, fault, 0,
-                                     static_cast<std::uint32_t>(p));
-                now_ += fault;
-                stats_.fault_overhead += fault;
-                if (attr_)
-                    attr_->chargeFault(fault);
-            }
+    // Profiling: every access to a poisoned page faults.  The run's
+    // faults land before the caller's next residency query, so the
+    // clock advances exactly as a page-by-page walk would advance it
+    // (no page of a resolved run changes state in between).
+    if (tracker_) {
+        std::uint64_t episodes = static_cast<std::uint64_t>(
+            std::max<std::int64_t>(1, std::llround(use.episodes_per_page)));
+        Tick fault = tracker_->onAccess(run, use.is_write, episodes);
+        if (fault > 0) {
+            now_ += fault;
+            stats_.fault_overhead += fault;
+            if (attr_)
+                attr_->chargeFault(fault);
         }
     }
 }
@@ -305,7 +270,7 @@ Executor::execUseRanges(const TensorUse &use, const TensorPlacement &pl,
             if (seg.extra > 0 || seg.stall_events > 0)
                 chargeExposedEvents(seg.extra, seg.stall_events);
             if (seg.effective) {
-                accountPages(*seg.effective, pos - first, seg.pages, tr,
+                accountPages(*seg.effective, { pos, seg.pages }, first, tr,
                              use, kind, mem_total);
                 pos += seg.pages;
                 continue;
@@ -315,8 +280,8 @@ Executor::execUseRanges(const TensorUse &use, const TensorPlacement &pl,
                 mem::PageRunState rs = hm_.residentRange(pos, left, now_);
                 if (!rs.in_flight) {
                     // The fast path: one charge for the whole run.
-                    accountPages(rs.tier, pos - first, rs.count, tr, use,
-                                 kind, mem_total);
+                    accountPages(rs.tier, { pos, rs.count }, first, tr,
+                                 use, kind, mem_total);
                     pos += rs.count;
                     left -= rs.count;
                     continue;
@@ -334,7 +299,7 @@ Executor::execUseRanges(const TensorUse &use, const TensorPlacement &pl,
                     if (attr_)
                         attr_->setStallLink(0);
                 }
-                accountPages(hm_.residentTier(pos, now_), pos - first, 1,
+                accountPages(hm_.residentTier(pos, now_), { pos, 1 }, first,
                              tr, use, kind, mem_total);
                 pos += 1;
                 left -= 1;
@@ -374,13 +339,7 @@ Executor::execOp(const Operation &op)
                 static_cast<double>(traffic) * traffic_scale);
         UseTraffic tr{ traffic / npages, traffic % npages };
         TensorKind kind = graph_.tensor(use.tensor).kind;
-
-        // Profiling (tracker attached) charges a fault per page, which
-        // advances the clock mid-extent — stay on the exact path.
-        if (access_mode_ == AccessMode::PerPage || tracker_)
-            execUsePerPage(use, pl, tr, kind, &mem_total);
-        else
-            execUseRanges(use, pl, tr, kind, &mem_total);
+        execUseRanges(use, pl, tr, kind, &mem_total);
     }
 
     Tick t = opTime(compute, mem_total, params_);

@@ -7,12 +7,19 @@
  * tensor -> placement table, and page reference counting (multiple
  * tensors may share a page; the page lives while any of them does).
  *
+ * Each tensor use is walked once, as runs of pages: the policy's
+ * onRangeAccess() resolves a prefix of the remaining extent, and a
+ * segment without a forced tier is split into maximal runs that share
+ * one resident tier.  Traffic, time and profiling faults are charged
+ * once per run; a page still in flight is resolved on its own.
+ *
  * Optional attachments:
  *  - an AccessTracker models the paper's PTE-poisoning profiler
  *    (counts page accesses, charges fault overhead to the step);
  *  - a TraceRecorder captures per-tier traffic for Fig. 9;
  *  - a telemetry::Session records structured events (op/step spans,
- *    stalls, faults) and counters for Chrome-trace/CSV export.
+ *    stalls, policy decisions) and counters for Chrome-trace/CSV
+ *    export.
  */
 
 #ifndef SENTINEL_DATAFLOW_EXECUTOR_HH
@@ -40,12 +47,6 @@ namespace sentinel::df {
 class Executor
 {
   public:
-    /** How execOp resolves tensor placements (see setAccessMode). */
-    enum class AccessMode {
-        Range,   ///< walk maximal same-state page runs (production)
-        PerPage, ///< legacy page-by-page loop (differential testing)
-    };
-
     Executor(const Graph &graph, mem::HeterogeneousMemory &hm,
              ExecParams params, MemoryPolicy &policy);
 
@@ -73,15 +74,6 @@ class Executor
     const TensorPlacement &placementOf(TensorId id) const;
     /** Number of live tensors overlapping @p page (0 if unmapped). */
     int pageRefCount(mem::PageId page) const;
-
-    /**
-     * Select the placement-walk strategy.  Range (the default) charges
-     * traffic once per maximal same-tier non-in-flight run; PerPage
-     * replays the historical page loop.  Both produce identical
-     * StepStats — PerPage exists so tests can prove it.
-     */
-    void setAccessMode(AccessMode mode) { access_mode_ = mode; }
-    AccessMode accessMode() const { return access_mode_; }
 
     // --- Time charging (policy hooks use these) -----------------------------
 
@@ -117,9 +109,9 @@ class Executor
 
     /**
      * Attach a telemetry session (null detaches).  When attached, the
-     * executor emits step/op spans, stall, fault, and policy-decision
-     * events and maintains per-tier traffic counters plus a stall
-     * latency histogram.  Telemetry never perturbs simulated time:
+     * executor emits step/op spans, stall and policy-decision events
+     * and maintains per-tier traffic counters plus a stall latency
+     * histogram.  Telemetry never perturbs simulated time:
      * stats with and without a session are bit-identical.
      */
     void setTelemetry(telemetry::Session *session);
@@ -146,13 +138,12 @@ class Executor
     void allocateTensor(TensorId id);
     void freeTensor(TensorId id);
     void execOp(const Operation &op);
-    void execUsePerPage(const TensorUse &use, const TensorPlacement &pl,
-                        UseTraffic tr, TensorKind kind, Tick *mem_total);
     void execUseRanges(const TensorUse &use, const TensorPlacement &pl,
                        UseTraffic tr, TensorKind kind, Tick *mem_total);
-    /** Charge traffic/time/telemetry for @p n pages starting at
-     *  placement-relative index @p idx, all served from @p tier. */
-    void accountPages(mem::Tier tier, std::uint64_t idx, std::uint64_t n,
+    /** Charge traffic/time/telemetry for @p run, all served from
+     *  @p tier (@p first is the placement's first page), then the
+     *  attached tracker's profiling faults for the run. */
+    void accountPages(mem::Tier tier, mem::PageRun run, mem::PageId first,
                       UseTraffic tr, const TensorUse &use, TensorKind kind,
                       Tick *mem_total);
     void notePeakFastUsage();
@@ -177,7 +168,6 @@ class Executor
     std::vector<std::uint8_t> live_;
     mem::PageDirectory<std::int32_t> page_refs_;
 
-    AccessMode access_mode_ = AccessMode::Range;
     std::vector<AccessSegment> seg_buf_; ///< reused per onRangeAccess call
 
     mem::AccessTracker *tracker_ = nullptr;

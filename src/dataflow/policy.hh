@@ -11,8 +11,10 @@
  *    planned policies schedule prefetches and evictions;
  *  - allocate()/free notifications, where layout policies choose
  *    addresses (and therefore page sharing) and initial tiers;
- *  - onPageAccess(), where reactive page-level policies (IAL, UM,
- *    Memory Mode) migrate on demand and charge critical-path costs.
+ *  - onRangeAccess(), the batched access hook, and the per-page
+ *    onPageAccess() behind its default adapter, where reactive
+ *    page-level policies (IAL, UM, Memory Mode, GPU Sentinel) migrate
+ *    on demand and charge critical-path costs.
  *
  * Hooks may charge time to the step through the Executor's charge*
  * methods; they never mutate the clock directly.
@@ -117,7 +119,12 @@ class MemoryPolicy
 
     // --- Access ------------------------------------------------------------
 
-    /** Called for every page touched by every op. */
+    /**
+     * Per-page access hook, reached through the default
+     * onRangeAccess() adapter one page at a time.  A policy whose
+     * onRangeAccess() override covers a run itself never sees the
+     * run's pages here.
+     */
     virtual PageAccessResult
     onPageAccess(Executor &, mem::PageId, bool /*is_write*/)
     {
@@ -130,11 +137,12 @@ class MemoryPolicy
      * uncovered remainder, so covering a single page is always legal.
      *
      * The default adapter routes exactly one page through
-     * onPageAccess(), reproducing the legacy page-by-page interleaving
-     * (policy hook, stall, clock advance per page) bit-for-bit — any
-     * policy that doesn't override this keeps working unchanged.
-     * Policies that override it MUST only batch pages whose treatment
-     * cannot depend on the clock advancing between them.
+     * onPageAccess(): policy hook, stall, and clock advance per page.
+     * That is the per-page reference every batched override must
+     * match bit-for-bit, so overrides MUST only batch pages whose
+     * treatment cannot depend on the clock advancing between them
+     * (an attached AccessTracker advances it by one fault per access
+     * to each resolved run).
      */
     virtual void onRangeAccess(Executor &ex, mem::PageRun run, bool is_write,
                                std::vector<AccessSegment> &out);

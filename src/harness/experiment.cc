@@ -236,8 +236,7 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
     // Profiling phase (one step on a scratch memory system).
     std::optional<prof::ProfileResult> profile;
     if (needsProfile(policy)) {
-        mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain(),
-                                         cfg.page_table);
+        mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
         prof::Profiler profiler(rc.profiler);
         profile = profiler.profile(graph, prof_hm, rc.exec);
     }
@@ -245,8 +244,7 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
     auto pol = makePolicy(policy, cfg, fast_bytes,
                           profile ? &profile->db : nullptr);
 
-    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain(),
-                                cfg.page_table);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
     df::Executor ex(graph, hm, rc.exec, *pol);
     if (cfg.telemetry) {
         hm.setTelemetry(cfg.telemetry);

@@ -82,10 +82,6 @@ struct ExperimentConfig {
      *  0 interpolates between the fast and slow endpoints. */
     double mid_bw = 0.0;
 
-    /** Page-table backend for both the profiling and training memory
-     *  systems; non-default only in the layout equivalence suite. */
-    mem::PageTable::Backend page_table = mem::PageTable::defaultBackend();
-
     int steps = 9;
     int warmup = 6; ///< steps excluded from the averages (cold start
                     ///< plus Sentinel's test-and-trial steps)

@@ -37,20 +37,24 @@ AccessTracker::isTracked(PageId page) const
 }
 
 Tick
-AccessTracker::onAccess(PageId page, bool is_write, std::uint64_t count)
+AccessTracker::onAccess(PageRun run, bool is_write, std::uint64_t count)
 {
     if (count == 0)
         return 0;
-    const PageTrackState *s = pages_.find(page);
-    if (!s || !s->tracked)
-        return 0;
-    PageAccessCounts &c = pages_.ref(page).counts;
-    if (is_write)
-        c.writes += count;
-    else
-        c.reads += count;
-    total_faults_ += count;
-    return fault_cost_ * static_cast<Tick>(count);
+    std::uint64_t faults = 0;
+    for (PageId page = run.first; page < run.endPage(); ++page) {
+        const PageTrackState *s = pages_.find(page);
+        if (!s || !s->tracked)
+            continue;
+        PageAccessCounts &c = pages_.ref(page).counts;
+        if (is_write)
+            c.writes += count;
+        else
+            c.reads += count;
+        faults += count;
+    }
+    total_faults_ += faults;
+    return fault_cost_ * static_cast<Tick>(faults);
 }
 
 std::vector<std::pair<PageId, PageTrackState>>

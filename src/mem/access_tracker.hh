@@ -13,7 +13,7 @@
  * This class reproduces both properties: exact per-page counts, and a
  * per-observation Tick cost the executor charges to the profiling step.
  * State lives in a chunked PageDirectory rather than a hash map, so the
- * per-access lookup on the executor's range path is two loads.
+ * per-page lookup is two loads.
  */
 
 #ifndef SENTINEL_MEM_ACCESS_TRACKER_HH
@@ -55,10 +55,6 @@ class AccessTracker
     {
     }
 
-    /** Sizing hint.  The chunked directory allocates on first touch,
-     *  so this is a no-op kept for API stability. */
-    void reserve(std::size_t /*expected_pages*/) {}
-
     /** Begin tracking @p page (poison its PTE). */
     void track(PageId page);
 
@@ -74,12 +70,13 @@ class AccessTracker
     bool isTracked(PageId page) const;
 
     /**
-     * Observe @p count accesses to @p page.
+     * Observe @p count accesses to every page of @p run.
      *
-     * @return the fault-handling cost to charge to the critical path
-     *         (zero if the page is not tracked).
+     * @return the fault-handling cost to charge to the critical path:
+     *         one fault per access to a tracked page, none for
+     *         untracked pages.
      */
-    Tick onAccess(PageId page, bool is_write, std::uint64_t count = 1);
+    Tick onAccess(PageRun run, bool is_write, std::uint64_t count = 1);
 
     /**
      * Snapshot of every page with tracking state or recorded counts,

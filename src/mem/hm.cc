@@ -30,18 +30,15 @@ HeterogeneousMemory::nullChannel()
 }
 
 HeterogeneousMemory::HeterogeneousMemory(TierParams fast, TierParams slow,
-                                         MigrationParams migration,
-                                         PageTable::Backend backend)
+                                         MigrationParams migration)
     : HeterogeneousMemory(
           std::vector<TierParams>{ std::move(fast), std::move(slow) },
-          std::vector<MigrationParams>{ migration }, backend)
+          std::vector<MigrationParams>{ migration })
 {
 }
 
 HeterogeneousMemory::HeterogeneousMemory(std::vector<TierParams> tiers,
-                                         std::vector<MigrationParams> links,
-                                         PageTable::Backend backend)
-    : table_(backend)
+                                         std::vector<MigrationParams> links)
 {
     SENTINEL_ASSERT(!tiers.empty() && tiers.size() <= kMaxTiers,
                     "tier chain must have 1..%u tiers (got %zu)",

@@ -59,9 +59,7 @@ class HeterogeneousMemory
   public:
     /** Legacy two-tier constructor; delegates to the chain form. */
     HeterogeneousMemory(TierParams fast, TierParams slow,
-                        MigrationParams migration,
-                        PageTable::Backend backend =
-                            PageTable::defaultBackend());
+                        MigrationParams migration);
 
     /**
      * N-tier chain constructor.  @p tiers is ordered fastest-first;
@@ -70,9 +68,7 @@ class HeterogeneousMemory
      * migrates.
      */
     HeterogeneousMemory(std::vector<TierParams> tiers,
-                        std::vector<MigrationParams> links,
-                        PageTable::Backend backend =
-                            PageTable::defaultBackend());
+                        std::vector<MigrationParams> links);
 
     // --- Topology ------------------------------------------------------
 

@@ -52,6 +52,16 @@ class ProfilingPolicy : public df::MemoryPolicy
     }
 
     void
+    onRangeAccess(df::Executor &, mem::PageRun run, bool,
+                  std::vector<df::AccessSegment> &out) override
+    {
+        // Never migrates and never charges: one segment for the run.
+        df::AccessSegment seg;
+        seg.pages = run.count;
+        out.push_back(seg);
+    }
+
+    void
     onLayerBegin(df::Executor &ex, int) override
     {
         layer_start_ = ex.now();
@@ -110,6 +120,16 @@ class PackedSlowPolicy : public df::MemoryPolicy
         arena_.free(pl.addr, pl.bytes);
     }
 
+    void
+    onRangeAccess(df::Executor &, mem::PageRun run, bool,
+                  std::vector<df::AccessSegment> &out) override
+    {
+        // Never migrates and never charges: one segment for the run.
+        df::AccessSegment seg;
+        seg.pages = run.count;
+        out.push_back(seg);
+    }
+
   private:
     alloc::VirtualArena arena_;
 };
@@ -148,14 +168,7 @@ Profiler::profile(const df::Graph &graph, mem::HeterogeneousMemory &hm,
     ProfilingPolicy policy(db);
     df::Executor ex(graph, hm, params, policy);
     mem::AccessTracker tracker(opts_.fault_cost);
-    // The profiling layout never recycles addresses, so the tracker
-    // will see every tensor's page-aligned footprint exactly once.
-    std::size_t est_pages = 0;
-    for (const auto &t : graph.tensors())
-        est_pages += t.pageAlignedBytes() / mem::kPageSize;
-    tracker.reserve(est_pages);
     ex.setAccessTracker(&tracker);
-    ex.setTelemetry(telemetry_);
 
     result.profiling_step = ex.runStep();
 
@@ -234,9 +247,7 @@ Profiler::profilePageLevel(const df::Graph &graph,
     PackedSlowPolicy policy;
     df::Executor ex(graph, hm, params, policy);
     mem::AccessTracker tracker(opts_.fault_cost);
-    tracker.reserve(graph.peakMemoryBytes() / mem::kPageSize);
     ex.setAccessTracker(&tracker);
-    ex.setTelemetry(telemetry_);
     ex.runStep();
 
     std::vector<PageLevelEntry> out;

@@ -94,14 +94,6 @@ class Profiler
     explicit Profiler(ProfilerOptions opts = {}) : opts_(opts) {}
 
     /**
-     * Attach a telemetry session (null detaches): the profiling step's
-     * executor then emits op spans and one ProfilingFault event per
-     * serviced poisoned-PTE fault, making the profiling phase itself
-     * inspectable in the exported trace.
-     */
-    void setTelemetry(telemetry::Session *session) { telemetry_ = session; }
-
-    /**
      * Run the one-step tensor-level profiling of @p graph against a
      * fresh slow-memory-backed executor on @p hm.
      */
@@ -120,7 +112,6 @@ class Profiler
 
   private:
     ProfilerOptions opts_;
-    telemetry::Session *telemetry_ = nullptr;
 };
 
 } // namespace sentinel::prof

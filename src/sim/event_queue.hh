@@ -15,21 +15,9 @@
  * breaks the tie, never container internals (tests/sim/test_event_queue.cc
  * pins the interleaving down).
  *
- * Two backends share the interface, mirroring the dense/hash page-table
- * split:
- *
- *  - Calendar (default): a calendar queue (Brown 1988).  Events hash
- *    into power-of-two time buckets by `when >> bucket_shift`; a pop
- *    walks "days" forward from the last known minimum, so in the common
- *    near-future case both schedule and pop are O(1) amortized and the
- *    bucket vectors are reused without allocation.  The bucket width
- *    re-calibrates to the observed event spacing whenever the table
- *    resizes.  Total order is still exact: within a day the minimum
- *    (when, seq) entry is selected, and a fruitless full lap falls back
- *    to a global scan (events far beyond the current horizon).
- *  - Heap (fallback): the original binary heap, kept behind
- *    Backend::Heap (or -DSENTINEL_CALENDAR_EQ=OFF) for differential
- *    testing of pop order.
+ * Storage is a binary min-heap on (when, seq) over a plain vector, so
+ * reset() keeps its capacity.  The queue's one user, the server's
+ * replay, keeps a handful of events pending at a time.
  */
 
 #ifndef SENTINEL_SIM_EVENT_QUEUE_HH
@@ -49,18 +37,6 @@ class EventQueue
   public:
     using Callback = std::function<void(Tick)>;
 
-    enum class Backend {
-        Calendar, ///< calendar queue / time wheel (production)
-        Heap,     ///< binary min-heap (differential fallback)
-    };
-
-    /** Build-time default: Calendar unless -DSENTINEL_CALENDAR_EQ=OFF. */
-    static Backend defaultBackend();
-
-    explicit EventQueue(Backend backend = defaultBackend());
-
-    Backend backend() const { return backend_; }
-
     /** Schedule @p cb to fire at absolute time @p when. */
     void schedule(Tick when, Callback cb);
 
@@ -78,8 +54,8 @@ class EventQueue
     /** Run everything that is pending, regardless of tick. */
     std::size_t drain();
 
-    bool empty() const { return count_ == 0; }
-    std::size_t size() const { return count_; }
+    bool empty() const { return heap_.empty(); }
+    std::size_t size() const { return heap_.size(); }
 
     /** Time of the last executed event (0 before any run). */
     Tick now() const { return now_; }
@@ -88,24 +64,9 @@ class EventQueue
      * Discard all pending events and rewind the clock and sequence
      * counter — a fresh queue for the next simulation on the same
      * object (the server reuses one queue across runs).  Storage is
-     * retained for reuse; call shrink() to release it.
+     * retained for reuse.
      */
     void reset();
-
-    /**
-     * Release all retained storage (bucket vectors, heap array) back
-     * to the allocator.  Long fuzz campaigns call this between cases
-     * so one large case doesn't pin peak memory across thousands of
-     * iterations.  Pending events survive: shrink() only drops *spare*
-     * capacity — with events pending, the calendar rebuckets them into
-     * the smallest table that fits and restarts its day-walk at the
-     * earliest pending tick.
-     */
-    void shrink();
-
-    /** Calendar bucket-table width (0 under the heap backend);
-     *  exposed so tests can pin shrink()'s collapse. */
-    std::size_t bucketCount() const { return buckets_.size(); }
 
   private:
     struct Entry {
@@ -114,44 +75,12 @@ class EventQueue
         Callback cb;
     };
 
-    /** True if a orders strictly before b: earlier tick, then FIFO. */
-    static bool
-    before(const Entry &a, const Entry &b)
-    {
-        if (a.when != b.when)
-            return a.when < b.when;
-        return a.seq < b.seq;
-    }
+    /** Pop the earliest (when, seq) entry. */
+    Entry pop();
 
-    // --- Heap backend ---------------------------------------------------
-    void heapPush(Entry &&e);
-    Entry heapPop();
-
-    // --- Calendar backend -----------------------------------------------
-    std::size_t bucketOf(Tick when) const;
-    void calPush(Entry &&e);
-    Entry calPop();
-    /** Locate the earliest entry: bucket + index, or false if empty. */
-    bool calFind(std::size_t *bucket, std::size_t *index) const;
-    /** Grow/recalibrate the table to fit @p count events. */
-    void calResize(std::size_t nbuckets);
-
-    /** Pop the globally earliest entry from the active backend. */
-    Entry popEarliest();
-
-    Backend backend_;
-
-    // Heap backend state: std::make_heap over a plain vector so reset()
-    // can keep the capacity (std::priority_queue hides its container).
+    // std::push_heap/pop_heap rather than std::priority_queue, which
+    // hides its container (reset() keeps the capacity).
     std::vector<Entry> heap_;
-
-    // Calendar backend state.
-    std::vector<std::vector<Entry>> buckets_;
-    unsigned bucket_shift_ = 10; ///< bucket width = 2^shift ticks
-    /** Lower bound on the earliest pending tick (search start). */
-    Tick search_from_ = 0;
-
-    std::size_t count_ = 0;
     std::uint64_t next_seq_ = 0;
     Tick now_ = 0;
 };

@@ -29,7 +29,6 @@ trackOf(EventType t)
         return { 1, 2 };
       case EventType::Stall:
         return { 1, 3 };
-      case EventType::ProfilingFault:
       case EventType::PolicyDecision:
       case EventType::DivergenceDetected:
       case EventType::Replan:
@@ -65,8 +64,6 @@ defaultName(const Event &e)
         return strprintf("prefetch t%u", e.id);
       case EventType::Stall:
         return "stall";
-      case EventType::ProfilingFault:
-        return "fault";
       case EventType::PolicyDecision:
         return "policy";
       case EventType::Promotion:

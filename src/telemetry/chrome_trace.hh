@@ -8,7 +8,7 @@
  *   pid 1 "executor"   tid 1 "steps"     step spans + interval markers
  *                      tid 2 "ops"       B/E pairs, one per operation
  *                      tid 3 "stalls"    exposed-migration waits (X)
- *                      tid 4 "overhead"  profiling faults, policy time
+ *                      tid 4 "overhead"  policy time, divergence, replan
  *   pid 2 "memory"     tid 1 "promote"   slow->fast DMA batches (X)
  *                      tid 2 "demote"    fast->slow DMA batches (X)
  *                      tid 3 "prefetch"  policy prefetch intents (i)

@@ -16,8 +16,6 @@ eventTypeName(EventType t)
         return "op_end";
       case EventType::Stall:
         return "stall";
-      case EventType::ProfilingFault:
-        return "profiling_fault";
       case EventType::PolicyDecision:
         return "policy_decision";
       case EventType::IntervalBegin:

@@ -4,11 +4,11 @@
  *
  * Every interesting runtime occurrence — an operation executing, a
  * prefetch being issued, a migration transfer, a stall on the critical
- * path, an interval boundary, a profiling fault, a policy decision —
- * is recorded as one fixed-size POD Event.  Events are cheap to emit
- * (a struct copy into a ring buffer, no allocation, no formatting) so
- * the instrumented hot paths stay hot; all interpretation (names,
- * track layout, JSON) happens at export time.
+ * path, an interval boundary, a policy decision — is recorded as one
+ * fixed-size POD Event.  Events are cheap to emit (a struct copy into
+ * a ring buffer, no allocation, no formatting) so the instrumented hot
+ * paths stay hot; all interpretation (names, track layout, JSON)
+ * happens at export time.
  */
 
 #ifndef SENTINEL_TELEMETRY_EVENT_HH
@@ -27,7 +27,6 @@ enum class EventType : std::uint8_t {
     OpBegin,        ///< operation starts executing (id = OpId)
     OpEnd,          ///< operation finished (id = OpId)
     Stall,          ///< exposed migration wait (dur = stall length)
-    ProfilingFault, ///< PTE-poisoning fault overhead (dur = cost)
     PolicyDecision, ///< policy overhead charged (dur = cost)
     IntervalBegin,  ///< migration interval boundary (id = interval)
     PrefetchIssued, ///< policy queued a tensor promotion (id = TensorId)
@@ -39,7 +38,7 @@ enum class EventType : std::uint8_t {
                     ///< bytes = burn rate in 1/1000ths)
 };
 
-constexpr std::size_t kNumEventTypes = 14;
+constexpr std::size_t kNumEventTypes = 13;
 
 /** Stable lower-case name of @p t (used in exports and tests). */
 const char *eventTypeName(EventType t);

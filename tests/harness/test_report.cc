@@ -2,10 +2,9 @@
  * @file
  * Property tests for stall attribution and the report surface.
  *
- * The load-bearing invariant: for every page-table backend x access-
- * mode combination, the attributed components sum EXACTLY (tick for
- * tick) to the StepStats totals the executor reported — attribution is
- * a decomposition, never an estimate.  On top of that, the rendered
+ * The load-bearing invariant: the attributed components sum EXACTLY
+ * (tick for tick) to the StepStats totals the executor reported —
+ * attribution is a decomposition, never an estimate.  On top of that, the rendered
  * report must be bit-identical between serial and parallel rendering,
  * and a stalling Sentinel run must name at least one offending tensor
  * with the audit reason behind its placement.
@@ -36,9 +35,9 @@ struct CaseResult {
     telemetry::AuditLog audit;
 };
 
-/** One Sentinel run of a small model under the given substrate knobs. */
+/** One Sentinel run of a small model with attribution and audit on. */
 std::unique_ptr<CaseResult>
-runCase(mem::PageTable::Backend backend, df::Executor::AccessMode mode)
+runCase()
 {
     auto out = std::make_unique<CaseResult>();
 
@@ -53,53 +52,33 @@ runCase(mem::PageTable::Backend backend, df::Executor::AccessMode mode)
 
     core::SentinelPolicy policy(profile.db);
     policy.setAudit(&out->audit);
-    mem::HeterogeneousMemory hm(cfg.fast, cfg.slow, cfg.migration,
-                                backend);
+    mem::HeterogeneousMemory hm(cfg.fast, cfg.slow, cfg.migration);
     hm.setAttribution(&out->attr);
     df::Executor ex(graph, hm, cfg.exec, policy);
-    ex.setAccessMode(mode);
     ex.setAttribution(&out->attr);
     out->stats = ex.run(4);
     return out;
 }
 
-TEST(AttributionProperty, ExactAcrossBackendsAndAccessModes)
+TEST(AttributionProperty, ExactAgainstStepStats)
 {
-    const struct {
-        mem::PageTable::Backend backend;
-        df::Executor::AccessMode mode;
-        const char *label;
-    } combos[] = {
-        { mem::PageTable::Backend::Dense,
-          df::Executor::AccessMode::Range, "dense/range" },
-        { mem::PageTable::Backend::Dense,
-          df::Executor::AccessMode::PerPage, "dense/per-page" },
-        { mem::PageTable::Backend::Hash,
-          df::Executor::AccessMode::Range, "hash/range" },
-        { mem::PageTable::Backend::Hash,
-          df::Executor::AccessMode::PerPage, "hash/per-page" },
-    };
-    for (const auto &c : combos) {
-        SCOPED_TRACE(c.label);
-        auto r = runCase(c.backend, c.mode);
-        // endStep() would already have panicked on drift; re-assert the
-        // identities from the outside against the executor's numbers.
-        ASSERT_EQ(r->attr.steps().size(), r->stats.size());
-        EXPECT_TRUE(r->attr.allExact());
-        for (std::size_t i = 0; i < r->stats.size(); ++i) {
-            const auto &sa = r->attr.steps()[i];
-            const auto &ss = r->stats[i];
-            EXPECT_EQ(sa.bucket.total(), ss.step_time) << "step " << i;
-            EXPECT_EQ(sa.bucket.exposedMigration(), ss.exposed_migration)
-                << "step " << i;
-            EXPECT_EQ(sa.bucket.stall_events, ss.num_stalls)
-                << "step " << i;
-        }
-        // The decomposition must actually be attributing stalls here,
-        // not passing vacuously on a stall-free run.
-        EXPECT_GT(r->attr.totals().exposedMigration(), 0);
-        EXPECT_GT(r->audit.size(), 0u);
+    auto r = runCase();
+    // endStep() would already have panicked on drift; re-assert the
+    // identities from the outside against the executor's numbers.
+    ASSERT_EQ(r->attr.steps().size(), r->stats.size());
+    EXPECT_TRUE(r->attr.allExact());
+    for (std::size_t i = 0; i < r->stats.size(); ++i) {
+        const auto &sa = r->attr.steps()[i];
+        const auto &ss = r->stats[i];
+        EXPECT_EQ(sa.bucket.total(), ss.step_time) << "step " << i;
+        EXPECT_EQ(sa.bucket.exposedMigration(), ss.exposed_migration)
+            << "step " << i;
+        EXPECT_EQ(sa.bucket.stall_events, ss.num_stalls) << "step " << i;
     }
+    // The decomposition must actually be attributing stalls here, not
+    // passing vacuously on a stall-free run.
+    EXPECT_GT(r->attr.totals().exposedMigration(), 0);
+    EXPECT_GT(r->audit.size(), 0u);
 }
 
 class ReportRendering : public ::testing::Test
@@ -108,9 +87,7 @@ class ReportRendering : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        case_ = runCase(mem::PageTable::defaultBackend(),
-                        df::Executor::AccessMode::Range)
-                    .release();
+        case_ = runCase().release();
         graph_ = new df::Graph(models::makeModel("resnet20", 8));
     }
     static void

@@ -10,8 +10,8 @@ TEST(AccessTracker, CountsOnlyTrackedPages)
     AccessTracker t(/*fault_cost=*/1000);
     t.track(1);
 
-    EXPECT_EQ(t.onAccess(1, false), 1000);
-    EXPECT_EQ(t.onAccess(2, false), 0); // untracked: no fault, no count
+    EXPECT_EQ(t.onAccess({ 1, 1 }, false), 1000);
+    EXPECT_EQ(t.onAccess({ 2, 1 }, false), 0); // untracked: no fault, no count
     EXPECT_EQ(t.counts(1).reads, 1u);
     EXPECT_EQ(t.counts(2).total(), 0u);
 }
@@ -20,8 +20,8 @@ TEST(AccessTracker, ReadsAndWritesSeparate)
 {
     AccessTracker t;
     t.track(7);
-    t.onAccess(7, false, 3);
-    t.onAccess(7, true, 2);
+    t.onAccess({ 7, 1 }, false, 3);
+    t.onAccess({ 7, 1 }, true, 2);
     EXPECT_EQ(t.counts(7).reads, 3u);
     EXPECT_EQ(t.counts(7).writes, 2u);
     EXPECT_EQ(t.counts(7).total(), 5u);
@@ -31,7 +31,7 @@ TEST(AccessTracker, FaultCostScalesWithCount)
 {
     AccessTracker t(500);
     t.track(1);
-    EXPECT_EQ(t.onAccess(1, false, 10), 5000);
+    EXPECT_EQ(t.onAccess({ 1, 1 }, false, 10), 5000);
     EXPECT_EQ(t.totalFaults(), 10u);
 }
 
@@ -39,17 +39,30 @@ TEST(AccessTracker, UntrackStopsCountingButKeepsCounts)
 {
     AccessTracker t;
     t.track(4);
-    t.onAccess(4, false);
+    t.onAccess({ 4, 1 }, false);
     t.untrack(4);
-    EXPECT_EQ(t.onAccess(4, false), 0);
+    EXPECT_EQ(t.onAccess({ 4, 1 }, false), 0);
     EXPECT_EQ(t.counts(4).reads, 1u); // profile data preserved
+}
+
+TEST(AccessTracker, RunChargesOneFaultPerTrackedPage)
+{
+    AccessTracker t(100);
+    t.trackRange(10, 4);
+    // Pages 8, 9 and 14 are untracked: they neither fault nor count.
+    EXPECT_EQ(t.onAccess({ 8, 7 }, true, 3), 4 * 3 * 100);
+    EXPECT_EQ(t.totalFaults(), 12u);
+    for (PageId p = 10; p < 14; ++p)
+        EXPECT_EQ(t.counts(p).writes, 3u);
+    EXPECT_EQ(t.counts(9).total(), 0u);
+    EXPECT_EQ(t.counts(14).total(), 0u);
 }
 
 TEST(AccessTracker, ZeroCountIsFree)
 {
     AccessTracker t;
     t.track(1);
-    EXPECT_EQ(t.onAccess(1, true, 0), 0);
+    EXPECT_EQ(t.onAccess({ 1, 1 }, true, 0), 0);
     EXPECT_EQ(t.counts(1).total(), 0u);
 }
 
@@ -57,7 +70,7 @@ TEST(AccessTracker, ResetClearsEverything)
 {
     AccessTracker t;
     t.track(1);
-    t.onAccess(1, false);
+    t.onAccess({ 1, 1 }, false);
     t.reset();
     EXPECT_FALSE(t.isTracked(1));
     EXPECT_EQ(t.counts(1).total(), 0u);

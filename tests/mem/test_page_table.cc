@@ -1,31 +1,19 @@
+#include <cstdint>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mem/page_table.hh"
+#include "support/ref_page_table.hh"
 
 namespace sentinel::mem {
 namespace {
 
-/**
- * Every behavioral test runs against both backends: the dense
- * direct-indexed table (hot path) and the hash map (debug fallback)
- * must be observably identical.
- */
-class PageTableTest : public ::testing::TestWithParam<PageTable::Backend>
+TEST(PageTable, MapUnmap)
 {
-  protected:
-    PageTable makeTable() const { return PageTable(GetParam()); }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, PageTableTest,
-    ::testing::Values(PageTable::Backend::Dense, PageTable::Backend::Hash),
-    [](const ::testing::TestParamInfo<PageTable::Backend> &info) {
-        return info.param == PageTable::Backend::Dense ? "Dense" : "Hash";
-    });
-
-TEST_P(PageTableTest, MapUnmap)
-{
-    PageTable pt = makeTable();
+    PageTable pt;
     EXPECT_FALSE(pt.isMapped(7));
     pt.map(7, Tier::Slow);
     EXPECT_TRUE(pt.isMapped(7));
@@ -35,23 +23,23 @@ TEST_P(PageTableTest, MapUnmap)
     EXPECT_FALSE(pt.isMapped(7));
 }
 
-TEST_P(PageTableTest, DoubleMapPanics)
+TEST(PageTable, DoubleMapPanics)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.map(1, Tier::Fast);
     EXPECT_THROW(pt.map(1, Tier::Fast), std::logic_error);
 }
 
-TEST_P(PageTableTest, UnmapUnknownPanics)
+TEST(PageTable, UnmapUnknownPanics)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     EXPECT_THROW(pt.unmap(9), std::logic_error);
     EXPECT_THROW(pt.entry(9), std::logic_error);
 }
 
-TEST_P(PageTableTest, MigrationLifecycle)
+TEST(PageTable, MigrationLifecycle)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.map(3, Tier::Slow);
     std::uint64_t seq = pt.beginMigration(3, Tier::Fast, 1000);
     EXPECT_TRUE(pt.entry(3).in_flight);
@@ -63,9 +51,9 @@ TEST_P(PageTableTest, MigrationLifecycle)
     EXPECT_EQ(pt.entry(3).tier, Tier::Fast);
 }
 
-TEST_P(PageTableTest, StaleCommitIsIgnored)
+TEST(PageTable, StaleCommitIsIgnored)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.map(3, Tier::Slow);
     std::uint64_t seq1 = pt.beginMigration(3, Tier::Fast, 10);
     pt.cancelMigration(3);
@@ -80,33 +68,33 @@ TEST_P(PageTableTest, StaleCommitIsIgnored)
     EXPECT_TRUE(pt.commitMigration(3, seq2));
 }
 
-TEST_P(PageTableTest, CommitAfterUnmapIsIgnored)
+TEST(PageTable, CommitAfterUnmapIsIgnored)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.map(5, Tier::Fast);
     std::uint64_t seq = pt.beginMigration(5, Tier::Slow, 10);
     pt.unmap(5);
     EXPECT_FALSE(pt.commitMigration(5, seq));
 }
 
-TEST_P(PageTableTest, DoubleMigrationPanics)
+TEST(PageTable, DoubleMigrationPanics)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.map(1, Tier::Slow);
     pt.beginMigration(1, Tier::Fast, 5);
     EXPECT_THROW(pt.beginMigration(1, Tier::Fast, 6), std::logic_error);
 }
 
-TEST_P(PageTableTest, SameTierMigrationPanics)
+TEST(PageTable, SameTierMigrationPanics)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.map(1, Tier::Slow);
     EXPECT_THROW(pt.beginMigration(1, Tier::Slow, 5), std::logic_error);
 }
 
-TEST_P(PageTableTest, RangeMapUnmap)
+TEST(PageTable, RangeMapUnmap)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.mapRange(100, 50, Tier::Fast);
     EXPECT_EQ(pt.numMapped(), 50u);
     for (PageId p = 100; p < 150; ++p) {
@@ -120,9 +108,9 @@ TEST_P(PageTableTest, RangeMapUnmap)
     EXPECT_FALSE(pt.isMapped(125));
 }
 
-TEST_P(PageTableTest, RunStateFindsUniformPrefix)
+TEST(PageTable, RunStateFindsUniformPrefix)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.mapRange(0, 10, Tier::Slow);
     pt.mapRange(10, 5, Tier::Fast);
     pt.mapRange(15, 5, Tier::Slow);
@@ -147,9 +135,9 @@ TEST_P(PageTableTest, RunStateFindsUniformPrefix)
     EXPECT_EQ(rs.count, 1u);
 }
 
-TEST_P(PageTableTest, AnyInFlight)
+TEST(PageTable, AnyInFlight)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.mapRange(0, 8, Tier::Slow);
     EXPECT_FALSE(pt.anyInFlight(0, 8));
     pt.beginMigration(6, Tier::Fast, 10);
@@ -158,12 +146,12 @@ TEST_P(PageTableTest, AnyInFlight)
     EXPECT_TRUE(pt.anyInFlight(6, 1));
 }
 
-TEST_P(PageTableTest, SparseHighAddresses)
+TEST(PageTable, SparseHighAddresses)
 {
     // The co-allocation layout places regions at multiples of 2^44
     // bytes (2^32 pages); the table must handle those page numbers
     // without densifying the gaps.
-    PageTable pt = makeTable();
+    PageTable pt;
     const PageId bases[] = { 0, 1ull << 32, 2ull << 32, 3ull << 32 };
     for (PageId base : bases)
         pt.mapRange(base, 16, Tier::Slow);
@@ -179,11 +167,11 @@ TEST_P(PageTableTest, SparseHighAddresses)
     EXPECT_EQ(pt.numMapped(), 0u);
 }
 
-TEST_P(PageTableTest, RangeAcrossChunkBoundary)
+TEST(PageTable, RangeAcrossChunkBoundary)
 {
-    // The dense backend stores pages in 2^16-page chunks; a range
-    // spanning the seam must behave exactly like an interior one.
-    PageTable pt = makeTable();
+    // Pages live in 2^16-page chunks; a range spanning the seam must
+    // behave exactly like an interior one.
+    PageTable pt;
     const PageId seam = 1ull << 16;
     pt.mapRange(seam - 8, 16, Tier::Fast);
     EXPECT_EQ(pt.numMapped(), 16u);
@@ -199,9 +187,9 @@ TEST_P(PageTableTest, RangeAcrossChunkBoundary)
     EXPECT_EQ(pt.numMapped(), 0u);
 }
 
-TEST_P(PageTableTest, ClearForgetsEverything)
+TEST(PageTable, ClearForgetsEverything)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.mapRange(40, 10, Tier::Fast);
     pt.beginMigration(44, Tier::Slow, 7);
     pt.clear();
@@ -216,11 +204,11 @@ TEST_P(PageTableTest, ClearForgetsEverything)
     EXPECT_EQ(pt.numMapped(), 1u);
 }
 
-TEST_P(PageTableTest, RepeatedClearCycles)
+TEST(PageTable, RepeatedClearCycles)
 {
-    // Exercises epoch reuse in the dense backend: many clear cycles
-    // over the same pages must never resurrect old entries.
-    PageTable pt = makeTable();
+    // Exercises chunk epoch reuse: many clear cycles over the same
+    // pages must never resurrect old entries.
+    PageTable pt;
     for (int cycle = 0; cycle < 100; ++cycle) {
         pt.mapRange(0, 4, Tier::Fast);
         pt.map(1ull << 20, Tier::Slow);
@@ -232,15 +220,239 @@ TEST_P(PageTableTest, RepeatedClearCycles)
     }
 }
 
-TEST(PageTable, DefaultBackendMatchesBuildOption)
+/**
+ * Seeded randomized differential run against the std::map model.
+ * Pages come from two windows centred on chunk seams (2^16 and
+ * 3 * 2^16), so most ranges straddle a chunk boundary.  Migrations are
+ * left in flight across frees, cancels and clear(), and committed
+ * later in random order (sometimes split in two), so stale commits are
+ * part of the mix.  After every operation the whole window is compared
+ * page by page, plus runState()/anyInFlight() over random ranges.
+ */
+class PageTableDiff
 {
-#ifdef SENTINEL_DENSE_PT_OFF
-    EXPECT_EQ(PageTable::defaultBackend(), PageTable::Backend::Hash);
-#else
-    EXPECT_EQ(PageTable::defaultBackend(), PageTable::Backend::Dense);
-#endif
-    PageTable pt;
-    EXPECT_EQ(pt.backend(), PageTable::defaultBackend());
+  public:
+    explicit PageTableDiff(std::uint64_t seed) : rng_(seed) {}
+
+    void
+    step()
+    {
+        if (below(400) == 0) {
+            pt_.clear();
+            ref_.clear();
+            return;
+        }
+        switch (below(8)) {
+          case 0:
+          case 1:
+            mapSome();
+            break;
+          case 2:
+            unmapSome();
+            break;
+          case 3:
+          case 4:
+            beginSome();
+            break;
+          case 5:
+          case 6:
+            commitSome();
+            break;
+          default:
+            cancelSome();
+            break;
+        }
+    }
+
+    void
+    check()
+    {
+        ASSERT_EQ(pt_.numMapped(), ref_.numMapped());
+        ASSERT_EQ(pt_.numInFlight(), ref_.numInFlight());
+        for (PageId seam : kSeams) {
+            for (PageId p = seam - kHalf; p < seam + kHalf + kMaxRun;
+                 ++p) {
+                ASSERT_EQ(pt_.isMapped(p), ref_.isMapped(p)) << p;
+                if (!ref_.isMapped(p))
+                    continue;
+                PageEntry got = pt_.entry(p);
+                const PageEntry &want = ref_.entry(p);
+                ASSERT_EQ(got.tier, want.tier) << p;
+                ASSERT_EQ(got.in_flight, want.in_flight) << p;
+                if (want.in_flight) {
+                    ASSERT_EQ(got.dest, want.dest) << p;
+                    ASSERT_EQ(got.arrival, want.arrival) << p;
+                    ASSERT_EQ(got.seq, want.seq) << p;
+                }
+            }
+        }
+        for (int i = 0; i < 4; ++i) {
+            PageId p = randomPage();
+            std::uint64_t n = prefix(p, true, 2 * kMaxRun);
+            if (n == 0)
+                continue;
+            PageRunState got = pt_.runState(p, n);
+            PageRunState want = ref_.runState(p, n);
+            ASSERT_EQ(got.tier, want.tier) << p;
+            ASSERT_EQ(got.in_flight, want.in_flight) << p;
+            ASSERT_EQ(got.count, want.count) << p;
+            std::uint64_t m = 1 + below(n);
+            ASSERT_EQ(pt_.anyInFlight(p, m), ref_.anyInFlight(p, m)) << p;
+        }
+    }
+
+  private:
+    static constexpr PageId kSeams[] = { 1ull << 16, 3ull << 16 };
+    static constexpr std::uint64_t kHalf = 96;
+    static constexpr std::uint64_t kMaxRun = 64;
+
+    /** An issued migration run, committed later (maybe stale). */
+    struct Flight {
+        PageId first;
+        std::uint64_t count;
+        std::uint64_t seq0;
+    };
+
+    std::uint64_t below(std::uint64_t n) { return rng_() % n; }
+
+    PageId
+    randomPage()
+    {
+        return kSeams[below(2)] - kHalf + below(2 * kHalf);
+    }
+
+    /** Leading pages from @p p (at most @p max) whose mapped-ness is
+     *  @p mapped. */
+    std::uint64_t
+    prefix(PageId p, bool mapped, std::uint64_t max) const
+    {
+        std::uint64_t n = 0;
+        while (n < max && ref_.isMapped(p + n) == mapped)
+            ++n;
+        return n;
+    }
+
+    void
+    mapSome()
+    {
+        PageId p = randomPage();
+        std::uint64_t n = prefix(p, false, 1 + below(kMaxRun));
+        if (n == 0)
+            return;
+        Tier tier = makeTier(static_cast<unsigned>(below(4)));
+        if (n == 1 && below(2) == 0)
+            pt_.map(p, tier);
+        else
+            pt_.mapRange(p, n, tier);
+        ref_.mapRange(p, n, tier);
+    }
+
+    void
+    unmapSome()
+    {
+        PageId p = randomPage();
+        std::uint64_t n = prefix(p, true, 1 + below(kMaxRun));
+        if (n == 0)
+            return;
+        if (n == 1) {
+            // Single-page free, in flight or not: the pending commit
+            // must later be ignored.
+            pt_.unmap(p);
+        } else {
+            // Range frees cancel in-flight pages first, as
+            // HeterogeneousMemory::unmapRange does.
+            for (PageId q = p; q < p + n; ++q) {
+                if (ref_.entry(q).in_flight) {
+                    pt_.cancelMigration(q);
+                    ref_.cancelMigration(q);
+                }
+            }
+            pt_.unmapRange(p, n);
+        }
+        ref_.unmapRange(p, n);
+    }
+
+    void
+    beginSome()
+    {
+        PageId p = randomPage();
+        std::uint64_t m = prefix(p, true, kMaxRun);
+        if (m == 0)
+            return;
+        PageRunState rs = ref_.runState(p, m);
+        if (rs.in_flight)
+            return;
+        std::uint64_t n = 1 + below(rs.count);
+        Tier dest = makeTier(static_cast<unsigned>(
+            (tierIndex(rs.tier) + 1 + below(3)) % 4));
+        Tick arrival0 = static_cast<Tick>(below(1'000'000));
+        std::uint64_t seq0 = 0;
+        if (n == 1 && below(2) == 0) {
+            seq0 = pt_.beginMigration(p, dest, arrival0);
+        } else {
+            std::vector<std::pair<PageId, Tick>> run;
+            for (std::uint64_t i = 0; i < n; ++i)
+                run.emplace_back(p + i, arrival0 + static_cast<Tick>(i));
+            seq0 = pt_.beginMigrationRun(run, dest);
+        }
+        ASSERT_EQ(seq0, ref_.beginMigrationRun(p, n, dest, arrival0));
+        flights_.push_back(Flight{ p, n, seq0 });
+    }
+
+    void
+    commitSome()
+    {
+        if (flights_.empty())
+            return;
+        std::size_t i = below(flights_.size());
+        Flight f = flights_[i];
+        flights_[i] = flights_.back();
+        flights_.pop_back();
+        if (f.count == 1 && below(2) == 0) {
+            ASSERT_EQ(pt_.commitMigration(f.first, f.seq0),
+                      ref_.commitMigrationRun(f.first, 1, f.seq0) == 1);
+            return;
+        }
+        // Commit in two pieces, as arrivals draining mid-run would.
+        std::uint64_t k = below(f.count + 1);
+        ASSERT_EQ(pt_.commitMigrationRun(f.first, k, f.seq0),
+                  ref_.commitMigrationRun(f.first, k, f.seq0));
+        ASSERT_EQ(
+            pt_.commitMigrationRun(f.first + k, f.count - k, f.seq0 + k),
+            ref_.commitMigrationRun(f.first + k, f.count - k, f.seq0 + k));
+    }
+
+    void
+    cancelSome()
+    {
+        // Aim at pages of issued runs, so a cancelled page is often
+        // re-migrated before its stale commit arrives.
+        if (flights_.empty())
+            return;
+        const Flight &f = flights_[below(flights_.size())];
+        PageId p = f.first + below(f.count);
+        if (!ref_.isMapped(p) || !ref_.entry(p).in_flight)
+            return;
+        pt_.cancelMigration(p);
+        ref_.cancelMigration(p);
+    }
+
+    PageTable pt_;
+    testing::RefPageTable ref_;
+    std::mt19937_64 rng_;
+    std::vector<Flight> flights_;
+};
+
+TEST(PageTable, RandomizedDifferentialAgainstMapModel)
+{
+    for (std::uint64_t seed : { 0x9a9e7ab1eull, 0xc0ffee11ull }) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        PageTableDiff diff(seed);
+        for (int op = 0; op < 6000; ++op) {
+            ASSERT_NO_FATAL_FAILURE(diff.step()) << "op " << op;
+            ASSERT_NO_FATAL_FAILURE(diff.check()) << "after op " << op;
+        }
+    }
 }
 
 } // namespace
