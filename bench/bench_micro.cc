@@ -51,35 +51,46 @@ BM_PageMapUnmap(benchmark::State &state)
     mem::PageId next = 0;
     for (auto _ : state) {
         hm.tryMapPage(next, mem::Tier::Fast);
-        hm.unmapPage(next, 0);
+        hm.unmapRange(next, 1, 0);
         ++next;
     }
 }
 BENCHMARK(BM_PageMapUnmap);
 
+/** Three tiers (HBM <- DRAM <- PMM): a fast<->slow move is two legs,
+ *  each on its own link's channel. */
+mem::HeterogeneousMemory
+makeHm3(std::uint64_t fast_bytes)
+{
+    mem::TierParams fast{ "hbm", fast_bytes, 200e9, 200e9, 60, 60 };
+    mem::TierParams mid{ "dram", fast_bytes, 76e9, 50e9, 85, 90 };
+    mem::TierParams slow{ "pmm", 64ull << 30, 30e9, 10e9, 300, 120 };
+    return mem::HeterogeneousMemory(
+        { fast, mid, slow }, { { 16e9, 12e9, 2000 }, { 8e9, 6e9, 2000 } });
+}
+
+// One tensor-sized run promoted and demoted per iteration; arg 0 is
+// the run length in pages, arg 1 selects the two-leg 3-tier chain.
 void
 BM_MigrateBatch(benchmark::State &state)
 {
-    auto hm = makeHm(4ull << 30);
-    const std::size_t n = static_cast<std::size_t>(state.range(0));
-    std::vector<mem::PageId> pages(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        pages[i] = i;
-        hm.tryMapPage(i, mem::Tier::Slow);
-    }
+    const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
+    auto hm = state.range(1) ? makeHm3(4ull << 30) : makeHm(4ull << 30);
+    hm.mapRange(0, n, hm.slowestTier());
+    const mem::PageRun runs[] = { { 0, n } };
     Tick now = 0;
     for (auto _ : state) {
-        hm.migratePages(pages, mem::Tier::Fast, now);
+        hm.migratePages(runs, mem::Tier::Fast, now);
         now += kSec;
         hm.commitUpTo(now);
-        hm.migratePages(pages, mem::Tier::Slow, now);
+        hm.migratePages(runs, hm.slowestTier(), now);
         now += kSec;
         hm.commitUpTo(now);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(2 * n));
 }
-BENCHMARK(BM_MigrateBatch)->Arg(64)->Arg(1024);
+BENCHMARK(BM_MigrateBatch)->ArgsProduct({ { 1, 64, 1024, 65536 }, { 0, 1 } });
 
 // Raw page-table throughput on the extent hot path: bulk-map and
 // bulk-unmap a 64 MB (16384-page) extent per iteration.

@@ -1,6 +1,5 @@
 #include "baselines/ial.hh"
 
-#include <array>
 #include <vector>
 
 namespace sentinel::baselines {
@@ -55,7 +54,7 @@ IalPolicy::evictForSpace(df::Executor &ex, std::uint64_t bytes_needed)
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
 
-    std::vector<mem::PageId> victims;
+    std::vector<mem::PageRun> victims; // coalesced as they are chosen
     std::uint64_t reclaimed = 0;
     while (reclaimed < bytes_needed && !fifo_.empty()) {
         mem::PageId head = fifo_.front();
@@ -66,7 +65,10 @@ IalPolicy::evictForSpace(df::Executor &ex, std::uint64_t bytes_needed)
             hm.residentTier(head, now) != mem::Tier::Fast ||
             hm.inFlight(head, now))
             continue;
-        victims.push_back(head);
+        if (!victims.empty() && victims.back().endPage() == head)
+            ++victims.back().count;
+        else
+            victims.push_back(mem::PageRun{ head, 1 });
         reclaimed += mem::kPageSize;
     }
     // Background demotion: space becomes free when transfers land.
@@ -122,7 +124,7 @@ IalPolicy::onPageAccess(df::Executor &ex, mem::PageId page, bool)
     if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
         evictForSpace(ex, 16 * mem::kPageSize);
 
-    std::array<mem::PageId, 1> one{ page };
+    const mem::PageRun one[] = { { page, 1 } };
     if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
         ++promotions_;
         slow_touches_.erase(page);

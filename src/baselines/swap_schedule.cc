@@ -94,23 +94,28 @@ ScheduledSwapPolicy::migrateTensor(df::Executor &ex, df::TensorId id,
     Tick now = ex.now();
     const df::TensorPlacement &pl = ex.placementOf(id);
 
-    std::vector<mem::PageId> batch;
-    for (mem::PageId p = pl.firstPage(); p < pl.endPage(); ++p) {
-        if (hm.residentTier(p, now) == dst || hm.inFlight(p, now))
-            continue;
-        batch.push_back(p);
+    std::vector<mem::PageRun> batch;
+    std::uint64_t want = 0;
+    for (mem::PageId p = pl.firstPage(); p < pl.endPage();) {
+        mem::PageRunState rs = hm.residentRange(p, pl.endPage() - p, now);
+        if (rs.tier != dst && !rs.in_flight) {
+            batch.push_back(mem::PageRun{ p, rs.count });
+            want += rs.count;
+        }
+        p += rs.count;
     }
     if (batch.empty())
         return true;
-    bool complete = hm.migratePages(batch, dst, now) == batch.size();
+    bool complete = hm.migratePages(batch, dst, now) == want;
 
     if (stall) {
         // Synchronous movement: wait for the whole batch (AutoTM's
         // defining cost — every move sits on the critical path).
         Tick last = 0;
-        for (mem::PageId p : batch)
-            if (hm.inFlight(p, ex.now()))
-                last = std::max(last, hm.arrivalTime(p));
+        for (const mem::PageRun &run : batch)
+            for (mem::PageId p = run.first; p < run.endPage(); ++p)
+                if (hm.inFlight(p, ex.now()))
+                    last = std::max(last, hm.arrivalTime(p));
         if (last > 0)
             ex.stallUntil(last);
         if (!complete)

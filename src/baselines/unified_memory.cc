@@ -1,6 +1,5 @@
 #include "baselines/unified_memory.hh"
 
-#include <array>
 #include <vector>
 
 namespace sentinel::baselines {
@@ -62,7 +61,7 @@ UnifiedMemoryPolicy::evictLru(df::Executor &ex,
 {
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
-    std::vector<mem::PageId> victims;
+    std::vector<mem::PageRun> victims; // coalesced as they are chosen
     std::uint64_t reclaimed = 0;
     while (reclaimed < bytes_needed && !lru_.empty()) {
         mem::PageId victim = lru_.front();
@@ -72,7 +71,10 @@ UnifiedMemoryPolicy::evictLru(df::Executor &ex,
             hm.residentTier(victim, now) != mem::Tier::Fast ||
             hm.inFlight(victim, now))
             continue;
-        victims.push_back(victim);
+        if (!victims.empty() && victims.back().endPage() == victim)
+            ++victims.back().count;
+        else
+            victims.push_back(mem::PageRun{ victim, 1 });
         reclaimed += mem::kPageSize;
     }
     // cudaMemPrefetchAsync back to the host: the far end of the chain.
@@ -137,7 +139,7 @@ UnifiedMemoryPolicy::onPageAccess(df::Executor &ex, mem::PageId page,
     if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
         evictLru(ex, 32 * mem::kPageSize);
 
-    std::array<mem::PageId, 1> one{ page };
+    const mem::PageRun one[] = { { page, 1 } };
     if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
         out.extra += hm.arrivalTime(page) - now;
         out.effective = mem::Tier::Fast;

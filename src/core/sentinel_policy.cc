@@ -1,7 +1,6 @@
 #include "core/sentinel_policy.hh"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <unordered_set>
 
@@ -482,23 +481,8 @@ SentinelPolicy::drainPrefetchQueue(df::Executor &ex)
             pending_prefetch_.push_back(id);
             continue;
         }
-        const df::TensorPlacement &pl = ex.placementOf(id);
-        batch_.clear();
-        // Pool tensors are never migrated, and a placement lives
-        // entirely inside or outside the pool region — one check
-        // covers every page.
-        if (!isPoolPage(pl.firstPage())) {
-            mem::PageId p = pl.firstPage();
-            const mem::PageId end = pl.endPage();
-            while (p < end) {
-                mem::PageRunState rs =
-                    hm.residentRange(p, end - p, now);
-                if (rs.tier != mem::Tier::Fast && !rs.in_flight)
-                    for (std::uint64_t i = 0; i < rs.count; ++i)
-                        batch_.push_back(p + i);
-                p += rs.count;
-            }
-        }
+        const std::uint64_t want = gatherRuns(
+            hm, ex.placementOf(id), now, 1, mem::kMaxTiers - 1);
         // One move_pages() call per tensor: the setup cost is paid
         // once and the pages stream back-to-back.
         std::size_t scheduled =
@@ -506,7 +490,7 @@ SentinelPolicy::drainPrefetchQueue(df::Executor &ex)
         if (scheduled > 0)
             auditAppend(ex, telemetry::AuditReason::kPrefetchNextInterval,
                         id, scheduled * mem::kPageSize);
-        if (scheduled < batch_.size()) {
+        if (scheduled < want) {
             // Fast memory is full right now; in-flight demotions will
             // free space — retry at the next layer boundary (hotter
             // tensors stay at the queue's front).
@@ -540,19 +524,8 @@ SentinelPolicy::stagePrefetches(df::Executor &ex, int interval)
         for (df::TensorId id : list) {
             if (!ex.isAllocated(id))
                 continue;
-            const df::TensorPlacement &pl = ex.placementOf(id);
-            if (isPoolPage(pl.firstPage()))
-                continue;
-            batch_.clear();
-            mem::PageId p = pl.firstPage();
-            const mem::PageId end = pl.endPage();
-            while (p < end) {
-                mem::PageRunState rs = hm.residentRange(p, end - p, now);
-                if (mem::tierIndex(rs.tier) > lead && !rs.in_flight)
-                    for (std::uint64_t i = 0; i < rs.count; ++i)
-                        batch_.push_back(p + i);
-                p += rs.count;
-            }
+            gatherRuns(hm, ex.placementOf(id), now, lead + 1,
+                       mem::kMaxTiers - 1);
             // Best-effort: a full middle tier simply leaves the pages
             // where they are; the direct promotion path still covers
             // them when their own interval arrives.
@@ -562,6 +535,31 @@ SentinelPolicy::stagePrefetches(df::Executor &ex, int interval)
                             id, scheduled * mem::kPageSize);
         }
     }
+}
+
+std::uint64_t
+SentinelPolicy::gatherRuns(mem::HeterogeneousMemory &hm,
+                           const df::TensorPlacement &pl, Tick now,
+                           unsigned lo, unsigned hi)
+{
+    batch_.clear();
+    // A placement lives entirely inside or outside the pool region —
+    // one check covers every page.
+    if (isPoolPage(pl.firstPage()))
+        return 0;
+    std::uint64_t pages = 0;
+    mem::PageId p = pl.firstPage();
+    const mem::PageId end = pl.endPage();
+    while (p < end) {
+        mem::PageRunState rs = hm.residentRange(p, end - p, now);
+        const unsigned t = mem::tierIndex(rs.tier);
+        if (!rs.in_flight && t >= lo && t <= hi) {
+            batch_.push_back(mem::PageRun{ p, rs.count });
+            pages += rs.count;
+        }
+        p += rs.count;
+    }
+    return pages;
 }
 
 std::vector<df::TensorId>
@@ -627,20 +625,7 @@ SentinelPolicy::evictForSpace(df::Executor &ex,
     for (df::TensorId id : evictionCandidates(ex)) {
         if (reclaimed >= bytes_needed)
             break;
-        const df::TensorPlacement &pl = ex.placementOf(id);
-        batch_.clear();
-        if (!isPoolPage(pl.firstPage())) {
-            mem::PageId p = pl.firstPage();
-            const mem::PageId end = pl.endPage();
-            while (p < end) {
-                mem::PageRunState rs =
-                    hm.residentRange(p, end - p, now);
-                if (rs.tier == mem::Tier::Fast && !rs.in_flight)
-                    for (std::uint64_t i = 0; i < rs.count; ++i)
-                        batch_.push_back(p + i);
-                p += rs.count;
-            }
-        }
+        gatherRuns(hm, ex.placementOf(id), now, 0, 0);
         std::size_t scheduled =
             hm.migratePages(batch_, hm.slowestTier(), now);
         if (scheduled > 0)
@@ -659,20 +644,7 @@ SentinelPolicy::issueDemotions(df::Executor &ex, int layer)
          plan_.demote_at_layer[static_cast<std::size_t>(layer)]) {
         if (!ex.isAllocated(id))
             continue;
-        const df::TensorPlacement &pl = ex.placementOf(id);
-        batch_.clear();
-        if (!isPoolPage(pl.firstPage())) {
-            mem::PageId p = pl.firstPage();
-            const mem::PageId end = pl.endPage();
-            while (p < end) {
-                mem::PageRunState rs =
-                    hm.residentRange(p, end - p, now);
-                if (rs.tier == mem::Tier::Fast && !rs.in_flight)
-                    for (std::uint64_t i = 0; i < rs.count; ++i)
-                        batch_.push_back(p + i);
-                p += rs.count;
-            }
-        }
+        gatherRuns(hm, ex.placementOf(id), now, 0, 0);
         std::size_t scheduled =
             hm.migratePages(batch_, hm.slowestTier(), now);
         if (scheduled > 0)
@@ -841,7 +813,7 @@ SentinelPolicy::onPageAccess(df::Executor &ex, mem::PageId page, bool)
                                 ? ex.attribution()->accessTensor()
                                 : telemetry::kAuditNoTensor;
 
-    std::array<mem::PageId, 1> one{ page };
+    const mem::PageRun one[] = { { page, 1 } };
     df::PageAccessResult out;
     if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
         auditAppend(ex, telemetry::AuditReason::kPrefetchDemand, faulted,

@@ -249,6 +249,16 @@ class SentinelPolicy : public df::MemoryPolicy
     void drainPrefetchQueue(df::Executor &ex);
     void issueDemotions(df::Executor &ex, int layer);
     bool isPoolPage(mem::PageId page) const;
+    /**
+     * Refill batch_ with @p pl's idle pages resident in tiers
+     * [lo, hi], one PageRun per uniform residentRange() run.  Pool
+     * tensors are never migrated and leave the batch empty.
+     *
+     * @return the number of pages gathered.
+     */
+    std::uint64_t gatherRuns(mem::HeterogeneousMemory &hm,
+                             const df::TensorPlacement &pl, Tick now,
+                             unsigned lo, unsigned hi);
 
     /** Migration interval containing the current layer (-1 pre-plan). */
     std::int16_t currentInterval() const;
@@ -294,7 +304,7 @@ class SentinelPolicy : public df::MemoryPolicy
      */
     std::vector<df::TensorId> pending_prefetch_;
     std::size_t pending_head_ = 0;
-    std::vector<mem::PageId> batch_; ///< reused migration batch buffer
+    std::vector<mem::PageRun> batch_; ///< reused migration batch buffer
     int current_layer_ = 0;
     bool mode_stall_ = true;
     TrialState trial_ = TrialState::Idle;

@@ -12,7 +12,6 @@
 #define SENTINEL_DATAFLOW_PLACEMENT_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "mem/page.hh"
 
@@ -27,15 +26,11 @@ struct TensorPlacement {
     mem::PageId endPage() const { return mem::pageCeil(addr + bytes); }
     std::uint64_t numPages() const { return mem::pagesSpanned(addr, bytes); }
 
-    /** All pages this placement touches, in ascending order. */
-    std::vector<mem::PageId>
-    pages() const
+    /** All pages this placement touches, as one run. */
+    mem::PageRun
+    run() const
     {
-        std::vector<mem::PageId> out;
-        out.reserve(numPages());
-        for (mem::PageId p = firstPage(); p < endPage(); ++p)
-            out.push_back(p);
-        return out;
+        return { firstPage(), endPage() - firstPage() };
     }
 };
 

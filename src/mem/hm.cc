@@ -62,6 +62,9 @@ HeterogeneousMemory::HeterogeneousMemory(std::vector<TierParams> tiers,
                                   mp.startup),
             mp.promote_bw, mp.demote_bw });
     }
+    // A run's arrival pieces per leg stay within a few per tier.
+    legs_in_.reserve(4 * kMaxTiers);
+    legs_out_.reserve(4 * kMaxTiers);
 }
 
 bool
@@ -147,52 +150,29 @@ HeterogeneousMemory::mapRange(PageId first, std::uint64_t count,
 }
 
 void
-HeterogeneousMemory::unmapPage(PageId page, Tick now)
-{
-    commitUpTo(now);
-    const PageEntry &e = table_.entry(page);
-    if (e.in_flight) {
-        // Freed before the transfer landed: drop the destination
-        // reservation and leave the page at its source for release.
-        tier(e.dest).release(kPageSize);
-        table_.cancelMigration(page);
-    }
-    tier(table_.entry(page).tier).release(kPageSize);
-    table_.unmap(page);
-}
-
-void
 HeterogeneousMemory::unmapRange(PageId first, std::uint64_t count, Tick now)
 {
     commitUpTo(now);
-    std::uint64_t per_tier[kMaxTiers] = {};
-    for (std::uint64_t i = 0; i < count; ++i) {
-        PageId p = first + i;
-        const PageEntry &e = table_.entry(p);
-        if (e.in_flight) {
-            tier(e.dest).release(kPageSize);
-            table_.cancelMigration(p);
-        }
-        ++per_tier[tierIndex(e.tier)];
-    }
+    // Pages freed before their transfer landed give back the
+    // destination reservation too; their pending commits find nothing.
+    const PageTable::UnmapCounts freed = table_.unmapRange(first, count);
     for (unsigned t = 0; t < numTiers(); ++t)
-        if (per_tier[t] > 0)
-            tiers_[t].release(per_tier[t] * kPageSize);
-    table_.unmapRange(first, count);
+        if (freed.src[t] + freed.dest[t] > 0)
+            tiers_[t].release((freed.src[t] + freed.dest[t]) * kPageSize);
 }
 
 Tier
 HeterogeneousMemory::residentTier(PageId page, Tick now)
 {
     commitUpTo(now);
-    return table_.entry(page).tier;
+    return table_.runState(page, 1).tier;
 }
 
 bool
 HeterogeneousMemory::inFlight(PageId page, Tick now)
 {
     commitUpTo(now);
-    return table_.entry(page).in_flight;
+    return table_.runState(page, 1).in_flight;
 }
 
 PageRunState
@@ -233,102 +213,68 @@ HeterogeneousMemory::flightInfo(PageId page) const
     return fi;
 }
 
-HeterogeneousMemory::PendingBatch
-HeterogeneousMemory::takeBatch()
-{
-    if (batch_pool_.empty())
-        return {};
-    PendingBatch b = std::move(batch_pool_.back());
-    batch_pool_.pop_back();
-    b.pages.clear();
-    b.src.clear();
-    b.next_arrival = 0;
-    b.seq0 = 0;
-    b.cursor = 0;
-    return b;
-}
-
 void
-HeterogeneousMemory::pushBatch(PendingBatch &&b)
+HeterogeneousMemory::compactSegments()
 {
-    b.next_arrival = b.pages.front().second;
-    pending_.push_back(std::move(b));
-    std::push_heap(pending_.begin(), pending_.end(), BatchLater{});
-    next_arrival_ = pending_.front().next_arrival;
+    // Batches own disjoint slices of segs_; sliding them down in slice
+    // order never overwrites a live segment.
+    std::sort(pending_.begin(), pending_.end(),
+              [](const PendingBatch &a, const PendingBatch &b) {
+                  return a.cur < b.cur;
+              });
+    std::uint32_t w = 0;
+    for (PendingBatch &b : pending_) {
+        const std::uint32_t n = b.end - b.cur;
+        std::copy(segs_.begin() + b.cur, segs_.begin() + b.end,
+                  segs_.begin() + w);
+        b.cur = w;
+        b.end = w + n;
+        w += n;
+    }
+    SENTINEL_ASSERT(w == live_segs_, "segment store lost track of %zu live "
+                    "segments (found %u)", live_segs_, w);
+    segs_.resize(w);
+    std::make_heap(pending_.begin(), pending_.end(), BatchLater{});
 }
 
 Tick
-HeterogeneousMemory::submitLegs(unsigned src, unsigned dst, Tick ready,
-                                std::uint32_t &startup_paid)
+HeterogeneousMemory::scheduleRun(PageId first, std::uint64_t count,
+                                 unsigned src, unsigned dst, Tick ready,
+                                 std::uint32_t &startup_paid)
 {
-    Tick t = ready;
-    if (dst < src) {
-        for (unsigned l = src; l-- > dst;) {
-            const std::uint32_t bit = 1u << (2 * l);
-            sim::BandwidthChannel &ch = links_[l].up;
-            t = (startup_paid & bit) ? ch.submitWithStartup(t, kPageSize, 0)
-                                     : ch.submit(t, kPageSize);
-            startup_paid |= bit;
+    const bool up = dst < src;
+    const unsigned hops = up ? src - dst : dst - src;
+    // Every page is ready at `ready`; each leg turns the arrival
+    // pieces of the previous one into its own completions.
+    legs_in_.clear();
+    legs_in_.push_back(sim::TransferSeries{ ready, 0, count });
+    for (unsigned h = 0; h < hops; ++h) {
+        const unsigned l = up ? src - 1 - h : src + h;
+        const std::uint32_t bit = 1u << (2 * l + (up ? 0 : 1));
+        sim::BandwidthChannel &ch = up ? links_[l].up : links_[l].down;
+        Tick startup = (startup_paid & bit) ? 0 : ch.startupLatency();
+        startup_paid |= bit;
+        legs_out_.clear();
+        for (const sim::TransferSeries &piece : legs_in_) {
+            ch.submitSeries(piece, kPageSize, startup, legs_out_);
+            startup = 0;
         }
-    } else {
-        for (unsigned l = src; l < dst; ++l) {
-            const std::uint32_t bit = 1u << (2 * l + 1);
-            sim::BandwidthChannel &ch = links_[l].down;
-            t = (startup_paid & bit) ? ch.submitWithStartup(t, kPageSize, 0)
-                                     : ch.submit(t, kPageSize);
-            startup_paid |= bit;
-        }
+        legs_in_.swap(legs_out_);
     }
-    return t;
-}
-
-Tick
-HeterogeneousMemory::migratePage(PageId page, Tier dst, Tick ready)
-{
-    commitUpTo(ready);
-    PageEntry e = table_.entry(page);
-    if (e.in_flight || e.tier == dst)
-        return -1;
-    if (!tier(dst).tryReserve(kPageSize))
-        return -1;
-
-    const unsigned src = tierIndex(e.tier);
-    const unsigned d = tierIndex(dst);
-    std::uint32_t startup_paid = 0;
-    Tick arrival = submitLegs(src, d, ready, startup_paid);
-    std::uint64_t seq = table_.beginMigration(page, dst, arrival);
-    PendingBatch b = takeBatch();
-    b.seq0 = seq;
-    b.dst = dst;
-    b.pages.emplace_back(page, arrival);
-    b.src.push_back(static_cast<std::uint8_t>(src));
-    pushBatch(std::move(b));
-
-    const bool promote = d < src;
-    if (promote) {
-        stats_.promoted_bytes += kPageSize;
-        stats_.promoted_pages += 1;
-    } else {
-        stats_.demoted_bytes += kPageSize;
-        stats_.demoted_pages += 1;
+    PageId p = first;
+    for (const sim::TransferSeries &piece : legs_in_) {
+        const std::uint64_t seq0 = table_.beginMigrationRun(
+            p, piece.count, makeTier(dst), piece.first, piece.step);
+        segs_.push_back(Segment{ p, piece.count, piece.first, piece.step,
+                                 seq0, static_cast<std::uint8_t>(src) });
+        p += piece.count;
     }
-    if (telemetry_)
-        noteMigrationEvent(promote, ready, arrival, kPageSize,
-                           static_cast<std::uint32_t>(page));
-    if (attr_) {
-        // Each leg charges its own link.
-        if (promote)
-            for (unsigned l = src; l-- > d;)
-                attr_->noteMigration(l, true, kPageSize);
-        else
-            for (unsigned l = src; l < d; ++l)
-                attr_->noteMigration(l, false, kPageSize);
-    }
-    return arrival;
+    live_segs_ += legs_in_.size();
+    return legs_in_.back().last();
 }
 
 std::size_t
-HeterogeneousMemory::migratePages(std::span<const PageId> pages, Tier dst,
+HeterogeneousMemory::migratePages(std::span<const PageRun> runs, Tier dst,
                                   Tick ready)
 {
     commitUpTo(ready);
@@ -336,6 +282,12 @@ HeterogeneousMemory::migratePages(std::span<const PageId> pages, Tier dst,
     // becomes a no-op below: every page is already in the only tier).
     const unsigned d = std::min(tierIndex(dst), numTiers() - 1);
     dst = makeTier(d);
+    if (pending_.empty())
+        segs_.clear();
+    else if (segs_.size() > 2 * live_segs_ + 64)
+        compactSegments();
+    const std::size_t seg0 = segs_.size();
+    MemoryTier &dest = tier(dst);
     std::size_t scheduled = 0;
     std::uint32_t startup_paid = 0;
     // Per-direction batch telemetry (a batch migrating to a MIDDLE
@@ -344,59 +296,37 @@ HeterogeneousMemory::migratePages(std::span<const PageId> pages, Tier dst,
     Tick dir_last[2] = { ready, ready };
     std::uint32_t dir_first[2] = { 0, 0 };
     std::uint64_t link_bytes[2][kMaxTiers] = {};
-    PendingBatch b = takeBatch();
-    b.dst = dst;
-    // Walk the request as maximal consecutive page stretches and query
-    // the table once per uniform run instead of once per page; eligible
-    // runs reserve, schedule, and begin migration in bulk.
+    // Query the table once per uniform (tier, in-flight) stretch of
+    // each run; eligible stretches reserve, schedule, and begin
+    // migration in bulk.
     bool dest_full = false;
-    std::size_t i = 0;
-    const std::size_t n = pages.size();
-    while (i < n && !dest_full) {
-        std::size_t j = i + 1;
-        while (j < n && pages[j] == pages[j - 1] + 1)
-            ++j;
-        PageId run = pages[i];
-        const PageId run_end = pages[i] + (j - i);
-        while (run < run_end) {
-            PageRunState rs = table_.runState(run, run_end - run);
+    for (const PageRun &run : runs) {
+        PageId p = run.first;
+        const PageId end = run.endPage();
+        while (p < end && !dest_full) {
+            PageRunState rs = table_.runState(p, end - p);
             if (rs.in_flight || rs.tier == dst) {
-                run += rs.count;
+                p += rs.count;
                 continue;
             }
-            std::uint64_t take = rs.count;
-            if (!tier(dst).tryReserve(take * kPageSize)) {
-                // Destination nearly full: claim what fits, then let
-                // the caller retry later (same greedy order as the
-                // page-at-a-time path).
-                take = 0;
-                while (take < rs.count && tier(dst).tryReserve(kPageSize))
-                    ++take;
-                dest_full = true;
-            }
+            // Destination nearly full: claim what fits, then let the
+            // caller retry later.
+            const std::uint64_t take =
+                std::min<std::uint64_t>(rs.count, dest.free() / kPageSize);
+            dest_full = take < rs.count;
             if (take == 0)
                 break;
+            bool ok = dest.tryReserve(take * kPageSize);
+            SENTINEL_ASSERT(ok, "migration reservation failed");
 
             const unsigned src = tierIndex(rs.tier);
             const unsigned dir = d < src ? 0 : 1;
-            // First page of the batch to touch each channel pays the
-            // setup cost; the rest stream.
-            const std::size_t base = b.pages.size();
-            for (std::uint64_t k = 0; k < take; ++k) {
-                Tick arrival = submitLegs(src, d, ready, startup_paid);
-                b.pages.emplace_back(run + k, arrival);
-                b.src.push_back(static_cast<std::uint8_t>(src));
-            }
-            std::uint64_t seq = table_.beginMigrationRun(
-                std::span<const std::pair<PageId, Tick>>(
-                    b.pages.data() + base, take),
-                dst);
-            if (scheduled == 0)
-                b.seq0 = seq;
+            const Tick last = scheduleRun(p, take, src, d, ready,
+                                          startup_paid);
             if (dir_bytes[dir] == 0)
-                dir_first[dir] = static_cast<std::uint32_t>(run);
+                dir_first[dir] = static_cast<std::uint32_t>(p);
             dir_bytes[dir] += take * kPageSize;
-            dir_last[dir] = b.pages.back().second;
+            dir_last[dir] = last;
             scheduled += take;
 
             if (dir == 0) {
@@ -410,16 +340,18 @@ HeterogeneousMemory::migratePages(std::span<const PageId> pages, Tier dst,
                 for (unsigned l = src; l < d; ++l)
                     link_bytes[1][l] += take * kPageSize;
             }
-            run += take;
-            if (dest_full)
-                break;
+            p += take;
         }
-        i = j;
+        if (dest_full)
+            break;
     }
-    if (scheduled > 0)
-        pushBatch(std::move(b));
-    else
-        batch_pool_.push_back(std::move(b));
+    if (scheduled > 0) {
+        pending_.push_back(PendingBatch{
+            segs_[seg0].a0, static_cast<std::uint32_t>(seg0),
+            static_cast<std::uint32_t>(segs_.size()) });
+        std::push_heap(pending_.begin(), pending_.end(), BatchLater{});
+        next_arrival_ = pending_.front().next_arrival;
+    }
     // One event per batch and direction (matching the one-transfer cost
     // model), not per page — keeps the ring proportional to decisions,
     // not volume.
@@ -531,33 +463,40 @@ HeterogeneousMemory::drainArrivals(Tick now)
     while (!pending_.empty() && pending_.front().next_arrival <= now) {
         std::pop_heap(pending_.begin(), pending_.end(), BatchLater{});
         PendingBatch &b = pending_.back();
-        const std::uint32_t n = static_cast<std::uint32_t>(b.pages.size());
-        while (b.cursor < n && b.pages[b.cursor].second <= now) {
-            // Commit consecutive arrived pages as one run; batch pages
-            // are ascending, so stretches are common.  A stretch stops
-            // at a source-tier boundary so the release below frees the
-            // right tier.
-            std::uint32_t k = b.cursor + 1;
-            while (k < n && b.pages[k].second <= now &&
-                   b.pages[k].first == b.pages[k - 1].first + 1 &&
-                   b.src[k] == b.src[b.cursor])
-                ++k;
-            std::uint64_t committed = table_.commitMigrationRun(
-                b.pages[b.cursor].first, k - b.cursor, b.seq0 + b.cursor);
-            // Committed pages now live at b.dst; free their old homes.
-            // A failed commit means the page was freed or the migration
-            // was cancelled; unmapPage()/cancel paths already released
-            // the destination reservation in that case.
+        // Pages land in batch order: a segment commits the prefix that
+        // has arrived, and the next one waits until it is exhausted.
+        while (b.cur < b.end) {
+            Segment &sg = segs_[b.cur];
+            if (sg.a0 > now)
+                break;
+            const std::uint64_t n =
+                sg.step == 0
+                    ? sg.count
+                    : std::min<std::uint64_t>(
+                          sg.count,
+                          static_cast<std::uint64_t>((now - sg.a0) /
+                                                     sg.step) +
+                              1);
+            // A page that was freed or re-migrated while in flight does
+            // not commit; the unmap already released its reservations.
+            const std::uint64_t committed =
+                table_.commitMigrationRun(sg.first, n, sg.seq0);
             if (committed > 0)
-                tier(makeTier(b.src[b.cursor]))
-                    .release(committed * kPageSize);
-            b.cursor = k;
+                tiers_[sg.src].release(committed * kPageSize);
+            if (n < sg.count) {
+                sg.first += n;
+                sg.count -= n;
+                sg.a0 += static_cast<Tick>(n) * sg.step;
+                sg.seq0 += n;
+                break;
+            }
+            ++b.cur;
+            --live_segs_;
         }
-        if (b.cursor < n) {
-            b.next_arrival = b.pages[b.cursor].second;
+        if (b.cur < b.end) {
+            b.next_arrival = segs_[b.cur].a0;
             std::push_heap(pending_.begin(), pending_.end(), BatchLater{});
         } else {
-            batch_pool_.push_back(std::move(b));
             pending_.pop_back();
         }
     }
@@ -581,9 +520,9 @@ HeterogeneousMemory::reset()
         l.down.reset();
     }
     table_.clear();
-    for (PendingBatch &b : pending_)
-        batch_pool_.push_back(std::move(b));
     pending_.clear();
+    segs_.clear();
+    live_segs_ = 0;
     next_arrival_ = kNoArrival;
     stats_ = HmStats{};
 }

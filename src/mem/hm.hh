@@ -19,6 +19,17 @@
  * links streams store-and-forward — each leg queues on its own channel
  * and the page "arrives" when the final leg completes; intermediate
  * tiers are not occupied.
+ *
+ * The engine's unit is the page run, not the page.  A uniform run of
+ * n pages is scheduled leg by leg in closed form
+ * (BandwidthChannel::submitSeries()): on a serialized fixed-rate
+ * channel its completions are an arithmetic series, and a later leg
+ * turns each series piece into at most two (queue-limited, then
+ * input-limited).  The run is marked in flight and later committed
+ * per arithmetic piece, so the cost of a move is O(legs + pieces)
+ * plus the page table's byte fills.  tests/support/ref_migration.hh
+ * holds a page-at-a-time model of the same engine, and test_hm.cc
+ * checks the two agree after every operation.
  */
 
 #ifndef SENTINEL_MEM_HM_HH
@@ -101,12 +112,11 @@ class HeterogeneousMemory
      */
     void mapRange(PageId first, std::uint64_t count, Tier preferred);
 
-    /** Unmap @p page, releasing its space (commits arrivals first). */
-    void unmapPage(PageId page, Tick now);
-
     /**
-     * Unmap [first, first+count), cancelling in-flight migrations and
-     * releasing the whole range's space with one release per tier.
+     * Unmap [first, first+count) at @p now (committing arrivals first),
+     * dropping in-flight migrations and releasing the whole range's
+     * space — source and in-flight destination reservations — with one
+     * release per tier.
      */
     void unmapRange(PageId first, std::uint64_t count, Tick now);
 
@@ -145,25 +155,19 @@ class HeterogeneousMemory
     // --- Migration -----------------------------------------------------
 
     /**
-     * Schedule moving @p page to @p dst, starting no earlier than
-     * @p ready.  Transfers that cross several links stream
-     * store-and-forward, each leg on its own channel.
-     *
-     * @return the completion tick, or -1 if the destination is full or
-     *         the page is already at/moving to @p dst.
-     */
-    Tick migratePage(PageId page, Tier dst, Tick ready);
-
-    /**
-     * Migrate a batch as ONE transfer (a single move_pages() call /
-     * one cudaMemPrefetchAsync): the per-transfer setup cost is paid
-     * once per channel, not per page.  Pages already at/moving to
-     * @p dst are skipped; migration stops early if the destination
-     * fills.
+     * Migrate the pages of @p runs to @p dst as ONE transfer (a single
+     * move_pages() call / one cudaMemPrefetchAsync), starting no
+     * earlier than @p ready: the per-transfer setup cost is paid once
+     * per channel, not per run or page, and transfers that cross
+     * several links stream store-and-forward, each leg on its own
+     * channel.  Runs are taken in order; pages already at/moving to
+     * @p dst are skipped, and migration stops early if the
+     * destination fills.  A @p dst beyond the chain's end clamps to
+     * the slowest tier.
      *
      * @return the number of pages whose migration was scheduled.
      */
-    std::size_t migratePages(std::span<const PageId> pages, Tier dst,
+    std::size_t migratePages(std::span<const PageRun> runs, Tier dst,
                              Tick ready);
 
     /**
@@ -291,34 +295,44 @@ class HeterogeneousMemory
     static const sim::BandwidthChannel &nullChannel();
 
     /**
-     * Queue one page through every leg from @p src to @p dst,
-     * store-and-forward.  Each channel's per-transfer startup is paid
-     * by the first page of the batch to touch it; @p startup_paid is
-     * the per-batch bitmask of channels already charged (bit
-     * 2*link + direction).
+     * Schedule the uniform run [first, first+count) from tier @p src
+     * to tier @p dst through every leg, each leg in closed form, mark
+     * it in flight, and append its arrival pieces to segs_.  Each
+     * channel's per-transfer startup is paid by the first page of the
+     * batch to touch it; @p startup_paid is the per-batch bitmask of
+     * channels already charged (bit 2*link + direction).
+     *
+     * @return the last page's arrival.
      */
-    Tick submitLegs(unsigned src, unsigned dst, Tick ready,
-                    std::uint32_t &startup_paid);
+    Tick scheduleRun(PageId first, std::uint64_t count, unsigned src,
+                     unsigned dst, Tick ready, std::uint32_t &startup_paid);
 
     static constexpr Tick kNoArrival = std::numeric_limits<Tick>::max();
 
     /**
-     * One scheduled migratePages() batch: the pages in submit order
-     * with their individual arrival ticks and source-tier indices.
-     * Page k of the batch holds migration sequence seq0 + k
-     * (beginMigration() numbers them consecutively inside the
-     * scheduling loop), so the commit loop never stores per-page
-     * sequence numbers.  The pending set is a binary min-heap of
-     * batches keyed by each batch's next uncommitted arrival — one
-     * heap node per *batch* instead of per page.
+     * Pages of one run that arrive as one arithmetic series: page
+     * first+k lands at a0 + k*step and holds migration sequence
+     * seq0 + k.  All of them leave tier @c src.
+     */
+    struct Segment {
+        PageId first = 0;
+        std::uint64_t count = 0;
+        Tick a0 = 0;
+        Tick step = 0;
+        std::uint64_t seq0 = 0;
+        std::uint8_t src = 0;
+    };
+
+    /**
+     * One scheduled migratePages() batch: segs_[cur, end) in submit
+     * order.  A page commits only once every earlier page of its batch
+     * has landed, so a batch's next arrival is segs_[cur].a0.  The
+     * pending set is a binary min-heap of batches keyed by that tick.
      */
     struct PendingBatch {
-        Tick next_arrival = 0;   ///< arrival of pages[cursor]
-        std::uint64_t seq0 = 0;  ///< migration seq of pages[0]
-        std::uint32_t cursor = 0;
-        Tier dst = Tier::Fast;
-        std::vector<std::pair<PageId, Tick>> pages; ///< (page, arrival)
-        std::vector<std::uint8_t> src; ///< source tier index per page
+        Tick next_arrival = 0;
+        std::uint32_t cur = 0;
+        std::uint32_t end = 0;
     };
     struct BatchLater {
         bool
@@ -330,18 +344,19 @@ class HeterogeneousMemory
 
     /** Out-of-line slow path of commitUpTo(). */
     void drainArrivals(Tick now);
-    /** Push @p b onto the pending heap and refresh next_arrival_. */
-    void pushBatch(PendingBatch &&b);
-    /** Pooled batch for the next schedule (reused, no allocation in
-     *  steady state); pages/src buffers come back cleared. */
-    PendingBatch takeBatch();
+    /** Drop finished segments from segs_ once they outnumber the live
+     *  ones, so the store stays bounded by the in-flight work. */
+    void compactSegments();
 
     std::vector<MemoryTier> tiers_; ///< fastest-first chain
     std::vector<Link> links_;       ///< links_[i]: tiers i <-> i+1
     std::vector<std::uint64_t> base_capacity_; ///< per tier
     PageTable table_;
     std::vector<PendingBatch> pending_; ///< min-heap (BatchLater)
-    std::vector<PendingBatch> batch_pool_;
+    std::vector<Segment> segs_;         ///< every pending batch's pieces
+    std::size_t live_segs_ = 0;         ///< segments not yet committed
+    /** Arrival pieces of the leg being scheduled and of the next. */
+    std::vector<sim::TransferSeries> legs_in_, legs_out_;
     Tick next_arrival_ = kNoArrival; ///< pending_ top's key (cached)
     HmStats stats_;
 

@@ -3,10 +3,39 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <numeric>
 
 #include "common/logging.hh"
 
 namespace sentinel::mem {
+
+namespace {
+
+/**
+ * Number of leading bytes of s[0, n) equal to @p v.  Word-wide: eight
+ * state bytes per compare, with countr_zero picking the first
+ * mismatching byte.  Every extent walk funnels through this scan, so
+ * the byte loop only handles the tail.
+ */
+std::uint64_t
+matchingPrefix(const std::uint8_t *s, std::uint64_t n, std::uint8_t v)
+{
+    const std::uint64_t pat = 0x0101010101010101ull * v;
+    std::uint64_t i = 0;
+    while (i + 8 <= n) {
+        std::uint64_t w;
+        std::memcpy(&w, s + i, 8);
+        if (w != pat)
+            return i + static_cast<std::uint64_t>(std::countr_zero(w ^ pat)) /
+                           8;
+        i += 8;
+    }
+    while (i < n && s[i] == v)
+        ++i;
+    return i;
+}
+
+} // namespace
 
 PageTable::Chunk &
 PageTable::chunkFor(PageId page)
@@ -79,28 +108,10 @@ PageTable::mapRange(PageId first, std::uint64_t count, Tier tier)
     }
 }
 
-void
-PageTable::unmap(PageId page)
-{
-    const Chunk *c = findChunk(page);
-    SENTINEL_ASSERT(c && c->state[page & kChunkMask] != kStateUnmapped,
-                    "unmap of unmapped page %llu",
-                    static_cast<unsigned long long>(page));
-    Chunk &ch = const_cast<Chunk &>(*c);
-    std::uint8_t &s = ch.state[page & kChunkMask];
-    --ch.mapped;
-    --ch.tiers[s & kStateTierMask];
-    if (s & kStateFlightBit) {
-        --ch.inflight;
-        --num_inflight_;
-    }
-    s = kStateUnmapped;
-    --num_mapped_;
-}
-
-void
+PageTable::UnmapCounts
 PageTable::unmapRange(PageId first, std::uint64_t count)
 {
+    UnmapCounts out;
     PageId p = first;
     std::uint64_t left = count;
     while (left > 0) {
@@ -119,18 +130,24 @@ PageTable::unmapRange(PageId first, std::uint64_t count)
                             "unmap of unmapped page %llu",
                             static_cast<unsigned long long>(p + i));
             ++tiers[s[i] & kStateTierMask];
-            inflight += (s[i] & kStateFlightBit) ? 1 : 0;
+            if (s[i] & kStateFlightBit) {
+                ++inflight;
+                ++out.dest[ch.dest[off + i]];
+            }
         }
         std::memset(s, kStateUnmapped, in_chunk);
         ch.mapped -= static_cast<std::uint32_t>(in_chunk);
-        for (unsigned t = 0; t < kMaxTiers; ++t)
+        for (unsigned t = 0; t < kMaxTiers; ++t) {
             ch.tiers[t] -= tiers[t];
+            out.src[t] += tiers[t];
+        }
         ch.inflight -= inflight;
         num_inflight_ -= inflight;
         num_mapped_ -= in_chunk;
         p += in_chunk;
         left -= in_chunk;
     }
+    return out;
 }
 
 bool
@@ -191,27 +208,8 @@ PageTable::runState(PageId first, std::uint64_t count) const
         if (uniform) {
             rs.count += in_chunk;
         } else {
-            // Word-wide run scan: eight state bytes per compare, with
-            // countr_zero picking the first mismatching byte.  This
-            // loop is the hottest in the simulator (every extent walk
-            // funnels through it), so the byte loop only handles the
-            // tail.
             const std::uint8_t *s = c->state.get() + off;
-            const std::uint64_t pat = 0x0101010101010101ull * s0;
-            std::uint64_t i = 0;
-            while (i + 8 <= in_chunk) {
-                std::uint64_t w;
-                std::memcpy(&w, s + i, 8);
-                if (w != pat) {
-                    i += static_cast<std::uint64_t>(
-                             std::countr_zero(w ^ pat)) /
-                         8;
-                    break;
-                }
-                i += 8;
-            }
-            while (i < in_chunk && s[i] == s0)
-                ++i;
+            const std::uint64_t i = matchingPrefix(s, in_chunk, s0);
             rs.count += i;
             if (i < in_chunk) {
                 SENTINEL_ASSERT(s[i] != kStateUnmapped,
@@ -299,41 +297,52 @@ PageTable::commitMigration(PageId page, std::uint64_t seq)
 }
 
 std::uint64_t
-PageTable::beginMigrationRun(std::span<const std::pair<PageId, Tick>> run,
-                             Tier dest)
+PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
+                             Tick arrival0, Tick step)
 {
-    SENTINEL_ASSERT(!run.empty(), "empty migration run");
+    SENTINEL_ASSERT(count > 0, "empty migration run");
     const std::uint64_t seq0 = next_seq_;
-    std::size_t i = 0;
-    while (i < run.size()) {
-        const PageId page = run[i].first;
-        const Chunk *c = findChunk(page);
+    const std::uint8_t d = static_cast<std::uint8_t>(tierIndex(dest));
+    std::uint8_t s0 = kStateUnmapped;
+    Tick arrival = arrival0;
+    PageId p = first;
+    std::uint64_t left = count;
+    while (left > 0) {
+        const Chunk *c = findChunk(p);
         SENTINEL_ASSERT(c, "access to unmapped page %llu",
-                        static_cast<unsigned long long>(page));
+                        static_cast<unsigned long long>(p));
         Chunk &ch = const_cast<Chunk &>(*c);
         ensureCold(ch);
-        const std::uint64_t off = page & kChunkMask;
+        const std::uint64_t off = p & kChunkMask;
         const std::uint64_t in_chunk =
-            std::min<std::uint64_t>(run.size() - i, kChunkPages - off);
-        for (std::uint64_t k = 0; k < in_chunk; ++k) {
-            SENTINEL_ASSERT(run[i + k].first == page + k,
-                            "migration run is not consecutive at %llu",
-                            static_cast<unsigned long long>(page + k));
-            std::uint8_t &s = ch.state[off + k];
-            SENTINEL_ASSERT(s != kStateUnmapped,
+            std::min<std::uint64_t>(left, kChunkPages - off);
+        std::uint8_t *s = ch.state.get() + off;
+        if (p == first) {
+            s0 = s[0];
+            SENTINEL_ASSERT(s0 != kStateUnmapped,
                             "access to unmapped page %llu",
-                            static_cast<unsigned long long>(page + k));
-            SENTINEL_ASSERT(!flightOf(s), "page %llu is already migrating",
-                            static_cast<unsigned long long>(page + k));
-            SENTINEL_ASSERT(tierOf(s) != dest, "migration to the same tier");
-            s |= kStateFlightBit;
-            ch.arrival[off + k] = run[i + k].second;
-            ch.seq[off + k] = next_seq_++;
-            ch.dest[off + k] = static_cast<std::uint8_t>(tierIndex(dest));
+                            static_cast<unsigned long long>(p));
+            SENTINEL_ASSERT(!flightOf(s0), "page %llu is already migrating",
+                            static_cast<unsigned long long>(p));
+            SENTINEL_ASSERT(tierOf(s0) != dest, "migration to the same tier");
         }
+        // One check per chunk: the run must be one idle tier throughout.
+        SENTINEL_ASSERT(matchingPrefix(s, in_chunk, s0) == in_chunk,
+                        "migration run at %llu is not one idle tier",
+                        static_cast<unsigned long long>(p));
+        std::memset(s, s0 | kStateFlightBit, in_chunk);
+        std::memset(ch.dest.get() + off, d, in_chunk);
+        std::iota(ch.seq.get() + off, ch.seq.get() + off + in_chunk,
+                  next_seq_);
+        next_seq_ += in_chunk;
+        Tick *a = ch.arrival.get() + off;
+        for (std::uint64_t k = 0; k < in_chunk; ++k)
+            a[k] = arrival + static_cast<Tick>(k) * step;
+        arrival += static_cast<Tick>(in_chunk) * step;
         ch.inflight += static_cast<std::uint32_t>(in_chunk);
         num_inflight_ += in_chunk;
-        i += in_chunk;
+        p += in_chunk;
+        left -= in_chunk;
     }
     return seq0;
 }
@@ -350,42 +359,36 @@ PageTable::commitMigrationRun(PageId first, std::uint64_t count,
         const std::uint64_t in_chunk =
             std::min<std::uint64_t>(count - k, kChunkPages - off);
         const Chunk *c = findChunk(page);
-        if (!c) { // whole chunk freed while in flight
+        if (!c || c->inflight == 0) { // freed or cancelled while in flight
             k += in_chunk;
             continue;
         }
         Chunk &ch = const_cast<Chunk &>(*c);
+        std::uint8_t *state = ch.state.get() + off;
+        const std::uint64_t *seq = ch.seq.get() + off;
+        const std::uint8_t *dest = ch.dest.get() + off;
+        const std::uint64_t want = seq0 + k;
+        // Deltas stay in locals: stores through the state bytes would
+        // otherwise alias the chunk counters on every page.
+        std::uint32_t delta[kMaxTiers] = {};
+        std::uint32_t landed = 0;
         for (std::uint64_t m = 0; m < in_chunk; ++m) {
-            std::uint8_t s = ch.state[off + m];
-            if (s == kStateUnmapped || !flightOf(s) ||
-                ch.seq[off + m] != seq0 + k + m)
+            const std::uint8_t s = state[m];
+            if (s == kStateUnmapped || !flightOf(s) || seq[m] != want + m)
                 continue; // freed, cancelled, or superseded
-            std::uint8_t landed = ch.dest[off + m];
-            ch.state[off + m] = landed;
-            --ch.tiers[s & kStateTierMask];
-            ++ch.tiers[landed & kStateTierMask];
-            --ch.inflight;
-            --num_inflight_;
-            ++done;
+            state[m] = dest[m];
+            --delta[s & kStateTierMask];
+            ++delta[dest[m]];
+            ++landed;
         }
+        for (unsigned t = 0; t < kMaxTiers; ++t)
+            ch.tiers[t] += delta[t];
+        ch.inflight -= landed;
+        num_inflight_ -= landed;
+        done += landed;
         k += in_chunk;
     }
     return done;
-}
-
-void
-PageTable::cancelMigration(PageId page)
-{
-    const Chunk *c = findChunk(page);
-    SENTINEL_ASSERT(c && c->state[page & kChunkMask] != kStateUnmapped,
-                    "access to unmapped page %llu",
-                    static_cast<unsigned long long>(page));
-    Chunk &ch = const_cast<Chunk &>(*c);
-    std::uint8_t &s = ch.state[page & kChunkMask];
-    SENTINEL_ASSERT(flightOf(s), "cancel of non-migrating page");
-    s &= static_cast<std::uint8_t>(~kStateFlightBit);
-    --ch.inflight;
-    --num_inflight_;
 }
 
 void

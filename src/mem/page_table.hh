@@ -25,8 +25,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "common/units.hh"
@@ -65,11 +63,20 @@ class PageTable
     /** Map [first, first+count) into @p tier; none may be mapped. */
     void mapRange(PageId first, std::uint64_t count, Tier tier);
 
-    /** Remove @p page.  The page must be mapped. */
-    void unmap(PageId page);
+    /** What unmapRange() removed, in pages per tier index. */
+    struct UnmapCounts {
+        /** Pages by resident (source, for in-flight pages) tier. */
+        std::uint64_t src[kMaxTiers] = {};
+        /** In-flight pages by destination tier. */
+        std::uint64_t dest[kMaxTiers] = {};
+    };
 
-    /** Remove [first, first+count); all must be mapped, none in flight. */
-    void unmapRange(PageId first, std::uint64_t count);
+    /**
+     * Remove [first, first+count); all must be mapped.  Pages still in
+     * flight are dropped with their migration, whose commit then finds
+     * nothing.  One pass over the state bytes.
+     */
+    UnmapCounts unmapRange(PageId first, std::uint64_t count);
 
     bool isMapped(PageId page) const;
 
@@ -99,14 +106,14 @@ class PageTable
     bool commitMigration(PageId page, std::uint64_t seq);
 
     /**
-     * Begin migrating a consecutive ascending run of pages to @p dest;
-     * run[i] is (first + i, arrival of that page).  Every page must be
-     * mapped, idle, and resident away from @p dest — i.e. a uniform
-     * eligible runState() prefix.  Sequence numbers are contiguous:
-     * page run[i].first gets @return + i.
+     * Begin migrating [first, first+count) to @p dest; page first+i
+     * arrives at @p arrival0 + i * @p step.  Every page must be mapped,
+     * idle, and share one resident tier other than @p dest — i.e. a
+     * uniform eligible runState() prefix.  Sequence numbers are
+     * contiguous: page first+i gets @return + i.
      */
-    std::uint64_t beginMigrationRun(
-        std::span<const std::pair<PageId, Tick>> run, Tier dest);
+    std::uint64_t beginMigrationRun(PageId first, std::uint64_t count,
+                                    Tier dest, Tick arrival0, Tick step);
 
     /**
      * Commit the consecutive run [first, first+count), where page
@@ -116,9 +123,6 @@ class PageTable
      */
     std::uint64_t commitMigrationRun(PageId first, std::uint64_t count,
                                      std::uint64_t seq0);
-
-    /** Abort an in-flight migration, leaving the page at its source. */
-    void cancelMigration(PageId page);
 
     std::size_t numMapped() const { return num_mapped_; }
 

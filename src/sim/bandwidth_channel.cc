@@ -6,6 +6,34 @@
 
 namespace sentinel::sim {
 
+namespace {
+
+/**
+ * Append @p s to the piecewise series @p out, merging it into the last
+ * piece when it continues that piece's progression.  Empty pieces are
+ * dropped.
+ */
+void
+appendSeries(std::vector<TransferSeries> &out, TransferSeries s)
+{
+    if (s.count == 0)
+        return;
+    if (!out.empty()) {
+        TransferSeries &b = out.back();
+        // A one-transfer piece has no pace of its own yet; it takes
+        // the continuing piece's.
+        const Tick step = b.count == 1 ? s.first - b.first : b.step;
+        if (s.first == b.last() + step && (s.count == 1 || s.step == step)) {
+            b.step = step;
+            b.count += s.count;
+            return;
+        }
+    }
+    out.push_back(s);
+}
+
+} // namespace
+
 BandwidthChannel::BandwidthChannel(std::string name, double bytes_per_sec,
                                    Tick startup_latency)
     : name_(std::move(name)), bytes_per_sec_(bytes_per_sec),
@@ -33,6 +61,40 @@ BandwidthChannel::submitWithStartup(Tick ready, std::uint64_t bytes,
     num_transfers_ += 1;
     busy_time_ += duration;
     return busy_until_;
+}
+
+void
+BandwidthChannel::submitSeries(const TransferSeries &in, std::uint64_t bytes,
+                               Tick startup, std::vector<TransferSeries> &out)
+{
+    const std::uint64_t n = in.count;
+    if (n == 0)
+        return;
+    SENTINEL_ASSERT(in.step >= 0, "transfer series must not run backward");
+    const Tick tt = transferTime(bytes, bytes_per_sec_);
+    // D(k) = max(A(k), D(k-1)) + tt, with D(0) also paying startup.
+    // Unrolled, D(k) = max(D(0) + k*tt, max_j A(j) + (k-j+1)*tt) for
+    // j in [1, k].  With A(j) = a + j*s the inner max sits at j = 1
+    // when s <= tt (and is then dominated by D(0) + k*tt) and at j = k
+    // when s > tt, so the completions are D(0) + k*tt up to the
+    // crossover m and a + k*s + tt from there on.
+    const Tick d0 = std::max(in.first, busy_until_) + startup + tt;
+    std::uint64_t m = n;
+    if (in.step > tt) {
+        // D(0) + k*tt >= a + k*s + tt  <=>  k*(s - tt) <= g.
+        const Tick g = d0 - in.first - tt;
+        const std::uint64_t cross =
+            static_cast<std::uint64_t>((g + (in.step - tt) - 1) /
+                                       (in.step - tt));
+        m = std::min(n, cross);
+    }
+    appendSeries(out, TransferSeries{ d0, tt, m });
+    appendSeries(out, TransferSeries{ in.at(m) + tt, in.step, n - m });
+    busy_until_ = m == n ? d0 + static_cast<Tick>(n - 1) * tt
+                         : in.at(n - 1) + tt;
+    bytes_transferred_ += n * bytes;
+    num_transfers_ += n;
+    busy_time_ += startup + static_cast<Tick>(n) * tt;
 }
 
 Tick

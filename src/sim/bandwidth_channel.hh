@@ -13,10 +13,28 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/units.hh"
 
 namespace sentinel::sim {
+
+/**
+ * Ticks of a run of transfers as an arithmetic series: transfer k of
+ * the run is at first + k * step.  Used both for the times a run
+ * becomes ready on a channel and for the times it completes there.
+ */
+struct TransferSeries {
+    Tick first = 0;
+    Tick step = 0;
+    std::uint64_t count = 0;
+
+    Tick at(std::uint64_t k) const
+    {
+        return first + static_cast<Tick>(k) * step;
+    }
+    Tick last() const { return at(count - 1); }
+};
 
 /** One serialized transfer link with busy-until semantics. */
 class BandwidthChannel
@@ -42,6 +60,20 @@ class BandwidthChannel
     Tick submitWithStartup(Tick ready, std::uint64_t bytes,
                            Tick startup);
 
+    /**
+     * Enqueue @p in.count transfers of @p bytes each, transfer k ready
+     * at in.at(k) (in.step >= 0), in order.  The first pays @p startup
+     * and the rest stream: exactly in.count submitWithStartup() calls
+     * (startup, 0, 0, ...), in O(1).  Completions are appended to
+     * @p out as at most two arithmetic pieces, each merged into the
+     * last piece of @p out when it continues that progression: while
+     * the queue is the bottleneck transfers leave at the channel's own
+     * pace, and once the input falls behind they leave at the input's
+     * pace.
+     */
+    void submitSeries(const TransferSeries &in, std::uint64_t bytes,
+                      Tick startup, std::vector<TransferSeries> &out);
+
     /** Earliest time a new transfer submitted at @p ready could finish. */
     Tick estimateCompletion(Tick ready, std::uint64_t bytes) const;
 
@@ -58,6 +90,8 @@ class BandwidthChannel
     Tick busyTime() const { return busy_time_; }
 
     double bandwidth() const { return bytes_per_sec_; }
+    /** Setup cost submit() charges per transfer. */
+    Tick startupLatency() const { return startup_latency_; }
     const std::string &name() const { return name_; }
 
     /**

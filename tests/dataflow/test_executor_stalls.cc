@@ -65,8 +65,8 @@ class PrefetchAtL1 : public MemoryPolicy
         if (layer != 1)
             return;
         const TensorPlacement &pl = ex.placementOf(0);
-        auto pages = pl.pages();
-        ex.hm().migratePages(pages, mem::Tier::Fast, ex.now());
+        const mem::PageRun runs[] = { pl.run() };
+        ex.hm().migratePages(runs, mem::Tier::Fast, ex.now());
         issued_at_ = ex.now();
     }
 
@@ -173,8 +173,8 @@ class DemoteAtL0End : public MemoryPolicy
     {
         if (layer != 0)
             return;
-        auto pages = ex.placementOf(0).pages();
-        ex.hm().migratePages(pages, mem::Tier::Slow, ex.now());
+        const mem::PageRun runs[] = { ex.placementOf(0).run() };
+        ex.hm().migratePages(runs, mem::Tier::Slow, ex.now());
     }
 
   private:

@@ -76,8 +76,10 @@ class MigratingTestPolicy : public MemoryPolicy
         mem::PageId first = ex.placementOf(weight_).firstPage();
         auto migrate = [&](std::initializer_list<std::uint64_t> offs,
                            mem::Tier to) {
-            for (std::uint64_t o : offs)
-                ex.hm().migratePage(first + o, to, ex.now());
+            for (std::uint64_t o : offs) {
+                const mem::PageRun one[] = { { first + o, 1 } };
+                ex.hm().migratePages(one, to, ex.now());
+            }
         };
         if (layer == 0)
             migrate({ 2, 3, 4, 7 }, mem::Tier::Fast);

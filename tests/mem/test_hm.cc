@@ -1,8 +1,13 @@
-#include <array>
+#include <algorithm>
+#include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mem/hm.hh"
+#include "support/ref_migration.hh"
 
 namespace sentinel::mem {
 namespace {
@@ -15,6 +20,17 @@ makeHm(std::uint64_t fast_pages = 4, std::uint64_t slow_pages = 1024)
     // 1 GB/s promote, 1 GB/s demote, no startup: one page = 4096 ns.
     MigrationParams mig{ 1e9, 1e9, 0 };
     return HeterogeneousMemory(fast, slow, mig);
+}
+
+/** Move one page through the run entry point.  @return its arrival,
+ *  or -1 if nothing was scheduled. */
+Tick
+movePage(HeterogeneousMemory &hm, PageId page, Tier dst, Tick ready)
+{
+    const PageRun run[] = { { page, 1 } };
+    if (hm.migratePages(run, dst, ready) == 0)
+        return -1;
+    return hm.arrivalTime(page);
 }
 
 TEST(Hm, MapPreferredTier)
@@ -45,7 +61,7 @@ TEST(Hm, MigrationTimingAndResidency)
     auto hm = makeHm();
     hm.tryMapPage(5, Tier::Slow);
 
-    Tick arrival = hm.migratePage(5, Tier::Fast, 0);
+    Tick arrival = movePage(hm, 5, Tier::Fast, 0);
     EXPECT_EQ(arrival, 4096); // 4 KiB at 1 GB/s
 
     // While in flight the page is served from its source.
@@ -64,9 +80,9 @@ TEST(Hm, MigrationReservesDestinationUpFront)
     hm.tryMapPage(0, Tier::Slow);
     hm.tryMapPage(1, Tier::Slow);
 
-    EXPECT_GE(hm.migratePage(0, Tier::Fast, 0), 0);
+    EXPECT_GE(movePage(hm, 0, Tier::Fast, 0), 0);
     // Fast tier is fully reserved by the in-flight page.
-    EXPECT_EQ(hm.migratePage(1, Tier::Fast, 0), -1);
+    EXPECT_EQ(movePage(hm, 1, Tier::Fast, 0), -1);
 }
 
 TEST(Hm, SourceReleasedOnlyAtCompletion)
@@ -75,7 +91,7 @@ TEST(Hm, SourceReleasedOnlyAtCompletion)
     hm.tryMapPage(9, Tier::Slow);
     std::uint64_t slow_before = hm.tier(Tier::Slow).used();
 
-    Tick arrival = hm.migratePage(9, Tier::Fast, 0);
+    Tick arrival = movePage(hm, 9, Tier::Fast, 0);
     EXPECT_EQ(hm.tier(Tier::Slow).used(), slow_before);
     hm.commitUpTo(arrival);
     EXPECT_EQ(hm.tier(Tier::Slow).used(), slow_before - kPageSize);
@@ -85,23 +101,23 @@ TEST(Hm, RedundantMigrationRejected)
 {
     auto hm = makeHm();
     hm.tryMapPage(2, Tier::Fast);
-    EXPECT_EQ(hm.migratePage(2, Tier::Fast, 0), -1);
+    EXPECT_EQ(movePage(hm, 2, Tier::Fast, 0), -1);
 
     hm.tryMapPage(3, Tier::Slow);
-    EXPECT_GE(hm.migratePage(3, Tier::Fast, 0), 0);
+    EXPECT_GE(movePage(hm, 3, Tier::Fast, 0), 0);
     // Already in flight.
-    EXPECT_EQ(hm.migratePage(3, Tier::Fast, 0), -1);
+    EXPECT_EQ(movePage(hm, 3, Tier::Fast, 0), -1);
 }
 
 TEST(Hm, UnmapInFlightReleasesBothReservations)
 {
     auto hm = makeHm(2);
     hm.tryMapPage(1, Tier::Slow);
-    hm.migratePage(1, Tier::Fast, 0);
+    movePage(hm, 1, Tier::Fast, 0);
     std::uint64_t fast_used = hm.tier(Tier::Fast).used();
     EXPECT_EQ(fast_used, kPageSize);
 
-    hm.unmapPage(1, 0); // freed before arrival
+    hm.unmapRange(1, 1, 0); // freed before arrival
     EXPECT_EQ(hm.tier(Tier::Fast).used(), 0u);
     EXPECT_EQ(hm.tier(Tier::Slow).used(), 0u);
     // The late commit must not corrupt capacity accounting.
@@ -112,9 +128,8 @@ TEST(Hm, UnmapInFlightReleasesBothReservations)
 TEST(Hm, BatchMigrationSerializesOnChannel)
 {
     auto hm = makeHm(8);
-    std::array<PageId, 3> pages{ 10, 11, 12 };
-    for (PageId p : pages)
-        hm.tryMapPage(p, Tier::Slow);
+    hm.mapRange(10, 3, Tier::Slow);
+    const PageRun pages[] = { { 10, 3 } };
 
     EXPECT_EQ(hm.migratePages(pages, Tier::Fast, 0), 3u);
     // Three pages over one serialized 1 GB/s channel: the batch's last
@@ -131,9 +146,8 @@ TEST(Hm, BatchMigrationChargesOneStartup)
     TierParams slow{ "pmm", 1024 * kPageSize, 2e9, 1e9, 300, 300 };
     MigrationParams mig{ 1e9, 1e9, 1000 }; // 1 us startup
     HeterogeneousMemory hm(fast, slow, mig);
-    std::array<PageId, 4> pages{ 1, 2, 3, 4 };
-    for (PageId p : pages)
-        hm.tryMapPage(p, Tier::Slow);
+    hm.mapRange(1, 4, Tier::Slow);
+    const PageRun pages[] = { { 1, 4 } };
 
     hm.migratePages(pages, Tier::Fast, 0);
     // One setup cost for the whole batch, then pages stream.
@@ -143,9 +157,8 @@ TEST(Hm, BatchMigrationChargesOneStartup)
 TEST(Hm, BatchMigrationStopsWhenDestinationFull)
 {
     auto hm = makeHm(2);
-    std::array<PageId, 4> pages{ 1, 2, 3, 4 };
-    for (PageId p : pages)
-        hm.tryMapPage(p, Tier::Slow);
+    hm.mapRange(1, 4, Tier::Slow);
+    const PageRun pages[] = { { 1, 4 } };
 
     EXPECT_EQ(hm.migratePages(pages, Tier::Fast, 0), 2u);
     EXPECT_EQ(hm.stats().promoted_pages, 2u);
@@ -157,8 +170,8 @@ TEST(Hm, BatchMigrationSkipsIneligiblePages)
     hm.tryMapPage(1, Tier::Fast); // already there
     hm.tryMapPage(2, Tier::Slow);
     hm.tryMapPage(3, Tier::Slow);
-    hm.migratePage(3, Tier::Fast, 0); // already in flight
-    std::array<PageId, 3> pages{ 1, 2, 3 };
+    movePage(hm, 3, Tier::Fast, 0); // already in flight
+    const PageRun pages[] = { { 1, 3 } };
     EXPECT_EQ(hm.migratePages(pages, Tier::Fast, 0), 1u);
 }
 
@@ -168,8 +181,8 @@ TEST(Hm, PromoteAndDemoteUseSeparateChannels)
     hm.tryMapPage(1, Tier::Slow);
     hm.tryMapPage(2, Tier::Fast);
 
-    Tick up = hm.migratePage(1, Tier::Fast, 0);
-    Tick down = hm.migratePage(2, Tier::Slow, 0);
+    Tick up = movePage(hm, 1, Tier::Fast, 0);
+    Tick down = movePage(hm, 2, Tier::Slow, 0);
     // Channels run in parallel (the paper's two helper threads), so the
     // two single-page transfers finish at the same time.
     EXPECT_EQ(up, down);
@@ -181,7 +194,7 @@ TEST(Hm, PeakUsageTracked)
     auto hm = makeHm(4);
     hm.tryMapPage(1, Tier::Fast);
     hm.tryMapPage(2, Tier::Fast);
-    hm.unmapPage(1, 0);
+    hm.unmapRange(1, 1, 0);
     EXPECT_EQ(hm.tier(Tier::Fast).peakUsed(), 2 * kPageSize);
 }
 
@@ -223,7 +236,7 @@ TEST(Hm, UnmapRangeCancelsInFlight)
 {
     auto hm = makeHm(4);
     hm.mapRange(0, 2, Tier::Slow);
-    hm.migratePage(0, Tier::Fast, 0);
+    movePage(hm, 0, Tier::Fast, 0);
     hm.unmapRange(0, 2, 0); // before arrival
     EXPECT_EQ(hm.tier(Tier::Fast).used(), 0u);
     EXPECT_EQ(hm.tier(Tier::Slow).used(), 0u);
@@ -244,7 +257,7 @@ TEST(Hm, ResidentRangeSplitsOnTierAndFlight)
     EXPECT_EQ(rs.tier, Tier::Fast);
     EXPECT_EQ(rs.count, 4u);
 
-    Tick arrival = hm.migratePage(2, Tier::Fast, 0);
+    Tick arrival = movePage(hm, 2, Tier::Fast, 0);
     EXPECT_TRUE(hm.inFlightAny(0, 4, arrival - 1));
     EXPECT_FALSE(hm.inFlightAny(0, 2, arrival - 1));
     rs = hm.residentRange(0, 4, arrival - 1);
@@ -265,7 +278,7 @@ TEST(Hm, ResetRestoresPristineState)
     auto hm = makeHm();
     hm.tryMapPage(1, Tier::Fast);
     hm.tryMapPage(2, Tier::Slow);
-    hm.migratePage(2, Tier::Fast, 0);
+    movePage(hm, 2, Tier::Fast, 0);
     hm.reset();
     EXPECT_EQ(hm.tier(Tier::Fast).used(), 0u);
     EXPECT_EQ(hm.tier(Tier::Slow).used(), 0u);
@@ -314,12 +327,297 @@ TEST(Hm, TeleportWaitsOutInFlightMigrations)
 {
     auto hm = makeHm(4);
     hm.tryMapPage(1, Tier::Slow);
-    Tick arrival = hm.migratePage(1, Tier::Fast, 0);
+    Tick arrival = movePage(hm, 1, Tier::Fast, 0);
     // Mid-flight: refuse (the transfer owns the page).
     EXPECT_FALSE(hm.teleportPage(1, Tier::Slow, arrival - 1));
     // After arrival: fine.
     EXPECT_TRUE(hm.teleportPage(1, Tier::Slow, arrival));
     EXPECT_EQ(hm.residentTier(1, arrival), Tier::Slow);
+}
+
+} // namespace
+} // namespace sentinel::mem
+
+namespace sentinel::mem {
+namespace {
+
+TEST(Hm, OneTierChainMoveToSlowSchedulesNothing)
+{
+    // "Demote to slow" on a chain with no slower tier clamps to the
+    // only tier, where every page already is.
+    TierParams hbm{ "hbm", 8 * kPageSize, 10e9, 10e9, 100, 100 };
+    HeterogeneousMemory hm({ hbm }, {});
+    hm.mapRange(0, 4, Tier::Fast);
+    const PageRun run[] = { { 0, 4 } };
+    EXPECT_EQ(hm.migratePages(run, Tier::Slow, 0), 0u);
+    EXPECT_EQ(hm.stats().demoted_pages, 0u);
+    EXPECT_FALSE(hm.inFlightAny(0, 4, 0));
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 4 * kPageSize);
+}
+
+TEST(Hm, StagedRunStreamsAtBottleneckPace)
+{
+    // Two legs, the second slower: pages leave leg 1 every 4096 ns and
+    // leg 2 every 8192 ns, so leg 2 paces the run from the start.
+    TierParams fast{ "hbm", 64 * kPageSize, 10e9, 10e9, 100, 100 };
+    TierParams mid{ "dram", 64 * kPageSize, 5e9, 5e9, 200, 200 };
+    TierParams slow{ "nvme", 64 * kPageSize, 2e9, 1e9, 300, 300 };
+    HeterogeneousMemory hm({ fast, mid, slow },
+                           { { 0.5e9, 0.5e9, 0 }, { 1e9, 1e9, 0 } });
+    hm.mapRange(0, 8, hm.slowestTier());
+    const PageRun run[] = { { 0, 8 } };
+    EXPECT_EQ(hm.migratePages(run, Tier::Fast, 0), 8u);
+    for (PageId p = 0; p < 8; ++p)
+        EXPECT_EQ(hm.arrivalTime(p), 4096 + static_cast<Tick>(p + 1) * 8192);
+    EXPECT_EQ(hm.linkChannel(1, true).numTransfers(), 8u);
+    EXPECT_EQ(hm.linkChannel(0, true).busyUntil(), hm.arrivalTime(7));
+}
+
+/**
+ * Seeded randomized differential: the run-granular engine against the
+ * page-at-a-time reference (tests/support/ref_migration.hh), driven
+ * through identical calls on 2- to 4-tier chains over a window that
+ * straddles a page-table chunk seam.  After every operation every
+ * observable must agree: per-page tier, in-flight state and arrival,
+ * tier usage, HmStats, and each channel's counters.
+ */
+class MigrationDiff
+{
+  public:
+    explicit MigrationDiff(std::uint64_t seed) : rng_(seed)
+    {
+        const unsigned n = 2 + static_cast<unsigned>(below(3));
+        static constexpr double kBw[] = { 0.5e9, 0.7e9, 1e9, 2e9, 3e9 };
+        static constexpr Tick kStartup[] = { 0, 0, 1000, 7777 };
+        for (unsigned t = 0; t < n; ++t) {
+            // Small upper tiers force partial takes; the slowest holds
+            // the whole window.
+            std::uint64_t pages = t + 1 == n ? 2 * kHalf : 8 + below(48);
+            tiers_.push_back(TierParams{ "t" + std::to_string(t),
+                                         pages * kPageSize, 10e9, 10e9,
+                                         100, 100 });
+        }
+        for (unsigned l = 0; l + 1 < n; ++l)
+            links_.push_back(MigrationParams{ kBw[below(5)], kBw[below(5)],
+                                              kStartup[below(4)] });
+        hm_ = std::make_unique<HeterogeneousMemory>(tiers_, links_);
+        ref_ = std::make_unique<testing::RefMigration>(tiers_, links_);
+    }
+
+    void
+    step()
+    {
+        switch (below(16)) {
+          case 0: case 1: case 2:
+            mapSome();
+            break;
+          case 3: case 4: case 5: case 6: case 7:
+            migrateSome();
+            break;
+          case 8: case 9: case 10:
+            now_ += static_cast<Tick>(below(40'000));
+            break;
+          case 11:
+            unmapSome();
+            break;
+          case 12:
+            if (below(3) == 0) {
+                Tick up = below(2) ? static_cast<Tick>(below(50'000)) : 0;
+                Tick down = below(2) ? static_cast<Tick>(below(50'000)) : 0;
+                hm_->stallMigration(now_, up, down);
+                ref_->stallMigration(now_, up, down);
+            }
+            break;
+          case 13:
+            if (below(3) == 0) {
+                static constexpr double kScale[] = { 0.5, 1.0, 1.7, 3.0 };
+                double up = kScale[below(4)], down = kScale[below(4)];
+                hm_->setMigrationBandwidthScale(up, down);
+                ref_->setMigrationBandwidthScale(up, down);
+            }
+            break;
+          case 14:
+            refreeSome();
+            break;
+          default:
+            migrateSome();
+            break;
+        }
+    }
+
+    void
+    check()
+    {
+        hm_->commitUpTo(now_);
+        ref_->commitUpTo(now_);
+        for (PageId p = kBase; p < kBase + 2 * kHalf; ++p) {
+            ASSERT_EQ(hm_->isMapped(p), ref_->isMapped(p)) << p;
+            if (!ref_->isMapped(p))
+                continue;
+            const PageEntry want = ref_->table().entry(p);
+            ASSERT_EQ(hm_->residentTier(p, now_), want.tier) << p;
+            ASSERT_EQ(hm_->inFlight(p, now_), want.in_flight) << p;
+            if (want.in_flight) {
+                ASSERT_EQ(hm_->arrivalTime(p), want.arrival) << p;
+            }
+        }
+        for (unsigned t = 0; t < tiers_.size(); ++t) {
+            ASSERT_EQ(hm_->tier(makeTier(t)).used(), ref_->tier(t).used())
+                << "tier " << t;
+            ASSERT_EQ(hm_->tier(makeTier(t)).peakUsed(),
+                      ref_->tier(t).peakUsed())
+                << "tier " << t;
+        }
+        const HmStats &a = hm_->stats(), &b = ref_->stats();
+        ASSERT_EQ(a.promoted_pages, b.promoted_pages);
+        ASSERT_EQ(a.demoted_pages, b.demoted_pages);
+        ASSERT_EQ(a.promoted_bytes, b.promoted_bytes);
+        ASSERT_EQ(a.demoted_bytes, b.demoted_bytes);
+        for (unsigned l = 0; l < links_.size(); ++l) {
+            for (bool up : { true, false }) {
+                const sim::BandwidthChannel &x = hm_->linkChannel(l, up);
+                const sim::BandwidthChannel &y = ref_->linkChannel(l, up);
+                ASSERT_EQ(x.busyUntil(), y.busyUntil()) << l << up;
+                ASSERT_EQ(x.bytesTransferred(), y.bytesTransferred())
+                    << l << up;
+                ASSERT_EQ(x.numTransfers(), y.numTransfers()) << l << up;
+                ASSERT_EQ(x.busyTime(), y.busyTime()) << l << up;
+            }
+        }
+    }
+
+    /** Pages scheduled so far (so a campaign can assert it did work). */
+    std::uint64_t moved() const
+    {
+        return ref_->stats().promoted_pages + ref_->stats().demoted_pages;
+    }
+
+  private:
+    /** The window [kBase, kBase + 2*kHalf) straddles chunk seam 2^16. */
+    static constexpr std::uint64_t kHalf = 80;
+    static constexpr PageId kBase = (1ull << 16) - kHalf;
+
+    std::uint64_t below(std::uint64_t n) { return rng_() % n; }
+
+    PageId randomPage() { return kBase + below(2 * kHalf); }
+
+    /** Leading pages from @p p (at most @p max, inside the window)
+     *  whose mapped-ness is @p mapped. */
+    std::uint64_t
+    prefix(PageId p, bool mapped, std::uint64_t max) const
+    {
+        std::uint64_t n = 0;
+        while (n < max && p + n < kBase + 2 * kHalf &&
+               ref_->isMapped(p + n) == mapped)
+            ++n;
+        return n;
+    }
+
+    void
+    mapSome()
+    {
+        PageId p = randomPage();
+        std::uint64_t n = prefix(p, false, 1 + below(32));
+        if (n == 0)
+            return;
+        Tier pref = makeTier(static_cast<unsigned>(below(tiers_.size())));
+        hm_->mapRange(p, n, pref);
+        ref_->mapRange(p, n, pref);
+    }
+
+    void
+    unmapSome()
+    {
+        PageId p = randomPage();
+        std::uint64_t n = prefix(p, true, 1 + below(24));
+        if (n == 0)
+            return;
+        hm_->unmapRange(p, n, now_);
+        ref_->unmapRange(p, n, now_);
+    }
+
+    void
+    refreeSome()
+    {
+        // Free an in-flight page, remap it and move it again at once:
+        // the stale arrival must not land the new migration early.
+        PageId p = randomPage();
+        if (!ref_->isMapped(p) || !ref_->table().entry(p).in_flight)
+            return;
+        hm_->unmapRange(p, 1, now_);
+        ref_->unmapRange(p, 1, now_);
+        Tier pref = makeTier(static_cast<unsigned>(below(tiers_.size())));
+        hm_->mapRange(p, 1, pref);
+        ref_->mapRange(p, 1, pref);
+        Tier dst = makeTier(static_cast<unsigned>(below(tiers_.size())));
+        const PageRun run[] = { { p, 1 } };
+        const PageId page[] = { p };
+        ASSERT_EQ(hm_->migratePages(run, dst, now_),
+                  ref_->migratePages(page, dst, now_));
+    }
+
+    void
+    migrateSome()
+    {
+        // A run list with gaps, single pages and seam-crossing runs;
+        // the reference takes the same pages flattened in order.
+        std::vector<PageRun> runs;
+        std::vector<PageId> pages;
+        const std::uint64_t nruns = 1 + below(4);
+        for (std::uint64_t r = 0; r < nruns; ++r) {
+            PageId p = randomPage();
+            std::uint64_t n =
+                prefix(p, true, below(4) == 0 ? 1 : 1 + below(48));
+            if (n == 0)
+                continue;
+            runs.push_back(PageRun{ p, n });
+            for (std::uint64_t i = 0; i < n; ++i)
+                pages.push_back(p + i);
+        }
+        // Destination: any tier, occasionally past the chain's end.
+        Tier dst = makeTier(
+            static_cast<unsigned>(below(tiers_.size() + 1)));
+        // Ready before, at, or after the channels' busy horizon.
+        Tick busy = now_;
+        for (unsigned l = 0; l < links_.size(); ++l)
+            busy = std::max({ busy, hm_->linkChannel(l, true).busyUntil(),
+                              hm_->linkChannel(l, false).busyUntil() });
+        Tick ready = now_;
+        switch (below(3)) {
+          case 0:
+            break;
+          case 1:
+            ready = now_ + static_cast<Tick>(
+                               below(static_cast<std::uint64_t>(
+                                         busy - now_) + 1));
+            break;
+          default:
+            ready = busy + static_cast<Tick>(below(20'000));
+            break;
+        }
+        std::size_t got = hm_->migratePages(runs, dst, ready);
+        ASSERT_EQ(got, ref_->migratePages(pages, dst, ready));
+    }
+
+    std::mt19937_64 rng_;
+    std::vector<TierParams> tiers_;
+    std::vector<MigrationParams> links_;
+    std::unique_ptr<HeterogeneousMemory> hm_;
+    std::unique_ptr<testing::RefMigration> ref_;
+    Tick now_ = 0;
+};
+
+TEST(Hm, RandomizedDifferentialAgainstPerPageEngine)
+{
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        MigrationDiff diff(seed * 0x9e3779b97f4a7c15ull);
+        for (int op = 0; op < 1500; ++op) {
+            ASSERT_NO_FATAL_FAILURE(diff.step()) << "op " << op;
+            ASSERT_NO_FATAL_FAILURE(diff.check()) << "after op " << op;
+        }
+        EXPECT_GT(diff.moved(), 0u);
+    }
 }
 
 } // namespace

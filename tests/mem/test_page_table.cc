@@ -19,7 +19,7 @@ TEST(PageTable, MapUnmap)
     EXPECT_TRUE(pt.isMapped(7));
     EXPECT_EQ(pt.entry(7).tier, Tier::Slow);
     EXPECT_EQ(pt.numMapped(), 1u);
-    pt.unmap(7);
+    pt.unmapRange(7, 1);
     EXPECT_FALSE(pt.isMapped(7));
 }
 
@@ -33,7 +33,7 @@ TEST(PageTable, DoubleMapPanics)
 TEST(PageTable, UnmapUnknownPanics)
 {
     PageTable pt;
-    EXPECT_THROW(pt.unmap(9), std::logic_error);
+    EXPECT_THROW(pt.unmapRange(9, 1), std::logic_error);
     EXPECT_THROW(pt.entry(9), std::logic_error);
 }
 
@@ -56,8 +56,9 @@ TEST(PageTable, StaleCommitIsIgnored)
     PageTable pt;
     pt.map(3, Tier::Slow);
     std::uint64_t seq1 = pt.beginMigration(3, Tier::Fast, 10);
-    pt.cancelMigration(3);
-    // The cancelled migration's commit must not flip the tier.
+    pt.unmapRange(3, 1);
+    pt.map(3, Tier::Slow);
+    // The freed migration's commit must not flip the remapped page.
     EXPECT_FALSE(pt.commitMigration(3, seq1));
     EXPECT_EQ(pt.entry(3).tier, Tier::Slow);
 
@@ -73,7 +74,7 @@ TEST(PageTable, CommitAfterUnmapIsIgnored)
     PageTable pt;
     pt.map(5, Tier::Fast);
     std::uint64_t seq = pt.beginMigration(5, Tier::Slow, 10);
-    pt.unmap(5);
+    pt.unmapRange(5, 1);
     EXPECT_FALSE(pt.commitMigration(5, seq));
 }
 
@@ -182,9 +183,11 @@ TEST(PageTable, RangeAcrossChunkBoundary)
     EXPECT_TRUE(pt.anyInFlight(seam - 8, 16));
     rs = pt.runState(seam - 8, 16);
     EXPECT_EQ(rs.count, 8u);
-    pt.cancelMigration(seam);
-    pt.unmapRange(seam - 8, 16);
+    PageTable::UnmapCounts freed = pt.unmapRange(seam - 8, 16);
+    EXPECT_EQ(freed.src[tierIndex(Tier::Fast)], 16u);
+    EXPECT_EQ(freed.dest[tierIndex(Tier::Slow)], 1u);
     EXPECT_EQ(pt.numMapped(), 0u);
+    EXPECT_EQ(pt.numInFlight(), 0u);
 }
 
 TEST(PageTable, ClearForgetsEverything)
@@ -259,7 +262,7 @@ class PageTableDiff
             commitSome();
             break;
           default:
-            cancelSome();
+            refreeSome();
             break;
         }
     }
@@ -354,22 +357,16 @@ class PageTableDiff
         std::uint64_t n = prefix(p, true, 1 + below(kMaxRun));
         if (n == 0)
             return;
-        if (n == 1) {
-            // Single-page free, in flight or not: the pending commit
-            // must later be ignored.
-            pt_.unmap(p);
-        } else {
-            // Range frees cancel in-flight pages first, as
-            // HeterogeneousMemory::unmapRange does.
-            for (PageId q = p; q < p + n; ++q) {
-                if (ref_.entry(q).in_flight) {
-                    pt_.cancelMigration(q);
-                    ref_.cancelMigration(q);
-                }
-            }
-            pt_.unmapRange(p, n);
+        // A free drops in-flight pages with their migrations (their
+        // pending commits must later be ignored) and reports them by
+        // destination, as HeterogeneousMemory needs to release both
+        // reservations.
+        const PageTable::UnmapCounts got = pt_.unmapRange(p, n);
+        const PageTable::UnmapCounts want = ref_.unmapRange(p, n);
+        for (unsigned t = 0; t < kMaxTiers; ++t) {
+            ASSERT_EQ(got.src[t], want.src[t]) << "tier " << t;
+            ASSERT_EQ(got.dest[t], want.dest[t]) << "tier " << t;
         }
-        ref_.unmapRange(p, n);
     }
 
     void
@@ -386,16 +383,13 @@ class PageTableDiff
         Tier dest = makeTier(static_cast<unsigned>(
             (tierIndex(rs.tier) + 1 + below(3)) % 4));
         Tick arrival0 = static_cast<Tick>(below(1'000'000));
+        Tick step = static_cast<Tick>(below(4));
         std::uint64_t seq0 = 0;
-        if (n == 1 && below(2) == 0) {
+        if (n == 1 && below(2) == 0)
             seq0 = pt_.beginMigration(p, dest, arrival0);
-        } else {
-            std::vector<std::pair<PageId, Tick>> run;
-            for (std::uint64_t i = 0; i < n; ++i)
-                run.emplace_back(p + i, arrival0 + static_cast<Tick>(i));
-            seq0 = pt_.beginMigrationRun(run, dest);
-        }
-        ASSERT_EQ(seq0, ref_.beginMigrationRun(p, n, dest, arrival0));
+        else
+            seq0 = pt_.beginMigrationRun(p, n, dest, arrival0, step);
+        ASSERT_EQ(seq0, ref_.beginMigrationRun(p, n, dest, arrival0, step));
         flights_.push_back(Flight{ p, n, seq0 });
     }
 
@@ -423,18 +417,28 @@ class PageTableDiff
     }
 
     void
-    cancelSome()
+    refreeSome()
     {
-        // Aim at pages of issued runs, so a cancelled page is often
-        // re-migrated before its stale commit arrives.
+        // Free and remap a page of an issued run, and often migrate it
+        // again, so its stale commit meets a newer migration.
         if (flights_.empty())
             return;
         const Flight &f = flights_[below(flights_.size())];
         PageId p = f.first + below(f.count);
         if (!ref_.isMapped(p) || !ref_.entry(p).in_flight)
             return;
-        pt_.cancelMigration(p);
-        ref_.cancelMigration(p);
+        pt_.unmapRange(p, 1);
+        ref_.unmapRange(p, 1);
+        Tier tier = makeTier(static_cast<unsigned>(below(4)));
+        pt_.map(p, tier);
+        ref_.mapRange(p, 1, tier);
+        if (below(2) == 0) {
+            Tier dest = makeTier((tierIndex(tier) + 1 + below(3)) % 4);
+            Tick arrival = static_cast<Tick>(below(1'000'000));
+            std::uint64_t seq = pt_.beginMigration(p, dest, arrival);
+            ASSERT_EQ(seq, ref_.beginMigrationRun(p, 1, dest, arrival, 0));
+            flights_.push_back(Flight{ p, 1, seq });
+        }
     }
 
     PageTable pt_;

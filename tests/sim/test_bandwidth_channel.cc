@@ -1,3 +1,5 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/bandwidth_channel.hh"
@@ -70,6 +72,119 @@ TEST(BandwidthChannel, ResetClearsState)
     EXPECT_EQ(ch.bytesTransferred(), 0u);
     EXPECT_EQ(ch.numTransfers(), 0u);
     EXPECT_EQ(ch.busyTime(), 0);
+}
+
+/** The per-transfer path: in.count submits, the first paying
+ *  @p startup.  @return each completion. */
+std::vector<Tick>
+submitEach(BandwidthChannel &ch, const TransferSeries &in,
+           std::uint64_t bytes, Tick startup)
+{
+    std::vector<Tick> out;
+    for (std::uint64_t k = 0; k < in.count; ++k)
+        out.push_back(ch.submitWithStartup(in.at(k), bytes, k ? 0 : startup));
+    return out;
+}
+
+std::vector<Tick>
+expand(const std::vector<TransferSeries> &pieces)
+{
+    std::vector<Tick> out;
+    for (const TransferSeries &p : pieces)
+        for (std::uint64_t k = 0; k < p.count; ++k)
+            out.push_back(p.at(k));
+    return out;
+}
+
+TEST(BandwidthChannel, SeriesMatchesPerTransferSubmits)
+{
+    // 4 KiB at 1 GB/s: tt = 4096.  Input spacing below, at and above
+    // tt; an idle channel and one busy far past the first ready tick
+    // (a queue-limited transient before the input's pace takes over).
+    const std::uint64_t bytes = 4096;
+    for (Tick step : { 0, 1000, 4096, 4097, 5000, 12000 })
+        for (Tick busy : { 0, 20'000, 400'000 })
+            for (Tick startup : { 0, 777 })
+                for (std::uint64_t n : { 1, 2, 7, 64, 300 })
+                    for (Tick first : { 0, 30'000 }) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << "step " << step << " busy " << busy
+                                     << " startup " << startup << " n "
+                                     << n << " first " << first);
+                        BandwidthChannel a("a", 1e9), b("b", 1e9);
+                        a.blockUntil(busy);
+                        b.blockUntil(busy);
+                        const TransferSeries in{ first, step, n };
+                        std::vector<TransferSeries> pieces;
+                        a.submitSeries(in, bytes, startup, pieces);
+                        EXPECT_LE(pieces.size(), 2u);
+                        EXPECT_EQ(expand(pieces),
+                                  submitEach(b, in, bytes, startup));
+                        EXPECT_EQ(a.busyUntil(), b.busyUntil());
+                        EXPECT_EQ(a.bytesTransferred(), b.bytesTransferred());
+                        EXPECT_EQ(a.numTransfers(), b.numTransfers());
+                        EXPECT_EQ(a.busyTime(), b.busyTime());
+                    }
+}
+
+TEST(BandwidthChannel, SeriesSwitchesFromQueuePaceToInputPace)
+{
+    // Busy until 40960; inputs every 8192 from 0.  The backlog drains
+    // at tt = 4096 per transfer until the input catches up at k = 10,
+    // then transfers leave 4096 after they become ready.
+    BandwidthChannel ch("t", 1e9);
+    ch.blockUntil(40'960);
+    std::vector<TransferSeries> out;
+    ch.submitSeries({ 0, 8192, 16 }, 4096, 0, out);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].first, 45'056);
+    EXPECT_EQ(out[0].step, 4096);
+    EXPECT_EQ(out[0].count, 10u);
+    EXPECT_EQ(out[1].first, 10 * 8192 + 4096);
+    EXPECT_EQ(out[1].step, 8192);
+    EXPECT_EQ(out[1].count, 6u);
+    EXPECT_EQ(ch.busyUntil(), 15 * 8192 + 4096);
+    EXPECT_EQ(ch.numTransfers(), 16u);
+    EXPECT_EQ(ch.busyTime(), 40'960 + 16 * 4096);
+}
+
+TEST(BandwidthChannel, StagedSeriesMatchesPerTransferLegs)
+{
+    // Three legs of different pace fed piece by piece, against the
+    // page-at-a-time walk: each transfer crosses all legs in turn.
+    const double bw[] = { 2e9, 0.5e9, 1.3e9 };
+    const Tick startup[] = { 500, 0, 123 };
+    for (Tick busy : { 0, 90'000 }) {
+        std::vector<BandwidthChannel> a, b;
+        for (int l = 0; l < 3; ++l) {
+            a.emplace_back("a", bw[l]);
+            b.emplace_back("b", bw[l]);
+            a.back().blockUntil(busy * l);
+            b.back().blockUntil(busy * l);
+        }
+        std::vector<TransferSeries> in{ { 1000, 0, 50 } }, out;
+        for (int l = 0; l < 3; ++l) {
+            out.clear();
+            Tick st = startup[l];
+            for (const TransferSeries &piece : in) {
+                a[l].submitSeries(piece, 4096, st, out);
+                st = 0;
+            }
+            in.swap(out);
+        }
+        std::vector<Tick> want;
+        for (int k = 0; k < 50; ++k) {
+            Tick t = 1000;
+            for (int l = 0; l < 3; ++l)
+                t = b[l].submitWithStartup(t, 4096, k ? 0 : startup[l]);
+            want.push_back(t);
+        }
+        EXPECT_EQ(expand(in), want);
+        for (int l = 0; l < 3; ++l) {
+            EXPECT_EQ(a[l].busyUntil(), b[l].busyUntil());
+            EXPECT_EQ(a[l].busyTime(), b[l].busyTime());
+        }
+    }
 }
 
 TEST(BandwidthChannel, ZeroBandwidthPanics)

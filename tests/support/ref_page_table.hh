@@ -29,11 +29,20 @@ class RefPageTable
             pages_[first + i] = mem::PageEntry{ tier, false, tier, 0, 0 };
     }
 
-    void
+    /** Remove [first, first+count), in flight or not.  @return the
+     *  pages removed per resident tier and per in-flight destination. */
+    mem::PageTable::UnmapCounts
     unmapRange(mem::PageId first, std::uint64_t count)
     {
-        for (std::uint64_t i = 0; i < count; ++i)
+        mem::PageTable::UnmapCounts out;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            const mem::PageEntry &e = pages_.at(first + i);
+            ++out.src[mem::tierIndex(e.tier)];
+            if (e.in_flight)
+                ++out.dest[mem::tierIndex(e.dest)];
             pages_.erase(first + i);
+        }
+        return out;
     }
 
     bool isMapped(mem::PageId page) const { return pages_.count(page) > 0; }
@@ -67,17 +76,17 @@ class RefPageTable
     }
 
     /** Begin migrating [first, first+count); page i arrives at
-     *  @p arrival0 + i.  @return the first page's sequence. */
+     *  @p arrival0 + i * @p step.  @return the first page's sequence. */
     std::uint64_t
     beginMigrationRun(mem::PageId first, std::uint64_t count,
-                      mem::Tier dest, Tick arrival0)
+                      mem::Tier dest, Tick arrival0, Tick step)
     {
         const std::uint64_t seq0 = next_seq_;
         for (std::uint64_t i = 0; i < count; ++i) {
             mem::PageEntry &e = pages_.at(first + i);
             e.in_flight = true;
             e.dest = dest;
-            e.arrival = arrival0 + static_cast<Tick>(i);
+            e.arrival = arrival0 + static_cast<Tick>(i) * step;
             e.seq = next_seq_++;
         }
         return seq0;
@@ -98,12 +107,6 @@ class RefPageTable
             ++done;
         }
         return done;
-    }
-
-    void
-    cancelMigration(mem::PageId page)
-    {
-        pages_.at(page).in_flight = false;
     }
 
     std::size_t numMapped() const { return pages_.size(); }
