@@ -1,7 +1,5 @@
 #include "baselines/ial.hh"
 
-#include <vector>
-
 namespace sentinel::baselines {
 
 df::AllocDecision
@@ -18,18 +16,25 @@ IalPolicy::allocate(df::Executor &ex, const df::TensorDesc &tensor)
 void
 IalPolicy::noteFastPage(mem::PageId page)
 {
-    if (in_fifo_.insert(page).second)
-        fifo_.push_back(page);
+    std::uint8_t &queued = in_fifo_.ref(page);
+    if (!queued) {
+        queued = 1;
+        fifo_.pushBack(page);
+    }
 }
 
 void
 IalPolicy::onTensorAllocated(df::Executor &ex, df::TensorId,
                              const df::TensorPlacement &pl)
 {
+    mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
-    for (mem::PageId p = pl.firstPage(); p < pl.endPage(); ++p) {
-        if (ex.hm().residentTier(p, now) == mem::Tier::Fast)
-            noteFastPage(p);
+    for (mem::PageId p = pl.firstPage(); p < pl.endPage();) {
+        mem::PageRunState rs = hm.residentRange(p, pl.endPage() - p, now);
+        if (rs.tier == mem::Tier::Fast)
+            for (std::uint64_t i = 0; i < rs.count; ++i)
+                noteFastPage(p + i);
+        p += rs.count;
     }
 }
 
@@ -44,8 +49,8 @@ void
 IalPolicy::onPageUnmapped(df::Executor &, mem::PageId page)
 {
     // Lazy removal: dead pages are skipped when popped.
-    in_fifo_.erase(page);
-    slow_touches_.erase(page);
+    in_fifo_.ref(page) = 0;
+    slow_touches_.ref(page) = 0;
 }
 
 void
@@ -54,29 +59,31 @@ IalPolicy::evictForSpace(df::Executor &ex, std::uint64_t bytes_needed)
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
 
-    std::vector<mem::PageRun> victims; // coalesced as they are chosen
+    victims_.clear(); // coalesced as they are chosen
     std::uint64_t reclaimed = 0;
     while (reclaimed < bytes_needed && !fifo_.empty()) {
-        mem::PageId head = fifo_.front();
-        fifo_.pop_front();
-        if (in_fifo_.erase(head) == 0)
+        mem::PageId head = fifo_.popFront();
+        std::uint8_t &queued = in_fifo_.ref(head);
+        if (!queued)
             continue; // page died earlier
-        if (!hm.isMapped(head) ||
-            hm.residentTier(head, now) != mem::Tier::Fast ||
-            hm.inFlight(head, now))
+        queued = 0;
+        if (!hm.isMapped(head))
             continue;
-        if (!victims.empty() && victims.back().endPage() == head)
-            ++victims.back().count;
+        mem::PageRunState rs = hm.residentRange(head, 1, now);
+        if (rs.tier != mem::Tier::Fast || rs.in_flight)
+            continue;
+        if (!victims_.empty() && victims_.back().endPage() == head)
+            ++victims_.back().count;
         else
-            victims.push_back(mem::PageRun{ head, 1 });
+            victims_.push_back(mem::PageRun{ head, 1 });
         reclaimed += mem::kPageSize;
     }
     // Background demotion: space becomes free when transfers land.
-    hm.migratePages(victims, mem::Tier::Slow, now);
+    hm.migratePages(victims_, mem::Tier::Slow, now);
 }
 
 void
-IalPolicy::onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
+IalPolicy::onRangeAccess(df::Executor &ex, mem::PageRun run, bool,
                          std::vector<df::AccessSegment> &out)
 {
     // IAL only acts on pages sitting idle in slow memory.  Pages that
@@ -88,53 +95,51 @@ IalPolicy::onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
     while (covered < run.count) {
         mem::PageRunState rs = hm.residentRange(run.first + covered,
                                                 run.count - covered, now);
-        if (rs.tier != mem::Tier::Fast && !rs.in_flight)
+        if (rs.tier != mem::Tier::Fast && !rs.in_flight) {
+            if (covered == 0) {
+                hintFault(ex, run.first, out);
+                return;
+            }
             break;
+        }
         covered += rs.count;
     }
-    if (covered > 0) {
-        df::AccessSegment seg;
-        seg.pages = covered;
-        out.push_back(seg);
-        return;
-    }
-    // Slow-resident head: hint-fault accounting mutates per-page heat
-    // and may migrate — take the exact per-page path for one page.
-    df::MemoryPolicy::onRangeAccess(ex, run, is_write, out);
+    df::AccessSegment seg;
+    seg.pages = covered;
+    out.push_back(seg);
 }
 
-df::PageAccessResult
-IalPolicy::onPageAccess(df::Executor &ex, mem::PageId page, bool)
+void
+IalPolicy::hintFault(df::Executor &ex, mem::PageId page,
+                     std::vector<df::AccessSegment> &out)
 {
-    mem::HeterogeneousMemory &hm = ex.hm();
-    Tick now = ex.now();
-    if (hm.residentTier(page, now) == mem::Tier::Fast ||
-        hm.inFlight(page, now))
-        return {};
-
     // Count page heat through NUMA-style hint faults (each sampled
     // access pays the fault).  Every tensor sharing this page heats
     // it — page-level false sharing at work.
-    int touches = ++slow_touches_[page];
-    df::PageAccessResult out;
-    out.extra = hint_fault_cost_;
-    if (touches < threshold_)
-        return out;
+    mem::HeterogeneousMemory &hm = ex.hm();
+    Tick now = ex.now();
+    int touches = ++slow_touches_.ref(page);
+    df::AccessSegment seg;
+    seg.pages = 1;
+    seg.extra = hint_fault_cost_;
+    if (touches >= threshold_) {
+        if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
+            evictForSpace(ex, 16 * mem::kPageSize);
 
-    if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
-        evictForSpace(ex, 16 * mem::kPageSize);
-
-    const mem::PageRun one[] = { { page, 1 } };
-    if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
-        ++promotions_;
-        slow_touches_.erase(page);
-        noteFastPage(page);
-        // Fault-driven promotion: the faulting access pays the
-        // in-kernel page copy + remap, then proceeds on the fast copy.
-        out.extra += promote_service_;
-        out.effective = mem::Tier::Fast;
+        const mem::PageRun one[] = { { page, 1 } };
+        if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
+            ++promotions_;
+            slow_touches_.ref(page) = 0;
+            noteFastPage(page);
+            // Fault-driven promotion: the faulting access pays the
+            // in-kernel page copy + remap, then proceeds on the fast
+            // copy.
+            seg.extra += promote_service_;
+            seg.effective = mem::Tier::Fast;
+        }
     }
-    return out;
+    seg.stall_events = seg.extra > 0 ? 1 : 0;
+    out.push_back(seg);
 }
 
 } // namespace sentinel::baselines

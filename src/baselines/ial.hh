@@ -20,11 +20,10 @@
 #ifndef SENTINEL_BASELINES_IAL_HH
 #define SENTINEL_BASELINES_IAL_HH
 
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "alloc/arena.hh"
+#include "baselines/page_queues.hh"
 #include "dataflow/executor.hh"
 #include "dataflow/policy.hh"
 
@@ -55,8 +54,6 @@ class IalPolicy : public df::MemoryPolicy
     void onTensorFreed(df::Executor &ex, df::TensorId id,
                        const df::TensorPlacement &pl) override;
     void onPageUnmapped(df::Executor &ex, mem::PageId page) override;
-    df::PageAccessResult onPageAccess(df::Executor &ex, mem::PageId page,
-                                      bool is_write) override;
     void onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
                        std::vector<df::AccessSegment> &out) override;
 
@@ -74,17 +71,29 @@ class IalPolicy : public df::MemoryPolicy
     void evictForSpace(df::Executor &ex, std::uint64_t bytes_needed);
     void noteFastPage(mem::PageId page);
 
+    /** Hint-fault @p page, idle in slow memory; appends the one-page
+     *  segment. */
+    void hintFault(df::Executor &ex, mem::PageId page,
+                   std::vector<df::AccessSegment> &out);
+
     int threshold_;
     Tick hint_fault_cost_;
     Tick promote_service_;
     alloc::VirtualArena arena_;
 
-    /** FIFO active list of fast pages (front = oldest). */
-    std::deque<mem::PageId> fifo_;
-    std::unordered_set<mem::PageId> in_fifo_;
+    /**
+     * FIFO active list of fast pages (front = oldest).  Removal is
+     * lazy: an entry counts only while its page's in_fifo_ flag is
+     * set, and the first entry popped for a flagged page takes it.
+     */
+    PageRing fifo_;
+    mem::PageDirectory<std::uint8_t> in_fifo_;
 
     /** Slow-memory access counts (page heat, false sharing included). */
-    std::unordered_map<mem::PageId, int> slow_touches_;
+    mem::PageDirectory<int> slow_touches_;
+
+    /** evictForSpace()'s victim runs, reused across calls. */
+    std::vector<mem::PageRun> victims_;
 
     std::uint64_t promotions_ = 0;
 };

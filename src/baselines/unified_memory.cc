@@ -1,7 +1,5 @@
 #include "baselines/unified_memory.hh"
 
-#include <vector>
-
 namespace sentinel::baselines {
 
 df::AllocDecision
@@ -17,25 +15,18 @@ UnifiedMemoryPolicy::allocate(df::Executor &ex,
 }
 
 void
-UnifiedMemoryPolicy::touchLru(mem::PageId page)
-{
-    auto it = lru_pos_.find(page);
-    if (it != lru_pos_.end()) {
-        lru_.splice(lru_.end(), lru_, it->second);
-        return;
-    }
-    lru_.push_back(page);
-    lru_pos_[page] = std::prev(lru_.end());
-}
-
-void
 UnifiedMemoryPolicy::onTensorAllocated(df::Executor &ex, df::TensorId,
                                        const df::TensorPlacement &pl)
 {
+    mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
-    for (mem::PageId p = pl.firstPage(); p < pl.endPage(); ++p)
-        if (ex.hm().residentTier(p, now) == mem::Tier::Fast)
-            touchLru(p);
+    for (mem::PageId p = pl.firstPage(); p < pl.endPage();) {
+        mem::PageRunState rs = hm.residentRange(p, pl.endPage() - p, now);
+        if (rs.tier == mem::Tier::Fast)
+            for (std::uint64_t i = 0; i < rs.count; ++i)
+                lru_.touch(p + i);
+        p += rs.count;
+    }
 }
 
 void
@@ -48,11 +39,7 @@ UnifiedMemoryPolicy::onTensorFreed(df::Executor &, df::TensorId,
 void
 UnifiedMemoryPolicy::onPageUnmapped(df::Executor &, mem::PageId page)
 {
-    auto it = lru_pos_.find(page);
-    if (it != lru_pos_.end()) {
-        lru_.erase(it->second);
-        lru_pos_.erase(it);
-    }
+    lru_.erase(page);
 }
 
 void
@@ -61,95 +48,91 @@ UnifiedMemoryPolicy::evictLru(df::Executor &ex,
 {
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
-    std::vector<mem::PageRun> victims; // coalesced as they are chosen
+    victims_.clear(); // coalesced as they are chosen
     std::uint64_t reclaimed = 0;
     while (reclaimed < bytes_needed && !lru_.empty()) {
-        mem::PageId victim = lru_.front();
-        lru_.pop_front();
-        lru_pos_.erase(victim);
-        if (!hm.isMapped(victim) ||
-            hm.residentTier(victim, now) != mem::Tier::Fast ||
-            hm.inFlight(victim, now))
+        // A popped page that is gone, host-side or already moving is
+        // dropped from the LRU all the same.
+        mem::PageId victim = lru_.popFront();
+        if (!hm.isMapped(victim))
             continue;
-        if (!victims.empty() && victims.back().endPage() == victim)
-            ++victims.back().count;
+        mem::PageRunState rs = hm.residentRange(victim, 1, now);
+        if (rs.tier != mem::Tier::Fast || rs.in_flight)
+            continue;
+        if (!victims_.empty() && victims_.back().endPage() == victim)
+            ++victims_.back().count;
         else
-            victims.push_back(mem::PageRun{ victim, 1 });
+            victims_.push_back(mem::PageRun{ victim, 1 });
         reclaimed += mem::kPageSize;
     }
     // cudaMemPrefetchAsync back to the host: the far end of the chain.
-    hm.migratePages(victims, hm.slowestTier(), now);
+    hm.migratePages(victims_, hm.slowestTier(), now);
 }
 
 void
 UnifiedMemoryPolicy::onRangeAccess(df::Executor &ex, mem::PageRun run,
-                                   bool is_write,
-                                   std::vector<df::AccessSegment> &out)
+                                   bool, std::vector<df::AccessSegment> &out)
 {
-    // Device-resident prefix: LRU touches only, no fault.  The LRU
-    // update order matches the per-page loop exactly.
+    // Device-resident prefix: LRU touches only, no fault.
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
     std::uint64_t covered = 0;
     while (covered < run.count) {
         mem::PageRunState rs = hm.residentRange(run.first + covered,
                                                 run.count - covered, now);
-        if (rs.tier != mem::Tier::Fast)
+        if (rs.tier != mem::Tier::Fast) {
+            if (covered == 0) {
+                demandFault(ex, run.first, rs, out);
+                return;
+            }
             break;
+        }
         for (std::uint64_t i = 0; i < rs.count; ++i)
-            touchLru(run.first + covered + i);
+            lru_.touch(run.first + covered + i);
         covered += rs.count;
     }
-    if (covered > 0) {
-        df::AccessSegment seg;
-        seg.pages = covered;
-        seg.effective = mem::Tier::Fast;
-        out.push_back(seg);
-        return;
-    }
-    // Host-resident head: the demand-fault path migrates and charges
-    // per page — defer to the exact per-page adapter.
-    df::MemoryPolicy::onRangeAccess(ex, run, is_write, out);
+    df::AccessSegment seg;
+    seg.pages = covered;
+    seg.effective = mem::Tier::Fast;
+    out.push_back(seg);
 }
 
-df::PageAccessResult
-UnifiedMemoryPolicy::onPageAccess(df::Executor &ex, mem::PageId page,
-                                  bool)
+void
+UnifiedMemoryPolicy::demandFault(df::Executor &ex, mem::PageId page,
+                                 const mem::PageRunState &rs,
+                                 std::vector<df::AccessSegment> &out)
 {
+    // Service + migration fully exposed, one page per fault.
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
-    if (hm.residentTier(page, now) == mem::Tier::Fast) {
-        touchLru(page);
-        return {};
-    }
-
-    // Demand fault: service + migration fully exposed.
     ++faults_;
-    df::PageAccessResult out;
-    out.extra = fault_cost_;
+    df::AccessSegment seg;
+    seg.pages = 1;
+    seg.extra = fault_cost_;
 
-    if (hm.inFlight(page, now)) {
+    if (rs.in_flight) {
         // Eviction in flight; the fault must wait for it, then the
         // page comes back.
-        out.extra += hm.arrivalTime(page) - now;
-        out.effective = hm.slowestTier();
-        return out;
-    }
-
-    if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
-        evictLru(ex, 32 * mem::kPageSize);
-
-    const mem::PageRun one[] = { { page, 1 } };
-    if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
-        out.extra += hm.arrivalTime(page) - now;
-        out.effective = mem::Tier::Fast;
-        touchLru(page);
+        seg.extra += hm.arrivalTime(page) - now;
+        seg.effective = hm.slowestTier();
     } else {
-        // Device still full (evictions in flight): the fault is
-        // retried against the page's current host-side mapping.
-        out.effective = hm.residentTier(page, now);
+        if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
+            evictLru(ex, 32 * mem::kPageSize);
+
+        const mem::PageRun one[] = { { page, 1 } };
+        if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
+            seg.extra += hm.arrivalTime(page) - now;
+            seg.effective = mem::Tier::Fast;
+            lru_.touch(page);
+        } else {
+            // Device still full (evictions in flight): the fault is
+            // retried against the page's host-side mapping, which
+            // evicting device pages left as it was.
+            seg.effective = rs.tier;
+        }
     }
-    return out;
+    seg.stall_events = seg.extra > 0 ? 1 : 0;
+    out.push_back(seg);
 }
 
 } // namespace sentinel::baselines

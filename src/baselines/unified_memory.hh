@@ -12,10 +12,10 @@
 #ifndef SENTINEL_BASELINES_UNIFIED_MEMORY_HH
 #define SENTINEL_BASELINES_UNIFIED_MEMORY_HH
 
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "alloc/arena.hh"
+#include "baselines/page_queues.hh"
 #include "dataflow/executor.hh"
 #include "dataflow/policy.hh"
 
@@ -39,24 +39,28 @@ class UnifiedMemoryPolicy : public df::MemoryPolicy
     void onTensorFreed(df::Executor &ex, df::TensorId id,
                        const df::TensorPlacement &pl) override;
     void onPageUnmapped(df::Executor &ex, mem::PageId page) override;
-    df::PageAccessResult onPageAccess(df::Executor &ex, mem::PageId page,
-                                      bool is_write) override;
     void onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
                        std::vector<df::AccessSegment> &out) override;
 
     std::uint64_t demandFaults() const { return faults_; }
 
   private:
-    void touchLru(mem::PageId page);
     void evictLru(df::Executor &ex, std::uint64_t bytes_needed);
 
+    /** Service a demand fault on @p page, host-resident in state @p rs;
+     *  appends the one-page segment. */
+    void demandFault(df::Executor &ex, mem::PageId page,
+                     const mem::PageRunState &rs,
+                     std::vector<df::AccessSegment> &out);
+
     Tick fault_cost_;
-    alloc::VirtualArena arena_;
+    alloc::VirtualArena arena_; ///< based at 0: page ids fit PageLru
 
     /** LRU order of device-resident pages (front = least recent). */
-    std::list<mem::PageId> lru_;
-    std::unordered_map<mem::PageId, std::list<mem::PageId>::iterator>
-        lru_pos_;
+    PageLru lru_;
+
+    /** evictLru()'s victim runs, reused across calls. */
+    std::vector<mem::PageRun> victims_;
 
     std::uint64_t faults_ = 0;
 };

@@ -13,8 +13,11 @@
  *    addresses (and therefore page sharing) and initial tiers;
  *  - onRangeAccess(), the batched access hook, and the per-page
  *    onPageAccess() behind its default adapter, where reactive
- *    page-level policies (IAL, UM, Memory Mode, GPU Sentinel) migrate
- *    on demand and charge critical-path costs.
+ *    page-level policies migrate on demand and charge critical-path
+ *    costs.  UM and IAL resolve their faults inside their own
+ *    onRangeAccess() from the residency state it already read, so
+ *    no page reaches their onPageAccess(); Memory Mode and GPU
+ *    Sentinel route the pages they act on through the adapter.
  *
  * Hooks may charge time to the step through the Executor's charge*
  * methods; they never mutate the clock directly.

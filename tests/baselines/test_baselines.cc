@@ -125,6 +125,68 @@ TEST(UnifiedMemory, NoFaultsWhenEverythingFits)
     EXPECT_EQ(s.bytes_slow, 0u);
 }
 
+TEST(UnifiedMemory, FaultEvictsLeastRecentlyTouchedPagesFirst)
+{
+    // A device of exactly kDevice pages, filled by one tensor and then
+    // re-touched in a shuffled order.  A demand fault on a full device
+    // evicts a 32-page batch: it must be the 32 least recently touched
+    // pages that are still mapped.
+    constexpr std::uint64_t kDevice = 48;
+    constexpr std::uint64_t kBatch = 32;
+    core::RuntimeConfig rc =
+        core::RuntimeConfig::gpu(kDevice * mem::kPageSize);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
+    df::Graph graph = sentinel::testing::makeToyGraph();
+    UnifiedMemoryPolicy policy;
+    df::Executor ex(graph, hm, rc.exec, policy);
+
+    df::TensorDesc desc;
+    desc.bytes = kDevice * mem::kPageSize;
+    df::AllocDecision d = policy.allocate(ex, desc);
+    df::TensorPlacement pl{ d.addr, desc.bytes };
+    ASSERT_EQ(pl.numPages(), kDevice);
+    hm.mapRange(pl.firstPage(), kDevice, d.preferred);
+    policy.onTensorAllocated(ex, 0, pl);
+    ASSERT_EQ(hm.tier(mem::Tier::Fast).free(), 0u);
+
+    std::vector<mem::PageId> order;
+    for (std::uint64_t i = 0; i < kDevice; ++i)
+        order.push_back(pl.firstPage() + (i * 29) % kDevice);
+    std::vector<df::AccessSegment> out;
+    for (mem::PageId p : order)
+        policy.onRangeAccess(ex, { p, 1 }, false, out);
+    ASSERT_EQ(policy.demandFaults(), 0u);
+
+    // The least recent page dies; a page the policy never saw takes
+    // its device slot, so the device is full again.
+    const mem::PageId dead = order.front();
+    hm.unmapRange(dead, 1, ex.now());
+    policy.onPageUnmapped(ex, dead);
+    const mem::PageId unmanaged = pl.endPage() + 100;
+    hm.mapRange(unmanaged, 1, mem::Tier::Fast);
+
+    const mem::PageId host = pl.endPage() + 200;
+    hm.mapRange(host, 1, hm.slowestTier());
+    out.clear();
+    policy.onRangeAccess(ex, { host, 1 }, false, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].pages, 1u);
+    EXPECT_GT(out[0].extra, 0);
+    EXPECT_EQ(out[0].stall_events, 1u);
+    EXPECT_EQ(policy.demandFaults(), 1u);
+
+    EXPECT_FALSE(hm.isMapped(dead));
+    EXPECT_FALSE(hm.inFlight(unmanaged, ex.now()));
+    for (std::size_t i = 1; i < order.size(); ++i) {
+        const bool victim = i <= kBatch;
+        EXPECT_EQ(hm.inFlight(order[i], ex.now()), victim)
+            << "page touched " << i << "th";
+        if (victim) {
+            EXPECT_FALSE(hm.flightInfo(order[i]).toward_fast);
+        }
+    }
+}
+
 // -------------------------------------------------------------- AutoTM
 
 TEST(AutoTm, PinsHotTensorsWhenMemoryIsAmple)

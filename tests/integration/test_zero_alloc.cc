@@ -1,7 +1,7 @@
 /**
  * @file
- * The zero-allocation guard: a warm steady-state sentinel step must
- * not touch the heap.
+ * The zero-allocation guard: a warm steady-state step must not touch
+ * the heap, under sentinel and under the reactive baselines (UM, IAL).
  *
  * The hot loop's scratch buffers (the policy's migration batch and
  * prefetch ring, the executor's segment lists, the migration engine's
@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/ial.hh"
+#include "baselines/unified_memory.hh"
 #include "common/alloc_hook.hh"
 #include "core/sentinel_policy.hh"
 #include "dataflow/executor.hh"
@@ -34,6 +36,30 @@ makeHm(std::uint64_t fast_bytes)
     mem::TierParams fast{ "dram", fast_bytes, 76e9, 50e9, 85, 90 };
     mem::TierParams slow{ "pmm", 64ull << 30, 30e9, 10e9, 300, 120 };
     return mem::HeterogeneousMemory(fast, slow, { 8e9, 6e9, 2000 });
+}
+
+/** Heap allocations across 50 steps after an 8-step warmup. */
+std::uint64_t
+warmStepAllocs(df::Executor &ex)
+{
+    ex.run(8);
+    std::uint64_t before = common::allocCount();
+    for (int i = 0; i < 50; ++i)
+        ex.runStep();
+    return common::allocCount() - before;
+}
+
+/** Warm-step allocations of @p policy on resnet32 b32 with a fast tier
+ *  of 20% of peak on @p platform, as the harness sizes it. */
+std::uint64_t
+reactiveCellAllocs(harness::Platform platform, df::MemoryPolicy &policy)
+{
+    df::Graph g = models::makeModel("resnet32", 32);
+    std::uint64_t fast = mem::roundUpToPages(g.peakMemoryBytes() / 5);
+    core::RuntimeConfig rc = harness::platformConfig(platform, fast);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
+    df::Executor ex(g, hm, rc.exec, policy);
+    return warmStepAllocs(ex);
 }
 
 TEST(ZeroAlloc, SentinelSteadyStateStepDoesNotAllocate)
@@ -96,6 +122,36 @@ TEST(ZeroAlloc, ThreeTierSentinelSteadyStateStepDoesNotAllocate)
     EXPECT_EQ(after - before, 0u)
         << (after - before)
         << " heap allocations across 50 warm three-tier steps";
+}
+
+TEST(ZeroAlloc, UnifiedMemorySteadyStateStepDoesNotAllocate)
+{
+    // GPU demand paging: every step faults pages in one at a time and
+    // evicts LRU batches, through the page-indexed LRU and the reused
+    // victim buffer.
+    if (!common::allocHookActive())
+        GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+
+    baselines::UnifiedMemoryPolicy policy;
+    std::uint64_t allocs = reactiveCellAllocs(harness::Platform::Gpu, policy);
+    ASSERT_GT(policy.demandFaults(), 0u) << "no demand fault to gate on";
+    EXPECT_EQ(allocs, 0u) << allocs
+                          << " heap allocations across 50 warm UM steps";
+}
+
+TEST(ZeroAlloc, IalSteadyStateStepDoesNotAllocate)
+{
+    // Hint faults, promotions and FIFO evictions: the heat counts and
+    // in-list flags are page-indexed, the FIFO is a grow-only ring.
+    if (!common::allocHookActive())
+        GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+
+    baselines::IalPolicy policy;
+    std::uint64_t allocs =
+        reactiveCellAllocs(harness::Platform::Optane, policy);
+    ASSERT_GT(policy.promotionsRequested(), 0u) << "IAL never promoted";
+    EXPECT_EQ(allocs, 0u) << allocs
+                          << " heap allocations across 50 warm IAL steps";
 }
 
 TEST(ZeroAlloc, LiveObservabilityPlaneDoesNotAllocateInSteadyState)
