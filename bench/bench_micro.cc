@@ -50,7 +50,7 @@ BM_PageMapUnmap(benchmark::State &state)
     auto hm = makeHm(1ull << 30);
     mem::PageId next = 0;
     for (auto _ : state) {
-        hm.tryMapPage(next, mem::Tier::Fast);
+        hm.mapRange(next, 1, mem::Tier::Fast);
         hm.unmapRange(next, 1, 0);
         ++next;
     }

@@ -111,11 +111,18 @@ ScheduledSwapPolicy::migrateTensor(df::Executor &ex, df::TensorId id,
     if (stall) {
         // Synchronous movement: wait for the whole batch (AutoTM's
         // defining cost — every move sits on the critical path).
+        // A run's pages share one source and one channel path, so
+        // each in-flight stretch lands in page order: its last page
+        // arrives last.
         Tick last = 0;
         for (const mem::PageRun &run : batch)
-            for (mem::PageId p = run.first; p < run.endPage(); ++p)
-                if (hm.inFlight(p, ex.now()))
-                    last = std::max(last, hm.arrivalTime(p));
+            for (mem::PageId p = run.first; p < run.endPage();) {
+                mem::PageRunState rs =
+                    hm.residentRange(p, run.endPage() - p, now);
+                p += rs.count;
+                if (rs.in_flight)
+                    last = std::max(last, hm.flightInfo(p - 1).arrival);
+            }
         if (last > 0)
             ex.stallUntil(last);
         if (!complete)

@@ -113,7 +113,7 @@ UnifiedMemoryPolicy::demandFault(df::Executor &ex, mem::PageId page,
     if (rs.in_flight) {
         // Eviction in flight; the fault must wait for it, then the
         // page comes back.
-        seg.extra += hm.arrivalTime(page) - now;
+        seg.extra += hm.flightInfo(page).arrival - now;
         seg.effective = hm.slowestTier();
     } else {
         if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
@@ -121,7 +121,7 @@ UnifiedMemoryPolicy::demandFault(df::Executor &ex, mem::PageId page,
 
         const mem::PageRun one[] = { { page, 1 } };
         if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
-            seg.extra += hm.arrivalTime(page) - now;
+            seg.extra += hm.flightInfo(page).arrival - now;
             seg.effective = mem::Tier::Fast;
             lru_.touch(page);
         } else {

@@ -800,8 +800,8 @@ SentinelPolicy::onPageAccess(df::Executor &ex, mem::PageId page, bool)
         return {};
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
-    if (hm.residentTier(page, now) == mem::Tier::Fast ||
-        hm.inFlight(page, now))
+    const mem::PageRunState rs = hm.residentRange(page, 1, now);
+    if (rs.tier == mem::Tier::Fast || rs.in_flight)
         return {};
 
     if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
@@ -818,7 +818,7 @@ SentinelPolicy::onPageAccess(df::Executor &ex, mem::PageId page, bool)
     if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
         auditAppend(ex, telemetry::AuditReason::kPrefetchDemand, faulted,
                     mem::kPageSize);
-        out.extra = hm.arrivalTime(page) - now;
+        out.extra = hm.flightInfo(page).arrival - now;
         out.effective = mem::Tier::Fast;
     } else if (hm.demoteBusyUntil() > now) {
         // Wait for evictions, then pull the page across.
@@ -832,7 +832,7 @@ SentinelPolicy::onPageAccess(df::Executor &ex, mem::PageId page, bool)
             auditAppendAt(ex, hm.demoteBusyUntil(),
                           telemetry::AuditReason::kPrefetchDemand, faulted,
                           mem::kPageSize);
-            out.extra += hm.arrivalTime(page) - hm.demoteBusyUntil();
+            out.extra += hm.flightInfo(page).arrival - hm.demoteBusyUntil();
             out.effective = mem::Tier::Fast;
         }
     }

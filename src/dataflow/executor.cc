@@ -288,19 +288,23 @@ Executor::execUseRanges(const TensorUse &use, const TensorPlacement &pl,
                 }
                 // Migration boundary: resolve page by page, since each
                 // page has its own arrival and a stall here can land
-                // later pages' transfers (changing their state).
-                mem::HeterogeneousMemory::FlightInfo fi =
+                // later pages' transfers (changing their state).  With
+                // no stall the clock stands still and the page is read
+                // from rs.tier, its source.
+                mem::Tier at = rs.tier;
+                const mem::HeterogeneousMemory::FlightInfo fi =
                     hm_.flightInfo(pos);
                 if (fi.toward_fast &&
                     policy_.stallForInflight(*this, pos)) {
                     if (attr_)
                         attr_->setStallLink(fi.link);
-                    stallUntil(hm_.arrivalTime(pos));
+                    stallUntil(fi.arrival);
                     if (attr_)
                         attr_->setStallLink(0);
+                    at = hm_.residentRange(pos, 1, now_).tier;
                 }
-                accountPages(hm_.residentTier(pos, now_), { pos, 1 }, first,
-                             tr, use, kind, mem_total);
+                accountPages(at, { pos, 1 }, first, tr, use, kind,
+                             mem_total);
                 pos += 1;
                 left -= 1;
             }

@@ -3,12 +3,6 @@
 namespace sentinel::mem {
 
 void
-AccessTracker::track(PageId page)
-{
-    pages_.ref(page).tracked = true;
-}
-
-void
 AccessTracker::trackRange(PageId first, std::uint64_t count)
 {
     for (std::uint64_t i = 0; i < count; ++i)
@@ -16,24 +10,11 @@ AccessTracker::trackRange(PageId first, std::uint64_t count)
 }
 
 void
-AccessTracker::untrack(PageId page)
-{
-    if (pages_.find(page))
-        pages_.ref(page).tracked = false;
-}
-
-void
 AccessTracker::untrackRange(PageId first, std::uint64_t count)
 {
     for (std::uint64_t i = 0; i < count; ++i)
-        untrack(first + i);
-}
-
-bool
-AccessTracker::isTracked(PageId page) const
-{
-    const PageTrackState *s = pages_.find(page);
-    return s && s->tracked;
+        if (pages_.find(first + i))
+            pages_.ref(first + i).tracked = false;
 }
 
 Tick

@@ -55,19 +55,11 @@ class AccessTracker
     {
     }
 
-    /** Begin tracking @p page (poison its PTE). */
-    void track(PageId page);
-
-    /** Begin tracking [first, first+count). */
+    /** Begin tracking [first, first+count) (poison their PTEs). */
     void trackRange(PageId first, std::uint64_t count);
 
-    /** Stop tracking @p page (counts are retained). */
-    void untrack(PageId page);
-
-    /** Stop tracking [first, first+count). */
+    /** Stop tracking [first, first+count); counts are retained. */
     void untrackRange(PageId first, std::uint64_t count);
-
-    bool isTracked(PageId page) const;
 
     /**
      * Observe @p count accesses to every page of @p run.
@@ -88,7 +80,6 @@ class AccessTracker
     PageAccessCounts counts(PageId page) const;
 
     std::uint64_t totalFaults() const { return total_faults_; }
-    Tick faultCost() const { return fault_cost_; }
 
     void reset();
 

@@ -67,57 +67,16 @@ HeterogeneousMemory::HeterogeneousMemory(std::vector<TierParams> tiers,
     legs_out_.reserve(4 * kMaxTiers);
 }
 
-bool
-HeterogeneousMemory::tryMapPage(PageId page, Tier t)
-{
-    // Chains shorter than a caller assumes (a single-tier system asked
-    // for Tier::Slow) simply have no such tier to map into.
-    if (tierIndex(t) >= numTiers())
-        return false;
-    if (!tier(t).tryReserve(kPageSize))
-        return false;
-    table_.map(page, t);
-    return true;
-}
-
-Tier
-HeterogeneousMemory::mapPage(PageId page, Tier preferred)
-{
-    // A preference beyond the chain's end clamps to the slowest tier.
-    const unsigned pref = std::min(tierIndex(preferred), numTiers() - 1);
-    preferred = makeTier(pref);
-    if (tryMapPage(page, preferred))
-        return preferred;
-    // Spill order: slower tiers first (nearest-slower outward), then
-    // back toward the faster tiers — the two-tier behavior ("the other
-    // tier") is the n = 2 case of this walk.
-    for (unsigned t = pref + 1; t < numTiers(); ++t)
-        if (tryMapPage(page, makeTier(t)))
-            return makeTier(t);
-    for (unsigned t = pref; t-- > 0;)
-        if (tryMapPage(page, makeTier(t)))
-            return makeTier(t);
-    SENTINEL_FATAL("out of memory: all %u tiers full mapping page %llu "
-                   "(fast %llu/%llu, slowest %llu/%llu)",
-                   numTiers(), static_cast<unsigned long long>(page),
-                   static_cast<unsigned long long>(tiers_.front().used()),
-                   static_cast<unsigned long long>(
-                       tiers_.front().capacity()),
-                   static_cast<unsigned long long>(tiers_.back().used()),
-                   static_cast<unsigned long long>(
-                       tiers_.back().capacity()));
-}
-
 void
 HeterogeneousMemory::mapRange(PageId first, std::uint64_t count,
                               Tier preferred)
 {
     if (count == 0)
         return;
-    // Fill the preferred tier, then spill the suffix tier-by-tier in
-    // mapPage() fallback order — page-for-page what a mapPage() loop
-    // would place (preferred fills first, then every later page falls
-    // to the next tier with space).
+    // A preference beyond the chain's end clamps to the slowest tier.
+    // Fill it, then spill the suffix: slower tiers nearest-first, then
+    // back toward the faster ones (the two-tier "other tier" is the
+    // n = 2 case of this walk).
     const unsigned pref = std::min(tierIndex(preferred), numTiers() - 1);
     PageId next = first;
     std::uint64_t left = count;
@@ -161,41 +120,12 @@ HeterogeneousMemory::unmapRange(PageId first, std::uint64_t count, Tick now)
             tiers_[t].release((freed.src[t] + freed.dest[t]) * kPageSize);
 }
 
-Tier
-HeterogeneousMemory::residentTier(PageId page, Tick now)
-{
-    commitUpTo(now);
-    return table_.runState(page, 1).tier;
-}
-
-bool
-HeterogeneousMemory::inFlight(PageId page, Tick now)
-{
-    commitUpTo(now);
-    return table_.runState(page, 1).in_flight;
-}
-
 PageRunState
 HeterogeneousMemory::residentRange(PageId first, std::uint64_t count,
                                    Tick now)
 {
     commitUpTo(now);
     return table_.runState(first, count);
-}
-
-bool
-HeterogeneousMemory::inFlightAny(PageId first, std::uint64_t count, Tick now)
-{
-    commitUpTo(now);
-    return table_.anyInFlight(first, count);
-}
-
-Tick
-HeterogeneousMemory::arrivalTime(PageId page) const
-{
-    const PageEntry &e = table_.entry(page);
-    SENTINEL_ASSERT(e.in_flight, "arrivalTime() of non-migrating page");
-    return e.arrival;
 }
 
 HeterogeneousMemory::FlightInfo
@@ -210,6 +140,7 @@ HeterogeneousMemory::flightInfo(PageId page) const
     // The arrival the caller waits on is the FINAL leg's completion:
     // the link adjacent to the destination tier.
     fi.link = fi.toward_fast ? dst : dst - 1;
+    fi.arrival = e.arrival;
     return fi;
 }
 
@@ -449,9 +380,9 @@ HeterogeneousMemory::teleportPage(PageId page, Tier dst, Tick now)
     if (!tier(dst).tryReserve(kPageSize))
         return false;
     Tier src = e.tier;
-    // Instant flip: begin+commit with an immediate arrival.
-    std::uint64_t seq = table_.beginMigration(page, dst, now);
-    bool ok = table_.commitMigration(page, seq);
+    // Instant flip: a one-page begin+commit with an immediate arrival.
+    std::uint64_t seq = table_.beginMigrationRun(page, 1, dst, now, 0);
+    bool ok = table_.commitMigrationRun(page, 1, seq) == 1;
     SENTINEL_ASSERT(ok, "teleport commit failed");
     tier(src).release(kPageSize);
     return true;

@@ -20,7 +20,13 @@
  * and the page "arrives" when the final leg completes; intermediate
  * tiers are not occupied.
  *
- * The engine's unit is the page run, not the page.  A uniform run of
+ * The page run is the unit of the interface: mapping, unmapping, the
+ * residency query and migration all take runs, and a single page is a
+ * one-page run.  The per-page exceptions are flightInfo() (one
+ * in-flight page's own arrival) and teleportPage() (Capuchin's
+ * discard, which has no transfer to batch).
+ *
+ * The engine's unit is the page run too.  A uniform run of
  * n pages is scheduled leg by leg in closed form
  * (BandwidthChannel::submitSeries()): on a serialized fixed-rate
  * channel its completions are an arithmetic series, and a later leg
@@ -91,24 +97,13 @@ class HeterogeneousMemory
 
     // --- Mapping -------------------------------------------------------
 
-    /** Map @p page into @p tier; @return false if the tier is full. */
-    bool tryMapPage(PageId page, Tier tier);
-
     /**
-     * Map @p page into @p preferred, falling back to the next slower
-     * tiers in order and finally back toward the faster ones if all
-     * slower tiers are full.  A completely full system is a
-     * configuration error (fatal).
-     *
-     * @return the tier actually used.
-     */
-    Tier mapPage(PageId page, Tier preferred);
-
-    /**
-     * Map [first, first+count) into @p preferred, spilling the suffix
-     * tier-by-tier in the same fallback order as mapPage() — exactly
-     * page-for-page what a mapPage() loop would do, but with one
-     * reservation per tier.  Fatal if the whole chain runs out.
+     * Map [first, first+count) into @p preferred (clamped to the
+     * chain).  The prefix that fits fills @p preferred; the rest
+     * spills tier by tier, first to the slower tiers nearest-first and
+     * then back toward the faster ones, with one reservation per tier.
+     * A one-page call is how a single page is mapped.  Fatal if the
+     * whole chain runs out.
      */
     void mapRange(PageId first, std::uint64_t count, Tier preferred);
 
@@ -125,31 +120,22 @@ class HeterogeneousMemory
     // --- Residency -----------------------------------------------------
 
     /**
-     * Tier where @p page's data can be read at time @p now.  A page in
-     * flight is served from its source tier.
-     */
-    Tier residentTier(PageId page, Tick now);
-
-    /** True if @p page has a migration still in flight at @p now. */
-    bool inFlight(PageId page, Tick now);
-
-    /**
      * Longest prefix of [first, first+count) whose pages share one
-     * (tier, in_flight) state at @p now — the executor's extent walk.
+     * (tier, in_flight) state at @p now, committing arrivals first.
+     * A page in flight is served from its source tier, which is the
+     * tier reported.  The one residency query: a single page asks for
+     * the one-page prefix.
      */
     PageRunState residentRange(PageId first, std::uint64_t count, Tick now);
 
-    /** True if any page of [first, first+count) is migrating at @p now. */
-    bool inFlightAny(PageId first, std::uint64_t count, Tick now);
-
-    /** Arrival time of the in-flight migration (page must be in flight). */
-    Tick arrivalTime(PageId page) const;
-
-    /** Direction and final-leg link of an in-flight page's migration. */
+    /** Where an in-flight page's migration lands, and when. */
     struct FlightInfo {
         bool toward_fast = false;
         unsigned link = 0; ///< link whose completion the page waits on
+        Tick arrival = 0;  ///< completion of that final leg
     };
+    /** Flight of @p page, which must be in flight.  Does not commit
+     *  arrivals: ask residentRange() first. */
     FlightInfo flightInfo(PageId page) const;
 
     // --- Migration -----------------------------------------------------
@@ -260,9 +246,6 @@ class HeterogeneousMemory
 
     /** Re-rate every link's channels relative to their baselines. */
     void setMigrationBandwidthScale(double promote, double demote);
-
-    /** Scale the fast tier's capacity relative to its baseline. */
-    void setFastCapacityScale(double scale) { setTierCapacityScale(0, scale); }
 
     /**
      * Scale any tier's capacity relative to its construction-time

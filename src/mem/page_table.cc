@@ -71,19 +71,6 @@ PageTable::ensureCold(Chunk &ch)
 }
 
 void
-PageTable::map(PageId page, Tier tier)
-{
-    Chunk &ch = chunkFor(page);
-    std::uint8_t &s = ch.state[page & kChunkMask];
-    SENTINEL_ASSERT(s == kStateUnmapped, "page %llu already mapped",
-                    static_cast<unsigned long long>(page));
-    s = stateByte(tier, false);
-    ++ch.mapped;
-    ++ch.tiers[tierIndex(tier)];
-    ++num_mapped_;
-}
-
-void
 PageTable::mapRange(PageId first, std::uint64_t count, Tier tier)
 {
     const std::uint8_t val = stateByte(tier, false);
@@ -224,78 +211,6 @@ PageTable::runState(PageId first, std::uint64_t count) const
     return rs;
 }
 
-bool
-PageTable::anyInFlight(PageId first, std::uint64_t count) const
-{
-    PageId p = first;
-    std::uint64_t left = count;
-    while (left > 0) {
-        const Chunk *c = findChunk(p);
-        SENTINEL_ASSERT(c, "anyInFlight() over unmapped page %llu",
-                        static_cast<unsigned long long>(p));
-        std::uint64_t off = p & kChunkMask;
-        std::uint64_t in_chunk = std::min<std::uint64_t>(left,
-                                                         kChunkPages - off);
-        if (c->inflight > 0) {
-            const std::uint8_t *s = c->state.get() + off;
-            for (std::uint64_t i = 0; i < in_chunk; ++i) {
-                SENTINEL_ASSERT(s[i] != kStateUnmapped,
-                                "anyInFlight() over unmapped page %llu",
-                                static_cast<unsigned long long>(p + i));
-                if (s[i] & kStateFlightBit)
-                    return true;
-            }
-        }
-        p += in_chunk;
-        left -= in_chunk;
-    }
-    return false;
-}
-
-std::uint64_t
-PageTable::beginMigration(PageId page, Tier dest, Tick arrival)
-{
-    const Chunk *c = findChunk(page);
-    SENTINEL_ASSERT(c && c->state[page & kChunkMask] != kStateUnmapped,
-                    "access to unmapped page %llu",
-                    static_cast<unsigned long long>(page));
-    Chunk &ch = const_cast<Chunk &>(*c);
-    std::uint64_t off = page & kChunkMask;
-    std::uint8_t &s = ch.state[off];
-    SENTINEL_ASSERT(!flightOf(s), "page %llu is already migrating",
-                    static_cast<unsigned long long>(page));
-    SENTINEL_ASSERT(tierOf(s) != dest, "migration to the same tier");
-    ensureCold(ch);
-    s |= kStateFlightBit;
-    ++ch.inflight;
-    ++num_inflight_;
-    ch.arrival[off] = arrival;
-    ch.seq[off] = next_seq_++;
-    ch.dest[off] = static_cast<std::uint8_t>(tierIndex(dest));
-    return ch.seq[off];
-}
-
-bool
-PageTable::commitMigration(PageId page, std::uint64_t seq)
-{
-    const Chunk *c = findChunk(page);
-    if (!c)
-        return false; // freed while in flight
-    std::uint64_t off = page & kChunkMask;
-    std::uint8_t s = c->state[off];
-    if (s == kStateUnmapped || !flightOf(s) || c->seq[off] != seq)
-        return false; // freed, cancelled, or superseded
-    Chunk &ch = const_cast<Chunk &>(*c);
-    // Arrive at the recorded destination tier, clear in-flight.
-    std::uint8_t landed = ch.dest[off];
-    ch.state[off] = landed;
-    --ch.tiers[s & kStateTierMask];
-    ++ch.tiers[landed & kStateTierMask];
-    --ch.inflight;
-    --num_inflight_;
-    return true;
-}
-
 std::uint64_t
 PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
                              Tick arrival0, Tick step)
@@ -359,7 +274,7 @@ PageTable::commitMigrationRun(PageId first, std::uint64_t count,
         const std::uint64_t in_chunk =
             std::min<std::uint64_t>(count - k, kChunkPages - off);
         const Chunk *c = findChunk(page);
-        if (!c || c->inflight == 0) { // freed or cancelled while in flight
+        if (!c || c->inflight == 0) { // chunk gone or idle: nothing lands
             k += in_chunk;
             continue;
         }
@@ -375,7 +290,7 @@ PageTable::commitMigrationRun(PageId first, std::uint64_t count,
         for (std::uint64_t m = 0; m < in_chunk; ++m) {
             const std::uint8_t s = state[m];
             if (s == kStateUnmapped || !flightOf(s) || seq[m] != want + m)
-                continue; // freed, cancelled, or superseded
+                continue; // freed, or remapped and superseded
             state[m] = dest[m];
             --delta[s & kStateTierMask];
             ++delta[dest[m]];

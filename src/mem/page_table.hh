@@ -2,10 +2,14 @@
  * @file
  * Virtual page -> tier mapping, including in-flight migration state.
  *
- * A page that is migrating remains readable at its source tier until
- * the migration engine's transfer completes (arrival tick); the
- * HeterogeneousMemory facade lazily commits arrivals as simulated time
- * advances.
+ * Every operation takes a page run [first, first+count): map, unmap,
+ * the uniform-prefix query, begin and commit of a migration.  A single
+ * page is the one-page run; entry() is the only per-page read, for
+ * tests and one-page callers that need a migration's destination and
+ * arrival.  A page that is migrating remains readable at its source
+ * tier until the migration engine's transfer completes (arrival
+ * tick); the HeterogeneousMemory facade lazily commits arrivals as
+ * simulated time advances.
  *
  * Storage is struct-of-arrays chunks.  The hot state of a page (tier +
  * in-flight bit) is ONE byte in a per-chunk state array, so lookups are
@@ -57,9 +61,6 @@ struct PageRunState {
 class PageTable
 {
   public:
-    /** Map @p page into @p tier.  The page must not be mapped. */
-    void map(PageId page, Tier tier);
-
     /** Map [first, first+count) into @p tier; none may be mapped. */
     void mapRange(PageId first, std::uint64_t count, Tier tier);
 
@@ -90,21 +91,6 @@ class PageTable
      */
     PageRunState runState(PageId first, std::uint64_t count) const;
 
-    /** True if any page of [first, first+count) is migrating. */
-    bool anyInFlight(PageId first, std::uint64_t count) const;
-
-    /**
-     * Mark @p page as migrating to @p dest, arriving at @p arrival.
-     * @return the migration sequence number for this migration.
-     */
-    std::uint64_t beginMigration(PageId page, Tier dest, Tick arrival);
-
-    /**
-     * Complete the migration with sequence @p seq, if still pending.
-     * @return true if the commit took effect (page flipped tiers).
-     */
-    bool commitMigration(PageId page, std::uint64_t seq);
-
     /**
      * Begin migrating [first, first+count) to @p dest; page first+i
      * arrives at @p arrival0 + i * @p step.  Every page must be mapped,
@@ -117,8 +103,9 @@ class PageTable
 
     /**
      * Commit the consecutive run [first, first+count), where page
-     * first+i carries sequence @p seq0 + i.  Pages freed or cancelled
-     * while in flight are skipped, exactly as commitMigration().
+     * first+i carries sequence @p seq0 + i.  A page freed while in
+     * flight, or remapped and migrated again since, no longer carries
+     * its sequence and is skipped: a stale commit never flips a page.
      * @return the number of pages that actually flipped tiers.
      */
     std::uint64_t commitMigrationRun(PageId first, std::uint64_t count,

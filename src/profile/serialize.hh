@@ -33,7 +33,9 @@ bool saveProfile(const ProfileDatabase &db, const std::string &path);
  * Read a profile previously written by saveProfile().
  *
  * Fatal on malformed input or version mismatch (a stale profile must
- * never silently drive migration of a different graph).
+ * never silently drive migration of a different graph).  The file is
+ * untrusted: records must come in the order saveProfile() writes them,
+ * and every count, index, layer and size is range-checked before use.
  */
 ProfileDatabase loadProfile(std::istream &is);
 ProfileDatabase loadProfile(const std::string &path);

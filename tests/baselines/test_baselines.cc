@@ -176,10 +176,10 @@ TEST(UnifiedMemory, FaultEvictsLeastRecentlyTouchedPagesFirst)
     EXPECT_EQ(policy.demandFaults(), 1u);
 
     EXPECT_FALSE(hm.isMapped(dead));
-    EXPECT_FALSE(hm.inFlight(unmanaged, ex.now()));
+    EXPECT_FALSE(hm.residentRange(unmanaged, 1, ex.now()).in_flight);
     for (std::size_t i = 1; i < order.size(); ++i) {
         const bool victim = i <= kBatch;
-        EXPECT_EQ(hm.inFlight(order[i], ex.now()), victim)
+        EXPECT_EQ(hm.residentRange(order[i], 1, ex.now()).in_flight, victim)
             << "page touched " << i << "th";
         if (victim) {
             EXPECT_FALSE(hm.flightInfo(order[i]).toward_fast);

@@ -136,11 +136,12 @@ TEST(NtierDegradation, ZeroCapacityMidTierPlacesLikeTwoTier)
     three.mapRange(0, 8, mem::Tier::Fast);
     two.mapRange(0, 8, mem::Tier::Fast);
     for (mem::PageId p = 0; p < 8; ++p) {
-        bool three_fast = three.residentTier(p, 0) == mem::Tier::Fast;
-        bool two_fast = two.residentTier(p, 0) == mem::Tier::Fast;
-        EXPECT_EQ(three_fast, two_fast) << "page " << p;
-        if (!three_fast) {
-            EXPECT_EQ(three.residentTier(p, 0), three.slowestTier());
+        const mem::Tier at3 = three.residentRange(p, 1, 0).tier;
+        const mem::Tier at2 = two.residentRange(p, 1, 0).tier;
+        EXPECT_EQ(at3 == mem::Tier::Fast, at2 == mem::Tier::Fast)
+            << "page " << p;
+        if (at3 != mem::Tier::Fast) {
+            EXPECT_EQ(at3, three.slowestTier());
         }
     }
     EXPECT_EQ(three.tier(mem::makeTier(1)).used(), 0u);
@@ -154,8 +155,8 @@ TEST(NtierDegradation, ZeroCapacityMidTierPlacesLikeTwoTier)
     const mem::PageRun six[] = { { 6, 1 } };
     EXPECT_EQ(three.migratePages(six, mem::Tier::Fast, 0), 1u);
     EXPECT_EQ(two.migratePages(six, mem::Tier::Fast, 0), 1u);
-    EXPECT_GT(three.arrivalTime(6), 0);
-    EXPECT_GT(two.arrivalTime(6), 0);
+    EXPECT_GT(three.flightInfo(6).arrival, 0);
+    EXPECT_GT(two.flightInfo(6).arrival, 0);
 }
 
 TEST(NtierDegradation, SingleTierChainRunsEveryPolicyWithoutMigration)

@@ -124,6 +124,45 @@ TEST(ZeroAlloc, ThreeTierSentinelSteadyStateStepDoesNotAllocate)
         << " heap allocations across 50 warm three-tier steps";
 }
 
+TEST(ZeroAlloc, DegradedMidTrialSentinelStepDoesNotAllocate)
+{
+    // bench_baseline's mobilenet cell: b32 with a fast tier of 20% of
+    // peak on Optane sits below the planner's lower bound (no feasible
+    // MIL, degraded to per-layer migration), and its measured steps
+    // (7-9 of 9) fall inside the test-and-trial.  Both that window and
+    // the degraded steady state after the trial are gated.
+    if (!common::allocHookActive())
+        GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+
+    df::Graph g = models::makeModel("mobilenet", 32);
+    std::uint64_t fast = mem::roundUpToPages(g.peakMemoryBytes() / 5);
+    core::RuntimeConfig rc =
+        harness::platformConfig(harness::Platform::Optane, fast);
+    mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
+    prof::Profiler profiler(rc.profiler);
+    auto profile = profiler.profile(g, prof_hm, rc.exec);
+
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
+    core::SentinelPolicy policy(profile.db);
+    df::Executor ex(g, hm, rc.exec, policy);
+    ex.run(6);
+    std::uint64_t before = common::allocCount();
+    for (int i = 0; i < 3; ++i)
+        ex.runStep();
+    std::uint64_t in_trial = common::allocCount() - before;
+    ASSERT_FALSE(policy.plannerResult().best.feasible)
+        << "the cell no longer runs degraded";
+    ASSERT_FALSE(policy.trialDecided())
+        << "the cell no longer ends mid test-and-trial";
+    EXPECT_EQ(in_trial, 0u)
+        << in_trial << " heap allocations across 3 mid-trial steps";
+
+    std::uint64_t after_trial = warmStepAllocs(ex);
+    ASSERT_TRUE(policy.trialDecided());
+    EXPECT_EQ(after_trial, 0u)
+        << after_trial << " heap allocations across 50 warm degraded steps";
+}
+
 TEST(ZeroAlloc, UnifiedMemorySteadyStateStepDoesNotAllocate)
 {
     // GPU demand paging: every step faults pages in one at a time and

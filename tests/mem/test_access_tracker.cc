@@ -8,7 +8,7 @@ namespace {
 TEST(AccessTracker, CountsOnlyTrackedPages)
 {
     AccessTracker t(/*fault_cost=*/1000);
-    t.track(1);
+    t.trackRange(1, 1);
 
     EXPECT_EQ(t.onAccess({ 1, 1 }, false), 1000);
     EXPECT_EQ(t.onAccess({ 2, 1 }, false), 0); // untracked: no fault, no count
@@ -19,7 +19,7 @@ TEST(AccessTracker, CountsOnlyTrackedPages)
 TEST(AccessTracker, ReadsAndWritesSeparate)
 {
     AccessTracker t;
-    t.track(7);
+    t.trackRange(7, 1);
     t.onAccess({ 7, 1 }, false, 3);
     t.onAccess({ 7, 1 }, true, 2);
     EXPECT_EQ(t.counts(7).reads, 3u);
@@ -30,7 +30,7 @@ TEST(AccessTracker, ReadsAndWritesSeparate)
 TEST(AccessTracker, FaultCostScalesWithCount)
 {
     AccessTracker t(500);
-    t.track(1);
+    t.trackRange(1, 1);
     EXPECT_EQ(t.onAccess({ 1, 1 }, false, 10), 5000);
     EXPECT_EQ(t.totalFaults(), 10u);
 }
@@ -38,11 +38,14 @@ TEST(AccessTracker, FaultCostScalesWithCount)
 TEST(AccessTracker, UntrackStopsCountingButKeepsCounts)
 {
     AccessTracker t;
-    t.track(4);
+    t.trackRange(4, 1);
     t.onAccess({ 4, 1 }, false);
-    t.untrack(4);
+    t.untrackRange(4, 1);
     EXPECT_EQ(t.onAccess({ 4, 1 }, false), 0);
     EXPECT_EQ(t.counts(4).reads, 1u); // profile data preserved
+    // Untracking pages never tracked leaves no state behind.
+    t.untrackRange(2, 4);
+    EXPECT_EQ(t.allCounts().size(), 1u);
 }
 
 TEST(AccessTracker, RunChargesOneFaultPerTrackedPage)
@@ -61,7 +64,7 @@ TEST(AccessTracker, RunChargesOneFaultPerTrackedPage)
 TEST(AccessTracker, ZeroCountIsFree)
 {
     AccessTracker t;
-    t.track(1);
+    t.trackRange(1, 1);
     EXPECT_EQ(t.onAccess({ 1, 1 }, true, 0), 0);
     EXPECT_EQ(t.counts(1).total(), 0u);
 }
@@ -69,13 +72,15 @@ TEST(AccessTracker, ZeroCountIsFree)
 TEST(AccessTracker, ResetClearsEverything)
 {
     AccessTracker t;
-    t.track(1);
+    t.trackRange(1, 1);
     t.onAccess({ 1, 1 }, false);
     t.reset();
-    EXPECT_FALSE(t.isTracked(1));
     EXPECT_EQ(t.counts(1).total(), 0u);
     EXPECT_EQ(t.totalFaults(), 0u);
     EXPECT_TRUE(t.allCounts().empty());
+    // Tracking is gone too: a new access neither faults nor counts.
+    EXPECT_EQ(t.onAccess({ 1, 1 }, false), 0);
+    EXPECT_EQ(t.counts(1).total(), 0u);
 }
 
 } // namespace

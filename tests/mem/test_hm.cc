@@ -30,55 +30,82 @@ movePage(HeterogeneousMemory &hm, PageId page, Tier dst, Tick ready)
     const PageRun run[] = { { page, 1 } };
     if (hm.migratePages(run, dst, ready) == 0)
         return -1;
-    return hm.arrivalTime(page);
+    return hm.flightInfo(page).arrival;
+}
+
+/** Tier @p page is read from at @p now (its one-page run state). */
+Tier
+tierAt(HeterogeneousMemory &hm, PageId page, Tick now)
+{
+    return hm.residentRange(page, 1, now).tier;
+}
+
+bool
+inFlightAt(HeterogeneousMemory &hm, PageId page, Tick now)
+{
+    return hm.residentRange(page, 1, now).in_flight;
 }
 
 TEST(Hm, MapPreferredTier)
 {
     auto hm = makeHm();
-    EXPECT_TRUE(hm.tryMapPage(1, Tier::Fast));
-    EXPECT_EQ(hm.residentTier(1, 0), Tier::Fast);
+    hm.mapRange(1, 1, Tier::Fast);
+    EXPECT_EQ(tierAt(hm, 1, 0), Tier::Fast);
     EXPECT_EQ(hm.tier(Tier::Fast).used(), kPageSize);
 }
 
 TEST(Hm, MapFallsBackWhenFull)
 {
     auto hm = makeHm(1);
-    EXPECT_EQ(hm.mapPage(0, Tier::Fast), Tier::Fast);
-    EXPECT_EQ(hm.mapPage(1, Tier::Fast), Tier::Slow);
+    hm.mapRange(0, 1, Tier::Fast);
+    hm.mapRange(1, 1, Tier::Fast);
+    EXPECT_EQ(tierAt(hm, 0, 0), Tier::Fast);
+    EXPECT_EQ(tierAt(hm, 1, 0), Tier::Slow);
+}
+
+TEST(Hm, MapPastTheChainClampsToSlowest)
+{
+    auto hm = makeHm();
+    hm.mapRange(0, 2, makeTier(5));
+    PageRunState rs = hm.residentRange(0, 2, 0);
+    EXPECT_EQ(rs.tier, Tier::Slow);
+    EXPECT_EQ(rs.count, 2u);
 }
 
 TEST(Hm, BothTiersFullIsFatal)
 {
     auto hm = makeHm(1, 1);
-    hm.mapPage(0, Tier::Fast);
-    hm.mapPage(1, Tier::Fast);
-    EXPECT_THROW(hm.mapPage(2, Tier::Fast), std::runtime_error);
+    hm.mapRange(0, 1, Tier::Fast);
+    hm.mapRange(1, 1, Tier::Fast);
+    EXPECT_THROW(hm.mapRange(2, 1, Tier::Fast), std::runtime_error);
 }
 
 TEST(Hm, MigrationTimingAndResidency)
 {
     auto hm = makeHm();
-    hm.tryMapPage(5, Tier::Slow);
+    hm.mapRange(5, 1, Tier::Slow);
 
     Tick arrival = movePage(hm, 5, Tier::Fast, 0);
     EXPECT_EQ(arrival, 4096); // 4 KiB at 1 GB/s
 
     // While in flight the page is served from its source.
-    EXPECT_EQ(hm.residentTier(5, arrival - 1), Tier::Slow);
-    EXPECT_TRUE(hm.inFlight(5, arrival - 1));
-    EXPECT_EQ(hm.arrivalTime(5), arrival);
+    EXPECT_EQ(tierAt(hm, 5, arrival - 1), Tier::Slow);
+    EXPECT_TRUE(inFlightAt(hm, 5, arrival - 1));
+    HeterogeneousMemory::FlightInfo fi = hm.flightInfo(5);
+    EXPECT_EQ(fi.arrival, arrival);
+    EXPECT_TRUE(fi.toward_fast);
+    EXPECT_EQ(fi.link, 0u);
 
     // After arrival it lives in fast memory.
-    EXPECT_EQ(hm.residentTier(5, arrival), Tier::Fast);
-    EXPECT_FALSE(hm.inFlight(5, arrival));
+    EXPECT_EQ(tierAt(hm, 5, arrival), Tier::Fast);
+    EXPECT_FALSE(inFlightAt(hm, 5, arrival));
 }
 
 TEST(Hm, MigrationReservesDestinationUpFront)
 {
     auto hm = makeHm(1);
-    hm.tryMapPage(0, Tier::Slow);
-    hm.tryMapPage(1, Tier::Slow);
+    hm.mapRange(0, 1, Tier::Slow);
+    hm.mapRange(1, 1, Tier::Slow);
 
     EXPECT_GE(movePage(hm, 0, Tier::Fast, 0), 0);
     // Fast tier is fully reserved by the in-flight page.
@@ -88,7 +115,7 @@ TEST(Hm, MigrationReservesDestinationUpFront)
 TEST(Hm, SourceReleasedOnlyAtCompletion)
 {
     auto hm = makeHm();
-    hm.tryMapPage(9, Tier::Slow);
+    hm.mapRange(9, 1, Tier::Slow);
     std::uint64_t slow_before = hm.tier(Tier::Slow).used();
 
     Tick arrival = movePage(hm, 9, Tier::Fast, 0);
@@ -100,10 +127,10 @@ TEST(Hm, SourceReleasedOnlyAtCompletion)
 TEST(Hm, RedundantMigrationRejected)
 {
     auto hm = makeHm();
-    hm.tryMapPage(2, Tier::Fast);
+    hm.mapRange(2, 1, Tier::Fast);
     EXPECT_EQ(movePage(hm, 2, Tier::Fast, 0), -1);
 
-    hm.tryMapPage(3, Tier::Slow);
+    hm.mapRange(3, 1, Tier::Slow);
     EXPECT_GE(movePage(hm, 3, Tier::Fast, 0), 0);
     // Already in flight.
     EXPECT_EQ(movePage(hm, 3, Tier::Fast, 0), -1);
@@ -112,7 +139,7 @@ TEST(Hm, RedundantMigrationRejected)
 TEST(Hm, UnmapInFlightReleasesBothReservations)
 {
     auto hm = makeHm(2);
-    hm.tryMapPage(1, Tier::Slow);
+    hm.mapRange(1, 1, Tier::Slow);
     movePage(hm, 1, Tier::Fast, 0);
     std::uint64_t fast_used = hm.tier(Tier::Fast).used();
     EXPECT_EQ(fast_used, kPageSize);
@@ -134,8 +161,8 @@ TEST(Hm, BatchMigrationSerializesOnChannel)
     EXPECT_EQ(hm.migratePages(pages, Tier::Fast, 0), 3u);
     // Three pages over one serialized 1 GB/s channel: the batch's last
     // page arrives after all three transferred back-to-back.
-    EXPECT_EQ(hm.arrivalTime(12), 3 * 4096);
-    EXPECT_EQ(hm.arrivalTime(10), 1 * 4096);
+    EXPECT_EQ(hm.flightInfo(12).arrival, 3 * 4096);
+    EXPECT_EQ(hm.flightInfo(10).arrival, 1 * 4096);
     EXPECT_EQ(hm.stats().promoted_pages, 3u);
     EXPECT_EQ(hm.stats().promoted_bytes, 3 * kPageSize);
 }
@@ -151,7 +178,7 @@ TEST(Hm, BatchMigrationChargesOneStartup)
 
     hm.migratePages(pages, Tier::Fast, 0);
     // One setup cost for the whole batch, then pages stream.
-    EXPECT_EQ(hm.arrivalTime(4), 1000 + 4 * 4096);
+    EXPECT_EQ(hm.flightInfo(4).arrival, 1000 + 4 * 4096);
 }
 
 TEST(Hm, BatchMigrationStopsWhenDestinationFull)
@@ -167,9 +194,9 @@ TEST(Hm, BatchMigrationStopsWhenDestinationFull)
 TEST(Hm, BatchMigrationSkipsIneligiblePages)
 {
     auto hm = makeHm(8);
-    hm.tryMapPage(1, Tier::Fast); // already there
-    hm.tryMapPage(2, Tier::Slow);
-    hm.tryMapPage(3, Tier::Slow);
+    hm.mapRange(1, 1, Tier::Fast); // already there
+    hm.mapRange(2, 1, Tier::Slow);
+    hm.mapRange(3, 1, Tier::Slow);
     movePage(hm, 3, Tier::Fast, 0); // already in flight
     const PageRun pages[] = { { 1, 3 } };
     EXPECT_EQ(hm.migratePages(pages, Tier::Fast, 0), 1u);
@@ -178,8 +205,8 @@ TEST(Hm, BatchMigrationSkipsIneligiblePages)
 TEST(Hm, PromoteAndDemoteUseSeparateChannels)
 {
     auto hm = makeHm(8);
-    hm.tryMapPage(1, Tier::Slow);
-    hm.tryMapPage(2, Tier::Fast);
+    hm.mapRange(1, 1, Tier::Slow);
+    hm.mapRange(2, 1, Tier::Fast);
 
     Tick up = movePage(hm, 1, Tier::Fast, 0);
     Tick down = movePage(hm, 2, Tier::Slow, 0);
@@ -192,23 +219,23 @@ TEST(Hm, PromoteAndDemoteUseSeparateChannels)
 TEST(Hm, PeakUsageTracked)
 {
     auto hm = makeHm(4);
-    hm.tryMapPage(1, Tier::Fast);
-    hm.tryMapPage(2, Tier::Fast);
+    hm.mapRange(1, 1, Tier::Fast);
+    hm.mapRange(2, 1, Tier::Fast);
     hm.unmapRange(1, 1, 0);
     EXPECT_EQ(hm.tier(Tier::Fast).peakUsed(), 2 * kPageSize);
 }
 
 TEST(Hm, MapRangeMatchesPerPagePlacement)
 {
-    // Bulk mapping must place pages exactly like the per-page loop:
+    // Bulk mapping must place pages exactly like a one-page loop:
     // a preferred-tier prefix while capacity lasts, then fallback.
     auto hm = makeHm(3);
     auto ref = makeHm(3);
     hm.mapRange(10, 5, Tier::Fast);
     for (PageId p = 10; p < 15; ++p)
-        ref.mapPage(p, Tier::Fast);
+        ref.mapRange(p, 1, Tier::Fast);
     for (PageId p = 10; p < 15; ++p)
-        EXPECT_EQ(hm.residentTier(p, 0), ref.residentTier(p, 0));
+        EXPECT_EQ(tierAt(hm, p, 0), tierAt(ref, p, 0));
     EXPECT_EQ(hm.tier(Tier::Fast).used(), ref.tier(Tier::Fast).used());
     EXPECT_EQ(hm.tier(Tier::Slow).used(), ref.tier(Tier::Slow).used());
 }
@@ -258,26 +285,27 @@ TEST(Hm, ResidentRangeSplitsOnTierAndFlight)
     EXPECT_EQ(rs.count, 4u);
 
     Tick arrival = movePage(hm, 2, Tier::Fast, 0);
-    EXPECT_TRUE(hm.inFlightAny(0, 4, arrival - 1));
-    EXPECT_FALSE(hm.inFlightAny(0, 2, arrival - 1));
     rs = hm.residentRange(0, 4, arrival - 1);
     EXPECT_EQ(rs.count, 2u);
     EXPECT_FALSE(rs.in_flight);
+    rs = hm.residentRange(2, 2, arrival - 1);
+    EXPECT_EQ(rs.tier, Tier::Slow); // served from its source
+    EXPECT_TRUE(rs.in_flight);
+    EXPECT_EQ(rs.count, 1u);
 
-    // residentRange commits landed transfers, exactly like
-    // residentTier does.
+    // residentRange commits landed transfers before it reads.
     rs = hm.residentRange(2, 2, arrival);
     EXPECT_EQ(rs.tier, Tier::Fast);
     EXPECT_FALSE(rs.in_flight);
     EXPECT_EQ(rs.count, 1u); // page 3 is still Slow
-    EXPECT_FALSE(hm.inFlightAny(0, 4, arrival));
+    EXPECT_FALSE(inFlightAt(hm, 3, arrival));
 }
 
 TEST(Hm, ResetRestoresPristineState)
 {
     auto hm = makeHm();
-    hm.tryMapPage(1, Tier::Fast);
-    hm.tryMapPage(2, Tier::Slow);
+    hm.mapRange(1, 1, Tier::Fast);
+    hm.mapRange(2, 1, Tier::Slow);
     movePage(hm, 2, Tier::Fast, 0);
     hm.reset();
     EXPECT_EQ(hm.tier(Tier::Fast).used(), 0u);
@@ -295,9 +323,9 @@ namespace {
 TEST(Hm, TeleportFlipsTierInstantlyWithoutTraffic)
 {
     auto hm = makeHm(4);
-    hm.tryMapPage(1, Tier::Fast);
+    hm.mapRange(1, 1, Tier::Fast);
     EXPECT_TRUE(hm.teleportPage(1, Tier::Slow, 0));
-    EXPECT_EQ(hm.residentTier(1, 0), Tier::Slow);
+    EXPECT_EQ(tierAt(hm, 1, 0), Tier::Slow);
     // No channel traffic, no migration stats: a discard, not a copy.
     EXPECT_EQ(hm.stats().demoted_bytes, 0u);
     EXPECT_EQ(hm.demoteChannel().bytesTransferred(), 0u);
@@ -309,7 +337,7 @@ TEST(Hm, TeleportFlipsTierInstantlyWithoutTraffic)
 TEST(Hm, TeleportToSameTierIsNoop)
 {
     auto hm = makeHm(4);
-    hm.tryMapPage(1, Tier::Fast);
+    hm.mapRange(1, 1, Tier::Fast);
     EXPECT_TRUE(hm.teleportPage(1, Tier::Fast, 0));
     EXPECT_EQ(hm.tier(Tier::Fast).used(), kPageSize);
 }
@@ -317,22 +345,22 @@ TEST(Hm, TeleportToSameTierIsNoop)
 TEST(Hm, TeleportFailsWhenDestinationFull)
 {
     auto hm = makeHm(1);
-    hm.tryMapPage(1, Tier::Fast);
-    hm.tryMapPage(2, Tier::Slow);
+    hm.mapRange(1, 1, Tier::Fast);
+    hm.mapRange(2, 1, Tier::Slow);
     EXPECT_FALSE(hm.teleportPage(2, Tier::Fast, 0));
-    EXPECT_EQ(hm.residentTier(2, 0), Tier::Slow);
+    EXPECT_EQ(tierAt(hm, 2, 0), Tier::Slow);
 }
 
 TEST(Hm, TeleportWaitsOutInFlightMigrations)
 {
     auto hm = makeHm(4);
-    hm.tryMapPage(1, Tier::Slow);
+    hm.mapRange(1, 1, Tier::Slow);
     Tick arrival = movePage(hm, 1, Tier::Fast, 0);
     // Mid-flight: refuse (the transfer owns the page).
     EXPECT_FALSE(hm.teleportPage(1, Tier::Slow, arrival - 1));
     // After arrival: fine.
     EXPECT_TRUE(hm.teleportPage(1, Tier::Slow, arrival));
-    EXPECT_EQ(hm.residentTier(1, arrival), Tier::Slow);
+    EXPECT_EQ(tierAt(hm, 1, arrival), Tier::Slow);
 }
 
 } // namespace
@@ -351,7 +379,9 @@ TEST(Hm, OneTierChainMoveToSlowSchedulesNothing)
     const PageRun run[] = { { 0, 4 } };
     EXPECT_EQ(hm.migratePages(run, Tier::Slow, 0), 0u);
     EXPECT_EQ(hm.stats().demoted_pages, 0u);
-    EXPECT_FALSE(hm.inFlightAny(0, 4, 0));
+    PageRunState rs = hm.residentRange(0, 4, 0);
+    EXPECT_FALSE(rs.in_flight);
+    EXPECT_EQ(rs.count, 4u);
     EXPECT_EQ(hm.tier(Tier::Fast).used(), 4 * kPageSize);
 }
 
@@ -368,9 +398,45 @@ TEST(Hm, StagedRunStreamsAtBottleneckPace)
     const PageRun run[] = { { 0, 8 } };
     EXPECT_EQ(hm.migratePages(run, Tier::Fast, 0), 8u);
     for (PageId p = 0; p < 8; ++p)
-        EXPECT_EQ(hm.arrivalTime(p), 4096 + static_cast<Tick>(p + 1) * 8192);
+        EXPECT_EQ(hm.flightInfo(p).arrival,
+                  4096 + static_cast<Tick>(p + 1) * 8192);
     EXPECT_EQ(hm.linkChannel(1, true).numTransfers(), 8u);
-    EXPECT_EQ(hm.linkChannel(0, true).busyUntil(), hm.arrivalTime(7));
+    EXPECT_EQ(hm.linkChannel(0, true).busyUntil(),
+              hm.flightInfo(7).arrival);
+}
+
+TEST(Hm, FlightInfoNamesTheFinalLeg)
+{
+    // A staged move waits on the link next to its destination, not on
+    // the one it leaves first.
+    TierParams fast{ "hbm", 64 * kPageSize, 10e9, 10e9, 100, 100 };
+    TierParams mid{ "dram", 64 * kPageSize, 5e9, 5e9, 200, 200 };
+    TierParams slow{ "nvme", 64 * kPageSize, 2e9, 1e9, 300, 300 };
+    HeterogeneousMemory hm({ fast, mid, slow },
+                           { { 1e9, 1e9, 0 }, { 1e9, 1e9, 0 } });
+    hm.mapRange(0, 1, hm.slowestTier());
+    hm.mapRange(1, 1, Tier::Fast);
+    hm.mapRange(2, 1, makeTier(1));
+
+    Tick up = movePage(hm, 0, Tier::Fast, 0);
+    HeterogeneousMemory::FlightInfo fi = hm.flightInfo(0);
+    EXPECT_TRUE(fi.toward_fast);
+    EXPECT_EQ(fi.link, 0u);
+    EXPECT_EQ(fi.arrival, up);
+    EXPECT_EQ(up, 2 * 4096); // two legs of one page each
+
+    Tick down = movePage(hm, 1, hm.slowestTier(), 0);
+    fi = hm.flightInfo(1);
+    EXPECT_FALSE(fi.toward_fast);
+    EXPECT_EQ(fi.link, 1u);
+    EXPECT_EQ(fi.arrival, down);
+
+    Tick mid_up = movePage(hm, 2, Tier::Fast, 100'000);
+    fi = hm.flightInfo(2);
+    EXPECT_TRUE(fi.toward_fast);
+    EXPECT_EQ(fi.link, 0u);
+    EXPECT_EQ(fi.arrival, mid_up);
+    EXPECT_EQ(mid_up, 100'000 + 4096);
 }
 
 /**
@@ -378,8 +444,9 @@ TEST(Hm, StagedRunStreamsAtBottleneckPace)
  * page-at-a-time reference (tests/support/ref_migration.hh), driven
  * through identical calls on 2- to 4-tier chains over a window that
  * straddles a page-table chunk seam.  After every operation every
- * observable must agree: per-page tier, in-flight state and arrival,
- * tier usage, HmStats, and each channel's counters.
+ * observable must agree: per-page tier and in-flight state, each
+ * flight's arrival, direction and final link, tier usage, HmStats, and
+ * each channel's counters.
  */
 class MigrationDiff
 {
@@ -455,10 +522,19 @@ class MigrationDiff
             if (!ref_->isMapped(p))
                 continue;
             const PageEntry want = ref_->table().entry(p);
-            ASSERT_EQ(hm_->residentTier(p, now_), want.tier) << p;
-            ASSERT_EQ(hm_->inFlight(p, now_), want.in_flight) << p;
+            const PageRunState got = hm_->residentRange(p, 1, now_);
+            ASSERT_EQ(got.tier, want.tier) << p;
+            ASSERT_EQ(got.in_flight, want.in_flight) << p;
             if (want.in_flight) {
-                ASSERT_EQ(hm_->arrivalTime(p), want.arrival) << p;
+                // The arrival waited on is the final leg's, on the
+                // link next to the destination.
+                const HeterogeneousMemory::FlightInfo fi =
+                    hm_->flightInfo(p);
+                const unsigned src = tierIndex(want.tier);
+                const unsigned dst = tierIndex(want.dest);
+                ASSERT_EQ(fi.arrival, want.arrival) << p;
+                ASSERT_EQ(fi.toward_fast, dst < src) << p;
+                ASSERT_EQ(fi.link, dst < src ? dst : dst - 1) << p;
             }
         }
         for (unsigned t = 0; t < tiers_.size(); ++t) {

@@ -15,7 +15,7 @@ TEST(PageTable, MapUnmap)
 {
     PageTable pt;
     EXPECT_FALSE(pt.isMapped(7));
-    pt.map(7, Tier::Slow);
+    pt.mapRange(7, 1, Tier::Slow);
     EXPECT_TRUE(pt.isMapped(7));
     EXPECT_EQ(pt.entry(7).tier, Tier::Slow);
     EXPECT_EQ(pt.numMapped(), 1u);
@@ -26,8 +26,10 @@ TEST(PageTable, MapUnmap)
 TEST(PageTable, DoubleMapPanics)
 {
     PageTable pt;
-    pt.map(1, Tier::Fast);
-    EXPECT_THROW(pt.map(1, Tier::Fast), std::logic_error);
+    pt.mapRange(1, 1, Tier::Fast);
+    EXPECT_THROW(pt.mapRange(1, 1, Tier::Fast), std::logic_error);
+    // A range that only overlaps a mapped page panics too.
+    EXPECT_THROW(pt.mapRange(0, 4, Tier::Slow), std::logic_error);
 }
 
 TEST(PageTable, UnmapUnknownPanics)
@@ -40,57 +42,67 @@ TEST(PageTable, UnmapUnknownPanics)
 TEST(PageTable, MigrationLifecycle)
 {
     PageTable pt;
-    pt.map(3, Tier::Slow);
-    std::uint64_t seq = pt.beginMigration(3, Tier::Fast, 1000);
+    pt.mapRange(3, 1, Tier::Slow);
+    std::uint64_t seq = pt.beginMigrationRun(3, 1, Tier::Fast, 1000, 0);
     EXPECT_TRUE(pt.entry(3).in_flight);
     EXPECT_EQ(pt.entry(3).tier, Tier::Slow);
+    EXPECT_EQ(pt.entry(3).dest, Tier::Fast);
     EXPECT_EQ(pt.entry(3).arrival, 1000);
+    EXPECT_EQ(pt.numInFlight(), 1u);
 
-    EXPECT_TRUE(pt.commitMigration(3, seq));
+    EXPECT_EQ(pt.commitMigrationRun(3, 1, seq), 1u);
     EXPECT_FALSE(pt.entry(3).in_flight);
     EXPECT_EQ(pt.entry(3).tier, Tier::Fast);
+    EXPECT_EQ(pt.numInFlight(), 0u);
 }
 
 TEST(PageTable, StaleCommitIsIgnored)
 {
     PageTable pt;
-    pt.map(3, Tier::Slow);
-    std::uint64_t seq1 = pt.beginMigration(3, Tier::Fast, 10);
+    pt.mapRange(3, 1, Tier::Slow);
+    std::uint64_t seq1 = pt.beginMigrationRun(3, 1, Tier::Fast, 10, 0);
     pt.unmapRange(3, 1);
-    pt.map(3, Tier::Slow);
+    pt.mapRange(3, 1, Tier::Slow);
     // The freed migration's commit must not flip the remapped page.
-    EXPECT_FALSE(pt.commitMigration(3, seq1));
+    EXPECT_EQ(pt.commitMigrationRun(3, 1, seq1), 0u);
     EXPECT_EQ(pt.entry(3).tier, Tier::Slow);
 
     // A new migration gets a new seq; old seq still rejected.
-    std::uint64_t seq2 = pt.beginMigration(3, Tier::Fast, 20);
+    std::uint64_t seq2 = pt.beginMigrationRun(3, 1, Tier::Fast, 20, 0);
     EXPECT_NE(seq1, seq2);
-    EXPECT_FALSE(pt.commitMigration(3, seq1));
-    EXPECT_TRUE(pt.commitMigration(3, seq2));
+    EXPECT_EQ(pt.commitMigrationRun(3, 1, seq1), 0u);
+    EXPECT_TRUE(pt.entry(3).in_flight);
+    EXPECT_EQ(pt.commitMigrationRun(3, 1, seq2), 1u);
+    EXPECT_EQ(pt.entry(3).tier, Tier::Fast);
 }
 
 TEST(PageTable, CommitAfterUnmapIsIgnored)
 {
     PageTable pt;
-    pt.map(5, Tier::Fast);
-    std::uint64_t seq = pt.beginMigration(5, Tier::Slow, 10);
+    pt.mapRange(5, 1, Tier::Fast);
+    std::uint64_t seq = pt.beginMigrationRun(5, 1, Tier::Slow, 10, 0);
     pt.unmapRange(5, 1);
-    EXPECT_FALSE(pt.commitMigration(5, seq));
+    EXPECT_EQ(pt.commitMigrationRun(5, 1, seq), 0u);
 }
 
 TEST(PageTable, DoubleMigrationPanics)
 {
     PageTable pt;
-    pt.map(1, Tier::Slow);
-    pt.beginMigration(1, Tier::Fast, 5);
-    EXPECT_THROW(pt.beginMigration(1, Tier::Fast, 6), std::logic_error);
+    pt.mapRange(1, 4, Tier::Slow);
+    pt.beginMigrationRun(1, 1, Tier::Fast, 5, 0);
+    EXPECT_THROW(pt.beginMigrationRun(1, 1, Tier::Fast, 6, 0),
+                 std::logic_error);
+    // A run whose later page is already migrating panics as well.
+    EXPECT_THROW(pt.beginMigrationRun(0, 3, Tier::Fast, 6, 0),
+                 std::logic_error);
 }
 
 TEST(PageTable, SameTierMigrationPanics)
 {
     PageTable pt;
-    pt.map(1, Tier::Slow);
-    EXPECT_THROW(pt.beginMigration(1, Tier::Slow, 5), std::logic_error);
+    pt.mapRange(1, 1, Tier::Slow);
+    EXPECT_THROW(pt.beginMigrationRun(1, 1, Tier::Slow, 5, 0),
+                 std::logic_error);
 }
 
 TEST(PageTable, RangeMapUnmap)
@@ -126,7 +138,7 @@ TEST(PageTable, RunStateFindsUniformPrefix)
     EXPECT_EQ(rs.count, 5u);
 
     // An in-flight page splits the run even within one tier.
-    pt.beginMigration(17, Tier::Fast, 99);
+    pt.beginMigrationRun(17, 1, Tier::Fast, 99, 0);
     rs = pt.runState(15, 5);
     EXPECT_EQ(rs.tier, Tier::Slow);
     EXPECT_FALSE(rs.in_flight);
@@ -136,15 +148,19 @@ TEST(PageTable, RunStateFindsUniformPrefix)
     EXPECT_EQ(rs.count, 1u);
 }
 
-TEST(PageTable, AnyInFlight)
+TEST(PageTable, RunStateStopsAtFirstInFlightPage)
 {
     PageTable pt;
     pt.mapRange(0, 8, Tier::Slow);
-    EXPECT_FALSE(pt.anyInFlight(0, 8));
-    pt.beginMigration(6, Tier::Fast, 10);
-    EXPECT_TRUE(pt.anyInFlight(0, 8));
-    EXPECT_FALSE(pt.anyInFlight(0, 6));
-    EXPECT_TRUE(pt.anyInFlight(6, 1));
+    EXPECT_EQ(pt.runState(0, 8).count, 8u);
+    pt.beginMigrationRun(6, 1, Tier::Fast, 10, 0);
+    PageRunState rs = pt.runState(0, 8);
+    EXPECT_FALSE(rs.in_flight);
+    EXPECT_EQ(rs.count, 6u);
+    EXPECT_EQ(pt.runState(0, 6).count, 6u);
+    rs = pt.runState(6, 2);
+    EXPECT_TRUE(rs.in_flight);
+    EXPECT_EQ(rs.count, 1u);
 }
 
 TEST(PageTable, SparseHighAddresses)
@@ -179,10 +195,10 @@ TEST(PageTable, RangeAcrossChunkBoundary)
     PageRunState rs = pt.runState(seam - 8, 16);
     EXPECT_EQ(rs.count, 16u);
     EXPECT_EQ(rs.tier, Tier::Fast);
-    pt.beginMigration(seam, Tier::Slow, 5);
-    EXPECT_TRUE(pt.anyInFlight(seam - 8, 16));
+    pt.beginMigrationRun(seam, 1, Tier::Slow, 5, 0);
     rs = pt.runState(seam - 8, 16);
     EXPECT_EQ(rs.count, 8u);
+    EXPECT_TRUE(pt.runState(seam, 8).in_flight);
     PageTable::UnmapCounts freed = pt.unmapRange(seam - 8, 16);
     EXPECT_EQ(freed.src[tierIndex(Tier::Fast)], 16u);
     EXPECT_EQ(freed.dest[tierIndex(Tier::Slow)], 1u);
@@ -194,14 +210,14 @@ TEST(PageTable, ClearForgetsEverything)
 {
     PageTable pt;
     pt.mapRange(40, 10, Tier::Fast);
-    pt.beginMigration(44, Tier::Slow, 7);
+    pt.beginMigrationRun(44, 1, Tier::Slow, 7, 0);
     pt.clear();
     EXPECT_EQ(pt.numMapped(), 0u);
     for (PageId p = 40; p < 50; ++p)
         EXPECT_FALSE(pt.isMapped(p));
     // The table is fully reusable after clear (epoch bump must not
     // leave stale entries visible).
-    pt.map(44, Tier::Slow);
+    pt.mapRange(44, 1, Tier::Slow);
     EXPECT_EQ(pt.entry(44).tier, Tier::Slow);
     EXPECT_FALSE(pt.entry(44).in_flight);
     EXPECT_EQ(pt.numMapped(), 1u);
@@ -214,7 +230,7 @@ TEST(PageTable, RepeatedClearCycles)
     PageTable pt;
     for (int cycle = 0; cycle < 100; ++cycle) {
         pt.mapRange(0, 4, Tier::Fast);
-        pt.map(1ull << 20, Tier::Slow);
+        pt.mapRange(1ull << 20, 1, Tier::Slow);
         EXPECT_EQ(pt.numMapped(), 5u);
         pt.clear();
         EXPECT_EQ(pt.numMapped(), 0u);
@@ -230,7 +246,7 @@ TEST(PageTable, RepeatedClearCycles)
  * left in flight across frees, cancels and clear(), and committed
  * later in random order (sometimes split in two), so stale commits are
  * part of the mix.  After every operation the whole window is compared
- * page by page, plus runState()/anyInFlight() over random ranges.
+ * page by page, plus runState() over random ranges.
  */
 class PageTableDiff
 {
@@ -299,8 +315,6 @@ class PageTableDiff
             ASSERT_EQ(got.tier, want.tier) << p;
             ASSERT_EQ(got.in_flight, want.in_flight) << p;
             ASSERT_EQ(got.count, want.count) << p;
-            std::uint64_t m = 1 + below(n);
-            ASSERT_EQ(pt_.anyInFlight(p, m), ref_.anyInFlight(p, m)) << p;
         }
     }
 
@@ -343,10 +357,7 @@ class PageTableDiff
         if (n == 0)
             return;
         Tier tier = makeTier(static_cast<unsigned>(below(4)));
-        if (n == 1 && below(2) == 0)
-            pt_.map(p, tier);
-        else
-            pt_.mapRange(p, n, tier);
+        pt_.mapRange(p, n, tier);
         ref_.mapRange(p, n, tier);
     }
 
@@ -384,11 +395,7 @@ class PageTableDiff
             (tierIndex(rs.tier) + 1 + below(3)) % 4));
         Tick arrival0 = static_cast<Tick>(below(1'000'000));
         Tick step = static_cast<Tick>(below(4));
-        std::uint64_t seq0 = 0;
-        if (n == 1 && below(2) == 0)
-            seq0 = pt_.beginMigration(p, dest, arrival0);
-        else
-            seq0 = pt_.beginMigrationRun(p, n, dest, arrival0, step);
+        std::uint64_t seq0 = pt_.beginMigrationRun(p, n, dest, arrival0, step);
         ASSERT_EQ(seq0, ref_.beginMigrationRun(p, n, dest, arrival0, step));
         flights_.push_back(Flight{ p, n, seq0 });
     }
@@ -402,11 +409,6 @@ class PageTableDiff
         Flight f = flights_[i];
         flights_[i] = flights_.back();
         flights_.pop_back();
-        if (f.count == 1 && below(2) == 0) {
-            ASSERT_EQ(pt_.commitMigration(f.first, f.seq0),
-                      ref_.commitMigrationRun(f.first, 1, f.seq0) == 1);
-            return;
-        }
         // Commit in two pieces, as arrivals draining mid-run would.
         std::uint64_t k = below(f.count + 1);
         ASSERT_EQ(pt_.commitMigrationRun(f.first, k, f.seq0),
@@ -430,12 +432,12 @@ class PageTableDiff
         pt_.unmapRange(p, 1);
         ref_.unmapRange(p, 1);
         Tier tier = makeTier(static_cast<unsigned>(below(4)));
-        pt_.map(p, tier);
+        pt_.mapRange(p, 1, tier);
         ref_.mapRange(p, 1, tier);
         if (below(2) == 0) {
             Tier dest = makeTier((tierIndex(tier) + 1 + below(3)) % 4);
             Tick arrival = static_cast<Tick>(below(1'000'000));
-            std::uint64_t seq = pt_.beginMigration(p, dest, arrival);
+            std::uint64_t seq = pt_.beginMigrationRun(p, 1, dest, arrival, 0);
             ASSERT_EQ(seq, ref_.beginMigrationRun(p, 1, dest, arrival, 0));
             flights_.push_back(Flight{ p, 1, seq });
         }

@@ -7,10 +7,11 @@
  * (the first page of the batch to touch a channel pays its startup),
  * and every page is queued with its own arrival tick.  A batch commits
  * in submit order: a page stays in flight until every earlier page of
- * its batch has landed.  Page-table calls are single-page ones (entry,
- * beginMigration, commitMigration, one-page unmapRange), so the
- * reference shares none of the run paths it is compared with.
- * Mapping follows mapPage()'s fallback order one page at a time.
+ * its batch has landed.  Page state lives in the std::map page-table
+ * model (tests/support/ref_page_table.hh), driven one page at a time,
+ * so the reference shares no page-table code with the engine it is
+ * compared with.  Mapping walks HeterogeneousMemory::mapRange()'s
+ * fallback order one page at a time.
  */
 
 #ifndef SENTINEL_TESTS_SUPPORT_REF_MIGRATION_HH
@@ -23,9 +24,9 @@
 #include <vector>
 
 #include "mem/hm.hh"
-#include "mem/page_table.hh"
 #include "mem/tier.hh"
 #include "sim/bandwidth_channel.hh"
+#include "support/ref_page_table.hh"
 
 namespace sentinel::testing {
 
@@ -59,9 +60,9 @@ class RefMigration
     }
 
     bool isMapped(mem::PageId page) const { return table_.isMapped(page); }
-    const mem::PageTable &table() const { return table_; }
+    const RefPageTable &table() const { return table_; }
 
-    /** mapPage() for each page: preferred, then slower, then faster. */
+    /** Each page in turn: preferred, then slower, then faster. */
     void
     mapRange(mem::PageId first, std::uint64_t count, mem::Tier preferred)
     {
@@ -108,7 +109,7 @@ class RefMigration
             const unsigned src = mem::tierIndex(e.tier);
             const Tick arrival = submitLegs(src, d, ready, startup_paid);
             const std::uint64_t seq =
-                table_.beginMigration(p, dst, arrival);
+                table_.beginMigrationRun(p, 1, dst, arrival, 0);
             if (b.pages.empty())
                 b.seq0 = seq;
             b.pages.emplace_back(p, arrival);
@@ -135,7 +136,7 @@ class RefMigration
             while (b.cursor < b.pages.size() &&
                    b.pages[b.cursor].second <= now) {
                 const mem::PageId p = b.pages[b.cursor].first;
-                if (table_.commitMigration(p, b.seq0 + b.cursor))
+                if (table_.commitMigrationRun(p, 1, b.seq0 + b.cursor))
                     tiers_[b.src[b.cursor]].release(mem::kPageSize);
                 ++b.cursor;
             }
@@ -186,7 +187,7 @@ class RefMigration
     {
         if (!tiers_[t].tryReserve(mem::kPageSize))
             return false;
-        table_.map(page, mem::makeTier(t));
+        table_.mapRange(page, 1, mem::makeTier(t));
         return true;
     }
 
@@ -211,7 +212,7 @@ class RefMigration
 
     std::vector<mem::MemoryTier> tiers_;
     std::vector<Link> links_;
-    mem::PageTable table_;
+    RefPageTable table_;
     std::vector<Batch> pending_;
     mem::HmStats stats_;
 };

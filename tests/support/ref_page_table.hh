@@ -66,15 +66,6 @@ class RefPageTable
         return rs;
     }
 
-    bool
-    anyInFlight(mem::PageId first, std::uint64_t count) const
-    {
-        for (std::uint64_t i = 0; i < count; ++i)
-            if (entry(first + i).in_flight)
-                return true;
-        return false;
-    }
-
     /** Begin migrating [first, first+count); page i arrives at
      *  @p arrival0 + i * @p step.  @return the first page's sequence. */
     std::uint64_t
@@ -101,7 +92,7 @@ class RefPageTable
             auto it = pages_.find(first + i);
             if (it == pages_.end() || !it->second.in_flight ||
                 it->second.seq != seq0 + i)
-                continue; // freed, cancelled, or superseded
+                continue; // freed, or remapped and superseded
             it->second.tier = it->second.dest;
             it->second.in_flight = false;
             ++done;
