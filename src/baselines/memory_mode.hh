@@ -47,8 +47,6 @@ class MemoryModePolicy : public df::MemoryPolicy
         arena_.free(pl.addr, pl.bytes);
     }
 
-    df::PageAccessResult onPageAccess(df::Executor &ex, mem::PageId page,
-                                      bool is_write) override;
     void onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
                        std::vector<df::AccessSegment> &out) override;
 

@@ -1,5 +1,7 @@
 #include "baselines/unified_memory.hh"
 
+#include <algorithm>
+
 namespace sentinel::baselines {
 
 df::AllocDecision
@@ -105,7 +107,6 @@ UnifiedMemoryPolicy::demandFault(df::Executor &ex, mem::PageId page,
     // Service + migration fully exposed, one page per fault.
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
-    ++faults_;
     df::AccessSegment seg;
     seg.pages = 1;
     seg.extra = fault_cost_;
@@ -119,18 +120,31 @@ UnifiedMemoryPolicy::demandFault(df::Executor &ex, mem::PageId page,
         if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
             evictLru(ex, 32 * mem::kPageSize);
 
-        const mem::PageRun one[] = { { page, 1 } };
-        if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
-            seg.extra += hm.flightInfo(page).arrival - now;
+        // The faults that fit on the device now form one series: each
+        // is serviced once its page lands, and the next page faults
+        // right after.  Evictions in flight only free space meanwhile,
+        // so page by page every one of them would have fit too.
+        const std::uint64_t k = std::min<std::uint64_t>(
+            rs.count, hm.tier(mem::Tier::Fast).free() / mem::kPageSize);
+        if (k > 0) {
+            const sim::TransferSeries a =
+                hm.faultSeries(page, k, mem::Tier::Fast, now, fault_cost_);
+            for (std::uint64_t i = 0; i < k; ++i)
+                lru_.touch(page + i);
+            faults_ += k;
+            seg.pages = k;
+            seg.extra = a.last() + fault_cost_ - now;
+            seg.stall_events = k;
             seg.effective = mem::Tier::Fast;
-            lru_.touch(page);
-        } else {
-            // Device still full (evictions in flight): the fault is
-            // retried against the page's host-side mapping, which
-            // evicting device pages left as it was.
-            seg.effective = rs.tier;
+            out.push_back(seg);
+            return;
         }
+        // Device still full (evictions in flight): the fault is
+        // retried against the page's host-side mapping, which evicting
+        // device pages left as it was.
+        seg.effective = rs.tier;
     }
+    ++faults_;
     seg.stall_events = seg.extra > 0 ? 1 : 0;
     out.push_back(seg);
 }

@@ -47,8 +47,9 @@ class UnifiedMemoryPolicy : public df::MemoryPolicy
   private:
     void evictLru(df::Executor &ex, std::uint64_t bytes_needed);
 
-    /** Service a demand fault on @p page, host-resident in state @p rs;
-     *  appends the one-page segment. */
+    /** Service the demand faults of the run at @p page, host-resident
+     *  in state @p rs: appends one segment covering the faults that
+     *  fit on the device as one series, or the one page that waits. */
     void demandFault(df::Executor &ex, mem::PageId page,
                      const mem::PageRunState &rs,
                      std::vector<df::AccessSegment> &out);

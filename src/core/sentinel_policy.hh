@@ -142,8 +142,6 @@ class SentinelPolicy : public df::MemoryPolicy
                                const df::TensorDesc &tensor) override;
     void onTensorFreed(df::Executor &ex, df::TensorId id,
                        const df::TensorPlacement &pl) override;
-    df::PageAccessResult onPageAccess(df::Executor &ex, mem::PageId page,
-                                      bool is_write) override;
     void onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
                        std::vector<df::AccessSegment> &out) override;
     bool stallForInflight(df::Executor &ex, mem::PageId page) override;
@@ -181,8 +179,9 @@ class SentinelPolicy : public df::MemoryPolicy
     /**
      * Demand-eviction victim order at the current layer: the demotion
      * schedule walked backward, minus tensors protected because they
-     * are queued or just prefetched for the upcoming interval.
-     * Exposed so tests can pin the order evictForSpace() uses.
+     * are queued or just prefetched for the upcoming interval.  The
+     * test oracle of evictForSpace(), which walks the same order in
+     * place and stops once it has reclaimed enough.
      */
     std::vector<df::TensorId>
     evictionCandidates(const df::Executor &ex) const;
@@ -245,6 +244,15 @@ class SentinelPolicy : public df::MemoryPolicy
      * space frees as the transfers land.
      */
     void evictForSpace(df::Executor &ex, std::uint64_t bytes_needed);
+    /**
+     * GPU demand fault on the run at @p page, host-resident and idle
+     * in state @p rs: the pages that fit on the device are faulted in
+     * as one series (one segment); on a full device, one page waits
+     * for the evictions in flight.
+     */
+    void demandFault(df::Executor &ex, mem::PageId page,
+                     const mem::PageRunState &rs,
+                     std::vector<df::AccessSegment> &out);
     /** Retry queued prefetches (space frees as demotions complete). */
     void drainPrefetchQueue(df::Executor &ex);
     void issueDemotions(df::Executor &ex, int layer);
@@ -305,6 +313,10 @@ class SentinelPolicy : public df::MemoryPolicy
     std::vector<df::TensorId> pending_prefetch_;
     std::size_t pending_head_ = 0;
     std::vector<mem::PageRun> batch_; ///< reused migration batch buffer
+    /** Per tensor: the evictForSpace() call that last protected or
+     *  visited it (its epoch), so a call needs no sets. */
+    std::vector<std::uint32_t> evict_mark_;
+    std::uint32_t evict_epoch_ = 0;
     int current_layer_ = 0;
     bool mode_stall_ = true;
     TrialState trial_ = TrialState::Idle;

@@ -11,13 +11,15 @@
  *    planned policies schedule prefetches and evictions;
  *  - allocate()/free notifications, where layout policies choose
  *    addresses (and therefore page sharing) and initial tiers;
- *  - onRangeAccess(), the batched access hook, and the per-page
- *    onPageAccess() behind its default adapter, where reactive
+ *  - onRangeAccess(), the batched access hook, where reactive
  *    page-level policies migrate on demand and charge critical-path
- *    costs.  UM and IAL resolve their faults inside their own
- *    onRangeAccess() from the residency state it already read, so
- *    no page reaches their onPageAccess(); Memory Mode and GPU
- *    Sentinel route the pages they act on through the adapter.
+ *    costs.  Every policy in src/ overrides it and resolves its
+ *    faults from the residency state it already read: UM and GPU
+ *    Sentinel fault a host-resident run in as one closed-form series
+ *    (HeterogeneousMemory::faultSeries()), IAL resolves its hint
+ *    fault, Memory Mode its cache misses.  The per-page
+ *    onPageAccess() behind the default adapter is kept for policies
+ *    written against it outside src/.
  *
  * Hooks may charge time to the step through the Executor's charge*
  * methods; they never mutate the clock directly.
@@ -145,7 +147,11 @@ class MemoryPolicy
      * match bit-for-bit, so overrides MUST only batch pages whose
      * treatment cannot depend on the clock advancing between them
      * (an attached AccessTracker advances it by one fault per access
-     * to each resolved run).
+     * to each resolved run).  A demand-fault series is the one
+     * exception: the clock advances between its faults only by their
+     * own stalls, which the series computes in closed form.  That
+     * holds with no AccessTracker attached — the profiler attaches
+     * one only under its own policies.
      */
     virtual void onRangeAccess(Executor &ex, mem::PageRun run, bool is_write,
                                std::vector<AccessSegment> &out);

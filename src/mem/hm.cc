@@ -213,11 +213,7 @@ HeterogeneousMemory::migratePages(std::span<const PageRun> runs, Tier dst,
     // becomes a no-op below: every page is already in the only tier).
     const unsigned d = std::min(tierIndex(dst), numTiers() - 1);
     dst = makeTier(d);
-    if (pending_.empty())
-        segs_.clear();
-    else if (segs_.size() > 2 * live_segs_ + 64)
-        compactSegments();
-    const std::size_t seg0 = segs_.size();
+    const std::size_t seg0 = openBatch();
     MemoryTier &dest = tier(dst);
     std::size_t scheduled = 0;
     std::uint32_t startup_paid = 0;
@@ -259,30 +255,14 @@ HeterogeneousMemory::migratePages(std::span<const PageRun> runs, Tier dst,
             dir_bytes[dir] += take * kPageSize;
             dir_last[dir] = last;
             scheduled += take;
-
-            if (dir == 0) {
-                stats_.promoted_bytes += take * kPageSize;
-                stats_.promoted_pages += take;
-                for (unsigned l = src; l-- > d;)
-                    link_bytes[0][l] += take * kPageSize;
-            } else {
-                stats_.demoted_bytes += take * kPageSize;
-                stats_.demoted_pages += take;
-                for (unsigned l = src; l < d; ++l)
-                    link_bytes[1][l] += take * kPageSize;
-            }
+            noteMove(src, d, take, link_bytes);
             p += take;
         }
         if (dest_full)
             break;
     }
-    if (scheduled > 0) {
-        pending_.push_back(PendingBatch{
-            segs_[seg0].a0, static_cast<std::uint32_t>(seg0),
-            static_cast<std::uint32_t>(segs_.size()) });
-        std::push_heap(pending_.begin(), pending_.end(), BatchLater{});
-        next_arrival_ = pending_.front().next_arrival;
-    }
+    if (scheduled > 0)
+        queueBatch(seg0);
     // One event per batch and direction (matching the one-transfer cost
     // model), not per page — keeps the ring proportional to decisions,
     // not volume.
@@ -292,15 +272,122 @@ HeterogeneousMemory::migratePages(std::span<const PageRun> runs, Tier dst,
     if (telemetry_ && dir_bytes[1] > 0)
         noteMigrationEvent(false, ready, dir_last[1], dir_bytes[1],
                            dir_first[1]);
-    if (attr_ && scheduled > 0) {
-        for (unsigned l = 0; l < numLinks(); ++l) {
-            if (link_bytes[0][l] > 0)
-                attr_->noteMigration(l, true, link_bytes[0][l]);
-            if (link_bytes[1][l] > 0)
-                attr_->noteMigration(l, false, link_bytes[1][l]);
-        }
-    }
+    if (attr_ && scheduled > 0)
+        noteLinkBytes(link_bytes);
     return scheduled;
+}
+
+sim::TransferSeries
+HeterogeneousMemory::faultSeries(PageId first, std::uint64_t count, Tier dst,
+                                 Tick ready, Tick gap)
+{
+    commitUpTo(ready);
+    const unsigned d = std::min(tierIndex(dst), numTiers() - 1);
+    const PageRunState rs = table_.runState(first, count);
+    const unsigned src = tierIndex(rs.tier);
+    SENTINEL_ASSERT(count > 0 && rs.count == count && !rs.in_flight &&
+                        src != d && gap >= 0,
+                    "fault series of %llu pages at %llu is not one idle "
+                    "run off its destination",
+                    static_cast<unsigned long long>(count),
+                    static_cast<unsigned long long>(first));
+    bool ok = tiers_[d].tryReserve(count * kPageSize);
+    SENTINEL_ASSERT(ok, "fault series reservation failed");
+
+    // Page 0 queues on every leg like a one-page batch.  Every later
+    // page is issued gap after its predecessor lands, when every leg
+    // is idle again, so it crosses them in their summed startup plus
+    // transfer time: the arrivals are one arithmetic series.
+    const bool up = d < src;
+    const unsigned hops = up ? src - d : d - src;
+    auto leg = [&](unsigned h) -> sim::BandwidthChannel & {
+        const unsigned l = up ? src - 1 - h : src + h;
+        return up ? links_[l].up : links_[l].down;
+    };
+    Tick a0 = ready;
+    Tick step = gap;
+    for (unsigned h = 0; h < hops; ++h) {
+        sim::BandwidthChannel &ch = leg(h);
+        a0 = ch.submit(a0, kPageSize);
+        step += ch.startupLatency() + transferTime(kPageSize, ch.bandwidth());
+    }
+    sim::TransferSeries rest{ a0 + gap, step, count - 1 };
+    for (unsigned h = 0; h < hops && rest.count > 0; ++h) {
+        sim::BandwidthChannel &ch = leg(h);
+        rest = ch.submitSpaced(rest, kPageSize, ch.startupLatency());
+    }
+    const sim::TransferSeries arrivals{ a0, step, count };
+
+    const std::size_t seg0 = openBatch();
+    const std::uint64_t seq0 =
+        table_.beginMigrationRun(first, count, makeTier(d), a0, step);
+    segs_.push_back(Segment{ first, count, a0, step, seq0,
+                             static_cast<std::uint8_t>(src) });
+    ++live_segs_;
+    queueBatch(seg0);
+
+    std::uint64_t link_bytes[2][kMaxTiers] = {};
+    noteMove(src, d, count, link_bytes);
+    if (telemetry_)
+        noteMigrationEvent(up, ready, arrivals.last(), count * kPageSize,
+                           static_cast<std::uint32_t>(first));
+    if (attr_)
+        noteLinkBytes(link_bytes);
+    // The faulting clock reaches the last page's issue before anything
+    // else runs: leave what the page-by-page faults would have left.
+    if (count > 1)
+        commitUpTo(arrivals.at(count - 2) + gap);
+    return arrivals;
+}
+
+std::size_t
+HeterogeneousMemory::openBatch()
+{
+    if (pending_.empty())
+        segs_.clear();
+    else if (segs_.size() > 2 * live_segs_ + 64)
+        compactSegments();
+    return segs_.size();
+}
+
+void
+HeterogeneousMemory::queueBatch(std::size_t seg0)
+{
+    pending_.push_back(PendingBatch{
+        segs_[seg0].a0, static_cast<std::uint32_t>(seg0),
+        static_cast<std::uint32_t>(segs_.size()) });
+    std::push_heap(pending_.begin(), pending_.end(), BatchLater{});
+    next_arrival_ = pending_.front().next_arrival;
+}
+
+void
+HeterogeneousMemory::noteMove(unsigned src, unsigned dst, std::uint64_t pages,
+                              std::uint64_t (&link_bytes)[2][kMaxTiers])
+{
+    const std::uint64_t bytes = pages * kPageSize;
+    if (dst < src) {
+        stats_.promoted_bytes += bytes;
+        stats_.promoted_pages += pages;
+        for (unsigned l = src; l-- > dst;)
+            link_bytes[0][l] += bytes;
+    } else {
+        stats_.demoted_bytes += bytes;
+        stats_.demoted_pages += pages;
+        for (unsigned l = src; l < dst; ++l)
+            link_bytes[1][l] += bytes;
+    }
+}
+
+void
+HeterogeneousMemory::noteLinkBytes(
+    const std::uint64_t (&link_bytes)[2][kMaxTiers])
+{
+    for (unsigned l = 0; l < numLinks(); ++l) {
+        if (link_bytes[0][l] > 0)
+            attr_->noteMigration(l, true, link_bytes[0][l]);
+        if (link_bytes[1][l] > 0)
+            attr_->noteMigration(l, false, link_bytes[1][l]);
+    }
 }
 
 void

@@ -21,10 +21,12 @@
  * tiers are not occupied.
  *
  * The page run is the unit of the interface: mapping, unmapping, the
- * residency query and migration all take runs, and a single page is a
- * one-page run.  The per-page exceptions are flightInfo() (one
- * in-flight page's own arrival) and teleportPage() (Capuchin's
- * discard, which has no transfer to batch).
+ * residency query, migration and demand faults all take runs, and a
+ * single page is a one-page run.  The per-page exceptions are
+ * flightInfo() (one in-flight page's own arrival) and teleportPage()
+ * (Capuchin's discard, which has no transfer to batch).  A run of
+ * demand faults — each page its own exposed transfer — is one
+ * faultSeries() call: its arrivals are one arithmetic series too.
  *
  * The engine's unit is the page run too.  A uniform run of
  * n pages is scheduled leg by leg in closed form
@@ -155,6 +157,25 @@ class HeterogeneousMemory
      */
     std::size_t migratePages(std::span<const PageRun> runs, Tier dst,
                              Tick ready);
+
+    /**
+     * Resolve @p count demand faults on [first, first+count) — idle
+     * pages resident in one tier other than @p dst, which must have
+     * room for them all — in closed form.  Each page is its own
+     * transfer and pays every channel's startup.  Page 0 is ready at
+     * @p ready and queues like any transfer; page i+1 is issued @p gap
+     * after page i arrives, when every leg is idle again.  That is
+     * exactly @p count one-page migratePages() calls, each at the
+     * previous arrival plus @p gap, and the state left behind is
+     * theirs: arrivals up to the last page's issue are committed.
+     * One reservation, one pending segment and O(legs) channel
+     * updates; one Promotion/Demotion event for the whole series.
+     *
+     * @return the arrivals: {a0, gap + sum over the legs of startup +
+     *         transfer time, count}.
+     */
+    sim::TransferSeries faultSeries(PageId first, std::uint64_t count,
+                                    Tier dst, Tick ready, Tick gap);
 
     /**
      * Instantly remap @p page into @p dst WITHOUT a data transfer —
@@ -324,6 +345,18 @@ class HeterogeneousMemory
             return a.next_arrival > b.next_arrival;
         }
     };
+
+    /** Start a batch's segments (reclaiming finished ones); returns
+     *  its first index in segs_. */
+    std::size_t openBatch();
+    /** Queue the batch of segs_[seg0, end) as pending. */
+    void queueBatch(std::size_t seg0);
+    /** Count @p pages moved from tier @p src to @p dst in the stats
+     *  and, per link and direction, in @p link_bytes. */
+    void noteMove(unsigned src, unsigned dst, std::uint64_t pages,
+                  std::uint64_t (&link_bytes)[2][kMaxTiers]);
+    /** Report a batch's per-link bytes to the attribution engine. */
+    void noteLinkBytes(const std::uint64_t (&link_bytes)[2][kMaxTiers]);
 
     /** Out-of-line slow path of commitUpTo(). */
     void drainArrivals(Tick now);

@@ -97,6 +97,24 @@ BandwidthChannel::submitSeries(const TransferSeries &in, std::uint64_t bytes,
     busy_time_ += startup + static_cast<Tick>(n) * tt;
 }
 
+TransferSeries
+BandwidthChannel::submitSpaced(const TransferSeries &in, std::uint64_t bytes,
+                               Tick startup)
+{
+    const Tick duration = startup + transferTime(bytes, bytes_per_sec_);
+    const TransferSeries out{ in.first + duration, in.step, in.count };
+    if (in.count == 0)
+        return out;
+    SENTINEL_ASSERT(busy_until_ <= in.first &&
+                        (in.count == 1 || in.step >= duration),
+                    "spaced series on '%s' would queue", name_.c_str());
+    busy_until_ = out.last();
+    bytes_transferred_ += in.count * bytes;
+    num_transfers_ += in.count;
+    busy_time_ += static_cast<Tick>(in.count) * duration;
+    return out;
+}
+
 Tick
 BandwidthChannel::estimateCompletion(Tick ready, std::uint64_t bytes) const
 {

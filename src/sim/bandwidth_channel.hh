@@ -74,6 +74,18 @@ class BandwidthChannel
     void submitSeries(const TransferSeries &in, std::uint64_t bytes,
                       Tick startup, std::vector<TransferSeries> &out);
 
+    /**
+     * Enqueue @p in.count transfers of @p bytes each, transfer k ready
+     * at in.at(k), each paying @p startup, on a channel idle at
+     * in.first and with transfers spaced at least startup + transfer
+     * time apart: none ever queues, so this is exactly in.count
+     * submitWithStartup(startup) calls, in O(1).
+     *
+     * @return the completions, {in.first + startup + tt, in.step, n}.
+     */
+    TransferSeries submitSpaced(const TransferSeries &in, std::uint64_t bytes,
+                                Tick startup);
+
     /** Earliest time a new transfer submitted at @p ready could finish. */
     Tick estimateCompletion(Tick ready, std::uint64_t bytes) const;
 

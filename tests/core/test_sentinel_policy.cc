@@ -4,9 +4,12 @@
 
 #include "core/runtime.hh"
 #include "core/sentinel_policy.hh"
+#include "harness/experiment.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
+#include "support/clipped_policy.hh"
 #include "support/test_graphs.hh"
+#include "telemetry/audit.hh"
 
 namespace sentinel::core {
 namespace {
@@ -210,7 +213,8 @@ TEST(SentinelPolicy, EvictionCandidatesProtectUpcomingPrefetches)
     ex.run(4);
 
     std::vector<df::TensorId> cands = policy.evictionCandidates(ex);
-    // Pinned: evictForSpace() walks exactly this list, in this order.
+    // The oracle is a pure query (DemandEvictionWalksTheCandidateOrder
+    // holds evictForSpace() to its order).
     EXPECT_EQ(cands, policy.evictionCandidates(ex));
     std::set<df::TensorId> seen;
     for (df::TensorId id : cands)
@@ -226,6 +230,129 @@ TEST(SentinelPolicy, EvictionCandidatesProtectUpcomingPrefetches)
     for (df::TensorId id :
          plan.prefetch_at[static_cast<std::size_t>(cur)])
         EXPECT_EQ(seen.count(id), 0u) << "just-prefetched " << id;
+}
+
+/**
+ * Forwards to a GPU Sentinel policy and, around each hook that may
+ * demand-evict, checks the victims evictForSpace() picked (its
+ * kEvictForSpace audit records) against the oracle: evictionCandidates()
+ * taken just before, walked in order over the device-resident idle
+ * pages each candidate held then, until enough is reclaimed.
+ */
+class EvictionOrderProbe : public sentinel::testing::ClippedPolicy
+{
+  public:
+    EvictionOrderProbe(SentinelPolicy &inner, telemetry::AuditLog &audit)
+        : ClippedPolicy(inner, kUnclipped), inner_(inner), audit_(audit)
+    {
+    }
+
+    df::AllocDecision
+    allocate(df::Executor &ex, const df::TensorDesc &tensor) override
+    {
+        const Snapshot before = snapshot(ex);
+        df::AllocDecision d = ClippedPolicy::allocate(ex, tensor);
+        check(before, mem::roundUpToPages(tensor.bytes));
+        return d;
+    }
+
+    void
+    onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
+                  std::vector<df::AccessSegment> &out) override
+    {
+        const Snapshot before = snapshot(ex);
+        ClippedPolicy::onRangeAccess(ex, run, is_write, out);
+        check(before, 64 * mem::kPageSize);
+    }
+
+    std::uint64_t evicting_calls = 0;
+    std::uint64_t multi_victim_calls = 0;
+
+  private:
+    struct Snapshot {
+        std::vector<df::TensorId> cands;
+        /** Per candidate: its idle device-resident runs. */
+        std::vector<std::vector<mem::PageRun>> idle;
+        std::size_t first_record = 0;
+    };
+
+    Snapshot
+    snapshot(df::Executor &ex)
+    {
+        Snapshot s{ inner_.evictionCandidates(ex), {}, audit_.size() };
+        for (df::TensorId id : s.cands) {
+            const df::TensorPlacement &pl = ex.placementOf(id);
+            std::vector<mem::PageRun> &runs = s.idle.emplace_back();
+            for (mem::PageId p = pl.firstPage(); p < pl.endPage();) {
+                const mem::PageRunState rs =
+                    ex.hm().residentRange(p, pl.endPage() - p, ex.now());
+                if (rs.tier == mem::Tier::Fast && !rs.in_flight)
+                    runs.push_back(mem::PageRun{ p, rs.count });
+                p += rs.count;
+            }
+        }
+        return s;
+    }
+
+    void
+    check(const Snapshot &s, std::uint64_t needed)
+    {
+        using Victim = std::pair<std::uint32_t, std::uint64_t>;
+        std::vector<Victim> got;
+        for (std::size_t i = s.first_record; i < audit_.size(); ++i) {
+            const telemetry::AuditRecord &r = audit_.records()[i];
+            if (r.reason == telemetry::AuditReason::kEvictForSpace)
+                got.emplace_back(r.tensor, r.bytes);
+        }
+        if (got.empty())
+            return; // no eviction in this call
+        // The oracle's walk: a page shared with an earlier victim has
+        // already left.
+        std::vector<Victim> want;
+        std::set<mem::PageId> moved;
+        std::uint64_t reclaimed = 0;
+        for (std::size_t c = 0; c < s.cands.size() && reclaimed < needed;
+             ++c) {
+            std::uint64_t pages = 0;
+            for (const mem::PageRun &run : s.idle[c])
+                for (mem::PageId p = run.first; p < run.endPage(); ++p)
+                    pages += moved.insert(p).second ? 1 : 0;
+            if (pages > 0) {
+                want.emplace_back(s.cands[c], pages * mem::kPageSize);
+                reclaimed += pages * mem::kPageSize;
+            }
+        }
+        EXPECT_EQ(got, want);
+        ++evicting_calls;
+        multi_victim_calls += got.size() > 1;
+    }
+
+    SentinelPolicy &inner_;
+    telemetry::AuditLog &audit_;
+};
+
+TEST(SentinelPolicy, DemandEvictionWalksTheCandidateOrder)
+{
+    // dcgan b52 on a 75 MiB device: allocations and demand faults on a
+    // full device evict every step, often several victims per call.
+    df::Graph g = models::makeModel("dcgan", 52);
+    RuntimeConfig rc =
+        harness::platformConfig(harness::Platform::Gpu, 75ull << 20);
+    mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
+    prof::ProfileResult profile =
+        prof::Profiler(rc.profiler).profile(g, prof_hm, rc.exec);
+    SentinelOptions opts;
+    opts.gpu_mode = true;
+    SentinelPolicy policy(profile.db, opts);
+    telemetry::AuditLog audit;
+    policy.setAudit(&audit);
+    EvictionOrderProbe probe(policy, audit);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
+    df::Executor ex(g, hm, rc.exec, probe);
+    ex.run(4);
+    EXPECT_EQ(audit.dropped(), 0u);
+    EXPECT_GT(probe.evicting_calls, 0u);
+    EXPECT_GT(probe.multi_victim_calls, 0u);
 }
 
 } // namespace

@@ -11,19 +11,34 @@
  * (non-page-multiple) traffic, a page shared by two tensors, and
  * migrations still in flight in the middle of an accessed extent.
  * Stall attribution rides along and must stay tick-exact.
+ *
+ * The same holds for demand faults: UM and GPU Sentinel resolve a run
+ * of faults as one closed-form series, and must match the same
+ * policies handed one page per call (tests/support/clipped_policy.hh),
+ * which fault page by page, over seeded random graphs and device
+ * capacities.
  */
 
 #include <cstdint>
 #include <initializer_list>
 #include <map>
+#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "alloc/arena.hh"
+#include "baselines/unified_memory.hh"
+#include "core/sentinel_policy.hh"
 #include "dataflow/executor.hh"
+#include "harness/experiment.hh"
 #include "mem/access_tracker.hh"
 #include "mem/hm.hh"
+#include "models/registry.hh"
+#include "profile/profiler.hh"
+#include "support/clipped_policy.hh"
 #include "telemetry/attribution.hh"
 
 namespace sentinel::df {
@@ -343,6 +358,129 @@ TEST(ExtentEquivalence, TrafficBytesAreExact)
     for (bool batched : { false, true })
         for (const auto &s : runCombo(batched, false).stats)
             EXPECT_EQ(s.bytes_fast + s.bytes_slow, tg.traffic_per_step);
+}
+
+/** One GPU cell run for the fault-series differential. */
+struct FaultRun {
+    std::vector<StepStats> stats;
+    mem::HmStats hm_stats;
+    /** Per link and direction: transfers, busy time, busy-until. */
+    std::vector<std::uint64_t> transfers;
+    std::vector<Tick> busy_time, busy_until;
+    std::uint64_t demand_faults = 0;
+    std::uint64_t multi_fault_segments = 0;
+    telemetry::AttributionEngine attr;
+};
+
+/**
+ * Six steps of @p policy ("um" or "sentinel") on the GPU platform with
+ * a device of @p fraction of the graph's peak, its accesses handed
+ * over at most @p max_pages at a time.
+ */
+FaultRun
+runFaults(const Graph &g, double fraction, const std::string &policy,
+          std::uint64_t max_pages)
+{
+    const std::uint64_t fast = mem::roundUpToPages(static_cast<std::uint64_t>(
+        static_cast<double>(g.peakMemoryBytes()) * fraction));
+    core::RuntimeConfig rc =
+        harness::platformConfig(harness::Platform::Gpu, fast);
+    std::optional<prof::ProfileResult> profile;
+    std::unique_ptr<MemoryPolicy> inner;
+    baselines::UnifiedMemoryPolicy *um = nullptr;
+    if (policy == "um") {
+        inner = std::make_unique<baselines::UnifiedMemoryPolicy>();
+        um = static_cast<baselines::UnifiedMemoryPolicy *>(inner.get());
+    } else {
+        mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
+        profile = prof::Profiler(rc.profiler).profile(g, prof_hm, rc.exec);
+        core::SentinelOptions opts;
+        opts.gpu_mode = true;
+        inner = std::make_unique<core::SentinelPolicy>(profile->db, opts);
+    }
+    testing::ClippedPolicy clipped(*inner, max_pages);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
+    Executor ex(g, hm, rc.exec, clipped);
+    FaultRun r;
+    hm.setAttribution(&r.attr);
+    ex.setAttribution(&r.attr);
+    r.stats = ex.run(6);
+    r.hm_stats = hm.stats();
+    for (unsigned l = 0; l < hm.numLinks(); ++l) {
+        for (bool up : { true, false }) {
+            const sim::BandwidthChannel &ch = hm.linkChannel(l, up);
+            r.transfers.push_back(ch.numTransfers());
+            r.busy_time.push_back(ch.busyTime());
+            r.busy_until.push_back(ch.busyUntil());
+        }
+    }
+    r.demand_faults = um ? um->demandFaults() : 0;
+    r.multi_fault_segments = clipped.multi_fault_segments;
+    return r;
+}
+
+/**
+ * The batched policy against itself handed one page per call, over
+ * seeded synthetic graphs and device capacities; @return the number
+ * of multi-fault segments the batched runs resolved.
+ */
+std::uint64_t
+expectFaultSeriesMatchOnePageFaults(const std::string &policy)
+{
+    std::uint64_t multi = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        for (double fraction : { 0.15, 0.3, 0.5 }) {
+            SCOPED_TRACE(::testing::Message()
+                         << policy << " synthetic:" << seed << " at "
+                         << fraction << " of peak");
+            Graph g = models::makeModel(
+                "synthetic:" + std::to_string(seed), 8);
+            FaultRun ref = runFaults(g, fraction, policy, 1);
+            FaultRun got = runFaults(g, fraction, policy,
+                                     testing::ClippedPolicy::kUnclipped);
+            EXPECT_EQ(ref.multi_fault_segments, 0u);
+            multi += got.multi_fault_segments;
+            expectSameStats(got.stats, ref.stats);
+            EXPECT_EQ(got.hm_stats.promoted_pages, ref.hm_stats.promoted_pages);
+            EXPECT_EQ(got.hm_stats.promoted_bytes, ref.hm_stats.promoted_bytes);
+            EXPECT_EQ(got.hm_stats.demoted_pages, ref.hm_stats.demoted_pages);
+            EXPECT_EQ(got.hm_stats.demoted_bytes, ref.hm_stats.demoted_bytes);
+            EXPECT_EQ(got.transfers, ref.transfers);
+            EXPECT_EQ(got.busy_time, ref.busy_time);
+            EXPECT_EQ(got.busy_until, ref.busy_until);
+            EXPECT_EQ(got.demand_faults, ref.demand_faults);
+            EXPECT_TRUE(got.attr.allExact());
+            const telemetry::AttrBucket a = got.attr.totals();
+            const telemetry::AttrBucket b = ref.attr.totals();
+            EXPECT_EQ(a.ticks, b.ticks);
+            EXPECT_EQ(a.stall_events, b.stall_events);
+            EXPECT_EQ(got.attr.byLayer().size(), ref.attr.byLayer().size());
+            for (const auto &[layer, bucket] : ref.attr.byLayer()) {
+                if (!got.attr.byLayer().count(layer)) {
+                    ADD_FAILURE() << "layer " << layer << " not attributed";
+                    continue;
+                }
+                EXPECT_EQ(got.attr.byLayer().at(layer).ticks, bucket.ticks)
+                    << "layer " << layer;
+                EXPECT_EQ(got.attr.byLayer().at(layer).stall_events,
+                          bucket.stall_events)
+                    << "layer " << layer;
+            }
+        }
+    }
+    return multi;
+}
+
+TEST(ExtentEquivalence, UnifiedMemoryFaultSeriesMatchesOnePageFaults)
+{
+    EXPECT_GT(expectFaultSeriesMatchOnePageFaults("um"), 0u)
+        << "no run resolved more than one fault at a time";
+}
+
+TEST(ExtentEquivalence, GpuSentinelFaultSeriesMatchesOnePageFaults)
+{
+    EXPECT_GT(expectFaultSeriesMatchOnePageFaults("sentinel"), 0u)
+        << "no run resolved more than one fault at a time";
 }
 
 } // namespace

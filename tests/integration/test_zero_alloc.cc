@@ -178,6 +178,44 @@ TEST(ZeroAlloc, UnifiedMemorySteadyStateStepDoesNotAllocate)
                           << " heap allocations across 50 warm UM steps";
 }
 
+TEST(ZeroAlloc, GpuSentinelUnderPressureStepDoesNotAllocate)
+{
+    // bench_baseline's GPU Sentinel cell: dcgan b52 on a 75 MiB device
+    // runs degraded, and its demand faults evict every step through
+    // the in-place victim walk.  Off-plan steps make the divergence
+    // monitor re-plan, which allocates in the planner, until its
+    // budget is spent; the warm window starts after that.
+    if (!common::allocHookActive())
+        GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+
+    df::Graph g = models::makeModel("dcgan", 52);
+    core::RuntimeConfig rc =
+        harness::platformConfig(harness::Platform::Gpu, 75ull << 20);
+    mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
+    prof::Profiler profiler(rc.profiler);
+    auto profile = profiler.profile(g, prof_hm, rc.exec);
+
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
+    core::SentinelOptions opts;
+    opts.gpu_mode = true;
+    core::SentinelPolicy policy(profile.db, opts);
+    telemetry::Session session;
+    df::Executor ex(g, hm, rc.exec, policy);
+    ex.setTelemetry(&session);
+    policy.setTelemetry(&session);
+    ex.run(16);
+    ASSERT_EQ(policy.replans(), opts.max_replans);
+    std::uint64_t before = common::allocCount();
+    for (int i = 0; i < 50; ++i)
+        ex.runStep();
+    std::uint64_t allocs = common::allocCount() - before;
+    ASSERT_GT(session.metrics().counter("sentinel.demand_evictions").value(),
+              0u)
+        << "no demand eviction to gate on";
+    EXPECT_EQ(allocs, 0u)
+        << allocs << " heap allocations across 50 warm GPU Sentinel steps";
+}
+
 TEST(ZeroAlloc, IalSteadyStateStepDoesNotAllocate)
 {
     // Hint faults, promotions and FIFO evictions: the heat counts and

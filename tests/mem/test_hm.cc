@@ -439,6 +439,167 @@ TEST(Hm, FlightInfoNamesTheFinalLeg)
     EXPECT_EQ(mid_up, 100'000 + 4096);
 }
 
+/** Shape of one fault-series check (see FaultSeriesMatchesPerPageFaults). */
+struct FaultCase {
+    unsigned tiers = 2;
+    std::uint64_t count = 1;
+    Tick gap = 0;
+    Tick startup = 0;
+    bool busy_up = false;      ///< a promotion holds the up legs at ready
+    bool demote_lands = false; ///< a demotion out of fast lands mid-series
+};
+
+/** Every observable of @p hm and @p ref at @p now over @p pages,
+ *  tier usage also before either commits up to @p now. */
+void
+expectSameState(HeterogeneousMemory &hm, testing::RefMigration &ref,
+                Tick now, const std::vector<PageId> &pages)
+{
+    for (unsigned t = 0; t < ref.numTiers(); ++t)
+        EXPECT_EQ(hm.tier(makeTier(t)).used(), ref.tier(t).used())
+            << "tier " << t << " before committing";
+    hm.commitUpTo(now);
+    ref.commitUpTo(now);
+    for (PageId p : pages) {
+        const PageEntry want = ref.table().entry(p);
+        const PageRunState got = hm.residentRange(p, 1, now);
+        EXPECT_EQ(got.tier, want.tier) << p;
+        ASSERT_EQ(got.in_flight, want.in_flight) << p;
+        if (want.in_flight) {
+            EXPECT_EQ(hm.flightInfo(p).arrival, want.arrival) << p;
+        }
+    }
+    for (unsigned t = 0; t < ref.numTiers(); ++t)
+        EXPECT_EQ(hm.tier(makeTier(t)).used(), ref.tier(t).used())
+            << "tier " << t;
+    EXPECT_EQ(hm.stats().promoted_pages, ref.stats().promoted_pages);
+    EXPECT_EQ(hm.stats().promoted_bytes, ref.stats().promoted_bytes);
+    EXPECT_EQ(hm.stats().demoted_pages, ref.stats().demoted_pages);
+    EXPECT_EQ(hm.stats().demoted_bytes, ref.stats().demoted_bytes);
+    for (unsigned l = 0; l + 1 < ref.numTiers(); ++l) {
+        for (bool up : { true, false }) {
+            const sim::BandwidthChannel &x = hm.linkChannel(l, up);
+            const sim::BandwidthChannel &y = ref.linkChannel(l, up);
+            EXPECT_EQ(x.busyUntil(), y.busyUntil()) << l << up;
+            EXPECT_EQ(x.bytesTransferred(), y.bytesTransferred()) << l << up;
+            EXPECT_EQ(x.numTransfers(), y.numTransfers()) << l << up;
+            EXPECT_EQ(x.busyTime(), y.busyTime()) << l << up;
+        }
+    }
+}
+
+/**
+ * faultSeries() on a run in the slowest tier against the reference
+ * faulting the same pages one at a time: a one-page migratePages()
+ * per page, page i+1 issued @c gap after page i lands.
+ */
+void
+expectFaultSeriesMatchesPerPage(const FaultCase &c)
+{
+    std::vector<TierParams> tiers{
+        { "hbm", 64 * kPageSize, 10e9, 10e9, 100, 100 }
+    };
+    if (c.tiers == 3)
+        tiers.push_back({ "dram", 64 * kPageSize, 5e9, 5e9, 200, 200 });
+    tiers.push_back({ "nvme", 1024 * kPageSize, 2e9, 1e9, 300, 300 });
+    std::vector<MigrationParams> links{ { 1e9, 0.7e9, c.startup } };
+    if (c.tiers == 3)
+        links.push_back({ 0.6e9, 1e9, c.startup / 2 });
+    HeterogeneousMemory hm(tiers, links);
+    testing::RefMigration ref(tiers, links);
+
+    // Fast pages [0, 8); the run at 100 and 8 more pages behind it.
+    const Tier slow = makeTier(c.tiers - 1);
+    const PageId base = 100;
+    hm.mapRange(0, 8, Tier::Fast);
+    ref.mapRange(0, 8, Tier::Fast);
+    hm.mapRange(base, c.count + 8, slow);
+    ref.mapRange(base, c.count + 8, slow);
+    std::vector<PageId> pages;
+    for (PageId p = 0; p < 8; ++p)
+        pages.push_back(p);
+    for (PageId p = base; p < base + c.count + 8; ++p)
+        pages.push_back(p);
+    auto both = [&](PageId first, Tier dst) {
+        const PageRun run[] = { { first, 8 } };
+        std::vector<PageId> one_by_one;
+        for (PageId p = first; p < first + 8; ++p)
+            one_by_one.push_back(p);
+        ASSERT_EQ(hm.migratePages(run, dst, 0),
+                  ref.migratePages(one_by_one, dst, 0));
+    };
+    if (c.busy_up)
+        both(base + c.count, Tier::Fast);
+    if (c.demote_lands)
+        both(0, slow);
+
+    const Tick ready = 1000;
+    const sim::TransferSeries a =
+        hm.faultSeries(base, c.count, Tier::Fast, ready, c.gap);
+    ASSERT_EQ(a.count, c.count);
+    Tick issue = ready;
+    for (std::uint64_t i = 0; i < c.count; ++i) {
+        if (i > 0)
+            issue = ref.table().entry(base + i - 1).arrival + c.gap;
+        const PageId page[] = { base + i };
+        ASSERT_EQ(ref.migratePages(page, Tier::Fast, issue), 1u);
+        EXPECT_EQ(a.at(i), ref.table().entry(base + i).arrival) << i;
+    }
+    if (c.busy_up) {
+        EXPECT_GT(a.first, ready + c.tiers * 4096) << "the legs were idle";
+    }
+    // The series leaves what the faults left as of the last issue, and
+    // lands the same way.
+    expectSameState(hm, ref, issue, pages);
+    expectSameState(hm, ref, a.last(), pages);
+}
+
+TEST(Hm, FaultSeriesMatchesPerPageFaults)
+{
+    // Two tiers and three (slowest -> fast over both links); a single
+    // fault and longer series; back-to-back faults (gap 0) and spaced
+    // ones; free legs at ready and legs still busy with an earlier
+    // promotion; and a demotion out of fast landing mid-series, which
+    // releases space the reference sees page by page.
+    for (unsigned tiers : { 2u, 3u })
+        for (std::uint64_t count : { 1u, 2u, 20u })
+            for (Tick gap : { 0, 3000 })
+                for (Tick startup : { 0, 1500 })
+                    for (bool busy_up : { false, true })
+                        for (bool demote_lands : { false, true }) {
+                            const FaultCase c{ tiers,   count,  gap,
+                                               startup, busy_up,
+                                               demote_lands };
+                            SCOPED_TRACE(::testing::Message()
+                                         << tiers << " tiers, " << count
+                                         << " pages, gap " << gap
+                                         << ", startup " << startup
+                                         << (busy_up ? ", busy" : "")
+                                         << (demote_lands ? ", demote"
+                                                          : ""));
+                            expectFaultSeriesMatchesPerPage(c);
+                        }
+}
+
+TEST(Hm, FaultSeriesRejectsRunsItCannotResolve)
+{
+    auto hm = makeHm(8);
+    hm.mapRange(0, 4, Tier::Slow);
+    hm.mapRange(4, 2, Tier::Fast);
+    hm.mapRange(6, 12, Tier::Slow);
+    // Mixed tiers, a page in flight, already at the destination, and
+    // more pages than the destination has room for.
+    EXPECT_THROW(hm.faultSeries(2, 4, Tier::Fast, 0, 0), std::logic_error);
+    ASSERT_GT(movePage(hm, 1, Tier::Fast, 0), 0);
+    EXPECT_THROW(hm.faultSeries(0, 3, Tier::Fast, 0, 0), std::logic_error);
+    EXPECT_THROW(hm.faultSeries(4, 2, Tier::Fast, 0, 0), std::logic_error);
+    EXPECT_THROW(hm.faultSeries(6, 6, Tier::Fast, 0, 0), std::logic_error);
+    // None of them scheduled anything.
+    EXPECT_EQ(hm.stats().promoted_pages, 1u);
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 3 * kPageSize);
+    EXPECT_EQ(hm.faultSeries(6, 5, Tier::Fast, 0, 0).count, 5u);
+}
+
 /**
  * Seeded randomized differential: the run-granular engine against the
  * page-at-a-time reference (tests/support/ref_migration.hh), driven

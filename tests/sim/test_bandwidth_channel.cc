@@ -187,6 +187,53 @@ TEST(BandwidthChannel, StagedSeriesMatchesPerTransferLegs)
     }
 }
 
+TEST(BandwidthChannel, SpacedSeriesMatchesPerTransferSubmits)
+{
+    // 4 KiB at 1 GB/s: tt = 4096.  Spacing exactly startup + tt (each
+    // transfer ready the tick its predecessor finishes) and wider; the
+    // channel idle at the first ready tick, or busy up to it exactly.
+    const std::uint64_t bytes = 4096;
+    for (Tick startup : { 0, 777 })
+        for (Tick slack : { 0, 1, 9000 })
+            for (Tick busy : { 0, 30'000 })
+                for (std::uint64_t n : { 1, 2, 7, 300 }) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "startup " << startup << " slack "
+                                 << slack << " busy " << busy << " n "
+                                 << n);
+                    BandwidthChannel a("a", 1e9), b("b", 1e9);
+                    a.blockUntil(busy);
+                    b.blockUntil(busy);
+                    const TransferSeries in{ 30'000, startup + 4096 + slack,
+                                             n };
+                    const TransferSeries got = a.submitSpaced(in, bytes,
+                                                              startup);
+                    std::vector<Tick> want;
+                    for (std::uint64_t k = 0; k < n; ++k)
+                        want.push_back(
+                            b.submitWithStartup(in.at(k), bytes, startup));
+                    EXPECT_EQ(expand({ got }), want);
+                    EXPECT_EQ(a.busyUntil(), b.busyUntil());
+                    EXPECT_EQ(a.bytesTransferred(), b.bytesTransferred());
+                    EXPECT_EQ(a.numTransfers(), b.numTransfers());
+                    EXPECT_EQ(a.busyTime(), b.busyTime());
+                }
+}
+
+TEST(BandwidthChannel, SpacedSeriesThatWouldQueuePanics)
+{
+    // Busy past the first ready tick, or spaced tighter than
+    // startup + tt: a transfer would queue, which the closed form
+    // does not model.
+    BandwidthChannel busy("busy", 1e9);
+    busy.blockUntil(10'001);
+    EXPECT_THROW(busy.submitSpaced({ 10'000, 5000, 3 }, 4096, 0),
+                 std::logic_error);
+    BandwidthChannel tight("tight", 1e9);
+    EXPECT_THROW(tight.submitSpaced({ 0, 4096 + 99, 3 }, 4096, 100),
+                 std::logic_error);
+}
+
 TEST(BandwidthChannel, ZeroBandwidthPanics)
 {
     EXPECT_THROW(BandwidthChannel("bad", 0.0), std::logic_error);

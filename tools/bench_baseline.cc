@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "baselines/ial.hh"
+#include "baselines/unified_memory.hh"
 #include "common/alloc_hook.hh"
 #include "common/logging.hh"
 #include "core/sentinel_policy.hh"
@@ -86,6 +87,17 @@ cellConfig(const std::string &model)
     return cfg; // zoo batch, Optane platform, 9 steps / 6 warmup
 }
 
+/** A GPU cell: @p mem_mib MiB of device memory (0 = 20% of peak). */
+harness::ExperimentConfig
+gpuCellConfig(const std::string &model, int batch, std::uint64_t mem_mib)
+{
+    harness::ExperimentConfig cfg = cellConfig(model);
+    cfg.platform = harness::Platform::Gpu;
+    cfg.batch = batch;
+    cfg.fast_bytes = mem_mib << 20;
+    return cfg;
+}
+
 /**
  * Heap allocations per steady-state training step, counted by the
  * sentinel_alloc_hook operator-new replacement around warm steps of a
@@ -96,17 +108,19 @@ cellConfig(const std::string &model)
  * omitted.
  */
 double
-measureAllocsPerStep(const std::string &model, const std::string &policy)
+measureAllocsPerStep(const harness::ExperimentConfig &cfg,
+                     const std::string &policy)
 {
     if (!common::allocHookActive())
         return -1.0;
 
-    harness::ExperimentConfig cfg = cellConfig(model);
     df::Graph graph = models::makeModel(cfg.model, cfg.batch);
-    std::uint64_t fast_bytes = mem::roundUpToPages(
-        static_cast<std::uint64_t>(
-            static_cast<double>(graph.peakMemoryBytes()) *
-            cfg.fast_fraction));
+    std::uint64_t fast_bytes =
+        cfg.fast_bytes != 0
+            ? cfg.fast_bytes
+            : mem::roundUpToPages(static_cast<std::uint64_t>(
+                  static_cast<double>(graph.peakMemoryBytes()) *
+                  cfg.fast_fraction));
     core::RuntimeConfig rc =
         harness::platformConfig(cfg.platform, fast_bytes);
 
@@ -116,10 +130,13 @@ measureAllocsPerStep(const std::string &model, const std::string &policy)
         mem::HeterogeneousMemory prof_hm(rc.fast, rc.slow, rc.migration);
         prof::Profiler profiler(rc.profiler);
         profile = profiler.profile(graph, prof_hm, rc.exec);
-        pol = std::make_unique<core::SentinelPolicy>(profile->db,
-                                                     cfg.sentinel);
+        core::SentinelOptions opts = cfg.sentinel;
+        opts.gpu_mode = cfg.platform == harness::Platform::Gpu;
+        pol = std::make_unique<core::SentinelPolicy>(profile->db, opts);
     } else if (policy == "ial") {
         pol = std::make_unique<baselines::IalPolicy>();
+    } else if (policy == "um") {
+        pol = std::make_unique<baselines::UnifiedMemoryPolicy>();
     } else {
         SENTINEL_FATAL("allocs_per_step: unsupported policy '%s'",
                        policy.c_str());
@@ -148,15 +165,15 @@ measureAllocsPerStep(const std::string &model, const std::string &policy)
            static_cast<double>(measured);
 }
 
+/** The cell's keys are sim.<@p name>.<@p policy>.<metric>. */
 void
-addCell(std::vector<Sample> &out, const std::string &model,
-        const std::string &policy)
+addCell(std::vector<Sample> &out, const std::string &name,
+        const harness::ExperimentConfig &cfg, const std::string &policy)
 {
-    harness::ExperimentConfig cfg = cellConfig(model);
     harness::Metrics m = harness::runExperiment(cfg, policy);
     SENTINEL_ASSERT(m.supported, "baseline cell %s/%s unsupported",
-                    model.c_str(), policy.c_str());
-    std::string p = "sim." + model + "." + policy + ".";
+                    name.c_str(), policy.c_str());
+    std::string p = "sim." + name + "." + policy + ".";
     out.push_back({ p + "step_time_ms", m.step_time_ms, 0.25, 0.05 });
     out.push_back(
         { p + "throughput", m.throughput, 0.25, 0.0, /*higher=*/true });
@@ -165,7 +182,7 @@ addCell(std::vector<Sample> &out, const std::string &model,
     out.push_back({ p + "peak_fast_mb", m.peak_fast_mb, 0.25, 1.0 });
     // Allocation counts are deterministic in a single-threaded run;
     // the slack absorbs the occasional amortized container growth.
-    double allocs = measureAllocsPerStep(model, policy);
+    double allocs = measureAllocsPerStep(cfg, policy);
     if (allocs >= 0.0)
         out.push_back({ p + "allocs_per_step", allocs, 0.25, 5.0 });
 }
@@ -194,9 +211,19 @@ std::vector<Sample>
 collect(bool wall)
 {
     std::vector<Sample> out;
-    addCell(out, "resnet32", "sentinel");
-    addCell(out, "resnet32", "ial");
-    addCell(out, "mobilenet", "sentinel");
+    addCell(out, "resnet32", cellConfig("resnet32"), "sentinel");
+    addCell(out, "resnet32", cellConfig("resnet32"), "ial");
+    addCell(out, "mobilenet", cellConfig("mobilenet"), "sentinel");
+    // GPU demand paging, and GPU Sentinel under enough pressure that
+    // its demand faults evict (dcgan b52 on a 75 MiB device).  The
+    // latter runs off-plan, so its divergence monitor re-plans until
+    // the budget (max_replans, 4) is spent, by step 14; each re-plan
+    // allocates in the planner, so the measured steps come after.
+    addCell(out, "gpu.resnet32", gpuCellConfig("resnet32", 32, 0), "um");
+    harness::ExperimentConfig pressure = gpuCellConfig("dcgan", 52, 75);
+    pressure.warmup = 14;
+    pressure.steps = 17;
+    addCell(out, "gpu.dcgan", pressure, "sentinel");
     if (wall)
         addWall(out, "resnet32", "sentinel", 3);
     return out;
