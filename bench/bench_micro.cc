@@ -92,6 +92,32 @@ BM_MigrateBatch(benchmark::State &state)
 }
 BENCHMARK(BM_MigrateBatch)->ArgsProduct({ { 1, 64, 1024, 65536 }, { 0, 1 } });
 
+// The page table's slow commit: a 16384-page run loses every 7th page
+// to a free-and-remap while in flight, so its commit must check each
+// page's sequence instead of filling the run.
+void
+BM_MigrateFreedMidFlight(benchmark::State &state)
+{
+    mem::PageTable pt;
+    const std::uint64_t npages = 16384;
+    pt.mapRange(0, npages, mem::Tier::Slow);
+    mem::Tier at = mem::Tier::Slow;
+    for (auto _ : state) {
+        const mem::Tier to =
+            at == mem::Tier::Slow ? mem::Tier::Fast : mem::Tier::Slow;
+        const std::uint64_t seq0 = pt.beginMigrationRun(0, npages, to, 0, 1);
+        for (mem::PageId p = 0; p < npages; p += 7) {
+            pt.unmapRange(p, 1);
+            pt.mapRange(p, 1, to);
+        }
+        benchmark::DoNotOptimize(pt.commitMigrationRun(0, npages, seq0));
+        at = to;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(npages));
+}
+BENCHMARK(BM_MigrateFreedMidFlight);
+
 // Raw page-table throughput on the extent hot path: bulk-map and
 // bulk-unmap a 64 MB (16384-page) extent per iteration.
 void

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <numeric>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -48,7 +48,7 @@ PageTable::chunkFor(PageId page)
     Chunk &ch = chunks_[c];
     if (ch.epoch != epoch_) {
         // Stale (or fresh) chunk: recycle it lazily on first touch of
-        // the new epoch.  Cold arrays may keep stale values — they are
+        // the new epoch.  Flight ids may keep stale values — they are
         // only read under the in-flight bit, which this reset clears.
         if (!ch.state)
             ch.state = std::make_unique<std::uint8_t[]>(kChunkPages);
@@ -61,13 +61,12 @@ PageTable::chunkFor(PageId page)
 }
 
 void
-PageTable::ensureCold(Chunk &ch)
+PageTable::resolve(std::uint32_t id, std::uint64_t n)
 {
-    if (!ch.arrival) {
-        ch.arrival = std::make_unique<Tick[]>(kChunkPages);
-        ch.seq = std::make_unique<std::uint64_t[]>(kChunkPages);
-        ch.dest = std::make_unique<std::uint8_t[]>(kChunkPages);
-    }
+    Flight &f = flights_[id];
+    f.resolved += n;
+    if (f.resolved == f.count)
+        free_.push_back(id);
 }
 
 void
@@ -112,15 +111,29 @@ PageTable::unmapRange(PageId first, std::uint64_t count)
         std::uint8_t *s = ch.state.get() + off;
         std::uint32_t tiers[kMaxTiers] = {};
         std::uint32_t inflight = 0;
-        for (std::uint64_t i = 0; i < in_chunk; ++i) {
-            SENTINEL_ASSERT(s[i] != kStateUnmapped,
+        // One uniform stretch at a time.  Only in-flight stretches read
+        // their flight ids, resolving one record per run of equal ids.
+        for (std::uint64_t i = 0; i < in_chunk;) {
+            const std::uint8_t v = s[i];
+            SENTINEL_ASSERT(v != kStateUnmapped,
                             "unmap of unmapped page %llu",
                             static_cast<unsigned long long>(p + i));
-            ++tiers[s[i] & kStateTierMask];
-            if (s[i] & kStateFlightBit) {
-                ++inflight;
-                ++out.dest[ch.dest[off + i]];
+            const std::uint64_t n = matchingPrefix(s + i, in_chunk - i, v);
+            tiers[v & kStateTierMask] += static_cast<std::uint32_t>(n);
+            if (flightOf(v)) {
+                inflight += static_cast<std::uint32_t>(n);
+                const std::uint32_t *ids = ch.flight.get() + off + i;
+                for (std::uint64_t j = 0; j < n;) {
+                    const std::uint32_t id = ids[j];
+                    std::uint64_t m = 1;
+                    while (j + m < n && ids[j + m] == id)
+                        ++m;
+                    out.dest[flights_[id].dest] += m;
+                    resolve(id, m);
+                    j += m;
+                }
             }
+            i += n;
         }
         std::memset(s, kStateUnmapped, in_chunk);
         ch.mapped -= static_cast<std::uint32_t>(in_chunk);
@@ -156,11 +169,14 @@ PageTable::entry(PageId page) const
     PageEntry e;
     e.tier = tierOf(s);
     e.in_flight = flightOf(s);
-    // The cold arrays hold dest/arrival/seq only while the in-flight
-    // bit is set; an idle page's destination is its own tier.
-    e.dest = (e.in_flight && c->dest) ? makeTier(c->dest[off]) : e.tier;
-    e.arrival = (e.in_flight && c->arrival) ? c->arrival[off] : 0;
-    e.seq = c->seq ? c->seq[off] : 0;
+    e.dest = e.tier;
+    if (e.in_flight) {
+        const Flight &f = flights_[c->flight[off]];
+        const std::uint64_t k = page - f.first;
+        e.dest = makeTier(f.dest);
+        e.arrival = f.a0 + static_cast<Tick>(k) * f.step;
+        e.seq = f.seq0 + k;
+    }
     return e;
 }
 
@@ -216,10 +232,19 @@ PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
                              Tick arrival0, Tick step)
 {
     SENTINEL_ASSERT(count > 0, "empty migration run");
-    const std::uint64_t seq0 = next_seq_;
-    const std::uint8_t d = static_cast<std::uint8_t>(tierIndex(dest));
-    std::uint8_t s0 = kStateUnmapped;
-    Tick arrival = arrival0;
+    const Chunk *c0 = findChunk(first);
+    SENTINEL_ASSERT(c0 && c0->state[first & kChunkMask] != kStateUnmapped,
+                    "access to unmapped page %llu",
+                    static_cast<unsigned long long>(first));
+    const std::uint8_t s0 = c0->state[first & kChunkMask];
+    SENTINEL_ASSERT(!flightOf(s0), "page %llu is already migrating",
+                    static_cast<unsigned long long>(first));
+    SENTINEL_ASSERT(tierOf(s0) != dest, "migration to the same tier");
+    // The record's slot is claimed only once the whole run has passed
+    // its checks.
+    const std::uint32_t id =
+        free_.empty() ? static_cast<std::uint32_t>(flights_.size())
+                      : free_.back();
     PageId p = first;
     std::uint64_t left = count;
     while (left > 0) {
@@ -227,44 +252,88 @@ PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
         SENTINEL_ASSERT(c, "access to unmapped page %llu",
                         static_cast<unsigned long long>(p));
         Chunk &ch = const_cast<Chunk &>(*c);
-        ensureCold(ch);
+        if (!ch.flight)
+            ch.flight = std::make_unique<std::uint32_t[]>(kChunkPages);
         const std::uint64_t off = p & kChunkMask;
         const std::uint64_t in_chunk =
             std::min<std::uint64_t>(left, kChunkPages - off);
         std::uint8_t *s = ch.state.get() + off;
-        if (p == first) {
-            s0 = s[0];
-            SENTINEL_ASSERT(s0 != kStateUnmapped,
-                            "access to unmapped page %llu",
-                            static_cast<unsigned long long>(p));
-            SENTINEL_ASSERT(!flightOf(s0), "page %llu is already migrating",
-                            static_cast<unsigned long long>(p));
-            SENTINEL_ASSERT(tierOf(s0) != dest, "migration to the same tier");
-        }
         // One check per chunk: the run must be one idle tier throughout.
         SENTINEL_ASSERT(matchingPrefix(s, in_chunk, s0) == in_chunk,
                         "migration run at %llu is not one idle tier",
                         static_cast<unsigned long long>(p));
         std::memset(s, s0 | kStateFlightBit, in_chunk);
-        std::memset(ch.dest.get() + off, d, in_chunk);
-        std::iota(ch.seq.get() + off, ch.seq.get() + off + in_chunk,
-                  next_seq_);
-        next_seq_ += in_chunk;
-        Tick *a = ch.arrival.get() + off;
-        for (std::uint64_t k = 0; k < in_chunk; ++k)
-            a[k] = arrival + static_cast<Tick>(k) * step;
-        arrival += static_cast<Tick>(in_chunk) * step;
+        std::fill_n(ch.flight.get() + off, in_chunk, id);
         ch.inflight += static_cast<std::uint32_t>(in_chunk);
-        num_inflight_ += in_chunk;
         p += in_chunk;
         left -= in_chunk;
     }
+    num_inflight_ += count;
+
+    if (free_.empty()) {
+        SENTINEL_ASSERT(flights_.size() <
+                            std::numeric_limits<std::uint32_t>::max(),
+                        "too many migration runs in flight");
+        flights_.emplace_back();
+        // Retiring never allocates: the free list can hold every id.
+        free_.reserve(flights_.capacity());
+    } else {
+        free_.pop_back();
+    }
+    const std::uint64_t seq0 = next_seq_;
+    next_seq_ += count;
+    flights_[id] = Flight{ first, count, arrival0, step, seq0, 0, 0,
+                           static_cast<std::uint8_t>(tierIndex(dest)) };
     return seq0;
 }
 
 std::uint64_t
 PageTable::commitMigrationRun(PageId first, std::uint64_t count,
                               std::uint64_t seq0)
+{
+    if (count == 0)
+        return 0;
+    const Chunk *c0 = findChunk(first);
+    const std::uint64_t off0 = first & kChunkMask;
+    const std::uint8_t s0 = c0 ? c0->state[off0] : kStateUnmapped;
+    if (s0 == kStateUnmapped || !flightOf(s0))
+        return commitPageByPage(first, count, seq0);
+    // Fast path: the run is the next in-order piece of a flight none of
+    // whose later pages was unmapped (resolved == cursor), so every
+    // page of it is still in flight under that flight, from one source
+    // tier.  The sequence check rejects a stale commit whose first page
+    // has since begun another migration.
+    const std::uint32_t id = c0->flight[off0];
+    Flight &f = flights_[id];
+    const std::uint64_t k = first - f.first;
+    if (f.seq0 + k != seq0 || k != f.cursor || f.resolved != f.cursor ||
+        count > f.count - k)
+        return commitPageByPage(first, count, seq0);
+    const unsigned src = s0 & kStateTierMask;
+    PageId p = first;
+    std::uint64_t left = count;
+    while (left > 0) {
+        Chunk &ch = const_cast<Chunk &>(*findChunk(p));
+        const std::uint64_t off = p & kChunkMask;
+        const std::uint64_t in_chunk =
+            std::min<std::uint64_t>(left, kChunkPages - off);
+        std::memset(ch.state.get() + off, f.dest, in_chunk);
+        const auto n = static_cast<std::uint32_t>(in_chunk);
+        ch.tiers[src] -= n;
+        ch.tiers[f.dest] += n;
+        ch.inflight -= n;
+        p += in_chunk;
+        left -= in_chunk;
+    }
+    num_inflight_ -= count;
+    f.cursor += count;
+    resolve(id, count);
+    return count;
+}
+
+std::uint64_t
+PageTable::commitPageByPage(PageId first, std::uint64_t count,
+                            std::uint64_t seq0)
 {
     std::uint64_t done = 0;
     std::uint64_t k = 0;
@@ -280,21 +349,23 @@ PageTable::commitMigrationRun(PageId first, std::uint64_t count,
         }
         Chunk &ch = const_cast<Chunk &>(*c);
         std::uint8_t *state = ch.state.get() + off;
-        const std::uint64_t *seq = ch.seq.get() + off;
-        const std::uint8_t *dest = ch.dest.get() + off;
-        const std::uint64_t want = seq0 + k;
+        const std::uint32_t *ids = ch.flight.get() + off;
         // Deltas stay in locals: stores through the state bytes would
         // otherwise alias the chunk counters on every page.
         std::uint32_t delta[kMaxTiers] = {};
         std::uint32_t landed = 0;
         for (std::uint64_t m = 0; m < in_chunk; ++m) {
             const std::uint8_t s = state[m];
-            if (s == kStateUnmapped || !flightOf(s) || seq[m] != want + m)
+            if (s == kStateUnmapped || !flightOf(s))
+                continue;
+            const Flight &f = flights_[ids[m]];
+            if (f.seq0 + (page + m - f.first) != seq0 + k + m)
                 continue; // freed, or remapped and superseded
-            state[m] = dest[m];
+            state[m] = f.dest;
             --delta[s & kStateTierMask];
-            ++delta[dest[m]];
+            ++delta[f.dest];
             ++landed;
+            resolve(ids[m], 1);
         }
         for (unsigned t = 0; t < kMaxTiers; ++t)
             ch.tiers[t] += delta[t];
@@ -311,6 +382,10 @@ PageTable::clear()
 {
     num_mapped_ = 0;
     num_inflight_ = 0;
+    // Every page is gone, so is every flight; the pool keeps its
+    // capacity.
+    flights_.clear();
+    free_.clear();
     // O(1) clear: bump the epoch; old chunks become stale and are
     // recycled (not re-allocated) on their next touch.  On the
     // (astronomically rare) wrap, drop the chunks so stale epochs

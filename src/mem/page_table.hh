@@ -13,13 +13,25 @@
  *
  * Storage is struct-of-arrays chunks.  The hot state of a page (tier +
  * in-flight bit) is ONE byte in a per-chunk state array, so lookups are
- * two loads and range walks are byte scans.  Cold migration state
- * (arrival tick, commit-guard sequence) lives in separate per-chunk
- * arrays allocated only once a chunk sees its first migration.  Each
- * chunk also carries summary counters (mapped / per-tier / in-flight
- * page counts), which answer the dominant runState() query — "is this
- * whole range uniform?" — in O(chunks) instead of O(pages).
- * Mapped-ness is tracked with a per-chunk epoch so clear() is O(1).
+ * two loads and range walks are byte scans.  Each chunk also carries
+ * summary counters (mapped / per-tier / in-flight page counts), which
+ * answer the dominant runState() query — "is this whole range
+ * uniform?" — in O(chunks) instead of O(pages).  Mapped-ness is
+ * tracked with a per-chunk epoch so clear() is O(1).
+ *
+ * Migration state is kept per run, not per page.  Each
+ * beginMigrationRun() takes a flight record from a free-listed pool
+ * holding the run's destination, arrival progression and first
+ * sequence number; a page in flight stores only its record's 32-bit id
+ * in a per-chunk array allocated on the chunk's first migration, read
+ * only under the in-flight bit.  entry() composes a page's
+ * destination, arrival and sequence from the record.  A commit that is
+ * the next in-order piece of an intact record is a byte fill plus
+ * counter updates; anything else checks each page's sequence through
+ * its record.  A record returns to the pool once every page has
+ * committed or been unmapped, so the pool is as large as the most
+ * flights ever live at once.
+ *
  * tests/support/ref_page_table.hh holds a std::map model of the same
  * contract that the randomized differential test checks against.
  */
@@ -36,13 +48,18 @@
 
 namespace sentinel::mem {
 
-/** Per-page state (a composed view of the SoA chunk arrays). */
+/**
+ * Per-page state (a view composed from the state byte and, while the
+ * page is in flight, its flight record).  @c dest, @c arrival and
+ * @c seq are meaningful only while @c in_flight; an idle page reports
+ * its own tier as @c dest and 0 for the other two.
+ */
 struct PageEntry {
     Tier tier = Tier::Slow;     ///< current (source) tier
     bool in_flight = false;     ///< migration scheduled, not yet arrived
     Tier dest = Tier::Slow;     ///< destination while in flight
     Tick arrival = 0;           ///< completion time while in flight
-    std::uint64_t seq = 0;      ///< migration epoch, guards stale commits
+    std::uint64_t seq = 0;      ///< migration sequence while in flight
 };
 
 static_assert(kMaxTiers <= 8, "tier index must fit the 3 state bits");
@@ -81,8 +98,8 @@ class PageTable
 
     bool isMapped(PageId page) const;
 
-    /** Entry for @p page (must be mapped), composed from the SoA
-     *  arrays: dest/arrival are meaningful only while in_flight. */
+    /** Entry for @p page (must be mapped); see PageEntry for which
+     *  fields are meaningful. */
     PageEntry entry(PageId page) const;
 
     /**
@@ -115,6 +132,10 @@ class PageTable
 
     /** Mapped pages with a migration still pending. */
     std::size_t numInFlight() const { return num_inflight_; }
+
+    /** Live flight records: begun runs with a page still in flight.
+     *  For tests. */
+    std::size_t numFlights() const { return flights_.size() - free_.size(); }
 
     void clear();
 
@@ -164,12 +185,28 @@ class PageTable
         /** Mapped pages resident in each tier (by current tier bits). */
         std::uint32_t tiers[kMaxTiers] = {};
         std::unique_ptr<std::uint8_t[]> state;
-        // Cold migration SoA, allocated on the chunk's first migration.
-        // `dest` holds the destination tier index while in flight (an
-        // N-tier chain has more than one "other" tier to arrive at).
-        std::unique_ptr<Tick[]> arrival;
-        std::unique_ptr<std::uint64_t[]> seq;
-        std::unique_ptr<std::uint8_t[]> dest;
+        /** Flight record id of each in-flight page, allocated on the
+         *  chunk's first migration; stale under an idle page. */
+        std::unique_ptr<std::uint32_t[]> flight;
+    };
+
+    /**
+     * One begun migration run: page first+k goes to @c dest, arrives at
+     * a0 + k*step and carries sequence seq0 + k.  @c cursor counts the
+     * pages committed in order from @c first; @c resolved counts those
+     * committed or unmapped, in any order.  While resolved == cursor,
+     * every page from first+cursor on is still in flight under this
+     * record.
+     */
+    struct Flight {
+        PageId first = 0;
+        std::uint64_t count = 0;
+        Tick a0 = 0;
+        Tick step = 0;
+        std::uint64_t seq0 = 0;
+        std::uint64_t cursor = 0;
+        std::uint64_t resolved = 0;
+        std::uint8_t dest = 0;  ///< destination tier index
     };
 
     /** Chunk holding @p page, or nullptr if absent/stale this epoch. */
@@ -185,8 +222,13 @@ class PageTable
 
     /** Chunk for @p page, allocated/recycled to the current epoch. */
     Chunk &chunkFor(PageId page);
-    /** Ensure the chunk's cold migration arrays exist. */
-    void ensureCold(Chunk &ch);
+    /** Count @p n pages of flight @p id as resolved; retire it once
+     *  none is left in flight. */
+    void resolve(std::uint32_t id, std::uint64_t n);
+    /** commitMigrationRun() when it is not the next in-order piece of
+     *  an intact flight: per page, through each page's record. */
+    std::uint64_t commitPageByPage(PageId first, std::uint64_t count,
+                                   std::uint64_t seq0);
 
     std::vector<Chunk> chunks_;
     std::uint32_t epoch_ = 1;
@@ -194,6 +236,9 @@ class PageTable
     std::size_t num_mapped_ = 0;
     std::size_t num_inflight_ = 0;
     std::uint64_t next_seq_ = 1;
+
+    std::vector<Flight> flights_;      ///< record pool, indexed by id
+    std::vector<std::uint32_t> free_;  ///< retired record ids
 };
 
 } // namespace sentinel::mem

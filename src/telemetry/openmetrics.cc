@@ -209,14 +209,31 @@ parseOpenMetrics(const std::string &text, std::vector<OmSample> &out,
             ++i; // closing brace
         }
 
-        while (i < line.size() && line[i] == ' ')
-            ++i;
+        auto skipSpaces = [&line](std::size_t k) {
+            while (k < line.size() && line[k] == ' ')
+                ++k;
+            return k;
+        };
+        const std::size_t name_end = i;
+        i = skipSpaces(i);
         if (i >= line.size())
             return fail(err, line_no, "sample has no value");
+        if (i == name_end)
+            return fail(err, line_no, "no space before the value");
         char *end = nullptr;
         s.value = std::strtod(line.c_str() + i, &end);
         if (end == line.c_str() + i)
             return fail(err, line_no, "unparsable value");
+        // Only an optional timestamp may follow the value, so a lost
+        // newline cannot fold the next sample into this one.
+        const auto value_end = static_cast<std::size_t>(end - line.c_str());
+        i = skipSpaces(value_end);
+        if (i > value_end && i < line.size()) { // the timestamp
+            std::strtod(line.c_str() + i, &end);
+            i = skipSpaces(static_cast<std::size_t>(end - line.c_str()));
+        }
+        if (i < line.size())
+            return fail(err, line_no, "trailing characters after the value");
         out.push_back(std::move(s));
     }
     return true;

@@ -84,9 +84,10 @@ void writeOpenMetrics(const MetricRegistry &metrics, std::ostream &os,
 
 /**
  * Parse one exposition (or one snapshot frame) back into samples.
- * Comment lines (`#`) and blank lines are skipped; a malformed sample
- * line sets @p err and returns false.  Escaped label values are
- * unescaped.
+ * Comment lines (`#`) and blank lines are skipped.  A sample line is
+ * `name[{labels}] value [timestamp]`, the timestamp ignored; anything
+ * else sets @p err to "line N: ..." for the first bad line and returns
+ * false.  Escaped label values are unescaped.
  */
 bool parseOpenMetrics(const std::string &text,
                       std::vector<OmSample> &out, std::string *err);

@@ -21,6 +21,7 @@
 #include "dataflow/executor.hh"
 #include "harness/experiment.hh"
 #include "mem/hm.hh"
+#include "mem/page_table.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
 #include "telemetry/session.hh"
@@ -60,6 +61,41 @@ reactiveCellAllocs(harness::Platform platform, df::MemoryPolicy &policy)
     mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
     df::Executor ex(g, hm, rc.exec, policy);
     return warmStepAllocs(ex);
+}
+
+TEST(ZeroAlloc, PageTableFlightCyclesDoNotAllocate)
+{
+    // Flight records come from a free-listed pool: once it has held as
+    // many runs as are ever in flight at once, begins reuse retired
+    // records — including records retired by frees mid-flight.
+    if (!common::allocHookActive())
+        GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+
+    mem::PageTable pt;
+    const std::uint64_t kRuns = 8;
+    const std::uint64_t kLen = 64;
+    pt.mapRange(0, kRuns * kLen, mem::Tier::Slow);
+    std::uint64_t seqs[kRuns];
+    auto cycle = [&](mem::Tier to, Tick at) {
+        for (std::uint64_t r = 0; r < kRuns; ++r)
+            seqs[r] = pt.beginMigrationRun(r * kLen, kLen, to, at, 1);
+        for (std::uint64_t r = 0; r < kRuns; ++r) {
+            pt.unmapRange(r * kLen + r, 1);
+            pt.mapRange(r * kLen + r, 1, to);
+            pt.commitMigrationRun(r * kLen, kLen / 2, seqs[r]);
+            pt.commitMigrationRun(r * kLen + kLen / 2, kLen / 2,
+                                  seqs[r] + kLen / 2);
+        }
+    };
+    cycle(mem::Tier::Fast, 0);
+    cycle(mem::Tier::Slow, 1);
+    std::uint64_t before = common::allocCount();
+    for (int i = 0; i < 1000; ++i)
+        cycle(i % 2 ? mem::Tier::Slow : mem::Tier::Fast, i);
+    std::uint64_t allocs = common::allocCount() - before;
+    EXPECT_EQ(pt.numFlights(), 0u);
+    EXPECT_EQ(allocs, 0u)
+        << allocs << " heap allocations across 1,000 begin/commit cycles";
 }
 
 TEST(ZeroAlloc, SentinelSteadyStateStepDoesNotAllocate)

@@ -1,5 +1,7 @@
 #include <cstdint>
+#include <iterator>
 #include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -239,14 +241,116 @@ TEST(PageTable, RepeatedClearCycles)
     }
 }
 
+TEST(PageTable, IdlePageReportsNoFlight)
+{
+    PageTable pt;
+    pt.mapRange(3, 4, Tier::Slow);
+    std::uint64_t seq = pt.beginMigrationRun(3, 4, Tier::Fast, 100, 7);
+    EXPECT_EQ(pt.entry(5).seq, seq + 2);
+    EXPECT_EQ(pt.entry(5).arrival, 114);
+    EXPECT_EQ(pt.commitMigrationRun(3, 4, seq), 4u);
+    // dest/arrival/seq are meaningful only in flight; an idle page
+    // reports its own tier and zeroes, not its last migration.
+    PageEntry e = pt.entry(5);
+    EXPECT_FALSE(e.in_flight);
+    EXPECT_EQ(e.dest, Tier::Fast);
+    EXPECT_EQ(e.arrival, 0);
+    EXPECT_EQ(e.seq, 0u);
+}
+
+TEST(PageTable, CommitAcrossTwoFlights)
+{
+    // Back-to-back begins get contiguous sequences, so one commit may
+    // span both runs; each page lands at its own run's destination.
+    PageTable pt;
+    pt.mapRange(0, 8, Tier::Slow);
+    std::uint64_t seq = pt.beginMigrationRun(0, 4, Tier::Fast, 10, 1);
+    EXPECT_EQ(pt.beginMigrationRun(4, 4, makeTier(2), 20, 1), seq + 4);
+    EXPECT_EQ(pt.numFlights(), 2u);
+    EXPECT_EQ(pt.commitMigrationRun(0, 8, seq), 8u);
+    EXPECT_EQ(pt.numFlights(), 0u);
+    EXPECT_EQ(pt.runState(0, 8).count, 4u);
+    EXPECT_EQ(pt.entry(3).tier, Tier::Fast);
+    EXPECT_EQ(pt.entry(4).tier, makeTier(2));
+}
+
+TEST(PageTable, FreedFlightRetiresAndItsStaleCommitIsIgnored)
+{
+    PageTable pt;
+    pt.mapRange(0, 8, Tier::Slow);
+    std::uint64_t seq1 = pt.beginMigrationRun(0, 8, Tier::Fast, 10, 2);
+    pt.unmapRange(0, 3);
+    EXPECT_EQ(pt.numFlights(), 1u);
+    pt.unmapRange(3, 5);
+    EXPECT_EQ(pt.numFlights(), 0u);
+    // The next begin reuses the retired record for the same pages, at
+    // the same offsets; the old commit still must not land.
+    pt.mapRange(0, 8, Tier::Slow);
+    std::uint64_t seq2 = pt.beginMigrationRun(0, 8, Tier::Fast, 50, 1);
+    EXPECT_EQ(pt.numFlights(), 1u);
+    EXPECT_EQ(pt.commitMigrationRun(0, 8, seq1), 0u);
+    EXPECT_EQ(pt.commitMigrationRun(0, 4, seq1), 0u);
+    EXPECT_EQ(pt.numInFlight(), 8u);
+    EXPECT_EQ(pt.entry(7).arrival, 57);
+    EXPECT_EQ(pt.commitMigrationRun(0, 8, seq2), 8u);
+    EXPECT_EQ(pt.numFlights(), 0u);
+}
+
+TEST(PageTable, FlightPoolStaysAtItsHighWaterMark)
+{
+    PageTable pt;
+    const std::uint64_t kRuns = 8;
+    const std::uint64_t kLen = 16;
+    pt.mapRange(0, kRuns * kLen, Tier::Slow);
+    std::uint64_t seqs[kRuns];
+    for (std::uint64_t r = 0; r < kRuns; ++r)
+        seqs[r] = pt.beginMigrationRun(r * kLen, kLen, Tier::Fast, 0, 1);
+    EXPECT_EQ(pt.numFlights(), kRuns);
+    for (std::uint64_t r = 0; r < kRuns; ++r)
+        pt.commitMigrationRun(r * kLen, kLen, seqs[r]);
+    EXPECT_EQ(pt.numFlights(), 0u);
+
+    // 1,000 cycles, each with at most kRuns flights live at once: every
+    // begin reuses a retired record.  Runs are committed in two pieces,
+    // or lose a page to a free-and-remap first.
+    std::mt19937_64 rng(0x5eed);
+    Tier at = Tier::Fast;
+    for (int cycle = 0; cycle < 1000; ++cycle) {
+        const Tier to = at == Tier::Fast ? Tier::Slow : Tier::Fast;
+        for (std::uint64_t r = 0; r < kRuns; ++r)
+            seqs[r] = pt.beginMigrationRun(r * kLen, kLen, to, cycle, 1);
+        ASSERT_EQ(pt.numFlights(), kRuns);
+        for (std::uint64_t r = 0; r < kRuns; ++r) {
+            const PageId first = r * kLen;
+            if (rng() % 4 == 0) {
+                const PageId p = first + rng() % kLen;
+                pt.unmapRange(p, 1);
+                pt.mapRange(p, 1, to);
+            }
+            const std::uint64_t k = rng() % (kLen + 1);
+            pt.commitMigrationRun(first, k, seqs[r]);
+            pt.commitMigrationRun(first + k, kLen - k, seqs[r] + k);
+        }
+        ASSERT_EQ(pt.numFlights(), 0u) << "cycle " << cycle;
+        ASSERT_EQ(pt.numInFlight(), 0u) << "cycle " << cycle;
+        ASSERT_EQ(pt.runState(0, kRuns * kLen).count, kRuns * kLen);
+        at = to;
+    }
+}
+
 /**
  * Seeded randomized differential run against the std::map model.
  * Pages come from two windows centred on chunk seams (2^16 and
  * 3 * 2^16), so most ranges straddle a chunk boundary.  Migrations are
  * left in flight across frees, cancels and clear(), and committed
- * later in random order (sometimes split in two), so stale commits are
- * part of the mix.  After every operation the whole window is compared
- * page by page, plus runState() over random ranges.
+ * later in random order: in order in two pieces, second piece first,
+ * or committed twice.  Some runs are begun as two back-to-back
+ * migrations and committed as one, and whole flights are freed before
+ * their commit so a retired record's slot is reused; stale commits
+ * are part of the mix.  After every operation the whole window is
+ * compared page by page, the live flight records against the runs the
+ * model still has pages in flight of, and runState() over random
+ * ranges.
  */
 class PageTableDiff
 {
@@ -261,7 +365,7 @@ class PageTableDiff
             ref_.clear();
             return;
         }
-        switch (below(8)) {
+        switch (below(9)) {
           case 0:
           case 1:
             mapSome();
@@ -277,10 +381,27 @@ class PageTableDiff
           case 6:
             commitSome();
             break;
-          default:
+          case 7:
             refreeSome();
             break;
+          default:
+            freeFlight();
+            break;
         }
+    }
+
+    /** Commit every issued run (most are stale by now); nothing may
+     *  stay in flight or hold a record. */
+    void
+    drain()
+    {
+        for (const Flight &f : flights_)
+            ASSERT_EQ(pt_.commitMigrationRun(f.first, f.count, f.seq0),
+                      ref_.commitMigrationRun(f.first, f.count, f.seq0));
+        flights_.clear();
+        ASSERT_EQ(ref_.numInFlight(), 0u);
+        ASSERT_EQ(pt_.numInFlight(), 0u);
+        ASSERT_EQ(pt_.numFlights(), 0u);
     }
 
     void
@@ -288,6 +409,8 @@ class PageTableDiff
     {
         ASSERT_EQ(pt_.numMapped(), ref_.numMapped());
         ASSERT_EQ(pt_.numInFlight(), ref_.numInFlight());
+        // One live record per begun run the model still has a page of.
+        std::set<std::uint64_t> live;
         for (PageId seam : kSeams) {
             for (PageId p = seam - kHalf; p < seam + kHalf + kMaxRun;
                  ++p) {
@@ -302,9 +425,11 @@ class PageTableDiff
                     ASSERT_EQ(got.dest, want.dest) << p;
                     ASSERT_EQ(got.arrival, want.arrival) << p;
                     ASSERT_EQ(got.seq, want.seq) << p;
+                    live.insert(*std::prev(begun_.upper_bound(want.seq)));
                 }
             }
         }
+        ASSERT_EQ(pt_.numFlights(), live.size());
         for (int i = 0; i < 4; ++i) {
             PageId p = randomPage();
             std::uint64_t n = prefix(p, true, 2 * kMaxRun);
@@ -390,13 +515,27 @@ class PageTableDiff
         PageRunState rs = ref_.runState(p, m);
         if (rs.in_flight)
             return;
-        std::uint64_t n = 1 + below(rs.count);
-        Tier dest = makeTier(static_cast<unsigned>(
-            (tierIndex(rs.tier) + 1 + below(3)) % 4));
-        Tick arrival0 = static_cast<Tick>(below(1'000'000));
-        Tick step = static_cast<Tick>(below(4));
-        std::uint64_t seq0 = pt_.beginMigrationRun(p, n, dest, arrival0, step);
-        ASSERT_EQ(seq0, ref_.beginMigrationRun(p, n, dest, arrival0, step));
+        const std::uint64_t n = 1 + below(rs.count);
+        // Sometimes begin the run as two back-to-back migrations: their
+        // sequences are contiguous, so the run commits as one flight
+        // that spans two records.
+        const std::uint64_t split = n > 1 && below(4) == 0 ? 1 + below(n - 1)
+                                                          : n;
+        auto begin = [&](PageId first, std::uint64_t len) {
+            Tier dest = makeTier(static_cast<unsigned>(
+                (tierIndex(rs.tier) + 1 + below(3)) % 4));
+            Tick arrival0 = static_cast<Tick>(below(1'000'000));
+            Tick step = static_cast<Tick>(below(4));
+            std::uint64_t seq =
+                pt_.beginMigrationRun(first, len, dest, arrival0, step);
+            EXPECT_EQ(seq, ref_.beginMigrationRun(first, len, dest,
+                                                  arrival0, step));
+            begun_.insert(seq);
+            return seq;
+        };
+        const std::uint64_t seq0 = begin(p, split);
+        if (split < n)
+            begin(p + split, n - split);
         flights_.push_back(Flight{ p, n, seq0 });
     }
 
@@ -409,13 +548,65 @@ class PageTableDiff
         Flight f = flights_[i];
         flights_[i] = flights_.back();
         flights_.pop_back();
-        // Commit in two pieces, as arrivals draining mid-run would.
-        std::uint64_t k = below(f.count + 1);
+        // Commit in two pieces, as arrivals draining mid-run would;
+        // sometimes the second piece first, sometimes each piece twice.
+        const std::uint64_t k = below(f.count + 1);
+        const Flight pieces[2] = { { f.first, k, f.seq0 },
+                                   { f.first + k, f.count - k, f.seq0 + k } };
+        const unsigned mode = static_cast<unsigned>(below(3));
+        for (unsigned i = 0; i < 2; ++i) {
+            const Flight &piece = pieces[mode == 1 ? 1 - i : i];
+            ASSERT_EQ(
+                pt_.commitMigrationRun(piece.first, piece.count, piece.seq0),
+                ref_.commitMigrationRun(piece.first, piece.count,
+                                        piece.seq0));
+            if (mode == 2) {
+                ASSERT_EQ(pt_.commitMigrationRun(piece.first, piece.count,
+                                                 piece.seq0),
+                          0u);
+                ASSERT_EQ(ref_.commitMigrationRun(piece.first, piece.count,
+                                                  piece.seq0),
+                          0u);
+            }
+        }
+    }
+
+    void
+    freeFlight()
+    {
+        // Free every page of an issued run before its commit, so its
+        // record retires; remap the pages and migrate them again as one
+        // run (the next begin takes the retired slot), then issue the
+        // stale commit.
+        if (flights_.empty())
+            return;
+        std::size_t i = below(flights_.size());
+        const Flight f = flights_[i];
+        flights_[i] = flights_.back();
+        flights_.pop_back();
+        for (PageId p = f.first; p < f.first + f.count; ++p) {
+            if (ref_.isMapped(p)) {
+                pt_.unmapRange(p, 1);
+                ref_.unmapRange(p, 1);
+            }
+        }
+        Tier tier = makeTier(static_cast<unsigned>(below(4)));
+        pt_.mapRange(f.first, f.count, tier);
+        ref_.mapRange(f.first, f.count, tier);
+        Tier dest = makeTier((tierIndex(tier) + 1 + below(3)) % 4);
+        Tick arrival0 = static_cast<Tick>(below(1'000'000));
+        Tick step = static_cast<Tick>(below(4));
+        std::uint64_t seq0 =
+            pt_.beginMigrationRun(f.first, f.count, dest, arrival0, step);
+        ASSERT_EQ(seq0, ref_.beginMigrationRun(f.first, f.count, dest,
+                                               arrival0, step));
+        flights_.push_back(Flight{ f.first, f.count, seq0 });
+        begun_.insert(seq0);
+        const std::uint64_t k = below(f.count + 1);
         ASSERT_EQ(pt_.commitMigrationRun(f.first, k, f.seq0),
                   ref_.commitMigrationRun(f.first, k, f.seq0));
-        ASSERT_EQ(
-            pt_.commitMigrationRun(f.first + k, f.count - k, f.seq0 + k),
-            ref_.commitMigrationRun(f.first + k, f.count - k, f.seq0 + k));
+        ASSERT_EQ(pt_.commitMigrationRun(f.first, f.count, f.seq0),
+                  ref_.commitMigrationRun(f.first, f.count, f.seq0));
     }
 
     void
@@ -440,6 +631,7 @@ class PageTableDiff
             std::uint64_t seq = pt_.beginMigrationRun(p, 1, dest, arrival, 0);
             ASSERT_EQ(seq, ref_.beginMigrationRun(p, 1, dest, arrival, 0));
             flights_.push_back(Flight{ p, 1, seq });
+            begun_.insert(seq);
         }
     }
 
@@ -447,6 +639,8 @@ class PageTableDiff
     testing::RefPageTable ref_;
     std::mt19937_64 rng_;
     std::vector<Flight> flights_;
+    /** First sequence of every begun run. */
+    std::set<std::uint64_t> begun_;
 };
 
 TEST(PageTable, RandomizedDifferentialAgainstMapModel)
@@ -458,6 +652,8 @@ TEST(PageTable, RandomizedDifferentialAgainstMapModel)
             ASSERT_NO_FATAL_FAILURE(diff.step()) << "op " << op;
             ASSERT_NO_FATAL_FAILURE(diff.check()) << "after op " << op;
         }
+        ASSERT_NO_FATAL_FAILURE(diff.drain());
+        ASSERT_NO_FATAL_FAILURE(diff.check());
     }
 }
 
