@@ -33,7 +33,36 @@ Executor::placementOf(TensorId id) const
 int
 Executor::pageRefCount(mem::PageId page) const
 {
-    return page_refs_.get(page);
+    int n = 0;
+    for (TensorId id = 0; id < live_.size(); ++id)
+        if (live_[id] && placements_[id].firstPage() <= page &&
+            page < placements_[id].endPage())
+            ++n;
+    return n;
+}
+
+mem::PageRun
+Executor::updateEdgeRefs(const TensorPlacement &pl, std::int32_t delta)
+{
+    mem::PageId lo = pl.firstPage();
+    mem::PageId hi = pl.endPage();
+    if (lo == hi)
+        return { lo, 0 };
+    const mem::PageId last = hi - 1;
+    // Live tensors on page p other than this one: the count before an
+    // allocation's increment, after a free's decrement.
+    auto others = [&](mem::PageId p) {
+        std::int32_t &ref = page_refs_.ref(p);
+        const std::int32_t before = ref;
+        ref += delta;
+        SENTINEL_ASSERT(ref >= 0, "page refcount underflow");
+        return delta > 0 ? before : ref;
+    };
+    if (others(lo) > 0)
+        ++lo;
+    if (last != pl.firstPage() && others(last) > 0)
+        hi = last;
+    return { lo, hi - lo };
 }
 
 void
@@ -124,27 +153,12 @@ Executor::allocateTensor(TensorId id)
     AllocDecision dec = policy_.allocate(*this, t);
 
     TensorPlacement pl{ dec.addr, t.bytes };
-    // Map freshly-referenced pages as maximal contiguous runs: one
-    // reservation/insert batch per run instead of one per page.
-    mem::PageId run_start = mem::kInvalidPage;
-    auto flush = [&](mem::PageId end_excl) {
-        if (run_start == mem::kInvalidPage)
-            return;
-        std::uint64_t n = end_excl - run_start;
-        hm_.mapRange(run_start, n, dec.preferred);
+    const mem::PageRun fresh = updateEdgeRefs(pl, +1);
+    if (fresh.count > 0) {
+        hm_.mapRange(fresh.first, fresh.count, dec.preferred);
         if (tracker_)
-            tracker_->trackRange(run_start, n);
-        run_start = mem::kInvalidPage;
-    };
-    for (mem::PageId p = pl.firstPage(); p < pl.endPage(); ++p) {
-        if (++page_refs_.ref(p) == 1) {
-            if (run_start == mem::kInvalidPage)
-                run_start = p;
-        } else {
-            flush(p);
-        }
+            tracker_->trackRange(fresh.first, fresh.count);
     }
-    flush(pl.endPage());
     placements_[id] = pl;
     live_[id] = 1;
     notePeakFastUsage();
@@ -159,28 +173,14 @@ Executor::freeTensor(TensorId id)
     SENTINEL_ASSERT(isAllocated(id), "freeing unallocated tensor %u", id);
     TensorPlacement pl = placements_[id];
     policy_.onTensorFreed(*this, id, pl);
-    mem::PageId run_start = mem::kInvalidPage;
-    auto flush = [&](mem::PageId end_excl) {
-        if (run_start == mem::kInvalidPage)
-            return;
-        std::uint64_t n = end_excl - run_start;
-        if (tracker_)
-            tracker_->untrackRange(run_start, n);
-        hm_.unmapRange(run_start, n, now_);
-        run_start = mem::kInvalidPage;
-    };
-    for (mem::PageId p = pl.firstPage(); p < pl.endPage(); ++p) {
-        std::int32_t &ref = page_refs_.ref(p);
-        SENTINEL_ASSERT(ref > 0, "page refcount underflow");
-        if (--ref == 0) {
+    const mem::PageRun gone = updateEdgeRefs(pl, -1);
+    if (gone.count > 0) {
+        for (mem::PageId p = gone.first; p < gone.first + gone.count; ++p)
             policy_.onPageUnmapped(*this, p);
-            if (run_start == mem::kInvalidPage)
-                run_start = p;
-        } else {
-            flush(p);
-        }
+        if (tracker_)
+            tracker_->untrackRange(gone.first, gone.count);
+        hm_.unmapRange(gone.first, gone.count, now_);
     }
-    flush(pl.endPage());
     live_[id] = 0;
 }
 

@@ -6,6 +6,10 @@
  * producing per-step statistics.  It owns the simulated clock, the
  * tensor -> placement table, and page reference counting (multiple
  * tensors may share a page; the page lives while any of them does).
+ * Live tensors never share bytes, so only a tensor's first and last
+ * pages can be shared, and only they carry a count: allocating or
+ * freeing a tensor updates at most two counts and maps or unmaps the
+ * pages between them as one run.
  *
  * Each tensor use is walked once, as runs of pages: the policy's
  * onRangeAccess() resolves a prefix of the remaining extent, and a
@@ -72,7 +76,10 @@ class Executor
     bool isAllocated(TensorId id) const;
     /** Placement of a live tensor (panics if not allocated). */
     const TensorPlacement &placementOf(TensorId id) const;
-    /** Number of live tensors overlapping @p page (0 if unmapped). */
+    /**
+     * Number of live tensors whose placement spans @p page (0 if
+     * unmapped).  A scan of the live placements, for tests.
+     */
     int pageRefCount(mem::PageId page) const;
 
     // --- Time charging (policy hooks use these) -----------------------------
@@ -137,6 +144,11 @@ class Executor
 
     void allocateTensor(TensorId id);
     void freeTensor(TensorId id);
+    /** Add @p delta (+1 allocate, -1 free) to the refcounts of
+     *  @p pl's edge pages.  @return the pages of @p pl no other live
+     *  tensor spans: the run to map, or to unmap. */
+    mem::PageRun updateEdgeRefs(const TensorPlacement &pl,
+                                std::int32_t delta);
     void execOp(const Operation &op);
     void execUseRanges(const TensorUse &use, const TensorPlacement &pl,
                        UseTraffic tr, TensorKind kind, Tick *mem_total);
@@ -166,6 +178,9 @@ class Executor
     // bookkeeping is hash-free and allocation-free in steady state.
     std::vector<TensorPlacement> placements_;
     std::vector<std::uint8_t> live_;
+    /// Live tensors with the page as their first or last page.  Interior
+    /// pages carry no count: their tensor's bytes cover them, so no other
+    /// live tensor can span them.
     mem::PageDirectory<std::int32_t> page_refs_;
 
     std::vector<AccessSegment> seg_buf_; ///< reused per onRangeAccess call

@@ -6,6 +6,11 @@
  * (and therefore every migration policy) actually manages.  Two
  * tensors whose ranges overlap a page *share* that page — the paper's
  * page-level false sharing arises exactly here.
+ *
+ * Live tensors may share pages but never bytes.  A page a tensor's own
+ * bytes fully cover is therefore the tensor's alone; only its first and
+ * last pages can be shared.  The executor relies on this: placing a live
+ * tensor over another's interior pages panics.
  */
 
 #ifndef SENTINEL_DATAFLOW_PLACEMENT_HH

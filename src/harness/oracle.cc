@@ -642,7 +642,8 @@ FuzzCase::parse(const std::string &text)
             "sentinelrepro: invalid run shape (batch %d, steps %d, "
             "warmup %d)",
             c.batch, c.steps, c.warmup));
-    if (c.fast_fraction <= 0.0 || c.fast_fraction > 1.5)
+    // Range checks are written so that NaN fails them.
+    if (!(0.0 < c.fast_fraction && c.fast_fraction <= 1.5))
         throw ConfigError(strprintf(
             "sentinelrepro: fraction %g out of range (0, 1.5]",
             c.fast_fraction));
@@ -654,8 +655,8 @@ FuzzCase::parse(const std::string &text)
         throw ConfigError(strprintf(
             "sentinelrepro: tiers %d out of range [1, %d]", c.tiers,
             static_cast<int>(mem::kMaxTiers)));
-    if (c.inject_capacity < 0.0 || c.inject_capacity >= 1.0 ||
-        c.inject_traffic < -0.9 || c.inject_traffic > 10.0)
+    if (!(0.0 <= c.inject_capacity && c.inject_capacity < 1.0) ||
+        !(-0.9 <= c.inject_traffic && c.inject_traffic <= 10.0))
         throw ConfigError("sentinelrepro: injection knob out of range");
     if (!c.cpu && !c.gpu)
         throw ConfigError(
