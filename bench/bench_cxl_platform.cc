@@ -11,13 +11,9 @@
  */
 
 #include <iostream>
-#include <memory>
 
-#include "baselines/ial.hh"
-#include "baselines/reference.hh"
 #include "bench_util.hh"
-#include "core/sentinel_policy.hh"
-#include "profile/profiler.hh"
+#include "harness/cell.hh"
 
 using namespace sentinel;
 
@@ -33,11 +29,10 @@ struct Row {
 
 double
 steadyMs(const df::Graph &g, const core::RuntimeConfig &cfg,
-         df::MemoryPolicy &policy)
+         const std::string &policy)
 {
-    mem::HeterogeneousMemory hm(cfg.fast, cfg.slow, cfg.migration);
-    df::Executor ex(g, hm, cfg.exec, policy);
-    return toMillis(ex.run(9).back().step_time);
+    harness::Cell cell(g, cfg, policy);
+    return toMillis(cell.executor().run(9).back().step_time);
 }
 
 Row
@@ -46,23 +41,13 @@ runPlatform(const df::Graph &g, core::RuntimeConfig cfg,
 {
     Row r;
     cfg.fast.capacity = fast20;
-
-    mem::HeterogeneousMemory prof_hm(cfg.fast, cfg.slow, cfg.migration);
-    prof::Profiler profiler(cfg.profiler);
-    auto profile = profiler.profile(g, prof_hm, cfg.exec);
-
-    auto slow = baselines::makeSlowOnly();
-    r.slow_only = steadyMs(g, cfg, *slow);
-    auto numa = baselines::makeFirstTouchNuma();
-    r.numa = steadyMs(g, cfg, *numa);
-    baselines::IalPolicy ial;
-    r.ial = steadyMs(g, cfg, ial);
-    core::SentinelPolicy sentinel(profile.db);
-    r.sentinel = steadyMs(g, cfg, sentinel);
+    r.slow_only = steadyMs(g, cfg, "slow-only");
+    r.numa = steadyMs(g, cfg, "numa");
+    r.ial = steadyMs(g, cfg, "ial");
+    r.sentinel = steadyMs(g, cfg, "sentinel");
 
     cfg.fast.capacity = fast_all;
-    auto fast = baselines::makeFastOnly();
-    r.fast_only = steadyMs(g, cfg, *fast);
+    r.fast_only = steadyMs(g, cfg, "fast-only");
     return r;
 }
 

@@ -9,12 +9,9 @@
  */
 
 #include <iostream>
-#include <memory>
 
-#include "baselines/ial.hh"
 #include "bench_util.hh"
-#include "core/sentinel_policy.hh"
-#include "profile/profiler.hh"
+#include "harness/cell.hh"
 #include "sim/trace.hh"
 #include "telemetry/chrome_trace.hh"
 #include "telemetry/session.hh"
@@ -32,10 +29,10 @@ struct TraceResult {
 
 TraceResult
 traceOnePolicy(const df::Graph &graph, const core::RuntimeConfig &cfg,
-               df::MemoryPolicy &policy, Tick bucket)
+               const std::string &policy, Tick bucket)
 {
-    mem::HeterogeneousMemory hm(cfg.fast, cfg.slow, cfg.migration);
-    df::Executor ex(graph, hm, cfg.exec, policy);
+    harness::Cell cell(graph, cfg, policy);
+    df::Executor &ex = cell.executor();
     ex.run(6); // reach steady state
 
     sim::TraceRecorder trace(bucket);
@@ -71,15 +68,9 @@ main(int argc, char **argv)
         mem::roundUpToPages(graph.peakMemoryBytes() / 5);
     auto cfg = core::RuntimeConfig::optane(fast);
 
-    mem::HeterogeneousMemory prof_hm(cfg.fast, cfg.slow, cfg.migration);
-    prof::Profiler profiler(cfg.profiler);
-    auto profile = profiler.profile(graph, prof_hm, cfg.exec);
-
     const Tick bucket = 2 * kMsec;
-    baselines::IalPolicy ial;
-    TraceResult ial_r = traceOnePolicy(graph, cfg, ial, bucket);
-    core::SentinelPolicy sentinel(profile.db);
-    TraceResult sen_r = traceOnePolicy(graph, cfg, sentinel, bucket);
+    TraceResult ial_r = traceOnePolicy(graph, cfg, "ial", bucket);
+    TraceResult sen_r = traceOnePolicy(graph, cfg, "sentinel", bucket);
 
     Table t("Fig. 9: access bandwidth per 2 ms window (" + model + ")",
             { "window", "IAL fast (GB/s)", "IAL slow (GB/s)",
@@ -115,13 +106,11 @@ main(int argc, char **argv)
     // event-level view behind this figure's bucketed series).
     if (argc > 2) {
         telemetry::Session session;
-        core::SentinelPolicy traced(profile.db);
-        traced.setTelemetry(&session);
-        mem::HeterogeneousMemory hm(cfg.fast, cfg.slow, cfg.migration);
-        hm.setTelemetry(&session);
-        df::Executor ex(graph, hm, cfg.exec, traced);
-        ex.setTelemetry(&session);
-        ex.run(7);
+        harness::Cell cell(std::move(graph), cfg, "sentinel");
+        cell.sentinel()->setTelemetry(&session);
+        cell.hm().setTelemetry(&session);
+        cell.executor().setTelemetry(&session);
+        cell.executor().run(7);
         if (telemetry::saveChromeTrace(session.events(), argv[2])) {
             std::cout << strprintf(
                 "\nChrome trace of %d steady steps written to %s "

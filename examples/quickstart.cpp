@@ -11,7 +11,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/runtime.hh"
+#include "harness/cell.hh"
 #include "models/registry.hh"
 
 using namespace sentinel;
@@ -32,11 +32,12 @@ main(int argc, char **argv)
                 model.c_str(), batch, static_cast<double>(peak) / 1e6,
                 static_cast<double>(fast) / 1e6);
 
-    // 2. Create the runtime on the DDR4 + Optane preset.
-    core::Runtime rt(std::move(graph), core::RuntimeConfig::optane(fast));
-
-    // 3. Profiling phase: one instrumented training step.
-    const prof::ProfileResult &profile = rt.profileResult();
+    // 2. Assemble the run on the DDR4 + Optane preset.  This is the
+    //    profiling phase too: one instrumented training step, on a
+    //    scratch memory system, that Sentinel then plans from.
+    harness::Cell cell(std::move(graph), core::RuntimeConfig::optane(fast),
+                       "sentinel");
+    const prof::ProfileResult &profile = *cell.profile();
     std::printf("profiling: step extended %.1fx, memory overhead "
                 "%.2f%%, RS = %.1f MB\n",
                 profile.profilingSlowdown(),
@@ -44,9 +45,9 @@ main(int argc, char **argv)
                 static_cast<double>(profile.db.shortLivedPeakBytes()) /
                     1e6);
 
-    // 4. Train.  The first steps include Sentinel's test-and-trial.
-    auto stats = rt.train(10);
-    const core::SentinelPolicy &policy = rt.policy();
+    // 3. Train.  The first steps include Sentinel's test-and-trial.
+    auto stats = cell.executor().run(10);
+    const core::SentinelPolicy &policy = *cell.sentinel();
     std::printf("plan: MIL = %d, reserved pool = %.1f MB, "
                 "test-and-trial steps = %d\n",
                 policy.migrationPlan().mil,

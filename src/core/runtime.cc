@@ -128,64 +128,4 @@ RuntimeConfig::gpu(std::uint64_t hbm_bytes)
     return cfg;
 }
 
-Runtime::Runtime(df::Graph graph, RuntimeConfig cfg)
-    : graph_(std::move(graph)), cfg_(std::move(cfg))
-{
-    SENTINEL_ASSERT(graph_.finalized(), "graph must be finalized");
-    if (cfg_.telemetry.enabled)
-        telemetry_ = std::make_unique<telemetry::Session>(cfg_.telemetry);
-    hm_ = std::make_unique<mem::HeterogeneousMemory>(cfg_.tierChain(),
-                                                     cfg_.linkChain());
-    hm_->setTelemetry(telemetry_.get());
-}
-
-void
-Runtime::ensureProfiled()
-{
-    if (profile_)
-        return;
-    // Profiling runs on its own memory system snapshot: the real
-    // implementation profiles the 11th step in place, but the page-
-    // aligned profiling allocation must not linger in the training HM.
-    mem::HeterogeneousMemory profiling_hm(cfg_.tierChain(),
-                                          cfg_.linkChain());
-    prof::Profiler profiler(cfg_.profiler);
-    profile_ = profiler.profile(graph_, profiling_hm, cfg_.exec);
-}
-
-void
-Runtime::ensureExecutor()
-{
-    ensureProfiled();
-    if (executor_)
-        return;
-    policy_ = std::make_unique<SentinelPolicy>(profile_->db,
-                                               cfg_.sentinel);
-    policy_->setTelemetry(telemetry_.get());
-    executor_ = std::make_unique<df::Executor>(graph_, *hm_, cfg_.exec,
-                                               *policy_);
-    executor_->setTelemetry(telemetry_.get());
-}
-
-const prof::ProfileResult &
-Runtime::profileResult()
-{
-    ensureProfiled();
-    return *profile_;
-}
-
-std::vector<df::StepStats>
-Runtime::train(int steps)
-{
-    ensureExecutor();
-    return executor_->run(steps);
-}
-
-const SentinelPolicy &
-Runtime::policy() const
-{
-    SENTINEL_ASSERT(policy_ != nullptr, "train() has not run yet");
-    return *policy_;
-}
-
 } // namespace sentinel::core

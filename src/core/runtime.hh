@@ -1,31 +1,20 @@
 /**
  * @file
- * The public entry point: profile a model once, then train it under
- * Sentinel on a heterogeneous memory system.
- *
- * Mirrors the paper's usage: the user wraps training with
- * start_profile()/end_profile() and annotates layers with add_layer();
- * here the Graph already carries layer annotations, so the facade
- * reduces to "construct, train".
- *
- *     auto graph = models::makeModel("resnet32", 32);
- *     core::Runtime rt(std::move(graph), core::RuntimeConfig::optane());
- *     auto stats = rt.train(20);
+ * Platform descriptions: the tier chain, migration links, execution
+ * and profiler parameters, and Sentinel's options that one training
+ * run is built on, with the paper's presets (Table II).
+ * harness::Cell assembles a run from one.
  */
 
 #ifndef SENTINEL_CORE_RUNTIME_HH
 #define SENTINEL_CORE_RUNTIME_HH
 
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/sentinel_policy.hh"
 #include "dataflow/executor.hh"
-#include "dataflow/graph.hh"
 #include "mem/hm.hh"
 #include "profile/profiler.hh"
-#include "telemetry/session.hh"
 
 namespace sentinel::core {
 
@@ -75,14 +64,6 @@ struct RuntimeConfig {
                         double bw_override = 0.0);
 
     /**
-     * Structured event tracing (off by default).  When enabled the
-     * runtime owns a telemetry::Session wired into the executor, the
-     * memory system, and the Sentinel policy; read it back through
-     * Runtime::telemetrySession() to export Chrome traces / metrics.
-     */
-    telemetry::TelemetryConfig telemetry;
-
-    /**
      * DDR4 + Optane DC PMM preset (the paper's Table II CPU platform),
      * with the fast tier sized to @p fast_bytes.
      */
@@ -99,41 +80,6 @@ struct RuntimeConfig {
      * memory technologies.
      */
     static RuntimeConfig cxl(std::uint64_t fast_bytes);
-};
-
-class Runtime
-{
-  public:
-    Runtime(df::Graph graph, RuntimeConfig cfg);
-
-    /** The one-step profiling phase (run lazily before training). */
-    const prof::ProfileResult &profileResult();
-
-    /**
-     * Run @p steps training steps under Sentinel (profiling first if
-     * not done yet).  Subsequent calls continue training.
-     */
-    std::vector<df::StepStats> train(int steps);
-
-    const df::Graph &graph() const { return graph_; }
-    mem::HeterogeneousMemory &hm() { return *hm_; }
-    /** Valid after the first train() call. */
-    const SentinelPolicy &policy() const;
-
-    /** Telemetry session, or null when cfg.telemetry.enabled is false. */
-    telemetry::Session *telemetrySession() { return telemetry_.get(); }
-
-  private:
-    void ensureProfiled();
-    void ensureExecutor();
-
-    df::Graph graph_;
-    RuntimeConfig cfg_;
-    std::unique_ptr<telemetry::Session> telemetry_;
-    std::optional<prof::ProfileResult> profile_;
-    std::unique_ptr<mem::HeterogeneousMemory> hm_;
-    std::unique_ptr<SentinelPolicy> policy_;
-    std::unique_ptr<df::Executor> executor_;
 };
 
 } // namespace sentinel::core

@@ -1,18 +1,18 @@
-#include "core/bucketed.hh"
+#include "harness/bucketed.hh"
 
 #include "common/logging.hh"
 
-namespace sentinel::core {
+namespace sentinel::harness {
 
 BucketedRuntime::BucketedRuntime(std::function<df::Graph(int)> make_graph,
-                                 RuntimeConfig cfg, int max_buckets)
+                                 core::RuntimeConfig cfg, int max_buckets)
     : make_graph_(std::move(make_graph)), cfg_(std::move(cfg)),
       max_buckets_(max_buckets)
 {
     SENTINEL_ASSERT(max_buckets_ >= 1, "need at least one bucket");
 }
 
-Runtime &
+Cell &
 BucketedRuntime::bucket(int key)
 {
     auto it = buckets_.find(key);
@@ -25,10 +25,11 @@ BucketedRuntime::bucket(int key)
                            "coarsen the input-size bucketization",
                            key, max_buckets_);
         }
-        auto rt = std::make_unique<Runtime>(make_graph_(key), cfg_);
-        rt->profileResult(); // one profiling step for the new bucket
+        // One profiling step for the new bucket.
+        auto cell = std::make_unique<Cell>(make_graph_(key), cfg_,
+                                           "sentinel");
         ++profiling_steps_;
-        it = buckets_.emplace(key, std::move(rt)).first;
+        it = buckets_.emplace(key, std::move(cell)).first;
     }
     return *it->second;
 }
@@ -36,7 +37,7 @@ BucketedRuntime::bucket(int key)
 df::StepStats
 BucketedRuntime::step(int key)
 {
-    return bucket(key).train(1).front();
+    return bucket(key).executor().runStep();
 }
 
-} // namespace sentinel::core
+} // namespace sentinel::harness

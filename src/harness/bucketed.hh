@@ -10,22 +10,21 @@
  * degenerate case: a batch whose graph matches no profiled bucket
  * triggers a fresh profiling step for it.
  *
- * This facade manages one (HM, profile, policy, executor) instance per
- * bucket over a shared memory system description and dispatches steps
- * by bucket key.
+ * This facade keeps one Sentinel Cell (profile, policy, memory system,
+ * executor) per bucket over a shared platform description and
+ * dispatches steps by bucket key.
  */
 
-#ifndef SENTINEL_CORE_BUCKETED_HH
-#define SENTINEL_CORE_BUCKETED_HH
+#ifndef SENTINEL_HARNESS_BUCKETED_HH
+#define SENTINEL_HARNESS_BUCKETED_HH
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <vector>
 
-#include "core/runtime.hh"
+#include "harness/cell.hh"
 
-namespace sentinel::core {
+namespace sentinel::harness {
 
 class BucketedRuntime
 {
@@ -33,7 +32,7 @@ class BucketedRuntime
     /** @param make_graph builds the representative graph of a bucket
      *         (e.g. the padded sequence length -> its step graph). */
     BucketedRuntime(std::function<df::Graph(int)> make_graph,
-                    RuntimeConfig cfg, int max_buckets = 10);
+                    core::RuntimeConfig cfg, int max_buckets = 10);
 
     /**
      * Run one training step whose input falls into @p bucket.  The
@@ -49,17 +48,17 @@ class BucketedRuntime
      *  paper bounds by allowing at most ten buckets). */
     int profilingSteps() const { return profiling_steps_; }
 
-    /** The per-bucket runtime (profiled on first use). */
-    Runtime &bucket(int key);
+    /** The per-bucket cell (profiled on first use). */
+    Cell &bucket(int key);
 
   private:
     std::function<df::Graph(int)> make_graph_;
-    RuntimeConfig cfg_;
+    core::RuntimeConfig cfg_;
     int max_buckets_;
     int profiling_steps_ = 0;
-    std::map<int, std::unique_ptr<Runtime>> buckets_;
+    std::map<int, std::unique_ptr<Cell>> buckets_;
 };
 
-} // namespace sentinel::core
+} // namespace sentinel::harness
 
-#endif // SENTINEL_CORE_BUCKETED_HH
+#endif // SENTINEL_HARNESS_BUCKETED_HH

@@ -1,23 +1,11 @@
 #include "harness/experiment.hh"
 
-#include <memory>
-#include <optional>
-
-#include "baselines/autotm.hh"
-#include "baselines/capuchin.hh"
-#include "baselines/ial.hh"
-#include "baselines/memory_mode.hh"
 #include "baselines/planned.hh"
-#include "baselines/reference.hh"
-#include "baselines/swapadvisor.hh"
-#include "baselines/unified_memory.hh"
-#include "baselines/vdnn.hh"
 #include "common/logging.hh"
 #include "common/percentile.hh"
 #include "common/thread_pool.hh"
+#include "harness/cell.hh"
 #include "models/registry.hh"
-#include "profile/profiler.hh"
-#include "sim/fault_injector.hh"
 
 namespace sentinel::harness {
 
@@ -60,54 +48,6 @@ gpuPolicies()
     return names;
 }
 
-namespace {
-
-bool
-needsProfile(const std::string &policy)
-{
-    return policy == "autotm" || policy == "swapadvisor" ||
-           policy == "capuchin" || policy == "sentinel";
-}
-
-std::unique_ptr<df::MemoryPolicy>
-makePolicy(const std::string &name, const ExperimentConfig &cfg,
-           std::uint64_t fast_bytes, const prof::ProfileDatabase *db)
-{
-    bool gpu = cfg.platform == Platform::Gpu;
-    if (name == "fast-only" || name == "tf")
-        return baselines::makeFastOnly();
-    if (name == "slow-only")
-        return baselines::makeSlowOnly();
-    if (name == "numa")
-        return baselines::makeFirstTouchNuma();
-    if (name == "planned")
-        return baselines::makePlanned();
-    if (name == "memory-mode")
-        return std::make_unique<baselines::MemoryModePolicy>(fast_bytes);
-    if (name == "ial")
-        return std::make_unique<baselines::IalPolicy>();
-    if (name == "um")
-        return std::make_unique<baselines::UnifiedMemoryPolicy>();
-    if (name == "vdnn")
-        return std::make_unique<baselines::VdnnPolicy>();
-    if (name == "autotm")
-        return std::make_unique<baselines::AutoTmPolicy>(*db, gpu);
-    if (name == "swapadvisor")
-        return std::make_unique<baselines::SwapAdvisorPolicy>(*db, gpu);
-    if (name == "capuchin")
-        return std::make_unique<baselines::CapuchinPolicy>(*db, gpu);
-    if (name == "sentinel") {
-        core::SentinelOptions opts = cfg.sentinel;
-        opts.gpu_mode = gpu;
-        if (cfg.planner == "interval")
-            opts.layout_planner = core::LayoutPlanner::Interval;
-        return std::make_unique<core::SentinelPolicy>(*db, opts);
-    }
-    SENTINEL_FATAL("unknown policy '%s'", name.c_str());
-}
-
-} // namespace
-
 Metrics
 runExperiment(const ExperimentConfig &cfg, const std::string &policy)
 {
@@ -123,156 +63,15 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
     m.model = cfg.model;
     m.batch = cfg.batch;
 
-    if (cfg.batch <= 0)
-        throw ConfigError(
-            strprintf("config: batch must be positive (got %d)",
-                      cfg.batch));
-    if (cfg.steps <= 0)
-        throw ConfigError(
-            strprintf("config: steps must be positive (got %d)",
-                      cfg.steps));
-    if (cfg.warmup < 0 || cfg.warmup >= cfg.steps)
-        throw ConfigError(strprintf(
-            "config: warmup must lie in [0, steps) (warmup %d, steps %d)",
-            cfg.warmup, cfg.steps));
-    if (cfg.fast_bytes == 0 && cfg.fast_fraction <= 0.0)
-        throw ConfigError(strprintf(
-            "config: fast_fraction must be positive (got %g)",
-            cfg.fast_fraction));
-    if (cfg.planner != "greedy" && cfg.planner != "interval")
-        throw ConfigError(strprintf(
-            "config: planner must be 'greedy' or 'interval' (got '%s')",
-            cfg.planner.c_str()));
-    if (cfg.tiers < 1 || cfg.tiers > static_cast<int>(mem::kMaxTiers))
-        throw ConfigError(strprintf(
-            "config: tiers must lie in [1, %u] (got %d)", mem::kMaxTiers,
-            cfg.tiers));
-    if (cfg.tiers >= 3 && cfg.mid_bytes == 0 && cfg.mid_fraction <= 0.0)
-        throw ConfigError(strprintf(
-            "config: mid_fraction must be positive (got %g)",
-            cfg.mid_fraction));
-    if (cfg.mid_bw < 0.0)
-        throw ConfigError(strprintf(
-            "config: mid_bw must be non-negative (got %g)", cfg.mid_bw));
-
-    // A bad model name (unknown, or a malformed synthetic:<seed> spec)
-    // is a rejected input, not an infeasible run: surface it as
-    // ConfigError instead of the registry's raw runtime_error.
-    df::Graph graph = [&] {
-        try {
-            return models::makeModel(cfg.model, cfg.batch);
-        } catch (const std::runtime_error &e) {
-            throw ConfigError(
-                strprintf("config: cannot build model: %s", e.what()));
-        }
-    }();
-
-    std::uint64_t peak = graph.peakMemoryBytes();
-    std::uint64_t fast_bytes =
-        cfg.fast_bytes != 0
-            ? cfg.fast_bytes
-            : mem::roundUpToPages(static_cast<std::uint64_t>(
-                  static_cast<double>(peak) * cfg.fast_fraction));
-    // The fast-only reference gets a fast tier that holds everything.
-    if (policy == "fast-only" && cfg.fast_bytes == 0)
-        fast_bytes = mem::roundUpToPages(peak + (peak >> 2) +
-                                         (64ull << 20));
-
-    if (fast_bytes < mem::kPageSize)
-        throw ConfigError(strprintf(
-            "config: fast tier (%llu bytes) is smaller than one page "
-            "(%llu); raise fast_bytes or fast_fraction",
-            static_cast<unsigned long long>(fast_bytes),
-            static_cast<unsigned long long>(mem::kPageSize)));
-    if (policy == "sentinel" && cfg.sentinel.use_reserved_pool) {
-        double frac = cfg.sentinel.rs_cap_fraction;
-        if (frac <= 0.0 || frac > 1.0)
-            throw ConfigError(strprintf(
-                "config: sentinel.rs_cap_fraction must lie in (0, 1] "
-                "(got %g)",
-                frac));
-        // The pool cap is what the policy itself would reserve; if it
-        // rounds up to the whole tier nothing is left for long-lived
-        // pages and the run degenerates.
-        std::uint64_t rs_cap = mem::roundUpToPages(
-            static_cast<std::uint64_t>(
-                static_cast<double>(fast_bytes) * frac));
-        if (rs_cap >= fast_bytes)
-            throw ConfigError(strprintf(
-                "config: reserved short-lived pool cap (%llu bytes at "
-                "rs_cap_fraction %g) would consume the whole fast tier "
-                "(%llu bytes); raise fast_bytes or lower the fraction",
-                static_cast<unsigned long long>(rs_cap), frac,
-                static_cast<unsigned long long>(fast_bytes)));
-    }
-
-    // Middle-tier sizing: explicit bytes, or a multiple of the fast
-    // tier.  A sub-page middle tier could never hold a staged page —
-    // reject it instead of simulating a chain that silently degrades.
-    std::uint64_t mid_bytes = 0;
-    if (cfg.tiers >= 3) {
-        mid_bytes = cfg.mid_bytes != 0
-                        ? cfg.mid_bytes
-                        : mem::roundUpToPages(static_cast<std::uint64_t>(
-                              static_cast<double>(fast_bytes) *
-                              cfg.mid_fraction));
-        if (mid_bytes < mem::kPageSize)
-            throw ConfigError(strprintf(
-                "config: middle tier (%llu bytes) is smaller than one "
-                "page (%llu); raise mid_bytes or mid_fraction",
-                static_cast<unsigned long long>(mid_bytes),
-                static_cast<unsigned long long>(mem::kPageSize)));
-    }
-
-    core::RuntimeConfig rc = platformConfig(
-        cfg.platform, fast_bytes, cfg.tiers, mid_bytes, cfg.mid_bw);
-
-    if (policy == "vdnn" && !baselines::VdnnPolicy::supports(graph)) {
+    Cell cell(cfg, policy);
+    if (!cell.supported()) {
         m.supported = false;
         m.feasible = false;
         return trace;
     }
 
-    // Profiling phase (one step on a scratch memory system).
-    std::optional<prof::ProfileResult> profile;
-    if (needsProfile(policy)) {
-        mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
-        prof::Profiler profiler(rc.profiler);
-        profile = profiler.profile(graph, prof_hm, rc.exec);
-    }
-
-    auto pol = makePolicy(policy, cfg, fast_bytes,
-                          profile ? &profile->db : nullptr);
-
-    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
-    df::Executor ex(graph, hm, rc.exec, *pol);
-    if (cfg.telemetry) {
-        hm.setTelemetry(cfg.telemetry);
-        ex.setTelemetry(cfg.telemetry);
-        if (auto *sp = dynamic_cast<core::SentinelPolicy *>(pol.get()))
-            sp->setTelemetry(cfg.telemetry);
-    }
-    if (cfg.attribution) {
-        ex.setAttribution(cfg.attribution);
-        hm.setAttribution(cfg.attribution);
-    }
-    if (cfg.audit)
-        if (auto *sp = dynamic_cast<core::SentinelPolicy *>(pol.get()))
-            sp->setAudit(cfg.audit);
-
-    // Chaos mode: the injector perturbs only the training run.  The
-    // profile above was taken on the healthy system, so a fault spec
-    // starting at step k makes the profile stale from k onward.
-    std::optional<sim::FaultInjector> injector;
-    if (!cfg.chaos.empty()) {
-        sim::FaultSpec spec = sim::FaultSpec::parse(cfg.chaos);
-        spec.seed = cfg.chaos_seed;
-        injector.emplace(std::move(spec));
-        ex.setFaultInjector(&*injector);
-    }
-
     try {
-        trace.steps = ex.run(cfg.steps);
+        trace.steps = cell.executor().run(cfg.steps);
     } catch (const std::runtime_error &) {
         // Out of memory (both tiers full): the configuration is
         // infeasible for this policy.
@@ -330,9 +129,9 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
         m.feasible = per_step < std::max(16e6, 0.02 * total);
     }
 
-    if (auto *pp = dynamic_cast<baselines::PlannedPolicy *>(pol.get()))
+    if (auto *pp = dynamic_cast<baselines::PlannedPolicy *>(&cell.policy()))
         m.layout_mb = static_cast<double>(pp->footprint()) / 1e6;
-    if (auto *sp = dynamic_cast<core::SentinelPolicy *>(pol.get())) {
+    if (core::SentinelPolicy *sp = cell.sentinel()) {
         m.layout_mb =
             static_cast<double>(sp->layoutFootprint()) / 1e6;
         m.mil = sp->migrationPlan().mil;
@@ -350,30 +149,6 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
                           sp->stallModeChosen() ? 1 : 0);
     }
     return trace;
-}
-
-std::vector<Metrics>
-runAll(const ExperimentConfig &cfg,
-       const std::vector<std::string> &policies)
-{
-    std::vector<Metrics> out;
-    out.reserve(policies.size());
-    for (const auto &p : policies)
-        out.push_back(runExperiment(cfg, p));
-    return out;
-}
-
-std::vector<Metrics>
-runAllParallel(const ExperimentConfig &cfg,
-               const std::vector<std::string> &policies, int jobs)
-{
-    if (cfg.telemetry || cfg.attribution || cfg.audit)
-        return runAll(cfg, policies);
-    std::vector<Metrics> out(policies.size());
-    parallelFor(policies.size(), jobs, [&](std::size_t i) {
-        out[i] = runExperiment(cfg, policies[i]);
-    });
-    return out;
 }
 
 std::vector<Metrics>

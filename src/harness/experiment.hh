@@ -2,10 +2,9 @@
  * @file
  * The experiment harness shared by every benchmark and example.
  *
- * One call = one cell of a paper table/figure: build the model, size
- * the fast tier, construct the named policy (profiling first when the
- * policy needs it), simulate N training steps, and return averaged
- * steady-state metrics.
+ * One call = one cell of a paper table/figure: assemble the run
+ * (harness::Cell: model, sized tiers, profile, policy), simulate N
+ * training steps, and return averaged steady-state metrics.
  *
  * Policy names:
  *   fast-only, slow-only, numa, memory-mode, ial, autotm, swapadvisor,
@@ -213,22 +212,6 @@ struct StepTrace {
 };
 StepTrace runExperimentSteps(const ExperimentConfig &cfg,
                              const std::string &policy);
-
-/** Run several policies on the same configuration. */
-std::vector<Metrics> runAll(const ExperimentConfig &cfg,
-                            const std::vector<std::string> &policies);
-
-/**
- * runAll, fanned out over up to @p jobs worker threads.  Each cell is
- * an independent simulation (its own graph, memory system, and
- * simulated clock), so the result vector is byte-identical to the
- * serial runAll regardless of scheduling.  Falls back to the serial
- * path when cfg.telemetry is set (a shared session cannot record two
- * interleaved clocks).
- */
-std::vector<Metrics> runAllParallel(const ExperimentConfig &cfg,
-                                    const std::vector<std::string> &policies,
-                                    int jobs);
 
 /** One cell of a figure/table sweep: a configuration plus a policy. */
 struct SweepCell {

@@ -8,8 +8,8 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "harness/cell.hh"
 #include "models/llm.hh"
-#include "models/registry.hh"
 #include "models/synthetic.hh"
 #include "telemetry/session.hh"
 
@@ -78,9 +78,9 @@ metricsDiff(const Metrics &a, const Metrics &b)
  *  invariants.  Cross-cell invariants (traffic, determinism) are
  *  checked by the caller. */
 CellResult
-runCell(const ExperimentConfig &base, const std::string &policy,
-        Platform plat, const char *plat_name, std::uint64_t fast_bytes,
-        const OracleOptions &opts)
+runCell(const ExperimentConfig &base, const df::Graph &graph,
+        const std::string &policy, Platform plat, const char *plat_name,
+        std::uint64_t fast_bytes, const OracleOptions &opts)
 {
     CellResult r;
     r.cell.policy = policy;
@@ -95,7 +95,7 @@ runCell(const ExperimentConfig &base, const std::string &policy,
     cfg.fast_bytes = oversized ? 0 : fast_bytes;
 
     telemetry::Session session(
-        telemetry::TelemetryConfig{ true, opts.ring_capacity });
+        telemetry::TelemetryConfig{ opts.ring_capacity });
     telemetry::AttributionEngine attr;
     telemetry::AuditLog audit;
     cfg.telemetry = &session;
@@ -138,20 +138,8 @@ runCell(const ExperimentConfig &base, const std::string &policy,
 
     // --- capacity (every chain tier) ----------------------------------
     if (!oversized) {
-        // Rebuild the capacities exactly as runExperimentSteps sizes
-        // them (same platformConfig path).
-        std::uint64_t mid_bytes = 0;
-        if (cfg.tiers >= 3)
-            mid_bytes =
-                cfg.mid_bytes != 0
-                    ? cfg.mid_bytes
-                    : mem::roundUpToPages(static_cast<std::uint64_t>(
-                          static_cast<double>(fast_bytes) *
-                          cfg.mid_fraction));
         std::vector<mem::TierParams> chain =
-            platformConfig(plat, fast_bytes, cfg.tiers, mid_bytes,
-                           cfg.mid_bw)
-                .tierChain();
+            sizePlatform(cfg, policy, graph).tierChain();
         bool violated = false;
         for (const df::StepStats &s : trace.steps) {
             for (std::size_t t = 0; t < chain.size() && !violated; ++t) {
@@ -312,54 +300,12 @@ runOracle(const ExperimentConfig &base, const OracleOptions &opts)
     work.attribution = nullptr;
     work.audit = nullptr;
 
-    // Preconditions first (mirrors runExperimentSteps): the fuzzer
-    // needs a rejected input to fail *here*, before any cell runs.
-    if (work.batch <= 0 || work.steps <= 0 || work.warmup < 0 ||
-        work.warmup >= work.steps ||
-        (work.fast_bytes == 0 && work.fast_fraction <= 0.0))
-        throw ConfigError(strprintf(
-            "config: invalid oracle input (batch %d, steps %d, warmup "
-            "%d, fast_fraction %g)",
-            work.batch, work.steps, work.warmup, work.fast_fraction));
-    if (work.planner != "greedy" && work.planner != "interval")
-        throw ConfigError(strprintf(
-            "config: planner must be 'greedy' or 'interval' (got '%s')",
-            work.planner.c_str()));
-    if (work.tiers < 1 || work.tiers > static_cast<int>(mem::kMaxTiers))
-        throw ConfigError(strprintf(
-            "config: tiers %d out of range [1, %d]", work.tiers,
-            static_cast<int>(mem::kMaxTiers)));
-
-    df::Graph graph = [&] {
-        try {
-            return models::makeModel(work.model, work.batch);
-        } catch (const std::runtime_error &e) {
-            throw ConfigError(
-                strprintf("config: cannot build model: %s", e.what()));
-        }
-    }();
-    std::uint64_t peak = graph.peakMemoryBytes();
+    // Preconditions first, through the same checks every cell runs:
+    // the fuzzer needs a rejected input to fail *here*, before any cell
+    // runs.  Sizing as sentinel adds its reserved-pool check.
+    df::Graph graph = buildGraph(work);
     std::uint64_t fast_bytes =
-        work.fast_bytes != 0
-            ? work.fast_bytes
-            : mem::roundUpToPages(static_cast<std::uint64_t>(
-                  static_cast<double>(peak) * work.fast_fraction));
-    if (fast_bytes < mem::kPageSize)
-        throw ConfigError(strprintf(
-            "config: fast tier (%llu bytes) is smaller than one page",
-            static_cast<unsigned long long>(fast_bytes)));
-    if (work.sentinel.use_reserved_pool) {
-        std::uint64_t rs_cap = mem::roundUpToPages(
-            static_cast<std::uint64_t>(static_cast<double>(fast_bytes) *
-                                       work.sentinel.rs_cap_fraction));
-        if (work.sentinel.rs_cap_fraction <= 0.0 ||
-            work.sentinel.rs_cap_fraction > 1.0 || rs_cap >= fast_bytes)
-            throw ConfigError(strprintf(
-                "config: reserved pool cap (fraction %g of %llu bytes) "
-                "leaves no fast memory for long-lived pages",
-                work.sentinel.rs_cap_fraction,
-                static_cast<unsigned long long>(fast_bytes)));
-    }
+        sizePlatform(work, "sentinel", graph).fast.capacity;
 
     struct MatrixEntry {
         std::string policy;
@@ -377,7 +323,8 @@ runOracle(const ExperimentConfig &base, const OracleOptions &opts)
 
     std::vector<CellResult> results(matrix.size());
     parallelFor(matrix.size(), opts.jobs, [&](std::size_t i) {
-        results[i] = runCell(work, matrix[i].policy, matrix[i].platform,
+        results[i] = runCell(work, graph, matrix[i].policy,
+                             matrix[i].platform,
                              platformName(matrix[i].platform), fast_bytes,
                              opts);
     });
@@ -642,6 +589,15 @@ FuzzCase::parse(const std::string &text)
             "sentinelrepro: invalid run shape (batch %d, steps %d, "
             "warmup %d)",
             c.batch, c.steps, c.warmup));
+    // A replay builds the whole graph and every step's stats up front:
+    // bound both far above anything the fuzzer writes (<= 8 each; the
+    // shrinker only lowers them) so a hostile file cannot exhaust
+    // memory.
+    if (c.batch > kMaxBatch || c.steps > kMaxSteps)
+        throw ConfigError(strprintf(
+            "sentinelrepro: run shape too large (batch %d, max %d; "
+            "steps %d, max %d)",
+            c.batch, kMaxBatch, c.steps, kMaxSteps));
     // Range checks are written so that NaN fails them.
     if (!(0.0 < c.fast_fraction && c.fast_fraction <= 1.5))
         throw ConfigError(strprintf(

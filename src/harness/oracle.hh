@@ -158,6 +158,10 @@ struct FuzzCase {
     double inject_traffic = 0.0;
     std::string inject_policy = "sentinel";
 
+    /** Largest batch and steps parse() accepts (see parse()). */
+    static constexpr int kMaxBatch = 4096;
+    static constexpr int kMaxSteps = 10000;
+
     /** Derive a case from @p seed (deterministic). */
     static FuzzCase random(std::uint64_t seed);
 
@@ -168,7 +172,8 @@ struct FuzzCase {
     OracleReport run(int jobs = 1, bool check_determinism = true) const;
 
     std::string serialize() const;
-    /** Parse serialized text; throws ConfigError when malformed. */
+    /** Parse serialized text; throws ConfigError when malformed or
+     *  when batch or steps exceed kMaxBatch / kMaxSteps. */
     static FuzzCase parse(const std::string &text);
 
     void save(const std::string &path) const;

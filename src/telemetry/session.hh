@@ -9,8 +9,8 @@
  * formatting — which is what keeps bench_micro's step time unchanged
  * when tracing is off.
  *
- * Sessions are externally owned (by `core::Runtime`, a bench, or a
- * test) and can outlive the executors they observed, so exports can
+ * Sessions are externally owned (by the caller of a harness run, a
+ * bench, or a test) and can outlive the executors they observed, so exports can
  * happen after the run tears down.
  */
 
@@ -27,9 +27,6 @@
 namespace sentinel::telemetry {
 
 struct TelemetryConfig {
-    /** Master switch; components are only attached when true. */
-    bool enabled = false;
-
     /** Ring capacity in events (rounded up to a power of two). */
     std::size_t ring_capacity = 1u << 16;
 };
@@ -37,7 +34,7 @@ struct TelemetryConfig {
 class Session
 {
   public:
-    explicit Session(TelemetryConfig cfg = { true, 1u << 16 })
+    explicit Session(TelemetryConfig cfg = {})
         : cfg_(cfg), sink_(cfg.ring_capacity)
     {
     }

@@ -4,7 +4,7 @@
 
 #include "core/runtime.hh"
 #include "core/sentinel_policy.hh"
-#include "harness/experiment.hh"
+#include "harness/cell.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
 #include "support/clipped_policy.hh"
@@ -180,15 +180,16 @@ TEST(SentinelRuntime, FacadeTrainsResnet)
 {
     df::Graph g = models::makeModel("resnet20", 4);
     std::uint64_t fast = mem::roundUpToPages(g.peakMemoryBytes() / 5);
-    Runtime rt(std::move(g), RuntimeConfig::optane(fast));
-    const prof::ProfileResult &pr = rt.profileResult();
-    EXPECT_GT(pr.profilingSlowdown(), 1.0);
-    auto stats = rt.train(4);
+    harness::Cell cell(std::move(g), RuntimeConfig::optane(fast),
+                       "sentinel");
+    ASSERT_NE(cell.profile(), nullptr);
+    EXPECT_GT(cell.profile()->profilingSlowdown(), 1.0);
+    auto stats = cell.executor().run(4);
     ASSERT_EQ(stats.size(), 4u);
     EXPECT_GT(stats.back().step_time, 0);
-    EXPECT_GE(rt.policy().migrationPlan().mil, 1);
+    EXPECT_GE(cell.sentinel()->migrationPlan().mil, 1);
     // Continuing training works.
-    auto more = rt.train(2);
+    auto more = cell.executor().run(2);
     EXPECT_EQ(more.size(), 2u);
 }
 

@@ -47,6 +47,35 @@ TEST(ReproParse, NanInjectTrafficIsRejected)
                  ConfigError);
 }
 
+// Both keys used to parse up to INT_MAX; a replay of either value then
+// died in std::bad_alloc building the graph or the step stats.
+TEST(ReproParse, HugeBatchIsRejected)
+{
+    EXPECT_THROW(FuzzCase::parse(withLine("batch=2147483647")),
+                 ConfigError);
+    EXPECT_THROW(FuzzCase::parse(withLine(
+                     "batch=" + std::to_string(FuzzCase::kMaxBatch + 1))),
+                 ConfigError);
+}
+
+TEST(ReproParse, HugeStepsIsRejected)
+{
+    EXPECT_THROW(FuzzCase::parse(withLine("steps=2147483647")),
+                 ConfigError);
+    EXPECT_THROW(FuzzCase::parse(withLine(
+                     "steps=" + std::to_string(FuzzCase::kMaxSteps + 1))),
+                 ConfigError);
+}
+
+TEST(ReproParse, BatchAndStepsAtTheBoundParse)
+{
+    FuzzCase c = FuzzCase::parse(
+        withLine("batch=" + std::to_string(FuzzCase::kMaxBatch) +
+                 "\nsteps=" + std::to_string(FuzzCase::kMaxSteps)));
+    EXPECT_EQ(c.batch, FuzzCase::kMaxBatch);
+    EXPECT_EQ(c.steps, FuzzCase::kMaxSteps);
+}
+
 bool
 sameCase(const FuzzCase &a, const FuzzCase &b)
 {

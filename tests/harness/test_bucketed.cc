@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "core/bucketed.hh"
+#include "harness/bucketed.hh"
 #include "models/lstm.hh"
 
-namespace sentinel::core {
+namespace sentinel::harness {
 namespace {
 
 // Dynamic graphs in the paper's sense: the same model at different
@@ -15,10 +15,10 @@ lstmAtSeq(int seq)
                              /*stacked=*/1);
 }
 
-RuntimeConfig
+core::RuntimeConfig
 smallConfig()
 {
-    return RuntimeConfig::optane(8ull << 20);
+    return core::RuntimeConfig::optane(8ull << 20);
 }
 
 TEST(BucketedRuntime, ProfilesEachBucketOnce)
@@ -74,9 +74,9 @@ TEST(BucketedRuntime, PlansDifferPerBucket)
     // more intervals.
     EXPECT_GT(rt.bucket(20).graph().numLayers(),
               rt.bucket(4).graph().numLayers());
-    EXPECT_GE(rt.bucket(20).policy().migrationPlan().num_intervals,
-              rt.bucket(4).policy().migrationPlan().num_intervals);
+    EXPECT_GE(rt.bucket(20).sentinel()->migrationPlan().num_intervals,
+              rt.bucket(4).sentinel()->migrationPlan().num_intervals);
 }
 
 } // namespace
-} // namespace sentinel::core
+} // namespace sentinel::harness

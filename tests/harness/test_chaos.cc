@@ -67,9 +67,12 @@ TEST(Chaos, SameSeedIsBitIdenticalSerialAndParallel)
     ExperimentConfig cfg = chaosConfig(
         "bw:step=4,factor=0.4;jitter:step=2,amp=0.15;stall:step=6,ms=1");
     const auto &pols = cpuPolicies();
-    std::vector<Metrics> serial = runAll(cfg, pols);
-    std::vector<Metrics> again = runAll(cfg, pols);
-    std::vector<Metrics> par = runAllParallel(cfg, pols, 4);
+    std::vector<SweepCell> cells;
+    for (const std::string &p : pols)
+        cells.push_back({ cfg, p });
+    std::vector<Metrics> serial = runSweep(cells, 1);
+    std::vector<Metrics> again = runSweep(cells, 1);
+    std::vector<Metrics> par = runSweep(cells, 4);
     ASSERT_EQ(serial.size(), par.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         expectIdentical(serial[i], again[i]);
@@ -152,9 +155,7 @@ TEST(Chaos, ReplanConvergesNearFaultedProfileReference)
 
 TEST(Chaos, TraceExportContainsDivergenceAndReplanEvents)
 {
-    telemetry::TelemetryConfig tcfg;
-    tcfg.enabled = true;
-    telemetry::Session session(tcfg);
+    telemetry::Session session;
     ExperimentConfig cfg =
         chaosConfig("bw:step=6,factor=0.15;shrink:step=6,factor=0.7");
     cfg.steps = 18;

@@ -235,11 +235,13 @@ expectIdenticalMetrics(const Metrics &a, const Metrics &b)
     EXPECT_EQ(a.pool_mb, b.pool_mb);
 }
 
-TEST(Harness, ParallelRunAllMatchesSerialExactly)
+TEST(Harness, ParallelSweepMatchesSerialExactly)
 {
-    ExperimentConfig cfg = smallConfig();
-    auto serial = runAll(cfg, cpuPolicies());
-    auto parallel = runAllParallel(cfg, cpuPolicies(), 4);
+    std::vector<SweepCell> cells;
+    for (const std::string &p : cpuPolicies())
+        cells.push_back({ smallConfig(), p });
+    auto serial = runSweep(cells, 1);
+    auto parallel = runSweep(cells, 4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(cpuPolicies()[i]);

@@ -19,7 +19,7 @@
 #include "common/alloc_hook.hh"
 #include "core/sentinel_policy.hh"
 #include "dataflow/executor.hh"
-#include "harness/experiment.hh"
+#include "harness/cell.hh"
 #include "mem/hm.hh"
 #include "mem/page_table.hh"
 #include "models/registry.hh"
@@ -50,17 +50,16 @@ warmStepAllocs(df::Executor &ex)
     return common::allocCount() - before;
 }
 
-/** Warm-step allocations of @p policy on resnet32 b32 with a fast tier
- *  of 20% of peak on @p platform, as the harness sizes it. */
-std::uint64_t
-reactiveCellAllocs(harness::Platform platform, df::MemoryPolicy &policy)
+/** The harness cell of resnet32 b32 on @p platform (fast tier at 20%
+ *  of peak). */
+harness::ExperimentConfig
+resnet32Config(harness::Platform platform)
 {
-    df::Graph g = models::makeModel("resnet32", 32);
-    std::uint64_t fast = mem::roundUpToPages(g.peakMemoryBytes() / 5);
-    core::RuntimeConfig rc = harness::platformConfig(platform, fast);
-    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
-    df::Executor ex(g, hm, rc.exec, policy);
-    return warmStepAllocs(ex);
+    harness::ExperimentConfig cfg;
+    cfg.model = "resnet32";
+    cfg.batch = 32;
+    cfg.platform = platform;
+    return cfg;
 }
 
 TEST(ZeroAlloc, PageTableFlightCyclesDoNotAllocate)
@@ -136,19 +135,13 @@ TEST(ZeroAlloc, ThreeTierSentinelSteadyStateStepDoesNotAllocate)
     if (!common::allocHookActive())
         GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
 
-    df::Graph g = models::makeModel("resnet32", 32);
-    std::uint64_t fast = mem::roundUpToPages(g.peakMemoryBytes() / 5);
-    core::RuntimeConfig rc = harness::platformConfig(
-        harness::Platform::Optane, fast, 3, 4 * fast, 0.0);
-    mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
-    prof::Profiler profiler(rc.profiler);
-    auto profile = profiler.profile(g, prof_hm, rc.exec);
-
-    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
-    core::SentinelPolicy policy(profile.db);
-    df::Executor ex(g, hm, rc.exec, policy);
+    harness::ExperimentConfig cfg =
+        resnet32Config(harness::Platform::Optane);
+    cfg.tiers = 3;
+    harness::Cell cell(cfg, "sentinel");
+    df::Executor &ex = cell.executor();
     ex.run(8);
-    ASSERT_GT(hm.linkChannel(1, true).numTransfers(), 0u)
+    ASSERT_GT(cell.hm().linkChannel(1, true).numTransfers(), 0u)
         << "no staged transfer crossed the middle link";
 
     std::uint64_t before = common::allocCount();
@@ -170,17 +163,12 @@ TEST(ZeroAlloc, DegradedMidTrialSentinelStepDoesNotAllocate)
     if (!common::allocHookActive())
         GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
 
-    df::Graph g = models::makeModel("mobilenet", 32);
-    std::uint64_t fast = mem::roundUpToPages(g.peakMemoryBytes() / 5);
-    core::RuntimeConfig rc =
-        harness::platformConfig(harness::Platform::Optane, fast);
-    mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
-    prof::Profiler profiler(rc.profiler);
-    auto profile = profiler.profile(g, prof_hm, rc.exec);
-
-    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
-    core::SentinelPolicy policy(profile.db);
-    df::Executor ex(g, hm, rc.exec, policy);
+    harness::ExperimentConfig cfg;
+    cfg.model = "mobilenet";
+    cfg.batch = 32;
+    harness::Cell cell(cfg, "sentinel");
+    df::Executor &ex = cell.executor();
+    const core::SentinelPolicy &policy = *cell.sentinel();
     ex.run(6);
     std::uint64_t before = common::allocCount();
     for (int i = 0; i < 3; ++i)
@@ -207,8 +195,10 @@ TEST(ZeroAlloc, UnifiedMemorySteadyStateStepDoesNotAllocate)
     if (!common::allocHookActive())
         GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
 
-    baselines::UnifiedMemoryPolicy policy;
-    std::uint64_t allocs = reactiveCellAllocs(harness::Platform::Gpu, policy);
+    harness::Cell cell(resnet32Config(harness::Platform::Gpu), "um");
+    std::uint64_t allocs = warmStepAllocs(cell.executor());
+    auto &policy =
+        dynamic_cast<baselines::UnifiedMemoryPolicy &>(cell.policy());
     ASSERT_GT(policy.demandFaults(), 0u) << "no demand fault to gate on";
     EXPECT_EQ(allocs, 0u) << allocs
                           << " heap allocations across 50 warm UM steps";
@@ -224,23 +214,17 @@ TEST(ZeroAlloc, GpuSentinelUnderPressureStepDoesNotAllocate)
     if (!common::allocHookActive())
         GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
 
-    df::Graph g = models::makeModel("dcgan", 52);
-    core::RuntimeConfig rc =
-        harness::platformConfig(harness::Platform::Gpu, 75ull << 20);
-    mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
-    prof::Profiler profiler(rc.profiler);
-    auto profile = profiler.profile(g, prof_hm, rc.exec);
-
-    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
-    core::SentinelOptions opts;
-    opts.gpu_mode = true;
-    core::SentinelPolicy policy(profile.db, opts);
     telemetry::Session session;
-    df::Executor ex(g, hm, rc.exec, policy);
-    ex.setTelemetry(&session);
-    policy.setTelemetry(&session);
+    harness::ExperimentConfig cfg;
+    cfg.model = "dcgan";
+    cfg.batch = 52;
+    cfg.platform = harness::Platform::Gpu;
+    cfg.fast_bytes = 75ull << 20;
+    cfg.telemetry = &session;
+    harness::Cell cell(cfg, "sentinel");
+    df::Executor &ex = cell.executor();
     ex.run(16);
-    ASSERT_EQ(policy.replans(), opts.max_replans);
+    ASSERT_EQ(cell.sentinel()->replans(), cfg.sentinel.max_replans);
     std::uint64_t before = common::allocCount();
     for (int i = 0; i < 50; ++i)
         ex.runStep();
@@ -259,9 +243,9 @@ TEST(ZeroAlloc, IalSteadyStateStepDoesNotAllocate)
     if (!common::allocHookActive())
         GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
 
-    baselines::IalPolicy policy;
-    std::uint64_t allocs =
-        reactiveCellAllocs(harness::Platform::Optane, policy);
+    harness::Cell cell(resnet32Config(harness::Platform::Optane), "ial");
+    std::uint64_t allocs = warmStepAllocs(cell.executor());
+    auto &policy = dynamic_cast<baselines::IalPolicy &>(cell.policy());
     ASSERT_GT(policy.promotionsRequested(), 0u) << "IAL never promoted";
     EXPECT_EQ(allocs, 0u) << allocs
                           << " heap allocations across 50 warm IAL steps";

@@ -205,7 +205,7 @@ TEST(AuditReason, NamesAndDirections)
 
 TEST(SessionDropCounter, DeltaSyncNeverDoubleCounts)
 {
-    Session session(TelemetryConfig{ true, 4 });
+    Session session(TelemetryConfig{ 4 });
     for (int i = 0; i < 10; ++i)
         session.emit(EventType::OpBegin, i);
     std::uint64_t dropped = session.events().dropped();
@@ -232,7 +232,7 @@ TEST(SessionDropCounter, DeltaSyncNeverDoubleCounts)
 
 TEST(SessionDropCounter, NoDropsNoCounter)
 {
-    Session session(TelemetryConfig{ true, 64 });
+    Session session(TelemetryConfig{ 64 });
     session.emit(EventType::OpBegin, 1);
     session.syncDropCounter();
     EXPECT_EQ(session.metrics().counter("telemetry.events_dropped").value(),

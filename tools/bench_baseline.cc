@@ -32,23 +32,13 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "baselines/ial.hh"
-#include "baselines/unified_memory.hh"
 #include "common/alloc_hook.hh"
 #include "common/logging.hh"
-#include "core/sentinel_policy.hh"
-#include "dataflow/executor.hh"
-#include "harness/experiment.hh"
-#include "mem/hm.hh"
-#include "mem/page.hh"
-#include "models/registry.hh"
-#include "profile/profiler.hh"
+#include "harness/cell.hh"
 #include "telemetry/session.hh"
 #include "telemetry/timeseries.hh"
 
@@ -100,50 +90,17 @@ gpuCellConfig(const std::string &model, int batch, std::uint64_t mem_mib)
 
 /**
  * Heap allocations per steady-state training step, counted by the
- * sentinel_alloc_hook operator-new replacement around warm steps of a
- * manually assembled cell (the same model / fast-tier sizing / step
- * schedule as cellConfig, minus the harness wrapper so setup and
- * teardown allocations stay outside the counted window).  Returns -1
- * when the hook is not live (sanitizer builds), and the key is then
- * omitted.
+ * sentinel_alloc_hook operator-new replacement around the measured
+ * steps of the same cell runExperiment runs (setup and teardown
+ * allocations stay outside the counted window).  Returns -1 when the
+ * hook is not live (sanitizer builds), and the key is then omitted.
  */
 double
-measureAllocsPerStep(const harness::ExperimentConfig &cfg,
+measureAllocsPerStep(harness::ExperimentConfig cfg,
                      const std::string &policy)
 {
     if (!common::allocHookActive())
         return -1.0;
-
-    df::Graph graph = models::makeModel(cfg.model, cfg.batch);
-    std::uint64_t fast_bytes =
-        cfg.fast_bytes != 0
-            ? cfg.fast_bytes
-            : mem::roundUpToPages(static_cast<std::uint64_t>(
-                  static_cast<double>(graph.peakMemoryBytes()) *
-                  cfg.fast_fraction));
-    core::RuntimeConfig rc =
-        harness::platformConfig(cfg.platform, fast_bytes);
-
-    std::optional<prof::ProfileResult> profile;
-    std::unique_ptr<df::MemoryPolicy> pol;
-    if (policy == "sentinel") {
-        mem::HeterogeneousMemory prof_hm(rc.fast, rc.slow, rc.migration);
-        prof::Profiler profiler(rc.profiler);
-        profile = profiler.profile(graph, prof_hm, rc.exec);
-        core::SentinelOptions opts = cfg.sentinel;
-        opts.gpu_mode = cfg.platform == harness::Platform::Gpu;
-        pol = std::make_unique<core::SentinelPolicy>(profile->db, opts);
-    } else if (policy == "ial") {
-        pol = std::make_unique<baselines::IalPolicy>();
-    } else if (policy == "um") {
-        pol = std::make_unique<baselines::UnifiedMemoryPolicy>();
-    } else {
-        SENTINEL_FATAL("allocs_per_step: unsupported policy '%s'",
-                       policy.c_str());
-    }
-
-    mem::HeterogeneousMemory hm(rc.fast, rc.slow, rc.migration);
-    df::Executor ex(graph, hm, rc.exec, *pol);
 
     // The live observability plane rides along: its per-step feed
     // (event ring, cached counters, the step board's series pushes)
@@ -152,7 +109,9 @@ measureAllocsPerStep(const harness::ExperimentConfig &cfg,
     telemetry::Session session;
     telemetry::StepBoard board;
     session.attachStepBoard(&board);
-    ex.setTelemetry(&session);
+    cfg.telemetry = &session;
+    harness::Cell cell(cfg, policy);
+    df::Executor &ex = cell.executor();
 
     ex.run(cfg.warmup);
 

@@ -49,10 +49,10 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "harness/cell.hh"
 #include "harness/oracle.hh"
 #include "harness/report.hh"
 #include "core/interval_planner.hh"
-#include "core/sentinel_policy.hh"
 #include "mem/hm.hh"
 #include "plan/offset_planner.hh"
 #include "profile/profiler.hh"
@@ -209,7 +209,6 @@ cmdRun(const Args &args)
     std::optional<telemetry::Session> session;
     if (!trace_out.empty() || !metrics_out.empty()) {
         telemetry::TelemetryConfig tcfg;
-        tcfg.enabled = true;
         tcfg.ring_capacity = static_cast<std::size_t>(
             args.getInt("ring-capacity", 1 << 18));
         session.emplace(tcfg);
@@ -272,7 +271,6 @@ cmdReport(const Args &args)
     // cross-checked against the raw event stream (and exported with
     // the audit reasons joined in when --trace-out is given).
     telemetry::TelemetryConfig tcfg;
-    tcfg.enabled = true;
     tcfg.ring_capacity =
         static_cast<std::size_t>(args.getInt("ring-capacity", 1 << 18));
     telemetry::Session session(tcfg);
@@ -335,7 +333,10 @@ cmdCompare(const Args &args)
     const auto &policies = cfg.platform == harness::Platform::Gpu
                                ? harness::gpuPolicies()
                                : harness::cpuPolicies();
-    for (const auto &m : harness::runAllParallel(cfg, policies, jobs))
+    std::vector<harness::SweepCell> cells;
+    for (const std::string &p : policies)
+        cells.push_back({ cfg, p });
+    for (const auto &m : harness::runSweep(cells, jobs))
         printMetrics(m);
     return 0;
 }
@@ -344,22 +345,13 @@ int
 cmdPlan(const Args &args)
 {
     harness::ExperimentConfig cfg = configFrom(args);
-    df::Graph g = models::makeModel(cfg.model, cfg.batch);
-    std::uint64_t fast =
-        cfg.fast_bytes != 0
-            ? cfg.fast_bytes
-            : mem::roundUpToPages(static_cast<std::uint64_t>(
-                  static_cast<double>(g.peakMemoryBytes()) *
-                  cfg.fast_fraction));
-    core::RuntimeConfig rc =
-        harness::platformConfig(cfg.platform, fast);
-
-    mem::HeterogeneousMemory hm(rc.fast, rc.slow, rc.migration);
-    prof::Profiler profiler(rc.profiler);
-    auto profile = profiler.profile(g, hm, rc.exec);
+    harness::Cell cell(cfg, "sentinel");
+    const df::Graph &g = cell.graph();
+    const core::RuntimeConfig &rc = cell.platform();
+    std::uint64_t fast = rc.fast.capacity;
 
     core::PlannerInputs in;
-    in.db = &profile.db;
+    in.db = &cell.profile()->db;
     in.fast_capacity = fast;
     in.promote_bw = rc.migration.promote_bw;
     in.fast_read_bw = rc.fast.read_bw;
@@ -475,25 +467,12 @@ cmdProfile(const Args &args)
         // Reuse a persisted profile: plan and train without the
         // instrumented step.
         prof::ProfileDatabase db = prof::loadProfile(in);
-        df::Graph g = models::makeModel(cfg.model, cfg.batch);
-        SENTINEL_ASSERT(db.numTensors() == g.numTensors() &&
-                            db.numLayers() == g.numLayers(),
-                        "profile '%s' does not match %s at batch %d",
-                        in.c_str(), cfg.model.c_str(), cfg.batch);
-        std::uint64_t fast = mem::roundUpToPages(
-            static_cast<std::uint64_t>(
-                static_cast<double>(g.peakMemoryBytes()) *
-                cfg.fast_fraction));
-        core::RuntimeConfig rc =
-            harness::platformConfig(cfg.platform, fast);
-        mem::HeterogeneousMemory hm(rc.fast, rc.slow, rc.migration);
-        core::SentinelPolicy policy(db, rc.sentinel);
-        df::Executor ex(g, hm, rc.exec, policy);
-        auto stats = ex.run(cfg.steps);
+        harness::Cell cell(cfg, "sentinel", &db);
+        auto stats = cell.executor().run(cfg.steps);
         std::printf("trained %d steps from persisted profile: %.2f "
                     "ms/step steady (MIL=%d)\n",
                     cfg.steps, toMillis(stats.back().step_time),
-                    policy.migrationPlan().mil);
+                    cell.sentinel()->migrationPlan().mil);
         return 0;
     }
 
