@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation substrate itself:
- * the page table, migration engine, allocator, profiler, and executor.
+ * the page table, migration engine, allocator, profiler, executor, and
+ * the steady steps of Sentinel and of the UM baseline.
  *
  * These are engineering benchmarks (how fast is the reproduction), not
  * paper results — they keep the simulator's own costs visible so the
@@ -14,6 +15,7 @@
 #include "baselines/reference.hh"
 #include "core/sentinel_policy.hh"
 #include "dataflow/executor.hh"
+#include "harness/cell.hh"
 #include "mem/hm.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
@@ -244,6 +246,24 @@ BM_SentinelSteadyStep(benchmark::State &state)
         benchmark::DoNotOptimize(ex.runStep().step_time);
 }
 BENCHMARK(BM_SentinelSteadyStep);
+
+// The UM baseline's layer: on a device of a fifth of the peak, every
+// steady step demand-faults pages in as fault series and evicts LRU
+// batches, so the step is dominated by the policy's LRU and eviction.
+void
+BM_UnifiedMemorySteadyStep(benchmark::State &state)
+{
+    harness::ExperimentConfig cfg;
+    cfg.model = "resnet32";
+    cfg.batch = 32;
+    cfg.platform = harness::Platform::Gpu;
+    harness::Cell cell(cfg, "um");
+    df::Executor &ex = cell.executor();
+    ex.run(6);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ex.runStep().step_time);
+}
+BENCHMARK(BM_UnifiedMemorySteadyStep);
 
 } // namespace
 

@@ -8,14 +8,16 @@
  * keep their state in flat, reused storage instead, so a warm step
  * allocates nothing:
  *
- *  - PageLru threads a doubly linked list through a page-indexed
- *    mem::PageDirectory, one 8-byte link per page;
+ *  - RunLru links one pooled record per touched run in recency order
+ *    and names each page's record in a page-indexed mem::PageDirectory,
+ *    4 bytes per page;
  *  - PageRing is a grow-only ring buffer of page ids.
  */
 
 #ifndef SENTINEL_BASELINES_PAGE_QUEUES_HH
 #define SENTINEL_BASELINES_PAGE_QUEUES_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -28,98 +30,204 @@
 namespace sentinel::baselines {
 
 /**
- * Recency order over page ids: front = least recently touched.
- * touch(), erase() and popFront() are O(1) and allocate nothing once
- * the directory chunks covering the pages exist.
+ * Recency order over pages, kept per touched run: front = least
+ * recently touched page.
  *
- * Links store page + 1 in 32 bits (0 = none), so page ids must stay
- * below 2^32 - 1: true of any arena based at 0 with the default 2^44-B
- * region.
+ * touch(run) appends one record of the run to a doubly linked recency
+ * list.  A page belongs to the record that touched it last, named by
+ * a 32-bit record id in a page-indexed directory (0 = not queued), and
+ * a record's pages are queued in ascending order.  The queue is thus
+ * exactly the page LRU that touches each page of every run in turn:
+ *
+ *  - a touch rewrites the run's ids one directory chunk span at a
+ *    time, releasing each stretch of one old record at once, and
+ *    appends a new record;
+ *  - erase() is O(1), and front()/popFront() hand out the oldest run
+ *    of queued pages.
+ *
+ * Records whose pages are all gone return to a free list, so once the
+ * pool and the directory chunks reach their high-water mark nothing
+ * allocates.
  */
-class PageLru
+class RunLru
 {
   public:
     bool empty() const { return head_ == 0; }
 
-    /** Append @p page at the back, moving it there if already queued. */
+    /** Move the pages of @p run to the back, in ascending order. */
     void
-    touch(mem::PageId page)
+    touch(mem::PageRun run)
     {
-        const std::uint32_t k = key(page);
-        Link &l = links_.ref(page);
-        if (linked(k, l)) {
-            if (k == tail_)
-                return;
-            unlink(l);
+        SENTINEL_ASSERT(run.count > 0, "touch() of an empty run");
+        const std::uint32_t id = claim(run);
+        std::uint32_t *slots = nullptr;
+        for (mem::PageId p = run.first; p < run.endPage();) {
+            const std::uint64_t n = ids_.span(p, run.endPage() - p, slots);
+            for (std::uint64_t i = 0; i < n;) {
+                const std::uint32_t prior = slots[i];
+                const std::uint64_t from = i;
+                while (i < n && slots[i] == prior)
+                    slots[i++] = id;
+                if (prior != 0)
+                    release(prior, i - from);
+            }
+            p += n;
         }
-        l.prev = tail_;
-        l.next = 0;
-        if (tail_ != 0)
-            links_.ref(tail_ - 1).next = k;
-        else
-            head_ = k;
-        tail_ = k;
+        linkBack(id);
     }
 
-    /** Unlink @p page if it is queued. */
+    /** Unqueue @p page if it is queued. */
     void
     erase(mem::PageId page)
     {
-        const Link *l = links_.find(page);
-        if (l && linked(key(page), *l))
-            unlink(links_.ref(page));
+        const std::uint32_t *slot = ids_.find(page);
+        if (!slot || *slot == 0)
+            return;
+        const std::uint32_t id = *slot;
+        ids_.ref(page) = 0;
+        release(id, 1);
     }
 
-    /** Remove and return the least recently touched page. */
-    mem::PageId
-    popFront()
+    /**
+     * The oldest run of queued pages, at most @p max long: a prefix of
+     * the queue whose pages are consecutive and touched together.
+     */
+    mem::PageRun
+    front(std::uint64_t max)
+    {
+        SENTINEL_ASSERT(head_ != 0, "front() of an empty LRU");
+        Record &r = pool_[head_];
+        const mem::PageId end = r.end;
+        std::uint32_t *slots = nullptr;
+        // Skip the pages that left the record since it was touched.
+        for (;;) {
+            SENTINEL_ASSERT(r.cursor < end, "LRU record has no page");
+            const std::uint64_t n = ids_.span(r.cursor, end - r.cursor,
+                                              slots);
+            std::uint64_t i = 0;
+            while (i < n && slots[i] != head_)
+                ++i;
+            r.cursor += i;
+            if (i < n)
+                break;
+        }
+        const std::uint64_t limit = std::min(max, end - r.cursor);
+        std::uint64_t len = 0;
+        while (len < limit) {
+            const std::uint64_t n =
+                ids_.span(r.cursor + len, limit - len, slots);
+            std::uint64_t i = 0;
+            while (i < n && slots[i] == head_)
+                ++i;
+            len += i;
+            if (i < n)
+                break;
+        }
+        return { r.cursor, len };
+    }
+
+    /** Unqueue the first @p n pages of the run front() just returned. */
+    void
+    popFront(std::uint64_t n)
     {
         SENTINEL_ASSERT(head_ != 0, "popFront() of an empty LRU");
-        const mem::PageId page = head_ - 1;
-        unlink(links_.ref(page));
-        return page;
+        Record &r = pool_[head_];
+        std::uint32_t *slots = nullptr;
+        for (std::uint64_t left = n; left > 0;) {
+            const std::uint64_t k = ids_.span(r.cursor, left, slots);
+            for (std::uint64_t i = 0; i < k; ++i) {
+                SENTINEL_ASSERT(slots[i] == head_,
+                                "popFront() past the run front() returned");
+                slots[i] = 0;
+            }
+            r.cursor += k;
+            left -= k;
+        }
+        release(head_, n);
     }
 
+    /** Records ever claimed, live or free: the pool's high-water mark. */
+    std::size_t poolSize() const { return pool_.size() - 1; }
+
   private:
-    /** Neighbours as page + 1; 0 = none (the list's end). */
-    struct Link {
+    /** The pages [cursor, end) of one touch that may still be queued:
+     *  none of its pages before the cursor is. */
+    struct Record {
+        mem::PageId cursor = 0;
+        mem::PageId end = 0;
+        /** Pages whose id still names this record. */
+        std::uint64_t live = 0;
+        /** Recency neighbours as record ids, 0 = none; a free record
+         *  keeps the next free one in @c next. */
         std::uint32_t prev = 0;
         std::uint32_t next = 0;
     };
 
-    static std::uint32_t
-    key(mem::PageId page)
+    /** A fresh, unlinked record of @p run, reused from the free list
+     *  when one is there. */
+    std::uint32_t
+    claim(mem::PageRun run)
     {
-        SENTINEL_ASSERT(page < std::numeric_limits<std::uint32_t>::max(),
-                        "page %llu does not fit a 32-bit LRU link",
-                        static_cast<unsigned long long>(page));
-        return static_cast<std::uint32_t>(page + 1);
+        std::uint32_t id = free_;
+        if (id != 0) {
+            free_ = pool_[id].next;
+        } else {
+            SENTINEL_ASSERT(pool_.size() <
+                                std::numeric_limits<std::uint32_t>::max(),
+                            "LRU record ids exhausted");
+            id = static_cast<std::uint32_t>(pool_.size());
+            pool_.emplace_back();
+        }
+        pool_[id] = Record{ run.first, run.endPage(), run.count, 0, 0 };
+        return id;
     }
 
-    /** Only the head has no predecessor among queued pages. */
-    bool
-    linked(std::uint32_t k, const Link &l) const
+    /** @p n pages of record @p id left it; free it once none is left. */
+    void
+    release(std::uint32_t id, std::uint64_t n)
     {
-        return l.prev != 0 || head_ == k;
+        Record &r = pool_[id];
+        r.live -= n;
+        if (r.live == 0) {
+            unlink(id);
+            r.next = free_;
+            free_ = id;
+        }
     }
 
     void
-    unlink(Link &l)
+    linkBack(std::uint32_t id)
     {
-        if (l.prev != 0)
-            links_.ref(l.prev - 1).next = l.next;
+        Record &r = pool_[id];
+        r.prev = tail_;
+        r.next = 0;
+        if (tail_ != 0)
+            pool_[tail_].next = id;
         else
-            head_ = l.next;
-        if (l.next != 0)
-            links_.ref(l.next - 1).prev = l.prev;
-        else
-            tail_ = l.prev;
-        l = Link{};
+            head_ = id;
+        tail_ = id;
     }
 
-    mem::PageDirectory<Link> links_;
+    void
+    unlink(std::uint32_t id)
+    {
+        Record &r = pool_[id];
+        if (r.prev != 0)
+            pool_[r.prev].next = r.next;
+        else
+            head_ = r.next;
+        if (r.next != 0)
+            pool_[r.next].prev = r.prev;
+        else
+            tail_ = r.prev;
+        r.prev = r.next = 0;
+    }
+
+    std::vector<Record> pool_ = std::vector<Record>(1); ///< [0] = none
+    mem::PageDirectory<std::uint32_t> ids_;
     std::uint32_t head_ = 0;
     std::uint32_t tail_ = 0;
+    std::uint32_t free_ = 0;
 };
 
 /**

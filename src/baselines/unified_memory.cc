@@ -25,8 +25,7 @@ UnifiedMemoryPolicy::onTensorAllocated(df::Executor &ex, df::TensorId,
     for (mem::PageId p = pl.firstPage(); p < pl.endPage();) {
         mem::PageRunState rs = hm.residentRange(p, pl.endPage() - p, now);
         if (rs.tier == mem::Tier::Fast)
-            for (std::uint64_t i = 0; i < rs.count; ++i)
-                lru_.touch(p + i);
+            lru_.touch({ p, rs.count });
         p += rs.count;
     }
 }
@@ -51,21 +50,25 @@ UnifiedMemoryPolicy::evictLru(df::Executor &ex,
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
     victims_.clear(); // coalesced as they are chosen
-    std::uint64_t reclaimed = 0;
-    while (reclaimed < bytes_needed && !lru_.empty()) {
-        // A popped page that is gone, host-side or already moving is
-        // dropped from the LRU all the same.
-        mem::PageId victim = lru_.popFront();
-        if (!hm.isMapped(victim))
-            continue;
-        mem::PageRunState rs = hm.residentRange(victim, 1, now);
+    std::uint64_t wanted = mem::pageCeil(bytes_needed);
+    while (wanted > 0 && !lru_.empty()) {
+        // One residency read per LRU run: its leading pages that are
+        // host-side or already moving are dropped from the LRU all the
+        // same, and idle device pages are taken up to the need.
+        const mem::PageRun run = lru_.front(wanted);
+        SENTINEL_ASSERT(hm.isMapped(run.first),
+                        "LRU page %llu is not mapped",
+                        static_cast<unsigned long long>(run.first));
+        const mem::PageRunState rs =
+            hm.residentRange(run.first, run.count, now);
+        lru_.popFront(rs.count);
         if (rs.tier != mem::Tier::Fast || rs.in_flight)
             continue;
-        if (!victims_.empty() && victims_.back().endPage() == victim)
-            ++victims_.back().count;
+        if (!victims_.empty() && victims_.back().endPage() == run.first)
+            victims_.back().count += rs.count;
         else
-            victims_.push_back(mem::PageRun{ victim, 1 });
-        reclaimed += mem::kPageSize;
+            victims_.push_back(mem::PageRun{ run.first, rs.count });
+        wanted -= rs.count;
     }
     // cudaMemPrefetchAsync back to the host: the far end of the chain.
     hm.migratePages(victims_, hm.slowestTier(), now);
@@ -89,8 +92,7 @@ UnifiedMemoryPolicy::onRangeAccess(df::Executor &ex, mem::PageRun run,
             }
             break;
         }
-        for (std::uint64_t i = 0; i < rs.count; ++i)
-            lru_.touch(run.first + covered + i);
+        lru_.touch({ run.first + covered, rs.count });
         covered += rs.count;
     }
     df::AccessSegment seg;
@@ -129,8 +131,7 @@ UnifiedMemoryPolicy::demandFault(df::Executor &ex, mem::PageId page,
         if (k > 0) {
             const sim::TransferSeries a =
                 hm.faultSeries(page, k, mem::Tier::Fast, now, fault_cost_);
-            for (std::uint64_t i = 0; i < k; ++i)
-                lru_.touch(page + i);
+            lru_.touch({ page, k });
             faults_ += k;
             seg.pages = k;
             seg.extra = a.last() + fault_cost_ - now;

@@ -55,10 +55,13 @@ class UnifiedMemoryPolicy : public df::MemoryPolicy
                      std::vector<df::AccessSegment> &out);
 
     Tick fault_cost_;
-    alloc::VirtualArena arena_; ///< based at 0: page ids fit PageLru
+    /** Based at 0, so the LRU's page directory covers few chunks. */
+    alloc::VirtualArena arena_;
 
-    /** LRU order of device-resident pages (front = least recent). */
-    PageLru lru_;
+    /** LRU order of device-resident pages (front = least recent),
+     *  touched a run at a time.  Every queued page is mapped:
+     *  onPageUnmapped() erases a page before it goes. */
+    RunLru lru_;
 
     /** evictLru()'s victim runs, reused across calls. */
     std::vector<mem::PageRun> victims_;

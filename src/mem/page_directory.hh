@@ -55,6 +55,19 @@ class PageDirectory
         return ch.slots[page & kChunkMask];
     }
 
+    /**
+     * Mutable slots for the first n pages of [page, page + count),
+     * where n stops at the end of @p page's chunk: @p slots points at
+     * @p page's slot and the next n - 1 slots follow it.  Creates the
+     * chunk if needed.  @return n.
+     */
+    std::uint64_t
+    span(PageId page, std::uint64_t count, T *&slots)
+    {
+        slots = &ref(page);
+        return std::min(count, kChunkPages - (page & kChunkMask));
+    }
+
     /** Slot for @p page, or nullptr if its chunk was never touched. */
     const T *
     find(PageId page) const

@@ -2,10 +2,12 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -17,14 +19,31 @@ namespace {
 constexpr const char *kContentType =
     "application/openmetrics-text; version=1.0.0; charset=utf-8";
 
-/** Read until the header terminator (or the peer closes / 8 KB). */
+/** How long the responder waits for a whole request head before it
+ *  gives up on the request: a client that sends nothing, or trickles
+ *  bytes, would otherwise hold serve(), and every later scrape. */
+constexpr auto kRequestHeadTimeout = std::chrono::seconds(2);
+
+/** Read until the header terminator (or the peer closes, or the head
+ *  is 8 KB, or kRequestHeadTimeout has passed since the first recv). */
 std::string
 readRequestHead(int fd)
 {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline = Clock::now() + kRequestHeadTimeout;
     std::string head;
     char buf[1024];
     while (head.find("\r\n\r\n") == std::string::npos &&
            head.size() < 8192) {
+        // Each recv may wait only for what is left of the deadline.
+        const auto left = std::chrono::duration_cast<
+            std::chrono::microseconds>(deadline - Clock::now());
+        if (left.count() <= 0)
+            break;
+        timeval tv{};
+        tv.tv_sec = static_cast<time_t>(left.count() / 1000000);
+        tv.tv_usec = static_cast<suseconds_t>(left.count() % 1000000);
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
         ssize_t n = ::recv(fd, buf, sizeof buf, 0);
         if (n <= 0)
             break;
@@ -60,6 +79,24 @@ response(int status, const char *reason, const std::string &body,
 }
 
 } // namespace
+
+RequestLine
+parseRequestLine(const std::string &head)
+{
+    const std::size_t eol = head.find("\r\n");
+    const std::string line =
+        eol == std::string::npos ? head : head.substr(0, eol);
+    RequestLine req;
+    const std::size_t sp = line.find(' ');
+    if (sp == std::string::npos)
+        return req;
+    req.method = line.substr(0, sp);
+    const std::size_t sp2 = line.find(' ', sp + 1);
+    req.path = line.substr(sp + 1, sp2 == std::string::npos
+                                       ? std::string::npos
+                                       : sp2 - sp - 1);
+    return req;
+}
 
 MetricsHttpServer::~MetricsHttpServer() { shutdown(); }
 
@@ -112,26 +149,12 @@ MetricsHttpServer::serve(const MetricsBodyFn &body, int max_requests)
                 continue;
             break; // shutdown() closed the socket, or a real error
         }
-        std::string head = readRequestHead(client);
-        std::size_t eol = head.find("\r\n");
-        std::string request_line =
-            eol == std::string::npos ? head : head.substr(0, eol);
-
-        std::string method, path;
-        std::size_t sp = request_line.find(' ');
-        if (sp != std::string::npos) {
-            method = request_line.substr(0, sp);
-            std::size_t sp2 = request_line.find(' ', sp + 1);
-            path = request_line.substr(sp + 1, sp2 == std::string::npos
-                                                   ? std::string::npos
-                                                   : sp2 - sp - 1);
-        }
-
-        if (method != "GET") {
+        const RequestLine req = parseRequestLine(readRequestHead(client));
+        if (req.method != "GET") {
             writeAll(client,
                      response(405, "Method Not Allowed",
                               "only GET is supported\n", "text/plain"));
-        } else if (path == "/metrics" || path == "/") {
+        } else if (req.path == "/metrics" || req.path == "/") {
             writeAll(client, response(200, "OK", body(), kContentType));
         } else {
             writeAll(client, response(404, "Not Found",

@@ -20,6 +20,23 @@
 
 namespace sentinel::server {
 
+/** The routing fields of an HTTP request line. */
+struct RequestLine {
+    std::string method;
+    std::string path;
+};
+
+/**
+ * Split the request line of @p head, the bytes a client sent up to
+ * the header terminator (or all it sent, when it stopped early).  The
+ * request line is everything before the first CRLF (the whole head if
+ * there is none).  The method is the text before its first space and
+ * the path the text after it, up to the next space or the line's end.
+ * A line with no space yields an empty method and path, which the
+ * responder answers 405.  Never fails: any byte string splits.
+ */
+RequestLine parseRequestLine(const std::string &head);
+
 /** Produces the /metrics body for one request. */
 using MetricsBodyFn = std::function<std::string()>;
 
@@ -43,7 +60,10 @@ class MetricsHttpServer
      * Serve @p max_requests GET requests (0 = forever), producing the
      * body via @p body per request.  `GET /metrics` (and `GET /`)
      * answer 200 with the OpenMetrics content type; other paths 404;
-     * other methods 405.  Returns the number of requests served;
+     * other methods 405.  A client has 2 s to send its whole request
+     * head; what it sent by then is routed, so one slow or silent
+     * client delays the next by at most that.  Returns the number of
+     * requests served;
      * returns early if shutdown() closes the listening socket.
      */
     int serve(const MetricsBodyFn &body, int max_requests = 0);

@@ -11,6 +11,7 @@
 #include "core/runtime.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
+#include "support/ref_um_lru.hh"
 #include "support/test_graphs.hh"
 
 namespace sentinel::baselines {
@@ -185,6 +186,90 @@ TEST(UnifiedMemory, FaultEvictsLeastRecentlyTouchedPagesFirst)
             EXPECT_FALSE(hm.flightInfo(order[i]).toward_fast);
         }
     }
+}
+
+TEST(UnifiedMemory, RunEvictionDropsInFlightRunsAndStopsAtTheBatch)
+{
+    // The LRU's front is a run of device pages touched while still in
+    // flight (an earlier eviction's victims, accessed again before
+    // they land), then one tensor of idle device pages; together they
+    // fill the device.  A 32-page eviction must drop the in-flight
+    // run, take the next 32 idle pages as one victim run and leave the
+    // 33rd queued: what UM's per-page loop picks on the same queue.
+    // (A fault series is no such run: it lands all but its last page
+    // before it returns.)
+    constexpr std::uint64_t kFlight = 8;
+    constexpr std::uint64_t kIdle = 48;
+    constexpr std::uint64_t kBatch = 32;
+    core::RuntimeConfig rc =
+        core::RuntimeConfig::gpu((kFlight + kIdle) * mem::kPageSize);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
+    df::Graph graph = sentinel::testing::makeToyGraph();
+    UnifiedMemoryPolicy policy;
+    df::Executor ex(graph, hm, rc.exec, policy);
+    sentinel::testing::ListLru ref;
+
+    auto place = [&](std::uint64_t pages) {
+        df::TensorDesc desc;
+        desc.bytes = pages * mem::kPageSize;
+        df::AllocDecision d = policy.allocate(ex, desc);
+        df::TensorPlacement pl{ d.addr, desc.bytes };
+        EXPECT_EQ(pl.numPages(), pages);
+        hm.mapRange(pl.firstPage(), pages, d.preferred);
+        policy.onTensorAllocated(ex, 0, pl);
+        return mem::PageRun{ pl.firstPage(), pages };
+    };
+    const mem::PageRun moving = place(kFlight);
+    const mem::PageRun idle = place(kIdle);
+    ASSERT_EQ(hm.tier(mem::Tier::Fast).free(), 0u);
+
+    const mem::PageRun runs[] = { moving };
+    ASSERT_EQ(hm.migratePages(runs, hm.slowestTier(), ex.now()), kFlight);
+    std::vector<df::AccessSegment> out;
+    policy.onRangeAccess(ex, moving, false, out);
+    policy.onRangeAccess(ex, idle, false, out);
+    ASSERT_EQ(policy.demandFaults(), 0u);
+    ref.touch(moving);
+    ref.touch(idle);
+    const mem::PageRunState flying =
+        hm.residentRange(moving.first, kFlight, ex.now());
+    ASSERT_TRUE(flying.in_flight);
+    ASSERT_EQ(flying.count, kFlight);
+    ASSERT_EQ(hm.tier(mem::Tier::Fast).free(), 0u);
+
+    // A 32-page allocation on the full device evicts one batch.
+    df::TensorDesc batch;
+    batch.bytes = kBatch * mem::kPageSize;
+    const std::vector<mem::PageRun> first = sentinel::testing::refEvictLru(
+        hm, ref, batch.bytes, ex.now());
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(first[0].first, idle.first);
+    EXPECT_EQ(first[0].count, kBatch);
+    policy.allocate(ex, batch);
+    for (std::uint64_t i = 0; i < kIdle; ++i) {
+        const mem::PageId p = idle.first + i;
+        const bool victim = i < kBatch;
+        ASSERT_EQ(hm.residentRange(p, 1, ex.now()).in_flight, victim)
+            << "idle page " << i;
+        if (victim) {
+            EXPECT_FALSE(hm.flightInfo(p).toward_fast);
+        }
+    }
+
+    // The device is still full until the victims land, so the next
+    // allocation evicts again: it starts at the 33rd idle page.
+    ASSERT_EQ(hm.tier(mem::Tier::Fast).free(), 0u);
+    const std::vector<mem::PageRun> second =
+        sentinel::testing::refEvictLru(hm, ref, batch.bytes, ex.now());
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_EQ(second[0].first, idle.first + kBatch);
+    EXPECT_EQ(second[0].count, kIdle - kBatch);
+    policy.allocate(ex, batch);
+    const mem::PageRunState rest =
+        hm.residentRange(idle.first + kBatch, kIdle - kBatch, ex.now());
+    EXPECT_TRUE(rest.in_flight);
+    EXPECT_EQ(rest.count, kIdle - kBatch);
+    EXPECT_FALSE(hm.flightInfo(idle.first + kBatch).toward_fast);
 }
 
 // -------------------------------------------------------------- AutoTM

@@ -2,158 +2,175 @@
  * @file
  * Seeded randomized differentials of the reactive baselines' dense
  * page queues against the node-based containers they replace:
- * PageLru against std::list + unordered_map (UM's old LRU), PageRing
- * against std::deque (IAL's old FIFO).
+ * RunLru against std::list + unordered_map (UM's old per-page LRU,
+ * touched page by page), PageRing against std::deque (IAL's old FIFO).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <iterator>
-#include <list>
 #include <random>
-#include <unordered_map>
+#include <stdexcept>
 #include <vector>
 
 #include "baselines/page_queues.hh"
+#include "support/ref_um_lru.hh"
 
 namespace sentinel::baselines {
 namespace {
 
-/** The std::list + iterator-map LRU UM kept before PageLru. */
-class ListLru
-{
-  public:
-    bool empty() const { return order_.empty(); }
-    mem::PageId back() const { return order_.back(); }
+using sentinel::testing::ListLru;
 
-    void
-    touch(mem::PageId p)
-    {
-        auto it = pos_.find(p);
-        if (it != pos_.end()) {
-            order_.splice(order_.end(), order_, it->second);
-            return;
-        }
-        order_.push_back(p);
-        pos_[p] = std::prev(order_.end());
-    }
+constexpr mem::PageId kSeam = 1ull << 16; ///< a directory chunk seam
 
-    void
-    erase(mem::PageId p)
-    {
-        auto it = pos_.find(p);
-        if (it != pos_.end()) {
-            order_.erase(it->second);
-            pos_.erase(it);
-        }
-    }
-
-    mem::PageId
-    popFront()
-    {
-        mem::PageId p = order_.front();
-        order_.pop_front();
-        pos_.erase(p);
-        return p;
-    }
-
-    /** Some queued page, chosen by @p r. */
-    mem::PageId
-    pick(std::uint64_t r) const
-    {
-        auto it = order_.begin();
-        std::advance(it, r % order_.size());
-        return *it;
-    }
-
-  private:
-    std::list<mem::PageId> order_;
-    std::unordered_map<mem::PageId, std::list<mem::PageId>::iterator>
-        pos_;
-};
-
+/** Pop @p n pages of @p lru's front run, which must match @p ref's
+ *  next @p n pages. */
 void
-drainAndCompare(PageLru &lru, ListLru &ref)
+popAndCompare(RunLru &lru, ListLru &ref, std::uint64_t max,
+              std::uint64_t n)
 {
-    std::vector<mem::PageId> got, want;
-    while (!ref.empty()) {
-        ASSERT_FALSE(lru.empty());
-        want.push_back(ref.popFront());
-        got.push_back(lru.popFront());
-    }
-    EXPECT_TRUE(lru.empty());
-    EXPECT_EQ(got, want);
+    ASSERT_FALSE(lru.empty());
+    const mem::PageRun run = lru.front(max);
+    ASSERT_GE(run.count, 1u);
+    ASSERT_LE(run.count, max);
+    n = std::min(n, run.count);
+    for (std::uint64_t i = 0; i < n; ++i)
+        ASSERT_EQ(run.first + i, ref.popFront()) << "page " << i;
+    lru.popFront(n);
 }
 
-TEST(PageLru, RandomizedDifferentialAgainstListLru)
+void
+drainAndCompare(RunLru &lru, ListLru &ref, std::mt19937_64 &rng)
 {
-    // Page ids straddle the 2^16-page directory chunk seam, with a few
-    // far ids in other chunks (up to the largest id a link can hold).
-    constexpr mem::PageId kSeam = 1ull << 16;
-    const mem::PageId far[] = { 3, 5 * kSeam + 7, (1ull << 32) - 2 };
+    while (!ref.empty()) {
+        const std::uint64_t max = 1 + rng() % 64;
+        popAndCompare(lru, ref, max, max);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    EXPECT_TRUE(lru.empty());
+}
+
+TEST(RunLru, RandomizedDifferentialAgainstListLru)
+{
+    // Runs start around the 2^16-page directory chunk seam, so many
+    // cross it, with a few far runs in other chunks (past 2^32).
+    const mem::PageId far[] = { 3, 5 * kSeam + 7, (1ull << 34) + 11 };
 
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         std::mt19937_64 rng(seed);
-        auto page = [&] {
+        auto first = [&] {
             if (rng() % 16 == 0)
                 return far[rng() % 3];
             return kSeam - 48 + rng() % 96;
         };
-        PageLru lru;
+        auto length = [&] {
+            return 1 + rng() % (rng() % 4 == 0 ? 40 : 6);
+        };
+        RunLru lru;
         ListLru ref;
+        std::vector<mem::PageRun> recent; // candidates for exact re-touch
+        auto touch = [&](mem::PageRun run) {
+            lru.touch(run);
+            ref.touch(run);
+            if (recent.size() < 16)
+                recent.push_back(run);
+            else
+                recent[rng() % recent.size()] = run;
+        };
         for (int round = 0; round < 6; ++round) {
             for (int op = 0; op < 3000; ++op) {
                 const std::uint64_t r = rng() % 100;
-                if (r < 35) { // touch a page, new or not
-                    mem::PageId p = page();
-                    lru.touch(p);
-                    ref.touch(p);
-                } else if (r < 50 && !ref.empty()) { // re-touch one
-                    mem::PageId p = ref.pick(rng());
-                    lru.touch(p);
-                    ref.touch(p);
-                } else if (r < 55 && !ref.empty()) { // touch the tail
-                    mem::PageId p = ref.back();
-                    lru.touch(p);
-                    ref.touch(p);
-                } else if (r < 70 && !ref.empty()) { // erase, present
+                if (r < 30) { // a run, overlapping others or not
+                    touch({ first(), length() });
+                } else if (r < 45 && !recent.empty()) {
+                    // The exact run of an earlier touch, its record
+                    // whole or not.
+                    touch(recent[rng() % recent.size()]);
+                } else if (r < 50 && !ref.empty()) { // from a queued page
+                    touch({ ref.pick(rng()), length() });
+                } else if (r < 55 && !ref.empty()) { // the tail page
+                    touch({ ref.back(), 1 });
+                } else if (r < 67 && !ref.empty()) { // erase, present
                     mem::PageId p = ref.pick(rng());
                     lru.erase(p);
                     ref.erase(p);
-                } else if (r < 80) { // erase, often absent
-                    mem::PageId p = page();
+                } else if (r < 75) { // erase, often absent
+                    mem::PageId p = first() + rng() % 40;
                     lru.erase(p);
                     ref.erase(p);
-                } else if (!ref.empty()) {
-                    ASSERT_FALSE(lru.empty());
-                    ASSERT_EQ(lru.popFront(), ref.popFront())
+                } else if (!ref.empty()) { // a bounded pop
+                    popAndCompare(lru, ref, 1 + rng() % 8,
+                                  1 + rng() % 8);
+                    ASSERT_FALSE(::testing::Test::HasFailure())
                         << "seed " << seed << " round " << round
                         << " op " << op;
                 }
                 ASSERT_EQ(lru.empty(), ref.empty());
             }
-            drainAndCompare(lru, ref);
-            if (::testing::Test::HasFailure())
-                return;
+            drainAndCompare(lru, ref, rng);
+            ASSERT_FALSE(::testing::Test::HasFailure())
+                << "seed " << seed << " round " << round;
         }
     }
 }
 
-TEST(PageLru, EmptiedListRefills)
+TEST(RunLru, EmptiedListRefills)
 {
-    PageLru lru;
-    lru.touch(7);
+    RunLru lru;
+    ListLru ref;
+    lru.touch({ 7, 1 });
     lru.erase(7);
     EXPECT_TRUE(lru.empty());
     lru.erase(7); // absent: no effect
-    lru.touch(9);
-    lru.touch(7);
-    lru.touch(9); // re-touch moves it behind 7
-    EXPECT_EQ(lru.popFront(), 7u);
-    EXPECT_EQ(lru.popFront(), 9u);
+    lru.touch({ 9, 1 });
+    lru.touch({ 7, 1 });
+    lru.touch({ 9, 1 }); // re-touch moves it behind 7
+    ref.touch(7);
+    ref.touch(9);
+    popAndCompare(lru, ref, 8, 8);
+    popAndCompare(lru, ref, 8, 8);
     EXPECT_TRUE(lru.empty());
+}
+
+TEST(RunLru, PoolStopsGrowingOnceDrainedAndRefilled)
+{
+    // Overlapping runs across the seam: each touch claims a record and
+    // retires the ones it empties.  A drained queue's records all go
+    // back to the free list, so refills of the same shape reuse them.
+    RunLru lru;
+    auto fill = [&](mem::PageId base) {
+        for (mem::PageId i = 0; i < 50; ++i)
+            lru.touch({ base + 3 * i, 5 });
+        lru.erase(base + 20);
+        lru.touch({ base + 30, 40 });
+    };
+    auto drain = [&] {
+        while (!lru.empty())
+            lru.popFront(lru.front(7).count);
+    };
+    fill(kSeam - 70);
+    drain();
+    const std::size_t high = lru.poolSize();
+    EXPECT_GT(high, 0u);
+    for (mem::PageId shift = 1; shift <= 5; ++shift) {
+        fill(kSeam - 70 + 7 * shift);
+        drain();
+        EXPECT_EQ(lru.poolSize(), high) << "refill " << shift;
+    }
+}
+
+TEST(RunLru, PopFrontPastTheFrontRunPanics)
+{
+    RunLru lru;
+    lru.touch({ 10, 6 });
+    lru.touch({ 13, 3 }); // pages 13..15 now belong to the newer record
+    const mem::PageRun run = lru.front(8);
+    EXPECT_EQ(run.first, 10u);
+    EXPECT_EQ(run.count, 3u);
+    EXPECT_THROW(lru.popFront(run.count + 2), std::logic_error);
 }
 
 TEST(PageRing, GrowthWhileWrappedKeepsFifoOrder)

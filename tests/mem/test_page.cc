@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/page.hh"
+#include "mem/page_directory.hh"
 
 namespace sentinel::mem {
 namespace {
@@ -29,6 +30,25 @@ TEST(Page, SpanMath)
     EXPECT_EQ(pageCeil(1), 1u);
     EXPECT_EQ(pageCeil(kPageSize), 1u);
     EXPECT_EQ(pageCeil(kPageSize + 1), 2u);
+}
+
+TEST(PageDirectory, SpanStopsAtTheChunkSeam)
+{
+    constexpr PageId kSeam = 1ull << 16;
+    PageDirectory<std::uint32_t> dir;
+    std::uint32_t *s = nullptr;
+    // A range that crosses the seam yields the first chunk's part...
+    ASSERT_EQ(dir.span(kSeam - 3, 10, s), 3u);
+    for (int i = 0; i < 3; ++i)
+        s[i] = 7;
+    // ...then the rest, from the next chunk; a short range fits whole.
+    ASSERT_EQ(dir.span(kSeam, 7, s), 7u);
+    s[0] = 9;
+    EXPECT_EQ(dir.span(5, 4, s), 4u);
+    EXPECT_EQ(dir.get(kSeam - 4), 0u);
+    EXPECT_EQ(dir.get(kSeam - 3), 7u);
+    EXPECT_EQ(dir.get(kSeam - 1), 7u);
+    EXPECT_EQ(dir.get(kSeam), 9u);
 }
 
 } // namespace
