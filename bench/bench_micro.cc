@@ -96,7 +96,7 @@ BENCHMARK(BM_MigrateBatch)->ArgsProduct({ { 1, 64, 1024, 65536 }, { 0, 1 } });
 
 // The page table's slow commit: a 16384-page run loses every 7th page
 // to a free-and-remap while in flight, so its commit must check each
-// page's sequence instead of filling the run.
+// page's record id instead of filling the run.
 void
 BM_MigrateFreedMidFlight(benchmark::State &state)
 {
@@ -107,12 +107,13 @@ BM_MigrateFreedMidFlight(benchmark::State &state)
     for (auto _ : state) {
         const mem::Tier to =
             at == mem::Tier::Slow ? mem::Tier::Fast : mem::Tier::Slow;
-        const std::uint64_t seq0 = pt.beginMigrationRun(0, npages, to, 0, 1);
+        const mem::PageTable::FlightId id =
+            pt.beginMigrationRun(0, npages, to, 0, 1);
         for (mem::PageId p = 0; p < npages; p += 7) {
             pt.unmapRange(p, 1);
             pt.mapRange(p, 1, to);
         }
-        benchmark::DoNotOptimize(pt.commitMigrationRun(0, npages, seq0));
+        benchmark::DoNotOptimize(pt.commitMigrationRun(id, npages));
         at = to;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace sentinel {
@@ -14,11 +15,10 @@ namespace {
 // point, and parallel sweeps only need the read to be tear-free.
 std::atomic<bool> g_verbose{false};
 
-/**
- * Emit one fully-formatted line with a single stdio call.  stdio locks
- * the stream internally, so concurrent emitters cannot interleave
- * characters within each other's lines.
- */
+/** Where this thread's lines go instead of stderr (redirectLog()). */
+thread_local std::string *t_log = nullptr;
+
+/** Emit one fully-formatted line with a single emitLog() call. */
 void
 emitLine(const char *prefix, const std::string &msg)
 {
@@ -27,7 +27,7 @@ emitLine(const char *prefix, const std::string &msg)
     line += prefix;
     line += msg;
     line += '\n';
-    std::fputs(line.c_str(), stderr);
+    emitLog(line);
 }
 
 } // namespace
@@ -61,6 +61,26 @@ bool
 verbose()
 {
     return g_verbose.load(std::memory_order_relaxed);
+}
+
+std::string *
+redirectLog(std::string *lines)
+{
+    return std::exchange(t_log, lines);
+}
+
+/**
+ * One stdio call per block: stdio locks the stream internally, so
+ * concurrent emitters cannot interleave characters within each other's
+ * lines.
+ */
+void
+emitLog(const std::string &lines)
+{
+    if (t_log)
+        *t_log += lines;
+    else
+        std::fputs(lines.c_str(), stderr);
 }
 
 namespace detail {

@@ -57,6 +57,16 @@ void setVerbose(bool verbose);
 /** @return true if inform() messages are currently printed. */
 bool verbose();
 
+/**
+ * Send the lines this thread's panic, fatal, warn and inform messages
+ * write to stderr into @p lines instead (null: stderr again).
+ * @return the previous target.
+ */
+std::string *redirectLog(std::string *lines);
+
+/** Write whole lines where this thread's messages go. */
+void emitLog(const std::string &lines);
+
 } // namespace sentinel
 
 /** Report an internal invariant violation and abort. */

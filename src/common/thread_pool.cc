@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
+
+#include "common/logging.hh"
 
 namespace sentinel {
 
@@ -95,6 +98,11 @@ parallelFor(std::size_t n, int jobs,
             fn(i);
         return;
     }
+    // Each index's log lines are held back and written in index order,
+    // as the inline loop would, whatever the interleaving.  A worker
+    // whose fn threw keeps its redirect but logs nothing before the
+    // next index sets its own, and logs outlives the pool.
+    std::vector<std::string> logs(n);
     ThreadPool pool(static_cast<unsigned>(threads));
     std::atomic<std::size_t> next{0};
     for (std::size_t t = 0; t < threads; ++t) {
@@ -103,11 +111,22 @@ parallelFor(std::size_t n, int jobs,
                 std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
                 if (i >= n)
                     return;
+                redirectLog(&logs[i]);
                 fn(i);
+                redirectLog(nullptr);
             }
         });
     }
-    pool.wait();
+    std::exception_ptr error;
+    try {
+        pool.wait();
+    } catch (...) {
+        error = std::current_exception();
+    }
+    for (const std::string &log : logs)
+        emitLog(log);
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace sentinel

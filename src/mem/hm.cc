@@ -144,33 +144,10 @@ HeterogeneousMemory::flightInfo(PageId page) const
     return fi;
 }
 
-void
-HeterogeneousMemory::compactSegments()
-{
-    // Batches own disjoint slices of segs_; sliding them down in slice
-    // order never overwrites a live segment.
-    std::sort(pending_.begin(), pending_.end(),
-              [](const PendingBatch &a, const PendingBatch &b) {
-                  return a.cur < b.cur;
-              });
-    std::uint32_t w = 0;
-    for (PendingBatch &b : pending_) {
-        const std::uint32_t n = b.end - b.cur;
-        std::copy(segs_.begin() + b.cur, segs_.begin() + b.end,
-                  segs_.begin() + w);
-        b.cur = w;
-        b.end = w + n;
-        w += n;
-    }
-    SENTINEL_ASSERT(w == live_segs_, "segment store lost track of %zu live "
-                    "segments (found %u)", live_segs_, w);
-    segs_.resize(w);
-    std::make_heap(pending_.begin(), pending_.end(), BatchLater{});
-}
-
 Tick
-HeterogeneousMemory::scheduleRun(PageId first, std::uint64_t count,
-                                 unsigned src, unsigned dst, Tick ready,
+HeterogeneousMemory::scheduleRun(PendingBatch &batch, PageId first,
+                                 std::uint64_t count, unsigned src,
+                                 unsigned dst, Tick ready,
                                  std::uint32_t &startup_paid)
 {
     const bool up = dst < src;
@@ -194,13 +171,13 @@ HeterogeneousMemory::scheduleRun(PageId first, std::uint64_t count,
     }
     PageId p = first;
     for (const sim::TransferSeries &piece : legs_in_) {
-        const std::uint64_t seq0 = table_.beginMigrationRun(
-            p, piece.count, makeTier(dst), piece.first, piece.step);
-        segs_.push_back(Segment{ p, piece.count, piece.first, piece.step,
-                                 seq0, static_cast<std::uint8_t>(src) });
+        batch.tail = table_.beginMigrationRun(p, piece.count, makeTier(dst),
+                                              piece.first, piece.step,
+                                              batch.tail);
+        if (batch.head == PageTable::kNoFlight)
+            batch.head = batch.tail;
         p += piece.count;
     }
-    live_segs_ += legs_in_.size();
     return legs_in_.back().last();
 }
 
@@ -213,7 +190,7 @@ HeterogeneousMemory::migratePages(std::span<const PageRun> runs, Tier dst,
     // becomes a no-op below: every page is already in the only tier).
     const unsigned d = std::min(tierIndex(dst), numTiers() - 1);
     dst = makeTier(d);
-    const std::size_t seg0 = openBatch();
+    PendingBatch batch;
     MemoryTier &dest = tier(dst);
     std::size_t scheduled = 0;
     std::uint32_t startup_paid = 0;
@@ -248,7 +225,7 @@ HeterogeneousMemory::migratePages(std::span<const PageRun> runs, Tier dst,
 
             const unsigned src = tierIndex(rs.tier);
             const unsigned dir = d < src ? 0 : 1;
-            const Tick last = scheduleRun(p, take, src, d, ready,
+            const Tick last = scheduleRun(batch, p, take, src, d, ready,
                                           startup_paid);
             if (dir_bytes[dir] == 0)
                 dir_first[dir] = static_cast<std::uint32_t>(p);
@@ -262,7 +239,7 @@ HeterogeneousMemory::migratePages(std::span<const PageRun> runs, Tier dst,
             break;
     }
     if (scheduled > 0)
-        queueBatch(seg0);
+        queueBatch(batch);
     // One event per batch and direction (matching the one-transfer cost
     // model), not per page — keeps the ring proportional to decisions,
     // not volume.
@@ -318,13 +295,9 @@ HeterogeneousMemory::faultSeries(PageId first, std::uint64_t count, Tier dst,
     }
     const sim::TransferSeries arrivals{ a0, step, count };
 
-    const std::size_t seg0 = openBatch();
-    const std::uint64_t seq0 =
-        table_.beginMigrationRun(first, count, makeTier(d), a0, step);
-    segs_.push_back(Segment{ first, count, a0, step, seq0,
-                             static_cast<std::uint8_t>(src) });
-    ++live_segs_;
-    queueBatch(seg0);
+    PendingBatch batch;
+    batch.head = table_.beginMigrationRun(first, count, makeTier(d), a0, step);
+    queueBatch(batch);
 
     std::uint64_t link_bytes[2][kMaxTiers] = {};
     noteMove(src, d, count, link_bytes);
@@ -340,22 +313,11 @@ HeterogeneousMemory::faultSeries(PageId first, std::uint64_t count, Tier dst,
     return arrivals;
 }
 
-std::size_t
-HeterogeneousMemory::openBatch()
-{
-    if (pending_.empty())
-        segs_.clear();
-    else if (segs_.size() > 2 * live_segs_ + 64)
-        compactSegments();
-    return segs_.size();
-}
-
 void
-HeterogeneousMemory::queueBatch(std::size_t seg0)
+HeterogeneousMemory::queueBatch(PendingBatch batch)
 {
-    pending_.push_back(PendingBatch{
-        segs_[seg0].a0, static_cast<std::uint32_t>(seg0),
-        static_cast<std::uint32_t>(segs_.size()) });
+    batch.next_arrival = table_.flight(batch.head).a0;
+    pending_.push_back(batch);
     std::push_heap(pending_.begin(), pending_.end(), BatchLater{});
     next_arrival_ = pending_.front().next_arrival;
 }
@@ -468,8 +430,9 @@ HeterogeneousMemory::teleportPage(PageId page, Tier dst, Tick now)
         return false;
     Tier src = e.tier;
     // Instant flip: a one-page begin+commit with an immediate arrival.
-    std::uint64_t seq = table_.beginMigrationRun(page, 1, dst, now, 0);
-    bool ok = table_.commitMigrationRun(page, 1, seq) == 1;
+    const PageTable::FlightId id =
+        table_.beginMigrationRun(page, 1, dst, now, 0);
+    bool ok = table_.commitMigrationRun(id, 1) == 1;
     SENTINEL_ASSERT(ok, "teleport commit failed");
     tier(src).release(kPageSize);
     return true;
@@ -481,38 +444,36 @@ HeterogeneousMemory::drainArrivals(Tick now)
     while (!pending_.empty() && pending_.front().next_arrival <= now) {
         std::pop_heap(pending_.begin(), pending_.end(), BatchLater{});
         PendingBatch &b = pending_.back();
-        // Pages land in batch order: a segment commits the prefix that
-        // has arrived, and the next one waits until it is exhausted.
-        while (b.cur < b.end) {
-            Segment &sg = segs_[b.cur];
-            if (sg.a0 > now)
+        // Pages land in batch order: a record commits the prefix that
+        // has arrived, and the next one waits until it is passed.
+        while (b.head != PageTable::kNoFlight) {
+            const PageTable::Flight &f = table_.flight(b.head);
+            const Tick next = f.nextArrival();
+            if (next > now)
                 break;
+            const std::uint64_t left = f.count - f.cursor;
             const std::uint64_t n =
-                sg.step == 0
-                    ? sg.count
+                f.step == 0
+                    ? left
                     : std::min<std::uint64_t>(
-                          sg.count,
-                          static_cast<std::uint64_t>((now - sg.a0) /
-                                                     sg.step) +
+                          left,
+                          static_cast<std::uint64_t>((now - next) / f.step) +
                               1);
+            // Read before the commit, which may retire the record.
+            const unsigned src = f.src;
+            const PageTable::FlightId after = f.next;
             // A page that was freed or re-migrated while in flight does
             // not commit; the unmap already released its reservations.
             const std::uint64_t committed =
-                table_.commitMigrationRun(sg.first, n, sg.seq0);
+                table_.commitMigrationRun(b.head, n);
             if (committed > 0)
-                tiers_[sg.src].release(committed * kPageSize);
-            if (n < sg.count) {
-                sg.first += n;
-                sg.count -= n;
-                sg.a0 += static_cast<Tick>(n) * sg.step;
-                sg.seq0 += n;
+                tiers_[src].release(committed * kPageSize);
+            if (n < left)
                 break;
-            }
-            ++b.cur;
-            --live_segs_;
+            b.head = after;
         }
-        if (b.cur < b.end) {
-            b.next_arrival = segs_[b.cur].a0;
+        if (b.head != PageTable::kNoFlight) {
+            b.next_arrival = table_.flight(b.head).nextArrival();
             std::push_heap(pending_.begin(), pending_.end(), BatchLater{});
         } else {
             pending_.pop_back();
@@ -539,8 +500,6 @@ HeterogeneousMemory::reset()
     }
     table_.clear();
     pending_.clear();
-    segs_.clear();
-    live_segs_ = 0;
     next_arrival_ = kNoArrival;
     stats_ = HmStats{};
 }

@@ -33,11 +33,14 @@
  * (BandwidthChannel::submitSeries()): on a serialized fixed-rate
  * channel its completions are an arithmetic series, and a later leg
  * turns each series piece into at most two (queue-limited, then
- * input-limited).  The run is marked in flight and later committed
- * per arithmetic piece, so the cost of a move is O(legs + pieces)
- * plus the page table's byte fills.  tests/support/ref_migration.hh
- * holds a page-at-a-time model of the same engine, and test_hm.cc
- * checks the two agree after every operation.
+ * input-limited).  Each arrival piece is begun as one PageTable flight
+ * record, and that record is the only bookkeeping of the piece: a
+ * batch is the chain of its records in submit order, and arrivals
+ * commit each record's landed prefix by id.  So the cost of a move is
+ * O(legs + pieces) plus the page table's byte fills.
+ * tests/support/ref_migration.hh holds a page-at-a-time model of the
+ * same engine, and test_hm.cc checks the two agree after every
+ * operation.
  */
 
 #ifndef SENTINEL_MEM_HM_HH
@@ -168,7 +171,7 @@ class HeterogeneousMemory
      * exactly @p count one-page migratePages() calls, each at the
      * previous arrival plus @p gap, and the state left behind is
      * theirs: arrivals up to the last page's issue are committed.
-     * One reservation, one pending segment and O(legs) channel
+     * One reservation, one flight record and O(legs) channel
      * updates; one Promotion/Demotion event for the whole series.
      *
      * @return the arrivals: {a0, gap + sum over the legs of startup +
@@ -284,6 +287,8 @@ class HeterogeneousMemory
     void reset();
 
   private:
+    friend class HmTestPeer; ///< reads the flight records in tests
+
     /** One link of the chain: tier i <-> tier i+1. */
     struct Link {
         sim::BandwidthChannel up;   ///< tier i+1 -> tier i (toward fast)
@@ -299,44 +304,16 @@ class HeterogeneousMemory
     static const sim::BandwidthChannel &nullChannel();
 
     /**
-     * Schedule the uniform run [first, first+count) from tier @p src
-     * to tier @p dst through every leg, each leg in closed form, mark
-     * it in flight, and append its arrival pieces to segs_.  Each
-     * channel's per-transfer startup is paid by the first page of the
-     * batch to touch it; @p startup_paid is the per-batch bitmask of
-     * channels already charged (bit 2*link + direction).
-     *
-     * @return the last page's arrival.
-     */
-    Tick scheduleRun(PageId first, std::uint64_t count, unsigned src,
-                     unsigned dst, Tick ready, std::uint32_t &startup_paid);
-
-    static constexpr Tick kNoArrival = std::numeric_limits<Tick>::max();
-
-    /**
-     * Pages of one run that arrive as one arithmetic series: page
-     * first+k lands at a0 + k*step and holds migration sequence
-     * seq0 + k.  All of them leave tier @c src.
-     */
-    struct Segment {
-        PageId first = 0;
-        std::uint64_t count = 0;
-        Tick a0 = 0;
-        Tick step = 0;
-        std::uint64_t seq0 = 0;
-        std::uint8_t src = 0;
-    };
-
-    /**
-     * One scheduled migratePages() batch: segs_[cur, end) in submit
-     * order.  A page commits only once every earlier page of its batch
-     * has landed, so a batch's next arrival is segs_[cur].a0.  The
-     * pending set is a binary min-heap of batches keyed by that tick.
+     * One scheduled batch: the chain of its flight records in submit
+     * order, from @c head (the first not yet drained).  A page commits
+     * only once every earlier page of its batch has landed, so a
+     * batch's next arrival is its head record's.  The pending set is
+     * a binary min-heap of batches keyed by that tick.
      */
     struct PendingBatch {
         Tick next_arrival = 0;
-        std::uint32_t cur = 0;
-        std::uint32_t end = 0;
+        PageTable::FlightId head = PageTable::kNoFlight;
+        PageTable::FlightId tail = PageTable::kNoFlight; ///< while built
     };
     struct BatchLater {
         bool
@@ -346,11 +323,25 @@ class HeterogeneousMemory
         }
     };
 
-    /** Start a batch's segments (reclaiming finished ones); returns
-     *  its first index in segs_. */
-    std::size_t openBatch();
-    /** Queue the batch of segs_[seg0, end) as pending. */
-    void queueBatch(std::size_t seg0);
+    /**
+     * Schedule the uniform run [first, first+count) from tier @p src
+     * to tier @p dst through every leg, each leg in closed form, and
+     * begin each arrival piece as a flight record appended to
+     * @p batch.  Each channel's per-transfer startup is paid by the
+     * first page of the batch to touch it; @p startup_paid is the
+     * per-batch bitmask of channels already charged (bit 2*link +
+     * direction).
+     *
+     * @return the last page's arrival.
+     */
+    Tick scheduleRun(PendingBatch &batch, PageId first, std::uint64_t count,
+                     unsigned src, unsigned dst, Tick ready,
+                     std::uint32_t &startup_paid);
+
+    static constexpr Tick kNoArrival = std::numeric_limits<Tick>::max();
+
+    /** Queue @p batch as pending. */
+    void queueBatch(PendingBatch batch);
     /** Count @p pages moved from tier @p src to @p dst in the stats
      *  and, per link and direction, in @p link_bytes. */
     void noteMove(unsigned src, unsigned dst, std::uint64_t pages,
@@ -360,17 +351,12 @@ class HeterogeneousMemory
 
     /** Out-of-line slow path of commitUpTo(). */
     void drainArrivals(Tick now);
-    /** Drop finished segments from segs_ once they outnumber the live
-     *  ones, so the store stays bounded by the in-flight work. */
-    void compactSegments();
 
     std::vector<MemoryTier> tiers_; ///< fastest-first chain
     std::vector<Link> links_;       ///< links_[i]: tiers i <-> i+1
     std::vector<std::uint64_t> base_capacity_; ///< per tier
     PageTable table_;
     std::vector<PendingBatch> pending_; ///< min-heap (BatchLater)
-    std::vector<Segment> segs_;         ///< every pending batch's pieces
-    std::size_t live_segs_ = 0;         ///< segments not yet committed
     /** Arrival pieces of the leg being scheduled and of the next. */
     std::vector<sim::TransferSeries> legs_in_, legs_out_;
     Tick next_arrival_ = kNoArrival; ///< pending_ top's key (cached)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <limits>
 
 #include "common/logging.hh"
 
@@ -61,15 +60,6 @@ PageTable::chunkFor(PageId page)
 }
 
 void
-PageTable::resolve(std::uint32_t id, std::uint64_t n)
-{
-    Flight &f = flights_[id];
-    f.resolved += n;
-    if (f.resolved == f.count)
-        free_.push_back(id);
-}
-
-void
 PageTable::mapRange(PageId first, std::uint64_t count, Tier tier)
 {
     const std::uint8_t val = stateByte(tier, false);
@@ -112,7 +102,7 @@ PageTable::unmapRange(PageId first, std::uint64_t count)
         std::uint32_t tiers[kMaxTiers] = {};
         std::uint32_t inflight = 0;
         // One uniform stretch at a time.  Only in-flight stretches read
-        // their flight ids, resolving one record per run of equal ids.
+        // their flight ids, charging one record per run of equal ids.
         for (std::uint64_t i = 0; i < in_chunk;) {
             const std::uint8_t v = s[i];
             SENTINEL_ASSERT(v != kStateUnmapped,
@@ -122,14 +112,14 @@ PageTable::unmapRange(PageId first, std::uint64_t count)
             tiers[v & kStateTierMask] += static_cast<std::uint32_t>(n);
             if (flightOf(v)) {
                 inflight += static_cast<std::uint32_t>(n);
-                const std::uint32_t *ids = ch.flight.get() + off + i;
+                const FlightId *ids = ch.flight.get() + off + i;
                 for (std::uint64_t j = 0; j < n;) {
-                    const std::uint32_t id = ids[j];
+                    Flight &f = flights_[ids[j]];
                     std::uint64_t m = 1;
-                    while (j + m < n && ids[j + m] == id)
+                    while (j + m < n && ids[j + m] == ids[j])
                         ++m;
-                    out.dest[flights_[id].dest] += m;
-                    resolve(id, m);
+                    out.dest[f.dest] += m;
+                    f.dropped += m;
                     j += m;
                 }
             }
@@ -175,7 +165,6 @@ PageTable::entry(PageId page) const
         const std::uint64_t k = page - f.first;
         e.dest = makeTier(f.dest);
         e.arrival = f.a0 + static_cast<Tick>(k) * f.step;
-        e.seq = f.seq0 + k;
     }
     return e;
 }
@@ -227,9 +216,9 @@ PageTable::runState(PageId first, std::uint64_t count) const
     return rs;
 }
 
-std::uint64_t
+PageTable::FlightId
 PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
-                             Tick arrival0, Tick step)
+                             Tick arrival0, Tick step, FlightId after)
 {
     SENTINEL_ASSERT(count > 0, "empty migration run");
     const Chunk *c0 = findChunk(first);
@@ -242,9 +231,9 @@ PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
     SENTINEL_ASSERT(tierOf(s0) != dest, "migration to the same tier");
     // The record's slot is claimed only once the whole run has passed
     // its checks.
-    const std::uint32_t id =
-        free_.empty() ? static_cast<std::uint32_t>(flights_.size())
-                      : free_.back();
+    const FlightId id = free_.empty()
+                            ? static_cast<FlightId>(flights_.size())
+                            : free_.back();
     PageId p = first;
     std::uint64_t left = count;
     while (left > 0) {
@@ -253,7 +242,7 @@ PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
                         static_cast<unsigned long long>(p));
         Chunk &ch = const_cast<Chunk &>(*c);
         if (!ch.flight)
-            ch.flight = std::make_unique<std::uint32_t[]>(kChunkPages);
+            ch.flight = std::make_unique<FlightId[]>(kChunkPages);
         const std::uint64_t off = p & kChunkMask;
         const std::uint64_t in_chunk =
             std::min<std::uint64_t>(left, kChunkPages - off);
@@ -271,8 +260,7 @@ PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
     num_inflight_ += count;
 
     if (free_.empty()) {
-        SENTINEL_ASSERT(flights_.size() <
-                            std::numeric_limits<std::uint32_t>::max(),
+        SENTINEL_ASSERT(flights_.size() < kNoFlight,
                         "too many migration runs in flight");
         flights_.emplace_back();
         // Retiring never allocates: the free list can hold every id.
@@ -280,68 +268,67 @@ PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
     } else {
         free_.pop_back();
     }
-    const std::uint64_t seq0 = next_seq_;
-    next_seq_ += count;
-    flights_[id] = Flight{ first, count, arrival0, step, seq0, 0, 0,
-                           static_cast<std::uint8_t>(tierIndex(dest)) };
-    return seq0;
+    flights_[id] = Flight{ first, count, arrival0, step, 0, 0,
+                           static_cast<std::uint8_t>(s0 & kStateTierMask),
+                           static_cast<std::uint8_t>(tierIndex(dest)),
+                           kNoFlight };
+    if (after != kNoFlight)
+        flights_[after].next = id;
+    return id;
 }
 
 std::uint64_t
-PageTable::commitMigrationRun(PageId first, std::uint64_t count,
-                              std::uint64_t seq0)
+PageTable::commitMigrationRun(FlightId id, std::uint64_t n)
 {
-    if (count == 0)
+    if (n == 0)
         return 0;
-    const Chunk *c0 = findChunk(first);
-    const std::uint64_t off0 = first & kChunkMask;
-    const std::uint8_t s0 = c0 ? c0->state[off0] : kStateUnmapped;
-    if (s0 == kStateUnmapped || !flightOf(s0))
-        return commitPageByPage(first, count, seq0);
-    // Fast path: the run is the next in-order piece of a flight none of
-    // whose later pages was unmapped (resolved == cursor), so every
-    // page of it is still in flight under that flight, from one source
-    // tier.  The sequence check rejects a stale commit whose first page
-    // has since begun another migration.
-    const std::uint32_t id = c0->flight[off0];
     Flight &f = flights_[id];
-    const std::uint64_t k = first - f.first;
-    if (f.seq0 + k != seq0 || k != f.cursor || f.resolved != f.cursor ||
-        count > f.count - k)
-        return commitPageByPage(first, count, seq0);
-    const unsigned src = s0 & kStateTierMask;
-    PageId p = first;
-    std::uint64_t left = count;
-    while (left > 0) {
-        Chunk &ch = const_cast<Chunk &>(*findChunk(p));
-        const std::uint64_t off = p & kChunkMask;
-        const std::uint64_t in_chunk =
-            std::min<std::uint64_t>(left, kChunkPages - off);
-        std::memset(ch.state.get() + off, f.dest, in_chunk);
-        const auto n = static_cast<std::uint32_t>(in_chunk);
-        ch.tiers[src] -= n;
-        ch.tiers[f.dest] += n;
-        ch.inflight -= n;
-        p += in_chunk;
-        left -= in_chunk;
+    SENTINEL_ASSERT(n <= f.count - f.cursor,
+                    "commit of %llu pages past the end of a run",
+                    static_cast<unsigned long long>(n));
+    const PageId first = f.first + f.cursor;
+    std::uint64_t done = n;
+    if (f.dropped > 0) {
+        done = commitPageByPage(id, first, n);
+        f.dropped -= n - done;
+    } else {
+        // Fast path: no page past the cursor was unmapped, so every
+        // page of the piece is still in flight under this record, from
+        // one source tier.
+        PageId p = first;
+        std::uint64_t left = n;
+        while (left > 0) {
+            Chunk &ch = const_cast<Chunk &>(*findChunk(p));
+            const std::uint64_t off = p & kChunkMask;
+            const std::uint64_t in_chunk =
+                std::min<std::uint64_t>(left, kChunkPages - off);
+            std::memset(ch.state.get() + off, f.dest, in_chunk);
+            const auto m = static_cast<std::uint32_t>(in_chunk);
+            ch.tiers[f.src] -= m;
+            ch.tiers[f.dest] += m;
+            ch.inflight -= m;
+            p += in_chunk;
+            left -= in_chunk;
+        }
+        num_inflight_ -= n;
     }
-    num_inflight_ -= count;
-    f.cursor += count;
-    resolve(id, count);
-    return count;
+    f.cursor += n;
+    if (f.cursor == f.count)
+        free_.push_back(id);
+    return done;
 }
 
 std::uint64_t
-PageTable::commitPageByPage(PageId first, std::uint64_t count,
-                            std::uint64_t seq0)
+PageTable::commitPageByPage(FlightId id, PageId first, std::uint64_t n)
 {
+    const Flight &f = flights_[id];
     std::uint64_t done = 0;
     std::uint64_t k = 0;
-    while (k < count) {
+    while (k < n) {
         const PageId page = first + k;
         const std::uint64_t off = page & kChunkMask;
         const std::uint64_t in_chunk =
-            std::min<std::uint64_t>(count - k, kChunkPages - off);
+            std::min<std::uint64_t>(n - k, kChunkPages - off);
         const Chunk *c = findChunk(page);
         if (!c || c->inflight == 0) { // chunk gone or idle: nothing lands
             k += in_chunk;
@@ -349,26 +336,18 @@ PageTable::commitPageByPage(PageId first, std::uint64_t count,
         }
         Chunk &ch = const_cast<Chunk &>(*c);
         std::uint8_t *state = ch.state.get() + off;
-        const std::uint32_t *ids = ch.flight.get() + off;
-        // Deltas stay in locals: stores through the state bytes would
-        // otherwise alias the chunk counters on every page.
-        std::uint32_t delta[kMaxTiers] = {};
+        const FlightId *ids = ch.flight.get() + off;
         std::uint32_t landed = 0;
         for (std::uint64_t m = 0; m < in_chunk; ++m) {
             const std::uint8_t s = state[m];
-            if (s == kStateUnmapped || !flightOf(s))
-                continue;
-            const Flight &f = flights_[ids[m]];
-            if (f.seq0 + (page + m - f.first) != seq0 + k + m)
+            if (s == kStateUnmapped || !flightOf(s) || ids[m] != id)
                 continue; // freed, or remapped and superseded
             state[m] = f.dest;
-            --delta[s & kStateTierMask];
-            ++delta[f.dest];
             ++landed;
-            resolve(ids[m], 1);
         }
-        for (unsigned t = 0; t < kMaxTiers; ++t)
-            ch.tiers[t] += delta[t];
+        // Every page that landed left the record's one source tier.
+        ch.tiers[f.src] -= landed;
+        ch.tiers[f.dest] += landed;
         ch.inflight -= landed;
         num_inflight_ -= landed;
         done += landed;

@@ -21,16 +21,22 @@
  *
  * Migration state is kept per run, not per page.  Each
  * beginMigrationRun() takes a flight record from a free-listed pool
- * holding the run's destination, arrival progression and first
- * sequence number; a page in flight stores only its record's 32-bit id
- * in a per-chunk array allocated on the chunk's first migration, read
- * only under the in-flight bit.  entry() composes a page's
- * destination, arrival and sequence from the record.  A commit that is
- * the next in-order piece of an intact record is a byte fill plus
- * counter updates; anything else checks each page's sequence through
- * its record.  A record returns to the pool once every page has
- * committed or been unmapped, so the pool is as large as the most
- * flights ever live at once.
+ * and returns its id.  The record holds the run's source and
+ * destination tiers, its arrival progression, and a cursor: the pages
+ * that commits have passed.  A page in flight stores only its
+ * record's 32-bit id, in a per-chunk array allocated on the chunk's
+ * first migration and read only under the in-flight bit; entry()
+ * composes a page's destination and arrival from the record.  A
+ * commit names its record and takes the next pages after the cursor:
+ * if no page past the cursor was unmapped it is a byte fill plus
+ * counter updates, otherwise each page lands only if it is still in
+ * flight under that id.  A record retires when commits pass its last
+ * page, never earlier, so while a caller still holds an id no other
+ * run can take it, and a page freed or migrated again mid-flight is
+ * simply no longer in flight under the old id.  The pool is as large
+ * as the most records ever live at once.  Records also carry an
+ * intrusive link, so a migration batch is a chain of them in submit
+ * order.
  *
  * tests/support/ref_page_table.hh holds a std::map model of the same
  * contract that the randomized differential test checks against.
@@ -50,16 +56,15 @@ namespace sentinel::mem {
 
 /**
  * Per-page state (a view composed from the state byte and, while the
- * page is in flight, its flight record).  @c dest, @c arrival and
- * @c seq are meaningful only while @c in_flight; an idle page reports
- * its own tier as @c dest and 0 for the other two.
+ * page is in flight, its flight record).  @c dest and @c arrival are
+ * meaningful only while @c in_flight; an idle page reports its own
+ * tier as @c dest and 0 as @c arrival.
  */
 struct PageEntry {
     Tier tier = Tier::Slow;     ///< current (source) tier
     bool in_flight = false;     ///< migration scheduled, not yet arrived
     Tier dest = Tier::Slow;     ///< destination while in flight
     Tick arrival = 0;           ///< completion time while in flight
-    std::uint64_t seq = 0;      ///< migration sequence while in flight
 };
 
 static_assert(kMaxTiers <= 8, "tier index must fit the 3 state bits");
@@ -108,33 +113,70 @@ class PageTable
      */
     PageRunState runState(PageId first, std::uint64_t count) const;
 
+    /** Id of a flight record. */
+    using FlightId = std::uint32_t;
+    static constexpr FlightId kNoFlight = ~FlightId{ 0 };
+
+    /**
+     * One begun migration run: page first+k goes from tier @c src to
+     * @c dest and arrives at a0 + k*step.  Commits have passed the
+     * first @c cursor pages; @c dropped pages past the cursor were
+     * unmapped in flight, so while it is 0 every page from
+     * first+cursor on is still in flight under this record.
+     */
+    struct Flight {
+        PageId first = 0;
+        std::uint64_t count = 0;
+        Tick a0 = 0;
+        Tick step = 0;
+        std::uint64_t cursor = 0;
+        std::uint64_t dropped = 0;
+        std::uint8_t src = 0;         ///< source tier index
+        std::uint8_t dest = 0;        ///< destination tier index
+        FlightId next = kNoFlight;    ///< next record of the same batch
+
+        /** Arrival of the first page commits have not passed. */
+        Tick
+        nextArrival() const
+        {
+            return a0 + static_cast<Tick>(cursor) * step;
+        }
+    };
+
     /**
      * Begin migrating [first, first+count) to @p dest; page first+i
      * arrives at @p arrival0 + i * @p step.  Every page must be mapped,
      * idle, and share one resident tier other than @p dest — i.e. a
-     * uniform eligible runState() prefix.  Sequence numbers are
-     * contiguous: page first+i gets @return + i.
+     * uniform eligible runState() prefix.  If @p after names a live
+     * record, the new one is linked as its @c next.
+     * @return the new record's id, live until commits pass its last
+     *         page.
      */
-    std::uint64_t beginMigrationRun(PageId first, std::uint64_t count,
-                                    Tier dest, Tick arrival0, Tick step);
+    FlightId beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
+                               Tick arrival0, Tick step,
+                               FlightId after = kNoFlight);
 
     /**
-     * Commit the consecutive run [first, first+count), where page
-     * first+i carries sequence @p seq0 + i.  A page freed while in
-     * flight, or remapped and migrated again since, no longer carries
-     * its sequence and is skipped: a stale commit never flips a page.
+     * Commit the next @p n pages of record @p id after its cursor
+     * (at most the pages it has left; none is a no-op).  A page freed
+     * while in flight, or remapped and migrated again since, is no
+     * longer in flight under @p id and is skipped: a stale commit
+     * never flips a page.  Once the cursor reaches the run's end the
+     * record retires and @p id may be handed out again.
      * @return the number of pages that actually flipped tiers.
      */
-    std::uint64_t commitMigrationRun(PageId first, std::uint64_t count,
-                                     std::uint64_t seq0);
+    std::uint64_t commitMigrationRun(FlightId id, std::uint64_t n);
+
+    /** Live record @p id. */
+    const Flight &flight(FlightId id) const { return flights_[id]; }
 
     std::size_t numMapped() const { return num_mapped_; }
 
     /** Mapped pages with a migration still pending. */
     std::size_t numInFlight() const { return num_inflight_; }
 
-    /** Live flight records: begun runs with a page still in flight.
-     *  For tests. */
+    /** Live flight records: begun runs whose commits have not passed
+     *  their last page.  For tests. */
     std::size_t numFlights() const { return flights_.size() - free_.size(); }
 
     void clear();
@@ -187,26 +229,7 @@ class PageTable
         std::unique_ptr<std::uint8_t[]> state;
         /** Flight record id of each in-flight page, allocated on the
          *  chunk's first migration; stale under an idle page. */
-        std::unique_ptr<std::uint32_t[]> flight;
-    };
-
-    /**
-     * One begun migration run: page first+k goes to @c dest, arrives at
-     * a0 + k*step and carries sequence seq0 + k.  @c cursor counts the
-     * pages committed in order from @c first; @c resolved counts those
-     * committed or unmapped, in any order.  While resolved == cursor,
-     * every page from first+cursor on is still in flight under this
-     * record.
-     */
-    struct Flight {
-        PageId first = 0;
-        std::uint64_t count = 0;
-        Tick a0 = 0;
-        Tick step = 0;
-        std::uint64_t seq0 = 0;
-        std::uint64_t cursor = 0;
-        std::uint64_t resolved = 0;
-        std::uint8_t dest = 0;  ///< destination tier index
+        std::unique_ptr<FlightId[]> flight;
     };
 
     /** Chunk holding @p page, or nullptr if absent/stale this epoch. */
@@ -222,23 +245,19 @@ class PageTable
 
     /** Chunk for @p page, allocated/recycled to the current epoch. */
     Chunk &chunkFor(PageId page);
-    /** Count @p n pages of flight @p id as resolved; retire it once
-     *  none is left in flight. */
-    void resolve(std::uint32_t id, std::uint64_t n);
-    /** commitMigrationRun() when it is not the next in-order piece of
-     *  an intact flight: per page, through each page's record. */
-    std::uint64_t commitPageByPage(PageId first, std::uint64_t count,
-                                   std::uint64_t seq0);
+    /** commitMigrationRun() once a page past the cursor was dropped:
+     *  per page, through each page's record id. */
+    std::uint64_t commitPageByPage(FlightId id, PageId first,
+                                   std::uint64_t n);
 
     std::vector<Chunk> chunks_;
     std::uint32_t epoch_ = 1;
 
     std::size_t num_mapped_ = 0;
     std::size_t num_inflight_ = 0;
-    std::uint64_t next_seq_ = 1;
 
     std::vector<Flight> flights_;      ///< record pool, indexed by id
-    std::vector<std::uint32_t> free_;  ///< retired record ids
+    std::vector<FlightId> free_;       ///< retired record ids
 };
 
 } // namespace sentinel::mem

@@ -1,10 +1,14 @@
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 
 namespace sentinel {
@@ -115,6 +119,40 @@ TEST(ParallelFor, PropagatesException)
                                      throw std::runtime_error("boom");
                              }),
                  std::runtime_error);
+}
+
+TEST(ParallelFor, LogLinesComeOutInIndexOrder)
+{
+    // Later indices finish first, yet every index's warn lines reach
+    // the caller's log in index order, as the inline loop writes them;
+    // a nested loop's lines stay inside its index.  The lines of an
+    // index whose fn threw are kept too.
+    auto run = [](int jobs) {
+        std::string lines;
+        std::string *outer = redirectLog(&lines);
+        parallelFor(8, jobs, [&](std::size_t i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(8 - i));
+            SENTINEL_WARN("cell %zu", i);
+            parallelFor(2, jobs, [&](std::size_t j) {
+                SENTINEL_WARN("cell %zu.%zu", i, j);
+            });
+        });
+        EXPECT_THROW(parallelFor(3, jobs,
+                                 [](std::size_t i) {
+                                     if (i == 1)
+                                         SENTINEL_FATAL("cell %zu", i);
+                                 }),
+                     std::runtime_error);
+        redirectLog(outer);
+        return lines;
+    };
+    const std::string serial = run(1);
+    EXPECT_EQ(serial.rfind("warn: cell 0\nwarn: cell 0.0\nwarn: cell 0.1\n"
+                           "warn: cell 1\n",
+                           0),
+              0u);
+    EXPECT_NE(serial.find("fatal: cell 1"), std::string::npos);
+    EXPECT_EQ(run(4), serial);
 }
 
 } // namespace

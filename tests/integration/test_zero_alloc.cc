@@ -66,7 +66,8 @@ TEST(ZeroAlloc, PageTableFlightCyclesDoNotAllocate)
 {
     // Flight records come from a free-listed pool: once it has held as
     // many runs as are ever in flight at once, begins reuse retired
-    // records — including records retired by frees mid-flight.
+    // records — including records of runs that lost a page to a free
+    // mid-flight.
     if (!common::allocHookActive())
         GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
 
@@ -74,16 +75,15 @@ TEST(ZeroAlloc, PageTableFlightCyclesDoNotAllocate)
     const std::uint64_t kRuns = 8;
     const std::uint64_t kLen = 64;
     pt.mapRange(0, kRuns * kLen, mem::Tier::Slow);
-    std::uint64_t seqs[kRuns];
+    mem::PageTable::FlightId ids[kRuns];
     auto cycle = [&](mem::Tier to, Tick at) {
         for (std::uint64_t r = 0; r < kRuns; ++r)
-            seqs[r] = pt.beginMigrationRun(r * kLen, kLen, to, at, 1);
+            ids[r] = pt.beginMigrationRun(r * kLen, kLen, to, at, 1);
         for (std::uint64_t r = 0; r < kRuns; ++r) {
             pt.unmapRange(r * kLen + r, 1);
             pt.mapRange(r * kLen + r, 1, to);
-            pt.commitMigrationRun(r * kLen, kLen / 2, seqs[r]);
-            pt.commitMigrationRun(r * kLen + kLen / 2, kLen / 2,
-                                  seqs[r] + kLen / 2);
+            pt.commitMigrationRun(ids[r], kLen / 2);
+            pt.commitMigrationRun(ids[r], kLen / 2);
         }
     };
     cycle(mem::Tier::Fast, 0);

@@ -10,6 +10,30 @@
 #include "support/ref_migration.hh"
 
 namespace sentinel::mem {
+
+/** Reads the flight records behind a HeterogeneousMemory. */
+class HmTestPeer
+{
+  public:
+    static std::size_t
+    numFlights(const HeterogeneousMemory &hm)
+    {
+        return hm.table_.numFlights();
+    }
+
+    /** Ids of the records every pending batch still holds. */
+    static std::vector<PageTable::FlightId>
+    pendingRecords(const HeterogeneousMemory &hm)
+    {
+        std::vector<PageTable::FlightId> ids;
+        for (const HeterogeneousMemory::PendingBatch &b : hm.pending_)
+            for (PageTable::FlightId id = b.head; id != PageTable::kNoFlight;
+                 id = hm.table_.flight(id).next)
+                ids.push_back(id);
+        return ids;
+    }
+};
+
 namespace {
 
 HeterogeneousMemory
@@ -299,6 +323,99 @@ TEST(Hm, ResidentRangeSplitsOnTierAndFlight)
     EXPECT_FALSE(rs.in_flight);
     EXPECT_EQ(rs.count, 1u); // page 3 is still Slow
     EXPECT_FALSE(inFlightAt(hm, 3, arrival));
+}
+
+TEST(Hm, RemigratedRunIgnoresItsFreedRecord)
+{
+    // A run freed mid-flight, remapped and migrated again before its
+    // old batch drains: the old record flips nothing, the new one lands
+    // at its own arrivals, and tier usage balances throughout.
+    auto hm = makeHm(64);
+    hm.mapRange(0, 16, Tier::Slow);
+    const PageRun run[] = { { 0, 16 } };
+    ASSERT_EQ(hm.migratePages(run, Tier::Fast, 0), 16u);
+    EXPECT_EQ(hm.flightInfo(15).arrival, 16 * 4096);
+
+    hm.unmapRange(0, 16, 4096 - 1);
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 0u);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 0u);
+    hm.mapRange(0, 16, Tier::Slow);
+    // The channel is still busy with the freed transfer.
+    ASSERT_EQ(hm.migratePages(run, Tier::Fast, 4096), 16u);
+    EXPECT_EQ(HmTestPeer::numFlights(hm), 2u);
+    for (PageId p = 0; p < 16; ++p)
+        EXPECT_EQ(hm.flightInfo(p).arrival,
+                  static_cast<Tick>(16 + p + 1) * 4096)
+            << p;
+
+    // The old batch drains: nothing lands, nothing is released.
+    const PageRunState mid = hm.residentRange(0, 16, 16 * 4096);
+    EXPECT_TRUE(mid.in_flight);
+    EXPECT_EQ(mid.tier, Tier::Slow);
+    EXPECT_EQ(mid.count, 16u);
+    EXPECT_EQ(HmTestPeer::numFlights(hm), 1u);
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 16 * kPageSize);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 16 * kPageSize);
+
+    // The new one lands page by page at its own arrivals.
+    EXPECT_EQ(hm.residentRange(0, 16, 17 * 4096).count, 1u);
+    EXPECT_EQ(tierAt(hm, 0, 17 * 4096), Tier::Fast);
+    EXPECT_TRUE(inFlightAt(hm, 1, 18 * 4096 - 1));
+    const PageRunState done = hm.residentRange(0, 16, 32 * 4096);
+    EXPECT_FALSE(done.in_flight);
+    EXPECT_EQ(done.tier, Tier::Fast);
+    EXPECT_EQ(done.count, 16u);
+    EXPECT_EQ(HmTestPeer::numFlights(hm), 0u);
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 16 * kPageSize);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 0u);
+}
+
+TEST(Hm, DrainedBatchesRetireTheirRecords)
+{
+    // Batches of several runs, some pieces split across a 3-tier chain,
+    // drained again and again: every record retires with its batch, and
+    // later batches reuse the same slots.
+    std::vector<TierParams> tiers = {
+        { "hbm", 256 * kPageSize, 200e9, 200e9, 60, 60 },
+        { "dram", 256 * kPageSize, 76e9, 50e9, 85, 90 },
+        { "pmm", 1024 * kPageSize, 30e9, 10e9, 300, 120 },
+    };
+    HeterogeneousMemory hm(tiers, { { 2e9, 1e9, 500 }, { 1e9, 5e8, 700 } });
+    hm.mapRange(0, 96, makeTier(2));
+    const PageRun runs[] = { { 0, 32 }, { 40, 24 }, { 70, 26 } };
+    std::vector<PageTable::FlightId> seen;
+    std::size_t warm = 0;
+    Tick now = 0;
+    for (int cycle = 0; cycle < 50; ++cycle) {
+        for (Tier to : { Tier::Fast, makeTier(1), makeTier(2) }) {
+            // Two batches in flight at once: the runs, then a straggler
+            // page freed and remapped mid-flight.
+            ASSERT_GT(hm.migratePages(runs, to, now), 0u);
+            const PageRun straggler[] = { { 32, 1 } };
+            if (!hm.isMapped(32))
+                hm.mapRange(32, 1, makeTier(2));
+            hm.migratePages(straggler, to, now);
+            const std::vector<PageTable::FlightId> ids =
+                HmTestPeer::pendingRecords(hm);
+            EXPECT_EQ(ids.size(), HmTestPeer::numFlights(hm));
+            seen.insert(seen.end(), ids.begin(), ids.end());
+            hm.unmapRange(32, 1, now + 1);
+            now += 1'000'000'000;
+            hm.commitUpTo(now);
+            ASSERT_EQ(HmTestPeer::numFlights(hm), 0u) << "cycle " << cycle;
+            EXPECT_TRUE(HmTestPeer::pendingRecords(hm).empty());
+        }
+        std::sort(seen.begin(), seen.end());
+        seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+        if (cycle == 0)
+            warm = seen.size();
+        // The pool stops growing once it has held one cycle's records.
+        ASSERT_EQ(seen.size(), warm) << "cycle " << cycle;
+    }
+    EXPECT_GT(warm, 3u);
+    const PageRunState rs = hm.residentRange(0, 32, now);
+    EXPECT_EQ(rs.tier, makeTier(2));
+    EXPECT_EQ(rs.count, 32u);
 }
 
 TEST(Hm, ResetRestoresPristineState)

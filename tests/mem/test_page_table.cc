@@ -1,8 +1,5 @@
 #include <cstdint>
-#include <iterator>
 #include <random>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,46 +42,67 @@ TEST(PageTable, MigrationLifecycle)
 {
     PageTable pt;
     pt.mapRange(3, 1, Tier::Slow);
-    std::uint64_t seq = pt.beginMigrationRun(3, 1, Tier::Fast, 1000, 0);
+    const PageTable::FlightId id =
+        pt.beginMigrationRun(3, 1, Tier::Fast, 1000, 0);
+    EXPECT_EQ(pt.numFlights(), 1u);
+    EXPECT_EQ(pt.flight(id).src, tierIndex(Tier::Slow));
     EXPECT_TRUE(pt.entry(3).in_flight);
     EXPECT_EQ(pt.entry(3).tier, Tier::Slow);
     EXPECT_EQ(pt.entry(3).dest, Tier::Fast);
     EXPECT_EQ(pt.entry(3).arrival, 1000);
     EXPECT_EQ(pt.numInFlight(), 1u);
 
-    EXPECT_EQ(pt.commitMigrationRun(3, 1, seq), 1u);
+    EXPECT_EQ(pt.commitMigrationRun(id, 1), 1u);
     EXPECT_FALSE(pt.entry(3).in_flight);
     EXPECT_EQ(pt.entry(3).tier, Tier::Fast);
     EXPECT_EQ(pt.numInFlight(), 0u);
+    EXPECT_EQ(pt.numFlights(), 0u);
 }
 
 TEST(PageTable, StaleCommitIsIgnored)
 {
     PageTable pt;
     pt.mapRange(3, 1, Tier::Slow);
-    std::uint64_t seq1 = pt.beginMigrationRun(3, 1, Tier::Fast, 10, 0);
+    const PageTable::FlightId id1 =
+        pt.beginMigrationRun(3, 1, Tier::Fast, 10, 0);
     pt.unmapRange(3, 1);
     pt.mapRange(3, 1, Tier::Slow);
+    // The freed run's record stays live until its commit passes it, so
+    // migrating the remapped page takes another record.
+    const PageTable::FlightId id2 =
+        pt.beginMigrationRun(3, 1, Tier::Fast, 20, 0);
+    EXPECT_NE(id1, id2);
+    EXPECT_EQ(pt.numFlights(), 2u);
     // The freed migration's commit must not flip the remapped page.
-    EXPECT_EQ(pt.commitMigrationRun(3, 1, seq1), 0u);
-    EXPECT_EQ(pt.entry(3).tier, Tier::Slow);
-
-    // A new migration gets a new seq; old seq still rejected.
-    std::uint64_t seq2 = pt.beginMigrationRun(3, 1, Tier::Fast, 20, 0);
-    EXPECT_NE(seq1, seq2);
-    EXPECT_EQ(pt.commitMigrationRun(3, 1, seq1), 0u);
+    EXPECT_EQ(pt.commitMigrationRun(id1, 1), 0u);
     EXPECT_TRUE(pt.entry(3).in_flight);
-    EXPECT_EQ(pt.commitMigrationRun(3, 1, seq2), 1u);
+    EXPECT_EQ(pt.entry(3).arrival, 20);
+    EXPECT_EQ(pt.numFlights(), 1u);
+    EXPECT_EQ(pt.commitMigrationRun(id2, 1), 1u);
     EXPECT_EQ(pt.entry(3).tier, Tier::Fast);
+    EXPECT_EQ(pt.numFlights(), 0u);
 }
 
 TEST(PageTable, CommitAfterUnmapIsIgnored)
 {
     PageTable pt;
     pt.mapRange(5, 1, Tier::Fast);
-    std::uint64_t seq = pt.beginMigrationRun(5, 1, Tier::Slow, 10, 0);
+    const PageTable::FlightId id =
+        pt.beginMigrationRun(5, 1, Tier::Slow, 10, 0);
     pt.unmapRange(5, 1);
-    EXPECT_EQ(pt.commitMigrationRun(5, 1, seq), 0u);
+    EXPECT_EQ(pt.numFlights(), 1u);
+    EXPECT_EQ(pt.commitMigrationRun(id, 1), 0u);
+    EXPECT_EQ(pt.numFlights(), 0u);
+}
+
+TEST(PageTable, CommitPastTheRunEndPanics)
+{
+    PageTable pt;
+    pt.mapRange(0, 4, Tier::Slow);
+    const PageTable::FlightId id =
+        pt.beginMigrationRun(0, 4, Tier::Fast, 10, 1);
+    EXPECT_EQ(pt.commitMigrationRun(id, 3), 3u);
+    EXPECT_THROW(pt.commitMigrationRun(id, 2), std::logic_error);
 }
 
 TEST(PageTable, DoubleMigrationPanics)
@@ -245,54 +263,91 @@ TEST(PageTable, IdlePageReportsNoFlight)
 {
     PageTable pt;
     pt.mapRange(3, 4, Tier::Slow);
-    std::uint64_t seq = pt.beginMigrationRun(3, 4, Tier::Fast, 100, 7);
-    EXPECT_EQ(pt.entry(5).seq, seq + 2);
+    const PageTable::FlightId id =
+        pt.beginMigrationRun(3, 4, Tier::Fast, 100, 7);
     EXPECT_EQ(pt.entry(5).arrival, 114);
-    EXPECT_EQ(pt.commitMigrationRun(3, 4, seq), 4u);
-    // dest/arrival/seq are meaningful only in flight; an idle page
-    // reports its own tier and zeroes, not its last migration.
+    EXPECT_EQ(pt.commitMigrationRun(id, 4), 4u);
+    // dest/arrival are meaningful only in flight; an idle page reports
+    // its own tier and a zero arrival, not its last migration.
     PageEntry e = pt.entry(5);
     EXPECT_FALSE(e.in_flight);
     EXPECT_EQ(e.dest, Tier::Fast);
     EXPECT_EQ(e.arrival, 0);
-    EXPECT_EQ(e.seq, 0u);
 }
 
-TEST(PageTable, CommitAcrossTwoFlights)
+TEST(PageTable, BatchRecordsChainInSubmitOrder)
 {
-    // Back-to-back begins get contiguous sequences, so one commit may
-    // span both runs; each page lands at its own run's destination.
+    // A run begun after another record links behind it; each record
+    // commits on its own, at its own destination.
     PageTable pt;
     pt.mapRange(0, 8, Tier::Slow);
-    std::uint64_t seq = pt.beginMigrationRun(0, 4, Tier::Fast, 10, 1);
-    EXPECT_EQ(pt.beginMigrationRun(4, 4, makeTier(2), 20, 1), seq + 4);
-    EXPECT_EQ(pt.numFlights(), 2u);
-    EXPECT_EQ(pt.commitMigrationRun(0, 8, seq), 8u);
+    const PageTable::FlightId a =
+        pt.beginMigrationRun(0, 4, Tier::Fast, 10, 1);
+    const PageTable::FlightId b =
+        pt.beginMigrationRun(4, 4, makeTier(2), 20, 1, a);
+    EXPECT_EQ(pt.flight(a).next, b);
+    EXPECT_EQ(pt.flight(b).next, PageTable::kNoFlight);
+    EXPECT_EQ(pt.flight(b).nextArrival(), 20);
+    EXPECT_EQ(pt.commitMigrationRun(a, 4), 4u);
+    EXPECT_EQ(pt.commitMigrationRun(b, 2), 2u);
+    EXPECT_EQ(pt.flight(b).nextArrival(), 22);
+    EXPECT_EQ(pt.commitMigrationRun(b, 2), 2u);
     EXPECT_EQ(pt.numFlights(), 0u);
     EXPECT_EQ(pt.runState(0, 8).count, 4u);
     EXPECT_EQ(pt.entry(3).tier, Tier::Fast);
     EXPECT_EQ(pt.entry(4).tier, makeTier(2));
 }
 
-TEST(PageTable, FreedFlightRetiresAndItsStaleCommitIsIgnored)
+TEST(PageTable, FreedFlightLivesUntilItsCommitsPassIt)
 {
     PageTable pt;
     pt.mapRange(0, 8, Tier::Slow);
-    std::uint64_t seq1 = pt.beginMigrationRun(0, 8, Tier::Fast, 10, 2);
+    const PageTable::FlightId id1 =
+        pt.beginMigrationRun(0, 8, Tier::Fast, 10, 2);
     pt.unmapRange(0, 3);
-    EXPECT_EQ(pt.numFlights(), 1u);
     pt.unmapRange(3, 5);
-    EXPECT_EQ(pt.numFlights(), 0u);
-    // The next begin reuses the retired record for the same pages, at
-    // the same offsets; the old commit still must not land.
-    pt.mapRange(0, 8, Tier::Slow);
-    std::uint64_t seq2 = pt.beginMigrationRun(0, 8, Tier::Fast, 50, 1);
     EXPECT_EQ(pt.numFlights(), 1u);
-    EXPECT_EQ(pt.commitMigrationRun(0, 8, seq1), 0u);
-    EXPECT_EQ(pt.commitMigrationRun(0, 4, seq1), 0u);
+    // Migrating the same pages again cannot take the freed record's
+    // slot while its commits are still due; those commits land nothing.
+    pt.mapRange(0, 8, Tier::Slow);
+    const PageTable::FlightId id2 =
+        pt.beginMigrationRun(0, 8, Tier::Fast, 50, 1);
+    EXPECT_NE(id1, id2);
+    EXPECT_EQ(pt.numFlights(), 2u);
+    EXPECT_EQ(pt.commitMigrationRun(id1, 4), 0u);
+    EXPECT_EQ(pt.commitMigrationRun(id1, 4), 0u);
+    EXPECT_EQ(pt.numFlights(), 1u);
     EXPECT_EQ(pt.numInFlight(), 8u);
     EXPECT_EQ(pt.entry(7).arrival, 57);
-    EXPECT_EQ(pt.commitMigrationRun(0, 8, seq2), 8u);
+    EXPECT_EQ(pt.commitMigrationRun(id2, 8), 8u);
+    EXPECT_EQ(pt.numFlights(), 0u);
+    // The retired slot is the next one handed out.
+    EXPECT_EQ(pt.beginMigrationRun(0, 1, Tier::Slow, 60, 0), id2);
+}
+
+TEST(PageTable, PartlyFreedFlightLandsTheRest)
+{
+    // A page unmapped mid-flight sends the run's later commits down the
+    // per-page path; the pages still in flight under it all land, the
+    // remapped page (migrated again by another record) does not.
+    PageTable pt;
+    pt.mapRange(0, 8, Tier::Slow);
+    const PageTable::FlightId id =
+        pt.beginMigrationRun(0, 8, Tier::Fast, 10, 1);
+    EXPECT_EQ(pt.commitMigrationRun(id, 2), 2u);
+    pt.unmapRange(5, 1);
+    pt.mapRange(5, 1, Tier::Slow);
+    const PageTable::FlightId again =
+        pt.beginMigrationRun(5, 1, makeTier(2), 30, 0);
+    EXPECT_EQ(pt.commitMigrationRun(id, 4), 3u);
+    EXPECT_EQ(pt.commitMigrationRun(id, 2), 2u);
+    EXPECT_EQ(pt.runState(0, 5).tier, Tier::Fast);
+    EXPECT_EQ(pt.runState(0, 8).count, 5u);
+    EXPECT_TRUE(pt.entry(5).in_flight);
+    EXPECT_EQ(pt.entry(5).dest, makeTier(2));
+    EXPECT_EQ(pt.commitMigrationRun(again, 1), 1u);
+    EXPECT_EQ(pt.entry(5).tier, makeTier(2));
+    EXPECT_EQ(pt.numInFlight(), 0u);
     EXPECT_EQ(pt.numFlights(), 0u);
 }
 
@@ -302,12 +357,12 @@ TEST(PageTable, FlightPoolStaysAtItsHighWaterMark)
     const std::uint64_t kRuns = 8;
     const std::uint64_t kLen = 16;
     pt.mapRange(0, kRuns * kLen, Tier::Slow);
-    std::uint64_t seqs[kRuns];
+    PageTable::FlightId ids[kRuns];
     for (std::uint64_t r = 0; r < kRuns; ++r)
-        seqs[r] = pt.beginMigrationRun(r * kLen, kLen, Tier::Fast, 0, 1);
+        ids[r] = pt.beginMigrationRun(r * kLen, kLen, Tier::Fast, 0, 1);
     EXPECT_EQ(pt.numFlights(), kRuns);
     for (std::uint64_t r = 0; r < kRuns; ++r)
-        pt.commitMigrationRun(r * kLen, kLen, seqs[r]);
+        pt.commitMigrationRun(ids[r], kLen);
     EXPECT_EQ(pt.numFlights(), 0u);
 
     // 1,000 cycles, each with at most kRuns flights live at once: every
@@ -318,7 +373,7 @@ TEST(PageTable, FlightPoolStaysAtItsHighWaterMark)
     for (int cycle = 0; cycle < 1000; ++cycle) {
         const Tier to = at == Tier::Fast ? Tier::Slow : Tier::Fast;
         for (std::uint64_t r = 0; r < kRuns; ++r)
-            seqs[r] = pt.beginMigrationRun(r * kLen, kLen, to, cycle, 1);
+            ids[r] = pt.beginMigrationRun(r * kLen, kLen, to, cycle, 1);
         ASSERT_EQ(pt.numFlights(), kRuns);
         for (std::uint64_t r = 0; r < kRuns; ++r) {
             const PageId first = r * kLen;
@@ -328,8 +383,8 @@ TEST(PageTable, FlightPoolStaysAtItsHighWaterMark)
                 pt.mapRange(p, 1, to);
             }
             const std::uint64_t k = rng() % (kLen + 1);
-            pt.commitMigrationRun(first, k, seqs[r]);
-            pt.commitMigrationRun(first + k, kLen - k, seqs[r] + k);
+            pt.commitMigrationRun(ids[r], k);
+            pt.commitMigrationRun(ids[r], kLen - k);
         }
         ASSERT_EQ(pt.numFlights(), 0u) << "cycle " << cycle;
         ASSERT_EQ(pt.numInFlight(), 0u) << "cycle " << cycle;
@@ -342,15 +397,14 @@ TEST(PageTable, FlightPoolStaysAtItsHighWaterMark)
  * Seeded randomized differential run against the std::map model.
  * Pages come from two windows centred on chunk seams (2^16 and
  * 3 * 2^16), so most ranges straddle a chunk boundary.  Migrations are
- * left in flight across frees, cancels and clear(), and committed
- * later in random order: in order in two pieces, second piece first,
- * or committed twice.  Some runs are begun as two back-to-back
- * migrations and committed as one, and whole flights are freed before
- * their commit so a retired record's slot is reused; stale commits
- * are part of the mix.  After every operation the whole window is
- * compared page by page, the live flight records against the runs the
- * model still has pages in flight of, and runState() over random
- * ranges.
+ * left in flight across frees, cancels and clear(), and their records
+ * are committed later in random pieces, in order, until commits pass
+ * their last page.  Some runs are begun as two chained records.  Whole
+ * flights are freed and migrated again while their old record is
+ * still due, and single pages are freed, remapped and re-migrated
+ * mid-flight, so stale commits are part of the mix.  After every
+ * operation the whole window is compared page by page, the live
+ * records against the model's, and runState() over random ranges.
  */
 class PageTableDiff
 {
@@ -363,6 +417,7 @@ class PageTableDiff
         if (below(400) == 0) {
             pt_.clear();
             ref_.clear();
+            flights_.clear();
             return;
         }
         switch (below(9)) {
@@ -390,18 +445,17 @@ class PageTableDiff
         }
     }
 
-    /** Commit every issued run (most are stale by now); nothing may
-     *  stay in flight or hold a record. */
+    /** Commit what every live record has left; nothing may stay in
+     *  flight or hold a record. */
     void
     drain()
     {
-        for (const Flight &f : flights_)
-            ASSERT_EQ(pt_.commitMigrationRun(f.first, f.count, f.seq0),
-                      ref_.commitMigrationRun(f.first, f.count, f.seq0));
-        flights_.clear();
+        while (!flights_.empty())
+            ASSERT_NO_FATAL_FAILURE(commit(0, flights_[0].left));
         ASSERT_EQ(ref_.numInFlight(), 0u);
         ASSERT_EQ(pt_.numInFlight(), 0u);
         ASSERT_EQ(pt_.numFlights(), 0u);
+        ASSERT_EQ(ref_.numFlights(), 0u);
     }
 
     void
@@ -409,8 +463,11 @@ class PageTableDiff
     {
         ASSERT_EQ(pt_.numMapped(), ref_.numMapped());
         ASSERT_EQ(pt_.numInFlight(), ref_.numInFlight());
-        // One live record per begun run the model still has a page of.
-        std::set<std::uint64_t> live;
+        ASSERT_EQ(pt_.numFlights(), flights_.size());
+        ASSERT_EQ(ref_.numFlights(), flights_.size());
+        for (const Flight &f : flights_)
+            ASSERT_EQ(pt_.flight(f.id).count - pt_.flight(f.id).cursor,
+                      f.left);
         for (PageId seam : kSeams) {
             for (PageId p = seam - kHalf; p < seam + kHalf + kMaxRun;
                  ++p) {
@@ -424,12 +481,9 @@ class PageTableDiff
                 if (want.in_flight) {
                     ASSERT_EQ(got.dest, want.dest) << p;
                     ASSERT_EQ(got.arrival, want.arrival) << p;
-                    ASSERT_EQ(got.seq, want.seq) << p;
-                    live.insert(*std::prev(begun_.upper_bound(want.seq)));
                 }
             }
         }
-        ASSERT_EQ(pt_.numFlights(), live.size());
         for (int i = 0; i < 4; ++i) {
             PageId p = randomPage();
             std::uint64_t n = prefix(p, true, 2 * kMaxRun);
@@ -448,11 +502,13 @@ class PageTableDiff
     static constexpr std::uint64_t kHalf = 96;
     static constexpr std::uint64_t kMaxRun = 64;
 
-    /** An issued migration run, committed later (maybe stale). */
+    /** A live record: its id in each table and the pages it has left. */
     struct Flight {
+        PageTable::FlightId id;
+        std::uint64_t rec;
         PageId first;
         std::uint64_t count;
-        std::uint64_t seq0;
+        std::uint64_t left;
     };
 
     std::uint64_t below(std::uint64_t n) { return rng_() % n; }
@@ -472,6 +528,45 @@ class PageTableDiff
         while (n < max && ref_.isMapped(p + n) == mapped)
             ++n;
         return n;
+    }
+
+    /** Begin [first, first+count) in both tables, chained after
+     *  @p after in the real one.  A live record's slot is never
+     *  handed out again. */
+    Flight
+    begin(PageId first, std::uint64_t count, Tier dest, Tick arrival0,
+          Tick step, PageTable::FlightId after = PageTable::kNoFlight)
+    {
+        const Flight f{ pt_.beginMigrationRun(first, count, dest, arrival0,
+                                              step, after),
+                        ref_.beginMigrationRun(first, count, dest, arrival0,
+                                               step),
+                        first, count, count };
+        for (const Flight &g : flights_)
+            EXPECT_NE(g.id, f.id) << "slot of a live record reused";
+        flights_.push_back(f);
+        return f;
+    }
+
+    /** Commit the next @p n pages of flights_[i]; drop it once its
+     *  commits have passed its last page. */
+    void
+    commit(std::size_t i, std::uint64_t n)
+    {
+        Flight &f = flights_[i];
+        ASSERT_EQ(pt_.commitMigrationRun(f.id, n),
+                  ref_.commitMigrationRun(f.rec, n));
+        f.left -= n;
+        if (f.left == 0) {
+            flights_[i] = flights_.back();
+            flights_.pop_back();
+        }
+    }
+
+    Tier
+    otherTier(Tier t)
+    {
+        return makeTier((tierIndex(t) + 1 + below(3)) % 4);
     }
 
     void
@@ -516,108 +611,73 @@ class PageTableDiff
         if (rs.in_flight)
             return;
         const std::uint64_t n = 1 + below(rs.count);
-        // Sometimes begin the run as two back-to-back migrations: their
-        // sequences are contiguous, so the run commits as one flight
-        // that spans two records.
+        // Sometimes begin the run as two records, the second chained
+        // behind the first as one batch's pieces are.
         const std::uint64_t split = n > 1 && below(4) == 0 ? 1 + below(n - 1)
                                                           : n;
-        auto begin = [&](PageId first, std::uint64_t len) {
-            Tier dest = makeTier(static_cast<unsigned>(
-                (tierIndex(rs.tier) + 1 + below(3)) % 4));
-            Tick arrival0 = static_cast<Tick>(below(1'000'000));
-            Tick step = static_cast<Tick>(below(4));
-            std::uint64_t seq =
-                pt_.beginMigrationRun(first, len, dest, arrival0, step);
-            EXPECT_EQ(seq, ref_.beginMigrationRun(first, len, dest,
-                                                  arrival0, step));
-            begun_.insert(seq);
-            return seq;
+        auto one = [&](PageId first, std::uint64_t len,
+                       PageTable::FlightId after) {
+            return begin(first, len, otherTier(rs.tier),
+                         static_cast<Tick>(below(1'000'000)),
+                         static_cast<Tick>(below(4)), after).id;
         };
-        const std::uint64_t seq0 = begin(p, split);
-        if (split < n)
-            begin(p + split, n - split);
-        flights_.push_back(Flight{ p, n, seq0 });
+        const PageTable::FlightId head = one(p, split, PageTable::kNoFlight);
+        if (split < n) {
+            const PageTable::FlightId tail = one(p + split, n - split, head);
+            ASSERT_EQ(pt_.flight(head).next, tail);
+        }
     }
 
     void
     commitSome()
     {
+        // A piece as arrivals draining mid-run would commit: sometimes
+        // nothing, sometimes all that is left.
         if (flights_.empty())
             return;
-        std::size_t i = below(flights_.size());
-        Flight f = flights_[i];
-        flights_[i] = flights_.back();
-        flights_.pop_back();
-        // Commit in two pieces, as arrivals draining mid-run would;
-        // sometimes the second piece first, sometimes each piece twice.
-        const std::uint64_t k = below(f.count + 1);
-        const Flight pieces[2] = { { f.first, k, f.seq0 },
-                                   { f.first + k, f.count - k, f.seq0 + k } };
-        const unsigned mode = static_cast<unsigned>(below(3));
-        for (unsigned i = 0; i < 2; ++i) {
-            const Flight &piece = pieces[mode == 1 ? 1 - i : i];
-            ASSERT_EQ(
-                pt_.commitMigrationRun(piece.first, piece.count, piece.seq0),
-                ref_.commitMigrationRun(piece.first, piece.count,
-                                        piece.seq0));
-            if (mode == 2) {
-                ASSERT_EQ(pt_.commitMigrationRun(piece.first, piece.count,
-                                                 piece.seq0),
-                          0u);
-                ASSERT_EQ(ref_.commitMigrationRun(piece.first, piece.count,
-                                                  piece.seq0),
-                          0u);
-            }
-        }
+        const std::size_t i = below(flights_.size());
+        commit(i, below(flights_[i].left + 1));
     }
 
     void
     freeFlight()
     {
-        // Free every page of an issued run before its commit, so its
-        // record retires; remap the pages and migrate them again as one
-        // run (the next begin takes the retired slot), then issue the
-        // stale commit.
+        // Free every page of a live record's run, remap the pages and
+        // migrate them again as one run while the old record is still
+        // due; then the old record's commits must land nothing.
         if (flights_.empty())
             return;
-        std::size_t i = below(flights_.size());
-        const Flight f = flights_[i];
-        flights_[i] = flights_.back();
-        flights_.pop_back();
-        for (PageId p = f.first; p < f.first + f.count; ++p) {
+        const Flight old = flights_[below(flights_.size())];
+        for (PageId p = old.first; p < old.first + old.count; ++p) {
             if (ref_.isMapped(p)) {
                 pt_.unmapRange(p, 1);
                 ref_.unmapRange(p, 1);
             }
         }
         Tier tier = makeTier(static_cast<unsigned>(below(4)));
-        pt_.mapRange(f.first, f.count, tier);
-        ref_.mapRange(f.first, f.count, tier);
-        Tier dest = makeTier((tierIndex(tier) + 1 + below(3)) % 4);
-        Tick arrival0 = static_cast<Tick>(below(1'000'000));
-        Tick step = static_cast<Tick>(below(4));
-        std::uint64_t seq0 =
-            pt_.beginMigrationRun(f.first, f.count, dest, arrival0, step);
-        ASSERT_EQ(seq0, ref_.beginMigrationRun(f.first, f.count, dest,
-                                               arrival0, step));
-        flights_.push_back(Flight{ f.first, f.count, seq0 });
-        begun_.insert(seq0);
-        const std::uint64_t k = below(f.count + 1);
-        ASSERT_EQ(pt_.commitMigrationRun(f.first, k, f.seq0),
-                  ref_.commitMigrationRun(f.first, k, f.seq0));
-        ASSERT_EQ(pt_.commitMigrationRun(f.first, f.count, f.seq0),
-                  ref_.commitMigrationRun(f.first, f.count, f.seq0));
+        pt_.mapRange(old.first, old.count, tier);
+        ref_.mapRange(old.first, old.count, tier);
+        begin(old.first, old.count, otherTier(tier),
+              static_cast<Tick>(below(1'000'000)),
+              static_cast<Tick>(below(4)));
+        const std::uint64_t k = below(old.left + 1);
+        for (std::uint64_t n : { k, old.left - k }) {
+            ASSERT_EQ(pt_.commitMigrationRun(old.id, n), 0u);
+            ASSERT_EQ(ref_.commitMigrationRun(old.rec, n), 0u);
+        }
+        std::erase_if(flights_,
+                      [&](const Flight &f) { return f.id == old.id; });
     }
 
     void
     refreeSome()
     {
-        // Free and remap a page of an issued run, and often migrate it
-        // again, so its stale commit meets a newer migration.
+        // Free and remap a page of a live record, and often migrate it
+        // again, so the record's later commit meets a newer migration.
         if (flights_.empty())
             return;
         const Flight &f = flights_[below(flights_.size())];
-        PageId p = f.first + below(f.count);
+        const PageId p = f.first + below(f.count);
         if (!ref_.isMapped(p) || !ref_.entry(p).in_flight)
             return;
         pt_.unmapRange(p, 1);
@@ -625,22 +685,16 @@ class PageTableDiff
         Tier tier = makeTier(static_cast<unsigned>(below(4)));
         pt_.mapRange(p, 1, tier);
         ref_.mapRange(p, 1, tier);
-        if (below(2) == 0) {
-            Tier dest = makeTier((tierIndex(tier) + 1 + below(3)) % 4);
-            Tick arrival = static_cast<Tick>(below(1'000'000));
-            std::uint64_t seq = pt_.beginMigrationRun(p, 1, dest, arrival, 0);
-            ASSERT_EQ(seq, ref_.beginMigrationRun(p, 1, dest, arrival, 0));
-            flights_.push_back(Flight{ p, 1, seq });
-            begun_.insert(seq);
-        }
+        if (below(2) == 0)
+            begin(p, 1, otherTier(tier), static_cast<Tick>(below(1'000'000)),
+                  0);
     }
 
     PageTable pt_;
     testing::RefPageTable ref_;
     std::mt19937_64 rng_;
+    /** Live records, in no particular order. */
     std::vector<Flight> flights_;
-    /** First sequence of every begun run. */
-    std::set<std::uint64_t> begun_;
 };
 
 TEST(PageTable, RandomizedDifferentialAgainstMapModel)

@@ -108,10 +108,8 @@ class RefMigration
                 break;
             const unsigned src = mem::tierIndex(e.tier);
             const Tick arrival = submitLegs(src, d, ready, startup_paid);
-            const std::uint64_t seq =
-                table_.beginMigrationRun(p, 1, dst, arrival, 0);
-            if (b.pages.empty())
-                b.seq0 = seq;
+            b.recs.push_back(
+                table_.beginMigrationRun(p, 1, dst, arrival, 0));
             b.pages.emplace_back(p, arrival);
             b.src.push_back(static_cast<std::uint8_t>(src));
             if (d < src) {
@@ -135,8 +133,7 @@ class RefMigration
         for (Batch &b : pending_) {
             while (b.cursor < b.pages.size() &&
                    b.pages[b.cursor].second <= now) {
-                const mem::PageId p = b.pages[b.cursor].first;
-                if (table_.commitMigrationRun(p, 1, b.seq0 + b.cursor))
+                if (table_.commitMigrationRun(b.recs[b.cursor], 1))
                     tiers_[b.src[b.cursor]].release(mem::kPageSize);
                 ++b.cursor;
             }
@@ -174,11 +171,12 @@ class RefMigration
         double base_down_bw;
     };
 
-    /** One batch: pages in submit order with their own arrivals. */
+    /** One batch: pages in submit order with their own arrivals, each
+     *  its own one-page record. */
     struct Batch {
-        std::uint64_t seq0 = 0;
         std::size_t cursor = 0;
         std::vector<std::pair<mem::PageId, Tick>> pages;
+        std::vector<std::uint64_t> recs;
         std::vector<std::uint8_t> src;
     };
 

@@ -70,7 +70,10 @@ using namespace sentinel;
 
 namespace {
 
-/** Tiny --key value / --key=value parser; unknown keys are fatal. */
+/**
+ * Tiny --key value / --key=value parser; expect() rejects the keys a
+ * command does not read.
+ */
 class Args
 {
   public:
@@ -121,8 +124,29 @@ class Args
         return it == values_.end() ? dflt : std::atof(it->second.c_str());
     }
 
+    /**
+     * ConfigError naming the first given key that is not in @p keys,
+     * the keys command @p cmd reads; call it before running anything.
+     */
+    void
+    expect(const std::string &cmd, const std::vector<std::string> &keys) const
+    {
+        for (const auto &kv : values_)
+            if (std::find(keys.begin(), keys.end(), kv.first) == keys.end())
+                throw harness::ConfigError(
+                    strprintf("config: %s does not take --%s", cmd.c_str(),
+                              kv.first.c_str()));
+    }
+
   private:
     std::map<std::string, std::string> values_;
+};
+
+/** The keys configFrom() reads. */
+const std::vector<std::string> kConfigKeys = {
+    "model", "batch", "platform", "fraction", "mem-mb", "tiers",
+    "mid-capacity", "mid-bw", "steps", "warmup", "mil", "planner",
+    "chaos", "chaos-seed",
 };
 
 harness::ExperimentConfig
@@ -476,12 +500,8 @@ cmdProfile(const Args &args)
         return 0;
     }
 
-    df::Graph g = models::makeModel(cfg.model, cfg.batch);
-    core::RuntimeConfig rc = harness::platformConfig(
-        cfg.platform, mem::roundUpToPages(g.peakMemoryBytes() / 5));
-    mem::HeterogeneousMemory hm(rc.fast, rc.slow, rc.migration);
-    prof::Profiler profiler(rc.profiler);
-    auto r = profiler.profile(g, hm, rc.exec);
+    harness::Cell cell(cfg, "sentinel");
+    const prof::ProfileResult &r = *cell.profile();
     std::printf("profiled %s (batch %d): %zu tensors, slowdown %.1fx, "
                 "memory overhead %.2f%%\n",
                 cfg.model.c_str(), cfg.batch, r.db.numTensors(),
@@ -888,7 +908,9 @@ void
 usage()
 {
     std::printf(
-        "sentinel-cli <command> [--key value | --key=value ...]\n\n"
+        "sentinel-cli <command> [--key value | --key=value ...]\n"
+        "            a flag the command does not read is an error;\n"
+        "            --help or -h prints this\n\n"
         "commands:\n"
         "  run       --model M --batch N --policy P [--platform "
         "cpu|gpu]\n"
@@ -915,7 +937,9 @@ usage()
         "            [--solver greedy|exhaustive] [--top N]\n"
         "  maxbatch  --model M --policy P [--mem-mb M] [--cap N]\n"
         "            [--jobs N] probes the batch ladder in parallel\n"
-        "  profile   --model M --batch N [--out FILE | --in FILE]\n"
+        "  profile   run's model and platform flags [--out FILE]\n"
+        "            profiles one step; --in FILE trains from a saved\n"
+        "            profile instead\n"
         "  chaos     fault-injection degradation report: sentinel vs.\n"
         "            the platform baselines under --chaos SPEC, with\n"
         "            the per-step time trajectory around each fault\n"
@@ -956,6 +980,47 @@ usage()
         "writes counters/histograms as CSV (.csv) or JSON.\n");
 }
 
+/** A subcommand that takes only --key value options. */
+struct Command {
+    const char *name;
+    int (*fn)(const Args &);
+    std::vector<std::string> keys; ///< the keys it reads
+};
+
+std::vector<std::string>
+withConfig(std::vector<std::string> keys)
+{
+    keys.insert(keys.end(), kConfigKeys.begin(), kConfigKeys.end());
+    return keys;
+}
+
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> table = {
+        { "run", cmdRun,
+          withConfig({ "policy", "trace-out", "metrics-out",
+                       "ring-capacity" }) },
+        { "report", cmdReport,
+          withConfig({ "policy", "report-out", "trace-out", "tensor", "top",
+                       "jobs", "ring-capacity" }) },
+        { "compare", cmdCompare, withConfig({ "jobs" }) },
+        { "plan", cmdPlan, withConfig({ "solver", "top" }) },
+        { "maxbatch", cmdMaxBatch,
+          { "model", "policy", "mem-mb", "cap", "jobs" } },
+        { "profile", cmdProfile, withConfig({ "out", "in" }) },
+        { "chaos", cmdChaos, kConfigKeys },
+        { "serve", cmdServe,
+          { "platform", "node-mb", "headroom", "boost", "jobs", "steps",
+            "warmup", "colo", "mix", "seed", "oracle", "scrape-out",
+            "listen", "obs", "slo-target", "slo-budget", "burn-threshold",
+            "burn-window", "scrape-every", "listen-count" } },
+        { "top", cmdTop, { "endpoint", "snapshot", "frame" } },
+        { "models", [](const Args &) { return cmdModels(); }, {} },
+    };
+    return table;
+}
+
 } // namespace
 
 int
@@ -966,12 +1031,25 @@ main(int argc, char **argv)
         return 1;
     }
     std::string cmd = argv[1];
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h" || (i == 1 && arg == "help")) {
+            usage();
+            return 0;
+        }
+    }
     try {
+        // Every flag is parsed and checked before anything runs.
         // "sentinel-cli --model resnet32 --trace-out=step.json" is
         // shorthand for the run command.
-        if (cmd.rfind("--", 0) == 0) {
-            Args args(argc, argv, 1);
-            return cmdRun(args);
+        for (const Command &c : commands()) {
+            const bool shorthand =
+                cmd.rfind("--", 0) == 0 && std::string(c.name) == "run";
+            if (cmd != c.name && !shorthand)
+                continue;
+            Args args(argc, argv, shorthand ? 1 : 2);
+            args.expect(c.name, c.keys);
+            return c.fn(args);
         }
         if (cmd == "metrics-diff") {
             // Two positional dump files, then --key value options.
@@ -981,42 +1059,21 @@ main(int argc, char **argv)
                     "metrics-diff needs two dump files: "
                     "sentinel-cli metrics-diff a.json b.json");
             Args dargs(argc, argv, 4);
+            dargs.expect(cmd, { "threshold" });
             return cmdMetricsDiff(argv[2], argv[3], dargs);
         }
         if (cmd == "replay") {
             // The file rides as the first positional operand
             // (replay FILE [--jobs N]) or as --file FILE.
-            if (argc >= 3 && std::string(argv[2]).rfind("--", 0) != 0) {
-                Args rargs(argc, argv, 3);
-                return cmdReplay(argv[2], rargs);
-            }
-            Args rargs(argc, argv, 2);
-            std::string file = rargs.get("file", "");
+            const bool positional =
+                argc >= 3 && std::string(argv[2]).rfind("--", 0) != 0;
+            Args rargs(argc, argv, positional ? 3 : 2);
+            rargs.expect(cmd, { "file", "jobs", "determinism" });
+            std::string file = positional ? argv[2] : rargs.get("file", "");
             if (file.empty())
                 SENTINEL_FATAL("replay needs a .sentinelrepro file");
             return cmdReplay(file, rargs);
         }
-        Args args(argc, argv, 2);
-        if (cmd == "run")
-            return cmdRun(args);
-        if (cmd == "report")
-            return cmdReport(args);
-        if (cmd == "compare")
-            return cmdCompare(args);
-        if (cmd == "plan")
-            return cmdPlan(args);
-        if (cmd == "maxbatch")
-            return cmdMaxBatch(args);
-        if (cmd == "profile")
-            return cmdProfile(args);
-        if (cmd == "chaos")
-            return cmdChaos(args);
-        if (cmd == "serve")
-            return cmdServe(args);
-        if (cmd == "top")
-            return cmdTop(args);
-        if (cmd == "models")
-            return cmdModels();
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
