@@ -137,6 +137,34 @@ BM_PageTableMapUnmap(benchmark::State &state)
 }
 BENCHMARK(BM_PageTableMapUnmap);
 
+// The page table as UM's one-page evictions leave it: every fourth
+// page of a 1,400-page region is in the other tier, so the table holds
+// about 700 stretches.  Each iteration reads one page's state, then
+// migrates it alone to the other tier and back, committing each move:
+// a split into three stretches and a merge back, twice.
+void
+BM_PageTableFragmented(benchmark::State &state)
+{
+    mem::PageTable pt;
+    const std::uint64_t npages = 1400;
+    pt.mapRange(0, npages, mem::Tier::Slow);
+    for (mem::PageId p = 0; p < npages; p += 4)
+        pt.commitMigrationRun(
+            pt.beginMigrationRun(p, 1, mem::Tier::Fast, 0, 0), 1);
+    mem::PageId p = 2;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(pt.runState(p, 1));
+        for (mem::Tier to : { mem::Tier::Fast, mem::Tier::Slow })
+            benchmark::DoNotOptimize(pt.commitMigrationRun(
+                pt.beginMigrationRun(p, 1, to, 0, 0), 1));
+        p = (p + 4 * 97) % npages; // a middle page of another slow run
+    }
+    state.counters["stretches"] =
+        static_cast<double>(pt.numStretches());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PageTableFragmented);
+
 void
 BM_GraphBuildResnet32(benchmark::State &state)
 {

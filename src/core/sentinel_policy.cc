@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
 
 #include "common/logging.hh"
 
@@ -563,47 +562,6 @@ SentinelPolicy::gatherRuns(mem::HeterogeneousMemory &hm,
     return pages;
 }
 
-std::vector<df::TensorId>
-SentinelPolicy::evictionCandidates(const df::Executor &ex) const
-{
-    int L = static_cast<int>(plan_.demote_at_layer.size());
-
-    // The backward scan below wraps modulo L, so "layers behind us"
-    // includes layers *ahead* in this step (their demote point passed
-    // in the previous step).  That is mostly what we want — those
-    // tensors are idle until their next use — EXCEPT for tensors the
-    // upcoming interval is being loaded with right now: evicting a
-    // just-issued prefetch both wastes the transfer and guarantees a
-    // Case-2 miss when the interval starts.  Protect everything still
-    // queued and everything on the current interval's prefetch list.
-    std::unordered_set<df::TensorId> protect(
-        pending_prefetch_.begin() +
-            static_cast<std::ptrdiff_t>(pending_head_),
-        pending_prefetch_.end());
-    if (!plan_.prefetch_at.empty()) {
-        int interval = plan_.intervalOfLayer(current_layer_);
-        for (df::TensorId id :
-             plan_.prefetch_at[static_cast<std::size_t>(interval)])
-            protect.insert(id);
-    }
-
-    std::vector<df::TensorId> out;
-    std::unordered_set<df::TensorId> seen;
-    for (int d = 1; d <= L; ++d) {
-        int l = (current_layer_ - d + L) % L;
-        for (df::TensorId id :
-             plan_.demote_at_layer[static_cast<std::size_t>(l)]) {
-            if (protect.count(id) || seen.count(id))
-                continue;
-            if (!ex.isAllocated(id))
-                continue;
-            seen.insert(id);
-            out.push_back(id);
-        }
-    }
-    return out;
-}
-
 void
 SentinelPolicy::evictForSpace(df::Executor &ex,
                               std::uint64_t bytes_needed)
@@ -618,9 +576,11 @@ SentinelPolicy::evictForSpace(df::Executor &ex,
     if (telemetry_)
         evict_ctr_->add(1);
 
-    // This call's mark goes on the tensors evictionCandidates() leaves
-    // out — the protected ones now, each visited one as it is walked —
-    // so the walk allocates nothing and stops once enough is reclaimed.
+    // The walk visits the demotion schedule backward from the current
+    // layer, as tests/support/ref_eviction_order.hh lists it.  This
+    // call's mark goes on the tensors that order leaves out — the
+    // protected ones now, each visited one as it is walked — so the
+    // walk allocates nothing and stops once enough is reclaimed.
     if (++evict_epoch_ == 0) {
         std::fill(evict_mark_.begin(), evict_mark_.end(), 0);
         evict_epoch_ = 1;

@@ -177,16 +177,6 @@ class SentinelPolicy : public df::MemoryPolicy
     }
 
     /**
-     * Demand-eviction victim order at the current layer: the demotion
-     * schedule walked backward, minus tensors protected because they
-     * are queued or just prefetched for the upcoming interval.  The
-     * test oracle of evictForSpace(), which walks the same order in
-     * place and stops once it has reclaimed enough.
-     */
-    std::vector<df::TensorId>
-    evictionCandidates(const df::Executor &ex) const;
-
-    /**
      * Static (co-allocation) address assigned to @p id, or ~0 if the
      * tensor is dynamically placed (pool / packed overflow).  Valid
      * after training start; exposed for tests and introspection.
@@ -221,6 +211,8 @@ class SentinelPolicy : public df::MemoryPolicy
     telemetry::AuditLog *audit() { return audit_; }
 
   private:
+    friend class SentinelTestPeer; ///< reads the current layer in tests
+
     enum class TrialState {
         Idle,       ///< no Case 3 seen yet
         Pending,    ///< Case 3 seen; trials start next step

@@ -1,8 +1,7 @@
 #include "mem/page_table.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -10,161 +9,176 @@ namespace sentinel::mem {
 
 namespace {
 
-/**
- * Number of leading bytes of s[0, n) equal to @p v.  Word-wide: eight
- * state bytes per compare, with countr_zero picking the first
- * mismatching byte.  Every extent walk funnels through this scan, so
- * the byte loop only handles the tail.
- */
-std::uint64_t
-matchingPrefix(const std::uint8_t *s, std::uint64_t n, std::uint8_t v)
+/** Iterator to element @p i of @p v. */
+template <class T>
+typename std::vector<T>::iterator
+nth(std::vector<T> &v, std::size_t i)
 {
-    const std::uint64_t pat = 0x0101010101010101ull * v;
-    std::uint64_t i = 0;
-    while (i + 8 <= n) {
-        std::uint64_t w;
-        std::memcpy(&w, s + i, 8);
-        if (w != pat)
-            return i + static_cast<std::uint64_t>(std::countr_zero(w ^ pat)) /
-                           8;
-        i += 8;
-    }
-    while (i < n && s[i] == v)
-        ++i;
-    return i;
+    return v.begin() + static_cast<std::ptrdiff_t>(i);
 }
 
 } // namespace
 
-PageTable::Chunk &
-PageTable::chunkFor(PageId page)
+std::size_t
+PageTable::find(PageId page) const
 {
-    SENTINEL_ASSERT(page < kMaxPages, "page %llu beyond dense table range",
-                    static_cast<unsigned long long>(page));
-    std::uint64_t c = page >> kChunkBits;
-    if (c >= chunks_.size())
-        chunks_.resize(c + 1);
-    Chunk &ch = chunks_[c];
-    if (ch.epoch != epoch_) {
-        // Stale (or fresh) chunk: recycle it lazily on first touch of
-        // the new epoch.  Flight ids may keep stale values — they are
-        // only read under the in-flight bit, which this reset clears.
-        if (!ch.state)
-            ch.state = std::make_unique<std::uint8_t[]>(kChunkPages);
-        std::memset(ch.state.get(), kStateUnmapped, kChunkPages);
-        ch.mapped = ch.inflight = 0;
-        std::memset(ch.tiers, 0, sizeof(ch.tiers));
-        ch.epoch = epoch_;
+    // The first stretch that ends after @p page follows every one that
+    // does not.  Most lookups land on or next to the previous one's
+    // stretch, so try that before the binary search.
+    const std::size_t size = stretches_.size();
+    auto answers = [&](std::size_t i) {
+        return i <= size && (i == size || stretches_[i].end() > page) &&
+               (i == 0 || stretches_[i - 1].end() <= page);
+    };
+    if (answers(hint_))
+        return hint_;
+    if (answers(hint_ + 1))
+        return ++hint_;
+    if (size == 0 || page < stretches_[0].first)
+        return hint_ = 0;
+    // Branch-free: the last stretch that starts at or before page.
+    const Stretch *base = stretches_.data();
+    for (std::size_t n = size; n > 1;) {
+        const std::size_t half = n / 2;
+        base = base[half].first <= page ? base + half : base;
+        n -= half;
     }
-    return ch;
+    hint_ = static_cast<std::size_t>(base - stretches_.data()) +
+            (base->end() <= page);
+    return hint_;
+}
+
+std::size_t
+PageTable::at(PageId page, const char *what) const
+{
+    const std::size_t i = find(page);
+    SENTINEL_ASSERT(i < stretches_.size() && stretches_[i].first <= page,
+                    "%s unmapped page %llu", what,
+                    static_cast<unsigned long long>(page));
+    return i;
+}
+
+bool
+PageTable::joins(const Stretch &a, const Stretch &b)
+{
+    return a.end() == b.first && a.tier == b.tier && a.flight == b.flight;
+}
+
+PageTable::Stretch
+PageTable::stretchOr0(std::size_t i) const
+{
+    return i < stretches_.size() ? stretches_[i] : Stretch{};
+}
+
+void
+PageTable::splice(std::size_t a, std::size_t b,
+                  std::initializer_list<Stretch> with)
+{
+    SENTINEL_ASSERT(with.size() <= 4, "splice of %zu stretches", with.size());
+    Stretch out[4];
+    std::size_t n = 0;
+    for (const Stretch &s : with) {
+        if (s.count == 0)
+            continue;
+        if (n > 0 && joins(out[n - 1], s))
+            out[n - 1].count += s.count;
+        else
+            out[n++] = s;
+    }
+    hint_ = a;
+    const std::size_t kept = std::min(n, b - a);
+    std::copy_n(out, kept, nth(stretches_, a));
+    if (n > kept)
+        stretches_.insert(nth(stretches_, b), out + kept, out + n);
+    else if (b - a > kept)
+        stretches_.erase(nth(stretches_, a + kept), nth(stretches_, b));
+}
+
+void
+PageTable::coalesce(std::size_t a, std::size_t b)
+{
+    std::size_t w = a;
+    for (std::size_t r = a + 1; r < b; ++r) {
+        if (joins(stretches_[w], stretches_[r]))
+            stretches_[w].count += stretches_[r].count;
+        else
+            stretches_[++w] = stretches_[r];
+    }
+    if (w + 1 < b)
+        stretches_.erase(nth(stretches_, w + 1), nth(stretches_, b));
 }
 
 void
 PageTable::mapRange(PageId first, std::uint64_t count, Tier tier)
 {
-    const std::uint8_t val = stateByte(tier, false);
-    PageId p = first;
-    std::uint64_t left = count;
-    while (left > 0) {
-        Chunk &ch = chunkFor(p);
-        std::uint64_t off = p & kChunkMask;
-        std::uint64_t in_chunk = std::min<std::uint64_t>(left,
-                                                         kChunkPages - off);
-        std::uint8_t *s = ch.state.get() + off;
-        for (std::uint64_t i = 0; i < in_chunk; ++i)
-            SENTINEL_ASSERT(s[i] == kStateUnmapped,
-                            "page %llu already mapped",
-                            static_cast<unsigned long long>(p + i));
-        std::memset(s, val, in_chunk);
-        ch.mapped += static_cast<std::uint32_t>(in_chunk);
-        ch.tiers[tierIndex(tier)] += static_cast<std::uint32_t>(in_chunk);
-        num_mapped_ += in_chunk;
-        p += in_chunk;
-        left -= in_chunk;
-    }
+    const std::size_t i = find(first);
+    SENTINEL_ASSERT(i == stretches_.size() ||
+                        stretches_[i].first >= first + count,
+                    "page %llu already mapped",
+                    static_cast<unsigned long long>(
+                        std::max(first, stretches_[i].first)));
+    const auto t = static_cast<std::uint8_t>(tierIndex(tier));
+    splice(i - (i > 0), i + (i < stretches_.size()),
+           { stretchOr0(i - 1), Stretch{ first, count, kNoFlight, t },
+             stretchOr0(i) });
+    num_mapped_ += count;
 }
 
 PageTable::UnmapCounts
 PageTable::unmapRange(PageId first, std::uint64_t count)
 {
+    const PageId last = first + count;
+    const std::size_t i = at(first, "unmap of");
     UnmapCounts out;
+    // The range must be one gapless sequence of stretches.  An
+    // in-flight stretch charges its record once.
     PageId p = first;
-    std::uint64_t left = count;
-    while (left > 0) {
-        const Chunk *c = findChunk(p);
-        SENTINEL_ASSERT(c, "unmap of unmapped page %llu",
+    std::size_t j = i;
+    for (; p < last; ++j) {
+        SENTINEL_ASSERT(j < stretches_.size() && stretches_[j].first <= p,
+                        "unmap of unmapped page %llu",
                         static_cast<unsigned long long>(p));
-        Chunk &ch = const_cast<Chunk &>(*c);
-        std::uint64_t off = p & kChunkMask;
-        std::uint64_t in_chunk = std::min<std::uint64_t>(left,
-                                                         kChunkPages - off);
-        std::uint8_t *s = ch.state.get() + off;
-        std::uint32_t tiers[kMaxTiers] = {};
-        std::uint32_t inflight = 0;
-        // One uniform stretch at a time.  Only in-flight stretches read
-        // their flight ids, charging one record per run of equal ids.
-        for (std::uint64_t i = 0; i < in_chunk;) {
-            const std::uint8_t v = s[i];
-            SENTINEL_ASSERT(v != kStateUnmapped,
-                            "unmap of unmapped page %llu",
-                            static_cast<unsigned long long>(p + i));
-            const std::uint64_t n = matchingPrefix(s + i, in_chunk - i, v);
-            tiers[v & kStateTierMask] += static_cast<std::uint32_t>(n);
-            if (flightOf(v)) {
-                inflight += static_cast<std::uint32_t>(n);
-                const FlightId *ids = ch.flight.get() + off + i;
-                for (std::uint64_t j = 0; j < n;) {
-                    Flight &f = flights_[ids[j]];
-                    std::uint64_t m = 1;
-                    while (j + m < n && ids[j + m] == ids[j])
-                        ++m;
-                    out.dest[f.dest] += m;
-                    f.dropped += m;
-                    j += m;
-                }
-            }
-            i += n;
+        const Stretch &s = stretches_[j];
+        const std::uint64_t n = std::min(s.end(), last) - p;
+        out.src[s.tier] += n;
+        if (s.flight != kNoFlight) {
+            Flight &f = flights_[s.flight];
+            out.dest[f.dest] += n;
+            f.dropped += n;
+            num_inflight_ -= n;
         }
-        std::memset(s, kStateUnmapped, in_chunk);
-        ch.mapped -= static_cast<std::uint32_t>(in_chunk);
-        for (unsigned t = 0; t < kMaxTiers; ++t) {
-            ch.tiers[t] -= tiers[t];
-            out.src[t] += tiers[t];
-        }
-        ch.inflight -= inflight;
-        num_inflight_ -= inflight;
-        num_mapped_ -= in_chunk;
-        p += in_chunk;
-        left -= in_chunk;
+        p += n;
     }
+    // Keep what the first and last stretches hold outside the range.
+    Stretch head = stretches_[i];
+    head.count = first - head.first;
+    Stretch tail = stretches_[j - 1];
+    tail.count = tail.end() - last;
+    tail.first = last;
+    splice(i, j, { head, tail });
+    num_mapped_ -= count;
     return out;
 }
 
 bool
 PageTable::isMapped(PageId page) const
 {
-    const Chunk *c = findChunk(page);
-    return c && c->state[page & kChunkMask] != kStateUnmapped;
+    const std::size_t i = find(page);
+    return i < stretches_.size() && stretches_[i].first <= page;
 }
 
 PageEntry
 PageTable::entry(PageId page) const
 {
-    const Chunk *c = findChunk(page);
-    SENTINEL_ASSERT(c && c->state[page & kChunkMask] != kStateUnmapped,
-                    "entry() of unmapped page %llu",
-                    static_cast<unsigned long long>(page));
-    std::uint64_t off = page & kChunkMask;
-    std::uint8_t s = c->state[off];
+    const Stretch &s = stretches_[at(page, "entry() of")];
     PageEntry e;
-    e.tier = tierOf(s);
-    e.in_flight = flightOf(s);
+    e.tier = makeTier(s.tier);
+    e.in_flight = s.flight != kNoFlight;
     e.dest = e.tier;
     if (e.in_flight) {
-        const Flight &f = flights_[c->flight[off]];
-        const std::uint64_t k = page - f.first;
+        const Flight &f = flights_[s.flight];
         e.dest = makeTier(f.dest);
-        e.arrival = f.a0 + static_cast<Tick>(k) * f.step;
+        e.arrival = f.a0 + static_cast<Tick>(page - f.first) * f.step;
     }
     return e;
 }
@@ -173,47 +187,26 @@ PageRunState
 PageTable::runState(PageId first, std::uint64_t count) const
 {
     SENTINEL_ASSERT(count > 0, "runState() of empty range");
-    // One chunk at a time.  A chunk whose summary counters say
-    // "every mapped page matches the run state" extends the run by the
-    // whole sub-range without touching the state bytes (the caller
-    // guarantees the range is mapped); mixed chunks fall back to a
-    // linear byte scan.
-    const Chunk *c0 = findChunk(first);
-    SENTINEL_ASSERT(c0 && c0->state[first & kChunkMask] != kStateUnmapped,
-                    "runState() over unmapped page %llu",
-                    static_cast<unsigned long long>(first));
-    const std::uint8_t s0 = c0->state[first & kChunkMask];
-    PageRunState rs{ tierOf(s0), flightOf(s0), 1 };
-
-    PageId p = first + 1;
-    std::uint64_t left = count - 1;
-    while (left > 0) {
-        const Chunk *c = findChunk(p);
-        SENTINEL_ASSERT(c, "runState() over unmapped page %llu",
-                        static_cast<unsigned long long>(p));
-        std::uint64_t off = p & kChunkMask;
-        std::uint64_t in_chunk = std::min<std::uint64_t>(left,
-                                                         kChunkPages - off);
-        bool uniform = false;
-        if (c->inflight == 0 && !flightOf(s0))
-            uniform = c->tiers[s0 & kStateTierMask] == c->mapped;
-        if (uniform) {
-            rs.count += in_chunk;
-        } else {
-            const std::uint8_t *s = c->state.get() + off;
-            const std::uint64_t i = matchingPrefix(s, in_chunk, s0);
-            rs.count += i;
-            if (i < in_chunk) {
-                SENTINEL_ASSERT(s[i] != kStateUnmapped,
-                                "runState() over unmapped page %llu",
-                                static_cast<unsigned long long>(p + i));
-                return rs;
-            }
-        }
-        p += in_chunk;
-        left -= in_chunk;
+    std::size_t i = at(first, "runState() over");
+    const Stretch &s0 = stretches_[i];
+    const PageId last = first + count;
+    const bool in_flight = s0.flight != kNoFlight;
+    // Idle stretches of one tier are merged, so only in-flight runs of
+    // one source tier (several records) can continue past the first.
+    PageId end = s0.end();
+    while (end < last && ++i < stretches_.size()) {
+        const Stretch &s = stretches_[i];
+        SENTINEL_ASSERT(s.first == end, "runState() over unmapped page %llu",
+                        static_cast<unsigned long long>(end));
+        if (s.tier != s0.tier || (s.flight != kNoFlight) != in_flight)
+            break;
+        end = s.end();
     }
-    return rs;
+    SENTINEL_ASSERT(end >= last || i < stretches_.size(),
+                    "runState() over unmapped page %llu",
+                    static_cast<unsigned long long>(end));
+    return PageRunState{ makeTier(s0.tier), in_flight,
+                         std::min(end, last) - first };
 }
 
 PageTable::FlightId
@@ -221,59 +214,48 @@ PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
                              Tick arrival0, Tick step, FlightId after)
 {
     SENTINEL_ASSERT(count > 0, "empty migration run");
-    const Chunk *c0 = findChunk(first);
-    SENTINEL_ASSERT(c0 && c0->state[first & kChunkMask] != kStateUnmapped,
-                    "access to unmapped page %llu",
+    const PageId last = first + count;
+    const std::size_t i = at(first, "access to");
+    const Stretch s0 = stretches_[i];
+    SENTINEL_ASSERT(s0.flight == kNoFlight, "page %llu is already migrating",
                     static_cast<unsigned long long>(first));
-    const std::uint8_t s0 = c0->state[first & kChunkMask];
-    SENTINEL_ASSERT(!flightOf(s0), "page %llu is already migrating",
+    SENTINEL_ASSERT(makeTier(s0.tier) != dest, "migration to the same tier");
+    // An idle run of one tier lies inside one stretch.
+    SENTINEL_ASSERT(s0.end() >= last,
+                    "migration run at %llu is not one idle tier",
                     static_cast<unsigned long long>(first));
-    SENTINEL_ASSERT(tierOf(s0) != dest, "migration to the same tier");
-    // The record's slot is claimed only once the whole run has passed
-    // its checks.
-    const FlightId id = free_.empty()
-                            ? static_cast<FlightId>(flights_.size())
-                            : free_.back();
-    PageId p = first;
-    std::uint64_t left = count;
-    while (left > 0) {
-        const Chunk *c = findChunk(p);
-        SENTINEL_ASSERT(c, "access to unmapped page %llu",
-                        static_cast<unsigned long long>(p));
-        Chunk &ch = const_cast<Chunk &>(*c);
-        if (!ch.flight)
-            ch.flight = std::make_unique<FlightId[]>(kChunkPages);
-        const std::uint64_t off = p & kChunkMask;
-        const std::uint64_t in_chunk =
-            std::min<std::uint64_t>(left, kChunkPages - off);
-        std::uint8_t *s = ch.state.get() + off;
-        // One check per chunk: the run must be one idle tier throughout.
-        SENTINEL_ASSERT(matchingPrefix(s, in_chunk, s0) == in_chunk,
-                        "migration run at %llu is not one idle tier",
-                        static_cast<unsigned long long>(p));
-        std::memset(s, s0 | kStateFlightBit, in_chunk);
-        std::fill_n(ch.flight.get() + off, in_chunk, id);
-        ch.inflight += static_cast<std::uint32_t>(in_chunk);
-        p += in_chunk;
-        left -= in_chunk;
-    }
-    num_inflight_ += count;
+    const std::uint8_t src = s0.tier;
 
+    FlightId id;
     if (free_.empty()) {
         SENTINEL_ASSERT(flights_.size() < kNoFlight,
                         "too many migration runs in flight");
+        id = static_cast<FlightId>(flights_.size());
         flights_.emplace_back();
         // Retiring never allocates: the free list can hold every id.
         free_.reserve(flights_.capacity());
     } else {
+        id = free_.back();
         free_.pop_back();
     }
-    flights_[id] = Flight{ first, count, arrival0, step, 0, 0,
-                           static_cast<std::uint8_t>(s0 & kStateTierMask),
+    flights_[id] = Flight{ first, count, arrival0, step, 0, 0, src,
                            static_cast<std::uint8_t>(tierIndex(dest)),
                            kNoFlight };
     if (after != kNoFlight)
         flights_[after].next = id;
+
+    // Cut the idle stretch into its head, the run and its tail; none
+    // of them can join a neighbour.
+    Stretch cut[3];
+    std::size_t n = 0;
+    if (first > s0.first)
+        cut[n++] = Stretch{ s0.first, first - s0.first, kNoFlight, src };
+    cut[n++] = Stretch{ first, count, id, src };
+    if (last < s0.end())
+        cut[n++] = Stretch{ last, s0.end() - last, kNoFlight, src };
+    stretches_[i] = cut[0];
+    stretches_.insert(nth(stretches_, i + 1), cut + 1, cut + n);
+    num_inflight_ += count;
     return id;
 }
 
@@ -287,72 +269,59 @@ PageTable::commitMigrationRun(FlightId id, std::uint64_t n)
                     "commit of %llu pages past the end of a run",
                     static_cast<unsigned long long>(n));
     const PageId first = f.first + f.cursor;
-    std::uint64_t done = n;
-    if (f.dropped > 0) {
-        done = commitPageByPage(id, first, n);
-        f.dropped -= n - done;
-    } else {
-        // Fast path: no page past the cursor was unmapped, so every
-        // page of the piece is still in flight under this record, from
-        // one source tier.
-        PageId p = first;
-        std::uint64_t left = n;
-        while (left > 0) {
-            Chunk &ch = const_cast<Chunk &>(*findChunk(p));
-            const std::uint64_t off = p & kChunkMask;
-            const std::uint64_t in_chunk =
-                std::min<std::uint64_t>(left, kChunkPages - off);
-            std::memset(ch.state.get() + off, f.dest, in_chunk);
-            const auto m = static_cast<std::uint32_t>(in_chunk);
-            ch.tiers[f.src] -= m;
-            ch.tiers[f.dest] += m;
-            ch.inflight -= m;
-            p += in_chunk;
-            left -= in_chunk;
+    const PageId last = first + n;
+    const std::size_t i = find(first);
+    std::uint64_t done = 0;
+    if (f.dropped == 0) {
+        // The rest of the run is still one stretch of this record: flip
+        // its first n pages.
+        const Stretch run = stretchOr0(i);
+        SENTINEL_ASSERT(run.first == first && run.flight == id &&
+                            run.end() == f.first + f.count,
+                        "run at %llu lost its flight",
+                        static_cast<unsigned long long>(first));
+        const Stretch landed{ first, n, kNoFlight, f.dest };
+        if (n < run.count && i > 0 && joins(stretches_[i - 1], landed)) {
+            // A drain's usual piece: the boundary between the landed
+            // stretch before and the run moves, nothing shifts.
+            stretches_[i - 1].count += n;
+            stretches_[i].first = last;
+            stretches_[i].count -= n;
+        } else {
+            const std::size_t b = i + 1 + (i + 1 < stretches_.size());
+            splice(i - (i > 0), b,
+                   { stretchOr0(i - 1), landed,
+                     Stretch{ last, run.count - n, id, run.tier },
+                     stretchOr0(i + 1) });
         }
-        num_inflight_ -= n;
+        done = n;
+    } else {
+        // Some pages were freed: flip the stretches of [first, last)
+        // still tagged with this record, cutting the one that may
+        // straddle the end, then merge what now joins.
+        const std::size_t j = find(last);
+        const Stretch cut = stretchOr0(j);
+        if (cut.flight == id && cut.first < last) {
+            stretches_[j].count = last - cut.first;
+            stretches_.insert(nth(stretches_, j + 1),
+                              Stretch{ last, cut.end() - last, id, cut.tier });
+        }
+        std::size_t k = i;
+        for (; k < stretches_.size() && stretches_[k].first < last; ++k) {
+            Stretch &s = stretches_[k];
+            if (s.flight != id)
+                continue; // freed, or remapped and superseded
+            s.flight = kNoFlight;
+            s.tier = f.dest;
+            done += s.count;
+        }
+        coalesce(i - (i > 0), std::min(k + 1, stretches_.size()));
     }
+    num_inflight_ -= done;
+    f.dropped -= n - done;
     f.cursor += n;
     if (f.cursor == f.count)
         free_.push_back(id);
-    return done;
-}
-
-std::uint64_t
-PageTable::commitPageByPage(FlightId id, PageId first, std::uint64_t n)
-{
-    const Flight &f = flights_[id];
-    std::uint64_t done = 0;
-    std::uint64_t k = 0;
-    while (k < n) {
-        const PageId page = first + k;
-        const std::uint64_t off = page & kChunkMask;
-        const std::uint64_t in_chunk =
-            std::min<std::uint64_t>(n - k, kChunkPages - off);
-        const Chunk *c = findChunk(page);
-        if (!c || c->inflight == 0) { // chunk gone or idle: nothing lands
-            k += in_chunk;
-            continue;
-        }
-        Chunk &ch = const_cast<Chunk &>(*c);
-        std::uint8_t *state = ch.state.get() + off;
-        const FlightId *ids = ch.flight.get() + off;
-        std::uint32_t landed = 0;
-        for (std::uint64_t m = 0; m < in_chunk; ++m) {
-            const std::uint8_t s = state[m];
-            if (s == kStateUnmapped || !flightOf(s) || ids[m] != id)
-                continue; // freed, or remapped and superseded
-            state[m] = f.dest;
-            ++landed;
-        }
-        // Every page that landed left the record's one source tier.
-        ch.tiers[f.src] -= landed;
-        ch.tiers[f.dest] += landed;
-        ch.inflight -= landed;
-        num_inflight_ -= landed;
-        done += landed;
-        k += in_chunk;
-    }
     return done;
 }
 
@@ -361,18 +330,11 @@ PageTable::clear()
 {
     num_mapped_ = 0;
     num_inflight_ = 0;
-    // Every page is gone, so is every flight; the pool keeps its
-    // capacity.
+    // Every page is gone, so is every flight; the pool and the stretch
+    // vector keep their capacity.
+    stretches_.clear();
     flights_.clear();
     free_.clear();
-    // O(1) clear: bump the epoch; old chunks become stale and are
-    // recycled (not re-allocated) on their next touch.  On the
-    // (astronomically rare) wrap, drop the chunks so stale epochs
-    // cannot alias the restarted counter.
-    if (++epoch_ == 0) {
-        chunks_.clear();
-        epoch_ = 1;
-    }
 }
 
 } // namespace sentinel::mem

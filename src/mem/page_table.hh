@@ -11,32 +11,35 @@
  * tick); the HeterogeneousMemory facade lazily commits arrivals as
  * simulated time advances.
  *
- * Storage is struct-of-arrays chunks.  The hot state of a page (tier +
- * in-flight bit) is ONE byte in a per-chunk state array, so lookups are
- * two loads and range walks are byte scans.  Each chunk also carries
- * summary counters (mapped / per-tier / in-flight page counts), which
- * answer the dominant runState() query — "is this whole range
- * uniform?" — in O(chunks) instead of O(pages).  Mapped-ness is
- * tracked with a per-chunk epoch so clear() is O(1).
+ * Storage is one vector of stretches ordered by first page.  A
+ * stretch is a maximal run of mapped pages that share one resident
+ * tier and one flight record (or none: idle); unmapped pages are the
+ * gaps between stretches.  Adjacent stretches with equal (tier,
+ * flight) are always merged, so the table grows with the boundaries
+ * in the page state, not with the pages mapped.  Every operation looks
+ * up the stretch holding its first page (the previous lookup's
+ * stretch or the next one, else a binary search), then splits or
+ * merges at each end of its run, shifting the vector's tail at most
+ * once or, for a commit after frees, twice.  A begin must find its
+ * whole run inside one idle stretch.  The lookup hint makes even the
+ * const queries unsafe to run concurrently on one table.
  *
- * Migration state is kept per run, not per page.  Each
- * beginMigrationRun() takes a flight record from a free-listed pool
- * and returns its id.  The record holds the run's source and
+ * Migration state is kept per run.  Each beginMigrationRun() takes a
+ * flight record from a free-listed pool and tags the run's stretch
+ * with the record's id.  The record holds the run's source and
  * destination tiers, its arrival progression, and a cursor: the pages
- * that commits have passed.  A page in flight stores only its
- * record's 32-bit id, in a per-chunk array allocated on the chunk's
- * first migration and read only under the in-flight bit; entry()
- * composes a page's destination and arrival from the record.  A
- * commit names its record and takes the next pages after the cursor:
- * if no page past the cursor was unmapped it is a byte fill plus
- * counter updates, otherwise each page lands only if it is still in
- * flight under that id.  A record retires when commits pass its last
- * page, never earlier, so while a caller still holds an id no other
- * run can take it, and a page freed or migrated again mid-flight is
- * simply no longer in flight under the old id.  The pool is as large
- * as the most records ever live at once.  Records also carry an
- * intrusive link, so a migration batch is a chain of them in submit
- * order.
+ * that commits have passed.  entry() composes a page's destination
+ * and arrival from the record.  A commit names its record and takes
+ * the next pages after the cursor: if no page past the cursor was
+ * unmapped they are a prefix of the record's one stretch, otherwise
+ * only the stretches still tagged with the id land.  A record retires
+ * when commits pass its last page, never earlier, so while a caller
+ * still holds an id no other run can take it, and a page freed or
+ * migrated again mid-flight is simply no longer in flight under the
+ * old id.  The pool is as large as the most records ever live at
+ * once, and the stretch vector keeps its capacity across clear().
+ * Records also carry an intrusive link, so a migration batch is a
+ * chain of them in submit order.
  *
  * tests/support/ref_page_table.hh holds a std::map model of the same
  * contract that the randomized differential test checks against.
@@ -46,7 +49,7 @@
 #define SENTINEL_MEM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <memory>
+#include <initializer_list>
 #include <vector>
 
 #include "common/units.hh"
@@ -55,8 +58,8 @@
 namespace sentinel::mem {
 
 /**
- * Per-page state (a view composed from the state byte and, while the
- * page is in flight, its flight record).  @c dest and @c arrival are
+ * Per-page state (a view composed from the page's stretch and, while
+ * the page is in flight, its flight record).  @c dest and @c arrival are
  * meaningful only while @c in_flight; an idle page reports its own
  * tier as @c dest and 0 as @c arrival.
  */
@@ -66,8 +69,6 @@ struct PageEntry {
     Tier dest = Tier::Slow;     ///< destination while in flight
     Tick arrival = 0;           ///< completion time while in flight
 };
-
-static_assert(kMaxTiers <= 8, "tier index must fit the 3 state bits");
 
 /**
  * State of the maximal uniform prefix of a page range: @c count leading
@@ -79,7 +80,7 @@ struct PageRunState {
     std::uint64_t count = 0;
 };
 
-/** A flat map of mapped pages. */
+/** An ordered map of mapped page stretches. */
 class PageTable
 {
   public:
@@ -97,7 +98,7 @@ class PageTable
     /**
      * Remove [first, first+count); all must be mapped.  Pages still in
      * flight are dropped with their migration, whose commit then finds
-     * nothing.  One pass over the state bytes.
+     * nothing.  One pass over the stretches of the range.
      */
     UnmapCounts unmapRange(PageId first, std::uint64_t count);
 
@@ -179,79 +180,46 @@ class PageTable
      *  their last page.  For tests. */
     std::size_t numFlights() const { return flights_.size() - free_.size(); }
 
+    /** Stretches in the table.  For tests. */
+    std::size_t numStretches() const { return stretches_.size(); }
+
     void clear();
 
   private:
-    /**
-     * Chunk geometry: 2^16 pages (64 KiB of state bytes) per chunk
-     * keeps the directory small even for the policies that place
-     * tensors at multi-TiB virtual bases, while one tensor's pages stay
-     * within a handful of chunks.
-     */
-    static constexpr unsigned kChunkBits = 16;
-    static constexpr std::uint64_t kChunkPages = 1ull << kChunkBits;
-    static constexpr std::uint64_t kChunkMask = kChunkPages - 1;
-    /** 2^36 pages = a 256 TiB virtual space; bounds directory growth. */
-    static constexpr std::uint64_t kMaxPages = 1ull << 36;
+    /** Pages [first, first+count), all in @c tier and tagged with
+     *  @c flight (kNoFlight: idle). */
+    struct Stretch {
+        PageId first = 0;
+        std::uint64_t count = 0;
+        FlightId flight = kNoFlight;
+        std::uint8_t tier = 0;   ///< resident tier index
 
-    // Hot per-page state, one byte: bits 0-2 = resident tier index
-    // (fastest-first chain position), bit 3 = migration in flight,
-    // 0xFF = unmapped.
-    static constexpr std::uint8_t kStateUnmapped = 0xFF;
-    static constexpr std::uint8_t kStateTierMask = 0x07;
-    static constexpr std::uint8_t kStateFlightBit = 0x08;
-
-    static constexpr std::uint8_t
-    stateByte(Tier t, bool in_flight)
-    {
-        return static_cast<std::uint8_t>(
-            (tierIndex(t) & kStateTierMask) |
-            (in_flight ? kStateFlightBit : 0));
-    }
-    static constexpr Tier
-    tierOf(std::uint8_t s)
-    {
-        return makeTier(s & kStateTierMask);
-    }
-    static constexpr bool
-    flightOf(std::uint8_t s)
-    {
-        return (s & kStateFlightBit) != 0;
-    }
-
-    struct Chunk {
-        /** Chunk contents are valid iff epoch == PageTable::epoch_. */
-        std::uint32_t epoch = 0;
-        std::uint32_t mapped = 0;   ///< mapped pages in this chunk
-        std::uint32_t inflight = 0; ///< mapped pages migrating
-        /** Mapped pages resident in each tier (by current tier bits). */
-        std::uint32_t tiers[kMaxTiers] = {};
-        std::unique_ptr<std::uint8_t[]> state;
-        /** Flight record id of each in-flight page, allocated on the
-         *  chunk's first migration; stale under an idle page. */
-        std::unique_ptr<FlightId[]> flight;
+        PageId end() const { return first + count; }
     };
 
-    /** Chunk holding @p page, or nullptr if absent/stale this epoch. */
-    const Chunk *
-    findChunk(PageId page) const
-    {
-        std::uint64_t c = page >> kChunkBits;
-        if (c >= chunks_.size())
-            return nullptr;
-        const Chunk &ch = chunks_[c];
-        return ch.epoch == epoch_ ? &ch : nullptr;
-    }
+    /** Index of the first stretch that ends after @p page: the one
+     *  holding it, if any. */
+    std::size_t find(PageId page) const;
+    /** Index of the stretch holding mapped @p page. */
+    std::size_t at(PageId page, const char *what) const;
+    /** Whether @p b continues @p a: contiguous, one tier, one flight. */
+    static bool joins(const Stretch &a, const Stretch &b);
+    /** Stretch @p i, or an empty one past either end. */
+    Stretch stretchOr0(std::size_t i) const;
+    /** Replace stretches_[a, b) by the non-empty stretches of @p with
+     *  (at most four), each merged into the one before it where they
+     *  join: one shift of the tail at most.  The next lookup starts
+     *  at the window. */
+    void splice(std::size_t a, std::size_t b,
+                std::initializer_list<Stretch> with);
+    /** Merge what joins in stretches_[a, b), then drop the slots
+     *  merging freed. */
+    void coalesce(std::size_t a, std::size_t b);
 
-    /** Chunk for @p page, allocated/recycled to the current epoch. */
-    Chunk &chunkFor(PageId page);
-    /** commitMigrationRun() once a page past the cursor was dropped:
-     *  per page, through each page's record id. */
-    std::uint64_t commitPageByPage(FlightId id, PageId first,
-                                   std::uint64_t n);
-
-    std::vector<Chunk> chunks_;
-    std::uint32_t epoch_ = 1;
+    std::vector<Stretch> stretches_;   ///< ordered by first, disjoint
+    /** Index find() returned last; most lookups land on or next to
+     *  it. */
+    mutable std::size_t hint_ = 0;
 
     std::size_t num_mapped_ = 0;
     std::size_t num_inflight_ = 0;

@@ -8,6 +8,7 @@
 #include "models/registry.hh"
 #include "profile/profiler.hh"
 #include "support/clipped_policy.hh"
+#include "support/ref_eviction_order.hh"
 #include "support/test_graphs.hh"
 #include "telemetry/audit.hh"
 
@@ -213,10 +214,11 @@ TEST(SentinelPolicy, EvictionCandidatesProtectUpcomingPrefetches)
     df::Executor ex(rig.graph, rig.hm, rig.cfg.exec, policy);
     ex.run(4);
 
-    std::vector<df::TensorId> cands = policy.evictionCandidates(ex);
+    std::vector<df::TensorId> cands =
+        sentinel::testing::evictionCandidates(policy, ex);
     // The oracle is a pure query (DemandEvictionWalksTheCandidateOrder
     // holds evictForSpace() to its order).
-    EXPECT_EQ(cands, policy.evictionCandidates(ex));
+    EXPECT_EQ(cands, sentinel::testing::evictionCandidates(policy, ex));
     std::set<df::TensorId> seen;
     for (df::TensorId id : cands)
         EXPECT_TRUE(seen.insert(id).second) << "duplicate victim " << id;
@@ -280,7 +282,8 @@ class EvictionOrderProbe : public sentinel::testing::ClippedPolicy
     Snapshot
     snapshot(df::Executor &ex)
     {
-        Snapshot s{ inner_.evictionCandidates(ex), {}, audit_.size() };
+        Snapshot s{ sentinel::testing::evictionCandidates(inner_, ex), {},
+                    audit_.size() };
         for (df::TensorId id : s.cands) {
             const df::TensorPlacement &pl = ex.placementOf(id);
             std::vector<mem::PageRun> &runs = s.idle.emplace_back();

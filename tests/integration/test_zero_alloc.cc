@@ -5,12 +5,14 @@
  *
  * The hot loop's scratch buffers (the policy's migration batch and
  * prefetch ring, the executor's segment lists, the migration engine's
- * pooled batch buffers, the SoA page-table chunks) are all grown
- * during warmup and reused afterwards; this test pins that property
+ * pooled batch buffers, the page table's stretch vector and flight
+ * records) are all grown during warmup and reused afterwards; this test pins that property
  * with the counting operator new from sentinel_alloc_hook.  Linked
  * only into this binary — see common/alloc_hook.hh for the contract.
  * Under sanitizers the hook compiles away and the test skips.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -67,15 +69,22 @@ TEST(ZeroAlloc, PageTableFlightCyclesDoNotAllocate)
     // Flight records come from a free-listed pool: once it has held as
     // many runs as are ever in flight at once, begins reuse retired
     // records — including records of runs that lost a page to a free
-    // mid-flight.
+    // mid-flight.  The stretch vector likewise stays at its high-water
+    // mark, here hundreds of stretches: a second region is migrated one
+    // page at a time, every other page first, as UM evicts.
     if (!common::allocHookActive())
         GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
 
     mem::PageTable pt;
     const std::uint64_t kRuns = 8;
     const std::uint64_t kLen = 64;
+    const mem::PageId kChurn = 1ull << 20;
+    const std::uint64_t kChurnPages = 512;
     pt.mapRange(0, kRuns * kLen, mem::Tier::Slow);
+    pt.mapRange(kChurn, kChurnPages, mem::Tier::Slow);
     mem::PageTable::FlightId ids[kRuns];
+    mem::PageTable::FlightId single[kChurnPages / 2];
+    std::size_t peak = 0;
     auto cycle = [&](mem::Tier to, Tick at) {
         for (std::uint64_t r = 0; r < kRuns; ++r)
             ids[r] = pt.beginMigrationRun(r * kLen, kLen, to, at, 1);
@@ -85,6 +94,14 @@ TEST(ZeroAlloc, PageTableFlightCyclesDoNotAllocate)
             pt.commitMigrationRun(ids[r], kLen / 2);
             pt.commitMigrationRun(ids[r], kLen / 2);
         }
+        for (std::uint64_t odd : { 0u, 1u }) {
+            for (std::uint64_t k = 0; k < kChurnPages / 2; ++k)
+                single[k] = pt.beginMigrationRun(kChurn + 2 * k + odd, 1,
+                                                 to, at, 0);
+            peak = std::max(peak, pt.numStretches());
+            for (mem::PageTable::FlightId id : single)
+                pt.commitMigrationRun(id, 1);
+        }
     };
     cycle(mem::Tier::Fast, 0);
     cycle(mem::Tier::Slow, 1);
@@ -93,6 +110,7 @@ TEST(ZeroAlloc, PageTableFlightCyclesDoNotAllocate)
         cycle(i % 2 ? mem::Tier::Slow : mem::Tier::Fast, i);
     std::uint64_t allocs = common::allocCount() - before;
     EXPECT_EQ(pt.numFlights(), 0u);
+    EXPECT_GE(peak, kChurnPages);
     EXPECT_EQ(allocs, 0u)
         << allocs << " heap allocations across 1,000 begin/commit cycles";
 }

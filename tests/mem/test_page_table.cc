@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -206,8 +207,7 @@ TEST(PageTable, SparseHighAddresses)
 
 TEST(PageTable, RangeAcrossChunkBoundary)
 {
-    // Pages live in 2^16-page chunks; a range spanning the seam must
-    // behave exactly like an interior one.
+    // A range across page 2^16 behaves like any other.
     PageTable pt;
     const PageId seam = 1ull << 16;
     pt.mapRange(seam - 8, 16, Tier::Fast);
@@ -235,8 +235,8 @@ TEST(PageTable, ClearForgetsEverything)
     EXPECT_EQ(pt.numMapped(), 0u);
     for (PageId p = 40; p < 50; ++p)
         EXPECT_FALSE(pt.isMapped(p));
-    // The table is fully reusable after clear (epoch bump must not
-    // leave stale entries visible).
+    // The table is fully reusable after clear, with nothing stale
+    // left visible.
     pt.mapRange(44, 1, Tier::Slow);
     EXPECT_EQ(pt.entry(44).tier, Tier::Slow);
     EXPECT_FALSE(pt.entry(44).in_flight);
@@ -245,8 +245,8 @@ TEST(PageTable, ClearForgetsEverything)
 
 TEST(PageTable, RepeatedClearCycles)
 {
-    // Exercises chunk epoch reuse: many clear cycles over the same
-    // pages must never resurrect old entries.
+    // Many clear cycles over the same pages must never resurrect old
+    // entries.
     PageTable pt;
     for (int cycle = 0; cycle < 100; ++cycle) {
         pt.mapRange(0, 4, Tier::Fast);
@@ -327,9 +327,9 @@ TEST(PageTable, FreedFlightLivesUntilItsCommitsPassIt)
 
 TEST(PageTable, PartlyFreedFlightLandsTheRest)
 {
-    // A page unmapped mid-flight sends the run's later commits down the
-    // per-page path; the pages still in flight under it all land, the
-    // remapped page (migrated again by another record) does not.
+    // A page unmapped mid-flight leaves the run in several stretches;
+    // the pages still in flight under it all land, the remapped page
+    // (migrated again by another record) does not.
     PageTable pt;
     pt.mapRange(0, 8, Tier::Slow);
     const PageTable::FlightId id =
@@ -349,6 +349,57 @@ TEST(PageTable, PartlyFreedFlightLandsTheRest)
     EXPECT_EQ(pt.entry(5).tier, makeTier(2));
     EXPECT_EQ(pt.numInFlight(), 0u);
     EXPECT_EQ(pt.numFlights(), 0u);
+}
+
+TEST(PageTable, PiecewiseCommitMergesBackIntoOneStretch)
+{
+    // Adjacent stretches of one tier and flight are always merged: a
+    // run migrated into its neighbours' tier and committed in pieces
+    // ends as one stretch with them, and runState() covers it whole.
+    PageTable pt;
+    pt.mapRange(0, 100, Tier::Fast);
+    pt.mapRange(100, 64, Tier::Slow);
+    pt.mapRange(164, 36, Tier::Fast);
+    EXPECT_EQ(pt.numStretches(), 3u);
+    const PageTable::FlightId id =
+        pt.beginMigrationRun(100, 64, Tier::Fast, 10, 1);
+    EXPECT_EQ(pt.numStretches(), 3u);
+    for (std::uint64_t n : { 5u, 20u, 1u }) {
+        EXPECT_EQ(pt.commitMigrationRun(id, n), n);
+        EXPECT_EQ(pt.numStretches(), 3u) << "landed pages join the left";
+    }
+    EXPECT_EQ(pt.commitMigrationRun(id, 38), 38u);
+    EXPECT_EQ(pt.numStretches(), 1u);
+    PageRunState rs = pt.runState(0, 200);
+    EXPECT_EQ(rs.count, 200u);
+    EXPECT_EQ(rs.tier, Tier::Fast);
+    EXPECT_FALSE(rs.in_flight);
+
+    // A one-page migration splits the stretch in three; its commit,
+    // and a one-page free and remap, merge it back.
+    const PageTable::FlightId one =
+        pt.beginMigrationRun(150, 1, Tier::Slow, 20, 0);
+    EXPECT_EQ(pt.numStretches(), 3u);
+    EXPECT_EQ(pt.runState(0, 200).count, 150u);
+    EXPECT_EQ(pt.commitMigrationRun(one, 1), 1u);
+    EXPECT_EQ(pt.numStretches(), 3u);
+    pt.unmapRange(150, 1);
+    EXPECT_EQ(pt.numStretches(), 2u);
+    pt.mapRange(150, 1, Tier::Fast);
+    EXPECT_EQ(pt.numStretches(), 1u);
+    EXPECT_EQ(pt.runState(0, 200).count, 200u);
+
+    // Pieces of a run that lost a page land around the hole and merge
+    // with each other.
+    const PageTable::FlightId cut =
+        pt.beginMigrationRun(40, 20, Tier::Slow, 30, 1);
+    pt.unmapRange(45, 1);
+    EXPECT_EQ(pt.commitMigrationRun(cut, 8), 7u);
+    EXPECT_EQ(pt.commitMigrationRun(cut, 12), 12u);
+    EXPECT_EQ(pt.numStretches(), 4u); // fast, slow, hole, slow, fast
+    pt.mapRange(45, 1, Tier::Slow);
+    EXPECT_EQ(pt.numStretches(), 3u);
+    EXPECT_EQ(pt.runState(40, 20).count, 20u);
 }
 
 TEST(PageTable, FlightPoolStaysAtItsHighWaterMark)
@@ -395,14 +446,15 @@ TEST(PageTable, FlightPoolStaysAtItsHighWaterMark)
 
 /**
  * Seeded randomized differential run against the std::map model.
- * Pages come from two windows centred on chunk seams (2^16 and
- * 3 * 2^16), so most ranges straddle a chunk boundary.  Migrations are
+ * Pages come from three windows, the last past 2^32 pages.  Migrations are
  * left in flight across frees, cancels and clear(), and their records
  * are committed later in random pieces, in order, until commits pass
  * their last page.  Some runs are begun as two chained records.  Whole
  * flights are freed and migrated again while their old record is
  * still due, and single pages are freed, remapped and re-migrated
- * mid-flight, so stale commits are part of the mix.  After every
+ * mid-flight, so stale commits are part of the mix.  A UM-like churn
+ * walks every other page of a window with one-page begins, commits,
+ * frees and remaps, fragmenting it into hundreds of stretches.  After every
  * operation the whole window is compared page by page, the live
  * records against the model's, and runState() over random ranges.
  */
@@ -418,6 +470,10 @@ class PageTableDiff
             pt_.clear();
             ref_.clear();
             flights_.clear();
+            return;
+        }
+        if (below(60) == 0) {
+            churn();
             return;
         }
         switch (below(9)) {
@@ -458,9 +514,13 @@ class PageTableDiff
         ASSERT_EQ(ref_.numFlights(), 0u);
     }
 
+    /** Most stretches the table has held at a check. */
+    std::size_t peakStretches() const { return peak_stretches_; }
+
     void
     check()
     {
+        peak_stretches_ = std::max(peak_stretches_, pt_.numStretches());
         ASSERT_EQ(pt_.numMapped(), ref_.numMapped());
         ASSERT_EQ(pt_.numInFlight(), ref_.numInFlight());
         ASSERT_EQ(pt_.numFlights(), flights_.size());
@@ -468,8 +528,8 @@ class PageTableDiff
         for (const Flight &f : flights_)
             ASSERT_EQ(pt_.flight(f.id).count - pt_.flight(f.id).cursor,
                       f.left);
-        for (PageId seam : kSeams) {
-            for (PageId p = seam - kHalf; p < seam + kHalf + kMaxRun;
+        for (PageId centre : kWindows) {
+            for (PageId p = centre - kHalf; p < centre + kHalf + kMaxRun;
                  ++p) {
                 ASSERT_EQ(pt_.isMapped(p), ref_.isMapped(p)) << p;
                 if (!ref_.isMapped(p))
@@ -498,8 +558,9 @@ class PageTableDiff
     }
 
   private:
-    static constexpr PageId kSeams[] = { 1ull << 16, 3ull << 16 };
-    static constexpr std::uint64_t kHalf = 96;
+    static constexpr PageId kWindows[] = { 1ull << 16, 3ull << 16,
+                                           (5ull << 32) + 7 };
+    static constexpr std::uint64_t kHalf = 160;
     static constexpr std::uint64_t kMaxRun = 64;
 
     /** A live record: its id in each table and the pages it has left. */
@@ -516,7 +577,7 @@ class PageTableDiff
     PageId
     randomPage()
     {
-        return kSeams[below(2)] - kHalf + below(2 * kHalf);
+        return kWindows[below(3)] - kHalf + below(2 * kHalf);
     }
 
     /** Leading pages from @p p (at most @p max) whose mapped-ness is
@@ -592,6 +653,13 @@ class PageTableDiff
         // pending commits must later be ignored) and reports them by
         // destination, as HeterogeneousMemory needs to release both
         // reservations.
+        unmap(p, n);
+    }
+
+    /** Unmap [p, p+n) in both tables; what each removed must agree. */
+    void
+    unmap(PageId p, std::uint64_t n)
+    {
         const PageTable::UnmapCounts got = pt_.unmapRange(p, n);
         const PageTable::UnmapCounts want = ref_.unmapRange(p, n);
         for (unsigned t = 0; t < kMaxTiers; ++t) {
@@ -670,6 +738,42 @@ class PageTableDiff
     }
 
     void
+    churn()
+    {
+        // Every other page of a window, one page at a time: begin it if
+        // idle, land a piece of some live record, or free and remap it
+        // (often in flight, so later commits are stale for it).
+        const PageId w = kWindows[below(3)] - kHalf;
+        for (PageId p = w + below(2); p < w + 2 * kHalf; p += 2) {
+            const Tier tier = makeTier(static_cast<unsigned>(below(4)));
+            if (!ref_.isMapped(p)) {
+                pt_.mapRange(p, 1, tier);
+                ref_.mapRange(p, 1, tier);
+                continue;
+            }
+            switch (below(3)) {
+              case 0:
+                if (!ref_.entry(p).in_flight)
+                    begin(p, 1, otherTier(ref_.entry(p).tier),
+                          static_cast<Tick>(below(1'000'000)), 0);
+                break;
+              case 1:
+                if (!flights_.empty()) {
+                    const std::size_t i = below(flights_.size());
+                    ASSERT_NO_FATAL_FAILURE(
+                        commit(i, below(flights_[i].left + 1)));
+                }
+                break;
+              default:
+                ASSERT_NO_FATAL_FAILURE(unmap(p, 1));
+                pt_.mapRange(p, 1, tier);
+                ref_.mapRange(p, 1, tier);
+                break;
+            }
+        }
+    }
+
+    void
     refreeSome()
     {
         // Free and remap a page of a live record, and often migrate it
@@ -695,6 +799,7 @@ class PageTableDiff
     std::mt19937_64 rng_;
     /** Live records, in no particular order. */
     std::vector<Flight> flights_;
+    std::size_t peak_stretches_ = 0;
 };
 
 TEST(PageTable, RandomizedDifferentialAgainstMapModel)
@@ -708,6 +813,8 @@ TEST(PageTable, RandomizedDifferentialAgainstMapModel)
         }
         ASSERT_NO_FATAL_FAILURE(diff.drain());
         ASSERT_NO_FATAL_FAILURE(diff.check());
+        // The churn fragments the table as UM's evictions do.
+        EXPECT_GE(diff.peakStretches(), 500u);
     }
 }
 

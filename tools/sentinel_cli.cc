@@ -38,6 +38,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -113,15 +114,13 @@ class Args
     int
     getInt(const std::string &key, int dflt) const
     {
-        auto it = values_.find(key);
-        return it == values_.end() ? dflt : std::atoi(it->second.c_str());
+        return getNumber(key, dflt);
     }
 
     double
     getDouble(const std::string &key, double dflt) const
     {
-        auto it = values_.find(key);
-        return it == values_.end() ? dflt : std::atof(it->second.c_str());
+        return getNumber(key, dflt);
     }
 
     /**
@@ -139,6 +138,26 @@ class Args
     }
 
   private:
+    /** The value of --@p key, which must parse in full as a T;
+     *  @p dflt when the key is absent. */
+    template <class T>
+    T
+    getNumber(const std::string &key, T dflt) const
+    {
+        auto it = values_.find(key);
+        if (it == values_.end())
+            return dflt;
+        const std::string &v = it->second;
+        T out{};
+        const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(),
+                                               out);
+        if (ec != std::errc() || end != v.data() + v.size())
+            throw harness::ConfigError(
+                strprintf("config: --%s expects a number, got '%s'",
+                          key.c_str(), v.c_str()));
+        return out;
+    }
+
     std::map<std::string, std::string> values_;
 };
 
