@@ -245,10 +245,13 @@ BM_ExecutorStepTelemetry(benchmark::State &state)
 }
 BENCHMARK(BM_ExecutorStepTelemetry);
 
+// One profile of @p model at @p batch: the profiling step and the
+// page counts folded into tensor profiles.  llm:medium at batch 2 is
+// perfbench's ntier3-llm-medium profile, most of that cell's set-up.
 void
-BM_ProfilingStep(benchmark::State &state)
+BM_ProfilingStep(benchmark::State &state, const char *model, int batch)
 {
-    df::Graph g = models::makeModel("resnet20", 8);
+    df::Graph g = models::makeModel(model, batch);
     for (auto _ : state) {
         auto hm = makeHm(2ull << 30);
         prof::Profiler profiler;
@@ -256,7 +259,9 @@ BM_ProfilingStep(benchmark::State &state)
         benchmark::DoNotOptimize(r.db.numTensors());
     }
 }
-BENCHMARK(BM_ProfilingStep);
+BENCHMARK_CAPTURE(BM_ProfilingStep, resnet20, "resnet20", 8);
+BENCHMARK_CAPTURE(BM_ProfilingStep, llm_medium, "llm:medium", 2)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_SentinelSteadyStep(benchmark::State &state)

@@ -154,11 +154,8 @@ Executor::allocateTensor(TensorId id)
 
     TensorPlacement pl{ dec.addr, t.bytes };
     const mem::PageRun fresh = updateEdgeRefs(pl, +1);
-    if (fresh.count > 0) {
+    if (fresh.count > 0)
         hm_.mapRange(fresh.first, fresh.count, dec.preferred);
-        if (tracker_)
-            tracker_->trackRange(fresh.first, fresh.count);
-    }
     placements_[id] = pl;
     live_[id] = 1;
     notePeakFastUsage();
@@ -177,8 +174,6 @@ Executor::freeTensor(TensorId id)
     if (gone.count > 0) {
         for (mem::PageId p = gone.first; p < gone.first + gone.count; ++p)
             policy_.onPageUnmapped(*this, p);
-        if (tracker_)
-            tracker_->untrackRange(gone.first, gone.count);
         hm_.unmapRange(gone.first, gone.count, now_);
     }
     live_[id] = 0;

@@ -97,6 +97,9 @@ class Executor
 
     // --- Profiling attachments ----------------------------------------------
 
+    /** Count and charge profiling faults with @p tracker, which takes
+     *  every mapped page for poisoned, as the profiler poisons each
+     *  page it maps: attach it before the first step. */
     void setAccessTracker(mem::AccessTracker *tracker) { tracker_ = tracker; }
     void setTraceRecorder(sim::TraceRecorder *rec) { trace_ = rec; }
 

@@ -1,66 +1,59 @@
 #include "mem/access_tracker.hh"
 
+#include <algorithm>
+
 namespace sentinel::mem {
-
-void
-AccessTracker::trackRange(PageId first, std::uint64_t count)
-{
-    for (std::uint64_t i = 0; i < count; ++i)
-        pages_.ref(first + i).tracked = true;
-}
-
-void
-AccessTracker::untrackRange(PageId first, std::uint64_t count)
-{
-    for (std::uint64_t i = 0; i < count; ++i)
-        if (pages_.find(first + i))
-            pages_.ref(first + i).tracked = false;
-}
 
 Tick
 AccessTracker::onAccess(PageRun run, bool is_write, std::uint64_t count)
 {
     if (count == 0)
         return 0;
-    std::uint64_t faults = 0;
-    for (PageId page = run.first; page < run.endPage(); ++page) {
-        const PageTrackState *s = pages_.find(page);
-        if (!s || !s->tracked)
-            continue;
-        PageAccessCounts &c = pages_.ref(page).counts;
-        if (is_write)
-            c.writes += count;
-        else
-            c.reads += count;
-        faults += count;
-    }
+    log_.push_back({ run, is_write, count });
+    const std::uint64_t faults = run.count * count;
     total_faults_ += faults;
     return fault_cost_ * static_cast<Tick>(faults);
 }
 
-std::vector<std::pair<PageId, PageTrackState>>
-AccessTracker::allCounts() const
+std::vector<PageRunCounts>
+AccessTracker::pageCounts() const
 {
-    std::vector<std::pair<PageId, PageTrackState>> out;
-    pages_.forEach([&](PageId page, const PageTrackState &s) {
-        if (s.tracked || s.counts.total() > 0)
-            out.emplace_back(page, s);
-    });
+    // Each access adds its counts from its run's first page and takes
+    // them back at its end; one sweep over the sorted edges yields the
+    // counts between consecutive edges.
+    struct Edge {
+        PageId page;
+        std::int64_t reads;
+        std::int64_t writes;
+    };
+    std::vector<Edge> edges;
+    edges.reserve(2 * log_.size());
+    for (const Access &a : log_) {
+        const auto n = static_cast<std::int64_t>(a.count);
+        const std::int64_t r = a.is_write ? 0 : n;
+        const std::int64_t w = a.is_write ? n : 0;
+        edges.push_back({ a.run.first, r, w });
+        edges.push_back({ a.run.endPage(), -r, -w });
+    }
+    std::sort(edges.begin(), edges.end(),
+              [](const Edge &a, const Edge &b) { return a.page < b.page; });
+
+    std::vector<PageRunCounts> out;
+    std::int64_t reads = 0;
+    std::int64_t writes = 0;
+    for (std::size_t i = 0; i < edges.size();) {
+        const PageId at = edges[i].page;
+        for (; i < edges.size() && edges[i].page == at; ++i) {
+            reads += edges[i].reads;
+            writes += edges[i].writes;
+        }
+        if (reads == 0 && writes == 0)
+            continue; // a gap; the edges of every open run are still ahead
+        out.push_back({ at, edges[i].page - at,
+                        static_cast<std::uint64_t>(reads),
+                        static_cast<std::uint64_t>(writes) });
+    }
     return out;
-}
-
-PageAccessCounts
-AccessTracker::counts(PageId page) const
-{
-    const PageTrackState *s = pages_.find(page);
-    return s ? s->counts : PageAccessCounts{};
-}
-
-void
-AccessTracker::reset()
-{
-    pages_.clear();
-    total_faults_ = 0;
 }
 
 } // namespace sentinel::mem

@@ -12,35 +12,38 @@
  *
  * This class reproduces both properties: exact per-page counts, and a
  * per-observation Tick cost the executor charges to the profiling step.
- * State lives in a chunked PageDirectory rather than a hash map, so the
- * per-page lookup is two loads.
+ *
+ * Tracking equals mapping.  The profiling step poisons every page it
+ * maps, and the executor only reports accesses to the pages of live
+ * tensors, which are mapped; so every page of an observed run is
+ * poisoned and faults once per access, and the tracker needs no record
+ * of its own of which pages are poisoned.  It keeps a log of one
+ * record per observed run instead of per-page counters: it is attached
+ * for one profiling step, so the log stays as short as that step's
+ * access walk, and pageCounts() folds it into per-page counts once,
+ * when the profiler reads them.
  */
 
 #ifndef SENTINEL_MEM_ACCESS_TRACKER_HH
 #define SENTINEL_MEM_ACCESS_TRACKER_HH
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/units.hh"
 #include "mem/page.hh"
-#include "mem/page_directory.hh"
 
 namespace sentinel::mem {
 
-/** Per-page read/write counters collected during the profiling step. */
-struct PageAccessCounts {
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
+/** Read/write counts shared by every page of [first, first + count). */
+struct PageRunCounts {
+    PageId first = 0;
+    std::uint64_t count = 0;
+    std::uint64_t reads = 0;  ///< per page
+    std::uint64_t writes = 0; ///< per page
 
+    PageId endPage() const { return first + count; }
     std::uint64_t total() const { return reads + writes; }
-};
-
-/** Tracking state + counters for one page. */
-struct PageTrackState {
-    PageAccessCounts counts;
-    bool tracked = false; ///< PTE currently poisoned
 };
 
 class AccessTracker
@@ -55,37 +58,32 @@ class AccessTracker
     {
     }
 
-    /** Begin tracking [first, first+count) (poison their PTEs). */
-    void trackRange(PageId first, std::uint64_t count);
-
-    /** Stop tracking [first, first+count); counts are retained. */
-    void untrackRange(PageId first, std::uint64_t count);
-
     /**
-     * Observe @p count accesses to every page of @p run.
+     * Observe @p count accesses to every page of @p run, all of whose
+     * pages are mapped (so poisoned).
      *
      * @return the fault-handling cost to charge to the critical path:
-     *         one fault per access to a tracked page, none for
-     *         untracked pages.
+     *         one fault per access per page.
      */
     Tick onAccess(PageRun run, bool is_write, std::uint64_t count = 1);
 
     /**
-     * Snapshot of every page with tracking state or recorded counts,
-     * sorted by page id.
+     * Every page observed so far, as ascending, disjoint runs of pages
+     * with equal counts, each with at least one access per page.
      */
-    std::vector<std::pair<PageId, PageTrackState>> allCounts() const;
-
-    /** Counts for @p page (zeros if never tracked). */
-    PageAccessCounts counts(PageId page) const;
+    std::vector<PageRunCounts> pageCounts() const;
 
     std::uint64_t totalFaults() const { return total_faults_; }
 
-    void reset();
-
   private:
+    struct Access {
+        PageRun run;
+        bool is_write;
+        std::uint64_t count;
+    };
+
     Tick fault_cost_;
-    PageDirectory<PageTrackState> pages_;
+    std::vector<Access> log_;
     std::uint64_t total_faults_ = 0;
 };
 

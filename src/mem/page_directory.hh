@@ -3,7 +3,7 @@
  * A chunked direct-indexed map from PageId to a small POD value.
  *
  * The simulator's hot paths key several side tables by page id
- * (executor page reference counts, access-tracker counters).  Virtual
+ * (executor edge-page reference counts, UM and IAL queue state).  Virtual
  * addresses are sparse — policies place tensors at multi-TiB bases —
  * so a flat array is out, but an unordered_map pays a hash + probe on
  * every access.  PageDirectory splits the id space into 2^16-page
@@ -116,21 +116,6 @@ class PageDirectory
         }
     }
 
-    /** Visit every slot of every touched chunk in ascending page
-     *  order, including slots still holding T{}. */
-    template <typename F>
-    void
-    forEach(F &&f) const
-    {
-        for (std::uint64_t c = 0; c < chunks_.size(); ++c) {
-            const Chunk &ch = chunks_[c];
-            if (ch.epoch != epoch_ || !ch.slots)
-                continue;
-            for (std::uint64_t i = 0; i < kChunkPages; ++i)
-                f((c << kChunkBits) | i, ch.slots[i]);
-        }
-    }
-
   private:
     static constexpr unsigned kChunkBits = 16;
     static constexpr std::uint64_t kChunkPages = 1ull << kChunkBits;
@@ -144,11 +129,12 @@ class PageDirectory
 
     /**
      * Chunks of this thread's destroyed directories.  A directory built
-     * after another (each profile's access tracker, each cell of a
-     * sweep) takes them before allocating, so it reuses memory the
-     * process has already faulted in rather than leaving that to the
-     * allocator's mmap and trim heuristics: a profile of llm:medium
-     * touches 22 chunks of 1.5 MiB.  The spares are as many as this
+     * after another takes them before allocating, so it reuses memory
+     * the process has already faulted in rather than leaving that to
+     * the allocator's mmap and trim heuristics.  Their consumer is the
+     * executors' edge-page refcounts (Executor::page_refs_): a cell
+     * builds one executor to profile and another to train, and each
+     * cell of a sweep builds its own.  The spares are as many as this
      * thread's directories of T ever held at once.
      */
     static std::vector<std::unique_ptr<T[]>> &

@@ -171,6 +171,7 @@ Profiler::profile(const df::Graph &graph, mem::HeterogeneousMemory &hm,
     ex.setAccessTracker(&tracker);
 
     result.profiling_step = ex.runStep();
+    const std::vector<mem::PageRunCounts> counts = tracker.pageCounts();
 
     // --- OS + runtime coordination: page counts -> tensor profiles ----
     std::uint64_t sl_live = 0;
@@ -205,8 +206,14 @@ Profiler::profile(const df::Graph &graph, mem::HeterogeneousMemory &hm,
                         t.name.c_str());
         const df::TensorPlacement &pl = it->second;
         std::uint64_t total = 0;
-        for (mem::PageId pg = pl.firstPage(); pg < pl.endPage(); ++pg)
-            total += tracker.counts(pg).total();
+        auto run = std::partition_point(
+            counts.begin(), counts.end(), [&](const mem::PageRunCounts &c) {
+                return c.endPage() <= pl.firstPage();
+            });
+        for (; run != counts.end() && run->first < pl.endPage(); ++run)
+            total += run->total() *
+                     (std::min(run->endPage(), pl.endPage()) -
+                      std::max(run->first, pl.firstPage()));
         p.total_accesses = total;
         p.accesses_per_page =
             static_cast<double>(total) /
@@ -251,12 +258,8 @@ Profiler::profilePageLevel(const df::Graph &graph,
     ex.runStep();
 
     std::vector<PageLevelEntry> out;
-    out.reserve(tracker.allCounts().size());
-    for (const auto &kv : tracker.allCounts()) {
-        // Pages tracked but never observed carry no profile signal.
-        if (kv.second.counts.total() > 0)
-            out.push_back(PageLevelEntry{ kv.second.counts.total() });
-    }
+    for (const mem::PageRunCounts &run : tracker.pageCounts())
+        out.insert(out.end(), run.count, PageLevelEntry{ run.total() });
     return out;
 }
 

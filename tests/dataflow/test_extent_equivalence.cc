@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -317,7 +318,8 @@ TEST(ExtentEquivalence, TrackerCountsMatchClosedForm)
         Executor ex(tg.graph, hm, ExecParams{}, policy);
         mem::AccessTracker tracker(kFaultCost);
         ex.setAccessTracker(&tracker);
-        std::map<mem::PageId, mem::PageAccessCounts> want;
+        // Per page: {reads, writes}.
+        std::map<mem::PageId, std::pair<std::uint64_t, std::uint64_t>> want;
         Tick fault_overhead = 0;
         for (int step = 0; step < 3; ++step) {
             fault_overhead += ex.runStep().fault_overhead;
@@ -329,7 +331,7 @@ TEST(ExtentEquivalence, TrackerCountsMatchClosedForm)
                         use.episodes_per_page);
                     for (mem::PageId p = pl.firstPage(); p < pl.endPage();
                          ++p)
-                        (use.is_write ? want[p].writes : want[p].reads) +=
+                        (use.is_write ? want[p].second : want[p].first) +=
                             n;
                 }
             }
@@ -338,12 +340,14 @@ TEST(ExtentEquivalence, TrackerCountsMatchClosedForm)
         // last page, so that page's count sums uses of both.
         EXPECT_EQ(policy.placements.at(1).endPage() - 1,
                   policy.placements.at(2).firstPage());
+        std::map<mem::PageId, std::pair<std::uint64_t, std::uint64_t>> got;
+        for (const mem::PageRunCounts &run : tracker.pageCounts())
+            for (mem::PageId p = run.first; p < run.endPage(); ++p)
+                got[p] = { run.reads, run.writes };
+        EXPECT_EQ(got, want);
         std::uint64_t total = 0;
-        for (const auto &[page, counts] : want) {
-            EXPECT_EQ(tracker.counts(page).reads, counts.reads) << page;
-            EXPECT_EQ(tracker.counts(page).writes, counts.writes) << page;
-            total += counts.total();
-        }
+        for (const auto &[page, counts] : want)
+            total += counts.first + counts.second;
         EXPECT_EQ(tracker.totalFaults(), total);
         EXPECT_EQ(fault_overhead, static_cast<Tick>(total) * kFaultCost);
     }

@@ -1,8 +1,13 @@
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mem/hm.hh"
+#include "models/registry.hh"
 #include "profile/profiler.hh"
 #include "support/test_graphs.hh"
 
@@ -33,26 +38,43 @@ TEST(Profiler, CountsAreExact)
 {
     // The paper's PTE-poisoning method "does not lose profiling
     // accuracy": every counted episode must equal the ground truth
-    // derivable from the graph (episodes x pages per use).
-    ToyGraphIds ids;
-    df::Graph g = makeToyGraph(&ids);
-    auto hm = makeHm();
-    Profiler p;
-    ProfileResult r = p.profile(g, hm, df::ExecParams{});
+    // derivable from the graph (episodes x pages per use), on the toy
+    // graph, every zoo model at its small batch and llm:tiny.  Page-
+    // aligned profiling shares no page, so the step also pays exactly
+    // one fault per counted access.
+    std::vector<std::pair<std::string, int>> cells = { { "toy", 0 } };
+    for (const models::ModelSpec &m : models::modelZoo())
+        cells.emplace_back(m.name, m.small_batch);
+    cells.emplace_back("llm:tiny", models::modelSpec("llm:tiny").small_batch);
+    for (const auto &[name, batch] : cells) {
+        SCOPED_TRACE(name);
+        df::Graph g =
+            batch == 0 ? makeToyGraph() : models::makeModel(name, batch);
+        mem::TierParams fast{ "dram", 64ull << 20, 50e9, 40e9, 80, 80 };
+        mem::TierParams slow{ "pmm", 64ull << 30, 6e9, 2e9, 300, 100 };
+        mem::HeterogeneousMemory hm(fast, slow, { 4e9, 2e9, 2000 });
+        ProfilerOptions opts;
+        opts.fault_cost = 1500;
+        ProfileResult r = Profiler(opts).profile(g, hm, df::ExecParams{});
 
-    std::vector<std::uint64_t> expected(g.numTensors(), 0);
-    for (const auto &op : g.ops()) {
-        for (const auto &use : op.uses) {
-            std::uint64_t pages =
-                g.tensor(use.tensor).pageAlignedBytes() / mem::kPageSize;
-            std::uint64_t eps = static_cast<std::uint64_t>(std::max(
-                1.0, std::round(use.episodes_per_page)));
-            expected[use.tensor] += eps * pages;
+        std::vector<std::uint64_t> expected(g.numTensors(), 0);
+        for (const auto &op : g.ops())
+            for (const auto &use : op.uses)
+                expected[use.tensor] +=
+                    g.tensor(use.tensor).pageAlignedBytes() /
+                    mem::kPageSize *
+                    static_cast<std::uint64_t>(std::max<long long>(
+                        1, std::llround(use.episodes_per_page)));
+        std::uint64_t total = 0;
+        for (df::TensorId id = 0; id < g.numTensors(); ++id) {
+            EXPECT_EQ(r.db.tensor(id).total_accesses, expected[id])
+                << g.tensor(id).name;
+            total += r.db.tensor(id).total_accesses;
         }
+        EXPECT_GT(total, 0u);
+        EXPECT_EQ(r.profiling_step.fault_overhead,
+                  opts.fault_cost * static_cast<Tick>(total));
     }
-    for (df::TensorId id = 0; id < g.numTensors(); ++id)
-        EXPECT_EQ(r.db.tensor(id).total_accesses, expected[id])
-            << g.tensor(id).name;
 }
 
 TEST(Profiler, LifetimesAndClasses)

@@ -784,12 +784,21 @@ cmdTop(const Args &args)
 
     std::string text;
     if (!endpoint.empty()) {
-        std::size_t colon = endpoint.rfind(':');
-        if (colon == std::string::npos)
-            SENTINEL_FATAL("--endpoint wants HOST:PORT, got '%s'",
-                           endpoint.c_str());
+        // The port must parse in full as 1..65535.
+        const std::size_t colon = endpoint.rfind(':');
+        int port = 0;
+        if (colon != std::string::npos) {
+            const char *end = endpoint.data() + endpoint.size();
+            const auto [stop, ec] =
+                std::from_chars(endpoint.data() + colon + 1, end, port);
+            if (ec != std::errc() || stop != end)
+                port = 0;
+        }
+        if (port < 1 || port > 65535)
+            throw harness::ConfigError(
+                strprintf("config: --endpoint wants HOST:PORT, got '%s'",
+                          endpoint.c_str()));
         std::string host = endpoint.substr(0, colon);
-        int port = std::atoi(endpoint.c_str() + colon + 1);
         std::string err;
         if (!server::httpGet(host, port, "/metrics", text, &err))
             SENTINEL_FATAL("scrape failed: %s", err.c_str());
