@@ -96,11 +96,11 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    emitLine("fatal: ", strprintf("%s (%s:%d)", msg.c_str(), file, line));
+    emitLine("fatal: ", msg);
     std::fflush(stderr);
-    throw std::runtime_error("fatal: " + msg);
+    throw FatalError("fatal: " + msg);
 }
 
 void

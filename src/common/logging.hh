@@ -9,7 +9,8 @@
  *              what the user does, i.e. a bug in this library.  Aborts.
  *  - fatal():  the simulation cannot continue due to a user-level problem
  *              (bad configuration, impossible experiment parameters).
- *              Exits with an error code.
+ *              Prints one line and throws FatalError; the tools exit
+ *              with an error code.
  *
  * In addition, warn() and inform() print non-fatal status messages.
  */
@@ -18,6 +19,7 @@
 #define SENTINEL_COMMON_LOGGING_HH
 
 #include <cstdarg>
+#include <stdexcept>
 #include <string>
 
 namespace sentinel {
@@ -39,10 +41,20 @@ enum class LogLevel {
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/**
+ * What fatal() throws, once its "fatal: <msg>" line is written; what()
+ * is that line's text.  A top level that catches it has nothing left
+ * to print.
+ */
+class FatalError : public std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
 namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -74,10 +86,12 @@ void emitLog(const std::string &lines);
     ::sentinel::detail::panicImpl(__FILE__, __LINE__,                         \
                                   ::sentinel::strprintf(__VA_ARGS__))
 
-/** Report an unrecoverable user-level error and exit(1). */
+/**
+ * Report an unrecoverable user-level error and throw FatalError.  The
+ * message names the problem; a user needs no source location.
+ */
 #define SENTINEL_FATAL(...)                                                   \
-    ::sentinel::detail::fatalImpl(__FILE__, __LINE__,                         \
-                                  ::sentinel::strprintf(__VA_ARGS__))
+    ::sentinel::detail::fatalImpl(::sentinel::strprintf(__VA_ARGS__))
 
 /** Report a suspicious-but-survivable condition. */
 #define SENTINEL_WARN(...)                                                    \

@@ -76,14 +76,12 @@ Executor::setTelemetry(telemetry::Session *session)
         fast_peak_gauge_ = &m.gauge("mem.fast_peak_bytes");
         stall_hist_ = &m.histogram("exec.stall_ns");
         op_hist_ = &m.histogram("exec.op_ns");
-        board_ = session->stepBoard();
     } else {
         fast_bytes_ctr_ = nullptr;
         slow_bytes_ctr_ = nullptr;
         fast_peak_gauge_ = nullptr;
         stall_hist_ = nullptr;
         op_hist_ = nullptr;
-        board_ = nullptr;
     }
 }
 
@@ -108,7 +106,7 @@ Executor::chargeExposedEvents(Tick t, std::uint64_t events)
     stats_.exposed_migration += t;
     stats_.num_stalls += events;
     if (attr_)
-        attr_->chargeExposed(t, events);
+        attr_->charge(telemetry::AttrComponent::Exposed, t, events);
 }
 
 void
@@ -128,7 +126,7 @@ Executor::chargePolicy(Tick t)
     now_ += t;
     stats_.policy_time += t;
     if (attr_)
-        attr_->chargePolicy(t);
+        attr_->charge(telemetry::AttrComponent::Policy, t, 0);
 }
 
 void
@@ -138,7 +136,7 @@ Executor::chargeRecompute(Tick t)
     now_ += t;
     stats_.recompute_time += t;
     if (attr_)
-        attr_->chargeRecompute(t);
+        attr_->charge(telemetry::AttrComponent::Recompute, t, 0);
 }
 
 void
@@ -187,8 +185,6 @@ Executor::notePeakFastUsage()
     for (unsigned t = 0; t < hm_.numTiers(); ++t)
         stats_.peak_tier_used[t] = std::max(
             stats_.peak_tier_used[t], hm_.tier(mem::makeTier(t)).used());
-    if (telemetry_)
-        fast_peak_gauge_->noteMax(hm_.tier(mem::Tier::Fast).used());
 }
 
 void
@@ -215,13 +211,9 @@ Executor::accountPages(mem::Tier tier, mem::PageRun run, mem::PageId first,
                                  tp);
     if (tier == mem::Tier::Fast) {
         stats_.bytes_fast += bytes;
-        if (telemetry_)
-            fast_bytes_ctr_->add(bytes);
     } else {
         stats_.bytes_slow += bytes;
         stats_.addSlowBytes(kind, bytes);
-        if (telemetry_)
-            slow_bytes_ctr_->add(bytes);
     }
     if (trace_)
         trace_->record(mem::tierName(tier), now_, bytes);
@@ -238,7 +230,7 @@ Executor::accountPages(mem::Tier tier, mem::PageRun run, mem::PageId first,
             now_ += fault;
             stats_.fault_overhead += fault;
             if (attr_)
-                attr_->chargeFault(fault);
+                attr_->charge(telemetry::AttrComponent::Fault, fault, 0);
         }
     }
 }
@@ -347,7 +339,7 @@ Executor::execOp(const Operation &op)
     stats_.mem_time += mem_total;
     if (attr_) {
         attr_->setAccessTensor(telemetry::kAttrNoTensor);
-        attr_->chargeExecution(t);
+        attr_->charge(telemetry::AttrComponent::Execution, t, 0);
     }
     if (telemetry_) {
         telemetry_->emit(telemetry::EventType::OpEnd, now_, 0, 0, op.id);
@@ -363,7 +355,7 @@ Executor::runStep()
     stats_.step = step_counter_;
     Tick step_start = now_;
     if (attr_)
-        attr_->beginStep(step_counter_, now_);
+        attr_->beginStep(step_counter_);
     promoted_at_step_start_ = hm_.stats().promoted_bytes;
     demoted_at_step_start_ = hm_.stats().demoted_bytes;
 
@@ -427,33 +419,14 @@ Executor::runStep()
                        stats_.policy_time, stats_.fault_overhead,
                        stats_.recompute_time, stats_.num_stalls);
 
-    if (telemetry_)
+    // The session's run totals are the sum and maximum of the steps
+    // it saw complete, published from this step's stats.
+    if (telemetry_) {
         telemetry_->emit(telemetry::EventType::StepEnd, now_, 0, 0,
                          static_cast<std::uint32_t>(step_counter_));
-
-    // Feed the live plane at the step boundary.  Rings are sized at
-    // board construction, so this keeps the steady state alloc-free.
-    if (board_) {
-        using telemetry::StepSeries;
-        board_->observe(StepSeries::StepTime,
-                        static_cast<std::uint64_t>(stats_.step_time),
-                        now_);
-        board_->observe(StepSeries::ExposedMigration,
-                        static_cast<std::uint64_t>(
-                            stats_.exposed_migration),
-                        now_);
-        board_->observe(StepSeries::PolicyTime,
-                        static_cast<std::uint64_t>(stats_.policy_time),
-                        now_);
-        board_->observe(StepSeries::PromotedBytes, stats_.promoted_bytes,
-                        now_);
-        board_->observe(StepSeries::DemotedBytes, stats_.demoted_bytes,
-                        now_);
-        board_->observe(StepSeries::SlowBytes, stats_.bytes_slow, now_);
-        board_->observe(StepSeries::PeakFastUsed, stats_.peak_fast_used,
-                        now_);
-        board_->observe(StepSeries::Stalls, stats_.num_stalls, now_);
-        board_->endStep(now_);
+        fast_bytes_ctr_->add(stats_.bytes_fast);
+        slow_bytes_ctr_->add(stats_.bytes_slow);
+        fast_peak_gauge_->noteMax(stats_.peak_fast_used);
     }
 
     ++step_counter_;

@@ -22,8 +22,12 @@
  *    (counts page accesses, charges fault overhead to the step);
  *  - a TraceRecorder captures per-tier traffic for Fig. 9;
  *  - a telemetry::Session records structured events (op/step spans,
- *    stalls, policy decisions) and counters for Chrome-trace/CSV
- *    export.
+ *    stalls, policy decisions) for Chrome-trace export, and counters
+ *    for CSV/JSON export that sum the returned StepStats.
+ *
+ * StepStats is the one per-step report: every other view of a step
+ * (session counters, attribution's exactness check, the server's
+ * per-job series) is read from it or checked against it.
  */
 
 #ifndef SENTINEL_DATAFLOW_EXECUTOR_HH
@@ -71,7 +75,7 @@ class Executor
     const Graph &graph() const { return graph_; }
     mem::HeterogeneousMemory &hm() { return hm_; }
     const ExecParams &params() const { return params_; }
-    StepStats &currentStats() { return stats_; }
+    const StepStats &currentStats() const { return stats_; }
 
     bool isAllocated(TensorId id) const;
     /** Placement of a live tensor (panics if not allocated). */
@@ -119,9 +123,10 @@ class Executor
 
     /**
      * Attach a telemetry session (null detaches).  When attached, the
-     * executor emits step/op spans, stall and policy-decision events
-     * and maintains per-tier traffic counters plus a stall latency
-     * histogram.  Telemetry never perturbs simulated time:
+     * executor emits step/op spans, stall and policy-decision events,
+     * records stall and op latency histograms, and at each step end
+     * adds that step's StepStats traffic and fast-tier peak to the
+     * session's counters.  Telemetry never perturbs simulated time:
      * stats with and without a session are bit-identical.
      */
     void setTelemetry(telemetry::Session *session);
@@ -194,7 +199,6 @@ class Executor
     int current_layer_ = -1;
 
     telemetry::Session *telemetry_ = nullptr;
-    telemetry::StepBoard *board_ = nullptr; ///< session's live plane
     telemetry::AttributionEngine *attr_ = nullptr;
     telemetry::Counter *fast_bytes_ctr_ = nullptr;
     telemetry::Counter *slow_bytes_ctr_ = nullptr;

@@ -63,9 +63,8 @@ StepAttribution::exact() const
 }
 
 void
-AttributionEngine::beginStep(int step, Tick now)
+AttributionEngine::beginStep(int step)
 {
-    (void)now;
     SENTINEL_ASSERT(!in_step_, "beginStep(%d) while step %d still open",
                     step, step_);
     in_step_ = true;
@@ -161,6 +160,8 @@ AttributionEngine::charge(AttrComponent c, Tick t, std::uint64_t events)
 {
     if (!in_step_ || (t == 0 && events == 0))
         return;
+    if (c == AttrComponent::Exposed && in_alloc_)
+        c = AttrComponent::Alloc;
     maps_stale_ = true;
     current_.ticks[static_cast<std::size_t>(c)] += t;
     current_.stall_events += events;
@@ -198,45 +199,6 @@ AttributionEngine::charge(AttrComponent c, Tick t, std::uint64_t events)
             la.exposed += t;
         la.stall_events += events;
     }
-}
-
-void
-AttributionEngine::chargeExecution(Tick t)
-{
-    charge(AttrComponent::Execution, t, 0);
-}
-
-void
-AttributionEngine::chargeExposed(Tick t, std::uint64_t events)
-{
-    // Stalls raised while an allocation is in flight are the
-    // allocation's fault (evict-for-space waits), not the access path's.
-    charge(in_alloc_ ? AttrComponent::Alloc : AttrComponent::Exposed, t,
-           events);
-}
-
-void
-AttributionEngine::chargePolicy(Tick t)
-{
-    charge(AttrComponent::Policy, t, 0);
-}
-
-void
-AttributionEngine::chargeFault(Tick t)
-{
-    charge(AttrComponent::Fault, t, 0);
-}
-
-void
-AttributionEngine::chargeRecompute(Tick t)
-{
-    charge(AttrComponent::Recompute, t, 0);
-}
-
-void
-AttributionEngine::noteMigration(bool promote, std::uint64_t bytes)
-{
-    noteMigration(0, promote, bytes);
 }
 
 void

@@ -140,7 +140,7 @@ class AttributionEngine
 
     // --- Context hooks (executor / policy) -----------------------------
 
-    void beginStep(int step, Tick now);
+    void beginStep(int step);
 
     /**
      * Close the step: record its attribution and verify the exactness
@@ -175,14 +175,13 @@ class AttributionEngine
 
     // --- Charges (every simulated-clock advance in a step) -------------
 
-    void chargeExecution(Tick t);
-    void chargeExposed(Tick t, std::uint64_t events);
-    void chargePolicy(Tick t);
-    void chargeFault(Tick t);
-    void chargeRecompute(Tick t);
-
-    /** A migration batch was scheduled on link 0 (two-tier hook). */
-    void noteMigration(bool promote, std::uint64_t bytes);
+    /**
+     * @p t ticks covering @p events distinct stalls went to @p c.  An
+     * Exposed charge while an allocation is open (beginAlloc) counts
+     * as Alloc: evict-for-space waits are the allocation's fault, not
+     * the access path's.  Charges outside a step are dropped.
+     */
+    void charge(AttrComponent c, Tick t, std::uint64_t events);
 
     /** One leg of a migration batch was scheduled on @p link. */
     void noteMigration(unsigned link, bool promote, std::uint64_t bytes);
@@ -232,8 +231,6 @@ class AttributionEngine
     void clear();
 
   private:
-    void charge(AttrComponent c, Tick t, std::uint64_t events);
-
     /** Slot @p idx of @p v, growing the vector as needed. */
     template <typename T>
     static T &

@@ -210,25 +210,12 @@ writeChromeTrace(const EventSink &sink, std::ostream &os,
     os << "]}\n";
 }
 
-void
-writeChromeTrace(const EventSink &sink, std::ostream &os,
-                 const EventLabeler &labeler)
-{
-    writeChromeTrace(sink, os, ChromeTraceOptions{ labeler, nullptr, {} });
-}
-
 std::string
 chromeTraceJson(const EventSink &sink, const ChromeTraceOptions &opts)
 {
     std::ostringstream ss;
     writeChromeTrace(sink, ss, opts);
     return ss.str();
-}
-
-std::string
-chromeTraceJson(const EventSink &sink, const EventLabeler &labeler)
-{
-    return chromeTraceJson(sink, ChromeTraceOptions{ labeler, nullptr, {} });
 }
 
 bool
@@ -240,14 +227,6 @@ saveChromeTrace(const EventSink &sink, const std::string &path,
         return false;
     writeChromeTrace(sink, out, opts);
     return static_cast<bool>(out);
-}
-
-bool
-saveChromeTrace(const EventSink &sink, const std::string &path,
-                const EventLabeler &labeler)
-{
-    return saveChromeTrace(sink, path,
-                           ChromeTraceOptions{ labeler, nullptr, {} });
 }
 
 } // namespace sentinel::telemetry

@@ -59,21 +59,15 @@ struct ChromeTraceOptions {
 
 /** Write the retained events of @p sink as Chrome-trace JSON. */
 void writeChromeTrace(const EventSink &sink, std::ostream &os,
-                      const ChromeTraceOptions &opts);
-void writeChromeTrace(const EventSink &sink, std::ostream &os,
-                      const EventLabeler &labeler = {});
+                      const ChromeTraceOptions &opts = {});
 
 /** Same, into a string (tests, small traces). */
 std::string chromeTraceJson(const EventSink &sink,
-                            const ChromeTraceOptions &opts);
-std::string chromeTraceJson(const EventSink &sink,
-                            const EventLabeler &labeler = {});
+                            const ChromeTraceOptions &opts = {});
 
 /** Write @p sink's events to @p path; @return false on I/O failure. */
 bool saveChromeTrace(const EventSink &sink, const std::string &path,
-                     const ChromeTraceOptions &opts);
-bool saveChromeTrace(const EventSink &sink, const std::string &path,
-                     const EventLabeler &labeler = {});
+                     const ChromeTraceOptions &opts = {});
 
 } // namespace sentinel::telemetry
 

@@ -4,7 +4,7 @@
  * live observability plane.
  *
  * The writer side renders a MetricRegistry (and, via server/scrape.hh,
- * the per-job step boards) as a standard exposition:
+ * the server's per-job time series) as a standard exposition:
  *
  *   # TYPE sentinel_job_step_ms summary
  *   sentinel_job_step_ms{job="resnet32#0",quantile="0.5"} 1.234

@@ -9,6 +9,11 @@
  * formatting — which is what keeps bench_micro's step time unchanged
  * when tracing is off.
  *
+ * The executor publishes its per-step totals here once per step, at
+ * step end, from the StepStats it returns (`exec.bytes_fast`,
+ * `exec.bytes_slow`, `mem.fast_peak_bytes`): a session's counters are
+ * sums and maxima of the steps it saw complete.
+ *
  * Sessions are externally owned (by the caller of a harness run, a
  * bench, or a test) and can outlive the executors they observed, so exports can
  * happen after the run tears down.
@@ -22,7 +27,6 @@
 #include "common/logging.hh"
 #include "telemetry/event_sink.hh"
 #include "telemetry/metrics.hh"
-#include "telemetry/timeseries.hh"
 
 namespace sentinel::telemetry {
 
@@ -46,17 +50,6 @@ class Session
 
     MetricRegistry &metrics() { return metrics_; }
     const MetricRegistry &metrics() const { return metrics_; }
-
-    /**
-     * Attach (or detach, with null) a caller-owned step board: the
-     * live per-step time-series plane.  Attached before the run, the
-     * executor feeds it at every step boundary; its rings are sized at
-     * construction, so the feed keeps the steady-state loop
-     * allocation-free (see timeseries.hh).
-     */
-    void attachStepBoard(StepBoard *board) { board_ = board; }
-    StepBoard *stepBoard() { return board_; }
-    const StepBoard *stepBoard() const { return board_; }
 
     /** Convenience emitter used by the instrumentation hooks. */
     void
@@ -107,7 +100,6 @@ class Session
     TelemetryConfig cfg_;
     EventSink sink_;
     MetricRegistry metrics_;
-    StepBoard *board_ = nullptr;
     std::uint64_t synced_drops_ = 0;
     bool warned_drops_ = false;
 };

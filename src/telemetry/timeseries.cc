@@ -104,62 +104,4 @@ TimeSeries::reset()
     sketch_.reset();
 }
 
-const char *
-stepSeriesName(StepSeries s)
-{
-    switch (s) {
-      case StepSeries::StepTime:
-        return "step_time_ns";
-      case StepSeries::ExposedMigration:
-        return "exposed_migration_ns";
-      case StepSeries::PolicyTime:
-        return "policy_time_ns";
-      case StepSeries::PromotedBytes:
-        return "promoted_bytes";
-      case StepSeries::DemotedBytes:
-        return "demoted_bytes";
-      case StepSeries::SlowBytes:
-        return "slow_bytes";
-      case StepSeries::PeakFastUsed:
-        return "peak_fast_used_bytes";
-      case StepSeries::Stalls:
-        return "stalls";
-    }
-    return "unknown";
-}
-
-StepBoard::StepBoard(TimeSeriesOptions opts)
-    : series_{ TimeSeries(opts), TimeSeries(opts), TimeSeries(opts),
-               TimeSeries(opts), TimeSeries(opts), TimeSeries(opts),
-               TimeSeries(opts), TimeSeries(opts) }
-{
-    static_assert(kNumStepSeries == 8,
-                  "update the StepBoard initializer with the enum");
-}
-
-TimeSeries &
-StepBoard::series(StepSeries s)
-{
-    auto i = static_cast<std::size_t>(s);
-    SENTINEL_ASSERT(i < kNumStepSeries, "StepSeries %zu out of range", i);
-    return series_[i];
-}
-
-const TimeSeries &
-StepBoard::series(StepSeries s) const
-{
-    auto i = static_cast<std::size_t>(s);
-    SENTINEL_ASSERT(i < kNumStepSeries, "StepSeries %zu out of range", i);
-    return series_[i];
-}
-
-void
-StepBoard::reset()
-{
-    for (TimeSeries &ts : series_)
-        ts.reset();
-    steps_ = 0;
-    last_tick_ = -1;
-}
-
 } // namespace sentinel::telemetry

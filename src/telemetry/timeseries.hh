@@ -18,20 +18,17 @@
  *  - a streaming percentile sketch over ALL samples, reusing the log2
  *    Histogram so p50/p99 cost no memory proportional to the run.
  *
- * Everything is sized at construction: push() never allocates, which
- * is what lets the observability plane ride inside the zero-alloc
- * steady-state loop (tests/integration/test_zero_alloc.cc pins this).
+ * Everything is sized at construction: push() never allocates; only
+ * reads that render (scrapes, snapshots) may.
  *
- * StepBoard bundles the fixed set of per-step series the executor
- * feeds at every step boundary; it is the producer side of the
- * OpenMetrics scrape (openmetrics.hh) and of the multi-job server's
- * per-job scrape registries (server/scrape.hh).
+ * The multi-job server keeps one TimeSeries per job and metric
+ * (server/scrape.hh), fed at every job-step completion: they are what
+ * the OpenMetrics scrape (openmetrics.hh) and `sentinel-cli top` show.
  */
 
 #ifndef SENTINEL_TELEMETRY_TIMESERIES_HH
 #define SENTINEL_TELEMETRY_TIMESERIES_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -116,71 +113,6 @@ class TimeSeries
     double ewma_rate_ = 0.0;
     Tick last_tick_ = -1;
     Histogram sketch_;
-};
-
-/**
- * The fixed set of per-step series a training run exposes live.  An
- * enum (not a name-addressed registry) so the executor's step-boundary
- * feed is an array index, not a map lookup, and so the set is closed —
- * every consumer (OpenMetrics renderer, `sentinel-cli top`, the server
- * plane) agrees on what exists.
- */
-enum class StepSeries : std::uint8_t {
-    StepTime,        ///< step wall time (ns)
-    ExposedMigration,///< stalls on the critical path (ns)
-    PolicyTime,      ///< policy decision overhead (ns)
-    PromotedBytes,   ///< slow->fast DMA volume
-    DemotedBytes,    ///< fast->slow DMA volume
-    SlowBytes,       ///< access traffic served from the slow tier
-    PeakFastUsed,    ///< high-water fast occupancy (bytes)
-    Stalls,          ///< stall event count
-};
-
-constexpr std::size_t kNumStepSeries = 8;
-
-/** Stable snake_case name of @p s (OpenMetrics series stem). */
-const char *stepSeriesName(StepSeries s);
-
-/**
- * One training run's live board: a TimeSeries per StepSeries, fed by
- * the executor at every step boundary.  Attach to a telemetry::Session
- * and the executor does the rest; all storage is sized up front.
- */
-class StepBoard
-{
-  public:
-    explicit StepBoard(TimeSeriesOptions opts = {});
-
-    TimeSeries &series(StepSeries s);
-    const TimeSeries &series(StepSeries s) const;
-
-    /** Push @p v into @p s stamped at @p now.  Allocation-free. */
-    void
-    observe(StepSeries s, std::uint64_t v, Tick now)
-    {
-        series(s).pushAt(v, now);
-    }
-
-    /** Mark a step boundary at simulated time @p now. */
-    void
-    endStep(Tick now)
-    {
-        ++steps_;
-        last_tick_ = now;
-    }
-
-    /** Steps observed so far. */
-    std::uint64_t steps() const { return steps_; }
-
-    /** Simulated time of the last step boundary (-1 = none yet). */
-    Tick lastTick() const { return last_tick_; }
-
-    void reset();
-
-  private:
-    std::array<TimeSeries, kNumStepSeries> series_;
-    std::uint64_t steps_ = 0;
-    Tick last_tick_ = -1;
 };
 
 } // namespace sentinel::telemetry

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "harness/cell.hh"
 #include "harness/experiment.hh"
 #include "mem/page.hh"
 #include "models/registry.hh"
+#include "telemetry/session.hh"
 
 namespace sentinel::harness {
 namespace {
@@ -16,6 +20,57 @@ smallConfig()
     cfg.steps = 8;
     cfg.warmup = 6;
     return cfg;
+}
+
+/**
+ * Train @p policy on @p cfg with a session attached and check that the
+ * session's run totals are read from the steps: exec.bytes_fast and
+ * exec.bytes_slow sum StepStats' traffic, mem.fast_peak_bytes is the
+ * largest step peak.
+ */
+void
+expectSessionTotalsSumTheSteps(ExperimentConfig cfg,
+                               const std::string &policy)
+{
+    telemetry::Session session;
+    cfg.telemetry = &session;
+    Cell cell(cfg, policy);
+    ASSERT_TRUE(cell.supported());
+    std::uint64_t fast = 0, slow = 0, peak = 0;
+    for (const df::StepStats &s : cell.executor().run(cfg.steps)) {
+        fast += s.bytes_fast;
+        slow += s.bytes_slow;
+        peak = std::max(peak, s.peak_fast_used);
+    }
+    // Every term is exercised: traffic lands in both tiers.
+    ASSERT_GT(fast, 0u);
+    ASSERT_GT(slow, 0u);
+    ASSERT_GT(peak, 0u);
+    telemetry::MetricRegistry &m = session.metrics();
+    EXPECT_EQ(m.counter("exec.bytes_fast").value(), fast);
+    EXPECT_EQ(m.counter("exec.bytes_slow").value(), slow);
+    EXPECT_EQ(m.gauge("mem.fast_peak_bytes").max(), peak);
+}
+
+TEST(SessionTotals, CpuSentinelSumsTheSteps)
+{
+    expectSessionTotalsSumTheSteps(smallConfig(), "sentinel");
+}
+
+TEST(SessionTotals, GpuUnifiedMemorySumsTheSteps)
+{
+    ExperimentConfig cfg = smallConfig();
+    cfg.platform = Platform::Gpu;
+    expectSessionTotalsSumTheSteps(cfg, "um");
+}
+
+TEST(SessionTotals, ThreeTierLlmSumsTheSteps)
+{
+    ExperimentConfig cfg = smallConfig();
+    cfg.model = "llm:tiny";
+    cfg.batch = 2;
+    cfg.tiers = 3;
+    expectSessionTotalsSumTheSteps(cfg, "sentinel");
 }
 
 TEST(Harness, RunsEveryCpuPolicy)

@@ -27,7 +27,6 @@
 #include "models/registry.hh"
 #include "profile/profiler.hh"
 #include "telemetry/session.hh"
-#include "telemetry/timeseries.hh"
 
 using namespace sentinel;
 
@@ -284,14 +283,11 @@ TEST(ZeroAlloc, LiveObservabilityPlaneDoesNotAllocateInSteadyState)
     core::SentinelPolicy policy(profile.db);
     df::Executor ex(g, hm, df::ExecParams{}, policy);
 
-    // The live plane attached: event ring + metric registry + step
-    // board.  The board's rings are sized at construction, so the
-    // executor's per-step feed (pushes into eight series plus the
-    // percentile sketches) must stay off the heap; only SCRAPES
-    // (render/snapshot) may allocate, and none happen inside the loop.
+    // A session attached: event ring + metric registry.  The
+    // executor's per-step feed (events, latency histograms, the
+    // step-end counter totals) must stay off the heap; only exports
+    // may allocate, and none happen inside the loop.
     telemetry::Session session;
-    telemetry::StepBoard board;
-    session.attachStepBoard(&board);
     ex.setTelemetry(&session);
 
     ex.run(8);
@@ -304,7 +300,9 @@ TEST(ZeroAlloc, LiveObservabilityPlaneDoesNotAllocateInSteadyState)
         << (after - before)
         << " heap allocations across 50 warm steps with the "
            "observability plane enabled";
-    EXPECT_EQ(board.steps(), 58u); // the board really was fed
+    // The session really was fed: one op span per op of every step.
+    EXPECT_EQ(session.metrics().histogram("exec.op_ns").count(),
+              58u * g.numOps());
 }
 
 } // namespace

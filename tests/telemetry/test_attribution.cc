@@ -20,32 +20,33 @@ namespace {
 TEST(AttributionEngine, ExactDecompositionAcrossContexts)
 {
     AttributionEngine attr;
-    attr.beginStep(0, 1000);
+    attr.beginStep(0);
 
     attr.setLayer(0);
     attr.setInterval(0);
-    attr.chargeExecution(500);
+    attr.charge(AttrComponent::Execution, 500, 0);
     attr.setAccessTensor(7);
-    attr.chargeExposed(40, 2); // access-path stall: tensor 7
+    // Access-path stall: tensor 7.
+    attr.charge(AttrComponent::Exposed, 40, 2);
     attr.setAccessTensor(kAttrNoTensor);
 
     attr.setLayer(1);
     attr.setInterval(1);
-    attr.chargeExecution(300);
-    attr.chargePolicy(25);
-    attr.chargeFault(10);
-    attr.chargeRecompute(5);
+    attr.charge(AttrComponent::Execution, 300, 0);
+    attr.charge(AttrComponent::Policy, 25, 0);
+    attr.charge(AttrComponent::Fault, 10, 0);
+    attr.charge(AttrComponent::Recompute, 5, 0);
 
     // Alloc bracket: a stall raised while allocating tensor 9 charges
     // as Alloc to tensor 9 even though tensor 7 is the access context.
     attr.setAccessTensor(7);
     attr.beginAlloc(9);
-    attr.chargeExposed(60, 1);
+    attr.charge(AttrComponent::Exposed, 60, 1);
     attr.endAlloc();
     attr.setAccessTensor(kAttrNoTensor);
 
-    attr.noteMigration(true, 4096);
-    attr.noteMigration(false, 8192);
+    attr.noteMigration(0, true, 4096);
+    attr.noteMigration(0, false, 8192);
 
     attr.endStep(/*step_time=*/940, /*exposed_migration=*/100,
                  /*policy_time=*/25, /*fault_overhead=*/10,
@@ -88,11 +89,12 @@ TEST(AttributionEngine, ExactDecompositionAcrossContexts)
 TEST(AttributionEngine, ChargesOutsideStepsAreIgnored)
 {
     AttributionEngine attr;
-    attr.chargeExecution(100); // before any step: dropped
-    attr.beginStep(0, 0);
-    attr.chargeExecution(10);
+    // Before any step: dropped.
+    attr.charge(AttrComponent::Execution, 100, 0);
+    attr.beginStep(0);
+    attr.charge(AttrComponent::Execution, 10, 0);
     attr.endStep(10, 0, 0, 0, 0, 0);
-    attr.chargePolicy(50); // after the step: dropped
+    attr.charge(AttrComponent::Policy, 50, 0); // after the step: dropped
     EXPECT_EQ(attr.totals().total(), 10);
     EXPECT_TRUE(attr.allExact());
 }
@@ -100,10 +102,10 @@ TEST(AttributionEngine, ChargesOutsideStepsAreIgnored)
 TEST(AttributionEngine, CrossCheckAgainstEventStream)
 {
     AttributionEngine attr;
-    attr.beginStep(0, 0);
+    attr.beginStep(0);
     attr.setAccessTensor(3);
-    attr.chargeExposed(120, 1);
-    attr.chargeExposed(30, 1);
+    attr.charge(AttrComponent::Exposed, 120, 1);
+    attr.charge(AttrComponent::Exposed, 30, 1);
     attr.endStep(150, 150, 0, 0, 0, 2);
 
     EventSink sink(16);
@@ -123,8 +125,8 @@ TEST(AttributionEngine, CrossCheckAgainstEventStream)
 TEST(AttributionEngine, CrossCheckIndeterminateAfterRingDrop)
 {
     AttributionEngine attr;
-    attr.beginStep(0, 0);
-    attr.chargeExposed(50, 1);
+    attr.beginStep(0);
+    attr.charge(AttrComponent::Exposed, 50, 1);
     attr.endStep(50, 50, 0, 0, 0, 1);
 
     EventSink sink(2); // tiny ring: overflow guaranteed

@@ -367,12 +367,13 @@ TEST(ChromeTraceLabeler, LabelerOverridesDefaultNames)
                                 telemetry::EventType::OpBegin, 0 });
     sink.emit(telemetry::Event{ 150, 0, 0, 7,
                                 telemetry::EventType::OpEnd, 0 });
-    std::string json = telemetry::chromeTraceJson(
-        sink, [](const telemetry::Event &e) {
-            return e.type == telemetry::EventType::OpBegin
-                       ? std::string("custom \"op\" name")
-                       : std::string();
-        });
+    telemetry::ChromeTraceOptions opts;
+    opts.labeler = [](const telemetry::Event &e) {
+        return e.type == telemetry::EventType::OpBegin
+                   ? std::string("custom \"op\" name")
+                   : std::string();
+    };
+    std::string json = telemetry::chromeTraceJson(sink, opts);
     EXPECT_TRUE(jsonStructurallyValid(json));
     // Quote inside the label must be escaped, default name kept for
     // the unlabeled end event.

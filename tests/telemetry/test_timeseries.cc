@@ -1,8 +1,7 @@
 /**
  * @file
- * TimeSeries/StepBoard semantics: ring retention, incremental window
- * aggregates, EWMA value/rate, the percentile sketch, and the fixed
- * StepSeries vocabulary.
+ * TimeSeries semantics: ring retention, incremental window
+ * aggregates, EWMA value/rate, and the percentile sketch.
  */
 
 #include <gtest/gtest.h>
@@ -125,53 +124,6 @@ TEST(TimeSeries, ResetKeepsCapacityDropsData)
     EXPECT_EQ(ts.sketch().count(), 0u);
     ts.push(42);
     EXPECT_EQ(ts.last(), 42u);
-}
-
-TEST(StepSeries, NamesAreStableAndComplete)
-{
-    // The OpenMetrics stems are contract: renaming one silently
-    // orphans dashboards.
-    EXPECT_STREQ(stepSeriesName(StepSeries::StepTime), "step_time_ns");
-    EXPECT_STREQ(stepSeriesName(StepSeries::ExposedMigration),
-                 "exposed_migration_ns");
-    EXPECT_STREQ(stepSeriesName(StepSeries::PolicyTime),
-                 "policy_time_ns");
-    EXPECT_STREQ(stepSeriesName(StepSeries::PromotedBytes),
-                 "promoted_bytes");
-    EXPECT_STREQ(stepSeriesName(StepSeries::DemotedBytes),
-                 "demoted_bytes");
-    EXPECT_STREQ(stepSeriesName(StepSeries::SlowBytes), "slow_bytes");
-    EXPECT_STREQ(stepSeriesName(StepSeries::PeakFastUsed),
-                 "peak_fast_used_bytes");
-    EXPECT_STREQ(stepSeriesName(StepSeries::Stalls), "stalls");
-}
-
-TEST(StepBoard, ObserveFeedsThePerSeriesRings)
-{
-    StepBoard board({ 16, 4, 0.5 });
-    for (int s = 0; s < 5; ++s) {
-        Tick now = (s + 1) * 1'000'000;
-        board.observe(StepSeries::StepTime, 1'000'000, now);
-        board.observe(StepSeries::Stalls,
-                      static_cast<std::uint64_t>(s), now);
-        board.endStep(now);
-    }
-    EXPECT_EQ(board.steps(), 5u);
-    EXPECT_EQ(board.lastTick(), 5'000'000);
-    EXPECT_EQ(board.series(StepSeries::StepTime).total(), 5u);
-    EXPECT_EQ(board.series(StepSeries::Stalls).last(), 4u);
-    EXPECT_EQ(board.series(StepSeries::PromotedBytes).total(), 0u);
-}
-
-TEST(StepBoard, ResetClearsEverySeries)
-{
-    StepBoard board;
-    board.observe(StepSeries::StepTime, 7, 100);
-    board.endStep(100);
-    board.reset();
-    EXPECT_EQ(board.steps(), 0u);
-    EXPECT_EQ(board.lastTick(), -1);
-    EXPECT_EQ(board.series(StepSeries::StepTime).total(), 0u);
 }
 
 } // namespace

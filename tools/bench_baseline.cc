@@ -40,7 +40,6 @@
 #include "common/logging.hh"
 #include "harness/cell.hh"
 #include "telemetry/session.hh"
-#include "telemetry/timeseries.hh"
 
 using namespace sentinel;
 
@@ -102,13 +101,11 @@ measureAllocsPerStep(harness::ExperimentConfig cfg,
     if (!common::allocHookActive())
         return -1.0;
 
-    // The live observability plane rides along: its per-step feed
-    // (event ring, cached counters, the step board's series pushes)
-    // is part of the zero-allocation promise — only scrapes may
-    // allocate, and none happen inside the counted window.
+    // A telemetry session rides along: its per-step feed (event ring,
+    // latency histograms, the step-end counter totals) is part of the
+    // zero-allocation promise — only exports may allocate, and none
+    // happen inside the counted window.
     telemetry::Session session;
-    telemetry::StepBoard board;
-    session.attachStepBoard(&board);
     cfg.telemetry = &session;
     harness::Cell cell(cfg, policy);
     df::Executor &ex = cell.executor();

@@ -273,8 +273,10 @@ cmdRun(const Args &args)
         // Rebuild the (deterministic) graph to resolve op/tensor names.
         df::Graph g = models::makeModel(cfg.model, cfg.batch);
         if (!trace_out.empty()) {
+            telemetry::ChromeTraceOptions topts;
+            topts.labeler = graphLabeler(g);
             if (!telemetry::saveChromeTrace(session->events(), trace_out,
-                                            graphLabeler(g)))
+                                            topts))
                 SENTINEL_FATAL("could not write '%s'", trace_out.c_str());
             std::printf("trace written to %s (%zu events, %llu dropped); "
                         "open in https://ui.perfetto.dev\n",
@@ -1102,6 +1104,8 @@ main(int argc, char **argv)
                 SENTINEL_FATAL("replay needs a .sentinelrepro file");
             return cmdReplay(file, rargs);
         }
+    } catch (const FatalError &) {
+        return 1; // fatal() has printed it
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

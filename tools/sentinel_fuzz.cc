@@ -313,6 +313,8 @@ main(int argc, char **argv)
         if (!o.replay.empty())
             return replayMode(o);
         return o.mode == "server" ? serverFuzzMode(o) : fuzzMode(o);
+    } catch (const FatalError &) {
+        return 1; // fatal() has printed it
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
