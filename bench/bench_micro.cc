@@ -299,6 +299,24 @@ BM_UnifiedMemorySteadyStep(benchmark::State &state)
 }
 BENCHMARK(BM_UnifiedMemorySteadyStep);
 
+// Sentinel's staged multi-leg path: llm:medium at batch 2 on a 3-tier
+// chain, perfbench's ntier3-llm-medium cell.  Its steady step frees
+// hundreds of thousands of pages, a run per tensor.
+void
+BM_NtierLlmSteadyStep(benchmark::State &state)
+{
+    harness::ExperimentConfig cfg;
+    cfg.model = "llm:medium";
+    cfg.batch = 2;
+    cfg.tiers = 3;
+    harness::Cell cell(cfg, "sentinel");
+    df::Executor &ex = cell.executor();
+    ex.run(6);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ex.runStep().step_time);
+}
+BENCHMARK(BM_NtierLlmSteadyStep);
+
 } // namespace
 
 BENCHMARK_MAIN();

@@ -46,11 +46,11 @@ IalPolicy::onTensorFreed(df::Executor &, df::TensorId,
 }
 
 void
-IalPolicy::onPageUnmapped(df::Executor &, mem::PageId page)
+IalPolicy::onRangeUnmapped(df::Executor &, mem::PageRun run)
 {
     // Lazy removal: dead pages are skipped when popped.
-    in_fifo_.ref(page) = 0;
-    slow_touches_.ref(page) = 0;
+    in_fifo_.clearRange(run);
+    slow_touches_.clearRange(run);
 }
 
 void

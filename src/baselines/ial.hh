@@ -53,7 +53,7 @@ class IalPolicy : public df::MemoryPolicy
                            const df::TensorPlacement &pl) override;
     void onTensorFreed(df::Executor &ex, df::TensorId id,
                        const df::TensorPlacement &pl) override;
-    void onPageUnmapped(df::Executor &ex, mem::PageId page) override;
+    void onRangeUnmapped(df::Executor &ex, mem::PageRun run) override;
     void onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
                        std::vector<df::AccessSegment> &out) override;
 

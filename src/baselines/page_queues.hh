@@ -42,8 +42,9 @@ namespace sentinel::baselines {
  *  - a touch rewrites the run's ids one directory chunk span at a
  *    time, releasing each stretch of one old record at once, and
  *    appends a new record;
- *  - erase() is O(1), and front()/popFront() hand out the oldest run
- *    of queued pages.
+ *  - eraseRange() clears a run's ids the same way and creates no
+ *    chunk, and front()/popFront() hand out the oldest run of queued
+ *    pages.
  *
  * Records whose pages are all gone return to a free list, so once the
  * pool and the directory chunks reach their high-water mark nothing
@@ -80,12 +81,30 @@ class RunLru
     void
     erase(mem::PageId page)
     {
-        const std::uint32_t *slot = ids_.find(page);
-        if (!slot || *slot == 0)
-            return;
-        const std::uint32_t id = *slot;
-        ids_.ref(page) = 0;
-        release(id, 1);
+        eraseRange({ page, 1 });
+    }
+
+    /**
+     * Unqueue the queued pages of @p run: as erase() of each page in
+     * turn, releasing each stretch of one record at once.
+     */
+    void
+    eraseRange(mem::PageRun run)
+    {
+        std::uint32_t *slots = nullptr;
+        for (mem::PageId p = run.first; p < run.endPage();) {
+            const std::uint64_t n =
+                ids_.presentSpan(p, run.endPage() - p, slots);
+            for (std::uint64_t i = 0; slots && i < n;) {
+                const std::uint32_t prior = slots[i];
+                const std::uint64_t from = i;
+                while (i < n && slots[i] == prior)
+                    slots[i++] = 0;
+                if (prior != 0)
+                    release(prior, i - from);
+            }
+            p += n;
+        }
     }
 
     /**

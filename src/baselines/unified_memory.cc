@@ -38,6 +38,12 @@ UnifiedMemoryPolicy::onTensorFreed(df::Executor &, df::TensorId,
 }
 
 void
+UnifiedMemoryPolicy::onRangeUnmapped(df::Executor &, mem::PageRun run)
+{
+    lru_.eraseRange(run);
+}
+
+void
 UnifiedMemoryPolicy::onPageUnmapped(df::Executor &, mem::PageId page)
 {
     lru_.erase(page);

@@ -38,6 +38,9 @@ class UnifiedMemoryPolicy : public df::MemoryPolicy
                            const df::TensorPlacement &pl) override;
     void onTensorFreed(df::Executor &ex, df::TensorId id,
                        const df::TensorPlacement &pl) override;
+    void onRangeUnmapped(df::Executor &ex, mem::PageRun run) override;
+    /** One page of onRangeUnmapped(), for wrappers that forward the
+     *  per-page hook. */
     void onPageUnmapped(df::Executor &ex, mem::PageId page) override;
     void onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
                        std::vector<df::AccessSegment> &out) override;
@@ -60,7 +63,7 @@ class UnifiedMemoryPolicy : public df::MemoryPolicy
 
     /** LRU order of device-resident pages (front = least recent),
      *  touched a run at a time.  Every queued page is mapped:
-     *  onPageUnmapped() erases a page before it goes. */
+     *  onRangeUnmapped() erases a run before it goes. */
     RunLru lru_;
 
     /** evictLru()'s victim runs, reused across calls. */

@@ -9,7 +9,8 @@ namespace sentinel::df {
 
 Executor::Executor(const Graph &graph, mem::HeterogeneousMemory &hm,
                    ExecParams params, MemoryPolicy &policy)
-    : graph_(graph), hm_(hm), params_(params), policy_(policy)
+    : graph_(graph), hm_(hm), params_(params), policy_(policy),
+      edge_refs_(2 * graph.numTensors())
 {
     SENTINEL_ASSERT(graph_.finalized(), "graph must be finalized");
     placements_.resize(graph_.numTensors());
@@ -52,11 +53,8 @@ Executor::updateEdgeRefs(const TensorPlacement &pl, std::int32_t delta)
     // Live tensors on page p other than this one: the count before an
     // allocation's increment, after a free's decrement.
     auto others = [&](mem::PageId p) {
-        std::int32_t &ref = page_refs_.ref(p);
-        const std::int32_t before = ref;
-        ref += delta;
-        SENTINEL_ASSERT(ref >= 0, "page refcount underflow");
-        return delta > 0 ? before : ref;
+        const std::int32_t after = edge_refs_.add(p, delta);
+        return delta > 0 ? after - delta : after;
     };
     if (others(lo) > 0)
         ++lo;
@@ -170,8 +168,7 @@ Executor::freeTensor(TensorId id)
     policy_.onTensorFreed(*this, id, pl);
     const mem::PageRun gone = updateEdgeRefs(pl, -1);
     if (gone.count > 0) {
-        for (mem::PageId p = gone.first; p < gone.first + gone.count; ++p)
-            policy_.onPageUnmapped(*this, p);
+        policy_.onRangeUnmapped(*this, gone);
         hm_.unmapRange(gone.first, gone.count, now_);
     }
     live_[id] = 0;

@@ -7,9 +7,10 @@
  * tensor -> placement table, and page reference counting (multiple
  * tensors may share a page; the page lives while any of them does).
  * Live tensors never share bytes, so only a tensor's first and last
- * pages can be shared, and only they carry a count: allocating or
- * freeing a tensor updates at most two counts and maps or unmaps the
- * pages between them as one run.
+ * pages can be shared, and only they carry a count, in a table sized
+ * once to the graph (EdgeRefs): allocating or freeing a tensor updates
+ * at most two counts and maps or unmaps the pages between them as one
+ * run, which a free hands the policy in one onRangeUnmapped() call.
  *
  * Each tensor use is walked once, as runs of pages: the policy's
  * onRangeAccess() resolves a prefix of the remaining extent, and a
@@ -38,13 +39,13 @@
 
 #include "common/units.hh"
 #include "dataflow/cost_model.hh"
+#include "dataflow/edge_refs.hh"
 #include "dataflow/graph.hh"
 #include "dataflow/placement.hh"
 #include "dataflow/policy.hh"
 #include "dataflow/step_stats.hh"
 #include "mem/access_tracker.hh"
 #include "mem/hm.hh"
-#include "mem/page_directory.hh"
 #include "sim/fault_injector.hh"
 #include "sim/trace.hh"
 #include "telemetry/attribution.hh"
@@ -182,14 +183,14 @@ class Executor
     std::uint64_t demoted_at_step_start_ = 0;
 
     // Dense tensor tables indexed by TensorId (graph ids are compact),
-    // and a chunked page directory for refcounts: the executor's own
-    // bookkeeping is hash-free and allocation-free in steady state.
+    // and a graph-sized table for refcounts: the executor's own
+    // bookkeeping is sized once and allocation-free in steady state.
     std::vector<TensorPlacement> placements_;
     std::vector<std::uint8_t> live_;
-    /// Live tensors with the page as their first or last page.  Interior
-    /// pages carry no count: their tensor's bytes cover them, so no other
-    /// live tensor can span them.
-    mem::PageDirectory<std::int32_t> page_refs_;
+    /// Live tensors with the page as their first or last page, at most
+    /// two entries per tensor.  Interior pages carry no count: their
+    /// tensor's bytes cover them, so no other live tensor can span them.
+    EdgeRefs edge_refs_;
 
     std::vector<AccessSegment> seg_buf_; ///< reused per onRangeAccess call
 

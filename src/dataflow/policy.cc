@@ -18,4 +18,14 @@ MemoryPolicy::onRangeAccess(Executor &ex, mem::PageRun run, bool is_write,
     out.push_back(seg);
 }
 
+void
+MemoryPolicy::onRangeUnmapped(Executor &ex, mem::PageRun run)
+{
+    // Per-page adapter, in page order, until the base hook reports
+    // that nothing listens.
+    for (mem::PageId p = run.first;
+         p < run.endPage() && !page_unmap_ignored_; ++p)
+        onPageUnmapped(ex, p);
+}
+
 } // namespace sentinel::df

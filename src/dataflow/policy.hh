@@ -10,16 +10,22 @@
  *  - lifecycle hooks (training / step / layer boundaries), where
  *    planned policies schedule prefetches and evictions;
  *  - allocate()/free notifications, where layout policies choose
- *    addresses (and therefore page sharing) and initial tiers;
+ *    addresses (and therefore page sharing) and initial tiers, and
+ *    onRangeUnmapped(), once per run of pages a free unmaps, where
+ *    UM and IAL drop the run from their page queues;
  *  - onRangeAccess(), the batched access hook, where reactive
  *    page-level policies migrate on demand and charge critical-path
  *    costs.  Every policy in src/ overrides it and resolves its
  *    faults from the residency state it already read: UM and GPU
  *    Sentinel fault a host-resident run in as one closed-form series
  *    (HeterogeneousMemory::faultSeries()), IAL resolves its hint
- *    fault, Memory Mode its cache misses.  The per-page
- *    onPageAccess() behind the default adapter is kept for policies
- *    written against it outside src/.
+ *    fault, Memory Mode its cache misses.
+ *
+ * The per-page hooks onPageAccess() and onPageUnmapped() sit behind
+ * the default onRangeAccess() and onRangeUnmapped() adapters, for
+ * policies and wrappers written against them outside src/; no policy
+ * in src/ is reached through them (UM keeps a one-page
+ * onPageUnmapped() for wrappers that forward only that hook).
  *
  * Hooks may charge time to the step through the Executor's charge*
  * methods; they never mutate the clock directly.
@@ -119,8 +125,24 @@ class MemoryPolicy
     {
     }
 
-    /** The last tensor on @p page was freed; the page is unmapping. */
-    virtual void onPageUnmapped(Executor &, mem::PageId) {}
+    /**
+     * The last live tensor on the pages of @p run was freed: the run
+     * is about to unmap (it is still mapped during this call).  One
+     * call per freed run.
+     *
+     * The default adapter hands the run's pages to onPageUnmapped()
+     * in ascending order, and stops once the base onPageUnmapped()
+     * has run: a policy that overrides neither hook costs one call.
+     */
+    virtual void onRangeUnmapped(Executor &ex, mem::PageRun run);
+
+    /** Per-page unmap hook, reached only through the default
+     *  onRangeUnmapped() adapter. */
+    virtual void
+    onPageUnmapped(Executor &, mem::PageId)
+    {
+        page_unmap_ignored_ = true;
+    }
 
     // --- Access ------------------------------------------------------------
 
@@ -163,6 +185,10 @@ class MemoryPolicy
      * Case 3 decides exactly this (Sec. IV-D).
      */
     virtual bool stallForInflight(Executor &, mem::PageId) { return true; }
+
+  private:
+    /** The base onPageUnmapped() ran: this policy ignores unmaps. */
+    bool page_unmap_ignored_ = false;
 };
 
 } // namespace sentinel::df

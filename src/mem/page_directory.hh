@@ -1,20 +1,18 @@
 /**
  * @file
- * A chunked direct-indexed map from PageId to a small POD value.
+ * A chunked direct-indexed map from PageId to a small value.
  *
- * The simulator's hot paths key several side tables by page id
- * (executor edge-page reference counts, UM and IAL queue state).  Virtual
+ * The reactive baselines key their queue state by page id (UM's LRU
+ * record ids, IAL's in-list flags and heat counts).  Virtual
  * addresses are sparse — policies place tensors at multi-TiB bases —
  * so a flat array is out, but an unordered_map pays a hash + probe on
  * every access.  PageDirectory splits the id space into 2^16-page
- * chunks allocated on first touch: a lookup is two loads and chunks
- * are recycled across clear() with an epoch stamp, so steady-state
- * operation allocates nothing.
+ * chunks allocated on first touch and kept for the directory's life:
+ * a lookup is two loads, and once the touched chunks exist nothing
+ * allocates.
  *
- * T must be trivially copyable and value-initialize to its "absent"
- * state (e.g. a zero refcount): clear() simply bumps the epoch and a
- * recycled chunk is refilled with T{}.  A destroyed directory's chunks
- * are recycled the same way by the next directory of T on its thread.
+ * T must value-initialize to its "absent" state (e.g. a zero count):
+ * a fresh chunk holds T{} throughout.
  */
 
 #ifndef SENTINEL_MEM_PAGE_DIRECTORY_HH
@@ -23,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -34,22 +31,7 @@ namespace sentinel::mem {
 template <typename T>
 class PageDirectory
 {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "PageDirectory chunks are recycled by refilling T{}");
-
   public:
-    PageDirectory() = default;
-    PageDirectory(PageDirectory &&) = default;
-    PageDirectory &operator=(PageDirectory &&) = default;
-
-    /** Hands the chunks to this thread's spares. */
-    ~PageDirectory()
-    {
-        for (Chunk &ch : chunks_)
-            if (ch.slots)
-                spares().push_back(std::move(ch.slots));
-    }
-
     /** Mutable slot for @p page, creating its chunk if needed. */
     T &
     ref(PageId page)
@@ -58,18 +40,10 @@ class PageDirectory
         SENTINEL_ASSERT(page < kMaxPages, "page id out of range");
         if (c >= chunks_.size())
             chunks_.resize(c + 1);
-        Chunk &ch = chunks_[c];
-        if (ch.epoch != epoch_) {
-            if (!ch.slots && !spares().empty()) {
-                ch.slots = std::move(spares().back());
-                spares().pop_back();
-            }
-            if (!ch.slots)
-                ch.slots = std::make_unique<T[]>(kChunkPages);
-            std::fill_n(ch.slots.get(), kChunkPages, T{});
-            ch.epoch = epoch_;
-        }
-        return ch.slots[page & kChunkMask];
+        std::unique_ptr<T[]> &ch = chunks_[c];
+        if (!ch)
+            ch = std::make_unique<T[]>(kChunkPages);
+        return ch[page & kChunkMask];
     }
 
     /**
@@ -85,35 +59,41 @@ class PageDirectory
         return std::min(count, kChunkPages - (page & kChunkMask));
     }
 
-    /** Slot for @p page, or nullptr if its chunk was never touched. */
-    const T *
-    find(PageId page) const
+    /**
+     * As span(), but creates nothing: @p slots is nullptr where
+     * @p page's chunk was never touched (its n values are all T{}).
+     */
+    std::uint64_t
+    presentSpan(PageId page, std::uint64_t count, T *&slots)
     {
-        std::uint64_t c = page >> kChunkBits;
-        if (c >= chunks_.size())
-            return nullptr;
-        const Chunk &ch = chunks_[c];
-        if (ch.epoch != epoch_)
-            return nullptr;
-        return &ch.slots[page & kChunkMask];
+        const std::uint64_t c = page >> kChunkBits;
+        slots = c < chunks_.size() && chunks_[c]
+                    ? &chunks_[c][page & kChunkMask]
+                    : nullptr;
+        return std::min(count, kChunkPages - (page & kChunkMask));
+    }
+
+    /** Reset the pages of @p run to T{}, skipping untouched chunks. */
+    void
+    clearRange(PageRun run)
+    {
+        T *slots = nullptr;
+        for (PageId p = run.first; p < run.endPage();) {
+            const std::uint64_t n = presentSpan(p, run.endPage() - p, slots);
+            if (slots)
+                std::fill_n(slots, n, T{});
+            p += n;
+        }
     }
 
     /** Value for @p page; T{} where nothing was ever stored. */
     T
     get(PageId page) const
     {
-        const T *p = find(page);
-        return p ? *p : T{};
-    }
-
-    /** Drop all values.  O(1): chunks are recycled lazily. */
-    void
-    clear()
-    {
-        if (++epoch_ == 0) { // epoch wrap: stale stamps could collide
-            chunks_.clear();
-            epoch_ = 1;
-        }
+        const std::uint64_t c = page >> kChunkBits;
+        return c < chunks_.size() && chunks_[c]
+                   ? chunks_[c][page & kChunkMask]
+                   : T{};
     }
 
   private:
@@ -122,30 +102,7 @@ class PageDirectory
     static constexpr std::uint64_t kChunkMask = kChunkPages - 1;
     static constexpr std::uint64_t kMaxPages = 1ull << 36;
 
-    struct Chunk {
-        std::uint32_t epoch = 0; ///< valid iff == PageDirectory::epoch_
-        std::unique_ptr<T[]> slots;
-    };
-
-    /**
-     * Chunks of this thread's destroyed directories.  A directory built
-     * after another takes them before allocating, so it reuses memory
-     * the process has already faulted in rather than leaving that to
-     * the allocator's mmap and trim heuristics.  Their consumer is the
-     * executors' edge-page refcounts (Executor::page_refs_): a cell
-     * builds one executor to profile and another to train, and each
-     * cell of a sweep builds its own.  The spares are as many as this
-     * thread's directories of T ever held at once.
-     */
-    static std::vector<std::unique_ptr<T[]>> &
-    spares()
-    {
-        thread_local std::vector<std::unique_ptr<T[]>> s;
-        return s;
-    }
-
-    std::vector<Chunk> chunks_;
-    std::uint32_t epoch_ = 1;
+    std::vector<std::unique_ptr<T[]>> chunks_;
 };
 
 } // namespace sentinel::mem

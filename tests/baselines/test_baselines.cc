@@ -162,7 +162,7 @@ TEST(UnifiedMemory, FaultEvictsLeastRecentlyTouchedPagesFirst)
     // its device slot, so the device is full again.
     const mem::PageId dead = order.front();
     hm.unmapRange(dead, 1, ex.now());
-    policy.onPageUnmapped(ex, dead);
+    policy.onRangeUnmapped(ex, { dead, 1 });
     const mem::PageId unmanaged = pl.endPage() + 100;
     hm.mapRange(unmanaged, 1, mem::Tier::Fast);
 

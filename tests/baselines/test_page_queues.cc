@@ -117,6 +117,64 @@ TEST(RunLru, RandomizedDifferentialAgainstListLru)
     }
 }
 
+TEST(RunLru, EraseRangeMatchesPerPageErase)
+{
+    // The same touches and pops on two queues, one erasing runs with
+    // eraseRange() and one page by page with erase(), and on the
+    // per-page reference: every front()/popFront() must agree.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        std::mt19937_64 rng(seed);
+        auto first = [&]() -> mem::PageId {
+            if (rng() % 16 == 0)
+                return (1ull << 34) + rng() % 64;
+            return kSeam - 48 + rng() % 96;
+        };
+        auto length = [&] { return 1 + rng() % (rng() % 4 == 0 ? 40 : 6); };
+        RunLru by_run, by_page;
+        ListLru ref;
+        auto pop = [&](std::uint64_t max, std::uint64_t n) {
+            const mem::PageRun a = by_run.front(max);
+            const mem::PageRun b = by_page.front(max);
+            ASSERT_EQ(a.first, b.first);
+            ASSERT_EQ(a.count, b.count);
+            n = std::min(n, a.count);
+            for (std::uint64_t i = 0; i < n; ++i)
+                ASSERT_EQ(a.first + i, ref.popFront()) << "page " << i;
+            by_run.popFront(n);
+            by_page.popFront(n);
+        };
+        for (int op = 0; op < 20000; ++op) {
+            const std::uint64_t r = rng() % 100;
+            if (r < 45) {
+                const mem::PageRun run{ first(), length() };
+                by_run.touch(run);
+                by_page.touch(run);
+                ref.touch(run);
+            } else if (r < 75) { // a run over queued and absent pages
+                const mem::PageRun run{ first(), length() };
+                by_run.eraseRange(run);
+                for (mem::PageId p = run.first; p < run.endPage(); ++p) {
+                    by_page.erase(p);
+                    ref.erase(p);
+                }
+            } else if (!ref.empty()) {
+                pop(1 + rng() % 8, 1 + rng() % 8);
+                ASSERT_FALSE(::testing::Test::HasFailure())
+                    << "seed " << seed << " op " << op;
+            }
+            ASSERT_EQ(by_run.empty(), ref.empty());
+            ASSERT_EQ(by_page.empty(), ref.empty());
+            ASSERT_EQ(by_run.poolSize(), by_page.poolSize());
+        }
+        while (!ref.empty()) {
+            pop(64, 64);
+            ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+        }
+        EXPECT_TRUE(by_run.empty());
+        EXPECT_TRUE(by_page.empty());
+    }
+}
+
 TEST(RunLru, EmptiedListRefills)
 {
     RunLru lru;

@@ -3,13 +3,15 @@
  * The executor's edge-page refcounts against the per-page reference
  * walk (tests/support/ref_page_refs.hh).
  *
- * A packing policy places tensors in a small arena at random gaps
- * (none, sub-page, page-aligned), never over another live tensor's
- * bytes, so edge pages end up shared by one to several live tensors.
- * After every allocation and free the policy checks, over the touched
- * span, that a page is mapped exactly when the reference counts it,
- * that Executor::pageRefCount() equals the reference count, and that
- * the onPageUnmapped() sequence matches the reference's.
+ * A packing policy places tensors in an arena at a multi-TiB base at
+ * random gaps (none, sub-page, page-aligned), never over another live
+ * tensor's bytes, so edge pages end up shared by one to several live
+ * tensors.  After every allocation and free the policy checks, over
+ * the touched span, that a page is mapped exactly when the reference
+ * counts it, that Executor::pageRefCount() equals the reference
+ * count, and that the unmap hooks saw what the reference unmapped:
+ * its runs through onRangeUnmapped(), or its pages in order through
+ * the default adapter's onPageUnmapped().
  */
 
 #include <algorithm>
@@ -25,6 +27,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "dataflow/edge_refs.hh"
 #include "dataflow/executor.hh"
 #include "support/ref_page_refs.hh"
 
@@ -60,15 +63,42 @@ pagesIn(const std::vector<mem::PageRun> &runs)
     return n;
 }
 
-/** Places tensors at random byte gaps inside a small arena and checks
- *  the executor's page state against RefPageRefs after every change. */
+bool
+sameRuns(const std::vector<mem::PageRun> &a,
+         const std::vector<mem::PageRun> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const mem::PageRun &x, const mem::PageRun &y) {
+                          return x.first == y.first && x.count == y.count;
+                      });
+}
+
+/** Where PackingPolicy places tensors, and which unmap hook it takes. */
+struct PackingShape {
+    /** Arena base: 3 TiB, as policies place tensors at multi-TiB
+     *  bases. */
+    mem::VirtAddr base = (3ull << 40) + 64 * kPageSize;
+    std::uint64_t pages = 40; ///< arena size
+    /** Override onRangeUnmapped(); else only onPageUnmapped(), as a
+     *  wrapper written against the per-page hook does. */
+    bool by_range = true;
+};
+
+/** Places tensors at random byte gaps inside an arena and checks the
+ *  executor's page state against RefPageRefs after every change.  It
+ *  also mirrors the executor's edge-page updates into an EdgeRefs of
+ *  the same size, to count the probes that wrapped around the table
+ *  and the deletes that shifted an entry back. */
 class PackingPolicy : public MemoryPolicy
 {
   public:
-    static constexpr mem::VirtAddr kArena = 64 * kPageSize;
-    static constexpr std::uint64_t kArenaPages = 40;
-
-    explicit PackingPolicy(std::uint64_t seed) : rng_(seed) {}
+    PackingPolicy(std::uint64_t seed, PackingShape shape,
+                  std::size_t num_tensors)
+        : rng_(seed), shape_(shape),
+          overflow_(shape.base + (shape.pages + 4096) * kPageSize),
+          mirror_(2 * num_tensors)
+    {
+    }
 
     std::string name() const override { return "packing"; }
 
@@ -85,6 +115,7 @@ class PackingPolicy : public MemoryPolicy
     {
         live_[pl.addr] = pl.addr + pl.bytes;
         mapped_ += pagesIn(ref_.allocate(pl));
+        mirror(pl, +1);
         const mem::PageId first = pl.firstPage();
         const mem::PageId last = pl.endPage() - 1;
         if (first == last)
@@ -104,16 +135,28 @@ class PackingPolicy : public MemoryPolicy
     {
         settle(ex);
         live_.erase(pl.addr);
-        expected_unmapped_.clear();
-        unmapped_.clear();
-        mapped_ -= pagesIn(ref_.release(pl, &expected_unmapped_));
+        expected_pages_.clear();
+        pages_.clear();
+        runs_.clear();
+        expected_runs_ = ref_.release(pl, &expected_pages_);
+        mapped_ -= pagesIn(expected_runs_);
+        mirror(pl, -1);
         freed_ = pl;
+    }
+
+    void
+    onRangeUnmapped(Executor &ex, mem::PageRun run) override
+    {
+        if (shape_.by_range)
+            runs_.push_back(run);
+        else
+            MemoryPolicy::onRangeUnmapped(ex, run);
     }
 
     void
     onPageUnmapped(Executor &, mem::PageId page) override
     {
-        unmapped_.push_back(page);
+        pages_.push_back(page);
     }
 
     void onLayerEnd(Executor &ex, int) override { settle(ex); }
@@ -125,16 +168,41 @@ class PackingPolicy : public MemoryPolicy
     int twoPage() const { return two_page_; }
     int aligned() const { return aligned_; }
     int maxSharing() const { return max_sharing_; }
+    int wraps() const { return wraps_; }
+    int shifts() const { return shifts_; }
 
   private:
+    /** The executor's edge-page update for @p pl: first page, then
+     *  last. */
+    void
+    mirror(const TensorPlacement &pl, std::int32_t delta)
+    {
+        mirrorPage(pl.firstPage(), delta);
+        if (pl.endPage() - 1 != pl.firstPage())
+            mirrorPage(pl.endPage() - 1, delta);
+    }
+
+    void
+    mirrorPage(mem::PageId p, std::int32_t delta)
+    {
+        const std::size_t at = mirror_.slot(p);
+        const std::int32_t after = mirror_.add(p, delta);
+        if (delta > 0 && after == 1 && mirror_.slot(p) < mirror_.home(p))
+            ++wraps_;
+        if (delta < 0 && after == 0 && mirror_.occupied(at))
+            ++shifts_;
+    }
+
     /** A start address for @p bytes that overlaps no live tensor's
      *  bytes: packed behind or ahead of a live tensor, a sub-page gap
      *  behind one, or on a page boundary; else past the arena. */
     mem::VirtAddr
     place(std::uint64_t bytes)
     {
+        const mem::VirtAddr lo = shape_.base;
+        const mem::VirtAddr hi = shape_.base + shape_.pages * kPageSize;
         for (int attempt = 0; attempt < 32; ++attempt) {
-            mem::VirtAddr a = kArena;
+            mem::VirtAddr a = lo;
             const auto pick = [&]() {
                 auto it = live_.begin();
                 std::advance(it, rng_.uniformInt(
@@ -152,20 +220,20 @@ class PackingPolicy : public MemoryPolicy
                         rng_.uniformInt(1, kPageSize - 1));
                 break;
               case 2:
-                a = kArena + kPageSize *
-                                 static_cast<std::uint64_t>(rng_.uniformInt(
-                                     0, kArenaPages - 1));
+                a = lo + kPageSize * static_cast<std::uint64_t>(
+                                          rng_.uniformInt(
+                                              0, static_cast<std::int64_t>(
+                                                     shape_.pages) - 1));
                 break;
               default: {
                 const mem::VirtAddr start = pick()->first;
-                if (start < kArena + bytes)
+                if (start < lo + bytes)
                     continue;
                 a = start - bytes;
                 break;
               }
             }
-            if (a + bytes <= kArena + kArenaPages * kPageSize &&
-                isFree(a, bytes))
+            if (a + bytes <= hi && isFree(a, bytes))
                 return a;
         }
         const mem::VirtAddr a = overflow_;
@@ -187,8 +255,12 @@ class PackingPolicy : public MemoryPolicy
     {
         if (!freed_)
             return;
-        expect(unmapped_ == expected_unmapped_, "onPageUnmapped sequence",
-               *freed_);
+        if (shape_.by_range)
+            expect(sameRuns(runs_, expected_runs_) && pages_.empty(),
+                   "onRangeUnmapped runs", *freed_);
+        else
+            expect(pages_ == expected_pages_ && runs_.empty(),
+                   "onPageUnmapped sequence", *freed_);
         check(ex, *freed_);
         freed_.reset();
     }
@@ -226,14 +298,18 @@ class PackingPolicy : public MemoryPolicy
     }
 
     Rng rng_;
+    PackingShape shape_;
     std::map<mem::VirtAddr, mem::VirtAddr> live_; ///< start -> end
-    mem::VirtAddr overflow_ = 4096 * kPageSize;
+    mem::VirtAddr overflow_;
     sentinel::testing::RefPageRefs ref_;
     std::uint64_t mapped_ = 0;
+    EdgeRefs mirror_;
 
     std::optional<TensorPlacement> freed_;
-    std::vector<mem::PageId> expected_unmapped_;
-    std::vector<mem::PageId> unmapped_;
+    std::vector<mem::PageRun> expected_runs_;
+    std::vector<mem::PageId> expected_pages_;
+    std::vector<mem::PageRun> runs_;   ///< onRangeUnmapped() since freed_
+    std::vector<mem::PageId> pages_;   ///< onPageUnmapped() since freed_
 
     int errors_ = 0;
     std::string first_error_;
@@ -241,11 +317,15 @@ class PackingPolicy : public MemoryPolicy
     int two_page_ = 0;
     int aligned_ = 0;
     int max_sharing_ = 0;
+    int wraps_ = 0;
+    int shifts_ = 0;
 };
 
-/** @p n tensors with random sizes and lifetimes over 60 ops. */
+/** @p n tensors with random sizes and lifetimes over 60 ops, each
+ *  preallocated (live for the whole run) with probability
+ *  @p prealloc_p. */
 Graph
-makeChurnGraph(Rng &rng, int n)
+makeChurnGraph(Rng &rng, int n, double prealloc_p = 0.08)
 {
     constexpr int kOps = 60;
     Graph g("churn", 1);
@@ -269,7 +349,7 @@ makeChurnGraph(Rng &rng, int n)
                         rng.uniformInt(1, kPageSize - 1));
             break;
         }
-        const bool prealloc = rng.bernoulli(0.08);
+        const bool prealloc = rng.bernoulli(prealloc_p);
         const TensorId id =
             g.addTensor(strprintf("t%d", i), bytes,
                         prealloc ? TensorKind::Weight : TensorKind::Temp,
@@ -302,7 +382,7 @@ TEST(Executor, EdgeRefcountsMatchPerPageWalk)
         Rng rng(0x5eed0000ull + seed);
         Graph g = makeChurnGraph(rng, 240);
         auto hm = makeHm();
-        PackingPolicy policy(seed);
+        PackingPolicy policy(seed, PackingShape{}, g.numTensors());
         Executor ex(g, hm, ExecParams{}, policy);
         ex.run(3);
         EXPECT_EQ(policy.errors(), 0) << policy.firstError();
@@ -316,6 +396,158 @@ TEST(Executor, EdgeRefcountsMatchPerPageWalk)
     EXPECT_GT(two, 0);
     EXPECT_GT(aligned, 0);
     EXPECT_GE(sharing, 3);
+
+    // A crowded table: 2000 tensors, most of them live throughout,
+    // spread over a wide arena so their edge pages are distinct.  The
+    // table (8192 slots) runs about a third full, so probes wrap
+    // around its end and frees shift entries back.
+    int wraps = 0, shifts = 0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "crowded seed " << seed);
+        Rng rng(0xc0de0000ull + seed);
+        Graph g = makeChurnGraph(rng, 2000, 0.8);
+        auto hm = makeHm();
+        PackingShape shape;
+        shape.base = (5ull << 40) + 3 * kPageSize;
+        shape.pages = 9000;
+        PackingPolicy policy(seed, shape, g.numTensors());
+        Executor ex(g, hm, ExecParams{}, policy);
+        ex.run(3);
+        EXPECT_EQ(policy.errors(), 0) << policy.firstError();
+        wraps += policy.wraps();
+        shifts += policy.shifts();
+    }
+    EXPECT_GT(wraps, 0);
+    EXPECT_GT(shifts, 0);
+}
+
+TEST(MemoryPolicy, UnmapAdapterHandsEveryPageInOrder)
+{
+    // A policy that overrides only onPageUnmapped(), as a forwarding
+    // wrapper written against the per-page hook does: the default
+    // onRangeUnmapped() hands it each unmapped page, in page order.
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        Rng rng(0x5eed0000ull + seed);
+        Graph g = makeChurnGraph(rng, 240);
+        auto hm = makeHm();
+        PackingShape shape;
+        shape.by_range = false;
+        PackingPolicy policy(seed, shape, g.numTensors());
+        Executor ex(g, hm, ExecParams{}, policy);
+        ex.run(3);
+        EXPECT_EQ(policy.errors(), 0) << policy.firstError();
+    }
+}
+
+/** Places tensors end to end and counts its onPageUnmapped() calls,
+ *  each of which then runs the base hook, as a policy that overrides
+ *  neither unmap hook does. */
+class IgnoringPolicy : public MemoryPolicy
+{
+  public:
+    std::string name() const override { return "ignoring"; }
+
+    AllocDecision
+    allocate(Executor &, const TensorDesc &t) override
+    {
+        const mem::VirtAddr a = next_;
+        next_ += mem::roundUpToPages(t.bytes) + kPageSize;
+        return { a, mem::Tier::Fast };
+    }
+
+    void
+    onRangeUnmapped(Executor &ex, mem::PageRun run) override
+    {
+        ++runs;
+        MemoryPolicy::onRangeUnmapped(ex, run);
+    }
+
+    void
+    onPageUnmapped(Executor &ex, mem::PageId page) override
+    {
+        ++pages;
+        MemoryPolicy::onPageUnmapped(ex, page);
+    }
+
+    int runs = 0;
+    int pages = 0;
+
+  private:
+    mem::VirtAddr next_ = 1ull << 40;
+};
+
+TEST(MemoryPolicy, UnmapAdapterStopsWhenNothingListens)
+{
+    Rng rng(0x5eed0001ull);
+    Graph g = makeChurnGraph(rng, 240);
+    auto hm = makeHm();
+    IgnoringPolicy policy;
+    Executor ex(g, hm, ExecParams{}, policy);
+    ex.run(3);
+    EXPECT_GT(policy.runs, 100);
+    EXPECT_EQ(policy.pages, 1);
+}
+
+TEST(EdgeRefs, WrapsAndShiftsBackAcrossTheEnd)
+{
+    // Three pages whose probes start in the last slot: the second and
+    // third wrap to slots 0 and 1, and freeing the first shifts both
+    // back across the end.
+    EdgeRefs t(8);
+    ASSERT_EQ(t.capacity(), 16u);
+    const std::size_t last = t.capacity() - 1;
+    std::vector<mem::PageId> tail;
+    for (mem::PageId p = 3ull << 28; tail.size() < 3; ++p)
+        if (t.home(p) == last)
+            tail.push_back(p);
+    for (mem::PageId p : tail)
+        EXPECT_EQ(t.add(p, 1), 1);
+    EXPECT_EQ(t.add(tail[2], 1), 2);
+    EXPECT_EQ(t.slot(tail[0]), last);
+    EXPECT_EQ(t.slot(tail[1]), 0u);
+    EXPECT_EQ(t.slot(tail[2]), 1u);
+    EXPECT_EQ(t.add(tail[0], -1), 0);
+    EXPECT_EQ(t.slot(tail[0]), t.capacity());
+    EXPECT_EQ(t.slot(tail[1]), last);
+    EXPECT_EQ(t.slot(tail[2]), 0u);
+    EXPECT_FALSE(t.occupied(1));
+    EXPECT_EQ(t.count(tail[2]), 2);
+    EXPECT_THROW(t.add(tail[0], -1), std::logic_error);
+}
+
+TEST(EdgeRefs, RandomizedDifferentialAgainstAMap)
+{
+    // Up to 64 pages live in 128 slots, drawn from 200 pages at two
+    // multi-TiB bases; every count is checked after every update.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        Rng rng(seed);
+        EdgeRefs t(64);
+        std::map<mem::PageId, std::int32_t> ref;
+        std::vector<mem::PageId> pool;
+        for (mem::PageId i = 0; i < 100; ++i) {
+            pool.push_back((3ull << 28) + 5 * i);
+            pool.push_back((7ull << 30) + i);
+        }
+        for (int op = 0; op < 20000; ++op) {
+            const std::int64_t k = rng.uniformInt(
+                0, static_cast<std::int64_t>(pool.size()) - 1);
+            const mem::PageId p = pool[static_cast<std::size_t>(k)];
+            const std::int32_t delta = rng.bernoulli(0.5) ? 1 : -1;
+            if (!ref.count(p) && (delta < 0 || ref.size() == 64))
+                continue;
+            const std::int32_t want = (ref[p] += delta);
+            if (want == 0)
+                ref.erase(p);
+            ASSERT_EQ(t.add(p, delta), want) << "op " << op;
+            for (mem::PageId q : pool) {
+                auto r = ref.find(q);
+                ASSERT_EQ(t.count(q), r == ref.end() ? 0 : r->second)
+                    << "op " << op << " page " << q;
+            }
+        }
+    }
 }
 
 /** Places every tensor at a fixed address from a table. */

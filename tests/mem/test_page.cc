@@ -51,5 +51,27 @@ TEST(PageDirectory, SpanStopsAtTheChunkSeam)
     EXPECT_EQ(dir.get(kSeam), 9u);
 }
 
+TEST(PageDirectory, ClearRangeSkipsUntouchedChunks)
+{
+    constexpr PageId kSeam = 1ull << 16;
+    PageDirectory<std::uint32_t> dir;
+    for (PageId p = kSeam - 4; p < kSeam + 4; ++p)
+        dir.ref(p) = 5;
+    // A range over the touched seam, two untouched chunks and back:
+    // only its pages are reset, and no chunk is created.
+    dir.clearRange({ kSeam - 2, 3 * kSeam });
+    EXPECT_EQ(dir.get(kSeam - 3), 5u);
+    for (PageId p = kSeam - 2; p < kSeam + 4; ++p)
+        EXPECT_EQ(dir.get(p), 0u) << p;
+    std::uint32_t *s = nullptr;
+    EXPECT_EQ(dir.presentSpan(2 * kSeam + 5, 10, s), 10u);
+    EXPECT_EQ(s, nullptr);
+    dir.presentSpan(3 * kSeam, 1, s);
+    EXPECT_EQ(s, nullptr);
+    EXPECT_EQ(dir.presentSpan(kSeam - 3, 10, s), 3u);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s[0], 5u);
+}
+
 } // namespace
 } // namespace sentinel::mem

@@ -76,9 +76,9 @@ class ClippedPolicy : public df::MemoryPolicy
     {
         inner_.onTensorFreed(ex, id, pl);
     }
-    void onPageUnmapped(df::Executor &ex, mem::PageId page) override
+    void onRangeUnmapped(df::Executor &ex, mem::PageRun run) override
     {
-        inner_.onPageUnmapped(ex, page);
+        inner_.onRangeUnmapped(ex, run);
     }
 
     void
