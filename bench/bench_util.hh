@@ -10,7 +10,9 @@
 #ifndef SENTINEL_BENCH_BENCH_UTIL_HH
 #define SENTINEL_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -33,19 +35,56 @@ struct BenchArgs {
     int jobs = 1;
 };
 
+/** Print @p why and the shared usage line, then exit 2. */
+[[noreturn]] inline void
+usageError(const char *prog, const std::string &why)
+{
+    std::cerr << "error: " << why << "\nusage: " << prog
+              << " [model] [--jobs N]\n";
+    std::exit(2);
+}
+
+/**
+ * Parse the shared command line.  --jobs must be a whole integer >= 1,
+ * any other dash-prefixed argument is an error, and at most one model
+ * filter may be given; when @p models is non-empty the filter must be
+ * one of them.  A usage error exits 2.
+ */
 inline BenchArgs
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int argc, char **argv,
+               const std::vector<std::string> &models = {})
 {
     BenchArgs args;
+    auto parseJobs = [&](const std::string &v) {
+        std::size_t used = 0;
+        int n = 0;
+        try {
+            n = std::stoi(v, &used);
+        } catch (const std::exception &) {
+            // used stays 0, so the check below rejects v.
+        }
+        if (v.empty() || used != v.size() || n < 1)
+            usageError(argv[0], "--jobs takes an integer >= 1, got '" +
+                                    v + "'");
+        args.jobs = n;
+    };
     for (int i = 1; i < argc; ++i) {
         std::string s = argv[i];
         if (s.rfind("--jobs=", 0) == 0)
-            args.jobs = std::atoi(s.c_str() + 7);
-        else if (s == "--jobs" && i + 1 < argc)
-            args.jobs = std::atoi(argv[++i]);
+            parseJobs(s.substr(7));
+        else if (s == "--jobs")
+            parseJobs(i + 1 < argc ? argv[++i] : "");
+        else if (s.rfind('-', 0) == 0)
+            usageError(argv[0], "unknown option '" + s + "'");
+        else if (!args.only.empty())
+            usageError(argv[0], "more than one model filter ('" +
+                                    args.only + "', '" + s + "')");
         else
             args.only = s;
     }
+    if (!args.only.empty() && !models.empty() &&
+        std::find(models.begin(), models.end(), args.only) == models.end())
+        usageError(argv[0], "unknown model '" + args.only + "'");
     return args;
 }
 

@@ -135,9 +135,7 @@ CapuchinPolicy::teleportTensor(df::Executor &ex, df::TensorId id,
 {
     if (!ex.isAllocated(id))
         return;
-    const df::TensorPlacement &pl = ex.placementOf(id);
-    for (mem::PageId p = pl.firstPage(); p < pl.endPage(); ++p)
-        ex.hm().teleportPage(p, dst, ex.now());
+    ex.hm().teleportRange(ex.placementOf(id).run(), dst, ex.now());
 }
 
 void

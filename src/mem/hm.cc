@@ -417,25 +417,38 @@ HeterogeneousMemory::stallMigration(Tick now, Tick promote_for,
     }
 }
 
-bool
-HeterogeneousMemory::teleportPage(PageId page, Tier dst, Tick now)
+std::uint64_t
+HeterogeneousMemory::teleportRange(PageRun run, Tier dst, Tick now)
 {
     commitUpTo(now);
-    const PageEntry &e = table_.entry(page);
-    if (e.in_flight)
-        return false; // let the transfer land first
-    if (e.tier == dst)
-        return true;
-    if (!tier(dst).tryReserve(kPageSize))
-        return false;
-    Tier src = e.tier;
-    // Instant flip: a one-page begin+commit with an immediate arrival.
-    const PageTable::FlightId id =
-        table_.beginMigrationRun(page, 1, dst, now, 0);
-    bool ok = table_.commitMigrationRun(id, 1) == 1;
-    SENTINEL_ASSERT(ok, "teleport commit failed");
-    tier(src).release(kPageSize);
-    return true;
+    MemoryTier &dest = tier(dst);
+    std::uint64_t flipped = 0;
+    PageId p = run.first;
+    const PageId end = run.endPage();
+    while (p < end) {
+        const PageRunState rs = table_.runState(p, end - p);
+        // An in-flight page waits for its transfer to land; a page
+        // already in dst has nothing to flip.
+        if (rs.in_flight || rs.tier == dst) {
+            p += rs.count;
+            continue;
+        }
+        const std::uint64_t take =
+            std::min<std::uint64_t>(rs.count, dest.free() / kPageSize);
+        if (take == 0)
+            break; // dst is full, and flips only ever fill it further
+        bool ok = dest.tryReserve(take * kPageSize);
+        SENTINEL_ASSERT(ok, "teleport reservation failed");
+        // Instant flip: one begin+commit with an immediate arrival.
+        const PageTable::FlightId id =
+            table_.beginMigrationRun(p, take, dst, now, 0);
+        ok = table_.commitMigrationRun(id, take) == take;
+        SENTINEL_ASSERT(ok, "teleport commit failed");
+        tier(rs.tier).release(take * kPageSize);
+        flipped += take;
+        p += take;
+    }
+    return flipped;
 }
 
 void

@@ -21,12 +21,12 @@
  * tiers are not occupied.
  *
  * The page run is the unit of the interface: mapping, unmapping, the
- * residency query, migration and demand faults all take runs, and a
- * single page is a one-page run.  The per-page exceptions are
- * flightInfo() (one in-flight page's own arrival) and teleportPage()
- * (Capuchin's discard, which has no transfer to batch).  A run of
- * demand faults — each page its own exposed transfer — is one
- * faultSeries() call: its arrivals are one arithmetic series too.
+ * residency query, migration, Capuchin's discard (teleportRange()) and
+ * demand faults all take runs, and a single page is a one-page run.
+ * The one per-page exception is flightInfo() (one in-flight page's own
+ * arrival).  A run of demand faults — each page its own exposed
+ * transfer — is one faultSeries() call: its arrivals are one
+ * arithmetic series too.
  *
  * The engine's unit is the page run too.  A uniform run of
  * n pages is scheduled leg by leg in closed form
@@ -181,15 +181,17 @@ class HeterogeneousMemory
                                     Tier dst, Tick ready, Tick gap);
 
     /**
-     * Instantly remap @p page into @p dst WITHOUT a data transfer —
-     * the memory-system equivalent of discarding the contents and
-     * rematerializing them later (Capuchin-style recomputation frees
-     * device memory with no traffic; the replayed producer writes the
-     * new copy).
+     * Instantly remap the pages of @p run into @p dst WITHOUT a data
+     * transfer — the memory-system equivalent of discarding the
+     * contents and rematerializing them later (Capuchin-style
+     * recomputation frees device memory with no traffic; the replayed
+     * producer writes the new copy).  Pages in flight (the transfer
+     * owns them) and pages already in @p dst are left alone; once
+     * @p dst is full the rest of the run stays where it is.
      *
-     * @return false if @p dst has no space (nothing changes).
+     * @return the number of pages that flipped into @p dst.
      */
-    bool teleportPage(PageId page, Tier dst, Tick now);
+    std::uint64_t teleportRange(PageRun run, Tier dst, Tick now);
 
     /**
      * Apply every migration completion with arrival <= @p now.  Called

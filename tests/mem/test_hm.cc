@@ -440,22 +440,24 @@ namespace {
 TEST(Hm, TeleportFlipsTierInstantlyWithoutTraffic)
 {
     auto hm = makeHm(4);
-    hm.mapRange(1, 1, Tier::Fast);
-    EXPECT_TRUE(hm.teleportPage(1, Tier::Slow, 0));
+    hm.mapRange(1, 3, Tier::Fast);
+    EXPECT_EQ(hm.teleportRange({ 1, 3 }, Tier::Slow, 0), 3u);
+    EXPECT_EQ(hm.residentRange(1, 3, 0).count, 3u);
     EXPECT_EQ(tierAt(hm, 1, 0), Tier::Slow);
     // No channel traffic, no migration stats: a discard, not a copy.
     EXPECT_EQ(hm.stats().demoted_bytes, 0u);
     EXPECT_EQ(hm.demoteChannel().bytesTransferred(), 0u);
-    // Capacity moved with the page.
+    // Capacity moved with the pages.
     EXPECT_EQ(hm.tier(Tier::Fast).used(), 0u);
-    EXPECT_EQ(hm.tier(Tier::Slow).used(), kPageSize);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 3 * kPageSize);
 }
 
 TEST(Hm, TeleportToSameTierIsNoop)
 {
     auto hm = makeHm(4);
     hm.mapRange(1, 1, Tier::Fast);
-    EXPECT_TRUE(hm.teleportPage(1, Tier::Fast, 0));
+    EXPECT_EQ(hm.teleportRange({ 1, 1 }, Tier::Fast, 0), 0u);
+    EXPECT_EQ(tierAt(hm, 1, 0), Tier::Fast);
     EXPECT_EQ(hm.tier(Tier::Fast).used(), kPageSize);
 }
 
@@ -464,8 +466,43 @@ TEST(Hm, TeleportFailsWhenDestinationFull)
     auto hm = makeHm(1);
     hm.mapRange(1, 1, Tier::Fast);
     hm.mapRange(2, 1, Tier::Slow);
-    EXPECT_FALSE(hm.teleportPage(2, Tier::Fast, 0));
+    EXPECT_EQ(hm.teleportRange({ 2, 1 }, Tier::Fast, 0), 0u);
     EXPECT_EQ(tierAt(hm, 2, 0), Tier::Slow);
+}
+
+TEST(Hm, TeleportFillsDestinationPartwayThroughRun)
+{
+    // Pages 1..2 sit in fast memory already; 3..6 are slow and only two
+    // of them fit in the two free fast pages.
+    auto hm = makeHm(4);
+    hm.mapRange(1, 2, Tier::Fast);
+    hm.mapRange(3, 4, Tier::Slow);
+    EXPECT_EQ(hm.teleportRange({ 1, 6 }, Tier::Fast, 0), 2u);
+    EXPECT_EQ(hm.residentRange(1, 4, 0).tier, Tier::Fast);
+    EXPECT_EQ(hm.residentRange(1, 6, 0).count, 4u);
+    EXPECT_EQ(hm.residentRange(5, 2, 0).tier, Tier::Slow);
+    EXPECT_EQ(hm.residentRange(5, 2, 0).count, 2u);
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 4 * kPageSize);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 2 * kPageSize);
+    EXPECT_EQ(hm.stats().promoted_bytes, 0u);
+}
+
+TEST(Hm, TeleportSkipsInFlightPageWithinRun)
+{
+    auto hm = makeHm(4);
+    hm.mapRange(1, 3, Tier::Slow);
+    Tick arrival = movePage(hm, 2, Tier::Fast, 0);
+    // Pages 1 and 3 flip around the in-flight page 2, which its
+    // transfer still owns.
+    EXPECT_EQ(hm.teleportRange({ 1, 3 }, Tier::Fast, 0), 2u);
+    EXPECT_EQ(tierAt(hm, 1, 0), Tier::Fast);
+    EXPECT_EQ(tierAt(hm, 3, 0), Tier::Fast);
+    EXPECT_TRUE(inFlightAt(hm, 2, 0));
+    // The transfer lands as scheduled and releases its source page.
+    EXPECT_EQ(tierAt(hm, 2, arrival), Tier::Fast);
+    EXPECT_EQ(hm.residentRange(1, 3, arrival).count, 3u);
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 3 * kPageSize);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 0u);
 }
 
 TEST(Hm, TeleportWaitsOutInFlightMigrations)
@@ -474,9 +511,9 @@ TEST(Hm, TeleportWaitsOutInFlightMigrations)
     hm.mapRange(1, 1, Tier::Slow);
     Tick arrival = movePage(hm, 1, Tier::Fast, 0);
     // Mid-flight: refuse (the transfer owns the page).
-    EXPECT_FALSE(hm.teleportPage(1, Tier::Slow, arrival - 1));
+    EXPECT_EQ(hm.teleportRange({ 1, 1 }, Tier::Slow, arrival - 1), 0u);
     // After arrival: fine.
-    EXPECT_TRUE(hm.teleportPage(1, Tier::Slow, arrival));
+    EXPECT_EQ(hm.teleportRange({ 1, 1 }, Tier::Slow, arrival), 1u);
     EXPECT_EQ(tierAt(hm, 1, arrival), Tier::Slow);
 }
 
