@@ -125,7 +125,7 @@ main(int argc, char **argv)
             &results[mi + (kBatches - 1) * policies.size()];
         for (std::size_t pi = 1; pi < policies.size(); ++pi) {
             const auto &m = largest[pi];
-            if (!m.supported) {
+            if (!m.supported || !m.feasible) {
                 brk.row().cell(m.model).cell(policies[pi]).cell("X").cell(
                     "-").cell("-").cell("-").cell("-");
                 continue;

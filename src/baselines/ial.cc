@@ -121,8 +121,8 @@ IalPolicy::hintFault(df::Executor &ex, mem::PageId page,
     int touches = ++slow_touches_.ref(page);
     df::AccessSegment seg;
     seg.pages = 1;
-    seg.extra = hint_fault_cost_;
-    if (touches >= threshold_) {
+    seg.extra = kHintFaultCost;
+    if (touches >= kPromoteThreshold) {
         if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
             evictForSpace(ex, 16 * mem::kPageSize);
 
@@ -134,7 +134,7 @@ IalPolicy::hintFault(df::Executor &ex, mem::PageId page,
             // Fault-driven promotion: the faulting access pays the
             // in-kernel page copy + remap, then proceeds on the fast
             // copy.
-            seg.extra += promote_service_;
+            seg.extra += kPromoteServiceCost;
             seg.effective = mem::Tier::Fast;
         }
     }

@@ -32,18 +32,14 @@ namespace sentinel::baselines {
 class IalPolicy : public df::MemoryPolicy
 {
   public:
-    /**
-     * @param promote_threshold slow-memory accesses before a page is
-     *        considered active and queued for promotion.
-     */
-    explicit IalPolicy(int promote_threshold = 4,
-                       Tick hint_fault_cost = 250,
-                       Tick promote_service_cost = kUsec)
-        : threshold_(promote_threshold),
-          hint_fault_cost_(hint_fault_cost),
-          promote_service_(promote_service_cost), arena_(0)
-    {
-    }
+    /** Slow-memory accesses before a page is considered active and
+     *  promoted. */
+    static constexpr int kPromoteThreshold = 4;
+    /** Cost of one NUMA hint fault, paid by every access to a slow,
+     *  idle page. */
+    static constexpr Tick kHintFaultCost = 250;
+    /** In-kernel page copy + remap a promoting access also pays. */
+    static constexpr Tick kPromoteServiceCost = kUsec;
 
     std::string name() const override { return "ial"; }
 
@@ -76,10 +72,7 @@ class IalPolicy : public df::MemoryPolicy
     void hintFault(df::Executor &ex, mem::PageId page,
                    std::vector<df::AccessSegment> &out);
 
-    int threshold_;
-    Tick hint_fault_cost_;
-    Tick promote_service_;
-    alloc::VirtualArena arena_;
+    alloc::VirtualArena arena_{ 0 };
 
     /**
      * FIFO active list of fast pages (front = oldest).  Removal is

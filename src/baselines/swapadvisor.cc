@@ -123,7 +123,7 @@ SwapAdvisorPolicy::onStepBegin(df::Executor &ex, int)
     // budget entirely (Sec. VII-C).
     if (last_step_time_ > 0) {
         ex.chargePolicy(static_cast<Tick>(
-            opts_.search_overhead_fraction *
+            kSearchOverheadFraction *
             static_cast<double>(last_step_time_)));
     }
 }
@@ -149,7 +149,7 @@ SwapAdvisorPolicy::buildSchedule(df::Executor &ex)
         candidates_.push_back(t.id);
     }
 
-    Rng rng(opts_.seed);
+    Rng rng(kSeed);
     auto random_genome = [&]() {
         Genome g(candidates_.size());
         for (std::size_t i = 0; i < g.size(); ++i) {
@@ -179,24 +179,24 @@ SwapAdvisorPolicy::buildSchedule(df::Executor &ex)
     std::vector<double> fit;
     pop.push_back(std::move(informed));
     fit.push_back(evaluate(pop.back(), S, bw, false));
-    while (static_cast<int>(pop.size()) < opts_.population) {
+    while (static_cast<int>(pop.size()) < kPopulation) {
         pop.push_back(random_genome());
         fit.push_back(evaluate(pop.back(), S, bw, false));
     }
 
     auto tournament = [&]() -> const Genome & {
         std::size_t best = static_cast<std::size_t>(
-            rng.uniformInt(0, opts_.population - 1));
+            rng.uniformInt(0, kPopulation - 1));
         for (int i = 0; i < 2; ++i) {
             std::size_t other = static_cast<std::size_t>(
-                rng.uniformInt(0, opts_.population - 1));
+                rng.uniformInt(0, kPopulation - 1));
             if (fit[other] < fit[best])
                 best = other;
         }
         return pop[best];
     };
 
-    for (int gen = 0; gen < opts_.generations; ++gen) {
+    for (int gen = 0; gen < kGenerations; ++gen) {
         std::vector<Genome> next;
         std::vector<double> next_fit;
         // Elitism: carry the current best forward.
@@ -205,13 +205,13 @@ SwapAdvisorPolicy::buildSchedule(df::Executor &ex)
         next.push_back(pop[best]);
         next_fit.push_back(fit[best]);
 
-        while (static_cast<int>(next.size()) < opts_.population) {
+        while (static_cast<int>(next.size()) < kPopulation) {
             const Genome &a = tournament();
             const Genome &b = tournament();
             Genome child(a.size());
             for (std::size_t i = 0; i < child.size(); ++i) {
                 child[i] = rng.bernoulli(0.5) ? a[i] : b[i];
-                if (rng.bernoulli(opts_.mutation_rate)) {
+                if (rng.bernoulli(kMutationRate)) {
                     child[i].priority += rng.normal(0.0, 0.2);
                     child[i].lead =
                         static_cast<int>(rng.uniformInt(1, 4));

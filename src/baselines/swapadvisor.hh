@@ -28,34 +28,15 @@
 
 namespace sentinel::baselines {
 
-struct SwapAdvisorOptions {
-    int population = 12;
-    int generations = 6;
-    double mutation_rate = 0.25;
-    std::uint64_t seed = 0x5a9ad;
-    /** Modeled wall-clock cost of one fitness evaluation. */
-    Tick eval_cost = 50 * kMsec;
-
-    /**
-     * Fraction of each step consumed by the ongoing schedule search.
-     * SwapAdvisor's GA keeps simulating candidate schedules against
-     * the dataflow for ~30 minutes (Sec. VII-C); training proceeds
-     * meanwhile but shares the host with the search and synchronizes
-     * with it every step.
-     */
-    double search_overhead_fraction = 0.3;
-};
-
 class SwapAdvisorPolicy : public ScheduledSwapPolicy
 {
   public:
     SwapAdvisorPolicy(const prof::ProfileDatabase &db,
-                      bool gpu_strict = false,
-                      SwapAdvisorOptions opts = {})
+                      bool gpu_strict = false)
         : ScheduledSwapPolicy(gpu_strict ? "swapadvisor-gpu"
                                          : "swapadvisor",
                               /*sync_moves=*/false),
-          db_(db), gpu_strict_(gpu_strict), opts_(opts)
+          db_(db), gpu_strict_(gpu_strict)
     {
     }
 
@@ -63,8 +44,7 @@ class SwapAdvisorPolicy : public ScheduledSwapPolicy
     Tick
     decisionTimeEstimate() const
     {
-        return static_cast<Tick>(opts_.population) * opts_.generations *
-               opts_.eval_cost;
+        return static_cast<Tick>(kPopulation) * kGenerations * kEvalCost;
     }
 
     void onStepBegin(df::Executor &ex, int step) override;
@@ -74,6 +54,23 @@ class SwapAdvisorPolicy : public ScheduledSwapPolicy
     void buildSchedule(df::Executor &ex) override;
 
   private:
+    /** GA budget: population size and generation cap. */
+    static constexpr int kPopulation = 12;
+    static constexpr int kGenerations = 6;
+    static constexpr double kMutationRate = 0.25;
+    static constexpr std::uint64_t kSeed = 0x5a9ad;
+    /** Modeled wall-clock cost of one fitness evaluation. */
+    static constexpr Tick kEvalCost = 50 * kMsec;
+
+    /**
+     * Fraction of each step consumed by the ongoing schedule search.
+     * SwapAdvisor's GA keeps simulating candidate schedules against
+     * the dataflow for ~30 minutes (Sec. VII-C); training proceeds
+     * meanwhile but shares the host with the search and synchronizes
+     * with it every step.
+     */
+    static constexpr double kSearchOverheadFraction = 0.3;
+
     struct Gene {
         double priority = 0.0; ///< placement order key
         int lead = 1;          ///< prefetch lead in layers (1..4)
@@ -86,7 +83,6 @@ class SwapAdvisorPolicy : public ScheduledSwapPolicy
 
     const prof::ProfileDatabase &db_;
     bool gpu_strict_ = false;
-    SwapAdvisorOptions opts_;
     Tick step_begin_ = 0;
     Tick last_step_time_ = 0;
     std::vector<df::TensorId> candidates_; ///< long-lived tensors

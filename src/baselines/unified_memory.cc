@@ -117,7 +117,7 @@ UnifiedMemoryPolicy::demandFault(df::Executor &ex, mem::PageId page,
     Tick now = ex.now();
     df::AccessSegment seg;
     seg.pages = 1;
-    seg.extra = fault_cost_;
+    seg.extra = kFaultCost;
 
     if (rs.in_flight) {
         // Eviction in flight; the fault must wait for it, then the
@@ -136,11 +136,11 @@ UnifiedMemoryPolicy::demandFault(df::Executor &ex, mem::PageId page,
             rs.count, hm.tier(mem::Tier::Fast).free() / mem::kPageSize);
         if (k > 0) {
             const sim::TransferSeries a =
-                hm.faultSeries(page, k, mem::Tier::Fast, now, fault_cost_);
+                hm.faultSeries(page, k, mem::Tier::Fast, now, kFaultCost);
             lru_.touch({ page, k });
             faults_ += k;
             seg.pages = k;
-            seg.extra = a.last() + fault_cost_ - now;
+            seg.extra = a.last() + kFaultCost - now;
             seg.stall_events = k;
             seg.effective = mem::Tier::Fast;
             out.push_back(seg);

@@ -24,12 +24,6 @@ namespace sentinel::baselines {
 class UnifiedMemoryPolicy : public df::MemoryPolicy
 {
   public:
-    /** @param fault_cost driver fault-service overhead per demand miss. */
-    explicit UnifiedMemoryPolicy(Tick fault_cost = 8 * kUsec)
-        : fault_cost_(fault_cost), arena_(0)
-    {
-    }
-
     std::string name() const override { return "um"; }
 
     df::AllocDecision allocate(df::Executor &ex,
@@ -48,6 +42,9 @@ class UnifiedMemoryPolicy : public df::MemoryPolicy
     std::uint64_t demandFaults() const { return faults_; }
 
   private:
+    /** Driver fault-service overhead per demand miss. */
+    static constexpr Tick kFaultCost = 8 * kUsec;
+
     void evictLru(df::Executor &ex, std::uint64_t bytes_needed);
 
     /** Service the demand faults of the run at @p page, host-resident
@@ -57,9 +54,8 @@ class UnifiedMemoryPolicy : public df::MemoryPolicy
                      const mem::PageRunState &rs,
                      std::vector<df::AccessSegment> &out);
 
-    Tick fault_cost_;
     /** Based at 0, so the LRU's page directory covers few chunks. */
-    alloc::VirtualArena arena_;
+    alloc::VirtualArena arena_{ 0 };
 
     /** LRU order of device-resident pages (front = least recent),
      *  touched a run at a time.  Every queued page is mapped:

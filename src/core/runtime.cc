@@ -123,7 +123,6 @@ RuntimeConfig::gpu(std::uint64_t hbm_bytes)
     // Sustained FP32 throughput + kernel-launch overhead.
     cfg.exec = { 10.0e12, 8 * kUsec };
     cfg.profiler.gpu_pinned = true;
-    cfg.profiler.gpu_link_bw = 11e9;
     cfg.sentinel.gpu_mode = true;
     return cfg;
 }

@@ -7,6 +7,31 @@
 
 namespace sentinel::core {
 
+namespace {
+
+/** One-time planning cost charged to the first step (the "quick
+ *  exploration" of Sec. IV-D). */
+constexpr Tick kPlannerOverhead = 100 * kUsec;
+
+/** A step counts as divergent when its observed time exceeds
+ *  (1 + kDivergenceThreshold) x the planned step time. */
+constexpr double kDivergenceThreshold = 0.25;
+
+/** Consecutive divergent steps required before re-planning. */
+constexpr int kDivergencePatience = 2;
+
+/** Minimum steps between two re-plans (let the new plan settle). */
+constexpr int kReplanCooldown = 3;
+
+/** Planner cost charged to the step that triggers a re-plan. */
+constexpr Tick kReplanOverhead = 50 * kUsec;
+
+/** Re-runs of an inconclusive test-and-trial (a Case-2/Case-3
+ *  perturbation landing in exactly one of the two trial steps). */
+constexpr int kMaxTrialRetries = 2;
+
+} // namespace
+
 SentinelPolicy::SentinelPolicy(const prof::ProfileDatabase &db,
                                SentinelOptions opts)
     : db_(db), opts_(opts), packed_(kPackedBase)
@@ -241,7 +266,7 @@ SentinelPolicy::onTrainingStart(df::Executor &ex)
     std::uint64_t S = hm.tier(mem::Tier::Fast).capacity();
 
     std::uint64_t rs_cap = static_cast<std::uint64_t>(
-        static_cast<double>(S) * opts_.rs_cap_fraction);
+        static_cast<double>(S) * kRsCapFraction);
     rs_cap = mem::roundUpToPages(rs_cap);
 
     PlannerInputs in;
@@ -263,7 +288,7 @@ SentinelPolicy::onTrainingStart(df::Executor &ex)
     evict_mark_.assign(graph.numTensors(), 0);
 
     // One-time planning cost (the "quick exploration" of Sec. IV-D).
-    ex.chargePolicy(opts_.planner_overhead);
+    ex.chargePolicy(kPlannerOverhead);
 
     if (opts_.gpu_mode) {
         mode_stall_ = true;
@@ -337,12 +362,12 @@ SentinelPolicy::replan(df::Executor &ex, int step)
     ++replans_;
     last_replan_step_ = step;
     divergent_streak_ = 0;
-    ex.chargePolicy(opts_.replan_overhead);
+    ex.chargePolicy(kReplanOverhead);
     auditAppend(ex, telemetry::AuditReason::kReplanDivergence,
                 telemetry::kAuditNoTensor, 0);
     if (telemetry_) {
         telemetry_->emit(telemetry::EventType::Replan, ex.now(),
-                         opts_.replan_overhead, 0,
+                         kReplanOverhead, 0,
                          static_cast<std::uint32_t>(step));
         replan_ctr_->add(1);
     }
@@ -719,7 +744,7 @@ SentinelPolicy::onStepEnd(df::Executor &ex, int step)
         trial_ = TrialState::TrialLeave;
     } else if (trial_ == TrialState::TrialLeave) {
         if (perturb_this_step_ != trial_stall_perturb_ &&
-            trial_retries_ < opts_.max_trial_retries) {
+            trial_retries_ < kMaxTrialRetries) {
             // A Case-2/Case-3 perturbation landed in exactly one of
             // the two trial steps: the stall-vs-leave times are not
             // comparable.  Re-run the trial instead of committing to
@@ -742,10 +767,9 @@ SentinelPolicy::onStepEnd(df::Executor &ex, int step)
     Tick planned = planned_step_time_;
     if (planned <= 0)
         return;
-    double thr = opts_.divergence_threshold;
     bool slow_step =
         static_cast<double>(step_time) >
-        static_cast<double>(planned) * (1.0 + thr);
+        static_cast<double>(planned) * (1.0 + kDivergenceThreshold);
     // Prefetch lag is tracked (lag counter, Case-3 events) but only an
     // actually-slow step feeds the streak: persistent lag behind an
     // acceptable step time means the plan is still hiding the latency,
@@ -765,9 +789,9 @@ SentinelPolicy::onStepEnd(df::Executor &ex, int step)
     }
     bool cooled =
         last_replan_step_ < 0 ||
-        step - last_replan_step_ >= opts_.replan_cooldown;
-    if (divergent_streak_ >= opts_.divergence_patience && cooled &&
-        replans_ < opts_.max_replans) {
+        step - last_replan_step_ >= kReplanCooldown;
+    if (divergent_streak_ >= kDivergencePatience && cooled &&
+        replans_ < kMaxReplans) {
         replan(ex, step);
     }
 }

@@ -87,12 +87,6 @@ struct SentinelOptions {
      */
     int forced_mil = 0;
 
-    /** One-time planning cost charged to the first step. */
-    Tick planner_overhead = 100 * kUsec;
-
-    /** Fraction of fast memory the reservation may occupy at most. */
-    double rs_cap_fraction = 0.6;
-
     /**
      * Online divergence monitoring: compare each steady step against
      * the planner's estimate and re-plan mid-training when the run no
@@ -100,27 +94,13 @@ struct SentinelOptions {
      * drifted layer times — the scenarios the fault injector creates).
      */
     bool enable_divergence_monitor = true;
-
-    /** A step counts as divergent when its observed time exceeds
-     *  (1 + divergence_threshold) x the planned step time. */
-    double divergence_threshold = 0.25;
-
-    /** Consecutive divergent steps required before re-planning. */
-    int divergence_patience = 2;
-
-    /** Minimum steps between two re-plans (let the new plan settle). */
-    int replan_cooldown = 3;
-
-    /** Hard cap on mid-training re-plans per run. */
-    int max_replans = 4;
-
-    /** Planner cost charged to the step that triggers a re-plan. */
-    Tick replan_overhead = 50 * kUsec;
-
-    /** Re-runs of an inconclusive test-and-trial (a Case-2/Case-3
-     *  perturbation landing in exactly one of the two trial steps). */
-    int max_trial_retries = 2;
 };
+
+/** Fraction of fast memory the reservation may occupy at most. */
+inline constexpr double kRsCapFraction = 0.6;
+
+/** Hard cap on mid-training re-plans per run. */
+inline constexpr int kMaxReplans = 4;
 
 class SentinelPolicy : public df::MemoryPolicy
 {

@@ -128,24 +128,19 @@ sizePlatform(const ExperimentConfig &cfg, const std::string &policy,
             static_cast<unsigned long long>(fast_bytes),
             static_cast<unsigned long long>(mem::kPageSize)));
     if (policy == "sentinel" && cfg.sentinel.use_reserved_pool) {
-        double frac = cfg.sentinel.rs_cap_fraction;
-        if (frac <= 0.0 || frac > 1.0)
-            throw ConfigError(strprintf(
-                "config: sentinel.rs_cap_fraction must lie in (0, 1] "
-                "(got %g)",
-                frac));
         // The pool cap is what the policy itself would reserve; if it
         // rounds up to the whole tier nothing is left for long-lived
         // pages and the run degenerates.
         std::uint64_t rs_cap = mem::roundUpToPages(
             static_cast<std::uint64_t>(
-                static_cast<double>(fast_bytes) * frac));
+                static_cast<double>(fast_bytes) * core::kRsCapFraction));
         if (rs_cap >= fast_bytes)
             throw ConfigError(strprintf(
-                "config: reserved short-lived pool cap (%llu bytes at "
-                "rs_cap_fraction %g) would consume the whole fast tier "
-                "(%llu bytes); raise fast_bytes or lower the fraction",
-                static_cast<unsigned long long>(rs_cap), frac,
+                "config: reserved short-lived pool cap (%llu bytes, "
+                "%g of the tier) would consume the whole fast tier "
+                "(%llu bytes); raise fast_bytes",
+                static_cast<unsigned long long>(rs_cap),
+                core::kRsCapFraction,
                 static_cast<unsigned long long>(fast_bytes)));
     }
 

@@ -17,6 +17,13 @@ namespace sentinel::harness {
 
 namespace {
 
+/** Parallelism of the determinism check's comparison sweep. */
+constexpr int kDetJobs = 4;
+
+/** Telemetry ring size per cell; large enough that small fuzz graphs
+ *  never drop events (drops void the audit-join check). */
+constexpr std::size_t kRingCapacity = 1u << 18;
+
 struct CellResult {
     OracleCell cell;
     std::vector<OracleViolation> violations;
@@ -94,8 +101,7 @@ runCell(const ExperimentConfig &base, const df::Graph &graph,
     bool oversized = policy == "fast-only" && base.fast_bytes == 0;
     cfg.fast_bytes = oversized ? 0 : fast_bytes;
 
-    telemetry::Session session(
-        telemetry::TelemetryConfig{ opts.ring_capacity });
+    telemetry::Session session(telemetry::TelemetryConfig{ kRingCapacity });
     telemetry::AttributionEngine attr;
     telemetry::AuditLog audit;
     cfg.telemetry = &session;
@@ -346,15 +352,10 @@ runOracle(const ExperimentConfig &base, const OracleOptions &opts)
             }
         if (!ref)
             continue;
-        double tol = opts.traffic_rel_tol *
-                     static_cast<double>(ref->total_traffic);
         for (const OracleCell &c : report.cells) {
             if (c.platform != plat || !c.ran || &c == ref)
                 continue;
-            double delta =
-                static_cast<double>(c.total_traffic) -
-                static_cast<double>(ref->total_traffic);
-            if (delta < -tol || delta > tol)
+            if (c.total_traffic != ref->total_traffic)
                 report.violations.push_back(OracleViolation{
                     "traffic", c.policy, plat,
                     strprintf("total traffic %llu bytes != reference "
@@ -380,7 +381,7 @@ runOracle(const ExperimentConfig &base, const OracleOptions &opts)
             cell.policy = e.policy;
             sweep.push_back(std::move(cell));
         }
-        std::vector<Metrics> plain = runSweep(sweep, opts.det_jobs);
+        std::vector<Metrics> plain = runSweep(sweep, kDetJobs);
         for (std::size_t i = 0; i < matrix.size(); ++i) {
             if (!results[i].violations.empty())
                 continue; // already failing; metrics are meaningless
@@ -392,7 +393,7 @@ runOracle(const ExperimentConfig &base, const OracleOptions &opts)
                     platformName(matrix[i].platform),
                     strprintf("instrumented serial run disagrees with "
                               "plain --jobs %d sweep: %s",
-                              opts.det_jobs, diff.c_str()) });
+                              kDetJobs, diff.c_str()) });
         }
     }
     return report;

@@ -60,14 +60,6 @@ struct OracleOptions {
      * the cost; the committed-seed suites turn it off.
      */
     bool check_determinism = true;
-    int det_jobs = 4; ///< parallelism of the comparison sweep
-
-    /** Telemetry ring size per cell; large enough that small fuzz
-     *  graphs never drop events (drops void the audit-join check). */
-    std::size_t ring_capacity = 1u << 18;
-
-    /** Relative tolerance of the traffic invariant (0 = exact). */
-    double traffic_rel_tol = 0.0;
 
     // --- Test-only chaos hooks (shrinker acceptance tests) -------------
     // Both act at *check* time, never on the simulation, so an injected

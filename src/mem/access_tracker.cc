@@ -12,7 +12,7 @@ AccessTracker::onAccess(PageRun run, bool is_write, std::uint64_t count)
     log_.push_back({ run, is_write, count });
     const std::uint64_t faults = run.count * count;
     total_faults_ += faults;
-    return fault_cost_ * static_cast<Tick>(faults);
+    return kFaultCost * static_cast<Tick>(faults);
 }
 
 std::vector<PageRunCounts>

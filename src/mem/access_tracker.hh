@@ -49,14 +49,9 @@ struct PageRunCounts {
 class AccessTracker
 {
   public:
-    /**
-     * @param fault_cost cost of one protection fault + PTE poison +
-     *        TLB flush round-trip, charged per observed access.
-     */
-    explicit AccessTracker(Tick fault_cost = 2 * kUsec)
-        : fault_cost_(fault_cost)
-    {
-    }
+    /** Cost of one protection fault + PTE poison + TLB flush
+     *  round-trip, charged per observed access. */
+    static constexpr Tick kFaultCost = 2 * kUsec;
 
     /**
      * Observe @p count accesses to every page of @p run, all of whose
@@ -82,7 +77,6 @@ class AccessTracker
         std::uint64_t count;
     };
 
-    Tick fault_cost_;
     std::vector<Access> log_;
     std::uint64_t total_faults_ = 0;
 };

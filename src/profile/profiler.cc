@@ -167,7 +167,7 @@ Profiler::profile(const df::Graph &graph, mem::HeterogeneousMemory &hm,
 
     ProfilingPolicy policy(db);
     df::Executor ex(graph, hm, params, policy);
-    mem::AccessTracker tracker(opts_.fault_cost);
+    mem::AccessTracker tracker;
     ex.setAccessTracker(&tracker);
 
     result.profiling_step = ex.runStep();
@@ -237,9 +237,10 @@ Profiler::profile(const df::Graph &graph, mem::HeterogeneousMemory &hm,
         // Two copies of each preallocated tensor are kept during GPU
         // profiling (pinned host copy + device copy); synchronizing
         // them afterwards moves the preallocated bytes once over the
-        // link (Sec. V).
+        // link toward the device (Sec. V).
         result.sync_overhead =
-            transferTime(graph.preallocatedBytes(), opts_.gpu_link_bw);
+            transferTime(graph.preallocatedBytes(),
+                         hm.promoteChannel().bandwidth());
         result.profiling_step.step_time += result.sync_overhead;
     }
 
@@ -253,7 +254,7 @@ Profiler::profilePageLevel(const df::Graph &graph,
 {
     PackedSlowPolicy policy;
     df::Executor ex(graph, hm, params, policy);
-    mem::AccessTracker tracker(opts_.fault_cost);
+    mem::AccessTracker tracker;
     ex.setAccessTracker(&tracker);
     ex.runStep();
 

@@ -34,14 +34,9 @@
 namespace sentinel::prof {
 
 struct ProfilerOptions {
-    /** Cost of one protection fault + PTE poison + TLB flush. */
-    Tick fault_cost = 2 * kUsec;
-
-    /** GPU mode: profile through customized pinned host memory. */
+    /** GPU mode: profile through customized pinned host memory, and
+     *  synchronize the two copies over the profiling HM's link 0. */
     bool gpu_pinned = false;
-
-    /** Link bandwidth used for the GPU two-copy synchronization. */
-    double gpu_link_bw = 12e9;
 };
 
 struct ProfileResult {

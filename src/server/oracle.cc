@@ -132,25 +132,23 @@ runServerOracle(const ServerConfig &cfg, const std::vector<JobSpec> &specs,
 
         // Independent solo re-run: the server must not have perturbed
         // the job's simulation in any way — identical config in a
-        // fresh harness must reproduce the trace bit for bit.
-        if (opts.check_solo_rerun) {
-            harness::ExperimentConfig ec;
-            ec.model = r.spec.model;
-            ec.batch = r.spec.batch;
-            ec.platform = cfg.platform;
-            ec.fast_bytes = r.quota_bytes;
-            ec.steps = r.steps;
-            ec.warmup = r.warmup;
-            ec.chaos = r.spec.chaos;
-            ec.chaos_seed = r.spec.chaos_seed;
-            harness::StepTrace solo =
-                harness::runExperimentSteps(ec, r.spec.policy);
-            std::string d = diffStepTraffic(r.solo_steps, solo.steps);
-            if (!d.empty())
-                violate(rep, cfg, "job-traffic", job,
-                        "co-located trace diverges from solo re-run: " +
-                            d);
-        }
+        // fresh harness must reproduce the trace bit for bit (this
+        // doubles the per-job simulation cost).
+        harness::ExperimentConfig ec;
+        ec.model = r.spec.model;
+        ec.batch = r.spec.batch;
+        ec.platform = cfg.platform;
+        ec.fast_bytes = r.quota_bytes;
+        ec.steps = r.steps;
+        ec.warmup = r.warmup;
+        ec.chaos = r.spec.chaos;
+        ec.chaos_seed = r.spec.chaos_seed;
+        harness::StepTrace solo =
+            harness::runExperimentSteps(ec, r.spec.policy);
+        std::string d = diffStepTraffic(r.solo_steps, solo.steps);
+        if (!d.empty())
+            violate(rep, cfg, "job-traffic", job,
+                    "co-located trace diverges from solo re-run: " + d);
     }
 
     // --- node-conservation -------------------------------------------

@@ -46,10 +46,6 @@ struct ServerOracleOptions {
 
     /** Run the serial-vs-parallel comparison (the cheap half). */
     bool check_determinism = true;
-
-    /** Re-run every completed job solo and compare traffic exactly
-     *  (doubles the per-job simulation cost). */
-    bool check_solo_rerun = true;
 };
 
 /** Run @p specs through the server and check the invariants above. */

@@ -39,11 +39,11 @@ JobScrape::attainment() const
 namespace {
 
 /** Series options for the SLO miss indicator: its window IS the burn
- *  window, whatever the general ring sizing says. */
+ *  window, whatever the default ring sizing says. */
 telemetry::TimeSeriesOptions
 missOptions(const ScrapeConfig &cfg)
 {
-    telemetry::TimeSeriesOptions o = cfg.series;
+    telemetry::TimeSeriesOptions o;
     o.window = std::max<std::size_t>(1, cfg.slo.window);
     o.capacity = std::max(o.capacity, o.window);
     return o;
@@ -81,11 +81,11 @@ ObservabilityPlane::attachJob(std::size_t j, const std::string &name,
     js.solo_mean_step = solo_mean;
     js.target_step = static_cast<Tick>(
         static_cast<double>(solo_mean) * cfg_.slo.target_factor);
-    js.step_ns = telemetry::TimeSeries(cfg_.series);
-    js.exposed_ns = telemetry::TimeSeries(cfg_.series);
-    js.throttle_ns = telemetry::TimeSeries(cfg_.series);
-    js.granted_bytes = telemetry::TimeSeries(cfg_.series);
-    js.resident_bytes = telemetry::TimeSeries(cfg_.series);
+    js.step_ns = telemetry::TimeSeries();
+    js.exposed_ns = telemetry::TimeSeries();
+    js.throttle_ns = telemetry::TimeSeries();
+    js.granted_bytes = telemetry::TimeSeries();
+    js.resident_bytes = telemetry::TimeSeries();
     js.misses = telemetry::TimeSeries(missOptions(cfg_));
 }
 

@@ -59,9 +59,6 @@ struct SloConfig {
 struct ScrapeConfig {
     SloConfig slo;
 
-    /** Ring/window sizing of every per-job series. */
-    telemetry::TimeSeriesOptions series;
-
     /** Write one snapshot frame every N job-step completions to the
      *  snapshot stream (0 = only the final frame, if a stream is
      *  attached at all). */

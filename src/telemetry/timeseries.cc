@@ -9,8 +9,6 @@ namespace sentinel::telemetry {
 TimeSeries::TimeSeries(TimeSeriesOptions opts) : opts_(opts)
 {
     SENTINEL_ASSERT(opts_.capacity > 0, "time series needs capacity");
-    SENTINEL_ASSERT(opts_.ewma_alpha > 0.0 && opts_.ewma_alpha <= 1.0,
-                    "ewma alpha %g outside (0, 1]", opts_.ewma_alpha);
     if (opts_.window == 0 || opts_.window > opts_.capacity)
         opts_.window = opts_.capacity;
     ring_.assign(opts_.capacity, 0);
@@ -29,7 +27,7 @@ TimeSeries::push(std::uint64_t v)
     ring_[static_cast<std::size_t>(total_ % opts_.capacity)] = v;
     ++total_;
     double x = static_cast<double>(v);
-    ewma_ = total_ == 1 ? x : ewma_ + opts_.ewma_alpha * (x - ewma_);
+    ewma_ = total_ == 1 ? x : ewma_ + kEwmaAlpha * (x - ewma_);
     sketch_.record(v);
 }
 
@@ -41,7 +39,7 @@ TimeSeries::pushAt(std::uint64_t v, Tick now)
         ewma_rate_ = ewma_rate_ == 0.0
                          ? rate
                          : ewma_rate_ +
-                               opts_.ewma_alpha * (rate - ewma_rate_);
+                               kEwmaAlpha * (rate - ewma_rate_);
     }
     last_tick_ = now;
     push(v);

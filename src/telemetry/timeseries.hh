@@ -43,9 +43,6 @@ struct TimeSeriesOptions {
 
     /** Sliding-window length in samples (clamped to capacity). */
     std::size_t window = 32;
-
-    /** EWMA smoothing factor in (0, 1]; higher = more reactive. */
-    double ewma_alpha = 0.25;
 };
 
 /** Point-in-time aggregate of a series' sliding window. */
@@ -60,6 +57,9 @@ struct WindowStats {
 class TimeSeries
 {
   public:
+    /** EWMA smoothing factor of the value and the rate averages. */
+    static constexpr double kEwmaAlpha = 0.25;
+
     explicit TimeSeries(TimeSeriesOptions opts = {});
 
     /** Record one sample.  O(1), allocation-free. */

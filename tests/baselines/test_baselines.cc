@@ -49,13 +49,47 @@ struct Rig {
 
 // ---------------------------------------------------------------- IAL
 
-TEST(Ial, PromotesHotPagesAfterThreshold)
+TEST(Ial, PromotesAnIdleSlowPageOnItsFourthAccess)
 {
-    Rig rig(128 * 1024);
-    IalPolicy policy(/*threshold=*/2);
-    df::StepStats s = rig.steady(policy);
-    EXPECT_GT(policy.promotionsRequested(), 0u);
-    EXPECT_GT(s.promoted_bytes, 0u);
+    // A slow, idle page pays a hint fault on every access; the first
+    // kPromoteThreshold - 1 leave it where it is, and the next one
+    // promotes it and also pays the in-kernel copy.
+    static_assert(IalPolicy::kPromoteThreshold == 4);
+    core::RuntimeConfig rc = core::RuntimeConfig::optane(64 * mem::kPageSize);
+    mem::HeterogeneousMemory hm(rc.fast, rc.slow, rc.migration);
+    df::Graph graph = sentinel::testing::makeToyGraph();
+    IalPolicy policy;
+    df::Executor ex(graph, hm, rc.exec, policy);
+    const mem::PageId page = 1000;
+    hm.mapRange(page, 1, mem::Tier::Slow);
+
+    std::vector<df::AccessSegment> out;
+    for (int i = 1; i < IalPolicy::kPromoteThreshold; ++i) {
+        SCOPED_TRACE(i);
+        out.clear();
+        policy.onRangeAccess(ex, { page, 1 }, false, out);
+        ASSERT_EQ(out.size(), 1u);
+        EXPECT_EQ(out[0].pages, 1u);
+        EXPECT_EQ(out[0].extra, IalPolicy::kHintFaultCost);
+        EXPECT_EQ(out[0].stall_events, 1u);
+        EXPECT_FALSE(out[0].effective.has_value());
+        EXPECT_EQ(policy.promotionsRequested(), 0u);
+        mem::PageRunState rs = hm.residentRange(page, 1, ex.now());
+        EXPECT_EQ(rs.tier, mem::Tier::Slow);
+        EXPECT_FALSE(rs.in_flight);
+    }
+
+    out.clear();
+    policy.onRangeAccess(ex, { page, 1 }, false, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].pages, 1u);
+    EXPECT_EQ(out[0].extra,
+              IalPolicy::kHintFaultCost + IalPolicy::kPromoteServiceCost);
+    EXPECT_EQ(out[0].stall_events, 1u);
+    EXPECT_EQ(out[0].effective, mem::Tier::Fast);
+    EXPECT_EQ(policy.promotionsRequested(), 1u);
+    EXPECT_TRUE(hm.residentRange(page, 1, ex.now()).in_flight);
+    EXPECT_TRUE(hm.flightInfo(page).toward_fast);
 }
 
 TEST(Ial, EvictsFifoWhenFastFills)

@@ -176,7 +176,7 @@ TEST(Executor, AccessTrackerCountsAndChargesFaults)
     Executor plain(g, hm_plain, ExecParams{}, *p1);
     Executor prof(g, hm_prof, ExecParams{}, *p2);
 
-    mem::AccessTracker tracker(2 * kUsec);
+    mem::AccessTracker tracker;
     prof.setAccessTracker(&tracker);
 
     StepStats s_plain = plain.runStep();

@@ -182,7 +182,7 @@ makeHm()
     return mem::HeterogeneousMemory(fast, slow, mig);
 }
 
-constexpr Tick kFaultCost = 1500;
+constexpr Tick kFaultCost = mem::AccessTracker::kFaultCost;
 
 struct ComboResult {
     std::vector<StepStats> stats;
@@ -202,7 +202,7 @@ runCombo(bool batched_policy, bool profiled, int steps = 3)
     auto hm = makeHm();
     MigratingTestPolicy policy(tg.weight, batched_policy);
     Executor ex(tg.graph, hm, ExecParams{}, policy);
-    mem::AccessTracker tracker(kFaultCost);
+    mem::AccessTracker tracker;
     if (profiled)
         ex.setAccessTracker(&tracker);
     ComboResult r;
@@ -316,7 +316,7 @@ TEST(ExtentEquivalence, TrackerCountsMatchClosedForm)
         auto hm = makeHm();
         MigratingTestPolicy policy(tg.weight, batched);
         Executor ex(tg.graph, hm, ExecParams{}, policy);
-        mem::AccessTracker tracker(kFaultCost);
+        mem::AccessTracker tracker;
         ex.setAccessTracker(&tracker);
         // Per page: {reads, writes}.
         std::map<mem::PageId, std::pair<std::uint64_t, std::uint64_t>> want;

@@ -230,17 +230,14 @@ TEST(Harness, RejectsSubPageFastTier)
 
 TEST(Harness, RejectsReservedPoolConsumingWholeTier)
 {
-    // One page of fast memory: the default rs_cap_fraction rounds up to
-    // the whole tier, which would leave Sentinel's long-lived plan with
-    // nothing.  Other policies accept the same (tiny but valid) tier.
+    // One page of fast memory: the pool cap (core::kRsCapFraction of
+    // the tier) rounds up to the whole tier, which would leave
+    // Sentinel's long-lived plan with nothing.  Other policies accept
+    // the same (tiny but valid) tier.
     ExperimentConfig cfg = smallConfig();
     cfg.fast_bytes = mem::kPageSize;
     EXPECT_THROW(runExperiment(cfg, "sentinel"), ConfigError);
     EXPECT_NO_THROW(runExperiment(cfg, "numa"));
-
-    cfg = smallConfig();
-    cfg.sentinel.rs_cap_fraction = 1.5;
-    EXPECT_THROW(runExperiment(cfg, "sentinel"), ConfigError);
 }
 
 TEST(Harness, ConfigErrorIsDistinguishableFromRunFailures)

@@ -241,7 +241,7 @@ TEST(ZeroAlloc, GpuSentinelUnderPressureStepDoesNotAllocate)
     harness::Cell cell(cfg, "sentinel");
     df::Executor &ex = cell.executor();
     ex.run(16);
-    ASSERT_EQ(cell.sentinel()->replans(), cfg.sentinel.max_replans);
+    ASSERT_EQ(cell.sentinel()->replans(), core::kMaxReplans);
     std::uint64_t before = common::allocCount();
     for (int i = 0; i < 50; ++i)
         ex.runStep();

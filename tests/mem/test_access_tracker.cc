@@ -42,8 +42,9 @@ TEST(AccessTracker, ReadsAndWritesSeparate)
 
 TEST(AccessTracker, FaultCostScalesWithCount)
 {
-    AccessTracker t(500);
-    EXPECT_EQ(t.onAccess({ 1, 1 }, false, 10), 5000);
+    AccessTracker t;
+    EXPECT_EQ(t.onAccess({ 1, 1 }, false, 10),
+              10 * AccessTracker::kFaultCost);
     EXPECT_EQ(t.totalFaults(), 10u);
 }
 
@@ -63,8 +64,9 @@ TEST(AccessTracker, CountsOutliveTheirRun)
 
 TEST(AccessTracker, RunChargesOneFaultPerPage)
 {
-    AccessTracker t(100);
-    EXPECT_EQ(t.onAccess({ 10, 4 }, true, 3), 4 * 3 * 100);
+    AccessTracker t;
+    EXPECT_EQ(t.onAccess({ 10, 4 }, true, 3),
+              4 * 3 * AccessTracker::kFaultCost);
     EXPECT_EQ(t.totalFaults(), 12u);
     const auto runs = t.pageCounts();
     ASSERT_EQ(runs.size(), 1u);
@@ -112,14 +114,13 @@ TEST(AccessTracker, MatchesPerPageReference)
     // neighbours share edge pages) and freed addresses reused, the
     // reference tracking exactly the runs the edge refcounts map and
     // unmap, and accesses to sub-runs of live tensors only.
-    constexpr Tick kCost = 700;
     bool shared = false;
     bool reused = false;
     for (std::uint32_t seed = 1; seed <= 16; ++seed) {
         SCOPED_TRACE(::testing::Message() << "seed " << seed);
         std::mt19937_64 rng(seed);
-        AccessTracker t(kCost);
-        sentinel::testing::RefAccessTracker ref(kCost);
+        AccessTracker t;
+        sentinel::testing::RefAccessTracker ref(AccessTracker::kFaultCost);
         alloc::VirtualArena arena(0);
         std::vector<df::TensorPlacement> live;
         std::set<PageId> unmapped;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mem/access_tracker.hh"
 #include "mem/hm.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
@@ -53,9 +54,7 @@ TEST(Profiler, CountsAreExact)
         mem::TierParams fast{ "dram", 64ull << 20, 50e9, 40e9, 80, 80 };
         mem::TierParams slow{ "pmm", 64ull << 30, 6e9, 2e9, 300, 100 };
         mem::HeterogeneousMemory hm(fast, slow, { 4e9, 2e9, 2000 });
-        ProfilerOptions opts;
-        opts.fault_cost = 1500;
-        ProfileResult r = Profiler(opts).profile(g, hm, df::ExecParams{});
+        ProfileResult r = Profiler().profile(g, hm, df::ExecParams{});
 
         std::vector<std::uint64_t> expected(g.numTensors(), 0);
         for (const auto &op : g.ops())
@@ -73,7 +72,8 @@ TEST(Profiler, CountsAreExact)
         }
         EXPECT_GT(total, 0u);
         EXPECT_EQ(r.profiling_step.fault_overhead,
-                  opts.fault_cost * static_cast<Tick>(total));
+                  mem::AccessTracker::kFaultCost *
+                      static_cast<Tick>(total));
     }
 }
 
@@ -169,19 +169,24 @@ TEST(Profiler, ShortLivedPeakMatchesGraph)
     EXPECT_GE(r.db.shortLivedPeakBytes(), g.peakShortLivedBytes());
 }
 
-TEST(Profiler, GpuPinnedModeChargesSync)
+TEST(Profiler, GpuPinnedSyncRunsAtTheProfiledLinkBandwidth)
 {
+    // The two-copy synchronization moves the preallocated bytes once
+    // over link 0 toward the device, at that link's bandwidth: two
+    // HMs that differ only there charge different syncs.
     df::Graph g = makeToyGraph();
-    auto hm = makeHm();
     ProfilerOptions opts;
     opts.gpu_pinned = true;
-    opts.gpu_link_bw = 12e9;
     Profiler p(opts);
-    ProfileResult r = p.profile(g, hm, df::ExecParams{});
-    // The two-copy synchronization moves the preallocated bytes once.
-    EXPECT_EQ(r.sync_overhead,
-              transferTime(g.preallocatedBytes(), 12e9));
-    EXPECT_GT(r.sync_overhead, 0);
+    mem::TierParams fast{ "hbm", 64ull << 20, 800e9, 750e9, 300, 300 };
+    mem::TierParams slow{ "host", 64ull << 30, 11e9, 11e9, 1000, 1000 };
+    for (double bw : { 4e9, 16e9 }) {
+        SCOPED_TRACE(bw);
+        mem::HeterogeneousMemory hm(fast, slow, { bw, 11e9, 10000 });
+        ProfileResult r = p.profile(g, hm, df::ExecParams{});
+        EXPECT_GT(r.sync_overhead, 0);
+        EXPECT_EQ(r.sync_overhead, transferTime(g.preallocatedBytes(), bw));
+    }
 }
 
 TEST(Profiler, PageLevelProfileShowsFalseSharing)

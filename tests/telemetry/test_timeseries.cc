@@ -29,7 +29,7 @@ TEST(TimeSeries, EmptySeriesReadsAsZero)
 
 TEST(TimeSeries, WindowTracksTheLastWSamples)
 {
-    TimeSeries ts({ /*capacity=*/8, /*window=*/4, /*alpha=*/0.5 });
+    TimeSeries ts({ /*capacity=*/8, /*window=*/4 });
     for (std::uint64_t v = 1; v <= 10; ++v)
         ts.push(v * 10);
     // Window covers {70, 80, 90, 100}.
@@ -45,7 +45,7 @@ TEST(TimeSeries, WindowTracksTheLastWSamples)
 
 TEST(TimeSeries, PartialWindowBeforeWSamples)
 {
-    TimeSeries ts({ 8, 4, 0.5 });
+    TimeSeries ts({ 8, 4 });
     ts.push(6);
     ts.push(2);
     WindowStats w = ts.window();
@@ -58,7 +58,7 @@ TEST(TimeSeries, PartialWindowBeforeWSamples)
 
 TEST(TimeSeries, RingRetainsTheNewestCapacitySamples)
 {
-    TimeSeries ts({ /*capacity=*/4, /*window=*/4, 0.5 });
+    TimeSeries ts({ /*capacity=*/4, /*window=*/4 });
     for (std::uint64_t v = 1; v <= 6; ++v)
         ts.push(v);
     ASSERT_EQ(ts.retained(), 4u);
@@ -71,7 +71,7 @@ TEST(TimeSeries, WindowClampedToCapacity)
 {
     // A window wider than the ring silently clamps: the incremental
     // sum can only ever cover retained samples.
-    TimeSeries ts({ /*capacity=*/4, /*window=*/16, 0.5 });
+    TimeSeries ts({ /*capacity=*/4, /*window=*/16 });
     EXPECT_EQ(ts.options().window, 4u);
     for (std::uint64_t v = 1; v <= 8; ++v)
         ts.push(1);
@@ -80,11 +80,11 @@ TEST(TimeSeries, WindowClampedToCapacity)
 
 TEST(TimeSeries, EwmaConvergesTowardConstantInput)
 {
-    TimeSeries ts({ 16, 8, /*alpha=*/0.25 });
+    TimeSeries ts({ 16, 8 });
     ts.push(100); // first sample initializes the EWMA exactly
     EXPECT_DOUBLE_EQ(ts.ewma(), 100.0);
     ts.push(200);
-    EXPECT_DOUBLE_EQ(ts.ewma(), 125.0); // 100 + 0.25 * (200 - 100)
+    EXPECT_DOUBLE_EQ(ts.ewma(), 100.0 + TimeSeries::kEwmaAlpha * 100.0);
     for (int i = 0; i < 100; ++i)
         ts.push(200);
     EXPECT_NEAR(ts.ewma(), 200.0, 1e-6);
@@ -92,18 +92,22 @@ TEST(TimeSeries, EwmaConvergesTowardConstantInput)
 
 TEST(TimeSeries, RateEwmaUsesSimulatedTime)
 {
-    TimeSeries ts({ 16, 8, 1.0 }); // alpha 1: rate == last measured
+    TimeSeries ts({ 16, 8 });
     // First stamped push anchors the clock, no rate yet.
     ts.pushAt(1000, /*now=*/1'000'000);
     EXPECT_EQ(ts.ewmaRate(), 0.0);
-    // 1000 units over 1 ms of simulated time = 1e6 units/s.
+    // 1000 units over 1 ms of simulated time = 1e6 units/s; the first
+    // measured rate initializes the average exactly.
     ts.pushAt(1000, 2'000'000);
     EXPECT_NEAR(ts.ewmaRate(), 1e6, 1.0);
+    // 3000 units over the next 1 ms = 3e6 units/s, folded in at alpha.
+    ts.pushAt(3000, 3'000'000);
+    EXPECT_NEAR(ts.ewmaRate(), 1e6 + TimeSeries::kEwmaAlpha * 2e6, 1.0);
 }
 
 TEST(TimeSeries, SketchTracksAllSamplesNotJustTheRing)
 {
-    TimeSeries ts({ /*capacity=*/4, 4, 0.5 });
+    TimeSeries ts({ /*capacity=*/4, 4 });
     for (int i = 0; i < 100; ++i)
         ts.push(100); // bit width 7 -> bucket upper bound 127
     ts.push(1ull << 30);
@@ -114,7 +118,7 @@ TEST(TimeSeries, SketchTracksAllSamplesNotJustTheRing)
 
 TEST(TimeSeries, ResetKeepsCapacityDropsData)
 {
-    TimeSeries ts({ 4, 4, 0.5 });
+    TimeSeries ts({ 4, 4 });
     for (std::uint64_t v = 1; v <= 6; ++v)
         ts.pushAt(v, static_cast<Tick>(v) * 1000);
     ts.reset();

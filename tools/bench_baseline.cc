@@ -173,8 +173,9 @@ collect(bool wall)
     // GPU demand paging, and GPU Sentinel under enough pressure that
     // its demand faults evict (dcgan b52 on a 75 MiB device).  The
     // latter runs off-plan, so its divergence monitor re-plans until
-    // the budget (max_replans, 4) is spent, by step 14; each re-plan
-    // allocates in the planner, so the measured steps come after.
+    // the budget (core::kMaxReplans, 4) is spent, by step 14; each
+    // re-plan allocates in the planner, so the measured steps come
+    // after.
     addCell(out, "gpu.resnet32", gpuCellConfig("resnet32", 32, 0), "um");
     harness::ExperimentConfig pressure = gpuCellConfig("dcgan", 52, 75);
     pressure.warmup = 14;
