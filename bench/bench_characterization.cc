@@ -75,7 +75,7 @@ main(int argc, char **argv)
         auto cfg = core::RuntimeConfig::optane(1ull << 30);
         prof::Profiler profiler(cfg.profiler);
 
-        mem::HeterogeneousMemory hm1(cfg.fast, cfg.slow, cfg.migration);
+        mem::HeterogeneousMemory hm1(cfg.tierChain(), cfg.linkChain());
         auto profile = profiler.profile(g, hm1, cfg.exec);
 
         Histogram tensor_hist({ 10, 100 });
@@ -103,7 +103,7 @@ main(int argc, char **argv)
                       tensor_hist.totalWeight(),
                   2);
 
-        mem::HeterogeneousMemory hm2(cfg.fast, cfg.slow, cfg.migration);
+        mem::HeterogeneousMemory hm2(cfg.tierChain(), cfg.linkChain());
         auto pages = profiler.profilePageLevel(g, hm2, cfg.exec);
         Histogram page_hist({ 10, 100 });
         for (const auto &pe : pages)

@@ -33,7 +33,7 @@ main()
         // Profiling overheads measured at the small batch.
         auto cfg = core::RuntimeConfig::optane(
             mem::roundUpToPages(small.peakMemoryBytes() / 5));
-        mem::HeterogeneousMemory phm(cfg.fast, cfg.slow, cfg.migration);
+        mem::HeterogeneousMemory phm(cfg.tierChain(), cfg.linkChain());
         prof::Profiler profiler(cfg.profiler);
         auto profile = profiler.profile(small, phm, cfg.exec);
 

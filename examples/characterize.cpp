@@ -64,7 +64,7 @@ main(int argc, char **argv)
     // --- Observation 2: main-memory access distribution -----------------
     auto cfg = core::RuntimeConfig::optane(1ull << 30);
     prof::Profiler profiler(cfg.profiler);
-    mem::HeterogeneousMemory hm(cfg.fast, cfg.slow, cfg.migration);
+    mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
     auto profile = profiler.profile(g, hm, cfg.exec);
 
     Histogram hotness({ 1, 10, 100 });
@@ -84,7 +84,7 @@ main(int argc, char **argv)
     }
 
     // --- Observation 3: page-level vs tensor-level profiling -------------
-    mem::HeterogeneousMemory hm2(cfg.fast, cfg.slow, cfg.migration);
+    mem::HeterogeneousMemory hm2(cfg.tierChain(), cfg.linkChain());
     auto pages = profiler.profilePageLevel(g, hm2, cfg.exec);
     Histogram page_hot({ 1, 10, 100 });
     for (const auto &pe : pages)

@@ -39,18 +39,8 @@ class PlannedPolicy : public df::MemoryPolicy
     df::AllocDecision allocate(df::Executor &ex,
                                const df::TensorDesc &tensor) override;
 
-    void onRangeAccess(df::Executor &, mem::PageRun run, bool,
-                       std::vector<df::AccessSegment> &out) override
-    {
-        // Static layout, no reaction: one segment for the whole run.
-        df::AccessSegment seg;
-        seg.pages = run.count;
-        out.push_back(seg);
-    }
-
     /** Address-space high-water of the offline plan. */
     std::uint64_t footprint() const { return plan_.footprint; }
-    const plan::OffsetPlan &offsetPlan() const { return plan_; }
 
   private:
     plan::OffsetPlan plan_;

@@ -58,17 +58,6 @@ class PackedReferencePolicy : public df::MemoryPolicy
         arena_.free(pl.addr, pl.bytes);
     }
 
-    void
-    onRangeAccess(df::Executor &, mem::PageRun run, bool,
-                  std::vector<df::AccessSegment> &out) override
-    {
-        // Never migrates and never reacts: the whole run is one
-        // segment; the executor resolves residency per tier run.
-        df::AccessSegment seg;
-        seg.pages = run.count;
-        out.push_back(seg);
-    }
-
     /** Address-space footprint, for the profiling-overhead analysis. */
     std::uint64_t footprint() const { return arena_.highWater(); }
 

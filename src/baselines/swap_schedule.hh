@@ -48,25 +48,6 @@ class ScheduledSwapPolicy : public df::MemoryPolicy
                                const df::TensorDesc &tensor) override;
     void onTensorFreed(df::Executor &ex, df::TensorId id,
                        const df::TensorPlacement &pl) override;
-    bool
-    stallForInflight(df::Executor &, mem::PageId) override
-    {
-        return true; // a scheduled swap-in is always worth waiting for
-    }
-
-    void
-    onRangeAccess(df::Executor &, mem::PageRun run, bool,
-                  std::vector<df::AccessSegment> &out) override
-    {
-        // Schedule-driven policies act only at layer boundaries; page
-        // accesses take no policy action (onPageAccess is the base
-        // default), so the whole run is one trivial segment and the
-        // executor's walk handles in-flight swaps page by page.
-        df::AccessSegment seg;
-        seg.pages = run.count;
-        out.push_back(seg);
-    }
-
     Placement placementOf(df::TensorId id) const;
 
   protected:

@@ -142,8 +142,6 @@ class SentinelPolicy : public df::MemoryPolicy
     int divergenceEvents() const { return divergence_events_; }
     /** Mid-training re-plans performed. */
     int replans() const { return replans_; }
-    /** Planner's step-time estimate the monitor compares against. */
-    Tick plannedStepTime() const { return planned_step_time_; }
     std::uint64_t reservedPoolBytes() const;
     std::uint64_t reservedPoolPeak() const;
 

@@ -117,7 +117,6 @@ class Executor
      * environment degrades under it.
      */
     void setFaultInjector(sim::FaultInjector *inj) { chaos_ = inj; }
-    sim::FaultInjector *faultInjector() { return chaos_; }
 
     /** Layer currently executing (-1 outside the layer loop). */
     int currentLayer() const { return current_layer_; }

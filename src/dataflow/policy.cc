@@ -9,12 +9,19 @@ MemoryPolicy::onRangeAccess(Executor &ex, mem::PageRun run, bool is_write,
     // Per-page adapter: one page per invocation, through the legacy
     // hook.  The executor's range walk then degenerates to the exact
     // page-by-page sequence un-batched policies were written against.
-    PageAccessResult r = onPageAccess(ex, run.first, is_write);
+    // Once the base hook has run, nothing listens: it charges nothing
+    // and forces no tier, so the whole run is one segment.
     AccessSegment seg;
-    seg.pages = 1;
-    seg.extra = r.extra;
-    seg.stall_events = r.extra > 0 ? 1 : 0;
-    seg.effective = r.effective;
+    seg.pages = run.count;
+    if (!page_access_ignored_) {
+        PageAccessResult r = onPageAccess(ex, run.first, is_write);
+        if (!page_access_ignored_) {
+            seg.pages = 1;
+            seg.extra = r.extra;
+            seg.stall_events = r.extra > 0 ? 1 : 0;
+            seg.effective = r.effective;
+        }
+    }
     out.push_back(seg);
 }
 

@@ -15,17 +15,20 @@
  *    UM and IAL drop the run from their page queues;
  *  - onRangeAccess(), the batched access hook, where reactive
  *    page-level policies migrate on demand and charge critical-path
- *    costs.  Every policy in src/ overrides it and resolves its
- *    faults from the residency state it already read: UM and GPU
+ *    costs.  Every reactive policy in src/ overrides it and resolves
+ *    its faults from the residency state it already read: UM and GPU
  *    Sentinel fault a host-resident run in as one closed-form series
  *    (HeterogeneousMemory::faultSeries()), IAL resolves its hint
  *    fault, Memory Mode its cache misses.
  *
  * The per-page hooks onPageAccess() and onPageUnmapped() sit behind
  * the default onRangeAccess() and onRangeUnmapped() adapters, for
- * policies and wrappers written against them outside src/; no policy
- * in src/ is reached through them (UM keeps a one-page
- * onPageUnmapped() for wrappers that forward only that hook).
+ * policies and wrappers written against them outside src/.  A policy
+ * that overrides neither (the static layouts: the packed references,
+ * planned, the schedule-driven swap family and the profiler's own
+ * policies) reaches each base hook once, after which its adapter
+ * covers whole runs; UM keeps a one-page onPageUnmapped() for wrappers
+ * that forward only that hook.
  *
  * Hooks may charge time to the step through the Executor's charge*
  * methods; they never mutate the clock directly.
@@ -155,6 +158,7 @@ class MemoryPolicy
     virtual PageAccessResult
     onPageAccess(Executor &, mem::PageId, bool /*is_write*/)
     {
+        page_access_ignored_ = true;
         return {};
     }
 
@@ -165,8 +169,12 @@ class MemoryPolicy
      *
      * The default adapter routes exactly one page through
      * onPageAccess(): policy hook, stall, and clock advance per page.
-     * That is the per-page reference every batched override must
-     * match bit-for-bit, so overrides MUST only batch pages whose
+     * Once the base onPageAccess() has run, it instead covers the
+     * whole run with one segment that charges nothing and forces no
+     * tier, so a policy that overrides neither hook (a static layout)
+     * costs one call per run.  The per-page walk is the reference
+     * every batched override must match bit-for-bit, so overrides
+     * MUST only batch pages whose
      * treatment cannot depend on the clock advancing between them
      * (an attached AccessTracker advances it by one fault per access
      * to each resolved run).  A demand-fault series is the one
@@ -189,6 +197,8 @@ class MemoryPolicy
   private:
     /** The base onPageUnmapped() ran: this policy ignores unmaps. */
     bool page_unmap_ignored_ = false;
+    /** The base onPageAccess() ran: this policy ignores accesses. */
+    bool page_access_ignored_ = false;
 };
 
 } // namespace sentinel::df

@@ -67,16 +67,6 @@ struct StepStats {
         slow_bytes_by_kind[i] += bytes;
     }
 
-    /** Bounds-checked read of slow_bytes_by_kind. */
-    std::uint64_t
-    slowBytesFor(TensorKind kind) const
-    {
-        auto i = static_cast<std::size_t>(kind);
-        SENTINEL_ASSERT(i < kNumTensorKinds, "TensorKind %zu out of range",
-                        i);
-        return slow_bytes_by_kind[i];
-    }
-
     /** Migration volume during this step. */
     std::uint64_t promoted_bytes = 0;
     std::uint64_t demoted_bytes = 0;

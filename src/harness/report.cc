@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/percentile.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 #include "common/units.hh"
 
 namespace sentinel::harness {
@@ -176,35 +175,19 @@ buildStallReport(const df::Graph &graph, const AttributionEngine &attr,
                 { "interval", "exec (ms)", "exposed (ms)", "alloc (ms)",
                   "policy (ms)", "fault (ms)", "recomp (ms)", "stalls",
                   "promoted (MB)", "demoted (MB)", "total (ms)" });
-        // Pre-render every row concurrently; appending stays serial so
-        // the output is identical for any jobs value.
-        std::vector<std::pair<int, AttrBucket>> rows(
-            attr.byInterval().begin(), attr.byInterval().end());
-        std::vector<std::vector<std::string>> cells(rows.size());
-        parallelFor(rows.size(), opts.jobs, [&](std::size_t i) {
-            const AttrBucket &b = rows[i].second;
-            cells[i] = {
-                intervalLabel(rows[i].first),
-                strprintf("%.3f", ms(b.component(AttrComponent::Execution))),
-                strprintf("%.3f", ms(b.component(AttrComponent::Exposed))),
-                strprintf("%.3f", ms(b.component(AttrComponent::Alloc))),
-                strprintf("%.3f", ms(b.component(AttrComponent::Policy))),
-                strprintf("%.3f", ms(b.component(AttrComponent::Fault))),
-                strprintf("%.3f",
-                          ms(b.component(AttrComponent::Recompute))),
-                strprintf("%llu",
-                          static_cast<unsigned long long>(b.stall_events)),
-                strprintf("%.1f",
-                          static_cast<double>(b.promoted_bytes) / 1e6),
-                strprintf("%.1f",
-                          static_cast<double>(b.demoted_bytes) / 1e6),
-                strprintf("%.3f", ms(b.total())),
-            };
-        });
-        for (const auto &row : cells) {
-            t.row();
-            for (const auto &c : row)
-                t.cell(c);
+        for (const auto &[interval, b] : attr.byInterval()) {
+            t.row()
+                .cell(intervalLabel(interval))
+                .cell(ms(b.component(AttrComponent::Execution)), 3)
+                .cell(ms(b.component(AttrComponent::Exposed)), 3)
+                .cell(ms(b.component(AttrComponent::Alloc)), 3)
+                .cell(ms(b.component(AttrComponent::Policy)), 3)
+                .cell(ms(b.component(AttrComponent::Fault)), 3)
+                .cell(ms(b.component(AttrComponent::Recompute)), 3)
+                .cell(b.stall_events)
+                .cell(static_cast<double>(b.promoted_bytes) / 1e6, 1)
+                .cell(static_cast<double>(b.demoted_bytes) / 1e6, 1)
+                .cell(ms(b.total()), 3);
         }
         t.row()
             .cell("all")
@@ -233,30 +216,20 @@ buildStallReport(const df::Graph &graph, const AttributionEngine &attr,
                           k, offenders.size()),
                 { "tensor", "name", "kind", "exposed (ms)", "alloc (ms)",
                   "stalls", "last decision" });
-        std::vector<std::vector<std::string>> cells(k);
-        parallelFor(k, opts.jobs, [&](std::size_t i) {
+        for (std::size_t i = 0; i < k; ++i) {
             const Offender &o = offenders[i];
-            const char *kind =
-                o.tensor < graph.numTensors()
-                    ? df::tensorKindName(graph.tensor(o.tensor).kind)
-                    : "-";
-            cells[i] = {
-                o.tensor == telemetry::kAttrNoTensor
-                    ? std::string("-")
-                    : strprintf("%u", o.tensor),
-                tensorName(graph, o.tensor),
-                kind,
-                strprintf("%.3f", ms(o.attr.exposed)),
-                strprintf("%.3f", ms(o.attr.alloc)),
-                strprintf("%llu", static_cast<unsigned long long>(
-                                      o.attr.stall_events)),
-                lastDecision(audit, o.tensor),
-            };
-        });
-        for (const auto &row : cells) {
-            t.row();
-            for (const auto &c : row)
-                t.cell(c);
+            t.row()
+                .cell(o.tensor == telemetry::kAttrNoTensor
+                          ? std::string("-")
+                          : strprintf("%u", o.tensor))
+                .cell(tensorName(graph, o.tensor))
+                .cell(o.tensor < graph.numTensors()
+                          ? df::tensorKindName(graph.tensor(o.tensor).kind)
+                          : "-")
+                .cell(ms(o.attr.exposed), 3)
+                .cell(ms(o.attr.alloc), 3)
+                .cell(o.attr.stall_events)
+                .cell(lastDecision(audit, o.tensor));
         }
         t.print(os);
     }

@@ -15,9 +15,7 @@
  *  - auditHistory(): every decision recorded for one tensor
  *    (`--tensor`), answering "why was tensor X evicted?".
  *
- * All three are pure functions of their inputs returning one string:
- * rendering with `jobs > 1` parallelizes only the per-row formatting
- * work and is bit-identical to the serial output (tested).
+ * All three are pure functions of their inputs returning one string.
  */
 
 #ifndef SENTINEL_HARNESS_REPORT_HH
@@ -35,9 +33,6 @@ namespace sentinel::harness {
 struct ReportOptions {
     /** Offender rows to show / export. */
     int top_k = 5;
-
-    /** Worker threads for row rendering (<=1 = inline). */
-    int jobs = 1;
 };
 
 /** The full text report (tables + exactness summary + offenders). */

@@ -29,14 +29,6 @@ HeterogeneousMemory::nullChannel()
     return ch;
 }
 
-HeterogeneousMemory::HeterogeneousMemory(TierParams fast, TierParams slow,
-                                         MigrationParams migration)
-    : HeterogeneousMemory(
-          std::vector<TierParams>{ std::move(fast), std::move(slow) },
-          std::vector<MigrationParams>{ migration })
-{
-}
-
 HeterogeneousMemory::HeterogeneousMemory(std::vector<TierParams> tiers,
                                          std::vector<MigrationParams> links)
 {

@@ -79,10 +79,6 @@ struct HmStats {
 class HeterogeneousMemory
 {
   public:
-    /** Legacy two-tier constructor; delegates to the chain form. */
-    HeterogeneousMemory(TierParams fast, TierParams slow,
-                        MigrationParams migration);
-
     /**
      * N-tier chain constructor.  @p tiers is ordered fastest-first;
      * @p links[i] connects tiers i and i+1 (so links.size() must be

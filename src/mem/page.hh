@@ -117,13 +117,6 @@ tierName(Tier t)
     return names[tierIndex(t) < kMaxTiers ? tierIndex(t) : kMaxTiers - 1];
 }
 
-/** The other tier of a TWO-tier system (legacy two-tier call sites). */
-constexpr Tier
-otherTier(Tier t)
-{
-    return t == Tier::Fast ? Tier::Slow : Tier::Fast;
-}
-
 } // namespace sentinel::mem
 
 #endif // SENTINEL_MEM_PAGE_HH

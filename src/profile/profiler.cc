@@ -52,16 +52,6 @@ class ProfilingPolicy : public df::MemoryPolicy
     }
 
     void
-    onRangeAccess(df::Executor &, mem::PageRun run, bool,
-                  std::vector<df::AccessSegment> &out) override
-    {
-        // Never migrates and never charges: one segment for the run.
-        df::AccessSegment seg;
-        seg.pages = run.count;
-        out.push_back(seg);
-    }
-
-    void
     onLayerBegin(df::Executor &ex, int) override
     {
         layer_start_ = ex.now();
@@ -118,16 +108,6 @@ class PackedSlowPolicy : public df::MemoryPolicy
                   const df::TensorPlacement &pl) override
     {
         arena_.free(pl.addr, pl.bytes);
-    }
-
-    void
-    onRangeAccess(df::Executor &, mem::PageRun run, bool,
-                  std::vector<df::AccessSegment> &out) override
-    {
-        // Never migrates and never charges: one segment for the run.
-        df::AccessSegment seg;
-        seg.pages = run.count;
-        out.push_back(seg);
     }
 
   private:

@@ -171,7 +171,6 @@ class AttributionEngine
      * systems never need to call this — everything lands on link 0.
      */
     void setStallLink(unsigned link) { stall_link_ = link; }
-    unsigned stallLink() const { return stall_link_; }
 
     // --- Charges (every simulated-clock advance in a step) -------------
 

@@ -60,17 +60,6 @@ class Session
     }
 
     /**
-     * Drop recorded events (metric instruments stay in place — attached
-     * components hold stable pointers into the registry).
-     */
-    void
-    clearEvents()
-    {
-        sink_.clear();
-        synced_drops_ = 0;
-    }
-
-    /**
      * Publish the ring's overflow count as the
      * "telemetry.events_dropped" counter (delta since the last sync,
      * so repeated calls never double-count) and warn once per session

@@ -27,14 +27,14 @@ struct Rig {
                  df::Graph g = sentinel::testing::makeToyGraph())
         : graph(std::move(g)),
           cfg(core::RuntimeConfig::optane(fast_bytes)),
-          profile(runProfile()), hm(cfg.fast, cfg.slow, cfg.migration)
+          profile(runProfile()), hm(cfg.tierChain(), cfg.linkChain())
     {
     }
 
     prof::ProfileResult
     runProfile()
     {
-        mem::HeterogeneousMemory phm(cfg.fast, cfg.slow, cfg.migration);
+        mem::HeterogeneousMemory phm(cfg.tierChain(), cfg.linkChain());
         prof::Profiler p(cfg.profiler);
         return p.profile(graph, phm, cfg.exec);
     }
@@ -56,7 +56,7 @@ TEST(Ial, PromotesAnIdleSlowPageOnItsFourthAccess)
     // promotes it and also pays the in-kernel copy.
     static_assert(IalPolicy::kPromoteThreshold == 4);
     core::RuntimeConfig rc = core::RuntimeConfig::optane(64 * mem::kPageSize);
-    mem::HeterogeneousMemory hm(rc.fast, rc.slow, rc.migration);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
     df::Graph graph = sentinel::testing::makeToyGraph();
     IalPolicy policy;
     df::Executor ex(graph, hm, rc.exec, policy);

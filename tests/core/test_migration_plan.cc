@@ -27,7 +27,7 @@ struct Fixture {
         df::Graph g = sentinel::testing::makeToyGraph(&ids);
         mem::TierParams fast{ "dram", 64ull << 20, 50e9, 40e9, 80, 80 };
         mem::TierParams slow{ "pmm", 4ull << 30, 6e9, 2e9, 300, 100 };
-        mem::HeterogeneousMemory hm(fast, slow, { 4e9, 2e9, 2000 });
+        mem::HeterogeneousMemory hm({ fast, slow }, { { 4e9, 2e9, 2000 } });
         prof::Profiler p;
         return p.profile(g, hm, df::ExecParams{});
     }

@@ -24,14 +24,14 @@ struct Rig {
     explicit Rig(std::uint64_t fast_bytes,
                  df::Graph g = sentinel::testing::makeToyGraph())
         : graph(std::move(g)), cfg(RuntimeConfig::optane(fast_bytes)),
-          profile(runProfile()), hm(cfg.fast, cfg.slow, cfg.migration)
+          profile(runProfile()), hm(cfg.tierChain(), cfg.linkChain())
     {
     }
 
     prof::ProfileResult
     runProfile()
     {
-        mem::HeterogeneousMemory phm(cfg.fast, cfg.slow, cfg.migration);
+        mem::HeterogeneousMemory phm(cfg.tierChain(), cfg.linkChain());
         prof::Profiler p(cfg.profiler);
         return p.profile(graph, phm, cfg.exec);
     }

@@ -18,7 +18,7 @@ makeHm(std::uint64_t fast_bytes = 64ull << 20,
     mem::TierParams fast{ "dram", fast_bytes, 50e9, 40e9, 80, 80 };
     mem::TierParams slow{ "pmm", slow_bytes, 6e9, 2e9, 300, 100 };
     mem::MigrationParams mig{ 4e9, 2e9, 2000 };
-    return mem::HeterogeneousMemory(fast, slow, mig);
+    return mem::HeterogeneousMemory({ fast, slow }, { mig });
 }
 
 TEST(Executor, RunsOneStepAndReportsTime)
@@ -214,7 +214,7 @@ TEST(Executor, LargerBatchGraphTakesLonger)
     auto hm1 = makeHm();
     mem::TierParams fast{ "dram", 64ull << 20, 5e9, 4e9, 80, 80 };
     mem::TierParams slow{ "pmm", 1ull << 30, 6e9, 2e9, 300, 100 };
-    auto hm2 = mem::HeterogeneousMemory(fast, slow, { 4e9, 2e9, 2000 });
+    auto hm2 = mem::HeterogeneousMemory({ fast, slow }, { { 4e9, 2e9, 2000 } });
     auto pa = baselines::makeFastOnly();
     auto pb = baselines::makeFastOnly();
     Executor a(g, hm1, ExecParams{}, *pa);

@@ -41,7 +41,7 @@ makeHm()
     mem::TierParams slow{ "pmm", 4096 * mem::kPageSize, 6e9, 2e9, 300,
                           100 };
     // 1 GB/s promote with no setup: one page = 4096 ns.
-    return mem::HeterogeneousMemory(fast, slow, { 1e9, 1e9, 0 });
+    return mem::HeterogeneousMemory({ fast, slow }, { { 1e9, 1e9, 0 } });
 }
 
 /** Allocates everything slow; at layer 1 begin, prefetches `big`. */

@@ -16,7 +16,9 @@
  * of faults as one closed-form series, and must match the same
  * policies handed one page per call (tests/support/clipped_policy.hh),
  * which fault page by page, over seeded random graphs and device
- * capacities.
+ * capacities.  So must the static layouts (slow-only, planned, vDNN),
+ * which override neither access hook: the default adapter covers a
+ * whole run with one segment once the base onPageAccess() has run.
  */
 
 #include <cstdint>
@@ -31,7 +33,10 @@
 #include <gtest/gtest.h>
 
 #include "alloc/arena.hh"
+#include "baselines/planned.hh"
+#include "baselines/reference.hh"
 #include "baselines/unified_memory.hh"
+#include "baselines/vdnn.hh"
 #include "core/sentinel_policy.hh"
 #include "dataflow/executor.hh"
 #include "harness/experiment.hh"
@@ -179,7 +184,7 @@ makeHm()
     mem::TierParams fast{ "dram", 64ull << 20, 50e9, 40e9, 80, 80 };
     mem::TierParams slow{ "pmm", 1ull << 30, 6e9, 2e9, 300, 100 };
     mem::MigrationParams mig{ 4e9, 2e9, 2000 };
-    return mem::HeterogeneousMemory(fast, slow, mig);
+    return mem::HeterogeneousMemory({ fast, slow }, { mig });
 }
 
 constexpr Tick kFaultCost = mem::AccessTracker::kFaultCost;
@@ -251,6 +256,51 @@ expectExactAttribution(const ComboResult &r)
             << "step " << i;
         EXPECT_EQ(b.stall_events, r.stats[i].num_stalls) << "step " << i;
     }
+}
+
+/** Overrides neither access hook, like every static layout. */
+class StaticTestPolicy : public MemoryPolicy
+{
+  public:
+    std::string name() const override { return "static-test"; }
+
+    AllocDecision
+    allocate(Executor &, const TensorDesc &tensor) override
+    {
+        return { arena_.allocate(tensor.bytes, 64), mem::Tier::Slow };
+    }
+
+  private:
+    alloc::VirtualArena arena_{ 0 };
+};
+
+TEST(ExtentEquivalence, PolicyIgnoringAccessesGetsWholeRunSegments)
+{
+    TestGraph tg;
+    auto hm = makeHm();
+    StaticTestPolicy ignoring;
+    MigratingTestPolicy listening(tg.weight, /*batched_ranges=*/false);
+    Executor ex(tg.graph, hm, ExecParams{}, ignoring);
+    for (const mem::PageRun run : { mem::PageRun{ 3, 7 },
+                                    mem::PageRun{ 40, 1 },
+                                    mem::PageRun{ 0, 12 } }) {
+        SCOPED_TRACE(::testing::Message() << run.count << " pages at "
+                                          << run.first);
+        // From the first call on: one segment, no charge, no tier.
+        std::vector<AccessSegment> out;
+        ignoring.onRangeAccess(ex, run, false, out);
+        ASSERT_EQ(out.size(), 1u);
+        EXPECT_EQ(out[0].pages, run.count);
+        EXPECT_EQ(out[0].extra, 0);
+        EXPECT_EQ(out[0].stall_events, 0u);
+        EXPECT_FALSE(out[0].effective.has_value());
+        // A policy that overrides onPageAccess() still sees every page.
+        out.clear();
+        listening.onRangeAccess(ex, run, false, out);
+        ASSERT_EQ(out.size(), 1u);
+        EXPECT_EQ(out[0].pages, 1u);
+    }
+    EXPECT_EQ(listening.access_ticks.size(), 3u);
 }
 
 TEST(ExtentEquivalence, MigrationActuallyOverlapsAccesses)
@@ -473,6 +523,58 @@ expectFaultSeriesMatchOnePageFaults(const std::string &policy)
         }
     }
     return multi;
+}
+
+/**
+ * Six steps of the static layout @p policy ("slow-only", "planned" or
+ * "vdnn") on @p platform, with a fast tier of 30% of the graph's peak
+ * and its accesses handed over at most @p max_pages at a time.
+ */
+std::vector<StepStats>
+runStatic(const Graph &g, harness::Platform platform,
+          const std::string &policy, std::uint64_t max_pages)
+{
+    const std::uint64_t fast = mem::roundUpToPages(static_cast<std::uint64_t>(
+        static_cast<double>(g.peakMemoryBytes()) * 0.3));
+    core::RuntimeConfig rc = harness::platformConfig(platform, fast);
+    std::unique_ptr<MemoryPolicy> inner;
+    if (policy == "vdnn")
+        inner = std::make_unique<baselines::VdnnPolicy>();
+    else if (policy == "planned")
+        inner = baselines::makePlanned();
+    else
+        inner = baselines::makeSlowOnly();
+    testing::ClippedPolicy clipped(*inner, max_pages);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
+    Executor ex(g, hm, rc.exec, clipped);
+    return ex.run(6);
+}
+
+TEST(ExtentEquivalence, StaticLayoutsMatchOnePageAccesses)
+{
+    const std::pair<const char *, harness::Platform> cells[] = {
+        { "slow-only", harness::Platform::Optane },
+        { "planned", harness::Platform::Optane },
+        { "vdnn", harness::Platform::Gpu },
+    };
+    for (const auto &[policy, platform] : cells) {
+        std::uint64_t promoted = 0;
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE(::testing::Message()
+                         << policy << " synthetic:" << seed);
+            Graph g = models::makeModel(
+                "synthetic:" + std::to_string(seed), 8);
+            std::vector<StepStats> ref = runStatic(g, platform, policy, 1);
+            expectSameStats(runStatic(g, platform, policy,
+                                      testing::ClippedPolicy::kUnclipped),
+                            ref);
+            for (const StepStats &st : ref)
+                promoted += st.promoted_bytes;
+        }
+        // Guard: vDNN's swap-ins put in-flight pages under the walk.
+        if (std::string(policy) == "vdnn")
+            EXPECT_GT(promoted, 0u);
+    }
 }
 
 TEST(ExtentEquivalence, UnifiedMemoryFaultSeriesMatchesOnePageFaults)

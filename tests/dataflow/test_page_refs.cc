@@ -42,7 +42,7 @@ makeHm()
     mem::TierParams fast{ "dram", 64ull << 20, 50e9, 40e9, 80, 80 };
     mem::TierParams slow{ "pmm", 1ull << 30, 6e9, 2e9, 300, 100 };
     mem::MigrationParams mig{ 4e9, 2e9, 2000 };
-    return mem::HeterogeneousMemory(fast, slow, mig);
+    return mem::HeterogeneousMemory({ fast, slow }, { mig });
 }
 
 std::uint64_t

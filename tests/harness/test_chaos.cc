@@ -138,11 +138,11 @@ TEST(Chaos, ReplanConvergesNearFaultedProfileReference)
     rc.fast.capacity = static_cast<std::uint64_t>(
                            static_cast<double>(fast) * 0.7) /
                        mem::kPageSize * mem::kPageSize;
-    mem::HeterogeneousMemory phm(rc.fast, rc.slow, rc.migration);
+    mem::HeterogeneousMemory phm(rc.tierChain(), rc.linkChain());
     prof::Profiler profiler(rc.profiler);
     auto profile = profiler.profile(g, phm, rc.exec);
     core::SentinelPolicy pol(profile.db, rc.sentinel);
-    mem::HeterogeneousMemory hm(rc.fast, rc.slow, rc.migration);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
     df::Executor ex(g, hm, rc.exec, pol);
     auto stats = ex.run(cfg.steps);
 

@@ -130,7 +130,7 @@ TEST(NtierDegradation, ZeroCapacityMidTierPlacesLikeTwoTier)
     mem::MigrationParams link{ 1e9, 1e9, 0 };
 
     mem::HeterogeneousMemory three({ fast, mid, slow }, { link, link });
-    mem::HeterogeneousMemory two(fast, slow, link);
+    mem::HeterogeneousMemory two({ fast, slow }, { link });
 
     // Same placement request on both: prefer fast, spill when full.
     three.mapRange(0, 8, mem::Tier::Fast);

@@ -102,7 +102,7 @@ TEST(PaperClaims, ProfilingOverheadBounds)
     // overhead stays within a few percent.
     df::Graph g = models::makeModel("resnet32", 16);
     auto cfg = core::RuntimeConfig::optane(1ull << 30);
-    mem::HeterogeneousMemory hm(cfg.fast, cfg.slow, cfg.migration);
+    mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
     prof::Profiler profiler(cfg.profiler);
     auto r = profiler.profile(g, hm, cfg.exec);
     EXPECT_GT(r.profilingSlowdown(), 2.0);

@@ -37,7 +37,7 @@ makeHm(std::uint64_t fast_bytes)
 {
     mem::TierParams fast{ "dram", fast_bytes, 76e9, 50e9, 85, 90 };
     mem::TierParams slow{ "pmm", 64ull << 30, 30e9, 10e9, 300, 120 };
-    return mem::HeterogeneousMemory(fast, slow, { 8e9, 6e9, 2000 });
+    return mem::HeterogeneousMemory({ fast, slow }, { { 8e9, 6e9, 2000 } });
 }
 
 /** Heap allocations across 50 steps after an 8-step warmup. */

@@ -43,7 +43,7 @@ makeHm(std::uint64_t fast_pages = 4, std::uint64_t slow_pages = 1024)
     TierParams slow{ "pmm", slow_pages * kPageSize, 2e9, 1e9, 300, 300 };
     // 1 GB/s promote, 1 GB/s demote, no startup: one page = 4096 ns.
     MigrationParams mig{ 1e9, 1e9, 0 };
-    return HeterogeneousMemory(fast, slow, mig);
+    return HeterogeneousMemory({ fast, slow }, { mig });
 }
 
 /** Move one page through the run entry point.  @return its arrival,
@@ -196,7 +196,7 @@ TEST(Hm, BatchMigrationChargesOneStartup)
     TierParams fast{ "dram", 8 * kPageSize, 10e9, 10e9, 100, 100 };
     TierParams slow{ "pmm", 1024 * kPageSize, 2e9, 1e9, 300, 300 };
     MigrationParams mig{ 1e9, 1e9, 1000 }; // 1 us startup
-    HeterogeneousMemory hm(fast, slow, mig);
+    HeterogeneousMemory hm({ fast, slow }, { mig });
     hm.mapRange(1, 4, Tier::Slow);
     const PageRun pages[] = { { 1, 4 } };
 

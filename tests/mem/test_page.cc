@@ -15,8 +15,6 @@ TEST(Page, TierHelpers)
 {
     EXPECT_STREQ(tierName(Tier::Fast), "fast");
     EXPECT_STREQ(tierName(Tier::Slow), "slow");
-    EXPECT_EQ(otherTier(Tier::Fast), Tier::Slow);
-    EXPECT_EQ(otherTier(Tier::Slow), Tier::Fast);
 }
 
 TEST(Page, SpanMath)

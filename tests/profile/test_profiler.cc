@@ -23,7 +23,7 @@ makeHm()
 {
     mem::TierParams fast{ "dram", 64ull << 20, 50e9, 40e9, 80, 80 };
     mem::TierParams slow{ "pmm", 4ull << 30, 6e9, 2e9, 300, 100 };
-    return mem::HeterogeneousMemory(fast, slow, { 4e9, 2e9, 2000 });
+    return mem::HeterogeneousMemory({ fast, slow }, { { 4e9, 2e9, 2000 } });
 }
 
 ProfileResult
@@ -53,7 +53,7 @@ TEST(Profiler, CountsAreExact)
             batch == 0 ? makeToyGraph() : models::makeModel(name, batch);
         mem::TierParams fast{ "dram", 64ull << 20, 50e9, 40e9, 80, 80 };
         mem::TierParams slow{ "pmm", 64ull << 30, 6e9, 2e9, 300, 100 };
-        mem::HeterogeneousMemory hm(fast, slow, { 4e9, 2e9, 2000 });
+        mem::HeterogeneousMemory hm({ fast, slow }, { { 4e9, 2e9, 2000 } });
         ProfileResult r = Profiler().profile(g, hm, df::ExecParams{});
 
         std::vector<std::uint64_t> expected(g.numTensors(), 0);
@@ -182,7 +182,7 @@ TEST(Profiler, GpuPinnedSyncRunsAtTheProfiledLinkBandwidth)
     mem::TierParams slow{ "host", 64ull << 30, 11e9, 11e9, 1000, 1000 };
     for (double bw : { 4e9, 16e9 }) {
         SCOPED_TRACE(bw);
-        mem::HeterogeneousMemory hm(fast, slow, { bw, 11e9, 10000 });
+        mem::HeterogeneousMemory hm({ fast, slow }, { { bw, 11e9, 10000 } });
         ProfileResult r = p.profile(g, hm, df::ExecParams{});
         EXPECT_GT(r.sync_overhead, 0);
         EXPECT_EQ(r.sync_overhead, transferTime(g.preallocatedBytes(), bw));

@@ -25,7 +25,7 @@ profileToy()
     df::Graph g = sentinel::testing::makeToyGraph();
     mem::TierParams fast{ "dram", 64ull << 20, 50e9, 40e9, 80, 80 };
     mem::TierParams slow{ "pmm", 4ull << 30, 6e9, 2e9, 300, 100 };
-    mem::HeterogeneousMemory hm(fast, slow, { 4e9, 2e9, 2000 });
+    mem::HeterogeneousMemory hm({ fast, slow }, { { 4e9, 2e9, 2000 } });
     Profiler p;
     return std::move(p.profile(g, hm, df::ExecParams{}).db);
 }

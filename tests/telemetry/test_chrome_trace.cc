@@ -182,14 +182,14 @@ runTinyGraphTrace(telemetry::Session &session, telemetry::AuditLog &audit)
         mem::roundUpToPages(graph.peakMemoryBytes() / 3);
     auto cfg = core::RuntimeConfig::optane(fast);
 
-    mem::HeterogeneousMemory prof_hm(cfg.fast, cfg.slow, cfg.migration);
+    mem::HeterogeneousMemory prof_hm(cfg.tierChain(), cfg.linkChain());
     prof::Profiler profiler(cfg.profiler);
     auto profile = profiler.profile(graph, prof_hm, cfg.exec);
 
     core::SentinelPolicy policy(profile.db);
     policy.setTelemetry(&session);
     policy.setAudit(&audit);
-    mem::HeterogeneousMemory hm(cfg.fast, cfg.slow, cfg.migration);
+    mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
     hm.setTelemetry(&session);
     df::Executor ex(graph, hm, cfg.exec, policy);
     ex.setTelemetry(&session);

@@ -94,7 +94,7 @@ makeHm()
 {
     mem::TierParams fast{ "dram", 64ull << 20, 76e9, 50e9, 85, 90 };
     mem::TierParams slow{ "pmm", 1ull << 30, 30e9, 10e9, 300, 120 };
-    return mem::HeterogeneousMemory(fast, slow, { 8e9, 6e9, 2000 });
+    return mem::HeterogeneousMemory({ fast, slow }, { { 8e9, 6e9, 2000 } });
 }
 
 std::vector<df::StepStats>

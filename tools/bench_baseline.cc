@@ -13,23 +13,24 @@
  * baseline.  Two metric classes with different tolerances:
  *
  *  - sim.* metrics come off the simulated clock and are bit-
- *    deterministic, so any drift is a real behavior change; the
- *    threshold (25%) exists only so deliberate small retunings don't
- *    need a baseline refresh in the same commit.
+ *    deterministic, so any change is a real behavior change: each
+ *    must print (as %.6f) exactly the committed token, in either
+ *    direction.  A change that means to move one regenerates the
+ *    baseline and says so.  The exception is allocs_per_step, which
+ *    keeps a threshold and slack for amortized container growth.
  *  - wall.* metrics time the simulator itself (min of N runs) and
  *    absorb machine noise with a much larger threshold.  Sanitizer
  *    builds skip them entirely — a 10x ASan slowdown is not a
  *    regression.
  *
- * Improvements never fail the check; regenerate the baseline to bank
- * them.
+ * Improvements of a thresholded metric never fail the check;
+ * regenerate the baseline to bank them.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -60,13 +61,24 @@ namespace {
 struct Sample {
     std::string key;
     double value = 0.0;
-    /** Allowed relative regression before --check fails. */
-    double threshold = 0.25;
-    /** Additive slack so near-zero baselines aren't tripwires. */
+    /** Bit-deterministic: --check passes only on the committed token. */
+    bool exact = true;
+    /** Otherwise: allowed relative growth before --check fails, */
+    double threshold = 0.0;
+    /** plus additive slack so near-zero baselines aren't tripwires. */
     double slack = 0.0;
-    /** true: larger is better (throughput); false: smaller is. */
-    bool higher_better = false;
 };
+
+/** A cell's simulated metrics, under keys prefixed by @p p. */
+void
+addSimMetrics(std::vector<Sample> &out, const std::string &p,
+              const harness::Metrics &m)
+{
+    out.push_back({ p + "step_time_ms", m.step_time_ms });
+    out.push_back({ p + "exposed_ms", m.exposed_ms });
+    out.push_back({ p + "migrated_mb", m.migrated_mb() });
+    out.push_back({ p + "peak_fast_mb", m.peak_fast_mb });
+}
 
 harness::ExperimentConfig
 cellConfig(const std::string &model)
@@ -130,17 +142,12 @@ addCell(std::vector<Sample> &out, const std::string &name,
     SENTINEL_ASSERT(m.supported, "baseline cell %s/%s unsupported",
                     name.c_str(), policy.c_str());
     std::string p = "sim." + name + "." + policy + ".";
-    out.push_back({ p + "step_time_ms", m.step_time_ms, 0.25, 0.05 });
-    out.push_back(
-        { p + "throughput", m.throughput, 0.25, 0.0, /*higher=*/true });
-    out.push_back({ p + "exposed_ms", m.exposed_ms, 0.25, 0.05 });
-    out.push_back({ p + "migrated_mb", m.migrated_mb(), 0.25, 1.0 });
-    out.push_back({ p + "peak_fast_mb", m.peak_fast_mb, 0.25, 1.0 });
+    addSimMetrics(out, p, m);
     // Allocation counts are deterministic in a single-threaded run;
     // the slack absorbs the occasional amortized container growth.
     double allocs = measureAllocsPerStep(cfg, policy);
     if (allocs >= 0.0)
-        out.push_back({ p + "allocs_per_step", allocs, 0.25, 5.0 });
+        out.push_back({ p + "allocs_per_step", allocs, false, 0.25, 5.0 });
 }
 
 /** Wall time of one full experiment cell, min of @p reps runs. */
@@ -159,7 +166,7 @@ addWall(std::vector<Sample> &out, const std::string &model,
                         .count();
         best = i == 0 ? ms : std::min(best, ms);
     }
-    out.push_back({ "wall." + model + "." + policy + "_ms", best,
+    out.push_back({ "wall." + model + "." + policy + "_ms", best, false,
                     /*threshold=*/1.5, /*slack=*/100.0 });
 }
 
@@ -201,13 +208,7 @@ addNtierCell(std::vector<Sample> &out, const std::string &model,
     harness::Metrics m = harness::runExperiment(cfg, policy);
     SENTINEL_ASSERT(m.supported, "ntier cell %s/%s unsupported",
                     model.c_str(), policy.c_str());
-    std::string p = "sim.ntier3." + model + "." + policy + ".";
-    out.push_back({ p + "step_time_ms", m.step_time_ms, 0.25, 0.05 });
-    out.push_back(
-        { p + "throughput", m.throughput, 0.25, 0.0, /*higher=*/true });
-    out.push_back({ p + "exposed_ms", m.exposed_ms, 0.25, 0.05 });
-    out.push_back({ p + "migrated_mb", m.migrated_mb(), 0.25, 1.0 });
-    out.push_back({ p + "peak_fast_mb", m.peak_fast_mb, 0.25, 1.0 });
+    addSimMetrics(out, "sim.ntier3." + model + "." + policy + ".", m);
 }
 
 std::vector<Sample>
@@ -237,8 +238,11 @@ writeBaseline(const std::vector<Sample> &samples, const std::string &path)
     os << "}\n";
 }
 
-/** Flat `"key": value` lines; no JSON library needed (or wanted). */
-std::map<std::string, double>
+/**
+ * Flat `"key": value` lines, each value kept as its token (the text up
+ * to a comma or white space); no JSON library needed (or wanted).
+ */
+std::map<std::string, std::string>
 readBaseline(const std::string &path)
 {
     std::ifstream is(path);
@@ -246,7 +250,7 @@ readBaseline(const std::string &path)
         SENTINEL_FATAL("could not read baseline '%s' (regenerate with "
                        "bench_baseline --out %s)",
                        path.c_str(), path.c_str());
-    std::map<std::string, double> out;
+    std::map<std::string, std::string> out;
     std::string line;
     while (std::getline(is, line)) {
         std::size_t k0 = line.find('"');
@@ -256,11 +260,12 @@ readBaseline(const std::string &path)
         std::size_t colon = line.find(':', k1);
         if (k1 == std::string::npos || colon == std::string::npos)
             continue;
-        std::string key = line.substr(k0 + 1, k1 - k0 - 1);
-        char *end = nullptr;
-        double v = std::strtod(line.c_str() + colon + 1, &end);
-        if (end != line.c_str() + colon + 1)
-            out[key] = v;
+        std::size_t v0 = line.find_first_not_of(" \t", colon + 1);
+        if (v0 == std::string::npos)
+            continue;
+        std::size_t v1 = line.find_first_of(", \t\r", v0);
+        out[line.substr(k0 + 1, k1 - k0 - 1)] = line.substr(
+            v0, v1 == std::string::npos ? std::string::npos : v1 - v0);
     }
     return out;
 }
@@ -268,7 +273,7 @@ readBaseline(const std::string &path)
 int
 check(const std::vector<Sample> &samples, const std::string &path)
 {
-    std::map<std::string, double> base = readBaseline(path);
+    std::map<std::string, std::string> base = readBaseline(path);
     int regressions = 0, compared = 0;
     for (const Sample &s : samples) {
         auto it = base.find(s.key);
@@ -278,26 +283,25 @@ check(const std::vector<Sample> &samples, const std::string &path)
             continue;
         }
         ++compared;
-        double b = it->second;
-        bool regressed;
-        double limit;
-        if (s.higher_better) {
-            limit = b * (1.0 - s.threshold) - s.slack;
-            regressed = s.value < limit;
-        } else {
-            limit = b * (1.0 + s.threshold) + s.slack;
-            regressed = s.value > limit;
-        }
+        const std::string &token = it->second;
+        double b = std::strtod(token.c_str(), nullptr);
+        double limit = b * (1.0 + s.threshold) + s.slack;
+        bool regressed = s.exact ? strprintf("%.6f", s.value) != token
+                                 : s.value > limit;
         double delta = b != 0.0 ? 100.0 * (s.value - b) / b : 0.0;
         std::printf("  %-44s %12.3f  base %12.3f  %+7.1f%%  %s\n",
                     s.key.c_str(), s.value, b, delta,
-                    regressed ? "REGRESSED" : "ok");
-        if (regressed) {
-            ++regressions;
+                    !regressed ? "ok" : s.exact ? "CHANGED" : "REGRESSED");
+        if (!regressed)
+            continue;
+        ++regressions;
+        if (s.exact)
+            std::printf("    %.6f is not the committed %s (exact)\n",
+                        s.value, token.c_str());
+        else
             std::printf("    limit was %.3f (threshold %.0f%% + slack "
                         "%.2f)\n",
                         limit, 100.0 * s.threshold, s.slack);
-        }
     }
     std::printf("%d metrics compared against %s: %d regression%s\n",
                 compared, path.c_str(), regressions,

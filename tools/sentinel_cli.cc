@@ -13,6 +13,11 @@
  *   maxbatch     max-batch search on the GPU platform (Table V cell)
  *   chaos        fault-injection degradation report (Sentinel vs. the
  *                platform baselines under a --chaos spec)
+ *   fuzz         randomized campaign over the differential oracle:
+ *                seeded synthetic cases through the policy matrix, or
+ *                (--mode server) random multi-job co-locations; a
+ *                violating case is shrunk and saved as a .sentinelrepro
+ *                (exit 0 clean, 2 on violations)
  *   replay       run a .sentinelrepro fuzz case through the
  *                differential oracle (exit 0 clean, 2 on violations)
  *   serve        co-locate several training jobs on one simulated HM
@@ -35,9 +40,12 @@
  *   sentinel-cli serve --node-mb 64 \
  *       --colo 'model=resnet32 quota=0.3; model=synthetic:9 quota=0.25'
  *   sentinel-cli serve --mix 3 --seed 7 --oracle
+ *   sentinel-cli fuzz --iters 200 --seed 7 --jobs 4
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -124,6 +132,27 @@ class Args
     }
 
     /**
+     * The value of --@p key as strtoull(s, &end, 0) reads it (decimal,
+     * 0x hex or 0 octal), which must be the whole value, unsigned and
+     * in range; @p dflt when the key is absent.
+     */
+    std::uint64_t
+    getU64(const std::string &key, std::uint64_t dflt) const
+    {
+        auto it = values_.find(key);
+        if (it == values_.end())
+            return dflt;
+        const std::string &v = it->second;
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long long out = std::strtoull(v.c_str(), &end, 0);
+        if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
+            *end != '\0' || errno == ERANGE)
+            throw badNumber(key, v);
+        return out;
+    }
+
+    /**
      * ConfigError naming the first given key that is not in @p keys,
      * the keys command @p cmd reads; call it before running anything.
      */
@@ -152,10 +181,16 @@ class Args
         const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(),
                                                out);
         if (ec != std::errc() || end != v.data() + v.size())
-            throw harness::ConfigError(
-                strprintf("config: --%s expects a number, got '%s'",
-                          key.c_str(), v.c_str()));
+            throw badNumber(key, v);
         return out;
+    }
+
+    static harness::ConfigError
+    badNumber(const std::string &key, const std::string &v)
+    {
+        return harness::ConfigError(strprintf(
+            "config: --%s expects a number, got '%s'", key.c_str(),
+            v.c_str()));
     }
 
     std::map<std::string, std::string> values_;
@@ -194,9 +229,7 @@ configFrom(const Args &args)
     cfg.sentinel.forced_mil = args.getInt("mil", 0);
     cfg.planner = args.get("planner", "greedy");
     cfg.chaos = args.get("chaos", "");
-    std::string seed = args.get("chaos-seed", "");
-    if (!seed.empty())
-        cfg.chaos_seed = std::strtoull(seed.c_str(), nullptr, 0);
+    cfg.chaos_seed = args.getU64("chaos-seed", cfg.chaos_seed);
     return cfg;
 }
 
@@ -305,7 +338,6 @@ cmdReport(const Args &args)
 
     harness::ReportOptions ropts;
     ropts.top_k = args.getInt("top", 5);
-    ropts.jobs = args.getInt("jobs", 1);
 
     telemetry::AttributionEngine attr;
     telemetry::AuditLog audit;
@@ -665,6 +697,201 @@ cmdReplay(const std::string &file, const Args &args)
     return rep.ok() ? 0 : 2;
 }
 
+/** The settings of one fuzz campaign (see cmdFuzz()). */
+struct FuzzOptions {
+    int iters = 50;
+    std::uint64_t seed = 1;
+    int jobs = 1;
+    std::string out_dir = ".";
+    double inject_capacity = 0.0;
+    double inject_traffic = 0.0;
+    bool determinism = true;
+    bool do_shrink = true;
+    bool keep_going = false;
+    int colo_jobs = 2;              ///< jobs per server-mode co-location
+    std::string planner = "greedy"; ///< sentinel layout solver
+    int tiers = 0; ///< force the chain length (0 = let the case draw)
+};
+
+/** Per-iteration case seed: decorrelated from neighbours so adjacent
+ *  iterations explore unrelated corners (splitmix64 finalizer). */
+std::uint64_t
+caseSeed(std::uint64_t campaign_seed, int iter)
+{
+    std::uint64_t z = campaign_seed +
+                      0x9e3779b97f4a7c15ull *
+                          (static_cast<std::uint64_t>(iter) + 1);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return (z ^ (z >> 31)) | 1; // synthetic seeds stay nonzero
+}
+
+/**
+ * Server mode: each iteration derives a random co-location
+ * (server::randomColocation) and runs it through the multi-job
+ * oracle.  A violating mix is printed as a `serve --colo` spec, which
+ * is its own repro (there is nothing to shrink).
+ */
+int
+serverFuzzMode(const FuzzOptions &o)
+{
+    int skipped = 0;
+    int failures = 0;
+    for (int i = 0; i < o.iters; ++i) {
+        std::uint64_t cs = caseSeed(o.seed, i);
+        std::vector<server::JobSpec> specs =
+            server::randomColocation(cs, o.colo_jobs);
+
+        server::ServerConfig cfg;
+        cfg.fast_bytes = 64ull << 20;
+        server::ServerOracleOptions opts;
+        opts.jobs = o.jobs > 1 ? o.jobs : 2;
+        opts.check_determinism = o.determinism;
+
+        harness::OracleReport rep;
+        try {
+            rep = server::runServerOracle(cfg, specs, opts);
+        } catch (const harness::ConfigError &e) {
+            ++skipped;
+            std::printf("iter %d seed %llu: skipped (%s)\n", i,
+                        static_cast<unsigned long long>(cs), e.what());
+            continue;
+        }
+        if (rep.ok()) {
+            std::printf("iter %d seed %llu: ok (%d jobs)\n", i,
+                        static_cast<unsigned long long>(cs),
+                        o.colo_jobs);
+            continue;
+        }
+
+        ++failures;
+        std::printf("iter %d seed %llu: VIOLATION\n%s", i,
+                    static_cast<unsigned long long>(cs),
+                    rep.summary().c_str());
+        std::string colo;
+        for (const auto &s : specs) {
+            if (!colo.empty())
+                colo += "; ";
+            colo += s.toSpecString();
+        }
+        std::printf("repro: sentinel-cli serve --oracle 1 --colo '%s'\n",
+                    colo.c_str());
+        if (!o.keep_going)
+            break;
+    }
+    std::printf("server fuzz campaign: %d iterations, %d skipped, %d "
+                "violations\n",
+                o.iters, skipped, failures);
+    return failures > 0 ? 2 : 0;
+}
+
+/**
+ * Policy mode: each iteration derives a FuzzCase (a synthetic:<seed>
+ * model plus harness knobs) and runs it through the full policy
+ * matrix.  On a violation the shrinker minimizes the case while the
+ * same invariant keeps failing and saves it as a .sentinelrepro.
+ */
+int
+fuzzMode(const FuzzOptions &o)
+{
+    int skipped = 0;
+    int failures = 0;
+    for (int i = 0; i < o.iters; ++i) {
+        std::uint64_t cs = caseSeed(o.seed, i);
+        harness::FuzzCase fc = harness::FuzzCase::random(cs);
+        fc.planner = o.planner;
+        if (o.tiers > 0)
+            fc.tiers = o.tiers;
+        fc.inject_capacity = o.inject_capacity;
+        fc.inject_traffic = o.inject_traffic;
+
+        harness::OracleReport rep;
+        try {
+            rep = fc.run(o.jobs, o.determinism);
+        } catch (const harness::ConfigError &e) {
+            // A rejected input, not a violated invariant: the
+            // generator wandered outside the harness preconditions.
+            ++skipped;
+            std::printf("iter %d seed %llu: skipped (%s)\n", i,
+                        static_cast<unsigned long long>(cs), e.what());
+            continue;
+        }
+        if (rep.ok()) {
+            std::printf("iter %d seed %llu: ok (%zu cells)\n", i,
+                        static_cast<unsigned long long>(cs),
+                        rep.cells.size());
+            continue;
+        }
+
+        ++failures;
+        std::printf("iter %d seed %llu: VIOLATION\n%s", i,
+                    static_cast<unsigned long long>(cs),
+                    rep.summary().c_str());
+
+        harness::FuzzCase minimal = fc;
+        if (o.do_shrink) {
+            int runs = 0;
+            minimal = harness::shrink(fc, o.jobs, &runs);
+            std::printf("shrunk after %d oracle runs to:\n%s", runs,
+                        minimal.serialize().c_str());
+        }
+        std::string path = o.out_dir + "/repro-" + std::to_string(cs) +
+                           ".sentinelrepro";
+        minimal.save(path);
+        std::printf("repro written to %s (replay with: sentinel-cli "
+                    "replay %s)\n",
+                    path.c_str(), path.c_str());
+        if (!o.keep_going)
+            break;
+    }
+    std::printf("fuzz campaign: %d iterations, %d skipped, %d "
+                "violations\n",
+                o.iters, skipped, failures);
+    return failures > 0 ? 2 : 0;
+}
+
+int
+cmdFuzz(const Args &args)
+{
+    FuzzOptions o;
+    o.iters = args.getInt("iters", o.iters);
+    o.seed = args.getU64("seed", o.seed);
+    o.jobs = args.getInt("jobs", o.jobs);
+    o.out_dir = args.get("out", o.out_dir);
+    o.inject_capacity = args.getDouble("inject-capacity", o.inject_capacity);
+    o.inject_traffic = args.getDouble("inject-traffic", o.inject_traffic);
+    o.determinism = args.getInt("determinism", 1) != 0;
+    o.do_shrink = args.getInt("shrink", 1) != 0;
+    o.keep_going = args.getInt("keep-going", 0) != 0;
+    o.colo_jobs = args.getInt("colo-jobs", o.colo_jobs);
+    o.planner = args.get("planner", o.planner);
+    o.tiers = args.getInt("tiers", o.tiers);
+    const std::string mode = args.get("mode", "policy");
+
+    auto positive = [](const char *key, int v) {
+        if (v < 1)
+            throw harness::ConfigError(strprintf(
+                "config: --%s must be positive (got %d)", key, v));
+    };
+    positive("iters", o.iters);
+    positive("jobs", o.jobs);
+    positive("colo-jobs", o.colo_jobs);
+    if (o.tiers < 0)
+        throw harness::ConfigError(strprintf(
+            "config: --tiers must be 0 (drawn per case) or a chain "
+            "length (got %d)",
+            o.tiers));
+    if (mode != "policy" && mode != "server")
+        throw harness::ConfigError(strprintf(
+            "config: --mode wants policy or server, got '%s'",
+            mode.c_str()));
+    if (o.planner != "greedy" && o.planner != "interval")
+        throw harness::ConfigError(strprintf(
+            "config: --planner wants greedy or interval, got '%s'",
+            o.planner.c_str()));
+    return mode == "server" ? serverFuzzMode(o) : fuzzMode(o);
+}
+
 int
 cmdServe(const Args &args)
 {
@@ -681,13 +908,12 @@ cmdServe(const Args &args)
     cfg.default_warmup = args.getInt("warmup", 4);
 
     std::string colo = args.get("colo", "");
+    const int mix = args.getInt("mix", 3);
+    const std::uint64_t seed = args.getU64("seed", 1);
     std::vector<server::JobSpec> specs;
     if (!colo.empty()) {
         specs = server::JobSpec::parseList(colo);
     } else {
-        int mix = args.getInt("mix", 3);
-        std::uint64_t seed = std::strtoull(
-            args.get("seed", "1").c_str(), nullptr, 0);
         specs = server::randomColocation(seed, mix);
         std::printf("random co-location (seed %llu):\n",
                     static_cast<unsigned long long>(seed));
@@ -956,8 +1182,8 @@ usage()
         "  report    stall attribution + decision audit for one run:\n"
         "            per-interval breakdown, top stall offenders with\n"
         "            the policy decision that caused each, exactness\n"
-        "            check against StepStats  [--top K] [--jobs N]\n"
-        "            [--tensor ID] [--report-out FILE.json]\n"
+        "            check against StepStats  [--top K] [--tensor ID]\n"
+        "            [--report-out FILE.json]\n"
         "            [--trace-out FILE.json]\n"
         "  compare   same options; runs every policy of the platform\n"
         "            [--jobs N] fans the policies out over N threads\n"
@@ -973,6 +1199,16 @@ usage()
         "  chaos     fault-injection degradation report: sentinel vs.\n"
         "            the platform baselines under --chaos SPEC, with\n"
         "            the per-step time trajectory around each fault\n"
+        "  fuzz      [--iters N] [--seed S] [--jobs N] [--out DIR]\n"
+        "            [--mode policy|server] [--colo-jobs N]\n"
+        "            [--planner greedy|interval] [--tiers N]\n"
+        "            [--inject-capacity F] [--inject-traffic F]\n"
+        "            [--determinism 0|1] [--shrink 0|1] [--keep-going 0|1]\n"
+        "            seeded campaign over the differential oracle: random\n"
+        "            synthetic cases through the policy matrix (server:\n"
+        "            random co-locations); a violation is shrunk and saved\n"
+        "            to DIR as a .sentinelrepro; exit 0 clean, 2 on\n"
+        "            violations\n"
         "  replay    FILE.sentinelrepro [--jobs N] [--determinism 0|1]\n"
         "            replay a fuzz case through the cross-policy\n"
         "            differential oracle; exit 0 when every invariant\n"
@@ -1033,7 +1269,7 @@ commands()
                        "ring-capacity" }) },
         { "report", cmdReport,
           withConfig({ "policy", "report-out", "trace-out", "tensor", "top",
-                       "jobs", "ring-capacity" }) },
+                       "ring-capacity" }) },
         { "compare", cmdCompare, withConfig({ "jobs" }) },
         { "plan", cmdPlan, withConfig({ "solver", "top" }) },
         { "maxbatch", cmdMaxBatch,
@@ -1046,6 +1282,10 @@ commands()
             "listen", "obs", "slo-target", "slo-budget", "burn-threshold",
             "burn-window", "scrape-every", "listen-count" } },
         { "top", cmdTop, { "endpoint", "snapshot", "frame" } },
+        { "fuzz", cmdFuzz,
+          { "iters", "seed", "jobs", "out", "inject-capacity",
+            "inject-traffic", "determinism", "shrink", "keep-going", "mode",
+            "colo-jobs", "planner", "tiers" } },
         { "models", [](const Args &) { return cmdModels(); }, {} },
     };
     return table;
