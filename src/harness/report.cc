@@ -8,6 +8,7 @@
 #include "common/percentile.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "telemetry/chrome_trace.hh"
 
 namespace sentinel::harness {
 
@@ -81,35 +82,6 @@ std::string
 intervalLabel(int k)
 {
     return k < 0 ? std::string("-") : strprintf("%d", k);
-}
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
 }
 
 void
@@ -299,7 +271,8 @@ stallReportJson(const df::Graph &graph, const AttributionEngine &attr,
                                         ? -1
                                         : static_cast<std::int64_t>(
                                               o.tensor))
-           << ",\"name\":\"" << escapeJson(tensorName(graph, o.tensor))
+           << ",\"name\":\""
+           << telemetry::jsonEscape(tensorName(graph, o.tensor))
            << "\",\"exposed_ns\":" << o.attr.exposed
            << ",\"alloc_ns\":" << o.attr.alloc
            << ",\"stalls\":" << o.attr.stall_events;

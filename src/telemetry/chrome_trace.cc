@@ -1,11 +1,9 @@
 #include "telemetry/chrome_trace.hh"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/logging.hh"
-#include "telemetry/export.hh"
 
 namespace sentinel::telemetry {
 
@@ -43,10 +41,6 @@ trackOf(EventType t)
     }
     return { 1, 1 };
 }
-
-// JSON string escaping lives in export.hh (jsonEscape) so the trace
-// and metrics writers share one definition.
-constexpr auto escapeJson = &jsonEscape;
 
 std::string
 defaultName(const Event &e)
@@ -102,13 +96,13 @@ writeMetadata(std::ostream &os, const std::string &process_label)
         { 2, 1, "promote" },   { 2, 2, "demote" },  { 2, 3, "prefetch" },
     };
     for (const Meta &m : metas) {
-        // Names pass through escapeJson like everything else: the
+        // Names pass through jsonEscape like everything else: the
         // executor label can be a user-supplied model name carrying
         // quotes or backslashes.
         std::string name = m.name;
         if (m.pid == 1 && m.tid == 0 && !process_label.empty())
             name = process_label;
-        name = escapeJson(name);
+        name = jsonEscape(name);
         if (m.tid == 0) {
             os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
                << m.pid << ",\"tid\":0,\"args\":{\"name\":\"" << name
@@ -130,7 +124,7 @@ writeEvent(std::ostream &os, const Event &e, const ChromeTraceOptions &opts,
         name = opts.labeler(e);
     if (name.empty())
         name = defaultName(e);
-    name = escapeJson(name);
+    name = jsonEscape(name);
 
     TrackRef tr = trackOf(e.type);
     const char *ph = "X";
@@ -188,6 +182,35 @@ writeEvent(std::ostream &os, const Event &e, const ChromeTraceOptions &opts,
 
 } // namespace
 
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += strprintf("\\u%04x", c);
+            else
+                out += c;
+        }
+    }
+    return out;
+}
+
 void
 writeChromeTrace(const EventSink &sink, std::ostream &os,
                  const ChromeTraceOptions &opts)
@@ -205,7 +228,7 @@ writeChromeTrace(const EventSink &sink, std::ostream &os,
                                : opts.process_label;
         os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
               "\"tid\":0,\"args\":{\"name\":\""
-           << escapeJson(name) << "\"}}\n";
+           << jsonEscape(name) << "\"}}\n";
     }
     os << "]}\n";
 }

@@ -57,6 +57,10 @@ struct ChromeTraceOptions {
     std::string process_label;
 };
 
+/** JSON string-literal escaping ('"', '\\', control chars).  Shared
+ *  by every JSON writer in the simulator (traces, stall reports). */
+std::string jsonEscape(const std::string &s);
+
 /** Write the retained events of @p sink as Chrome-trace JSON. */
 void writeChromeTrace(const EventSink &sink, std::ostream &os,
                       const ChromeTraceOptions &opts = {});

@@ -1,7 +1,10 @@
 #include "telemetry/openmetrics.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <map>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -75,8 +78,9 @@ omFormatValue(double v)
 {
     // Integral values print without an exponent or trailing zeros so
     // the exposition stays grep-friendly; everything else gets enough
-    // digits to round-trip.
-    if (v == static_cast<double>(static_cast<long long>(v)))
+    // digits to round-trip.  The range test comes first: casting a
+    // NaN or a value beyond long long is undefined.
+    if (std::fabs(v) < 9e18 && v == std::trunc(v))
         return strprintf("%lld", static_cast<long long>(v));
     return strprintf("%.10g", v);
 }
@@ -131,6 +135,9 @@ writeOpenMetrics(const MetricRegistry &metrics, std::ostream &os,
             omWriteSample(os, name, ql, static_cast<double>(r.p50));
             ql.back().value = "0.99";
             omWriteSample(os, name, ql, static_cast<double>(r.p99));
+            // p50/p99 are bucket bounds; quantile 1 is the exact max.
+            ql.back().value = "1";
+            omWriteSample(os, name, ql, static_cast<double>(r.max));
             omWriteSample(os, name + "_count", labels,
                           static_cast<double>(r.count));
             omWriteSample(os, name + "_sum", labels,
@@ -253,6 +260,64 @@ splitScrapeFrames(const std::string &text)
         pos = at + eof.size();
     }
     return frames;
+}
+
+namespace {
+
+/** OmDiffRow::key of @p s. */
+std::string
+omSampleKey(const OmSample &s)
+{
+    std::string key = s.name;
+    for (std::size_t i = 0; i < s.labels.size(); ++i)
+        key += (i ? "," : "{") + s.labels[i].key + "=\"" +
+               omEscapeLabel(s.labels[i].value) + '"';
+    if (!s.labels.empty())
+        key += '}';
+    return key;
+}
+
+} // namespace
+
+std::vector<OmDiffRow>
+diffSamples(const std::vector<OmSample> &a, const std::vector<OmSample> &b,
+            double threshold_pct)
+{
+    std::map<std::string, OmDiffRow> by_key;
+    auto add = [&by_key](const std::vector<OmSample> &side, bool first) {
+        for (const OmSample &s : side) {
+            std::string key = omSampleKey(s);
+            OmDiffRow &r = by_key[key];
+            std::optional<double> &slot = first ? r.a : r.b;
+            if (slot)
+                throw std::invalid_argument(strprintf(
+                    "sample %s appears twice in the %s exposition",
+                    key.c_str(), first ? "first" : "second"));
+            slot = s.value;
+            r.key = std::move(key);
+        }
+    };
+    add(a, true);
+    add(b, false);
+
+    std::vector<OmDiffRow> rows;
+    for (auto &kv : by_key) {
+        OmDiffRow &r = kv.second;
+        if (r.a && r.b) {
+            if (*r.a == 0.0)
+                r.change_pct = *r.b == 0.0 ? 0.0 : 100.0;
+            else
+                r.change_pct = 100.0 * (*r.b - *r.a) / *r.a;
+            r.flagged = r.change_pct > threshold_pct ||
+                        r.change_pct < -threshold_pct;
+            if (*r.a == *r.b && !r.flagged)
+                continue;
+        } else {
+            r.flagged = true;
+        }
+        rows.push_back(std::move(r));
+    }
+    return rows;
 }
 
 } // namespace sentinel::telemetry

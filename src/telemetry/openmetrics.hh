@@ -18,12 +18,15 @@
  *
  * The parser side reads the same format back (names, labels, value)
  * for `sentinel-cli top` — the terminal view works identically from a
- * live HTTP endpoint and from a --scrape-out snapshot file.
+ * live HTTP endpoint and from a --scrape-out snapshot file — and for
+ * `sentinel-cli metrics-diff`, which compares two `run --metrics-out`
+ * files (each one exposition) sample by sample.
  */
 
 #ifndef SENTINEL_TELEMETRY_OPENMETRICS_HH
 #define SENTINEL_TELEMETRY_OPENMETRICS_HH
 
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -75,8 +78,9 @@ void omWriteEof(std::ostream &os);
 
 /**
  * Render every instrument of @p metrics: counters as `<name>_total`
- * counters, gauges as gauges, histograms as summaries (quantile
- * labels + _count/_sum).  Instrument names are sanitized; @p labels is
+ * counters, gauges as gauges, histograms as summaries (quantiles 0.5
+ * and 0.99, which are bucket bounds, quantile 1 with the exact max,
+ * and _count/_sum).  Instrument names are sanitized; @p labels is
  * attached to every sample.
  */
 void writeOpenMetrics(const MetricRegistry &metrics, std::ostream &os,
@@ -97,6 +101,31 @@ bool parseOpenMetrics(const std::string &text,
  * per `# EOF`); trailing garbage after the last `# EOF` is ignored.
  */
 std::vector<std::string> splitScrapeFrames(const std::string &text);
+
+/** One row of diffSamples(): a sample whose value differs between two
+ *  expositions, or that only one of them holds. */
+struct OmDiffRow {
+    /** `name` or `name{k="v",...}` (labels in written order, values
+     *  escaped): the identity samples are matched by. */
+    std::string key;
+    std::optional<double> a; ///< empty when the sample was added
+    std::optional<double> b; ///< empty when the sample was removed
+    /** 100 (b - a) / a; 100 when a is 0 and b is not.  Set when both
+     *  sides hold the sample. */
+    double change_pct = 0.0;
+    /** Added, removed, or |change_pct| above the threshold. */
+    bool flagged = false;
+};
+
+/**
+ * Compare two parsed expositions sample by sample, in key order.  A
+ * sample present on both sides with an equal value and a change within
+ * @p threshold_pct is left out.  Throws std::invalid_argument when one
+ * side holds a key twice.
+ */
+std::vector<OmDiffRow> diffSamples(const std::vector<OmSample> &a,
+                                   const std::vector<OmSample> &b,
+                                   double threshold_pct);
 
 } // namespace sentinel::telemetry
 

@@ -1,21 +1,21 @@
 /**
  * @file
- * Hostile-name escaping in the metric exporters, the dump loader that
- * powers `sentinel-cli metrics-diff`, and the OpenMetrics helpers
- * (name sanitizing, label escaping, render/parse round-trip).
+ * JSON string escaping, the OpenMetrics helpers (name sanitizing,
+ * label escaping, render/parse round-trip), and the sample-by-sample
+ * diff behind `sentinel-cli metrics-diff`.
  *
- * The hostile instrument name here is the golden case: a fuzzer label
- * carrying quotes, commas, newlines, and a control byte must come back
- * from both exporters byte-exact, not corrupt the document.
+ * The hostile string here is the golden case: a fuzzer label carrying
+ * quotes, commas, newlines, and a control byte must come out of
+ * jsonEscape as one well-formed JSON string body.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <initializer_list>
 #include <sstream>
+#include <stdexcept>
 
-#include "telemetry/export.hh"
+#include "telemetry/chrome_trace.hh"
 #include "telemetry/openmetrics.hh"
 
 using namespace sentinel::telemetry;
@@ -23,81 +23,21 @@ using namespace sentinel::telemetry;
 namespace {
 
 // Quotes, comma, backslash, newline, tab, and a control byte: every
-// class of character that can break CSV or JSON framing.
+// class of character that can break JSON framing.
 const char *kHostile = "evil\"name,with\\stuff\nand\tmore\x01" "end";
-
-std::string
-tempPath(const char *stem)
-{
-    return testing::TempDir() + stem;
-}
 
 TEST(Export, JsonEscapesHostileNames)
 {
-    MetricRegistry reg;
-    reg.counter(kHostile).add(7);
-
-    std::ostringstream os;
-    writeMetricsJson(reg, os);
-    std::string json = os.str();
+    const std::string json = jsonEscape(kHostile);
 
     // The raw quote/newline must not appear inside the string literal.
     EXPECT_EQ(json.find("evil\"name"), std::string::npos);
     EXPECT_NE(json.find("evil\\\"name"), std::string::npos);
+    EXPECT_NE(json.find("with\\\\stuff"), std::string::npos);
     EXPECT_NE(json.find("\\n"), std::string::npos);
     EXPECT_NE(json.find("\\t"), std::string::npos);
     EXPECT_NE(json.find("\\u0001"), std::string::npos);
-}
-
-TEST(Export, CsvQuotesHostileFields)
-{
-    MetricRegistry reg;
-    reg.counter(kHostile).add(7);
-    reg.counter("plain_name").add(1);
-
-    std::ostringstream os;
-    writeMetricsCsv(reg, os);
-    std::string csv = os.str();
-
-    // RFC 4180: the hostile field is quoted with inner quotes doubled;
-    // the plain one stays bare.
-    EXPECT_NE(csv.find("\"evil\"\"name,with\\stuff"), std::string::npos);
-    EXPECT_NE(csv.find("\nplain_name,counter,"), std::string::npos);
-}
-
-TEST(Export, HostileNameRoundTripsThroughBothFormats)
-{
-    MetricRegistry reg;
-    reg.counter(kHostile).add(42);
-    reg.histogram("h.lat").record(100);
-
-    for (const char *stem : { "hostile.json", "hostile.csv" }) {
-        std::string path = tempPath(stem);
-        ASSERT_TRUE(saveMetrics(reg, path)) << path;
-        std::vector<MetricRow> rows = loadMetricsDump(path);
-        ASSERT_EQ(rows.size(), 2u) << path;
-        // Name-sorted: "evil..." sorts before "h.lat".
-        EXPECT_EQ(rows[0].name, kHostile) << path;
-        EXPECT_EQ(rows[0].sum, 42u) << path;
-        EXPECT_EQ(rows[1].name, "h.lat") << path;
-        EXPECT_EQ(rows[1].count, 1u) << path;
-        std::remove(path.c_str());
-    }
-}
-
-TEST(Export, LoadMetricsDumpThrowsOnGarbage)
-{
-    EXPECT_THROW(loadMetricsDump(tempPath("no_such_dump.json")),
-                 std::runtime_error);
-
-    std::string path = tempPath("truncated.csv");
-    {
-        std::ofstream os(path);
-        os << "name,kind,count,sum,min,max,p50,p99\n"
-           << "short,counter,1\n"; // 3 fields, want 8
-    }
-    EXPECT_THROW(loadMetricsDump(path), std::runtime_error);
-    std::remove(path.c_str());
+    EXPECT_EQ(json.find('\n'), std::string::npos);
 }
 
 TEST(OpenMetrics, SanitizeName)
@@ -178,6 +118,99 @@ TEST(OpenMetrics, ValueFormattingIsGrepFriendly)
     EXPECT_EQ(omFormatValue(4096.0), "4096");
     EXPECT_EQ(omFormatValue(-3.0), "-3");
     EXPECT_EQ(omFormatValue(0.5), "0.5");
+}
+
+/** A registry with one counter "c", one gauge "g" and a histogram "h"
+ *  of @p hist, rendered as a `run --metrics-out` file and parsed. */
+std::vector<OmSample>
+exposition(std::uint64_t counter, std::uint64_t gauge,
+           std::initializer_list<std::uint64_t> hist)
+{
+    MetricRegistry reg;
+    reg.counter("c").add(counter);
+    reg.gauge("g").noteMax(gauge);
+    for (std::uint64_t v : hist)
+        reg.histogram("h").record(v);
+    std::ostringstream os;
+    writeOpenMetrics(reg, os);
+    omWriteEof(os);
+    std::vector<OmSample> samples;
+    std::string err;
+    EXPECT_TRUE(parseOpenMetrics(os.str(), samples, &err)) << err;
+    return samples;
+}
+
+TEST(OpenMetricsDiff, FlagsEachDiffedValueAlone)
+{
+    // h = {10, 20, 40, 100}: count 4, sum 170, p50 31 (the bucket of
+    // 20), p99 63 (the bucket of 40), max 100.  Each case moves exactly
+    // one of the values a metrics diff compares and keeps the rest.
+    const std::vector<OmSample> base =
+        exposition(100, 100, { 10, 20, 40, 100 });
+    const struct {
+        const char *key;
+        std::vector<OmSample> b;
+    } cases[] = {
+        { "c_total", exposition(200, 100, { 10, 20, 40, 100 }) },
+        { "g", exposition(100, 200, { 10, 20, 40, 100 }) },
+        { "h_count", exposition(100, 100, { 0, 16, 16, 38, 100 }) },
+        { "h_sum", exposition(100, 100, { 11, 20, 40, 100 }) },
+        { "h{quantile=\"0.5\"}",
+          exposition(100, 100, { 15, 15, 40, 100 }) },
+        { "h{quantile=\"0.99\"}",
+          exposition(100, 100, { 8, 31, 31, 100 }) },
+        { "h{quantile=\"1\"}", exposition(100, 100, { 10, 20, 41, 99 }) },
+    };
+    EXPECT_TRUE(diffSamples(base, base, 0.0).empty());
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.key);
+        std::vector<OmDiffRow> rows = diffSamples(base, c.b, 0.5);
+        ASSERT_EQ(rows.size(), 1u);
+        EXPECT_EQ(rows[0].key, c.key);
+        EXPECT_TRUE(rows[0].a && rows[0].b);
+        EXPECT_TRUE(rows[0].flagged);
+    }
+}
+
+TEST(OpenMetricsDiff, QuantileOneIsTheExactMax)
+{
+    int seen = 0;
+    for (const OmSample &s : exposition(1, 1, { 3, 1000, 70000 })) {
+        if (s.name == "h" && s.label("quantile") == "1") {
+            ++seen;
+            EXPECT_EQ(s.value, 70000.0); // p99 is the bucket bound 131071
+        }
+    }
+    EXPECT_EQ(seen, 1);
+}
+
+TEST(OpenMetricsDiff, ThresholdAddedAndRemoved)
+{
+    std::vector<OmSample> a = { { "x", {}, 100.0 }, { "gone", {}, 1.0 } };
+    std::vector<OmSample> b = { { "x", {}, 105.0 },
+                                { "new", { { "job", "j\"1" } }, 2.0 } };
+    std::vector<OmDiffRow> rows = diffSamples(a, b, 10.0);
+    ASSERT_EQ(rows.size(), 3u); // key order: gone, new{...}, x
+    EXPECT_EQ(rows[0].key, "gone");
+    EXPECT_TRUE(rows[0].a && !rows[0].b && rows[0].flagged);
+    EXPECT_EQ(rows[1].key, "new{job=\"j\\\"1\"}");
+    EXPECT_TRUE(!rows[1].a && rows[1].b && rows[1].flagged);
+    // A 5% move is listed but stays under a 10% threshold.
+    EXPECT_EQ(rows[2].key, "x");
+    EXPECT_DOUBLE_EQ(rows[2].change_pct, 5.0);
+    EXPECT_FALSE(rows[2].flagged);
+    EXPECT_TRUE(diffSamples(a, b, 4.0)[2].flagged);
+}
+
+TEST(OpenMetricsDiff, RepeatedSampleIsRejected)
+{
+    std::vector<OmSample> twice = { { "x", {}, 1.0 }, { "x", {}, 2.0 } };
+    EXPECT_THROW(diffSamples(twice, {}, 10.0), std::invalid_argument);
+    EXPECT_THROW(diffSamples({}, twice, 10.0), std::invalid_argument);
+    // The same name under other labels is another sample.
+    std::vector<OmSample> labelled = { { "x", { { "k", "1" } }, 1.0 },
+                                       { "x", { { "k", "2" } }, 1.0 } };
+    EXPECT_TRUE(diffSamples(labelled, labelled, 0.0).empty());
 }
 
 } // namespace

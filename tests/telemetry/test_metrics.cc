@@ -1,14 +1,10 @@
 /**
  * @file
- * Counter/Gauge/Histogram semantics, registry snapshot ordering, and
- * the CSV/JSON metric exporters.
+ * Counter/Gauge/Histogram semantics and registry snapshot ordering.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "telemetry/export.hh"
 #include "telemetry/metrics.hh"
 
 using namespace sentinel::telemetry;
@@ -153,41 +149,6 @@ TEST(MetricRegistry, SnapshotSortedAndTyped)
     EXPECT_EQ(rows[2].name, "z.count");
     EXPECT_EQ(rows[2].kind, "counter");
     EXPECT_EQ(rows[2].sum, 7u);
-}
-
-TEST(Export, CsvHasHeaderAndOneRowPerMetric)
-{
-    MetricRegistry reg;
-    reg.counter("mem.promoted_bytes").add(4096);
-    reg.gauge("mem.fast_peak_bytes").noteMax(1 << 20);
-
-    std::ostringstream os;
-    writeMetricsCsv(reg, os);
-    std::string csv = os.str();
-
-    std::istringstream is(csv);
-    std::string line;
-    ASSERT_TRUE(std::getline(is, line));
-    EXPECT_EQ(line, "name,kind,count,sum,min,max,p50,p99");
-    ASSERT_TRUE(std::getline(is, line));
-    EXPECT_EQ(line.rfind("mem.fast_peak_bytes,gauge,", 0), 0u);
-    ASSERT_TRUE(std::getline(is, line));
-    EXPECT_EQ(line.rfind("mem.promoted_bytes,counter,", 0), 0u);
-    EXPECT_NE(line.find("4096"), std::string::npos);
-    EXPECT_FALSE(std::getline(is, line)); // exactly header + 2 rows
-}
-
-TEST(Export, JsonWrapsMetricsArray)
-{
-    MetricRegistry reg;
-    reg.counter("c").add(1);
-
-    std::ostringstream os;
-    writeMetricsJson(reg, os);
-    std::string json = os.str();
-    EXPECT_NE(json.find("\"metrics\""), std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"c\""), std::string::npos);
-    EXPECT_NE(json.find("\"kind\":\"counter\""), std::string::npos);
 }
 
 } // namespace

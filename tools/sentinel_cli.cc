@@ -27,8 +27,10 @@
  *                observability plane (OpenMetrics + SLO burn alerts)
  *   top          per-job terminal view of a scrape: --endpoint for a
  *                live /metrics responder, --snapshot for a frame file
- *   metrics-diff compare two --metrics-out dumps with percent-change
- *                thresholds (exit 2 when a change exceeds them)
+ *   metrics-diff compare two --metrics-out files (OpenMetrics text)
+ *                sample by sample with a percent-change threshold (exit
+ *                2 when a change exceeds it or a sample is added or
+ *                removed, 1 when a file does not parse)
  *   models       list the model zoo
  *
  * Examples:
@@ -54,6 +56,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -71,7 +74,6 @@
 #include "server/scrape.hh"
 #include "sim/fault_injector.hh"
 #include "telemetry/chrome_trace.hh"
-#include "telemetry/export.hh"
 #include "telemetry/openmetrics.hh"
 #include "telemetry/session.hh"
 
@@ -196,6 +198,31 @@ class Args
     std::map<std::string, std::string> values_;
 };
 
+/** --platform: cpu (the Optane server) or gpu. */
+harness::Platform
+platformFrom(const Args &args)
+{
+    const std::string p = args.get("platform", "cpu");
+    if (p != "cpu" && p != "gpu")
+        throw harness::ConfigError(strprintf(
+            "config: --platform wants cpu or gpu, got '%s'", p.c_str()));
+    return p == "gpu" ? harness::Platform::Gpu : harness::Platform::Optane;
+}
+
+/** --ring-capacity: the events a telemetry ring holds, 1..2^24 (a
+ *  512 MiB ring of 32-byte events), checked before anything runs. */
+std::size_t
+ringCapacity(const Args &args)
+{
+    constexpr int kMax = 1 << 24;
+    const int v = args.getInt("ring-capacity", 1 << 18);
+    if (v < 1 || v > kMax)
+        throw harness::ConfigError(strprintf(
+            "config: --ring-capacity must lie in [1, %d] (got %d)", kMax,
+            v));
+    return static_cast<std::size_t>(v);
+}
+
 /** The keys configFrom() reads. */
 const std::vector<std::string> kConfigKeys = {
     "model", "batch", "platform", "fraction", "mem-mb", "tiers",
@@ -212,9 +239,7 @@ configFrom(const Args &args)
     // spec; they still build via makeModel, so default their batch.
     const models::ModelSpec *spec = models::findModelSpec(cfg.model);
     cfg.batch = args.getInt("batch", spec ? spec->small_batch : 32);
-    cfg.platform = args.get("platform", "cpu") == "gpu"
-                       ? harness::Platform::Gpu
-                       : harness::Platform::Optane;
+    cfg.platform = platformFrom(args);
     cfg.fast_fraction = args.getDouble("fraction", 0.2);
     int mem_mb = args.getInt("mem-mb", 0);
     if (mem_mb > 0)
@@ -281,12 +306,12 @@ cmdRun(const Args &args)
     std::string policy = args.get("policy", "sentinel");
     std::string trace_out = args.get("trace-out", "");
     std::string metrics_out = args.get("metrics-out", "");
+    const std::size_t ring_capacity = ringCapacity(args);
 
     std::optional<telemetry::Session> session;
     if (!trace_out.empty() || !metrics_out.empty()) {
         telemetry::TelemetryConfig tcfg;
-        tcfg.ring_capacity = static_cast<std::size_t>(
-            args.getInt("ring-capacity", 1 << 18));
+        tcfg.ring_capacity = ring_capacity;
         session.emplace(tcfg);
         cfg.telemetry = &*session;
     }
@@ -303,6 +328,7 @@ cmdRun(const Args &args)
     }
 
     if (session) {
+        session->syncDropCounter();
         // Rebuild the (deterministic) graph to resolve op/tensor names.
         df::Graph g = models::makeModel(cfg.model, cfg.batch);
         if (!trace_out.empty()) {
@@ -318,7 +344,10 @@ cmdRun(const Args &args)
                             session->events().dropped()));
         }
         if (!metrics_out.empty()) {
-            if (!telemetry::saveMetrics(session->metrics(), metrics_out))
+            std::ofstream os(metrics_out, std::ios::binary);
+            telemetry::writeOpenMetrics(session->metrics(), os);
+            telemetry::omWriteEof(os);
+            if (!os)
                 SENTINEL_FATAL("could not write '%s'",
                                metrics_out.c_str());
             std::printf("metrics written to %s\n", metrics_out.c_str());
@@ -334,7 +363,8 @@ cmdReport(const Args &args)
     std::string policy = args.get("policy", "sentinel");
     std::string report_out = args.get("report-out", "");
     std::string trace_out = args.get("trace-out", "");
-    std::string tensor_arg = args.get("tensor", "");
+    const bool want_history = args.has("tensor");
+    const std::uint64_t tensor = args.getU64("tensor", 0);
 
     harness::ReportOptions ropts;
     ropts.top_k = args.getInt("top", 5);
@@ -348,8 +378,7 @@ cmdReport(const Args &args)
     // cross-checked against the raw event stream (and exported with
     // the audit reasons joined in when --trace-out is given).
     telemetry::TelemetryConfig tcfg;
-    tcfg.ring_capacity =
-        static_cast<std::size_t>(args.getInt("ring-capacity", 1 << 18));
+    tcfg.ring_capacity = ringCapacity(args);
     telemetry::Session session(tcfg);
     cfg.telemetry = &session;
 
@@ -362,6 +391,11 @@ cmdReport(const Args &args)
     session.syncDropCounter();
 
     df::Graph g = models::makeModel(cfg.model, cfg.batch);
+    if (want_history && tensor >= g.numTensors())
+        throw harness::ConfigError(strprintf(
+            "config: --tensor %llu is not a tensor of %s (it has %zu)",
+            static_cast<unsigned long long>(tensor), cfg.model.c_str(),
+            g.numTensors()));
     printMetrics(tr.metrics);
     std::printf("\n%s",
                 harness::buildStallReport(g, attr, audit, ropts).c_str());
@@ -372,12 +406,11 @@ cmdReport(const Args &args)
     else if (!why.empty())
         std::printf("event cross-check: %s\n", why.c_str());
 
-    if (!tensor_arg.empty()) {
-        auto id = static_cast<std::uint32_t>(
-            std::strtoul(tensor_arg.c_str(), nullptr, 0));
+    if (want_history)
         std::printf("\n%s",
-                    harness::auditHistory(g, audit, id).c_str());
-    }
+                    harness::auditHistory(
+                        g, audit, static_cast<std::uint32_t>(tensor))
+                        .c_str());
 
     if (!report_out.empty()) {
         std::ofstream os(report_out, std::ios::binary);
@@ -896,9 +929,7 @@ int
 cmdServe(const Args &args)
 {
     server::ServerConfig cfg;
-    cfg.platform = args.get("platform", "cpu") == "gpu"
-                       ? harness::Platform::Gpu
-                       : harness::Platform::Optane;
+    cfg.platform = platformFrom(args);
     cfg.fast_bytes =
         static_cast<std::uint64_t>(args.getInt("node-mb", 64)) << 20;
     cfg.headroom = args.getDouble("headroom", 1.0);
@@ -1000,6 +1031,48 @@ cmdServe(const Args &args)
     return 0;
 }
 
+/** The whole of @p path; std::runtime_error when it cannot be read. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+        throw std::runtime_error(
+            strprintf("could not read '%s'", path.c_str()));
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    return buf.str();
+}
+
+/**
+ * The frames of OpenMetrics @p text: one for a scrape or a `run
+ * --metrics-out` file, several for a `serve --scrape-out` snapshot.
+ * std::runtime_error naming @p source when there is none.
+ */
+std::vector<std::string>
+scrapeFrames(const std::string &text, const std::string &source)
+{
+    std::vector<std::string> frames = telemetry::splitScrapeFrames(text);
+    if (frames.empty())
+        throw std::runtime_error(
+            strprintf("%s: no OpenMetrics frame found (missing '# EOF')",
+                      source.c_str()));
+    return frames;
+}
+
+/** One frame's samples, parsed strictly; std::runtime_error naming
+ *  @p source and the first bad line. */
+std::vector<telemetry::OmSample>
+parseFrame(const std::string &frame, const std::string &source)
+{
+    std::vector<telemetry::OmSample> samples;
+    std::string err;
+    if (!telemetry::parseOpenMetrics(frame, samples, &err))
+        throw std::runtime_error(strprintf(
+            "%s: bad exposition: %s", source.c_str(), err.c_str()));
+    return samples;
+}
+
 int
 cmdTop(const Args &args)
 {
@@ -1031,30 +1104,20 @@ cmdTop(const Args &args)
         if (!server::httpGet(host, port, "/metrics", text, &err))
             SENTINEL_FATAL("scrape failed: %s", err.c_str());
     } else {
-        std::ifstream is(snapshot, std::ios::binary);
-        if (!is)
-            SENTINEL_FATAL("could not read '%s'", snapshot.c_str());
-        std::ostringstream buf;
-        buf << is.rdbuf();
-        text = buf.str();
+        text = readFile(snapshot);
     }
 
     // A snapshot file holds a sequence of frames; default to the most
     // recent, --frame K (1-based) rewinds.
-    std::vector<std::string> frames =
-        telemetry::splitScrapeFrames(text);
-    if (frames.empty())
-        SENTINEL_FATAL("no OpenMetrics frame found (missing '# EOF')");
+    const std::string &source = endpoint.empty() ? snapshot : endpoint;
+    std::vector<std::string> frames = scrapeFrames(text, source);
     int frame = args.getInt("frame", static_cast<int>(frames.size()));
     if (frame < 1 || frame > static_cast<int>(frames.size()))
         SENTINEL_FATAL("--frame %d out of range (1..%zu)", frame,
                        frames.size());
 
-    std::vector<telemetry::OmSample> samples;
-    std::string err;
-    if (!telemetry::parseOpenMetrics(
-            frames[static_cast<std::size_t>(frame - 1)], samples, &err))
-        SENTINEL_FATAL("bad exposition: %s", err.c_str());
+    std::vector<telemetry::OmSample> samples = parseFrame(
+        frames[static_cast<std::size_t>(frame - 1)], source);
     if (frames.size() > 1)
         std::printf("frame %d of %zu\n", frame, frames.size());
     std::printf("%s", server::renderTopFrame(samples).c_str());
@@ -1066,74 +1129,33 @@ cmdMetricsDiff(const std::string &file_a, const std::string &file_b,
                const Args &args)
 {
     double threshold = args.getDouble("threshold", 10.0);
-    std::vector<telemetry::MetricRow> a =
-        telemetry::loadMetricsDump(file_a);
-    std::vector<telemetry::MetricRow> b =
-        telemetry::loadMetricsDump(file_b);
-
-    auto pct = [](double from, double to) {
-        if (from == 0.0)
-            return to == 0.0 ? 0.0 : 100.0;
-        return 100.0 * (to - from) / from;
+    // The last frame of each file, read the way `top --snapshot` reads.
+    auto load = [](const std::string &path) {
+        return parseFrame(scrapeFrames(readFile(path), path).back(), path);
     };
+    std::vector<telemetry::OmSample> a = load(file_a);
+    std::vector<telemetry::OmSample> b = load(file_b);
+    std::vector<telemetry::OmDiffRow> rows =
+        telemetry::diffSamples(a, b, threshold);
+    if (rows.empty()) {
+        std::printf("no differences (%zu samples compared)\n", a.size());
+        return 0;
+    }
 
+    auto value = [](std::optional<double> v) {
+        return v ? telemetry::omFormatValue(*v) : "missing";
+    };
     Table t(strprintf("metrics diff: %s -> %s (threshold %.1f%%)",
                       file_a.c_str(), file_b.c_str(), threshold),
-            { "metric", "field", "a", "b", "change_pct", "flag" });
+            { "sample", "a", "b", "change_pct", "flag" });
     int flagged = 0;
-    std::size_t i = 0, j = 0;
-    while (i < a.size() || j < b.size()) {
-        // Both dumps are name-sorted: a linear merge finds adds,
-        // drops, and common rows in one pass.
-        if (j >= b.size() || (i < a.size() && a[i].name < b[j].name)) {
-            t.row().cell(a[i].name).cell("-").cell("present").cell(
-                "missing");
-            t.cell("-").cell("REMOVED");
-            ++flagged;
-            ++i;
-            continue;
-        }
-        if (i >= a.size() || b[j].name < a[i].name) {
-            t.row().cell(b[j].name).cell("-").cell("missing").cell(
-                "present");
-            t.cell("-").cell("ADDED");
-            ++flagged;
-            ++j;
-            continue;
-        }
-        const telemetry::MetricRow &ra = a[i];
-        const telemetry::MetricRow &rb = b[j];
-        struct Field {
-            const char *name;
-            std::uint64_t va, vb;
-        } fields[] = {
-            { "count", ra.count, rb.count }, { "sum", ra.sum, rb.sum },
-            { "p50", ra.p50, rb.p50 },       { "p99", ra.p99, rb.p99 },
-            { "max", ra.max, rb.max },
-        };
-        for (const Field &f : fields) {
-            double change = pct(static_cast<double>(f.va),
-                                static_cast<double>(f.vb));
-            bool over = change > threshold || change < -threshold;
-            if (f.va == f.vb && !over)
-                continue; // identical fields stay out of the report
-            t.row()
-                .cell(ra.name)
-                .cell(f.name)
-                .cell(f.va)
-                .cell(f.vb)
-                .cell(change, 1)
-                .cell(over ? "OVER" : "");
-            if (over)
-                ++flagged;
-        }
-        ++i;
-        ++j;
-    }
-    if (t.numRows() == 0) {
-        std::printf("no differences (%zu metrics compared)\n",
-                    a.size());
-        return 0;
+    for (const telemetry::OmDiffRow &r : rows) {
+        t.row().cell(r.key).cell(value(r.a)).cell(value(r.b));
+        if (r.a && r.b)
+            t.cell(r.change_pct, 1).cell(r.flagged ? "OVER" : "");
+        else
+            t.cell("-").cell(r.a ? "REMOVED" : "ADDED");
+        flagged += r.flagged;
     }
     t.print(std::cout);
     std::printf("%d flagged difference(s)%s\n", flagged,
@@ -1176,7 +1198,7 @@ usage()
         "            [--tiers N] [--mid-capacity MB] [--mid-bw GB/s]\n"
         "            (N-tier chain; 3+ inserts middle tiers between\n"
         "             fast and slow, staged-prefetch path)\n"
-        "            [--trace-out FILE.json] [--metrics-out FILE.csv]\n"
+        "            [--trace-out FILE.json] [--metrics-out FILE]\n"
         "            (run is the default command when the first arg\n"
         "             starts with --)\n"
         "  report    stall attribution + decision audit for one run:\n"
@@ -1229,10 +1251,10 @@ usage()
         "  top       --endpoint HOST:PORT | --snapshot FILE "
         "[--frame K]\n"
         "            render one per-job scrape frame as a table\n"
-        "  metrics-diff A B [--threshold PCT]  compare two metrics\n"
-        "            dumps (JSON or CSV); exit 2 when any field moved\n"
-        "            more than PCT percent or a metric was added or\n"
-        "            removed\n"
+        "  metrics-diff A B [--threshold PCT]  compare two --metrics-out\n"
+        "            files sample by sample; exit 2 when a sample moved\n"
+        "            more than PCT percent or was added or removed, 1\n"
+        "            when a file does not parse\n"
         "  models    list the model zoo\n\n"
         "fault injection: --chaos SPEC (and --chaos-seed N) perturb the\n"
         "training run of any command, e.g.\n"
@@ -1243,7 +1265,7 @@ usage()
         "         jitter:step=,amp=              drift:step=,factor=\n\n"
         "telemetry: --trace-out writes a Chrome-trace JSON (load it in\n"
         "chrome://tracing or https://ui.perfetto.dev); --metrics-out\n"
-        "writes counters/histograms as CSV (.csv) or JSON.\n");
+        "writes counters, gauges and histograms as OpenMetrics text.\n");
 }
 
 /** A subcommand that takes only --key value options. */
@@ -1322,12 +1344,12 @@ main(int argc, char **argv)
             return c.fn(args);
         }
         if (cmd == "metrics-diff") {
-            // Two positional dump files, then --key value options.
+            // Two positional metrics files, then --key value options.
             if (argc < 4 || std::string(argv[2]).rfind("--", 0) == 0 ||
                 std::string(argv[3]).rfind("--", 0) == 0)
                 SENTINEL_FATAL(
-                    "metrics-diff needs two dump files: "
-                    "sentinel-cli metrics-diff a.json b.json");
+                    "metrics-diff needs two --metrics-out files: "
+                    "sentinel-cli metrics-diff a.prom b.prom");
             Args dargs(argc, argv, 4);
             dargs.expect(cmd, { "threshold" });
             return cmdMetricsDiff(argv[2], argv[3], dargs);
