@@ -12,12 +12,14 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <exception>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "harness/experiment.hh"
@@ -56,17 +58,12 @@ parseBenchArgs(int argc, char **argv,
 {
     BenchArgs args;
     auto parseJobs = [&](const std::string &v) {
-        std::size_t used = 0;
-        int n = 0;
-        try {
-            n = std::stoi(v, &used);
-        } catch (const std::exception &) {
-            // used stays 0, so the check below rejects v.
-        }
-        if (v.empty() || used != v.size() || n < 1)
+        const std::optional<int> n =
+            parseInt(v, 1, std::numeric_limits<int>::max());
+        if (!n)
             usageError(argv[0], "--jobs takes an integer >= 1, got '" +
                                     v + "'");
-        args.jobs = n;
+        args.jobs = *n;
     };
     for (int i = 1; i < argc; ++i) {
         std::string s = argv[i];

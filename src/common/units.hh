@@ -22,6 +22,10 @@ constexpr Tick kUsec = 1000;
 constexpr Tick kMsec = 1000 * kUsec;
 constexpr Tick kSec = 1000 * kMsec;
 
+/** The longest span, in ms, that a text input (a job's arrival, a
+ *  chaos stall) may name: ~11.6 simulated days, far inside a Tick. */
+constexpr double kMaxSpanMs = 1e9;
+
 /** Size helpers. */
 constexpr std::uint64_t KiB = 1024ull;
 constexpr std::uint64_t MiB = 1024ull * KiB;

@@ -184,6 +184,12 @@ Cell::Cell(const ExperimentConfig &cfg, const std::string &policy,
             profile->numTensors(), profile->numLayers(),
             cfg.model.c_str(), cfg.batch, graph_.numTensors(),
             graph_.numLayers()));
+    // A malformed fault spec fails before anything is simulated.
+    std::optional<sim::FaultSpec> faults;
+    if (!cfg.chaos.empty()) {
+        faults = sim::FaultSpec::parse(cfg.chaos);
+        faults->seed = cfg.chaos_seed;
+    }
     build(policy, profile);
     if (!supported())
         return;
@@ -204,10 +210,8 @@ Cell::Cell(const ExperimentConfig &cfg, const std::string &policy,
     }
     if (cfg.audit && sentinel_)
         sentinel_->setAudit(cfg.audit);
-    if (!cfg.chaos.empty()) {
-        sim::FaultSpec spec = sim::FaultSpec::parse(cfg.chaos);
-        spec.seed = cfg.chaos_seed;
-        injector_.emplace(std::move(spec));
+    if (faults) {
+        injector_.emplace(std::move(*faults));
         executor_->setFaultInjector(&*injector_);
     }
 }

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <fstream>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "harness/cell.hh"
@@ -486,31 +489,26 @@ FuzzCase::parse(const std::string &text)
     FuzzCase c;
     bool have_model = false;
 
+    // Each value's range is checked below, once the whole case is in.
     auto want_int = [](const std::string &k, const std::string &v) {
-        try {
-            std::size_t used = 0;
-            int n = std::stoi(v, &used);
-            if (used != v.size())
-                throw std::invalid_argument(v);
-            return n;
-        } catch (const std::exception &) {
+        const std::optional<int> n =
+            parseInt(v, std::numeric_limits<int>::min(),
+                     std::numeric_limits<int>::max());
+        if (!n)
             throw ConfigError(strprintf(
                 "sentinelrepro: bad integer for %s: '%s'", k.c_str(),
                 v.c_str()));
-        }
+        return *n;
     };
     auto want_double = [](const std::string &k, const std::string &v) {
-        try {
-            std::size_t used = 0;
-            double d = std::stod(v, &used);
-            if (used != v.size())
-                throw std::invalid_argument(v);
-            return d;
-        } catch (const std::exception &) {
+        const std::optional<double> d =
+            parseReal(v, -std::numeric_limits<double>::max(),
+                      std::numeric_limits<double>::max());
+        if (!d)
             throw ConfigError(strprintf(
                 "sentinelrepro: bad number for %s: '%s'", k.c_str(),
                 v.c_str()));
-        }
+        return *d;
     };
     auto want_bool = [](const std::string &k, const std::string &v) {
         if (v == "0")

@@ -23,13 +23,44 @@
 #define SENTINEL_MODELS_COMMON_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "dataflow/graph.hh"
 
 namespace sentinel::models {
+
+/** Store a parsed name override @p v in @p *field; whether it parsed. */
+template <class T>
+bool
+setIf(std::optional<T> v, T *field)
+{
+    if (v)
+        *field = *v;
+    return v.has_value();
+}
+
+/**
+ * Apply the "k=v,..." overrides @p text of a model name to @p p with
+ * @p apply(p, key, value); false on an empty clause, one without a key
+ * or '=', or one @p apply rejects.
+ */
+template <class P>
+bool
+applyOverrides(P &p, const std::string &text,
+               bool (*apply)(P &, const std::string &, const std::string &))
+{
+    for (const std::string &clause : split(text, ",")) {
+        const std::size_t eq = clause.find('=');
+        if (eq == std::string::npos || eq == 0 ||
+            !apply(p, clause.substr(0, eq), clause.substr(eq + 1)))
+            return false;
+    }
+    return true;
+}
 
 /** Bytes of @p elems FP32 elements. */
 constexpr std::uint64_t

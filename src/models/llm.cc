@@ -1,9 +1,7 @@
 #include "models/llm.hh"
 
-#include <cctype>
-#include <charconv>
-
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "models/common.hh"
 
 namespace sentinel::models {
@@ -24,39 +22,21 @@ constexpr int kMaxHeads = 128;
 constexpr int kMaxSeq = 8192;
 constexpr int kMaxVocab = 262144;
 
-bool
-parseInt(const std::string &s, int lo, int hi, int *out)
-{
-    if (s.empty())
-        return false;
-    for (char c : s)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return false;
-    int v = 0;
-    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc() || ptr != s.data() + s.size())
-        return false;
-    if (v < lo || v > hi)
-        return false;
-    *out = v;
-    return true;
-}
-
 /** Apply one "k=v" override; false on unknown key or bad value. */
 bool
 applyOverride(LlmParams &p, const std::string &key,
               const std::string &value)
 {
     if (key == "l")
-        return parseInt(value, 1, kMaxLayers, &p.layers);
+        return setIf(parseInt(value, 1, kMaxLayers), &p.layers);
     if (key == "hd")
-        return parseInt(value, 8, kMaxHidden, &p.hidden);
+        return setIf(parseInt(value, 8, kMaxHidden), &p.hidden);
     if (key == "heads")
-        return parseInt(value, 1, kMaxHeads, &p.heads);
+        return setIf(parseInt(value, 1, kMaxHeads), &p.heads);
     if (key == "seq")
-        return parseInt(value, 8, kMaxSeq, &p.seq);
+        return setIf(parseInt(value, 8, kMaxSeq), &p.seq);
     if (key == "vocab")
-        return parseInt(value, 64, kMaxVocab, &p.vocab);
+        return setIf(parseInt(value, 64, kMaxVocab), &p.vocab);
     return false;
 }
 
@@ -142,27 +122,9 @@ tryParseLlmName(const std::string &name)
     if (!p)
         return std::nullopt;
 
-    if (preset_end != std::string::npos) {
-        std::string rest = name.substr(preset_end + 1);
-        if (rest.empty())
-            return std::nullopt;
-        std::size_t pos = 0;
-        while (pos <= rest.size()) {
-            std::size_t comma = rest.find(',', pos);
-            std::string clause = rest.substr(
-                pos, comma == std::string::npos ? std::string::npos
-                                                : comma - pos);
-            std::size_t eq = clause.find('=');
-            if (eq == std::string::npos || eq == 0)
-                return std::nullopt;
-            if (!applyOverride(*p, clause.substr(0, eq),
-                               clause.substr(eq + 1)))
-                return std::nullopt;
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
-        }
-    }
+    if (preset_end != std::string::npos &&
+        !applyOverrides(*p, name.substr(preset_end + 1), applyOverride))
+        return std::nullopt;
     if (p->hidden % p->heads != 0)
         return std::nullopt;
     return p;

@@ -1,12 +1,11 @@
 #include "models/synthetic.hh"
 
-#include <cctype>
-#include <charconv>
 #include <map>
 #include <mutex>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "models/common.hh"
 
@@ -29,104 +28,27 @@ constexpr int kMaxChannels = 1024;
 constexpr int kMaxFeatures = 65536;
 constexpr int kMaxTemps = 64;
 
-// All numeric parsing goes through std::from_chars: locale-independent
-// (strtod honours the process locale's decimal point, so the same name
-// parsed differently under e.g. de_DE), exception-free, and with
-// explicit overflow reporting instead of strtol/strtoull's errno
-// protocol.  A strict grammar scan runs first because from_chars
-// itself still accepts "nan"/"inf"/hex floats — and NaN slipped
-// straight through the old `v < 0.0 || v > 1.0` range check.
-
-bool
-parseInt(const std::string &s, int lo, int hi, int *out)
-{
-    if (s.empty())
-        return false;
-    for (char c : s)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return false;
-    int v = 0;
-    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc() || ptr != s.data() + s.size())
-        return false; // out of range (silent-wrap territory) or junk
-    if (v < lo || v > hi)
-        return false;
-    *out = v;
-    return true;
-}
-
-/** Plain non-negative decimal float: digits [ '.' digits ]
- *  [ ('e'|'E') ['+'|'-'] digits ].  Deliberately excludes leading
- *  whitespace and signs, "nan", "inf", and hex floats — everything
- *  strtod would have waved through.  Scientific notation stays legal
- *  because toName() emits branch_prob with %g. */
-bool
-probGrammar(const std::string &s)
-{
-    std::size_t i = 0;
-    const std::size_t n = s.size();
-    auto digits = [&] {
-        std::size_t k = 0;
-        while (i < n && std::isdigit(static_cast<unsigned char>(s[i]))) {
-            ++i;
-            ++k;
-        }
-        return k;
-    };
-    std::size_t int_digits = digits();
-    std::size_t frac_digits = 0;
-    if (i < n && s[i] == '.') {
-        ++i;
-        frac_digits = digits();
-    }
-    if (int_digits + frac_digits == 0)
-        return false;
-    if (i < n && (s[i] == 'e' || s[i] == 'E')) {
-        ++i;
-        if (i < n && (s[i] == '+' || s[i] == '-'))
-            ++i;
-        if (digits() == 0)
-            return false;
-    }
-    return i == n;
-}
-
-bool
-parseProb(const std::string &s, double *out)
-{
-    if (!probGrammar(s))
-        return false;
-    double v = 0.0;
-    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc() || ptr != s.data() + s.size())
-        return false; // overflow/underflow or junk
-    if (v < 0.0 || v > 1.0)
-        return false;
-    *out = v;
-    return true;
-}
-
 /** Apply one "k=v" override; false on unknown key or bad value. */
 bool
 applyOverride(SyntheticParams &p, const std::string &key,
               const std::string &value)
 {
     if (key == "cu")
-        return parseInt(value, 0, kMaxUnits, &p.conv_units);
+        return setIf(parseInt(value, 0, kMaxUnits), &p.conv_units);
     if (key == "mu")
-        return parseInt(value, 0, kMaxUnits, &p.mlp_units);
+        return setIf(parseInt(value, 0, kMaxUnits), &p.mlp_units);
     if (key == "img")
-        return parseInt(value, 4, kMaxImage, &p.image);
+        return setIf(parseInt(value, 4, kMaxImage), &p.image);
     if (key == "ch")
-        return parseInt(value, 1, kMaxChannels, &p.channels);
+        return setIf(parseInt(value, 1, kMaxChannels), &p.channels);
     if (key == "feat")
-        return parseInt(value, 1, kMaxFeatures, &p.features);
+        return setIf(parseInt(value, 1, kMaxFeatures), &p.features);
     if (key == "bp")
-        return parseProb(value, &p.branch_prob);
+        return setIf(parseReal(value, 0.0, 1.0), &p.branch_prob);
     if (key == "rd")
-        return parseInt(value, 1, kMaxUnits, &p.reuse_distance);
+        return setIf(parseInt(value, 1, kMaxUnits), &p.reuse_distance);
     if (key == "tmp")
-        return parseInt(value, 0, kMaxTemps, &p.temps_per_op);
+        return setIf(parseInt(value, 0, kMaxTemps), &p.temps_per_op);
     return false;
 }
 
@@ -238,41 +160,15 @@ tryParseSyntheticName(const std::string &name)
         kPrefixLen,
         seed_end == std::string::npos ? std::string::npos
                                       : seed_end - kPrefixLen);
-    if (seed_str.empty() || seed_str.size() > 20)
-        return std::nullopt; // 2^64-1 has 20 digits
+    const std::optional<std::uint64_t> seed =
+        parseInt(seed_str, std::uint64_t{ 0 }, ~std::uint64_t{ 0 });
+    if (!seed)
+        return std::nullopt;
 
-    for (char c : seed_str)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return std::nullopt;
-    std::uint64_t seed = 0;
-    auto [ptr, ec] = std::from_chars(
-        seed_str.data(), seed_str.data() + seed_str.size(), seed);
-    if (ec != std::errc() || ptr != seed_str.data() + seed_str.size())
-        return std::nullopt; // > 2^64-1: strtoull would saturate/errno
-
-
-    SyntheticParams p = SyntheticParams::fromSeed(seed);
-    if (seed_end != std::string::npos) {
-        std::string rest = name.substr(seed_end + 1);
-        if (rest.empty())
-            return std::nullopt;
-        std::size_t pos = 0;
-        while (pos <= rest.size()) {
-            std::size_t comma = rest.find(',', pos);
-            std::string clause = rest.substr(
-                pos, comma == std::string::npos ? std::string::npos
-                                                : comma - pos);
-            std::size_t eq = clause.find('=');
-            if (eq == std::string::npos || eq == 0)
-                return std::nullopt;
-            if (!applyOverride(p, clause.substr(0, eq),
-                               clause.substr(eq + 1)))
-                return std::nullopt;
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
-        }
-    }
+    SyntheticParams p = SyntheticParams::fromSeed(*seed);
+    if (seed_end != std::string::npos &&
+        !applyOverrides(p, name.substr(seed_end + 1), applyOverride))
+        return std::nullopt;
     if (p.conv_units + p.mlp_units < 1)
         return std::nullopt;
     return p;

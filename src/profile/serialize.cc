@@ -25,6 +25,14 @@ constexpr Tick kMaxLayerTime = Tick{ 1 } << 40;
 constexpr std::uint64_t kMaxTotalBytes = std::uint64_t{ 1 } << 48;
 constexpr int kMaxKind = static_cast<int>(df::TensorKind::Optimizer);
 
+/** A check of the file's contents: a bad file is a user error, so it
+ *  fails with one fatal() line, not a panic. */
+#define PROFILE_CHECK(cond, ...)                                              \
+    do {                                                                      \
+        if (!(cond))                                                          \
+            SENTINEL_FATAL(__VA_ARGS__);                                      \
+    } while (0)
+
 bool
 validLayerTime(Tick t)
 {
@@ -88,18 +96,18 @@ loadProfile(std::istream &is)
     std::size_t tensors = 0;
     std::uint64_t sl_peak = 0;
     is >> key >> graph_name;
-    SENTINEL_ASSERT(is && key == "graph", "malformed profile: missing "
-                                          "graph");
+    PROFILE_CHECK(is && key == "graph", "malformed profile: missing "
+                                        "graph");
     is >> key >> layers;
-    SENTINEL_ASSERT(is && key == "layers" && layers > 0 &&
-                        layers <= kMaxLayers,
-                    "malformed profile: missing or out-of-range layers");
+    PROFILE_CHECK(is && key == "layers" && layers > 0 &&
+                      layers <= kMaxLayers,
+                  "malformed profile: missing or out-of-range layers");
     is >> key >> tensors;
-    SENTINEL_ASSERT(is && key == "tensors" && tensors <= kMaxTensors,
-                    "malformed profile: missing or out-of-range tensors");
+    PROFILE_CHECK(is && key == "tensors" && tensors <= kMaxTensors,
+                  "malformed profile: missing or out-of-range tensors");
     is >> key >> sl_peak;
-    SENTINEL_ASSERT(is && key == "sl_peak" && sl_peak <= kMaxTotalBytes,
-                    "malformed profile: missing or out-of-range sl_peak");
+    PROFILE_CHECK(is && key == "sl_peak" && sl_peak <= kMaxTotalBytes,
+                  "malformed profile: missing or out-of-range sl_peak");
 
     ProfileDatabase db(graph_name, layers, tensors);
     db.setShortLivedPeakBytes(sl_peak);
@@ -110,12 +118,12 @@ loadProfile(std::istream &is)
         int idx = -1;
         LayerProfile &lp = db.mutableLayer(l);
         is >> key >> idx >> lp.duration >> lp.compute >> lp.mem;
-        SENTINEL_ASSERT(is && key == "L" && idx == l,
-                        "malformed profile: expected layer record %d", l);
-        SENTINEL_ASSERT(validLayerTime(lp.duration) &&
-                            validLayerTime(lp.compute) &&
-                            validLayerTime(lp.mem),
-                        "profile layer %d: time out of range", l);
+        PROFILE_CHECK(is && key == "L" && idx == l,
+                      "malformed profile: expected layer record %d", l);
+        PROFILE_CHECK(validLayerTime(lp.duration) &&
+                          validLayerTime(lp.compute) &&
+                          validLayerTime(lp.mem),
+                      "profile layer %d: time out of range", l);
     }
     std::uint64_t total_bytes = 0;
     for (df::TensorId id = 0; id < tensors; ++id) {
@@ -130,26 +138,26 @@ loadProfile(std::istream &is)
         is >> key >> idx >> t.bytes >> kind >> prealloc >> t.first_layer >>
             t.last_layer >> short_lived >> small >> t.total_accesses >>
             t.accesses_per_page >> n;
-        SENTINEL_ASSERT(is && key == "T" && idx == id,
-                        "malformed profile: expected tensor record %u", id);
-        SENTINEL_ASSERT(kind >= 0 && kind <= kMaxKind,
-                        "profile tensor %u: unknown kind %d", id, kind);
-        SENTINEL_ASSERT(t.bytes <= kMaxTotalBytes - total_bytes,
-                        "profile tensor %u: size out of range", id);
+        PROFILE_CHECK(is && key == "T" && idx == id,
+                      "malformed profile: expected tensor record %u", id);
+        PROFILE_CHECK(kind >= 0 && kind <= kMaxKind,
+                      "profile tensor %u: unknown kind %d", id, kind);
+        PROFILE_CHECK(t.bytes <= kMaxTotalBytes - total_bytes,
+                      "profile tensor %u: size out of range", id);
         total_bytes += t.bytes;
-        SENTINEL_ASSERT(t.first_layer >= 0 &&
-                            t.first_layer <= t.last_layer &&
-                            t.last_layer < layers,
-                        "profile tensor %u: lifetime [%d, %d] outside %d "
-                        "layers",
-                        id, t.first_layer, t.last_layer, layers);
-        SENTINEL_ASSERT(std::isfinite(t.accesses_per_page) &&
-                            t.accesses_per_page >= 0.0,
-                        "profile tensor %u: bad hotness", id);
-        SENTINEL_ASSERT(n <= static_cast<std::size_t>(layers),
-                        "profile tensor %u: %zu access layers in a "
-                        "%d-layer step",
-                        id, n, layers);
+        PROFILE_CHECK(t.first_layer >= 0 &&
+                          t.first_layer <= t.last_layer &&
+                          t.last_layer < layers,
+                      "profile tensor %u: lifetime [%d, %d] outside %d "
+                      "layers",
+                      id, t.first_layer, t.last_layer, layers);
+        PROFILE_CHECK(std::isfinite(t.accesses_per_page) &&
+                          t.accesses_per_page >= 0.0,
+                      "profile tensor %u: bad hotness", id);
+        PROFILE_CHECK(n <= static_cast<std::size_t>(layers),
+                      "profile tensor %u: %zu access layers in a "
+                      "%d-layer step",
+                      id, n, layers);
         t.kind = static_cast<df::TensorKind>(kind);
         t.preallocated = prealloc != 0;
         t.short_lived = short_lived != 0;
@@ -160,15 +168,15 @@ loadProfile(std::istream &is)
         for (std::size_t i = 0; i < n; ++i) {
             const int lo = i == 0 ? 0 : t.access_layers[i - 1] + 1;
             is >> t.access_layers[i];
-            SENTINEL_ASSERT(is && t.access_layers[i] >= lo &&
-                                t.access_layers[i] < layers,
-                            "profile tensor %u: access layers must ascend "
-                            "within [0, %d)",
-                            id, layers);
+            PROFILE_CHECK(is && t.access_layers[i] >= lo &&
+                              t.access_layers[i] < layers,
+                          "profile tensor %u: access layers must ascend "
+                          "within [0, %d)",
+                          id, layers);
         }
     }
     is >> key;
-    SENTINEL_ASSERT(is && key == "end", "truncated profile (no end marker)");
+    PROFILE_CHECK(is && key == "end", "truncated profile (no end marker)");
     return db;
 }
 

@@ -1,56 +1,34 @@
 #include "server/job.hh"
 
-#include <cstdlib>
+#include <limits>
+#include <optional>
+#include <string_view>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "harness/experiment.hh"
 
 namespace sentinel::server {
 
 namespace {
 
-/** Split on whitespace (any run of spaces/tabs). */
-std::vector<std::string>
-tokens(const std::string &text)
+constexpr char kBlanks[] = " \t";
+
+/** @p v, the value of @p key, as @p read reads it within [@p lo, @p hi]. */
+template <class T>
+T
+field(const std::string &key, const std::string &v, T lo, T hi,
+      std::optional<T> (*read)(std::string_view, T, T))
 {
-    std::vector<std::string> out;
-    std::size_t i = 0;
-    while (i < text.size()) {
-        while (i < text.size() && (text[i] == ' ' || text[i] == '\t'))
-            ++i;
-        std::size_t j = i;
-        while (j < text.size() && text[j] != ' ' && text[j] != '\t')
-            ++j;
-        if (j > i)
-            out.push_back(text.substr(i, j - i));
-        i = j;
-    }
-    return out;
+    if (std::optional<T> x = read(v, lo, hi))
+        return *x;
+    throw harness::ConfigError("job spec: " + key + " " +
+                               readError(v, lo, hi));
 }
 
-int
-parseInt(const std::string &key, const std::string &v)
-{
-    char *end = nullptr;
-    long x = std::strtol(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0')
-        throw harness::ConfigError(strprintf(
-            "job spec: %s wants an integer, got '%s'", key.c_str(),
-            v.c_str()));
-    return static_cast<int>(x);
-}
-
-double
-parseDouble(const std::string &key, const std::string &v)
-{
-    char *end = nullptr;
-    double x = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        throw harness::ConfigError(strprintf(
-            "job spec: %s wants a number, got '%s'", key.c_str(),
-            v.c_str()));
-    return x;
-}
+constexpr int kIntMin = std::numeric_limits<int>::min();
+constexpr int kIntMax = std::numeric_limits<int>::max();
+constexpr double kRealMax = std::numeric_limits<double>::max();
 
 } // namespace
 
@@ -58,7 +36,9 @@ JobSpec
 JobSpec::parse(const std::string &text)
 {
     JobSpec spec;
-    for (const std::string &tok : tokens(text)) {
+    for (const std::string &tok : split(text, kBlanks)) {
+        if (tok.empty())
+            continue;
         std::size_t eq = tok.find('=');
         if (eq == std::string::npos || eq == 0)
             throw harness::ConfigError(strprintf(
@@ -70,7 +50,7 @@ JobSpec::parse(const std::string &text)
         } else if (key == "model") {
             spec.model = val;
         } else if (key == "batch") {
-            spec.batch = parseInt(key, val);
+            spec.batch = field(key, val, 0, kIntMax, parseInt<int>);
         } else if (key == "policy") {
             spec.policy = val;
         } else if (key == "quota") {
@@ -79,39 +59,43 @@ JobSpec::parse(const std::string &text)
                 (val.compare(val.size() - 2, 2, "mb") == 0 ||
                  val.compare(val.size() - 2, 2, "MB") == 0)) {
                 spec.quota_bytes =
-                    static_cast<std::uint64_t>(parseInt(
-                        key, val.substr(0, val.size() - 2)))
+                    static_cast<std::uint64_t>(
+                        field(key, val.substr(0, val.size() - 2), 1,
+                              kIntMax, parseInt<int>))
                     << 20;
             } else {
-                spec.quota_fraction = parseDouble(key, val);
+                spec.quota_fraction =
+                    field(key, val, -kRealMax, kRealMax, parseReal);
             }
         } else if (key == "quota-mb") {
-            spec.quota_bytes =
-                static_cast<std::uint64_t>(parseInt(key, val)) << 20;
+            spec.quota_bytes = static_cast<std::uint64_t>(field(
+                                   key, val, 1, kIntMax, parseInt<int>))
+                               << 20;
         } else if (key == "prio") {
-            spec.priority = parseInt(key, val);
+            spec.priority = field(key, val, 1, kIntMax, parseInt<int>);
         } else if (key == "arrival-ms") {
-            spec.arrival = static_cast<Tick>(parseDouble(key, val) *
-                                             static_cast<double>(kMsec));
+            spec.arrival = static_cast<Tick>(
+                field(key, val, 0.0, kMaxSpanMs, parseReal) *
+                static_cast<double>(kMsec));
         } else if (key == "steps") {
-            spec.steps = parseInt(key, val);
+            spec.steps = field(key, val, kIntMin, kIntMax, parseInt<int>);
         } else if (key == "warmup") {
-            spec.warmup = parseInt(key, val);
+            spec.warmup = field(key, val, kIntMin, kIntMax, parseInt<int>);
         } else if (key == "chaos") {
             spec.chaos = val;
         } else if (key == "chaos-seed") {
-            spec.chaos_seed = std::strtoull(val.c_str(), nullptr, 0);
+            const std::optional<std::uint64_t> seed = parseSeed(val);
+            if (!seed)
+                throw harness::ConfigError(strprintf(
+                    "job spec: chaos-seed expects a number, got '%s'",
+                    val.c_str()));
+            spec.chaos_seed = *seed;
         } else {
             throw harness::ConfigError(strprintf(
                 "job spec: unknown key '%s' (in '%s')", key.c_str(),
                 tok.c_str()));
         }
     }
-    if (spec.priority < 1)
-        throw harness::ConfigError(strprintf(
-            "job spec: prio must be >= 1 (got %d)", spec.priority));
-    if (spec.arrival < 0)
-        throw harness::ConfigError("job spec: arrival-ms must be >= 0");
     if (spec.quota_bytes == 0 &&
         (spec.quota_fraction <= 0.0 || spec.quota_fraction > 1.0))
         throw harness::ConfigError(strprintf(
@@ -124,19 +108,9 @@ std::vector<JobSpec>
 JobSpec::parseList(const std::string &text)
 {
     std::vector<JobSpec> out;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        std::size_t semi = text.find(';', start);
-        std::string part =
-            text.substr(start, semi == std::string::npos
-                                   ? std::string::npos
-                                   : semi - start);
-        if (!tokens(part).empty())
+    for (const std::string &part : split(text, ";"))
+        if (part.find_first_not_of(kBlanks) != std::string::npos)
             out.push_back(parse(part));
-        if (semi == std::string::npos)
-            break;
-        start = semi + 1;
-    }
     return out;
 }
 

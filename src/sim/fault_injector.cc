@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <sstream>
+#include <limits>
+#include <optional>
+#include <string_view>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace sentinel::sim {
 
@@ -30,17 +32,6 @@ hash01(std::uint64_t seed, std::uint64_t a, std::uint64_t b)
     return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-std::vector<std::string>
-splitOn(const std::string &text, char sep)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    std::istringstream is(text);
-    while (std::getline(is, cur, sep))
-        if (!cur.empty()) out.push_back(cur);
-    return out;
-}
-
 ChannelSel
 parseChannel(const std::string &v, const std::string &clause)
 {
@@ -52,16 +43,23 @@ parseChannel(const std::string &v, const std::string &clause)
                    clause.c_str(), v.c_str());
 }
 
-double
-parseDouble(const std::string &v, const std::string &clause)
+/** @p v, the value of @p key in @p clause, as @p read reads it within
+ *  [@p lo, @p hi]. */
+template <class T>
+T
+field(const std::string &clause, const std::string &key,
+      const std::string &v, T lo, T hi,
+      std::optional<T> (*read)(std::string_view, T, T))
 {
-    char *end = nullptr;
-    double d = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        SENTINEL_FATAL("chaos clause '%s': bad number '%s'", clause.c_str(),
-                       v.c_str());
-    return d;
+    if (std::optional<T> x = read(v, lo, hi))
+        return *x;
+    SENTINEL_FATAL("chaos clause '%s': %s %s", clause.c_str(), key.c_str(),
+                   readError(v, lo, hi).c_str());
 }
+
+/** Factors and amplitudes may be any finite number; each kind checks
+ *  its own below. */
+constexpr double kMaxReal = std::numeric_limits<double>::max();
 
 } // namespace
 
@@ -69,7 +67,9 @@ FaultSpec
 FaultSpec::parse(const std::string &text)
 {
     FaultSpec spec;
-    for (const std::string &clause : splitOn(text, ';')) {
+    for (const std::string &clause : split(text, ";")) {
+        if (clause.empty())
+            continue;
         auto colon = clause.find(':');
         if (colon == std::string::npos)
             SENTINEL_FATAL("chaos clause '%s': want kind:key=val,...",
@@ -94,7 +94,9 @@ FaultSpec::parse(const std::string &text)
                            clause.c_str(), kind.c_str());
         }
 
-        for (const std::string &kv : splitOn(clause.substr(colon + 1), ',')) {
+        for (const std::string &kv : split(clause.substr(colon + 1), ",")) {
+            if (kv.empty())
+                continue;
             auto eq = kv.find('=');
             if (eq == std::string::npos)
                 SENTINEL_FATAL("chaos clause '%s': bad key=val '%s'",
@@ -102,18 +104,25 @@ FaultSpec::parse(const std::string &text)
             std::string key = kv.substr(0, eq);
             std::string val = kv.substr(eq + 1);
             if (key == "step") {
-                ev.step = static_cast<int>(parseDouble(val, clause));
+                ev.step = field(clause, key, val, 0,
+                                std::numeric_limits<int>::max(),
+                                parseInt<int>);
                 have_step = true;
             } else if (key == "factor") {
-                ev.factor = parseDouble(val, clause);
+                ev.factor =
+                    field(clause, key, val, -kMaxReal, kMaxReal, parseReal);
             } else if (key == "amp") {
-                ev.amplitude = parseDouble(val, clause);
+                ev.amplitude =
+                    field(clause, key, val, -kMaxReal, kMaxReal, parseReal);
             } else if (key == "ms") {
-                ev.duration =
-                    static_cast<Tick>(parseDouble(val, clause) * kMsec);
+                ev.duration = static_cast<Tick>(
+                    field(clause, key, val, 0.0, kMaxSpanMs, parseReal) *
+                    kMsec);
             } else if (key == "us") {
-                ev.duration =
-                    static_cast<Tick>(parseDouble(val, clause) * kUsec);
+                ev.duration = static_cast<Tick>(
+                    field(clause, key, val, 0.0, kMaxSpanMs * 1e3,
+                          parseReal) *
+                    kUsec);
             } else if (key == "ch") {
                 ev.channel = parseChannel(val, clause);
             } else if (key == "tier") {
@@ -121,12 +130,10 @@ FaultSpec::parse(const std::string &text)
                     SENTINEL_FATAL("chaos clause '%s': key 'tier' is only "
                                    "valid for shrink",
                                    clause.c_str());
-                double t = parseDouble(val, clause);
-                if (t < 0.0 || t >= static_cast<double>(kMaxFaultTiers))
-                    SENTINEL_FATAL("chaos clause '%s': tier must be in "
-                                   "[0, %u)",
-                                   clause.c_str(), kMaxFaultTiers);
-                ev.tier = static_cast<unsigned>(t);
+                ev.tier = static_cast<unsigned>(
+                    field(clause, key, val, 0,
+                          static_cast<int>(kMaxFaultTiers) - 1,
+                          parseInt<int>));
             } else {
                 SENTINEL_FATAL("chaos clause '%s': unknown key '%s'",
                                clause.c_str(), key.c_str());

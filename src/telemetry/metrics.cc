@@ -29,11 +29,13 @@ Histogram::percentile(double p) const
     for (std::size_t i = 0; i < kBuckets; ++i) {
         seen += buckets_[i];
         if (seen >= target) {
+            // A bucket's upper bound, but never above the largest
+            // value recorded, so quantiles stay monotone up to q = 1.
             if (i == 0)
                 return 0;
             if (i >= 64)
                 return max_;
-            return (1ull << i) - 1;
+            return std::min<std::uint64_t>((1ull << i) - 1, max_);
         }
     }
     return max_;

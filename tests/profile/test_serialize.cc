@@ -106,7 +106,7 @@ TEST(ProfileSerialize, RejectsTruncation)
     saveProfile(db, ss);
     std::string text = ss.str();
     std::stringstream cut(text.substr(0, text.size() / 2));
-    EXPECT_THROW(loadProfile(cut), std::logic_error);
+    EXPECT_THROW(loadProfile(cut), FatalError);
 }
 
 TEST(ProfileSerialize, MissingFileIsFatal)
@@ -193,68 +193,68 @@ TEST(ProfileSerialize, EditedCopyOfAValidProfileLoads)
 
 TEST(ProfileSerialize, RejectsLifetimeOutsideTheStep)
 {
-    EXPECT_THROW(loadEdited("T", "3", kFirst, "-1"), std::logic_error);
-    EXPECT_THROW(loadEdited("T", "3", kLast, "4"), std::logic_error);
-    EXPECT_THROW(loadEdited("T", "4", kFirst, "3"), std::logic_error);
+    EXPECT_THROW(loadEdited("T", "3", kFirst, "-1"), FatalError);
+    EXPECT_THROW(loadEdited("T", "3", kLast, "4"), FatalError);
+    EXPECT_THROW(loadEdited("T", "4", kFirst, "3"), FatalError);
 }
 
 TEST(ProfileSerialize, RejectsAccessLayerOutsideTheStep)
 {
     // The access list indexes per-layer planner arrays.
     EXPECT_THROW(loadEdited("T", "3", kAccess + 2, "400000"),
-                 std::logic_error);
-    EXPECT_THROW(loadEdited("T", "3", kAccess, "-1"), std::logic_error);
+                 FatalError);
+    EXPECT_THROW(loadEdited("T", "3", kAccess, "-1"), FatalError);
 }
 
 TEST(ProfileSerialize, RejectsAccessLayersThatDoNotAscend)
 {
     // Lookups binary-search the list.
-    EXPECT_THROW(loadEdited("T", "3", kAccess + 1, "3"), std::logic_error);
-    EXPECT_THROW(loadEdited("T", "3", kAccess + 1, "0"), std::logic_error);
+    EXPECT_THROW(loadEdited("T", "3", kAccess + 1, "3"), FatalError);
+    EXPECT_THROW(loadEdited("T", "3", kAccess + 1, "0"), FatalError);
 }
 
 TEST(ProfileSerialize, RejectsAccessListLongerThanTheStep)
 {
     // Checked before the list is sized, so a huge count allocates
     // nothing.
-    EXPECT_THROW(loadEdited("T", "3", kCount, "5"), std::logic_error);
+    EXPECT_THROW(loadEdited("T", "3", kCount, "5"), FatalError);
     EXPECT_THROW(loadEdited("T", "3", kCount, "9223372036854775808"),
-                 std::logic_error);
+                 FatalError);
 }
 
 TEST(ProfileSerialize, RejectsUnknownTensorKind)
 {
-    EXPECT_THROW(loadEdited("T", "3", kKind, "7"), std::logic_error);
-    EXPECT_THROW(loadEdited("T", "3", kKind, "-1"), std::logic_error);
+    EXPECT_THROW(loadEdited("T", "3", kKind, "7"), FatalError);
+    EXPECT_THROW(loadEdited("T", "3", kKind, "-1"), FatalError);
 }
 
 TEST(ProfileSerialize, RejectsUnparsableField)
 {
     // Every record's stream state is checked, not just its keys.
-    EXPECT_THROW(loadEdited("T", "3", kBytes, "lots"), std::logic_error);
+    EXPECT_THROW(loadEdited("T", "3", kBytes, "lots"), FatalError);
     EXPECT_THROW(loadEdited("T", "3", kFirst, "2147483648"),
-                 std::logic_error);
-    EXPECT_THROW(loadEdited("L", "2", 3, "layers"), std::logic_error);
+                 FatalError);
+    EXPECT_THROW(loadEdited("L", "2", 3, "layers"), FatalError);
     // A short access list runs into the next record's key.
-    EXPECT_THROW(loadEdited("T", "3", kCount, "4"), std::logic_error);
+    EXPECT_THROW(loadEdited("T", "3", kCount, "4"), FatalError);
 }
 
 TEST(ProfileSerialize, RejectsOutOfRangeSizesAndTimes)
 {
-    EXPECT_THROW(loadEdited("T", "3", kBytes, "-1"), std::logic_error);
-    EXPECT_THROW(loadEdited("T", "3", kHotness, "-1"), std::logic_error);
-    EXPECT_THROW(loadEdited("L", "2", 2, "-1"), std::logic_error);
+    EXPECT_THROW(loadEdited("T", "3", kBytes, "-1"), FatalError);
+    EXPECT_THROW(loadEdited("T", "3", kHotness, "-1"), FatalError);
+    EXPECT_THROW(loadEdited("L", "2", 2, "-1"), FatalError);
     EXPECT_THROW(loadEdited("L", "2", 4, "9223372036854775807"),
-                 std::logic_error);
+                 FatalError);
 }
 
 TEST(ProfileSerialize, RejectsOutOfRangeHeaderCounts)
 {
     EXPECT_THROW(loadEdited("layers", "4", 1, "2147483648"),
-                 std::logic_error);
+                 FatalError);
     EXPECT_THROW(loadEdited("tensors", "8", 1, "9223372036854775808"),
-                 std::logic_error);
-    EXPECT_THROW(loadEdited("tensors", "8", 1, "-1"), std::logic_error);
+                 FatalError);
+    EXPECT_THROW(loadEdited("tensors", "8", 1, "-1"), FatalError);
 }
 
 TEST(ProfileSerialize, RejectsRecordsOutOfOrder)
@@ -264,18 +264,18 @@ TEST(ProfileSerialize, RejectsRecordsOutOfOrder)
     std::vector<Record> dup = recs;
     dup[find(dup, "T", "5")] = recs[find(recs, "T", "3")];
     std::stringstream a(join(dup));
-    EXPECT_THROW(loadProfile(a), std::logic_error);
+    EXPECT_THROW(loadProfile(a), FatalError);
 
     std::vector<Record> gap = recs;
     gap.erase(gap.begin() + static_cast<long>(find(gap, "L", "1")));
     std::stringstream b(join(gap));
-    EXPECT_THROW(loadProfile(b), std::logic_error);
+    EXPECT_THROW(loadProfile(b), FatalError);
 
     std::vector<Record> swapped = recs;
     std::swap(swapped[find(swapped, "T", "1")],
               swapped[find(swapped, "T", "2")]);
     std::stringstream c(join(swapped));
-    EXPECT_THROW(loadProfile(c), std::logic_error);
+    EXPECT_THROW(loadProfile(c), FatalError);
 }
 
 TEST(ProfileSerialize, SeededTokenMutationsAreRejectedOrPlannable)

@@ -72,7 +72,8 @@ TEST(Histogram, BucketBoundaries)
 {
     // Bucket i holds values of bit width i: zeros land in bucket 0
     // (reported as 0), a value of 2^(i-1) and one of 2^i - 1 share
-    // bucket i and both report the upper bound 2^i - 1.
+    // bucket i and both report its upper bound 2^i - 1 (capped at the
+    // largest value recorded).
     Histogram zeros;
     zeros.record(0);
     EXPECT_EQ(zeros.percentile(0.5), 0u);
@@ -82,33 +83,55 @@ TEST(Histogram, BucketBoundaries)
     one.record(1); // bit width 1 -> bucket 1 -> upper bound 1
     EXPECT_EQ(one.percentile(0.5), 1u);
 
-    Histogram lo, hi;
-    lo.record(64);  // 2^6: width 7
-    hi.record(127); // 2^7 - 1: width 7
-    EXPECT_EQ(lo.percentile(1.0), 127u);
-    EXPECT_EQ(hi.percentile(1.0), 127u);
+    Histogram shared;
+    shared.record(64);  // 2^6: width 7
+    shared.record(127); // 2^7 - 1: width 7
+    EXPECT_EQ(shared.percentile(0.5), 127u);
+    EXPECT_EQ(shared.percentile(1.0), 127u);
 
     Histogram next;
     next.record(128); // 2^7: first value of the NEXT bucket
-    EXPECT_EQ(next.percentile(1.0), 255u);
+    next.record(1000);
+    EXPECT_EQ(next.percentile(0.5), 255u);
 }
 
 TEST(Histogram, SingleSampleEveryQuantile)
 {
     Histogram h;
-    h.record(100); // width 7 -> upper bound 127
-    EXPECT_EQ(h.percentile(0.0), 127u);
-    EXPECT_EQ(h.percentile(0.5), 127u);
-    EXPECT_EQ(h.percentile(1.0), 127u);
+    h.record(100); // width 7 -> upper bound 127, capped at the max
+    EXPECT_EQ(h.percentile(0.0), 100u);
+    EXPECT_EQ(h.percentile(0.5), 100u);
+    EXPECT_EQ(h.percentile(1.0), 100u);
+}
+
+TEST(Histogram, QuantilesNeverExceedTheMax)
+{
+    // The top sample's bucket bound (2^20 - 1) lies above the max, so
+    // p99 used to read 1048575 above q = 1's 751474.
+    Histogram h;
+    for (int i = 0; i < 98; ++i)
+        h.record(1000);
+    h.record(600000);
+    h.record(751474);
+    EXPECT_EQ(h.percentile(0.5), 1023u);
+    EXPECT_EQ(h.percentile(0.99), 751474u);
+    EXPECT_EQ(h.percentile(1.0), 751474u);
+    std::uint64_t prev = 0;
+    for (int q = 0; q <= 100; ++q) {
+        const std::uint64_t v = h.percentile(q / 100.0);
+        EXPECT_LE(prev, v) << q;
+        EXPECT_LE(v, h.max()) << q;
+        prev = v;
+    }
 }
 
 TEST(Histogram, AllDuplicatesAndTopBucketClamp)
 {
     Histogram dup;
     for (int i = 0; i < 32; ++i)
-        dup.record(1000); // width 10 -> upper bound 1023
-    EXPECT_EQ(dup.percentile(0.01), 1023u);
-    EXPECT_EQ(dup.percentile(0.99), 1023u);
+        dup.record(1000); // width 10 -> upper bound 1023, capped
+    EXPECT_EQ(dup.percentile(0.01), 1000u);
+    EXPECT_EQ(dup.percentile(0.99), 1000u);
 
     // Values of width >= 64 have no representable 2^i - 1 upper
     // bound; the histogram reports the observed max instead.

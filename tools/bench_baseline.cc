@@ -30,15 +30,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/alloc_hook.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "harness/cell.hh"
 #include "telemetry/session.hh"
 
@@ -284,10 +286,15 @@ check(const std::vector<Sample> &samples, const std::string &path)
         }
         ++compared;
         const std::string &token = it->second;
-        double b = std::strtod(token.c_str(), nullptr);
+        // A token that is no number fails the check, never reads as 0.
+        const std::optional<double> parsed =
+            parseReal(token, -std::numeric_limits<double>::max(),
+                      std::numeric_limits<double>::max());
+        const double b = parsed.value_or(0.0);
         double limit = b * (1.0 + s.threshold) + s.slack;
-        bool regressed = s.exact ? strprintf("%.6f", s.value) != token
-                                 : s.value > limit;
+        bool regressed =
+            !parsed || (s.exact ? strprintf("%.6f", s.value) != token
+                                : s.value > limit);
         double delta = b != 0.0 ? 100.0 * (s.value - b) / b : 0.0;
         std::printf("  %-44s %12.3f  base %12.3f  %+7.1f%%  %s\n",
                     s.key.c_str(), s.value, b, delta,

@@ -46,21 +46,21 @@
  */
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/parse.hh"
 #include "harness/cell.hh"
 #include "harness/oracle.hh"
 #include "harness/report.hh"
@@ -121,37 +121,34 @@ class Args
         return values_.find(key) != values_.end();
     }
 
+    /** The value of --@p key in [@p lo, @p hi] (common/parse.hh);
+     *  @p dflt when the key is absent. */
     int
-    getInt(const std::string &key, int dflt) const
+    getInt(const std::string &key, int dflt,
+           int lo = std::numeric_limits<int>::min(),
+           int hi = std::numeric_limits<int>::max()) const
     {
-        return getNumber(key, dflt);
+        return getNumber(key, dflt, lo, hi, parseInt<int>);
     }
 
     double
-    getDouble(const std::string &key, double dflt) const
+    getDouble(const std::string &key, double dflt,
+              double lo = -std::numeric_limits<double>::max(),
+              double hi = std::numeric_limits<double>::max()) const
     {
-        return getNumber(key, dflt);
+        return getNumber(key, dflt, lo, hi, parseReal);
     }
 
-    /**
-     * The value of --@p key as strtoull(s, &end, 0) reads it (decimal,
-     * 0x hex or 0 octal), which must be the whole value, unsigned and
-     * in range; @p dflt when the key is absent.
-     */
+    /** Decimal, 0x hex or 0-prefixed octal, unsigned. */
     std::uint64_t
     getU64(const std::string &key, std::uint64_t dflt) const
     {
         auto it = values_.find(key);
         if (it == values_.end())
             return dflt;
-        const std::string &v = it->second;
-        char *end = nullptr;
-        errno = 0;
-        const unsigned long long out = std::strtoull(v.c_str(), &end, 0);
-        if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
-            *end != '\0' || errno == ERANGE)
-            throw badNumber(key, v);
-        return out;
+        if (std::optional<std::uint64_t> v = parseSeed(it->second))
+            return *v;
+        throw badNumber(key, it->second);
     }
 
     /**
@@ -169,22 +166,19 @@ class Args
     }
 
   private:
-    /** The value of --@p key, which must parse in full as a T;
-     *  @p dflt when the key is absent. */
     template <class T>
     T
-    getNumber(const std::string &key, T dflt) const
+    getNumber(const std::string &key, T dflt, T lo, T hi,
+              std::optional<T> (*read)(std::string_view, T, T)) const
     {
         auto it = values_.find(key);
         if (it == values_.end())
             return dflt;
         const std::string &v = it->second;
-        T out{};
-        const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(),
-                                               out);
-        if (ec != std::errc() || end != v.data() + v.size())
-            throw badNumber(key, v);
-        return out;
+        if (std::optional<T> out = read(v, lo, hi))
+            return *out;
+        throw harness::ConfigError("config: --" + key + " " +
+                                   readError(v, lo, hi));
     }
 
     static harness::ConfigError
@@ -214,13 +208,8 @@ platformFrom(const Args &args)
 std::size_t
 ringCapacity(const Args &args)
 {
-    constexpr int kMax = 1 << 24;
-    const int v = args.getInt("ring-capacity", 1 << 18);
-    if (v < 1 || v > kMax)
-        throw harness::ConfigError(strprintf(
-            "config: --ring-capacity must lie in [1, %d] (got %d)", kMax,
-            v));
-    return static_cast<std::size_t>(v);
+    return static_cast<std::size_t>(
+        args.getInt("ring-capacity", 1 << 18, 1, 1 << 24));
 }
 
 /** The keys configFrom() reads. */
@@ -240,12 +229,13 @@ configFrom(const Args &args)
     const models::ModelSpec *spec = models::findModelSpec(cfg.model);
     cfg.batch = args.getInt("batch", spec ? spec->small_batch : 32);
     cfg.platform = platformFrom(args);
-    cfg.fast_fraction = args.getDouble("fraction", 0.2);
-    int mem_mb = args.getInt("mem-mb", 0);
+    // The fast tier is fraction x peak bytes, cast to an integer.
+    cfg.fast_fraction = args.getDouble("fraction", 0.2, 0.0, 1e6);
+    int mem_mb = args.getInt("mem-mb", 0, 0);
     if (mem_mb > 0)
         cfg.fast_bytes = static_cast<std::uint64_t>(mem_mb) << 20;
     cfg.tiers = args.getInt("tiers", 2);
-    int mid_mb = args.getInt("mid-capacity", 0);
+    int mid_mb = args.getInt("mid-capacity", 0, 0);
     if (mid_mb > 0)
         cfg.mid_bytes = static_cast<std::uint64_t>(mid_mb) << 20;
     cfg.mid_bw = args.getDouble("mid-bw", 0.0) * 1e9; // GB/s -> B/s
@@ -367,7 +357,7 @@ cmdReport(const Args &args)
     const std::uint64_t tensor = args.getU64("tensor", 0);
 
     harness::ReportOptions ropts;
-    ropts.top_k = args.getInt("top", 5);
+    ropts.top_k = args.getInt("top", 5, 0);
 
     telemetry::AttributionEngine attr;
     telemetry::AuditLog audit;
@@ -382,6 +372,14 @@ cmdReport(const Args &args)
     telemetry::Session session(tcfg);
     cfg.telemetry = &session;
 
+    // The graph comes first so a bad --tensor costs no run.
+    df::Graph g = harness::buildGraph(cfg);
+    if (want_history && tensor >= g.numTensors())
+        throw harness::ConfigError(strprintf(
+            "config: --tensor %llu is not a tensor of %s (it has %zu)",
+            static_cast<unsigned long long>(tensor), cfg.model.c_str(),
+            g.numTensors()));
+
     harness::StepTrace tr = harness::runExperimentSteps(cfg, policy);
     if (!tr.metrics.supported) {
         std::printf("%s unsupported on %s; nothing to attribute\n",
@@ -390,12 +388,6 @@ cmdReport(const Args &args)
     }
     session.syncDropCounter();
 
-    df::Graph g = models::makeModel(cfg.model, cfg.batch);
-    if (want_history && tensor >= g.numTensors())
-        throw harness::ConfigError(strprintf(
-            "config: --tensor %llu is not a tensor of %s (it has %zu)",
-            static_cast<unsigned long long>(tensor), cfg.model.c_str(),
-            g.numTensors()));
     printMetrics(tr.metrics);
     std::printf("\n%s",
                 harness::buildStallReport(g, attr, audit, ropts).c_str());
@@ -439,7 +431,7 @@ int
 cmdCompare(const Args &args)
 {
     harness::ExperimentConfig cfg = configFrom(args);
-    int jobs = args.getInt("jobs", 1);
+    int jobs = args.getInt("jobs", 1, 1);
     const auto &policies = cfg.platform == harness::Platform::Gpu
                                ? harness::gpuPolicies()
                                : harness::cpuPolicies();
@@ -517,7 +509,7 @@ cmdPlan(const Args &args)
                       return layout.offsets[a] < layout.offsets[b];
                   return pts[a].id < pts[b].id;
               });
-    std::size_t top = static_cast<std::size_t>(args.getInt("top", 32));
+    std::size_t top = static_cast<std::size_t>(args.getInt("top", 32, 0));
     Table m(strprintf("Offset map (%zu long-lived tensors, solver=%s)",
                       pts.size(), plan::solverName(layout.solver)),
             { "offset (KB)", "bytes (KB)", "first op", "last op",
@@ -548,7 +540,7 @@ cmdMaxBatch(const Args &args)
 {
     std::string model = args.get("model", "resnet32");
     std::string policy = args.get("policy", "sentinel");
-    int mem_mb = args.getInt("mem-mb", 0);
+    int mem_mb = args.getInt("mem-mb", 0, 0);
     std::uint64_t dev;
     if (mem_mb > 0) {
         dev = static_cast<std::uint64_t>(mem_mb) << 20;
@@ -558,7 +550,7 @@ cmdMaxBatch(const Args &args)
         dev = mem::roundUpToPages(g.peakMemoryBytes() / 2);
     }
     int cap = args.getInt("cap", 1024);
-    int jobs = args.getInt("jobs", 1);
+    int jobs = args.getInt("jobs", 1, 1);
     int b = harness::maxBatchSearch(model, policy, dev, cap, jobs);
     std::printf("%s with %s on %.1f MB of device memory: max batch %d\n",
                 model.c_str(), policy.c_str(),
@@ -723,7 +715,7 @@ int
 cmdReplay(const std::string &file, const Args &args)
 {
     harness::FuzzCase fc = harness::FuzzCase::load(file);
-    int jobs = args.getInt("jobs", 1);
+    int jobs = args.getInt("jobs", 1, 1);
     bool det = args.getInt("determinism", 1) != 0;
     harness::OracleReport rep = fc.run(jobs, det);
     std::printf("%s", rep.summary().c_str());
@@ -887,28 +879,20 @@ int
 cmdFuzz(const Args &args)
 {
     FuzzOptions o;
-    o.iters = args.getInt("iters", o.iters);
+    o.iters = args.getInt("iters", o.iters, 1);
     o.seed = args.getU64("seed", o.seed);
-    o.jobs = args.getInt("jobs", o.jobs);
+    o.jobs = args.getInt("jobs", o.jobs, 1);
     o.out_dir = args.get("out", o.out_dir);
     o.inject_capacity = args.getDouble("inject-capacity", o.inject_capacity);
     o.inject_traffic = args.getDouble("inject-traffic", o.inject_traffic);
     o.determinism = args.getInt("determinism", 1) != 0;
     o.do_shrink = args.getInt("shrink", 1) != 0;
     o.keep_going = args.getInt("keep-going", 0) != 0;
-    o.colo_jobs = args.getInt("colo-jobs", o.colo_jobs);
+    o.colo_jobs = args.getInt("colo-jobs", o.colo_jobs, 1);
     o.planner = args.get("planner", o.planner);
     o.tiers = args.getInt("tiers", o.tiers);
     const std::string mode = args.get("mode", "policy");
 
-    auto positive = [](const char *key, int v) {
-        if (v < 1)
-            throw harness::ConfigError(strprintf(
-                "config: --%s must be positive (got %d)", key, v));
-    };
-    positive("iters", o.iters);
-    positive("jobs", o.jobs);
-    positive("colo-jobs", o.colo_jobs);
     if (o.tiers < 0)
         throw harness::ConfigError(strprintf(
             "config: --tiers must be 0 (drawn per case) or a chain "
@@ -931,15 +915,17 @@ cmdServe(const Args &args)
     server::ServerConfig cfg;
     cfg.platform = platformFrom(args);
     cfg.fast_bytes =
-        static_cast<std::uint64_t>(args.getInt("node-mb", 64)) << 20;
-    cfg.headroom = args.getDouble("headroom", 1.0);
+        static_cast<std::uint64_t>(args.getInt("node-mb", 64, 1)) << 20;
+    cfg.headroom = args.getDouble("headroom", 1.0, 1.0);
     cfg.demand_fault_boost = args.getDouble("boost", 2.0);
-    cfg.jobs = args.getInt("jobs", 1);
+    cfg.jobs = args.getInt("jobs", 1, 1);
     cfg.default_steps = args.getInt("steps", 12);
     cfg.default_warmup = args.getInt("warmup", 4);
+    const int port = args.getInt("listen", 0, 0, 65535);
+    const int count = args.getInt("listen-count", 0);
 
     std::string colo = args.get("colo", "");
-    const int mix = args.getInt("mix", 3);
+    const int mix = args.getInt("mix", 3, 1);
     const std::uint64_t seed = args.getU64("seed", 1);
     std::vector<server::JobSpec> specs;
     if (!colo.empty()) {
@@ -974,7 +960,7 @@ cmdServe(const Args &args)
     scfg.slo.error_budget = args.getDouble("slo-budget", 0.1);
     scfg.slo.burn_threshold = args.getDouble("burn-threshold", 2.0);
     scfg.slo.window =
-        static_cast<std::size_t>(args.getInt("burn-window", 16));
+        static_cast<std::size_t>(args.getInt("burn-window", 16, 1));
     scfg.snapshot_every = args.getInt("scrape-every", 4);
 
     std::optional<telemetry::Session> session;
@@ -1015,9 +1001,8 @@ cmdServe(const Args &args)
 
     if (listen) {
         server::MetricsHttpServer http;
-        if (!http.listen(args.getInt("listen", 0)))
+        if (!http.listen(port))
             SENTINEL_FATAL("%s", http.error().c_str());
-        int count = args.getInt("listen-count", 0);
         // The body is rendered per request so the endpoint always
         // reflects the (final, settled) plane state.
         std::printf("serving /metrics on http://127.0.0.1:%d%s\n",
@@ -1087,21 +1072,18 @@ cmdTop(const Args &args)
     if (!endpoint.empty()) {
         // The port must parse in full as 1..65535.
         const std::size_t colon = endpoint.rfind(':');
-        int port = 0;
-        if (colon != std::string::npos) {
-            const char *end = endpoint.data() + endpoint.size();
-            const auto [stop, ec] =
-                std::from_chars(endpoint.data() + colon + 1, end, port);
-            if (ec != std::errc() || stop != end)
-                port = 0;
-        }
-        if (port < 1 || port > 65535)
+        const std::optional<int> port =
+            colon == std::string::npos
+                ? std::nullopt
+                : parseInt(std::string_view(endpoint).substr(colon + 1), 1,
+                           65535);
+        if (!port)
             throw harness::ConfigError(
                 strprintf("config: --endpoint wants HOST:PORT, got '%s'",
                           endpoint.c_str()));
         std::string host = endpoint.substr(0, colon);
         std::string err;
-        if (!server::httpGet(host, port, "/metrics", text, &err))
+        if (!server::httpGet(host, *port, "/metrics", text, &err))
             SENTINEL_FATAL("scrape failed: %s", err.c_str());
     } else {
         text = readFile(snapshot);
