@@ -165,6 +165,53 @@ BM_PageTableFragmented(benchmark::State &state)
 }
 BENCHMARK(BM_PageTableFragmented);
 
+// The page table under UM's mix, without a simulator around it: each
+// iteration reads one page's state at the access walk's locus (a
+// 1,000-page region with every fourth page in the other tier), begins a
+// 32-page eviction at a second locus, and lands the flight begun eight
+// iterations before at a third, half and then the rest.  The eviction
+// region comes first in page order, so an edit there sits before the
+// fragmented region's 500 stretches; the table holds 500 to 600.
+void
+BM_PageTableUmChurn(benchmark::State &state)
+{
+    mem::PageTable pt;
+    constexpr std::uint64_t kRuns = 64;
+    constexpr std::uint64_t kRunPages = 32;
+    constexpr std::uint64_t kLag = 8;
+    constexpr mem::PageId kAccess = kRuns * kRunPages;
+    constexpr std::uint64_t kAccessPages = 1000;
+    mem::Tier tier[kRuns];
+    for (std::uint64_t r = 0; r < kRuns; ++r) {
+        tier[r] = r % 2 ? mem::Tier::Fast : mem::Tier::Slow;
+        pt.mapRange(r * kRunPages, kRunPages, tier[r]);
+    }
+    pt.mapRange(kAccess, kAccessPages, mem::Tier::Slow);
+    for (mem::PageId p = kAccess; p < kAccess + kAccessPages; p += 4)
+        pt.commitMigrationRun(
+            pt.beginMigrationRun(p, 1, mem::Tier::Fast, 0, 0), 1);
+    mem::PageTable::FlightId ids[kRuns];
+    std::uint64_t it = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            pt.runState(kAccess + it % kAccessPages, 1));
+        const std::uint64_t r = it % kRuns;
+        tier[r] = tier[r] == mem::Tier::Slow ? mem::Tier::Fast
+                                             : mem::Tier::Slow;
+        ids[r] = pt.beginMigrationRun(r * kRunPages, kRunPages, tier[r], 0, 1);
+        if (it >= kLag) {
+            const mem::PageTable::FlightId old = ids[(it - kLag) % kRuns];
+            pt.commitMigrationRun(old, kRunPages / 2);
+            pt.commitMigrationRun(old, kRunPages / 2);
+        }
+        ++it;
+    }
+    state.counters["stretches"] =
+        static_cast<double>(pt.numStretches());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PageTableUmChurn);
+
 void
 BM_GraphBuildResnet32(benchmark::State &state)
 {

@@ -113,10 +113,18 @@ readError(std::string_view text, T lo, T hi)
     if (!number)
         return "expects a number, got '" + std::string(text) + "'";
     auto str = [](T v) {
-        if constexpr (std::is_floating_point_v<T>)
-            return strprintf("%g", v);
-        else
+        if constexpr (std::is_floating_point_v<T>) {
+            // %g, unless it rounds the bound: then the shortest text
+            // that reads back as it.
+            std::string s = strprintf("%g", v);
+            if (std::strtod(s.c_str(), nullptr) != v) {
+                char buf[32];
+                s.assign(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+            }
+            return s;
+        } else {
             return std::to_string(v);
+        }
     };
     return "must lie in [" + str(lo) + ", " + str(hi) + "] (got " +
            std::string(text) + ")";

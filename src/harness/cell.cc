@@ -1,5 +1,6 @@
 #include "harness/cell.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "baselines/autotm.hh"
@@ -104,6 +105,21 @@ buildGraph(const ExperimentConfig &cfg)
         throw ConfigError(
             strprintf("config: cannot build model: %s", e.what()));
     }
+}
+
+void
+checkCell(const ExperimentConfig &cfg, const std::string &policy)
+{
+    buildGraph(cfg);
+    if (!cfg.chaos.empty())
+        sim::FaultSpec::parse(cfg.chaos);
+    // makePolicy() knows each platform's policies and "tf".
+    auto in = [&](const std::vector<std::string> &names) {
+        return std::find(names.begin(), names.end(), policy) != names.end();
+    };
+    if (policy != "tf" && !in(cpuPolicies()) && !in(gpuPolicies()))
+        throw ConfigError(
+            strprintf("config: unknown policy '%s'", policy.c_str()));
 }
 
 core::RuntimeConfig

@@ -42,6 +42,13 @@ namespace sentinel::harness {
 df::Graph buildGraph(const ExperimentConfig &cfg);
 
 /**
+ * Throw for what no fast-tier size mends in a cell of @p policy on
+ * @p cfg: its knobs and model (buildGraph(), ConfigError), its fault
+ * spec (FatalError) and the policy's name (ConfigError).
+ */
+void checkCell(const ExperimentConfig &cfg, const std::string &policy);
+
+/**
  * The platform @p policy trains @p graph on under @p cfg: the fast
  * and middle tiers sized (fast-only gets a tier that holds
  * everything), the reserved-pool and sub-page checks run

@@ -11,18 +11,26 @@
  * tick); the HeterogeneousMemory facade lazily commits arrivals as
  * simulated time advances.
  *
- * Storage is one vector of stretches ordered by first page.  A
+ * Storage is a sequence of stretches ordered by first page.  A
  * stretch is a maximal run of mapped pages that share one resident
  * tier and one flight record (or none: idle); unmapped pages are the
  * gaps between stretches.  Adjacent stretches with equal (tier,
  * flight) are always merged, so the table grows with the boundaries
- * in the page state, not with the pages mapped.  Every operation looks
- * up the stretch holding its first page (the previous lookup's
- * stretch or the next one, else a binary search), then splits or
- * merges at each end of its run, shifting the vector's tail at most
- * once or, for a commit after frees, twice.  A begin must find its
- * whole run inside one idle stretch.  The lookup hint makes even the
- * const queries unsafe to run concurrently on one table.
+ * in the page state, not with the pages mapped.  The sequence is cut
+ * into leaves of at most kLeafCap stretches, each a fixed block of one
+ * slot pool, listed in page order by a small index.  A slot that holds
+ * no stretch holds an empty one, so any slot whose stretch holds a
+ * page is the page's: a position needs no check but that.  A lookup
+ * tries the last few positions the table was used at and their
+ * neighbours (HM's access walk, its eviction and its allocations each
+ * keep one), and a commit the position its flight record carries;
+ * only a page at none of them searches the index and then its leaf.
+ * An edit splits or merges at each end of its run and shifts the tail
+ * of its leaf, or of two when it spans a boundary; a full leaf splits
+ * in half and a nearly empty one merges into a neighbour, so no edit
+ * moves more than one leaf of stretches.  A begin must find its whole
+ * run inside one idle stretch.  The remembered positions make even
+ * the const queries unsafe to run concurrently on one table.
  *
  * Migration state is kept per run.  Each beginMigrationRun() takes a
  * flight record from a free-listed pool and tags the run's stretch
@@ -37,7 +45,7 @@
  * still holds an id no other run can take it, and a page freed or
  * migrated again mid-flight is simply no longer in flight under the
  * old id.  The pool is as large as the most records ever live at
- * once, and the stretch vector keeps its capacity across clear().
+ * once, and the leaves keep their capacity across clear().
  * Records also carry an intrusive link, so a migration batch is a
  * chain of them in submit order.
  *
@@ -49,7 +57,6 @@
 #define SENTINEL_MEM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <initializer_list>
 #include <vector>
 
 #include "common/units.hh"
@@ -119,6 +126,14 @@ class PageTable
     static constexpr FlightId kNoFlight = ~FlightId{ 0 };
 
     /**
+     * A slot of the stretch pool.  Edits shift, split and merge
+     * leaves, so a stored position is where a lookup starts, checked
+     * against the page it looks for.
+     */
+    using Pos = std::uint32_t;
+    static constexpr Pos kNoPos = ~Pos{ 0 };
+
+    /**
      * One begun migration run: page first+k goes from tier @c src to
      * @c dest and arrives at a0 + k*step.  Commits have passed the
      * first @c cursor pages; @c dropped pages past the cursor were
@@ -135,6 +150,9 @@ class PageTable
         std::uint8_t src = 0;         ///< source tier index
         std::uint8_t dest = 0;        ///< destination tier index
         FlightId next = kNoFlight;    ///< next record of the same batch
+        /** Where the run's stretch was put; the next commit's lookup
+         *  starts there. */
+        Pos at = kNoPos;
 
         /** Arrival of the first page commits have not passed. */
         Tick
@@ -181,13 +199,20 @@ class PageTable
     std::size_t numFlights() const { return flights_.size() - free_.size(); }
 
     /** Stretches in the table.  For tests. */
-    std::size_t numStretches() const { return stretches_.size(); }
+    std::size_t numStretches() const { return num_stretches_; }
+
+    /** Id of the leaf holding mapped @p page.  For tests. */
+    std::uint32_t
+    leafOf(PageId page) const
+    {
+        return leafOfPos(holding(page, "leafOf() of"));
+    }
 
     void clear();
 
   private:
     /** Pages [first, first+count), all in @c tier and tagged with
-     *  @c flight (kNoFlight: idle). */
+     *  @c flight (kNoFlight: idle).  An empty one fills unused slots. */
     struct Stretch {
         PageId first = 0;
         std::uint64_t count = 0;
@@ -197,29 +222,139 @@ class PageTable
         PageId end() const { return first + count; }
     };
 
-    /** Index of the first stretch that ends after @p page: the one
-     *  holding it, if any. */
-    std::size_t find(PageId page) const;
-    /** Index of the stretch holding mapped @p page. */
-    std::size_t at(PageId page, const char *what) const;
-    /** Whether @p b continues @p a: contiguous, one tier, one flight. */
-    static bool joins(const Stretch &a, const Stretch &b);
-    /** Stretch @p i, or an empty one past either end. */
-    Stretch stretchOr0(std::size_t i) const;
-    /** Replace stretches_[a, b) by the non-empty stretches of @p with
-     *  (at most four), each merged into the one before it where they
-     *  join: one shift of the tail at most.  The next lookup starts
-     *  at the window. */
-    void splice(std::size_t a, std::size_t b,
-                std::initializer_list<Stretch> with);
-    /** Merge what joins in stretches_[a, b), then drop the slots
-     *  merging freed. */
-    void coalesce(std::size_t a, std::size_t b);
+    /** Leaf l owns slots [l << kLeafBits, (l + 1) << kLeafBits). */
+    static constexpr unsigned kLeafBits = 5;
+    static constexpr std::uint32_t kLeafCap = 1u << kLeafBits;
+    static constexpr std::uint32_t kNoLeaf = ~std::uint32_t{ 0 };
+    /** Positions remembered for lookups. */
+    static constexpr std::size_t kCursors = 4;
+    /** What probe() returns when no slot near holds the page. */
+    static constexpr Pos kMiss = kNoPos - 1;
 
-    std::vector<Stretch> stretches_;   ///< ordered by first, disjoint
-    /** Index find() returned last; most lookups land on or next to
-     *  it. */
-    mutable std::size_t hint_ = 0;
+    static std::uint32_t leafOfPos(Pos p) { return p >> kLeafBits; }
+    static std::uint32_t slotOf(Pos p) { return p & (kLeafCap - 1); }
+    static Pos firstOf(std::uint32_t leaf) { return leaf << kLeafBits; }
+    Pos
+    lastOf(std::uint32_t leaf) const
+    {
+        return firstOf(leaf) + size_[leaf] - 1;
+    }
+
+    /** Whether slot @p p holds @p page (false past the pool). */
+    bool
+    holds(Pos p, PageId page) const
+    {
+        return p < num_slots_ && page - slots_[p].first < slots_[p].count;
+    }
+    /** Of @p p and its neighbours, the slot holding @p page, else
+     *  kMiss. */
+    Pos
+    probe(Pos p, PageId page) const
+    {
+        if (holds(p, page))
+            return p;
+        if (holds(p + 1, page))
+            return p + 1;
+        return holds(p - 1, page) ? p - 1 : kMiss;
+    }
+    /** The first stretch that ends after @p page (the one holding it,
+     *  if any), or kNoPos past the last; found from the index. */
+    Pos search(PageId page) const;
+    /** search() within leaf @p l, whose last stretch ends after
+     *  @p page. */
+    Pos searchIn(std::uint32_t l, PageId page) const;
+    /** search() that tries @p from's leaf first. */
+    Pos searchFrom(Pos from, PageId page) const;
+    /** search() that tries the recent positions first. */
+    Pos
+    find(PageId page) const
+    {
+        return holds(cursors_[0], page) ? cursors_[0] : findSlow(page);
+    }
+    Pos findSlow(PageId page) const;
+    /** find() of mapped @p page. */
+    Pos
+    holding(PageId page, const char *what) const
+    {
+        const Pos i = find(page);
+        if (!holds(i, page))
+            unmapped(page, what);
+        return i;
+    }
+    /** Panic: @p what names @p page, which is not mapped. */
+    [[noreturn]] static void unmapped(PageId page, const char *what);
+
+    /** The stretch after @p p's, or kNoPos. */
+    Pos
+    next(Pos p) const
+    {
+        const std::uint32_t l = leafOfPos(p);
+        if (slotOf(p) + 1 < size_[l])
+            return p + 1;
+        return rank_[l] + 1 < order_.size() ? firstOf(order_[rank_[l] + 1])
+                                            : kNoPos;
+    }
+    /** Whether a stretch precedes @p p (kNoPos: the end). */
+    bool
+    hasPrev(Pos p) const
+    {
+        return p == kNoPos ? !order_.empty()
+                           : slotOf(p) > 0 || rank_[leafOfPos(p)] > 0;
+    }
+    /** The stretch before @p p's; hasPrev() must hold. */
+    Pos
+    prev(Pos p) const
+    {
+        if (p == kNoPos)
+            return lastOf(order_.back());
+        if (slotOf(p) > 0)
+            return p - 1;
+        return lastOf(order_[rank_[leafOfPos(p)] - 1]);
+    }
+    /** Whether pages idle in tier @p tier from @p page on would merge
+     *  into @p s. */
+    static bool
+    idleEndsAt(const Stretch &s, PageId page, std::uint8_t tier)
+    {
+        return s.end() == page && s.tier == tier && s.flight == kNoFlight;
+    }
+    /** Whether idle stretch @p s of tier @p tier starts at @p page. */
+    static bool
+    idleStartsAt(const Stretch &s, PageId page, std::uint8_t tier)
+    {
+        return s.first == page && s.tier == tier && s.flight == kNoFlight;
+    }
+
+    /** Make room for @p m stretches before slot @p slot of leaf
+     *  @p leaf (splitting it if full) and return where the first goes.
+     *  The slot before that holds the stretch that was before them, if
+     *  @p slot > 0.  The caller fills all @p m. */
+    Pos open(std::uint32_t leaf, std::uint32_t slot, std::uint32_t m);
+    /** Remove @p m stretches from @p p on, across leaves. */
+    void erase(Pos p, std::size_t m);
+    /** Flip the pages of in-flight stretch @p i before @p upto to idle
+     *  tier @p dest, merging them with the stretches around. */
+    void land(Pos i, PageId upto, std::uint8_t dest);
+
+    /** A fresh leaf linked into the index at @p rank. */
+    std::uint32_t newLeaf(std::uint32_t rank);
+    /** Unlink empty leaf @p id and free it. */
+    void dropLeaf(std::uint32_t id);
+    /** Renumber the ranks of order_[from...]. */
+    void rerank(std::size_t from);
+    /** Merge leaf @p id, if at most a quarter full, with a neighbour
+     *  when the two fit in half a leaf. */
+    void rebalance(std::uint32_t id);
+
+    std::vector<Stretch> slots_;           ///< every leaf's block
+    Pos num_slots_ = 0;                    ///< slots_.size()
+    std::vector<std::uint32_t> size_;      ///< stretches per leaf id
+    std::vector<std::uint32_t> rank_;      ///< index in order_ per leaf id
+    std::vector<std::uint32_t> order_;     ///< live leaf ids in page order
+    std::vector<std::uint32_t> free_leaves_;
+    std::size_t num_stretches_ = 0;
+    /** Recent lookup results, most recent first. */
+    mutable Pos cursors_[kCursors] = { kNoPos, kNoPos, kNoPos, kNoPos };
 
     std::size_t num_mapped_ = 0;
     std::size_t num_inflight_ = 0;

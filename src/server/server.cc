@@ -8,6 +8,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
+#include "harness/cell.hh"
 #include "mem/page.hh"
 #include "models/registry.hh"
 #include "server/admission.hh"
@@ -52,24 +53,32 @@ resolveSpec(const ServerConfig &cfg, JobSpec &spec, std::size_t index,
     out.submit = spec.arrival;
 }
 
-/** Phase 1: the job's solo run at its quota.  Returns true when the
- *  job is eligible for the node (status stays Completed-track). */
-bool
-runSolo(const ServerConfig &cfg, const JobSpec &spec, JobResult &out)
+/** The cell of resolved @p spec's solo run at @p quota bytes. */
+harness::ExperimentConfig
+soloConfig(const ServerConfig &cfg, const JobSpec &spec,
+           std::uint64_t quota)
 {
     harness::ExperimentConfig ec;
     ec.model = spec.model;
     ec.batch = spec.batch;
     ec.platform = cfg.platform;
-    ec.fast_bytes = out.quota_bytes;
+    ec.fast_bytes = quota;
     ec.steps = spec.steps;
     ec.warmup = spec.warmup;
     ec.chaos = spec.chaos;
     ec.chaos_seed = spec.chaos_seed;
+    return ec;
+}
 
+/** Phase 1: the job's solo run at its quota.  Returns true when the
+ *  job is eligible for the node (status stays Completed-track). */
+bool
+runSolo(const ServerConfig &cfg, const JobSpec &spec, JobResult &out)
+{
     harness::StepTrace trace;
     try {
-        trace = harness::runExperimentSteps(ec, spec.policy);
+        trace = harness::runExperimentSteps(
+            soloConfig(cfg, spec, out.quota_bytes), spec.policy);
     } catch (const harness::ConfigError &e) {
         out.status = JobStatus::Rejected;
         out.detail = strprintf("quota unusable: %s", e.what());
@@ -411,6 +420,11 @@ runServer(const ServerConfig &cfg, const std::vector<JobSpec> &specs)
     AdmissionController gate(cfg.fast_bytes, cfg.headroom);
     for (std::size_t i = 0; i < resolved.size(); ++i) {
         resolveSpec(cfg, resolved[i], i, result.jobs[i]);
+        // A malformed spec is the caller's error, not a job the node
+        // turns away: it fails before any job is admitted.
+        harness::checkCell(
+            soloConfig(cfg, resolved[i], result.jobs[i].quota_bytes),
+            resolved[i].policy);
         result.jobs[i].spec = resolved[i];
         if (gate.neverFits(result.jobs[i].quota_bytes)) {
             result.jobs[i].status = JobStatus::Rejected;

@@ -68,9 +68,10 @@ TEST(ZeroAlloc, PageTableFlightCyclesDoNotAllocate)
     // Flight records come from a free-listed pool: once it has held as
     // many runs as are ever in flight at once, begins reuse retired
     // records — including records of runs that lost a page to a free
-    // mid-flight.  The stretch vector likewise stays at its high-water
-    // mark, here hundreds of stretches: a second region is migrated one
-    // page at a time, every other page first, as UM evicts.
+    // mid-flight.  The leaves likewise stay at their high-water mark,
+    // here thousands of stretches in over a hundred leaves that split
+    // and merge every cycle: a second region is migrated one page at a
+    // time, every other page first, as UM evicts.
     if (!common::allocHookActive())
         GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
 
@@ -78,7 +79,7 @@ TEST(ZeroAlloc, PageTableFlightCyclesDoNotAllocate)
     const std::uint64_t kRuns = 8;
     const std::uint64_t kLen = 64;
     const mem::PageId kChurn = 1ull << 20;
-    const std::uint64_t kChurnPages = 512;
+    const std::uint64_t kChurnPages = 4096;
     pt.mapRange(0, kRuns * kLen, mem::Tier::Slow);
     pt.mapRange(kChurn, kChurnPages, mem::Tier::Slow);
     mem::PageTable::FlightId ids[kRuns];

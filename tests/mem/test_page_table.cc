@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -446,17 +447,22 @@ TEST(PageTable, FlightPoolStaysAtItsHighWaterMark)
 
 /**
  * Seeded randomized differential run against the std::map model.
- * Pages come from three windows, the last past 2^32 pages.  Migrations are
- * left in flight across frees, cancels and clear(), and their records
- * are committed later in random pieces, in order, until commits pass
- * their last page.  Some runs are begun as two chained records.  Whole
- * flights are freed and migrated again while their old record is
- * still due, and single pages are freed, remapped and re-migrated
- * mid-flight, so stale commits are part of the mix.  A UM-like churn
- * walks every other page of a window with one-page begins, commits,
- * frees and remaps, fragmenting it into hundreds of stretches.  After every
- * operation the whole window is compared page by page, the live
- * records against the model's, and runState() over random ranges.
+ * Pages come from three distant windows, the last past 2^32 pages, and
+ * each operation picks one, so edits interleave at three loci.
+ * Migrations are left in flight across frees, cancels and clear(), and
+ * their records are committed later in random pieces, in order, until
+ * commits pass their last page.  Some runs are begun as two chained
+ * records.  Whole flights are freed and migrated again while their old
+ * record is still due, and single pages are freed, remapped and
+ * re-migrated mid-flight, so stale commits are part of the mix.  A
+ * UM-like churn walks every other page of a window with one-page
+ * begins, commits, frees and remaps, fragmenting it into a thousand
+ * stretches, so the table holds thousands across many leaves that
+ * split and merge, and flights are committed after their stretch moved
+ * to another leaf.  After every operation the live records are
+ * compared against the model's, every page within kMaxRun of a range
+ * the operation edited page by page, and runState() at random; every
+ * 16th operation, and at the end, every page of the windows.
  */
 class PageTableDiff
 {
@@ -470,6 +476,8 @@ class PageTableDiff
             pt_.clear();
             ref_.clear();
             flights_.clear();
+            for (PageId centre : kWindows)
+                edit(centre - kHalf, 2 * kHalf);
             return;
         }
         if (below(60) == 0) {
@@ -517,8 +525,14 @@ class PageTableDiff
     /** Most stretches the table has held at a check. */
     std::size_t peakStretches() const { return peak_stretches_; }
 
+    /** Commits of a record whose stretch had moved to another leaf
+     *  since its begin. */
+    std::size_t movedCommits() const { return moved_commits_; }
+
+    /** Compare the tables: every page of the windows when @p full,
+     *  else every page near a range edited since the last check. */
     void
-    check()
+    check(bool full)
     {
         peak_stretches_ = std::max(peak_stretches_, pt_.numStretches());
         ASSERT_EQ(pt_.numMapped(), ref_.numMapped());
@@ -528,22 +542,35 @@ class PageTableDiff
         for (const Flight &f : flights_)
             ASSERT_EQ(pt_.flight(f.id).count - pt_.flight(f.id).cursor,
                       f.left);
-        for (PageId centre : kWindows) {
-            for (PageId p = centre - kHalf; p < centre + kHalf + kMaxRun;
-                 ++p) {
-                ASSERT_EQ(pt_.isMapped(p), ref_.isMapped(p)) << p;
-                if (!ref_.isMapped(p))
-                    continue;
-                PageEntry got = pt_.entry(p);
-                const PageEntry &want = ref_.entry(p);
-                ASSERT_EQ(got.tier, want.tier) << p;
-                ASSERT_EQ(got.in_flight, want.in_flight) << p;
-                if (want.in_flight) {
-                    ASSERT_EQ(got.dest, want.dest) << p;
-                    ASSERT_EQ(got.arrival, want.arrival) << p;
-                }
+        auto page = [&](PageId p) {
+            ASSERT_EQ(pt_.isMapped(p), ref_.isMapped(p)) << p;
+            if (!ref_.isMapped(p))
+                return;
+            PageEntry got = pt_.entry(p);
+            const PageEntry &want = ref_.entry(p);
+            ASSERT_EQ(got.tier, want.tier) << p;
+            ASSERT_EQ(got.in_flight, want.in_flight) << p;
+            if (want.in_flight) {
+                ASSERT_EQ(got.dest, want.dest) << p;
+                ASSERT_EQ(got.arrival, want.arrival) << p;
+            }
+        };
+        if (full) {
+            for (PageId centre : kWindows)
+                for (PageId p = centre - kHalf;
+                     p < centre + kHalf + kMaxRun; ++p)
+                    ASSERT_NO_FATAL_FAILURE(page(p));
+        } else {
+            // Each page once, though the ranges overlap.
+            std::sort(edited_.begin(), edited_.end());
+            PageId done = 0;
+            for (auto [first, last] : edited_) {
+                for (PageId p = std::max(first, done); p < last; ++p)
+                    ASSERT_NO_FATAL_FAILURE(page(p));
+                done = std::max(done, last);
             }
         }
+        edited_.clear();
         for (int i = 0; i < 4; ++i) {
             PageId p = randomPage();
             std::uint64_t n = prefix(p, true, 2 * kMaxRun);
@@ -560,16 +587,18 @@ class PageTableDiff
   private:
     static constexpr PageId kWindows[] = { 1ull << 16, 3ull << 16,
                                            (5ull << 32) + 7 };
-    static constexpr std::uint64_t kHalf = 160;
+    static constexpr std::uint64_t kHalf = 1100;
     static constexpr std::uint64_t kMaxRun = 64;
 
-    /** A live record: its id in each table and the pages it has left. */
+    /** A live record: its id in each table, the pages it has left and
+     *  the leaf its stretch was begun in. */
     struct Flight {
         PageTable::FlightId id;
         std::uint64_t rec;
         PageId first;
         std::uint64_t count;
         std::uint64_t left;
+        std::uint32_t leaf;
     };
 
     std::uint64_t below(std::uint64_t n) { return rng_() % n; }
@@ -591,6 +620,23 @@ class PageTableDiff
         return n;
     }
 
+    /** Note [first, first+count) edited, with kMaxRun pages either
+     *  side, for the next check. */
+    void
+    edit(PageId first, std::uint64_t count)
+    {
+        edited_.emplace_back(first - kMaxRun, first + count + kMaxRun);
+    }
+
+    /** Map [first, first+count) into @p tier in both tables. */
+    void
+    map(PageId first, std::uint64_t count, Tier tier)
+    {
+        pt_.mapRange(first, count, tier);
+        ref_.mapRange(first, count, tier);
+        edit(first, count);
+    }
+
     /** Begin [first, first+count) in both tables, chained after
      *  @p after in the real one.  A live record's slot is never
      *  handed out again. */
@@ -602,10 +648,11 @@ class PageTableDiff
                                               step, after),
                         ref_.beginMigrationRun(first, count, dest, arrival0,
                                                step),
-                        first, count, count };
+                        first, count, count, pt_.leafOf(first) };
         for (const Flight &g : flights_)
             EXPECT_NE(g.id, f.id) << "slot of a live record reused";
         flights_.push_back(f);
+        edit(first, count);
         return f;
     }
 
@@ -615,8 +662,14 @@ class PageTableDiff
     commit(std::size_t i, std::uint64_t n)
     {
         Flight &f = flights_[i];
+        // While no page past the cursor was freed, the record's pages
+        // from the cursor on are still one stretch.
+        if (n > 0 && pt_.flight(f.id).dropped == 0 &&
+            pt_.leafOf(f.first + f.count - f.left) != f.leaf)
+            ++moved_commits_;
         ASSERT_EQ(pt_.commitMigrationRun(f.id, n),
                   ref_.commitMigrationRun(f.rec, n));
+        edit(f.first, f.count);
         f.left -= n;
         if (f.left == 0) {
             flights_[i] = flights_.back();
@@ -637,9 +690,7 @@ class PageTableDiff
         std::uint64_t n = prefix(p, false, 1 + below(kMaxRun));
         if (n == 0)
             return;
-        Tier tier = makeTier(static_cast<unsigned>(below(4)));
-        pt_.mapRange(p, n, tier);
-        ref_.mapRange(p, n, tier);
+        map(p, n, makeTier(static_cast<unsigned>(below(4))));
     }
 
     void
@@ -662,6 +713,7 @@ class PageTableDiff
     {
         const PageTable::UnmapCounts got = pt_.unmapRange(p, n);
         const PageTable::UnmapCounts want = ref_.unmapRange(p, n);
+        edit(p, n);
         for (unsigned t = 0; t < kMaxTiers; ++t) {
             ASSERT_EQ(got.src[t], want.src[t]) << "tier " << t;
             ASSERT_EQ(got.dest[t], want.dest[t]) << "tier " << t;
@@ -716,15 +768,11 @@ class PageTableDiff
         if (flights_.empty())
             return;
         const Flight old = flights_[below(flights_.size())];
-        for (PageId p = old.first; p < old.first + old.count; ++p) {
-            if (ref_.isMapped(p)) {
-                pt_.unmapRange(p, 1);
-                ref_.unmapRange(p, 1);
-            }
-        }
+        for (PageId p = old.first; p < old.first + old.count; ++p)
+            if (ref_.isMapped(p))
+                ASSERT_NO_FATAL_FAILURE(unmap(p, 1));
         Tier tier = makeTier(static_cast<unsigned>(below(4)));
-        pt_.mapRange(old.first, old.count, tier);
-        ref_.mapRange(old.first, old.count, tier);
+        map(old.first, old.count, tier);
         begin(old.first, old.count, otherTier(tier),
               static_cast<Tick>(below(1'000'000)),
               static_cast<Tick>(below(4)));
@@ -747,8 +795,7 @@ class PageTableDiff
         for (PageId p = w + below(2); p < w + 2 * kHalf; p += 2) {
             const Tier tier = makeTier(static_cast<unsigned>(below(4)));
             if (!ref_.isMapped(p)) {
-                pt_.mapRange(p, 1, tier);
-                ref_.mapRange(p, 1, tier);
+                map(p, 1, tier);
                 continue;
             }
             switch (below(3)) {
@@ -766,8 +813,7 @@ class PageTableDiff
                 break;
               default:
                 ASSERT_NO_FATAL_FAILURE(unmap(p, 1));
-                pt_.mapRange(p, 1, tier);
-                ref_.mapRange(p, 1, tier);
+                map(p, 1, tier);
                 break;
             }
         }
@@ -784,11 +830,9 @@ class PageTableDiff
         const PageId p = f.first + below(f.count);
         if (!ref_.isMapped(p) || !ref_.entry(p).in_flight)
             return;
-        pt_.unmapRange(p, 1);
-        ref_.unmapRange(p, 1);
+        ASSERT_NO_FATAL_FAILURE(unmap(p, 1));
         Tier tier = makeTier(static_cast<unsigned>(below(4)));
-        pt_.mapRange(p, 1, tier);
-        ref_.mapRange(p, 1, tier);
+        map(p, 1, tier);
         if (below(2) == 0)
             begin(p, 1, otherTier(tier), static_cast<Tick>(below(1'000'000)),
                   0);
@@ -799,7 +843,10 @@ class PageTableDiff
     std::mt19937_64 rng_;
     /** Live records, in no particular order. */
     std::vector<Flight> flights_;
+    /** Page ranges [first, last) edited since the last check. */
+    std::vector<std::pair<PageId, PageId>> edited_;
     std::size_t peak_stretches_ = 0;
+    std::size_t moved_commits_ = 0;
 };
 
 TEST(PageTable, RandomizedDifferentialAgainstMapModel)
@@ -809,12 +856,16 @@ TEST(PageTable, RandomizedDifferentialAgainstMapModel)
         PageTableDiff diff(seed);
         for (int op = 0; op < 6000; ++op) {
             ASSERT_NO_FATAL_FAILURE(diff.step()) << "op " << op;
-            ASSERT_NO_FATAL_FAILURE(diff.check()) << "after op " << op;
+            ASSERT_NO_FATAL_FAILURE(diff.check(op % 16 == 15))
+                << "after op " << op;
         }
+        ASSERT_NO_FATAL_FAILURE(diff.check(true));
         ASSERT_NO_FATAL_FAILURE(diff.drain());
-        ASSERT_NO_FATAL_FAILURE(diff.check());
-        // The churn fragments the table as UM's evictions do.
-        EXPECT_GE(diff.peakStretches(), 500u);
+        ASSERT_NO_FATAL_FAILURE(diff.check(true));
+        // The churn fragments the table as UM's evictions do, across
+        // many leaves, and records land after their stretch moved.
+        EXPECT_GE(diff.peakStretches(), 2000u);
+        EXPECT_GE(diff.movedCommits(), 100u);
     }
 }
 

@@ -273,9 +273,9 @@ readBaseline(const std::string &path)
 }
 
 int
-check(const std::vector<Sample> &samples, const std::string &path)
+check(const std::vector<Sample> &samples,
+      const std::map<std::string, std::string> &base, const std::string &path)
 {
-    std::map<std::string, std::string> base = readBaseline(path);
     int regressions = 0, compared = 0;
     for (const Sample &s : samples) {
         auto it = base.find(s.key);
@@ -330,10 +330,8 @@ usage()
         "baselined separately in BENCH_baseline_ntier.json).\n");
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bool do_check = false;
     bool ntier = false;
@@ -366,16 +364,34 @@ main(int argc, char **argv)
     if (baseline.empty())
         baseline = def;
 
+    // A check reads its baseline before running any cell.
+    std::map<std::string, std::string> base;
+    if (do_check)
+        base = readBaseline(baseline);
     if (BENCH_SANITIZED && !ntier)
         std::printf("sanitizer build: wall-clock metrics skipped\n");
     std::vector<Sample> samples =
         ntier ? collectNtier() : collect(/*wall=*/!BENCH_SANITIZED);
 
     if (do_check)
-        return check(samples, baseline);
+        return check(samples, base, baseline);
 
     writeBaseline(samples, out);
     std::printf("%zu metrics written to %s\n", samples.size(),
                 out.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A bad flag value or an unreadable baseline is one fatal line and
+    // exit 1.
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &) {
+        return 1; // fatal() has printed it
+    }
 }

@@ -46,6 +46,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -241,7 +242,7 @@ configFrom(const Args &args)
     cfg.mid_bw = args.getDouble("mid-bw", 0.0) * 1e9; // GB/s -> B/s
     cfg.steps = args.getInt("steps", 9);
     cfg.warmup = args.getInt("warmup", 6);
-    cfg.sentinel.forced_mil = args.getInt("mil", 0);
+    cfg.sentinel.forced_mil = args.getInt("mil", 0, 0);
     cfg.planner = args.get("planner", "greedy");
     cfg.chaos = args.get("chaos", "");
     cfg.chaos_seed = args.getU64("chaos-seed", cfg.chaos_seed);
@@ -883,7 +884,10 @@ cmdFuzz(const Args &args)
     o.seed = args.getU64("seed", o.seed);
     o.jobs = args.getInt("jobs", o.jobs, 1);
     o.out_dir = args.get("out", o.out_dir);
-    o.inject_capacity = args.getDouble("inject-capacity", o.inject_capacity);
+    // A capacity injection takes a share of the fast tier below 1, as
+    // a repro file's does (FuzzCase::parse).
+    o.inject_capacity = args.getDouble("inject-capacity", o.inject_capacity,
+                                       0.0, std::nextafter(1.0, 0.0));
     o.inject_traffic = args.getDouble("inject-traffic", o.inject_traffic);
     o.determinism = args.getInt("determinism", 1) != 0;
     o.do_shrink = args.getInt("shrink", 1) != 0;
