@@ -16,8 +16,8 @@ using namespace sentinel;
 
 int
 main(int argc, char **argv)
-{
-    std::string only = argc > 1 ? argv[1] : "";
+try {
+    const harness::Args args(argc, argv, {}, /*operands=*/1);
     bench::banner("Ablation - dynamic vs static migration intervals",
                   "Sec. IV-E discussion");
 
@@ -26,9 +26,7 @@ main(int argc, char **argv)
             { "model", "static MIL", "static (ms)", "dynamic intervals",
               "dynamic (ms)", "dynamic benefit" });
 
-    for (const auto &model : bench::evaluationModels()) {
-        if (!only.empty() && model != only)
-            continue;
+    for (const auto &model : bench::selectModels(args)) {
         harness::ExperimentConfig cfg;
         cfg.model = model;
         cfg.batch = models::modelSpec(model).small_batch;
@@ -55,4 +53,6 @@ main(int argc, char **argv)
                  "not\nworth it.  Positive numbers above would argue "
                  "otherwise.\n";
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

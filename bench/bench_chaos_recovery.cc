@@ -47,9 +47,9 @@ stepMs(const harness::StepTrace &tr, int s)
 
 int
 main(int argc, char **argv)
-{
-    bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    std::string model = args.only.empty() ? "resnet32" : args.only;
+try {
+    const harness::Args args(argc, argv, {}, /*operands=*/1);
+    const std::string model = bench::modelOperand(args, "resnet32");
     bench::banner("chaos recovery - re-planning under injected faults",
                   "robustness extension of Sec. IV-D/IV-E");
 
@@ -108,4 +108,6 @@ main(int argc, char **argv)
             off_final > 0.0 ? 100.0 * sen_final / off_final : 0.0);
     }
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

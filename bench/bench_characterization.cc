@@ -23,8 +23,8 @@ using namespace sentinel;
 
 int
 main(int argc, char **argv)
-{
-    std::string only = argc > 1 ? argv[1] : "";
+try {
+    const harness::Args args(argc, argv, {}, /*operands=*/1);
     bench::banner("Tensor characterization (Observations 1-3)",
                   "Sec. III, Figs. 1-2");
 
@@ -40,9 +40,8 @@ main(int argc, char **argv)
                  "coldest-bucket bytes (page-level)",
                  "bytes mis-attributed by page profiling" });
 
-    for (const auto &spec : models::modelZoo()) {
-        if (!only.empty() && spec.name != only)
-            continue;
+    for (const auto &name : bench::selectModels(args)) {
+        const models::ModelSpec &spec = models::modelSpec(name);
         df::Graph g = models::makeModel(spec.name, spec.small_batch);
 
         // --- Observation 1 (pure graph properties) -------------------
@@ -131,4 +130,6 @@ main(int argc, char **argv)
            "because\ncold tensors share pages with hotter ones "
            "(Sec. III-B).\n";
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

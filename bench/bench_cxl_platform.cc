@@ -55,8 +55,9 @@ runPlatform(const df::Graph &g, core::RuntimeConfig cfg,
 
 int
 main(int argc, char **argv)
-{
-    std::string model = argc > 1 ? argv[1] : "resnet32";
+try {
+    const harness::Args args(argc, argv, {}, /*operands=*/1);
+    const std::string model = bench::modelOperand(args, "resnet32");
     bench::banner("Slow-tier technology study: Optane PMM vs CXL DDR",
                   "repo extra; cf. Sec. I's motivation");
 
@@ -97,4 +98,6 @@ main(int argc, char **argv)
                  "migration shrinks proportionally to the tier gap — "
                  "but remains\npositive while any gap exists.\n";
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

@@ -41,8 +41,9 @@ minFastFraction(const std::string &model, int batch, double fast_ms,
 } // namespace
 
 int
-main()
-{
+main(int argc, char **argv)
+try {
+    const harness::Args args(argc, argv);
     bench::banner("Fig. 11 - ResNet scaling study",
                   "Fig. 11, Sec. VII-B");
 
@@ -80,4 +81,6 @@ main()
                  "while the fast-memory size\nneeded for parity rises "
                  "much more slowly (Fig. 11).\n";
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

@@ -47,9 +47,9 @@ const std::size_t kExtraVariants = std::size(kVariants) - 1;
 
 int
 main(int argc, char **argv)
-{
-    bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, bench::evaluationModels());
+try {
+    const harness::Args args(argc, argv, { "jobs" }, /*operands=*/1);
+    const int jobs = args.getInt("jobs", 1, 1);
     bench::banner("Fig. 12 + Fig. 13 - GPU training throughput "
                   "(normalized to UM) and breakdown",
                   "Fig. 12 / Fig. 13, Sec. VII-C");
@@ -71,9 +71,7 @@ main(int argc, char **argv)
     const std::size_t kBatches = 3;
     const std::size_t stride = kBatches * policies.size() + kExtraVariants;
     std::vector<harness::SweepCell> cells;
-    for (const auto &model : bench::evaluationModels()) {
-        if (!args.only.empty() && model != args.only)
-            continue;
+    for (const auto &model : bench::selectModels(args)) {
         const auto &spec = models::modelSpec(model);
         df::Graph probe = models::makeModel(model, spec.small_batch);
         std::uint64_t dev =
@@ -102,7 +100,7 @@ main(int argc, char **argv)
         }
     }
     std::vector<harness::Metrics> results =
-        harness::runSweep(cells, args.jobs);
+        harness::runSweep(cells, jobs);
 
     for (std::size_t mi = 0; mi < results.size(); mi += stride) {
         for (std::size_t bi = 0; bi < kBatches; ++bi) {
@@ -170,4 +168,6 @@ main(int argc, char **argv)
                  "reservation each buy several percent (Sec. VII-C, "
                  "Fig. 13).\n";
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

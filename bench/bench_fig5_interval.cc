@@ -17,8 +17,9 @@ using namespace sentinel;
 
 int
 main(int argc, char **argv)
-{
-    std::string model = argc > 1 ? argv[1] : "resnet32";
+try {
+    const harness::Args args(argc, argv, {}, /*operands=*/1);
+    const std::string model = bench::modelOperand(args, "resnet32");
     bench::banner("Fig. 5 - performance vs. migration interval length",
                   "Fig. 5, Sec. IV-D");
 
@@ -56,4 +57,6 @@ main(int argc, char **argv)
         100.0 * (worst - best) / best, planned.mil,
         planned.step_time_ms);
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

@@ -23,9 +23,10 @@ using namespace sentinel;
 
 int
 main(int argc, char **argv)
-{
-    bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, bench::evaluationModels());
+try {
+    const harness::Args args(argc, argv, { "jobs" }, /*operands=*/1);
+    const std::vector<std::string> selected = bench::selectModels(args);
+    const int jobs = args.getInt("jobs", 1, 1);
     bench::banner("Fig. 7 + Table IV + Fig. 10 - small-batch comparison "
                   "on Optane HM",
                   "Fig. 7 / Table IV / Fig. 10, Sec. VII-B");
@@ -45,12 +46,8 @@ main(int argc, char **argv)
     // Fig. 10's fast-memory sizes beyond the 20% default.
     const double fractions[] = { 0.3, 0.4, 0.6, 1.0 };
     const std::size_t stride = policies.size() + std::size(fractions);
-    std::vector<std::string> selected;
     std::vector<harness::SweepCell> cells;
-    for (const auto &model : bench::evaluationModels()) {
-        if (!args.only.empty() && model != args.only)
-            continue;
-        selected.push_back(model);
+    for (const auto &model : selected) {
         harness::ExperimentConfig cfg;
         cfg.model = model;
         cfg.batch = models::modelSpec(model).small_batch;
@@ -62,7 +59,7 @@ main(int argc, char **argv)
         }
     }
     std::vector<harness::Metrics> results =
-        harness::runSweep(cells, args.jobs);
+        harness::runSweep(cells, jobs);
 
     auto ratio = [](double a, double b) {
         return b > 0.0 ? strprintf("%.2fx", a / b) : std::string("-");
@@ -132,4 +129,6 @@ main(int argc, char **argv)
                  "anchors: parity at 60% of peak; at\nmost ~17% variance "
                  "between 20% and 40%.\n";
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

@@ -13,8 +13,10 @@ using namespace sentinel;
 
 int
 main(int argc, char **argv)
-{
-    bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+try {
+    const harness::Args args(argc, argv, { "jobs" }, /*operands=*/1);
+    const std::vector<std::string> selected = bench::selectModels(args);
+    const int jobs = args.getInt("jobs", 1, 1);
     bench::banner("Fig. 8 - large-batch training on Optane HM",
                   "Fig. 8, Sec. VII-B");
 
@@ -25,12 +27,8 @@ main(int argc, char **argv)
 
     const std::vector<std::string> policies = { "numa", "memory-mode",
                                                 "autotm", "sentinel" };
-    std::vector<std::string> selected;
     std::vector<harness::SweepCell> cells;
-    for (const auto &model : bench::evaluationModels()) {
-        if (!args.only.empty() && model != args.only)
-            continue;
-        selected.push_back(model);
+    for (const auto &model : selected) {
         harness::ExperimentConfig cfg;
         cfg.model = model;
         cfg.batch = models::modelSpec(model).large_batch;
@@ -38,7 +36,7 @@ main(int argc, char **argv)
             cells.push_back({ cfg, p });
     }
     std::vector<harness::Metrics> results =
-        harness::runSweep(cells, args.jobs);
+        harness::runSweep(cells, jobs);
 
     double sent_over_numa = 0.0;
     double sent_over_mm = 0.0;
@@ -76,4 +74,6 @@ main(int argc, char **argv)
             sent_over_numa / n, sent_over_mm / n, sent_over_autotm / n);
     }
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

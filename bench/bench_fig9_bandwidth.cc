@@ -57,8 +57,10 @@ traceOnePolicy(const df::Graph &graph, const core::RuntimeConfig &cfg,
 
 int
 main(int argc, char **argv)
-{
-    std::string model = argc > 1 ? argv[1] : "resnet32";
+try {
+    const harness::Args args(argc, argv, { "trace-out" }, /*operands=*/1);
+    const std::string model = bench::modelOperand(args, "resnet32");
+    const std::string trace_out = args.get("trace-out", "");
     bench::banner("Fig. 9 - memory bandwidth during one step",
                   "Fig. 9, Sec. VII-B");
 
@@ -101,24 +103,24 @@ main(int argc, char **argv)
         sen_r.avg_fast / 1e9, ial_r.avg_fast / 1e9, fast_ratio,
         sen_r.avg_slow / 1e9, ial_r.avg_slow / 1e9);
 
-    // Optional second argument: dump the same steady-state Sentinel
-    // step as a Chrome-trace JSON (op/migration/stall timeline, the
-    // event-level view behind this figure's bucketed series).
-    if (argc > 2) {
+    // --trace-out FILE: dump the same steady-state Sentinel step as a
+    // Chrome-trace JSON (op/migration/stall timeline, the event-level
+    // view behind this figure's bucketed series).
+    if (!trace_out.empty()) {
         telemetry::Session session;
         harness::Cell cell(std::move(graph), cfg, "sentinel");
         cell.sentinel()->setTelemetry(&session);
         cell.hm().setTelemetry(&session);
         cell.executor().setTelemetry(&session);
         cell.executor().run(7);
-        if (telemetry::saveChromeTrace(session.events(), argv[2])) {
-            std::cout << strprintf(
-                "\nChrome trace of %d steady steps written to %s "
-                "(%zu events)\n", 7, argv[2], session.events().size());
-        } else {
-            std::cout << strprintf("\ncould not write %s\n", argv[2]);
-            return 1;
-        }
+        if (!telemetry::saveChromeTrace(session.events(), trace_out))
+            SENTINEL_FATAL("could not write '%s'", trace_out.c_str());
+        std::cout << strprintf(
+            "\nChrome trace of %d steady steps written to %s "
+            "(%zu events)\n", 7, trace_out.c_str(),
+            session.events().size());
     }
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

@@ -27,35 +27,19 @@ using namespace sentinel;
 
 namespace {
 
-struct Workload {
-    std::string model;
-    int batch;
-};
-
-std::vector<Workload>
-workloads(const std::string &only)
-{
-    // Two LLM presets (the hierarchy's target scale) plus the smallest
-    // conv net as a sanity row at the other end of the spectrum.
-    std::vector<Workload> out = {
-        { "llm:tiny", models::modelSpec("llm:tiny").small_batch },
-        { "llm:small", models::modelSpec("llm:small").small_batch },
-        { "resnet32", models::modelSpec("resnet32").small_batch },
-    };
-    if (!only.empty())
-        std::erase_if(out,
-                      [&](const Workload &w) { return w.model != only; });
-    return out;
-}
-
 constexpr double kMidFractions[] = { 1.0, 2.0, 4.0, 8.0 };
 
 } // namespace
 
 int
 main(int argc, char **argv)
-{
-    bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+try {
+    const harness::Args args(argc, argv, { "jobs" }, /*operands=*/1);
+    // Two LLM presets (the hierarchy's target scale) plus the smallest
+    // conv net as a sanity row at the other end of the spectrum.
+    const std::vector<std::string> workloads =
+        bench::selectModels(args, { "llm:tiny", "llm:small", "resnet32" });
+    const int jobs = args.getInt("jobs", 1, 1);
     bench::banner("three-tier DRAM-size sweep (bench_ntier)",
                   "Sec. III interval migration, staged through a "
                   "middle tier");
@@ -64,10 +48,10 @@ main(int argc, char **argv)
             { "model", "mid (x fast)", "step (ms)", "2-tier step (ms)",
               "exposed (ms)", "migrated (MB)", "throughput" });
 
-    for (const Workload &w : workloads(args.only)) {
+    for (const std::string &model : workloads) {
         harness::ExperimentConfig base;
-        base.model = w.model;
-        base.batch = w.batch;
+        base.model = model;
+        base.batch = models::modelSpec(model).small_batch;
 
         std::vector<harness::SweepCell> cells;
         cells.push_back({ base, "sentinel" }); // two-tier reference
@@ -78,13 +62,13 @@ main(int argc, char **argv)
             cells.push_back({ cfg, "sentinel" });
         }
         std::vector<harness::Metrics> m =
-            harness::runSweep(cells, args.jobs);
+            harness::runSweep(cells, jobs);
 
         const harness::Metrics &ref = m[0];
         for (std::size_t i = 0; i < std::size(kMidFractions); ++i) {
             const harness::Metrics &cell = m[i + 1];
             t.row()
-                .cell(w.model)
+                .cell(model)
                 .cell(kMidFractions[i], 1)
                 .cell(cell.step_time_ms)
                 .cell(ref.step_time_ms)
@@ -95,4 +79,6 @@ main(int argc, char **argv)
     }
     t.printWithCsv(std::cout);
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

@@ -23,33 +23,15 @@
 
 using namespace sentinel;
 
-namespace {
-
-struct Workload {
-    std::string model;
-    int batch;
-};
-
-std::vector<Workload>
-workloads(const std::string &only)
-{
-    std::vector<Workload> out;
-    for (const auto &m : bench::evaluationModels())
-        out.push_back({ m, models::modelSpec(m).small_batch });
-    for (std::uint64_t seed : models::kCommittedFuzzSeeds)
-        out.push_back({ "synthetic:" + std::to_string(seed), 4 });
-    if (!only.empty())
-        std::erase_if(out,
-                      [&](const Workload &w) { return w.model != only; });
-    return out;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
-{
-    bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+try {
+    const harness::Args args(argc, argv, { "jobs" }, /*operands=*/1);
+    std::vector<std::string> workloads = bench::evaluationModels();
+    for (std::uint64_t seed : models::kCommittedFuzzSeeds)
+        workloads.push_back("synthetic:" + std::to_string(seed));
+    workloads = bench::selectModels(args, workloads);
+    const int jobs = args.getInt("jobs", 1, 1);
     bench::banner("offline memory planning - interval vs. greedy layout",
                   "Sec. IV-B co-allocation; hannk/TFLite-style planning");
 
@@ -60,23 +42,24 @@ main(int argc, char **argv)
 
     int strictly_smaller = 0;
     int larger = 0;
-    for (const Workload &w : workloads(args.only)) {
-        df::Graph g = models::makeModel(w.model, w.batch);
+    for (const std::string &model : workloads) {
+        const int batch = models::modelSpec(model).small_batch;
+        df::Graph g = models::makeModel(model, batch);
         std::vector<plan::PlanTensor> pts = plan::tensorsFromGraph(
             g, /*include_preallocated=*/false, /*long_lived_only=*/true);
         plan::OffsetPlan layout =
             plan::assignOffsets(pts, plan::Solver::Greedy);
 
         harness::ExperimentConfig cfg;
-        cfg.model = w.model;
-        cfg.batch = w.batch;
+        cfg.model = model;
+        cfg.batch = batch;
         std::vector<harness::SweepCell> cells;
         cells.push_back({ cfg, "sentinel" });
         cells.back().cfg.planner = "greedy";
         cells.push_back({ cfg, "sentinel" });
         cells.back().cfg.planner = "interval";
         std::vector<harness::Metrics> m =
-            harness::runSweep(cells, args.jobs);
+            harness::runSweep(cells, jobs);
 
         double greedy_mb = m[0].layout_mb;
         double interval_mb = m[1].layout_mb;
@@ -85,7 +68,7 @@ main(int argc, char **argv)
         else if (interval_mb > greedy_mb)
             ++larger;
         t.row()
-            .cell(w.model)
+            .cell(model)
             .cell(static_cast<std::uint64_t>(pts.size()))
             .cell(greedy_mb)
             .cell(interval_mb)
@@ -108,4 +91,6 @@ main(int argc, char **argv)
         "same problem).\n",
         strictly_smaller, larger);
     return larger == 0 ? 0 : 1;
+} catch (...) {
+    return harness::reportError();
 }

@@ -23,8 +23,8 @@ using namespace sentinel;
 
 int
 main(int argc, char **argv)
-{
-    bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+try {
+    const harness::Args args(argc, argv, { "jobs" });
     bench::banner("server co-location - quota + bandwidth sharing",
                   "multi-job extension of Sec. III-B/IV-C");
 
@@ -32,7 +32,7 @@ main(int argc, char **argv)
     cfg.fast_bytes = 64ull << 20;
     cfg.default_steps = 8;
     cfg.default_warmup = 3;
-    cfg.jobs = args.jobs;
+    cfg.jobs = args.getInt("jobs", 1, 1);
 
     // Two migrating CIFAR ResNets plus two resident synthetics: enough
     // tension on the promote channel to show arbitration without
@@ -92,4 +92,6 @@ main(int argc, char **argv)
         "took %.2f ms\n",
         serial_ms, solo_sum_ms);
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

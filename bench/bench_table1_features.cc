@@ -12,9 +12,10 @@
 #include "bench_util.hh"
 
 int
-main()
-{
+main(int argc, char **argv)
+try {
     using sentinel::Table;
+    const sentinel::harness::Args args(argc, argv);
     sentinel::bench::banner("Table I - feature comparison",
                             "Table I, Sec. II");
 
@@ -42,4 +43,6 @@ main()
         "yes (tensor level)", "yes", "CPU+GPU");
     t.printWithCsv(std::cout);
     return 0;
+} catch (...) {
+    return sentinel::harness::reportError();
 }

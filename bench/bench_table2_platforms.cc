@@ -10,9 +10,10 @@
 #include "common/stats.hh"
 
 int
-main()
-{
+main(int argc, char **argv)
+try {
     using namespace sentinel;
+    const harness::Args args(argc, argv);
     bench::banner("Table II - evaluation platforms", "Table II, Sec. VII");
 
     auto cpu = core::RuntimeConfig::optane(192ull << 30);
@@ -50,4 +51,6 @@ main()
                  "compute, matching the paper's helper threads (Sec. "
                  "VI).\n";
     return 0;
+} catch (...) {
+    return sentinel::harness::reportError();
 }

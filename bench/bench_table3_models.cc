@@ -15,9 +15,10 @@
 #include "profile/profiler.hh"
 
 int
-main()
-{
+main(int argc, char **argv)
+try {
     using namespace sentinel;
+    const harness::Args args(argc, argv);
     bench::banner("Table III - models and Sentinel overheads",
                   "Table III, Sec. VII-B");
 
@@ -64,4 +65,6 @@ main()
                  "average, profiling step extended\nby up to 5x, memory "
                  "overhead at most 2.4% (Sec. VII-B).\n";
     return 0;
+} catch (...) {
+    return sentinel::harness::reportError();
 }

@@ -18,8 +18,9 @@ using namespace sentinel;
 
 int
 main(int argc, char **argv)
-{
-    bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+try {
+    const harness::Args args(argc, argv, { "jobs" }, /*operands=*/1);
+    const int jobs = args.getInt("jobs", 1, 1);
     bench::banner("Table V - maximum batch size on the GPU platform",
                   "Table V, Sec. VII-C");
 
@@ -32,9 +33,7 @@ main(int argc, char **argv)
               "SwapAdvisor", "Capuchin", "Sentinel",
               "Sentinel/TF" });
 
-    for (const auto &model : bench::evaluationModels()) {
-        if (!args.only.empty() && model != args.only)
-            continue;
+    for (const auto &model : bench::selectModels(args)) {
         const auto &spec = models::modelSpec(model);
         df::Graph probe = models::makeModel(model, spec.small_batch);
         std::uint64_t dev =
@@ -44,20 +43,15 @@ main(int argc, char **argv)
         // the refinement phase stays sequential (and so does the
         // answer).
         const int cap = spec.small_batch * 8;
-        int tf = harness::maxBatchSearch(model, "tf", dev, cap,
-                                         args.jobs);
-        int vdnn = spec.has_convs
-                       ? harness::maxBatchSearch(model, "vdnn", dev, cap,
-                                                 args.jobs)
-                       : -1;
-        int autotm = harness::maxBatchSearch(model, "autotm", dev, cap,
-                                             args.jobs);
-        int advisor = harness::maxBatchSearch(model, "swapadvisor", dev,
-                                              cap, args.jobs);
-        int capuchin = harness::maxBatchSearch(model, "capuchin", dev,
-                                               cap, args.jobs);
-        int sentinel = harness::maxBatchSearch(model, "sentinel", dev,
-                                               cap, args.jobs);
+        auto search = [&](const char *policy) {
+            return harness::maxBatchSearch(model, policy, dev, cap, jobs);
+        };
+        int tf = search("tf");
+        int vdnn = spec.has_convs ? search("vdnn") : -1;
+        int autotm = search("autotm");
+        int advisor = search("swapadvisor");
+        int capuchin = search("capuchin");
+        int sentinel = search("sentinel");
 
         t.row()
             .cell(model)
@@ -76,4 +70,6 @@ main(int argc, char **argv)
     std::cout << "\n'X' marks vDNN on recursive structures (LSTM, "
                  "BERT), which it cannot schedule\n(Sec. VII-C).\n";
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

@@ -4,86 +4,27 @@
  *
  * Every binary prints (a) a human-readable table matching the paper's
  * rows/series and (b) the same data as CSV, so plots can be
- * regenerated offline.
+ * regenerated offline.  Each takes a model operand only where it runs or
+ * filters by one, and --jobs N only where its cells go through
+ * runSweep() or maxBatchSearch().
  */
 
 #ifndef SENTINEL_BENCH_BENCH_UTIL_HH
 #define SENTINEL_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
-#include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/parse.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "harness/args.hh"
 #include "harness/experiment.hh"
 #include "models/registry.hh"
 
 namespace sentinel::bench {
-
-/**
- * Command line shared by the figure/table binaries: an optional
- * positional model filter plus --jobs N to fan the experiment cells
- * out over a worker pool (results are identical for any jobs value).
- */
-struct BenchArgs {
-    std::string only; ///< run a single model (empty = all)
-    int jobs = 1;
-};
-
-/** Print @p why and the shared usage line, then exit 2. */
-[[noreturn]] inline void
-usageError(const char *prog, const std::string &why)
-{
-    std::cerr << "error: " << why << "\nusage: " << prog
-              << " [model] [--jobs N]\n";
-    std::exit(2);
-}
-
-/**
- * Parse the shared command line.  --jobs must be a whole integer >= 1,
- * any other dash-prefixed argument is an error, and at most one model
- * filter may be given; when @p models is non-empty the filter must be
- * one of them.  A usage error exits 2.
- */
-inline BenchArgs
-parseBenchArgs(int argc, char **argv,
-               const std::vector<std::string> &models = {})
-{
-    BenchArgs args;
-    auto parseJobs = [&](const std::string &v) {
-        const std::optional<int> n =
-            parseInt(v, 1, std::numeric_limits<int>::max());
-        if (!n)
-            usageError(argv[0], "--jobs takes an integer >= 1, got '" +
-                                    v + "'");
-        args.jobs = *n;
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string s = argv[i];
-        if (s.rfind("--jobs=", 0) == 0)
-            parseJobs(s.substr(7));
-        else if (s == "--jobs")
-            parseJobs(i + 1 < argc ? argv[++i] : "");
-        else if (s.rfind('-', 0) == 0)
-            usageError(argv[0], "unknown option '" + s + "'");
-        else if (!args.only.empty())
-            usageError(argv[0], "more than one model filter ('" +
-                                    args.only + "', '" + s + "')");
-        else
-            args.only = s;
-    }
-    if (!args.only.empty() && !models.empty() &&
-        std::find(models.begin(), models.end(), args.only) == models.end())
-        usageError(argv[0], "unknown model '" + args.only + "'");
-    return args;
-}
 
 /** The five evaluation models, in the paper's presentation order. */
 inline std::vector<std::string>
@@ -91,6 +32,33 @@ evaluationModels()
 {
     return { "resnet32", "resnet200", "bert_large",
              "lstm",     "mobilenet", "dcgan" };
+}
+
+/** The models a bench runs: @p models, or the one of them its model
+ *  operand names (ConfigError when it names none). */
+inline std::vector<std::string>
+selectModels(const harness::Args &args,
+             const std::vector<std::string> &models = evaluationModels())
+{
+    const std::string only = args.operand(0, "");
+    if (only.empty())
+        return models;
+    if (std::find(models.begin(), models.end(), only) == models.end())
+        throw harness::ConfigError(
+            strprintf("config: unknown model '%s'", only.c_str()));
+    return { only };
+}
+
+/** The one model a bench runs: its model operand, which must have a
+ *  spec (models::findModelSpec()), or @p dflt. */
+inline std::string
+modelOperand(const harness::Args &args, const std::string &dflt)
+{
+    const std::string model = args.operand(0, dflt);
+    if (!models::findModelSpec(model))
+        throw harness::ConfigError(
+            strprintf("config: unknown model '%s'", model.c_str()));
+    return model;
 }
 
 inline double

@@ -9,11 +9,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/stats.hh"
 #include "core/runtime.hh"
+#include "harness/args.hh"
 #include "mem/hm.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
@@ -22,10 +22,12 @@ using namespace sentinel;
 
 int
 main(int argc, char **argv)
-{
-    std::string model = argc > 1 ? argv[1] : "resnet32";
-    int batch = argc > 2 ? std::atoi(argv[2])
-                         : models::modelSpec(model).small_batch;
+try {
+    const harness::Args args(argc, argv, {}, /*operands=*/2);
+    const std::string model = args.operand(0, "resnet32");
+    const int batch = args.operand(1, "").empty()
+                          ? models::modelSpec(model).small_batch
+                          : args.operandInt(1, "batch", 0, 1);
 
     df::Graph g = models::makeModel(model, batch);
     std::printf("== %s, batch %d ==\n", model.c_str(), batch);
@@ -114,4 +116,6 @@ main(int argc, char **argv)
                     profile.profiling_step.fault_overhead /
                     (2 * kUsec)));
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 
+#include "harness/args.hh"
 #include "harness/experiment.hh"
 #include "models/registry.hh"
 
@@ -19,8 +20,9 @@ using namespace sentinel;
 
 int
 main(int argc, char **argv)
-{
-    std::string model = argc > 1 ? argv[1] : "resnet32";
+try {
+    const harness::Args args(argc, argv, {}, /*operands=*/1);
+    const std::string model = args.operand(0, "resnet32");
     const auto &spec = models::modelSpec(model);
     int batch = spec.small_batch;
 
@@ -71,4 +73,6 @@ main(int argc, char **argv)
         std::printf("  %-10s batch %d\n", policy, b);
     }
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

@@ -10,9 +10,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "harness/args.hh"
 #include "harness/experiment.hh"
 #include "models/registry.hh"
 
@@ -20,10 +20,12 @@ using namespace sentinel;
 
 int
 main(int argc, char **argv)
-{
-    std::string model = argc > 1 ? argv[1] : "bert_large";
-    int batch = argc > 2 ? std::atoi(argv[2])
-                         : models::modelSpec(model).large_batch;
+try {
+    const harness::Args args(argc, argv, {}, /*operands=*/2);
+    const std::string model = args.operand(0, "bert_large");
+    const int batch = args.operand(1, "").empty()
+                          ? models::modelSpec(model).large_batch
+                          : args.operandInt(1, "batch", 0, 1);
 
     df::Graph probe = models::makeModel(model, batch);
     std::printf("%s at batch %d: peak memory %.2f GB; DRAM budget = "
@@ -58,4 +60,6 @@ main(int argc, char **argv)
                 sentinel.mil, sentinel.pool_mb, sentinel.case3_events,
                 sentinel.trial_steps);
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

@@ -8,9 +8,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "harness/args.hh"
 #include "harness/cell.hh"
 #include "models/registry.hh"
 
@@ -18,9 +18,10 @@ using namespace sentinel;
 
 int
 main(int argc, char **argv)
-{
-    std::string model = argc > 1 ? argv[1] : "resnet32";
-    int batch = argc > 2 ? std::atoi(argv[2]) : 32;
+try {
+    const harness::Args args(argc, argv, {}, /*operands=*/2);
+    const std::string model = args.operand(0, "resnet32");
+    const int batch = args.operandInt(1, "batch", 32, 1);
 
     // 1. Build the training-step graph (the stand-in for a TensorFlow
     //    model annotated with start_profile()/add_layer()).
@@ -72,4 +73,6 @@ main(int argc, char **argv)
     std::printf("\nsteady state: %.2f ms/step, %.1f samples/s\n", steady,
                 batch / (steady / 1e3));
     return 0;
+} catch (...) {
+    return harness::reportError();
 }

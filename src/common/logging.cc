@@ -91,16 +91,8 @@ panicImpl(const char *file, int line, const std::string &msg)
     emitLine("panic: ", strprintf("%s (%s:%d)", msg.c_str(), file, line));
     std::fflush(stderr);
     // Throwing (rather than abort()) lets tests exercise panic paths with
-    // EXPECT_THROW while still terminating any uncaught failure.
+    // EXPECT_THROW; a main still fails on it (harness::reportError()).
     throw std::logic_error("panic: " + msg);
-}
-
-void
-fatalImpl(const std::string &msg)
-{
-    emitLine("fatal: ", msg);
-    std::fflush(stderr);
-    throw FatalError("fatal: " + msg);
 }
 
 void

@@ -9,8 +9,10 @@
  *              what the user does, i.e. a bug in this library.  Aborts.
  *  - fatal():  the simulation cannot continue due to a user-level problem
  *              (bad configuration, impossible experiment parameters).
- *              Prints one line and throws FatalError; the tools exit
- *              with an error code.
+ *              Throws FatalError and prints nothing: a caller that
+ *              handles the error (an infeasible cell, a rejected job)
+ *              leaves no line behind, and one that does not lets it
+ *              reach main, where harness::reportError() prints it once.
  *
  * In addition, warn() and inform() print non-fatal status messages.
  */
@@ -24,14 +26,6 @@
 
 namespace sentinel {
 
-/** Severity levels used by the message sink. */
-enum class LogLevel {
-    Inform,
-    Warn,
-    Fatal,
-    Panic,
-};
-
 /**
  * Formats a printf-style message into a std::string.
  *
@@ -41,20 +35,22 @@ enum class LogLevel {
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/**
- * What fatal() throws, once its "fatal: <msg>" line is written; what()
- * is that line's text.  A top level that catches it has nothing left
- * to print.
- */
+/** What fatal() throws; what() is "fatal: <msg>", the line a main
+ *  prints for it. */
 class FatalError : public std::runtime_error
 {
-    using std::runtime_error::runtime_error;
+  public:
+    explicit FatalError(const std::string &msg)
+        : std::runtime_error("fatal: " + msg)
+    {}
+
+    /** The message without its "fatal: " prefix. */
+    const char *message() const noexcept { return what() + 7; }
 };
 
 namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
-[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -70,7 +66,7 @@ void setVerbose(bool verbose);
 bool verbose();
 
 /**
- * Send the lines this thread's panic, fatal, warn and inform messages
+ * Send the lines this thread's panic, warn and inform messages
  * write to stderr into @p lines instead (null: stderr again).
  * @return the previous target.
  */
@@ -87,11 +83,11 @@ void emitLog(const std::string &lines);
                                   ::sentinel::strprintf(__VA_ARGS__))
 
 /**
- * Report an unrecoverable user-level error and throw FatalError.  The
- * message names the problem; a user needs no source location.
+ * Throw FatalError for an unrecoverable user-level error.  The message
+ * names the problem; a user needs no source location.
  */
 #define SENTINEL_FATAL(...)                                                   \
-    ::sentinel::detail::fatalImpl(::sentinel::strprintf(__VA_ARGS__))
+    throw ::sentinel::FatalError(::sentinel::strprintf(__VA_ARGS__))
 
 /** Report a suspicious-but-survivable condition. */
 #define SENTINEL_WARN(...)                                                    \

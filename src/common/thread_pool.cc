@@ -99,34 +99,38 @@ parallelFor(std::size_t n, int jobs,
         return;
     }
     // Each index's log lines are held back and written in index order,
-    // as the inline loop would, whatever the interleaving.  A worker
-    // whose fn threw keeps its redirect but logs nothing before the
-    // next index sets its own, and logs outlives the pool.
+    // up to the lowest index that threw, whose exception is rethrown,
+    // as the inline loop would, whatever the interleaving.  A claimed
+    // index always runs, so every index below a failed one does; no
+    // index is claimed once a worker has seen a failure.
     std::vector<std::string> logs(n);
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<bool> failed{false};
     ThreadPool pool(static_cast<unsigned>(threads));
     std::atomic<std::size_t> next{0};
     for (std::size_t t = 0; t < threads; ++t) {
         pool.submit([&] {
-            for (;;) {
+            while (!failed.load()) {
                 std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
                 if (i >= n)
                     return;
                 redirectLog(&logs[i]);
-                fn(i);
+                try {
+                    fn(i);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                    failed.store(true);
+                }
                 redirectLog(nullptr);
             }
         });
     }
-    std::exception_ptr error;
-    try {
-        pool.wait();
-    } catch (...) {
-        error = std::current_exception();
+    pool.wait();
+    for (std::size_t i = 0; i < n; ++i) {
+        emitLog(logs[i]);
+        if (errors[i])
+            std::rethrow_exception(errors[i]);
     }
-    for (const std::string &log : logs)
-        emitLog(log);
-    if (error)
-        std::rethrow_exception(error);
 }
 
 } // namespace sentinel

@@ -70,9 +70,9 @@ class ThreadPool
  * jobs <= 1 runs inline on the calling thread (no pool, no overhead).
  * Results must be written to per-index slots by @p fn; indices are
  * claimed atomically, so outputs are deterministic regardless of the
- * interleaving.  So are the log lines: each index's are written in
- * index order once every fn has finished.  The first exception thrown
- * by any fn is rethrown.
+ * interleaving.  So are the log lines and the error: each index's
+ * lines are written in index order once every fn has finished, up to
+ * the lowest index whose fn threw, and that exception is rethrown.
  */
 void parallelFor(std::size_t n, int jobs,
                  const std::function<void(std::size_t)> &fn);

@@ -98,12 +98,12 @@ buildGraph(const ExperimentConfig &cfg)
 
     // A bad model name (unknown, or a malformed synthetic:<seed> spec)
     // is a rejected input, not an infeasible run: surface it as
-    // ConfigError instead of the registry's raw runtime_error.
+    // ConfigError instead of the registry's FatalError.
     try {
         return models::makeModel(cfg.model, cfg.batch);
-    } catch (const std::runtime_error &e) {
+    } catch (const FatalError &e) {
         throw ConfigError(
-            strprintf("config: cannot build model: %s", e.what()));
+            strprintf("config: cannot build model: %s", e.message()));
     }
 }
 

@@ -32,6 +32,25 @@ TEST(Logging, FatalThrowsRuntimeError)
     EXPECT_THROW(SENTINEL_FATAL("bad config %s", "x"), std::runtime_error);
 }
 
+TEST(Logging, FatalWritesNothing)
+{
+    // fatal() only throws: the line is printed by whoever lets the
+    // error reach main (harness::reportError()), so a caller that handles
+    // it leaves nothing on stderr.
+    std::string lines;
+    std::string *outer = redirectLog(&lines);
+    std::string what;
+    try {
+        SENTINEL_FATAL("unknown model '%s'", "resnet99");
+    } catch (const FatalError &e) {
+        what = e.what();
+        EXPECT_STREQ(e.message(), "unknown model 'resnet99'");
+    }
+    redirectLog(outer);
+    EXPECT_EQ(lines, "");
+    EXPECT_EQ(what, "fatal: unknown model 'resnet99'");
+}
+
 TEST(Logging, AssertPassesOnTrue)
 {
     EXPECT_NO_THROW(SENTINEL_ASSERT(1 + 1 == 2, "math works"));

@@ -25,6 +25,11 @@
  *
  * Improvements of a thresholded metric never fail the check;
  * regenerate the baseline to bank them.
+ *
+ *   bench_baseline [--check] [--ntier] [--out FILE] [--baseline FILE]
+ *
+ * --ntier swaps in the three-tier cell set (simulated metrics only),
+ * whose files default to BENCH_baseline_ntier.json.
  */
 
 #include <algorithm>
@@ -34,13 +39,13 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/alloc_hook.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
+#include "harness/args.hh"
 #include "harness/cell.hh"
 #include "telemetry/session.hh"
 
@@ -316,53 +321,19 @@ check(const std::vector<Sample> &samples,
     return regressions == 0 ? 0 : 1;
 }
 
-void
-usage()
-{
-    std::printf(
-        "bench_baseline [--out FILE] [--check] [--baseline FILE]\n"
-        "               [--ntier]\n\n"
-        "default: run the baseline cells and write FILE (default\n"
-        "BENCH_baseline.json); --check compares against the committed\n"
-        "baseline instead and exits non-zero on regression.  Sanitizer\n"
-        "builds skip the wall-clock metrics in both modes.  --ntier\n"
-        "swaps in the three-tier cell set (simulated metrics only,\n"
-        "baselined separately in BENCH_baseline_ntier.json).\n");
-}
+} // namespace
 
 int
-run(int argc, char **argv)
-{
-    bool do_check = false;
-    bool ntier = false;
-    std::string out;
-    std::string baseline;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto value = [&](const char *what) -> std::string {
-            if (i + 1 >= argc)
-                SENTINEL_FATAL("missing value for %s", what);
-            return argv[++i];
-        };
-        if (a == "--check") {
-            do_check = true;
-        } else if (a == "--ntier") {
-            ntier = true;
-        } else if (a == "--out") {
-            out = value("--out");
-        } else if (a == "--baseline") {
-            baseline = value("--baseline");
-        } else {
-            usage();
-            return a == "--help" ? 0 : 1;
-        }
-    }
-    std::string def =
+main(int argc, char **argv)
+try {
+    const harness::Args args(argc, argv, { "out", "baseline" },
+                             /*operands=*/0, { "check", "ntier" });
+    const bool do_check = args.has("check");
+    const bool ntier = args.has("ntier");
+    const std::string def =
         ntier ? "BENCH_baseline_ntier.json" : "BENCH_baseline.json";
-    if (out.empty())
-        out = def;
-    if (baseline.empty())
-        baseline = def;
+    const std::string out = args.get("out", def);
+    const std::string baseline = args.get("baseline", def);
 
     // A check reads its baseline before running any cell.
     std::map<std::string, std::string> base;
@@ -380,18 +351,6 @@ run(int argc, char **argv)
     std::printf("%zu metrics written to %s\n", samples.size(),
                 out.c_str());
     return 0;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    // A bad flag value or an unreadable baseline is one fatal line and
-    // exit 1.
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &) {
-        return 1; // fatal() has printed it
-    }
+} catch (...) {
+    return harness::reportError();
 }

@@ -48,11 +48,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -62,6 +59,7 @@
 
 #include "bench_util.hh"
 #include "common/parse.hh"
+#include "harness/args.hh"
 #include "harness/cell.hh"
 #include "harness/oracle.hh"
 #include "harness/report.hh"
@@ -82,116 +80,7 @@ using namespace sentinel;
 
 namespace {
 
-/**
- * Tiny --key value / --key=value parser; expect() rejects the keys a
- * command does not read.
- */
-class Args
-{
-  public:
-    Args(int argc, char **argv, int first)
-    {
-        for (int i = first; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key.rfind("--", 0) != 0) {
-                SENTINEL_FATAL("expected --key value pairs, got '%s'",
-                               key.c_str());
-            }
-            std::size_t eq = key.find('=');
-            if (eq != std::string::npos) {
-                values_[key.substr(2, eq - 2)] = key.substr(eq + 1);
-                continue;
-            }
-            if (i + 1 >= argc) {
-                SENTINEL_FATAL("missing value for '%s'", key.c_str());
-            }
-            values_[key.substr(2)] = argv[++i];
-        }
-    }
-
-    std::string
-    get(const std::string &key, const std::string &dflt) const
-    {
-        auto it = values_.find(key);
-        return it == values_.end() ? dflt : it->second;
-    }
-
-    bool
-    has(const std::string &key) const
-    {
-        return values_.find(key) != values_.end();
-    }
-
-    /** The value of --@p key in [@p lo, @p hi] (common/parse.hh);
-     *  @p dflt when the key is absent. */
-    int
-    getInt(const std::string &key, int dflt,
-           int lo = std::numeric_limits<int>::min(),
-           int hi = std::numeric_limits<int>::max()) const
-    {
-        return getNumber(key, dflt, lo, hi, parseInt<int>);
-    }
-
-    double
-    getDouble(const std::string &key, double dflt,
-              double lo = -std::numeric_limits<double>::max(),
-              double hi = std::numeric_limits<double>::max()) const
-    {
-        return getNumber(key, dflt, lo, hi, parseReal);
-    }
-
-    /** Decimal, 0x hex or 0-prefixed octal, unsigned. */
-    std::uint64_t
-    getU64(const std::string &key, std::uint64_t dflt) const
-    {
-        auto it = values_.find(key);
-        if (it == values_.end())
-            return dflt;
-        if (std::optional<std::uint64_t> v = parseSeed(it->second))
-            return *v;
-        throw badNumber(key, it->second);
-    }
-
-    /**
-     * ConfigError naming the first given key that is not in @p keys,
-     * the keys command @p cmd reads; call it before running anything.
-     */
-    void
-    expect(const std::string &cmd, const std::vector<std::string> &keys) const
-    {
-        for (const auto &kv : values_)
-            if (std::find(keys.begin(), keys.end(), kv.first) == keys.end())
-                throw harness::ConfigError(
-                    strprintf("config: %s does not take --%s", cmd.c_str(),
-                              kv.first.c_str()));
-    }
-
-  private:
-    template <class T>
-    T
-    getNumber(const std::string &key, T dflt, T lo, T hi,
-              std::optional<T> (*read)(std::string_view, T, T)) const
-    {
-        auto it = values_.find(key);
-        if (it == values_.end())
-            return dflt;
-        const std::string &v = it->second;
-        if (std::optional<T> out = read(v, lo, hi))
-            return *out;
-        throw harness::ConfigError("config: --" + key + " " +
-                                   readError(v, lo, hi));
-    }
-
-    static harness::ConfigError
-    badNumber(const std::string &key, const std::string &v)
-    {
-        return harness::ConfigError(strprintf(
-            "config: --%s expects a number, got '%s'", key.c_str(),
-            v.c_str()));
-    }
-
-    std::map<std::string, std::string> values_;
-};
+using harness::Args;
 
 /** --platform: cpu (the Optane server) or gpu. */
 harness::Platform
@@ -447,6 +336,11 @@ cmdCompare(const Args &args)
 int
 cmdPlan(const Args &args)
 {
+    const std::string sname = args.get("solver", "greedy");
+    if (sname != "greedy" && sname != "exhaustive")
+        throw harness::ConfigError(strprintf(
+            "config: --solver wants greedy or exhaustive, got '%s'",
+            sname.c_str()));
     harness::ExperimentConfig cfg = configFrom(args);
     harness::Cell cell(cfg, "sentinel");
     const df::Graph &g = cell.graph();
@@ -485,14 +379,6 @@ cmdPlan(const Args &args)
     // Offline offset assignment over the long-lived set — the tensors
     // Sentinel's co-allocation step lays out (`run --planner interval`
     // adopts exactly this map).
-    std::string sname = args.get("solver", "greedy");
-    if (sname != "greedy" && sname != "exhaustive") {
-        std::fprintf(stderr,
-                     "plan: unknown --solver '%s' (want greedy or "
-                     "exhaustive)\n",
-                     sname.c_str());
-        return 1;
-    }
     plan::Solver solver = sname == "exhaustive"
                               ? plan::Solver::Exhaustive
                               : plan::Solver::Greedy;
@@ -713,8 +599,11 @@ cmdChaos(const Args &args)
 }
 
 int
-cmdReplay(const std::string &file, const Args &args)
+cmdReplay(const Args &args)
 {
+    const std::string file = args.operand(0, "");
+    if (file.empty())
+        SENTINEL_FATAL("replay needs a .sentinelrepro file");
     harness::FuzzCase fc = harness::FuzzCase::load(file);
     int jobs = args.getInt("jobs", 1, 1);
     bool det = args.getInt("determinism", 1) != 0;
@@ -1097,10 +986,8 @@ cmdTop(const Args &args)
     // recent, --frame K (1-based) rewinds.
     const std::string &source = endpoint.empty() ? snapshot : endpoint;
     std::vector<std::string> frames = scrapeFrames(text, source);
-    int frame = args.getInt("frame", static_cast<int>(frames.size()));
-    if (frame < 1 || frame > static_cast<int>(frames.size()))
-        SENTINEL_FATAL("--frame %d out of range (1..%zu)", frame,
-                       frames.size());
+    const int last = static_cast<int>(frames.size());
+    const int frame = args.getInt("frame", last, 1, last);
 
     std::vector<telemetry::OmSample> samples = parseFrame(
         frames[static_cast<std::size_t>(frame - 1)], source);
@@ -1111,9 +998,13 @@ cmdTop(const Args &args)
 }
 
 int
-cmdMetricsDiff(const std::string &file_a, const std::string &file_b,
-               const Args &args)
+cmdMetricsDiff(const Args &args)
 {
+    if (args.operand(1, "").empty())
+        SENTINEL_FATAL("metrics-diff needs two --metrics-out files: "
+                       "sentinel-cli metrics-diff a.prom b.prom");
+    const std::string file_a = args.operand(0, "");
+    const std::string file_b = args.operand(1, "");
     double threshold = args.getDouble("threshold", 10.0);
     // The last frame of each file, read the way `top --snapshot` reads.
     auto load = [](const std::string &path) {
@@ -1254,11 +1145,12 @@ usage()
         "writes counters, gauges and histograms as OpenMetrics text.\n");
 }
 
-/** A subcommand that takes only --key value options. */
+/** A subcommand and the command line it reads. */
 struct Command {
     const char *name;
     int (*fn)(const Args &);
-    std::vector<std::string> keys; ///< the keys it reads
+    std::vector<std::string> keys; ///< the --keys it reads
+    std::size_t operands = 0;      ///< the positional operands it takes
 };
 
 std::vector<std::string>
@@ -1294,6 +1186,8 @@ commands()
           { "iters", "seed", "jobs", "out", "inject-capacity",
             "inject-traffic", "determinism", "shrink", "keep-going", "mode",
             "colo-jobs", "planner", "tiers" } },
+        { "replay", cmdReplay, { "jobs", "determinism" }, 1 },
+        { "metrics-diff", cmdMetricsDiff, { "threshold" }, 2 },
         { "models", [](const Args &) { return cmdModels(); }, {} },
     };
     return table;
@@ -1303,61 +1197,28 @@ commands()
 
 int
 main(int argc, char **argv)
-{
-    if (argc < 2) {
+try {
+    const std::vector<std::string> words(argv + 1, argv + argc);
+    if (words.empty() || words[0] == "help" ||
+        std::ranges::count(words, "--help") ||
+        std::ranges::count(words, "-h")) {
         usage();
-        return 1;
+        return words.empty() ? 1 : 0;
     }
-    std::string cmd = argv[1];
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h" || (i == 1 && arg == "help")) {
-            usage();
-            return 0;
-        }
-    }
-    try {
-        // Every flag is parsed and checked before anything runs.
-        // "sentinel-cli --model resnet32 --trace-out=step.json" is
-        // shorthand for the run command.
-        for (const Command &c : commands()) {
-            const bool shorthand =
-                cmd.rfind("--", 0) == 0 && std::string(c.name) == "run";
-            if (cmd != c.name && !shorthand)
-                continue;
-            Args args(argc, argv, shorthand ? 1 : 2);
-            args.expect(c.name, c.keys);
-            return c.fn(args);
-        }
-        if (cmd == "metrics-diff") {
-            // Two positional metrics files, then --key value options.
-            if (argc < 4 || std::string(argv[2]).rfind("--", 0) == 0 ||
-                std::string(argv[3]).rfind("--", 0) == 0)
-                SENTINEL_FATAL(
-                    "metrics-diff needs two --metrics-out files: "
-                    "sentinel-cli metrics-diff a.prom b.prom");
-            Args dargs(argc, argv, 4);
-            dargs.expect(cmd, { "threshold" });
-            return cmdMetricsDiff(argv[2], argv[3], dargs);
-        }
-        if (cmd == "replay") {
-            // The file rides as the first positional operand
-            // (replay FILE [--jobs N]) or as --file FILE.
-            const bool positional =
-                argc >= 3 && std::string(argv[2]).rfind("--", 0) != 0;
-            Args rargs(argc, argv, positional ? 3 : 2);
-            rargs.expect(cmd, { "file", "jobs", "determinism" });
-            std::string file = positional ? argv[2] : rargs.get("file", "");
-            if (file.empty())
-                SENTINEL_FATAL("replay needs a .sentinelrepro file");
-            return cmdReplay(file, rargs);
-        }
-    } catch (const FatalError &) {
-        return 1; // fatal() has printed it
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+    // Every flag is parsed and checked before anything runs.
+    // "sentinel-cli --model resnet32 --trace-out=step.json" is
+    // shorthand for the run command.
+    const std::string &cmd = words[0];
+    for (const Command &c : commands()) {
+        const bool shorthand =
+            cmd.rfind("--", 0) == 0 && std::string(c.name) == "run";
+        if (cmd != c.name && !shorthand)
+            continue;
+        return c.fn(Args(argc, argv, c.keys, c.operands, {}, c.name,
+                         shorthand ? 1 : 2));
     }
     usage();
     return 1;
+} catch (...) {
+    return harness::reportError();
 }
