@@ -8,6 +8,7 @@
  * its prefetching moves the hot working set into DRAM before use.
  */
 
+#include <fstream>
 #include <iostream>
 
 #include "bench_util.hh"
@@ -61,6 +62,7 @@ try {
     const harness::Args args(argc, argv, { "trace-out" }, /*operands=*/1);
     const std::string model = bench::modelOperand(args, "resnet32");
     const std::string trace_out = args.get("trace-out", "");
+    std::ofstream trace_os = args.openOutput("trace-out");
     bench::banner("Fig. 9 - memory bandwidth during one step",
                   "Fig. 9, Sec. VII-B");
 
@@ -113,8 +115,8 @@ try {
         cell.hm().setTelemetry(&session);
         cell.executor().setTelemetry(&session);
         cell.executor().run(7);
-        if (!telemetry::saveChromeTrace(session.events(), trace_out))
-            SENTINEL_FATAL("could not write '%s'", trace_out.c_str());
+        telemetry::writeChromeTrace(session.events(), trace_os);
+        harness::closeOutput(trace_os, trace_out);
         std::cout << strprintf(
             "\nChrome trace of %d steady steps written to %s "
             "(%zu events)\n", 7, trace_out.c_str(),

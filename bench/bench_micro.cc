@@ -11,7 +11,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "alloc/arena.hh"
+#include "baselines/page_queues.hh"
 #include "baselines/reference.hh"
 #include "core/sentinel_policy.hh"
 #include "dataflow/executor.hh"
@@ -211,6 +216,110 @@ BM_PageTableUmChurn(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PageTableUmChurn);
+
+// UM's LRU without a simulator around it.  A GPU resnet200 step under
+// UM makes about 29,000 touches of 44 pages on average, 9,600
+// front()/popFront() pairs and 3,200 eraseRange() calls.  Of the
+// touches, 45% re-touch a whole record exactly, 21% start on a page
+// that is not queued, 20% at a record's first page and 13% inside a
+// record.  One step's worth of calls is drawn once over 700 tensor
+// runs laid across a directory chunk seam, against the LRU itself so
+// that a touch from an unqueued page finds one; the draw lands at 45%,
+// 26%, 18% and 11% with 45 pages per touch.  Each iteration replays
+// the calls on the state the last one left.
+void
+BM_RunLruUmChurn(benchmark::State &state)
+{
+    constexpr mem::PageId kBase = 3 * (1ull << 16) - 20000;
+    constexpr std::uint64_t kOps = 41800;
+    constexpr std::uint64_t kEvictPages = 32;
+    enum class Kind : std::uint8_t { Touch, Pop, Erase };
+    struct Op {
+        Kind kind;
+        mem::PageRun run;
+    };
+    std::mt19937_64 rng(7);
+    std::vector<mem::PageRun> tensors;
+    mem::PageId end = kBase;
+    for (int t = 0; t < 700; ++t) {
+        tensors.push_back({ end, 1 + rng() % 110 });
+        end = tensors.back().endPage() + rng() % 8;
+    }
+    baselines::RunLru lru;
+    std::vector<bool> queued(end - kBase);
+    auto mark = [&](mem::PageRun run, bool q) {
+        for (mem::PageId p = run.first; p < run.endPage(); ++p)
+            queued[p - kBase] = q;
+    };
+    // A run of tensor @p t: whole, from its first unqueued page, from
+    // its first page, or from inside it.
+    auto touchRun = [&](const mem::PageRun &t,
+                        std::uint64_t r) -> mem::PageRun {
+        if (r < 58 || t.count == 1)
+            return t;
+        if (r < 74) {
+            for (mem::PageId p = t.first; p < t.endPage(); ++p)
+                if (!queued[p - kBase])
+                    return { p, t.endPage() - p };
+            return t;
+        }
+        if (r < 84)
+            return { t.first, 1 + rng() % t.count };
+        const std::uint64_t off = 1 + rng() % (t.count - 1);
+        return { t.first + off, 1 + rng() % (t.count - off) };
+    };
+    std::vector<Op> ops;
+    std::uint64_t touched_pages = 0;
+    std::uint64_t touches = 0;
+    while (ops.size() < kOps) {
+        const std::uint64_t r = rng() % (783 + 258 + 86);
+        const mem::PageRun &t = tensors[rng() % tensors.size()];
+        if (r < 783) {
+            const mem::PageRun run = touchRun(t, rng() % 100);
+            lru.touch(run);
+            mark(run, true);
+            ops.push_back({ Kind::Touch, run });
+            touched_pages += run.count;
+            ++touches;
+        } else if (r < 783 + 258) {
+            if (lru.empty())
+                continue;
+            const mem::PageRun run = lru.front(kEvictPages);
+            lru.popFront(run.count);
+            mark(run, false);
+            ops.push_back({ Kind::Pop, {} });
+        } else {
+            lru.eraseRange(t);
+            mark(t, false);
+            ops.push_back({ Kind::Erase, t });
+        }
+    }
+    for (auto _ : state) {
+        for (const Op &op : ops) {
+            switch (op.kind) {
+              case Kind::Touch:
+                lru.touch(op.run);
+                break;
+              case Kind::Pop:
+                if (!lru.empty()) {
+                    const mem::PageRun run = lru.front(kEvictPages);
+                    benchmark::DoNotOptimize(run);
+                    lru.popFront(run.count);
+                }
+                break;
+              case Kind::Erase:
+                lru.eraseRange(op.run);
+                break;
+            }
+        }
+        benchmark::ClobberMemory();
+    }
+    state.counters["pages_per_touch"] =
+        static_cast<double>(touched_pages) / static_cast<double>(touches);
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * ops.size()));
+}
+BENCHMARK(BM_RunLruUmChurn);
 
 void
 BM_GraphBuildResnet32(benchmark::State &state)

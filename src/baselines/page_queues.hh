@@ -8,9 +8,9 @@
  * keep their state in flat, reused storage instead, so a warm step
  * allocates nothing:
  *
- *  - RunLru links one pooled record per touched run in recency order
- *    and names each page's record in a page-indexed mem::PageDirectory,
- *    4 bytes per page;
+ *  - RunLru links pooled records of hole-free page runs in recency
+ *    order and names each page's record in a page-indexed
+ *    mem::PageDirectory, 4 bytes per page;
  *  - PageRing is a grow-only ring buffer of page ids.
  */
 
@@ -30,81 +30,70 @@
 namespace sentinel::baselines {
 
 /**
- * Recency order over pages, kept per touched run: front = least
- * recently touched page.
+ * Recency order over pages, kept per run: front = least recently
+ * touched page.
  *
- * touch(run) appends one record of the run to a doubly linked recency
- * list.  A page belongs to the record that touched it last, named by
- * a 32-bit record id in a page-indexed directory (0 = not queued), and
- * a record's pages are queued in ascending order.  The queue is thus
- * exactly the page LRU that touches each page of every run in turn:
+ * A doubly linked recency list of pooled records, each a run
+ * [first, end) of queued pages with no hole, queued in ascending
+ * order; live records are disjoint, and a page-indexed directory names
+ * each queued page's record by a 32-bit id (0 = not queued).  The
+ * queue is thus exactly the page LRU that touches each page of every
+ * run in turn:
  *
- *  - a touch rewrites the run's ids one directory chunk span at a
- *    time, releasing each stretch of one old record at once, and
- *    appends a new record;
- *  - eraseRange() clears a run's ids the same way and creates no
- *    chunk, and front()/popFront() hand out the oldest run of queued
- *    pages.
+ *  - front(max) is the head record's first pages, and popFront(n)
+ *    clears n ids and advances the head record;
+ *  - touch() and eraseRange() step over the run a whole record at a
+ *    time, trimming each record they overlap or dropping it.  A record
+ *    the run splits in two gives its smaller side to a new record at
+ *    the same recency position, so only those ids are rewritten;
+ *  - touch() then appends one record for the run and writes its ids,
+ *    but a record that starts the run and ends inside it becomes the
+ *    run's record and keeps its ids: an exact re-touch writes none.
  *
- * Records whose pages are all gone return to a free list, so once the
- * pool and the directory chunks reach their high-water mark nothing
- * allocates.
+ * Dropped records return to a free list, so once the pool and the
+ * directory chunks reach their high-water mark nothing allocates.
  */
 class RunLru
 {
   public:
-    bool empty() const { return head_ == 0; }
+    bool empty() const { return head() == 0; }
 
     /** Move the pages of @p run to the back, in ascending order. */
     void
     touch(mem::PageRun run)
     {
         SENTINEL_ASSERT(run.count > 0, "touch() of an empty run");
-        const std::uint32_t id = claim(run);
-        std::uint32_t *slots = nullptr;
-        for (mem::PageId p = run.first; p < run.endPage();) {
-            const std::uint64_t n = ids_.span(p, run.endPage() - p, slots);
-            for (std::uint64_t i = 0; i < n;) {
-                const std::uint32_t prior = slots[i];
-                const std::uint64_t from = i;
-                while (i < n && slots[i] == prior)
-                    slots[i++] = id;
-                if (prior != 0)
-                    release(prior, i - from);
-            }
-            p += n;
+        const mem::PageId end = run.endPage();
+        // A record that starts the run and ends inside it keeps its ids.
+        std::uint32_t id = ids_.get(run.first);
+        mem::PageId from = run.first;
+        if (id != 0 && pool_[id].first == run.first && pool_[id].end <= end) {
+            from = pool_[id].end;
+            unlink(id);
+        } else {
+            id = claim(run.first, end);
         }
-        linkBack(id);
+        unqueue(from, end, false);
+        pool_[id].end = end;
+        linkAfter(id, pool_[0].prev);
+        fill(from, end, id);
     }
 
     /** Unqueue @p page if it is queued. */
     void
     erase(mem::PageId page)
     {
-        eraseRange({ page, 1 });
+        if (const std::uint32_t id = ids_.get(page); id != 0) {
+            cut(id, page, page + 1);
+            ids_.ref(page) = 0;
+        }
     }
 
-    /**
-     * Unqueue the queued pages of @p run: as erase() of each page in
-     * turn, releasing each stretch of one record at once.
-     */
+    /** Unqueue the queued pages of @p run. */
     void
     eraseRange(mem::PageRun run)
     {
-        std::uint32_t *slots = nullptr;
-        for (mem::PageId p = run.first; p < run.endPage();) {
-            const std::uint64_t n =
-                ids_.presentSpan(p, run.endPage() - p, slots);
-            for (std::uint64_t i = 0; slots && i < n;) {
-                const std::uint32_t prior = slots[i];
-                const std::uint64_t from = i;
-                while (i < n && slots[i] == prior)
-                    slots[i++] = 0;
-                if (prior != 0)
-                    release(prior, i - from);
-            }
-            p += n;
-        }
+        unqueue(run.first, run.endPage(), true);
     }
 
     /**
@@ -112,80 +101,105 @@ class RunLru
      * the queue whose pages are consecutive and touched together.
      */
     mem::PageRun
-    front(std::uint64_t max)
+    front(std::uint64_t max) const
     {
-        SENTINEL_ASSERT(head_ != 0, "front() of an empty LRU");
-        Record &r = pool_[head_];
-        const mem::PageId end = r.end;
-        std::uint32_t *slots = nullptr;
-        // Skip the pages that left the record since it was touched.
-        for (;;) {
-            SENTINEL_ASSERT(r.cursor < end, "LRU record has no page");
-            const std::uint64_t n = ids_.span(r.cursor, end - r.cursor,
-                                              slots);
-            std::uint64_t i = 0;
-            while (i < n && slots[i] != head_)
-                ++i;
-            r.cursor += i;
-            if (i < n)
-                break;
-        }
-        const std::uint64_t limit = std::min(max, end - r.cursor);
-        std::uint64_t len = 0;
-        while (len < limit) {
-            const std::uint64_t n =
-                ids_.span(r.cursor + len, limit - len, slots);
-            std::uint64_t i = 0;
-            while (i < n && slots[i] == head_)
-                ++i;
-            len += i;
-            if (i < n)
-                break;
-        }
-        return { r.cursor, len };
+        SENTINEL_ASSERT(!empty(), "front() of an empty LRU");
+        const Record &r = pool_[head()];
+        return { r.first, std::min(max, r.end - r.first) };
     }
 
     /** Unqueue the first @p n pages of the run front() just returned. */
     void
     popFront(std::uint64_t n)
     {
-        SENTINEL_ASSERT(head_ != 0, "popFront() of an empty LRU");
-        Record &r = pool_[head_];
-        std::uint32_t *slots = nullptr;
-        for (std::uint64_t left = n; left > 0;) {
-            const std::uint64_t k = ids_.span(r.cursor, left, slots);
-            for (std::uint64_t i = 0; i < k; ++i) {
-                SENTINEL_ASSERT(slots[i] == head_,
-                                "popFront() past the run front() returned");
-                slots[i] = 0;
-            }
-            r.cursor += k;
-            left -= k;
-        }
-        release(head_, n);
+        SENTINEL_ASSERT(!empty(), "popFront() of an empty LRU");
+        Record &r = pool_[head()];
+        SENTINEL_ASSERT(n <= r.end - r.first,
+                        "popFront() past the run front() returned");
+        fill(r.first, r.first + n, 0);
+        r.first += n;
+        if (r.first == r.end)
+            drop(head());
     }
 
     /** Records ever claimed, live or free: the pool's high-water mark. */
     std::size_t poolSize() const { return pool_.size() - 1; }
 
   private:
-    /** The pages [cursor, end) of one touch that may still be queued:
-     *  none of its pages before the cursor is. */
     struct Record {
-        mem::PageId cursor = 0;
+        mem::PageId first = 0;
         mem::PageId end = 0;
-        /** Pages whose id still names this record. */
-        std::uint64_t live = 0;
-        /** Recency neighbours as record ids, 0 = none; a free record
-         *  keeps the next free one in @c next. */
+        /** Recency neighbours as record ids, 0 = the ring's end; a
+         *  free record keeps the next free one in @c next. */
         std::uint32_t prev = 0;
         std::uint32_t next = 0;
     };
 
-    /** A fresh, unlinked record of @p run, reused from the free list
-     *  when one is there. */
+    /** Take the queued pages of [p, end) off their records, zeroing
+     *  their ids if @p clear; skips chunks the directory never made. */
+    void
+    unqueue(mem::PageId p, mem::PageId end, bool clear)
+    {
+        const auto queued = [](std::uint32_t v) { return v != 0; };
+        std::uint32_t *slots = nullptr;
+        while (p < end) {
+            const std::uint64_t n = ids_.presentSpan(p, end - p, slots);
+            const std::uint64_t i =
+                slots ? std::find_if(slots, slots + n, queued) - slots : n;
+            p += i;
+            if (i == n)
+                continue;
+            const mem::PageId stop = cut(slots[i], p, end);
+            if (clear)
+                fill(p, stop, 0);
+            p = stop;
+        }
+    }
+
+    /** Take [p, end) off record @p id, which holds page p, and @return
+     *  where its pages in that range stop.  The caller rewrites them. */
+    mem::PageId
+    cut(std::uint32_t id, mem::PageId p, mem::PageId end)
+    {
+        const Record r = pool_[id];
+        const mem::PageId stop = std::min(r.end, end);
+        if (r.first < p && stop < r.end) {
+            const bool head_side = p - r.first <= r.end - stop;
+            const mem::PageId lo = head_side ? r.first : stop;
+            const mem::PageId hi = head_side ? p : r.end;
+            const std::uint32_t side = claim(lo, hi);
+            linkAfter(side, head_side ? r.prev : id);
+            if (head_side)
+                pool_[id].first = stop;
+            else
+                pool_[id].end = p;
+            fill(lo, hi, side);
+        } else if (r.first < p) {
+            pool_[id].end = p;
+        } else if (stop < r.end) {
+            pool_[id].first = stop;
+        } else {
+            drop(id);
+        }
+        return stop;
+    }
+
+    /** Set the ids of the pages [first, end) to @p id. */
+    void
+    fill(mem::PageId first, mem::PageId end, std::uint32_t id)
+    {
+        std::uint32_t *slots = nullptr;
+        for (mem::PageId p = first; p < end;) {
+            const std::uint64_t n = ids_.span(p, end - p, slots);
+            std::fill_n(slots, n, id);
+            p += n;
+        }
+    }
+
+    /** A fresh, unlinked record of [first, end), reused from the free
+     *  list when one is there. */
     std::uint32_t
-    claim(mem::PageRun run)
+    claim(mem::PageId first, mem::PageId end)
     {
         std::uint32_t id = free_;
         if (id != 0) {
@@ -197,55 +211,44 @@ class RunLru
             id = static_cast<std::uint32_t>(pool_.size());
             pool_.emplace_back();
         }
-        pool_[id] = Record{ run.first, run.endPage(), run.count, 0, 0 };
+        pool_[id] = Record{ first, end, 0, 0 };
         return id;
     }
 
-    /** @p n pages of record @p id left it; free it once none is left. */
+    /** Unlink record @p id and return it to the free list. */
     void
-    release(std::uint32_t id, std::uint64_t n)
+    drop(std::uint32_t id)
     {
-        Record &r = pool_[id];
-        r.live -= n;
-        if (r.live == 0) {
-            unlink(id);
-            r.next = free_;
-            free_ = id;
-        }
-    }
-
-    void
-    linkBack(std::uint32_t id)
-    {
-        Record &r = pool_[id];
-        r.prev = tail_;
-        r.next = 0;
-        if (tail_ != 0)
-            pool_[tail_].next = id;
-        else
-            head_ = id;
-        tail_ = id;
+        unlink(id);
+        pool_[id].next = free_;
+        free_ = id;
     }
 
     void
     unlink(std::uint32_t id)
     {
-        Record &r = pool_[id];
-        if (r.prev != 0)
-            pool_[r.prev].next = r.next;
-        else
-            head_ = r.next;
-        if (r.next != 0)
-            pool_[r.next].prev = r.prev;
-        else
-            tail_ = r.prev;
-        r.prev = r.next = 0;
+        const Record &r = pool_[id];
+        pool_[r.prev].next = r.next;
+        pool_[r.next].prev = r.prev;
     }
 
-    std::vector<Record> pool_ = std::vector<Record>(1); ///< [0] = none
+    /** Link unlinked record @p id right after record @p prev. */
+    void
+    linkAfter(std::uint32_t id, std::uint32_t prev)
+    {
+        const std::uint32_t next = pool_[prev].next;
+        pool_[id].prev = prev;
+        pool_[id].next = next;
+        pool_[prev].next = id;
+        pool_[next].prev = id;
+    }
+
+    std::uint32_t head() const { return pool_[0].next; }
+
+    /** [0] closes the recency ring: its next is the head record and
+     *  its prev the tail, 0 when the list is empty. */
+    std::vector<Record> pool_ = std::vector<Record>(1);
     mem::PageDirectory<std::uint32_t> ids_;
-    std::uint32_t head_ = 0;
-    std::uint32_t tail_ = 0;
     std::uint32_t free_ = 0;
 };
 

@@ -58,13 +58,10 @@ UnifiedMemoryPolicy::evictLru(df::Executor &ex,
     victims_.clear(); // coalesced as they are chosen
     std::uint64_t wanted = mem::pageCeil(bytes_needed);
     while (wanted > 0 && !lru_.empty()) {
-        // One residency read per LRU run: its leading pages that are
-        // host-side or already moving are dropped from the LRU all the
+        // One residency read per LRU run, which panics on an unmapped
+        // page: its host-side or moving prefix leaves the LRU all the
         // same, and idle device pages are taken up to the need.
         const mem::PageRun run = lru_.front(wanted);
-        SENTINEL_ASSERT(hm.isMapped(run.first),
-                        "LRU page %llu is not mapped",
-                        static_cast<unsigned long long>(run.first));
         const mem::PageRunState rs =
             hm.residentRange(run.first, run.count, now);
         lru_.popFront(rs.count);

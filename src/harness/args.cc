@@ -59,6 +59,27 @@ Args::getU64(const std::string &key, std::uint64_t dflt) const
                                 key.c_str(), v.c_str()));
 }
 
+std::ofstream
+Args::openOutput(const std::string &key, const std::string &dflt) const
+{
+    std::ofstream os;
+    const std::string path = get(key, dflt);
+    if (!path.empty()) {
+        os.open(path, std::ios::binary);
+        if (!os)
+            SENTINEL_FATAL("could not write '%s'", path.c_str());
+    }
+    return os;
+}
+
+void
+closeOutput(std::ofstream &os, const std::string &path)
+{
+    os.close();
+    if (!os)
+        SENTINEL_FATAL("could not write '%s'", path.c_str());
+}
+
 int
 reportError()
 {

@@ -1,14 +1,15 @@
 /**
  * @file
  * The front end of every binary in bench/, tools/ and examples/: Args
- * reads its command line, and reportError() is the one place an error
- * that escapes its main is printed.
+ * reads its command line and opens its output files, and reportError()
+ * is the one place an error that escapes its main is printed.
  */
 
 #ifndef SENTINEL_HARNESS_ARGS_HH
 #define SENTINEL_HARNESS_ARGS_HH
 
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <optional>
@@ -88,6 +89,15 @@ class Args
                    : dflt;
     }
 
+    /**
+     * A stream open on the file --@p key names (@p dflt when absent),
+     * or a closed one when that is empty.  Commands open their outputs
+     * before any work, so an unwritable path costs no run: FatalError
+     * when the file cannot be opened.
+     */
+    std::ofstream openOutput(const std::string &key,
+                             const std::string &dflt = "") const;
+
   private:
     template <class T>
     static T
@@ -102,6 +112,10 @@ class Args
     std::map<std::string, std::string> values_;
     std::vector<std::string> operands_;
 };
+
+/** Close @p os, opened by Args::openOutput() on @p path: FatalError
+ *  when a write to it failed. */
+void closeOutput(std::ofstream &os, const std::string &path);
 
 /**
  * Print the error in flight once on stderr (a FatalError as its what(),

@@ -1,6 +1,5 @@
 #include "telemetry/chrome_trace.hh"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -239,17 +238,6 @@ chromeTraceJson(const EventSink &sink, const ChromeTraceOptions &opts)
     std::ostringstream ss;
     writeChromeTrace(sink, ss, opts);
     return ss.str();
-}
-
-bool
-saveChromeTrace(const EventSink &sink, const std::string &path,
-                const ChromeTraceOptions &opts)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    writeChromeTrace(sink, out, opts);
-    return static_cast<bool>(out);
 }
 
 } // namespace sentinel::telemetry

@@ -69,10 +69,6 @@ void writeChromeTrace(const EventSink &sink, std::ostream &os,
 std::string chromeTraceJson(const EventSink &sink,
                             const ChromeTraceOptions &opts = {});
 
-/** Write @p sink's events to @p path; @return false on I/O failure. */
-bool saveChromeTrace(const EventSink &sink, const std::string &path,
-                     const ChromeTraceOptions &opts = {});
-
 } // namespace sentinel::telemetry
 
 #endif // SENTINEL_TELEMETRY_CHROME_TRACE_HH

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -323,6 +324,19 @@ TEST(Hm, ResidentRangeSplitsOnTierAndFlight)
     EXPECT_FALSE(rs.in_flight);
     EXPECT_EQ(rs.count, 1u); // page 3 is still Slow
     EXPECT_FALSE(inFlightAt(hm, 3, arrival));
+}
+
+TEST(Hm, ResidentRangeOfAnUnmappedPagePanics)
+{
+    // UM's eviction reads a queued run's residency without testing
+    // isMapped() first: this panic is the check that a queued page is
+    // mapped.
+    auto hm = makeHm(8);
+    hm.mapRange(4, 4, Tier::Fast);
+    EXPECT_THROW(hm.residentRange(0, 1, 0), std::logic_error);
+    EXPECT_THROW(hm.residentRange(8, 2, 0), std::logic_error);
+    hm.unmapRange(4, 4, 0);
+    EXPECT_THROW(hm.residentRange(4, 1, 0), std::logic_error);
 }
 
 TEST(Hm, RemigratedRunIgnoresItsFreedRecord)

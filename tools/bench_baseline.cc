@@ -228,11 +228,8 @@ collectNtier()
 }
 
 void
-writeBaseline(const std::vector<Sample> &samples, const std::string &path)
+writeBaseline(const std::vector<Sample> &samples, std::ofstream &os)
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        SENTINEL_FATAL("could not write '%s'", path.c_str());
     os << "{\n";
     os << "  \"schema\": 1,\n";
     os << "  \"sanitized\": " << (BENCH_SANITIZED ? "true" : "false")
@@ -335,10 +332,14 @@ try {
     const std::string out = args.get("out", def);
     const std::string baseline = args.get("baseline", def);
 
-    // A check reads its baseline before running any cell.
+    // A check reads its baseline, and a write opens its file, before
+    // running any cell.
     std::map<std::string, std::string> base;
+    std::ofstream out_os;
     if (do_check)
         base = readBaseline(baseline);
+    else
+        out_os = args.openOutput("out", def);
     if (BENCH_SANITIZED && !ntier)
         std::printf("sanitizer build: wall-clock metrics skipped\n");
     std::vector<Sample> samples =
@@ -347,7 +348,8 @@ try {
     if (do_check)
         return check(samples, base, baseline);
 
-    writeBaseline(samples, out);
+    writeBaseline(samples, out_os);
+    harness::closeOutput(out_os, out);
     std::printf("%zu metrics written to %s\n", samples.size(),
                 out.c_str());
     return 0;

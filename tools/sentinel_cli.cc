@@ -187,6 +187,8 @@ cmdRun(const Args &args)
     std::string trace_out = args.get("trace-out", "");
     std::string metrics_out = args.get("metrics-out", "");
     const std::size_t ring_capacity = ringCapacity(args);
+    std::ofstream trace_os = args.openOutput("trace-out");
+    std::ofstream metrics_os = args.openOutput("metrics-out");
 
     std::optional<telemetry::Session> session;
     if (!trace_out.empty() || !metrics_out.empty()) {
@@ -214,9 +216,8 @@ cmdRun(const Args &args)
         if (!trace_out.empty()) {
             telemetry::ChromeTraceOptions topts;
             topts.labeler = graphLabeler(g);
-            if (!telemetry::saveChromeTrace(session->events(), trace_out,
-                                            topts))
-                SENTINEL_FATAL("could not write '%s'", trace_out.c_str());
+            telemetry::writeChromeTrace(session->events(), trace_os, topts);
+            harness::closeOutput(trace_os, trace_out);
             std::printf("trace written to %s (%zu events, %llu dropped); "
                         "open in https://ui.perfetto.dev\n",
                         trace_out.c_str(), session->events().size(),
@@ -224,12 +225,9 @@ cmdRun(const Args &args)
                             session->events().dropped()));
         }
         if (!metrics_out.empty()) {
-            std::ofstream os(metrics_out, std::ios::binary);
-            telemetry::writeOpenMetrics(session->metrics(), os);
-            telemetry::omWriteEof(os);
-            if (!os)
-                SENTINEL_FATAL("could not write '%s'",
-                               metrics_out.c_str());
+            telemetry::writeOpenMetrics(session->metrics(), metrics_os);
+            telemetry::omWriteEof(metrics_os);
+            harness::closeOutput(metrics_os, metrics_out);
             std::printf("metrics written to %s\n", metrics_out.c_str());
         }
     }
@@ -262,13 +260,16 @@ cmdReport(const Args &args)
     telemetry::Session session(tcfg);
     cfg.telemetry = &session;
 
-    // The graph comes first so a bad --tensor costs no run.
+    // The graph and the output files come first, so a bad --tensor or
+    // an unwritable path costs no run.
     df::Graph g = harness::buildGraph(cfg);
     if (want_history && tensor >= g.numTensors())
         throw harness::ConfigError(strprintf(
             "config: --tensor %llu is not a tensor of %s (it has %zu)",
             static_cast<unsigned long long>(tensor), cfg.model.c_str(),
             g.numTensors()));
+    std::ofstream report_os = args.openOutput("report-out");
+    std::ofstream trace_os = args.openOutput("trace-out");
 
     harness::StepTrace tr = harness::runExperimentSteps(cfg, policy);
     if (!tr.metrics.supported) {
@@ -295,10 +296,8 @@ cmdReport(const Args &args)
                         .c_str());
 
     if (!report_out.empty()) {
-        std::ofstream os(report_out, std::ios::binary);
-        if (!os)
-            SENTINEL_FATAL("could not write '%s'", report_out.c_str());
-        os << harness::stallReportJson(g, attr, audit, ropts);
+        report_os << harness::stallReportJson(g, attr, audit, ropts);
+        harness::closeOutput(report_os, report_out);
         std::printf("report written to %s\n", report_out.c_str());
     }
     if (!trace_out.empty()) {
@@ -306,9 +305,8 @@ cmdReport(const Args &args)
         topts.labeler = graphLabeler(g);
         topts.audit = &audit;
         topts.process_label = cfg.model + " [" + policy + "]";
-        if (!telemetry::saveChromeTrace(session.events(), trace_out,
-                                        topts))
-            SENTINEL_FATAL("could not write '%s'", trace_out.c_str());
+        telemetry::writeChromeTrace(session.events(), trace_os, topts);
+        harness::closeOutput(trace_os, trace_out);
         std::printf("trace written to %s (%zu events, %llu dropped)\n",
                     trace_out.c_str(), session.events().size(),
                     static_cast<unsigned long long>(
@@ -451,6 +449,9 @@ cmdProfile(const Args &args)
     harness::ExperimentConfig cfg = configFrom(args);
     std::string out = args.get("out", "");
     std::string in = args.get("in", "");
+    // --out is written only by a profiling run.
+    std::ofstream out_os = in.empty() ? args.openOutput("out")
+                                      : std::ofstream();
 
     if (!in.empty()) {
         // Reuse a persisted profile: plan and train without the
@@ -472,8 +473,8 @@ cmdProfile(const Args &args)
                 cfg.model.c_str(), cfg.batch, r.db.numTensors(),
                 r.profilingSlowdown(), 100.0 * r.memoryOverhead());
     if (!out.empty()) {
-        if (!prof::saveProfile(r.db, out))
-            SENTINEL_FATAL("could not write '%s'", out.c_str());
+        prof::saveProfile(r.db, out_os);
+        harness::closeOutput(out_os, out);
         std::printf("profile written to %s\n", out.c_str());
     }
     return 0;
@@ -816,6 +817,10 @@ cmdServe(const Args &args)
     cfg.default_warmup = args.getInt("warmup", 4);
     const int port = args.getInt("listen", 0, 0, 65535);
     const int count = args.getInt("listen-count", 0);
+    // The oracle runs no observability plane, so it writes no frames.
+    const bool oracle = args.getInt("oracle", 0) != 0;
+    std::ofstream snap =
+        oracle ? std::ofstream() : args.openOutput("scrape-out");
 
     std::string colo = args.get("colo", "");
     const int mix = args.getInt("mix", 3, 1);
@@ -831,7 +836,7 @@ cmdServe(const Args &args)
             std::printf("  %s\n", s.toSpecString().c_str());
     }
 
-    if (args.getInt("oracle", 0) != 0) {
+    if (oracle) {
         server::ServerOracleOptions opts;
         opts.jobs = cfg.jobs > 1 ? cfg.jobs : 4;
         harness::OracleReport rep =
@@ -858,18 +863,11 @@ cmdServe(const Args &args)
 
     std::optional<telemetry::Session> session;
     telemetry::AuditLog audit;
-    std::optional<std::ofstream> snap;
     std::optional<server::ObservabilityPlane> obs;
     if (want_obs) {
         session.emplace();
-        if (!scrape_out.empty()) {
-            snap.emplace(scrape_out, std::ios::binary);
-            if (!*snap)
-                SENTINEL_FATAL("could not write '%s'",
-                               scrape_out.c_str());
-        }
         obs.emplace(scfg, &*session, &audit,
-                    snap ? &*snap : nullptr);
+                    snap.is_open() ? &snap : nullptr);
         cfg.obs = &*obs;
         cfg.telemetry = &*session;
     }
@@ -887,9 +885,11 @@ cmdServe(const Args &args)
                             v += obs->job(j).violations;
                         return v;
                     }());
-        if (!scrape_out.empty())
+        if (!scrape_out.empty()) {
+            harness::closeOutput(snap, scrape_out);
             std::printf("scrape: %d frame(s) written to %s\n",
                         obs->snapshots(), scrape_out.c_str());
+        }
     }
 
     if (listen) {
@@ -1217,8 +1217,7 @@ try {
         return c.fn(Args(argc, argv, c.keys, c.operands, {}, c.name,
                          shorthand ? 1 : 2));
     }
-    usage();
-    return 1;
+    throw harness::ConfigError("config: unknown command '" + cmd + "'");
 } catch (...) {
     return harness::reportError();
 }
